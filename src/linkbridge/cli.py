@@ -30,11 +30,26 @@ def _read_json(path: str) -> dict:
     from .errors import ConfigError
 
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return payload
+
+
+def _build_config(cls, payload):
+    """``cls(**payload)``, validated; any problem is a ConfigError (exit 2)."""
+    from .errors import ConfigError, LinkBridgeError
+
+    try:
+        config = cls(**payload)
+        config.validate()
+    except (TypeError, LinkBridgeError) as exc:
+        raise ConfigError(f"{cls.__name__}: {exc}") from exc
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +116,7 @@ def cmd_gen_synmodel(args) -> int:
     from .datasets import SyntheticSpec, generate_synthetic
     from .io import write_edge_tsv, write_features_bin, write_features_csv
 
-    spec = SyntheticSpec(**_read_json(args.spec))
+    spec = _build_config(SyntheticSpec, _read_json(args.spec))
     src, tar, heldout = generate_synthetic(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,12 +170,12 @@ def cmd_train_scorer(args) -> int:
     from .scorer import ScorerConfig, embed, score_edges, train_scorer
     from .selection import SplitManifest
 
-    manifest = SplitManifest.load(args.manifest)
-    g_train = _load_training_graph(args.graph, manifest)
     payload = _read_json(args.config) if args.config else {}
     if args.seed is not None:
         payload["seed"] = args.seed
-    config = ScorerConfig(**payload)
+    config = _build_config(ScorerConfig, payload)
+    manifest = SplitManifest.load(args.manifest)
+    g_train = _load_training_graph(args.graph, manifest)
     model = train_scorer(config, g_train, manifest)
     save_scorer(args.out, model)
     print(
@@ -189,11 +204,11 @@ def cmd_propagate(args) -> int:
     from .scorer import embed, score_edges
     from .selection import SplitManifest
 
+    cfg = _build_config(
+        DiffusionConfig, {"alpha": args.alpha, "k_max": args.kmax, "tol": args.tol}
+    )
     manifest = SplitManifest.load(args.manifest)
     g_train = _load_training_graph(args.graph, manifest)
-    cfg = DiffusionConfig(
-        alpha=args.alpha, k_max=args.kmax, tol=args.tol, degree_cap=args.degree_cap
-    )
     pairs = manifest.all_edges()
     ids = g_train.ids_for([k for pair in pairs for k in pair]).reshape(-1, 2)
 
@@ -242,13 +257,13 @@ def cmd_distill(args) -> int:
     from .scorer import embed
     from .selection import SplitManifest
 
-    manifest = SplitManifest.load(args.manifest)
-    g_train = _load_training_graph(args.graph, manifest)
-    teacher = load_scorer(args.teacher, g_train)
     payload = _read_json(args.config) if args.config else {}
     if args.train_xprime:
         payload["train_xprime"] = True
-    config = DistillConfig(**payload)
+    config = _build_config(DistillConfig, payload)
+    manifest = SplitManifest.load(args.manifest)
+    g_train = _load_training_graph(args.graph, manifest)
+    teacher = load_scorer(args.teacher, g_train)
     y = embed(teacher, g_train)
     student = imitate(y, g_train, config, x_prime=teacher.x_prime)
     mse = student.imitation_mse
@@ -281,19 +296,19 @@ def cmd_evaluate(args) -> int:
     import numpy as np
 
     from .errors import ConfigError, DataError
-    from .evaluation import EvalReport, evaluate_scores, shuffle_eval_order
+    from .evaluation import (
+        CALIBRATED_METHODS,
+        EvalReport,
+        eval_pairs,
+        evaluate_scores,
+        shuffle_eval_order,
+    )
     from .io import read_scores_tsv
     from .selection import SplitManifest
 
     manifest = SplitManifest.load(args.manifest)
-    if args.split == "valid":
-        pos, neg = manifest.valid_pos, manifest.valid_neg
-    elif args.split == "test":
-        pos, neg = manifest.test_pos, manifest.test_neg
-    else:
-        pos = manifest.valid_pos + manifest.test_pos
-        neg = manifest.valid_neg + manifest.test_neg
-    eval_pairs, labels = shuffle_eval_order(list(pos), list(neg), args.seed)
+    pos, neg = eval_pairs(manifest, args.split)
+    eval_order, labels = shuffle_eval_order(pos, neg, args.seed)
 
     rows = []
     for item in args.scores:
@@ -302,7 +317,7 @@ def cmd_evaluate(args) -> int:
         method, path = item.split("=", 1)
         table = read_scores_tsv(path)
         try:
-            scores = np.array([table[pair] for pair in eval_pairs])
+            scores = np.array([table[pair] for pair in eval_order])
         except KeyError as exc:
             raise DataError(
                 f"{path} is missing evaluation edge {exc.args[0]}"
@@ -310,7 +325,7 @@ def cmd_evaluate(args) -> int:
         threshold = (
             args.threshold
             if args.threshold is not None
-            else (0.5 if method in ("logit_lp", "node_lp") else 0.0)
+            else (0.5 if method in CALIBRATED_METHODS else 0.0)
         )
         row = {
             "regime": manifest.regime.value,
@@ -452,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--kmax", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--degree-cap", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_propagate)
 

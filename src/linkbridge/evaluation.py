@@ -43,6 +43,8 @@ __all__ = [
     "evaluate_scores",
     "shuffle_eval_order",
     "KNOWN_METHODS",
+    "CALIBRATED_METHODS",
+    "eval_pairs",
     "recall_at",
     "precision_accuracy",
 ]
@@ -59,8 +61,10 @@ KNOWN_METHODS = (
     "ppr",
 )
 
-# methods whose scores live in [0, 1]; the rest emit raw logits
-_CALIBRATED = {"logit_lp", "node_lp"}
+# methods that score every manifest edge at once and return calibrated
+# [0, 1] scores (threshold 0.5); the rest score only the evaluation edges and
+# return raw logits (threshold 0.0)
+CALIBRATED_METHODS = ("logit_lp", "node_lp")
 
 
 def node_centric_lp_ablation(
@@ -243,7 +247,8 @@ def evaluate_scores(
     return out
 
 
-def _eval_pairs(manifest, split: str):
+def eval_pairs(manifest, split: str) -> tuple[list, list]:
+    """(positive, negative) evaluation pairs of a test/valid/pooled split."""
     if split == "valid":
         pos, neg = manifest.valid_pos, manifest.valid_neg
     elif split == "test":
@@ -356,10 +361,10 @@ def run_regime_suite(
         all_ids = g_train.ids_for([k for pair in all_pairs for k in pair]).reshape(-1, 2)
         z_all = score_edges(y, all_ids)
 
-        pos_eval, neg_eval = _eval_pairs(manifest, config.eval_split)
-        eval_pairs, labels = shuffle_eval_order(pos_eval, neg_eval, config.seed)
+        pos_eval, neg_eval = eval_pairs(manifest, config.eval_split)
+        eval_order, labels = shuffle_eval_order(pos_eval, neg_eval, config.seed)
         index_of = {pair: i for i, pair in enumerate(all_pairs)}
-        eval_positions = np.array([index_of[p] for p in eval_pairs], dtype=np.int64)
+        eval_positions = np.array([index_of[p] for p in eval_order], dtype=np.int64)
         eval_ids = all_ids[eval_positions]
 
         for method in methods:
@@ -367,8 +372,9 @@ def run_regime_suite(
             full = method_scores(
                 method, g_train, manifest, model, y, z_all, eval_ids, config
             )
-            scores = full[eval_positions] if method in ("logit_lp", "node_lp") else full
-            threshold = 0.5 if method in _CALIBRATED else 0.0
+            calibrated = method in CALIBRATED_METHODS
+            scores = full[eval_positions] if calibrated else full
+            threshold = 0.5 if calibrated else 0.0
             row = {
                 "regime": regime.value,
                 "method": method,

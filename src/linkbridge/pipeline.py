@@ -25,9 +25,11 @@ from .datasets import SyntheticSpec, generate_synthetic
 from .distill import DistillConfig
 from .errors import ConfigError, DataError, LinkBridgeError
 from .evaluation import (
+    CALIBRATED_METHODS,
     KNOWN_METHODS,
     EvalReport,
     SuiteConfig,
+    eval_pairs,
     evaluate_scores,
     method_scores,
     shuffle_eval_order,
@@ -157,11 +159,25 @@ def _suite_config(config: dict) -> SuiteConfig:
     )
 
 
-def _sha256_file(path: Path) -> str:
+def _sha256_input(path: Path) -> str:
+    """Digest of a file, or of a graph directory's files.
+
+    A directory is hashed as the sequence of its files in sorted
+    relative-path order, each preceded by its relative path.
+    """
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    if path.is_dir():
+        files = sorted(
+            (p.relative_to(path).as_posix(), p) for p in path.rglob("*") if p.is_file()
+        )
+    else:
+        files = [(None, path)]
+    for rel, file in files:
+        if rel is not None:
+            digest.update(rel.encode("utf-8") + b"\0")
+        with file.open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -172,7 +188,7 @@ def write_provenance(out_dir: Path, config: dict, inputs: list[Path]) -> None:
         ).hexdigest(),
         "tool_version": __version__,
         "seed": config.get("seed"),
-        "inputs": {str(p): _sha256_file(p) for p in inputs if p.exists()},
+        "inputs": {str(p): _sha256_input(p) for p in inputs if p.exists()},
     }
     (out_dir / "provenance.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -260,10 +276,10 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
             z_all = score_edges(y, all_ids)
             write_scores_tsv(out_dir / "scores" / f"{tag}.logits.tsv", all_pairs, z_all)
 
-        pos_eval, neg_eval = _eval_pairs_for(manifest, suite.eval_split)
-        eval_pairs, labels = shuffle_eval_order(pos_eval, neg_eval, suite.seed)
+        pos_eval, neg_eval = eval_pairs(manifest, suite.eval_split)
+        eval_order, labels = shuffle_eval_order(pos_eval, neg_eval, suite.seed)
         index_of = {pair: i for i, pair in enumerate(all_pairs)}
-        eval_positions = np.array([index_of[p] for p in eval_pairs], dtype=np.int64)
+        eval_positions = np.array([index_of[p] for p in eval_order], dtype=np.int64)
         eval_ids = all_ids[eval_positions]
 
         for method in methods:
@@ -272,15 +288,12 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
                 full = method_scores(
                     method, g_train, manifest, model, y, z_all, eval_ids, suite
                 )
-                scores = (
-                    full[eval_positions]
-                    if method in ("logit_lp", "node_lp")
-                    else full
-                )
+                calibrated = method in CALIBRATED_METHODS
+                scores = full[eval_positions] if calibrated else full
                 write_scores_tsv(
-                    out_dir / "scores" / f"{tag}.{method}.tsv", eval_pairs, scores
+                    out_dir / "scores" / f"{tag}.{method}.tsv", eval_order, scores
                 )
-                threshold = 0.5 if method in ("logit_lp", "node_lp") else 0.0
+                threshold = 0.5 if calibrated else 0.0
                 row = {
                     "regime": regime.value,
                     "method": method,
@@ -304,13 +317,3 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
     report.save(out_dir / "report.json", out_dir / "report.txt")
     return report
 
-
-def _eval_pairs_for(manifest, split: str):
-    if split == "valid":
-        return list(manifest.valid_pos), list(manifest.valid_neg)
-    if split == "test":
-        return list(manifest.test_pos), list(manifest.test_neg)
-    return (
-        list(manifest.valid_pos) + list(manifest.test_pos),
-        list(manifest.valid_neg) + list(manifest.test_neg),
-    )

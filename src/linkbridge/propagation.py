@@ -11,32 +11,43 @@ operator S:
 * embedding-LP: diffuse concatenated endpoint embeddings over the
   positive-edge graph, split them back per endpoint, and rescore by dot
   product of the updated node embeddings.
-* matrix-LP: diffuse the full (or column-restricted) logit matrix over the
-  original graph and read scores off matrix entries.
+* matrix-LP: diffuse the logit matrix Y*Y^T over the original graph and
+  read scores off matrix entries.
+
+Neither large object is built. With B the N x m node-edge incidence matrix
+of m distinct edges, B^T*B has 2 on its diagonal and 1 exactly where two
+edges share an endpoint, so the line-graph operator is
+S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 with line degree k_u + k_v - 2 for edge
+(u, v); it is applied as two sparse products of O(m*d) cost. Matrix-LP acts
+on the logit matrix from the left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T
+and the N x N matrix never exists. ``build_line_graph`` materializes S_L as
+a reference for tests and size probes; no propagation variant calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import Graph, _csr_from_edges
+from .graph import Graph
 
 __all__ = [
     "DiffusionConfig",
     "LineGraph",
     "LineGraphCost",
+    "LineOperator",
+    "line_operator",
     "build_line_graph",
     "sym_norm_adjacency",
     "diffuse",
     "sigmoid",
     "logit_lp",
     "emb_lp",
-    "xmc_lp",
     "xmc_scores",
     "estimate_line_graph_cost",
     "cost_formulas",
@@ -50,8 +61,6 @@ class DiffusionConfig:
     alpha: float = 0.8
     k_max: int = 50
     tol: float = 1e-6
-    degree_cap: int | None = None
-    seed: int = 0
 
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -60,13 +69,11 @@ class DiffusionConfig:
             raise ConfigError("k_max must be >= 1")
         if self.tol < 0:
             raise ConfigError("tol must be >= 0")
-        if self.degree_cap is not None and self.degree_cap < 1:
-            raise ConfigError("degree_cap must be >= 1 when set")
 
 
 @dataclass(frozen=True)
 class LineGraph:
-    """Edge-centric graph: one node per original edge.
+    """Materialized edge-centric graph: one node per original edge.
 
     Node ids follow the order of the (pos, neg) input lists, positives
     first. ``norm_adjacency`` is the symmetric-normalized operator with zero
@@ -76,12 +83,8 @@ class LineGraph:
     num_edge_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
-    edge_node_index: Mapping[tuple[int, int], int]
     norm_adjacency: sp.csr_array
     num_line_edges: int
-
-    def degree(self, edge_node: int) -> int:
-        return int(self.indptr[edge_node + 1] - self.indptr[edge_node])
 
 
 def _as_canonical_ids(edges: Sequence | np.ndarray) -> np.ndarray:
@@ -91,122 +94,138 @@ def _as_canonical_ids(edges: Sequence | np.ndarray) -> np.ndarray:
     return np.stack([arr[:, 0], arr[:, 1]], axis=1)
 
 
+def _line_edges(
+    num_nodes: int, pos: np.ndarray | Sequence, neg: np.ndarray | Sequence = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (lo, hi) endpoints of pos then neg edges.
+
+    The incidence identity behind the line-graph operator holds only for
+    distinct edges without self-loops, so both are rejected here.
+    """
+    edges = np.concatenate([_as_canonical_ids(pos), _as_canonical_ids(neg)])
+    if edges.shape[0] == 0:
+        raise DataError("cannot build a line graph over zero edges")
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    if lo.min() < 0 or hi.max() >= num_nodes:
+        raise DataError("edge endpoint out of range")
+    if np.any(lo == hi):
+        raise DataError("self-loop among line-graph input edges")
+    keys = np.sort(lo * num_nodes + hi)
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if dup.size:
+        key = (int(keys[dup[0]] // num_nodes), int(keys[dup[0]] % num_nodes))
+        raise DataError(f"duplicate edge {key} in pos/neg input")
+    return lo, hi
+
+
+def _incidence(
+    num_nodes: int, lo: np.ndarray, hi: np.ndarray, weight: np.ndarray
+) -> sp.csr_array:
+    """N x m node-edge incidence matrix B with column e scaled by weight[e]."""
+    cols = np.tile(np.arange(lo.size), 2)
+    return sp.csr_array(
+        (np.tile(weight, 2), (np.concatenate([lo, hi]), cols)),
+        shape=(num_nodes, lo.size),
+    )
+
+
+def _inv_sqrt(degs: np.ndarray) -> np.ndarray:
+    """Elementwise deg^-1/2, with 0 where the degree is 0."""
+    out = np.zeros(degs.shape[0])
+    nz = degs > 0
+    out[nz] = 1.0 / np.sqrt(degs[nz].astype(np.float64))
+    return out
+
+
+class LineOperator:
+    """S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 applied without the line graph.
+
+    With C = B*D_L^-1/2, S_L*x = C^T*(C*x) - 2*D_L^-1*x: two sparse products
+    through the N nodes, O(m) memory. ``line_degrees`` is k_u + k_v - 2 per
+    edge-node; an isolated edge-node has degree 0 and a zero row, as in the
+    materialized operator.
+    """
+
+    def __init__(self, num_nodes: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        incident = np.bincount(np.concatenate([lo, hi]), minlength=num_nodes)
+        self.line_degrees = incident[lo] + incident[hi] - 2
+        scale = _inv_sqrt(self.line_degrees)
+        self._c = _incidence(num_nodes, lo, hi, scale)
+        self._diag = 2.0 * scale * scale
+        self.shape = (lo.size, lo.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        diag = self._diag.reshape((-1,) + (1,) * (x.ndim - 1))
+        return self._c.T @ (self._c @ x) - diag * x
+
+
+def line_operator(
+    g: Graph, pos: np.ndarray | Sequence, neg: np.ndarray | Sequence = ()
+) -> LineOperator:
+    """Implicit line-graph operator over pos (then neg) edges, in input order."""
+    lo, hi = _line_edges(g.num_nodes, pos, neg)
+    return LineOperator(g.num_nodes, lo, hi)
+
+
+def _sym_normalize(n: int, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_array:
+    """D^-1/2 A D^-1/2 of a 0/1 CSR adjacency; zero rows when isolated."""
+    degs = np.diff(indptr)
+    inv_sqrt = _inv_sqrt(degs)
+    rows = np.repeat(np.arange(n), degs)
+    data = inv_sqrt[rows] * inv_sqrt[indices]
+    return sp.csr_array((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+
 def build_line_graph(
     g: Graph,
     pos: np.ndarray | Sequence,
     neg: np.ndarray | Sequence = (),
-    degree_cap: int | None = None,
-    seed: int = 0,
 ) -> LineGraph:
-    """Construct the edge-centric graph over pos (and optionally neg) edges.
+    """Materialize the edge-centric graph over pos (and optionally neg) edges.
 
-    Each original node adds a clique among its incident edge-nodes. A node
-    whose incident count exceeds ``degree_cap`` instead links all incident
-    edge-nodes to a seeded sample of ``degree_cap`` of them, which bounds the
-    otherwise quadratic clique cost on hubs.
+    The adjacency is the off-diagonal of B^T*B, i.e. Sigma_v C(k_v, 2) line
+    edges. This is the reference the implicit ``LineOperator`` is checked
+    against; the propagation variants never build it.
     """
-    pos = _as_canonical_ids(pos)
-    neg = _as_canonical_ids(neg)
-    all_edges = np.concatenate([pos, neg], axis=0)
-    m = all_edges.shape[0]
-    if m == 0:
-        raise DataError("cannot build a line graph over zero edges")
-    lo = np.minimum(all_edges[:, 0], all_edges[:, 1])
-    hi = np.maximum(all_edges[:, 0], all_edges[:, 1])
-    if lo.min(initial=0) < 0 or hi.max(initial=-1) >= g.num_nodes:
-        raise DataError("edge endpoint out of range")
-    if np.any(lo == hi):
-        raise DataError("self-loop among line-graph input edges")
-    canonical = np.stack([lo, hi], axis=1)
-    index: dict[tuple[int, int], int] = {}
-    for i, (u, v) in enumerate(canonical):
-        key = (int(u), int(v))
-        if key in index:
-            raise DataError(f"duplicate edge {key} in pos/neg input")
-        index[key] = i
-
-    # group incident edge-nodes by original endpoint
-    node_of = np.concatenate([lo, hi])
-    eid_of = np.concatenate([np.arange(m), np.arange(m)])
-    order = np.argsort(node_of, kind="stable")
-    node_sorted = node_of[order]
-    eid_sorted = eid_of[order]
-    boundaries = np.flatnonzero(np.diff(node_sorted)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [node_sorted.size]])
-
-    rng = np.random.default_rng(seed)
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    for s, e in zip(starts, ends):
-        k = e - s
-        if k < 2:
-            continue
-        members = eid_sorted[s:e]
-        if degree_cap is not None and k > degree_cap:
-            anchors = rng.choice(members, size=degree_cap, replace=False)
-            a = np.repeat(members, degree_cap)
-            b = np.tile(anchors, k)
-            keep = a != b
-            pair_lo = np.minimum(a[keep], b[keep])
-            pair_hi = np.maximum(a[keep], b[keep])
-            pairs = np.unique(np.stack([pair_lo, pair_hi], axis=1), axis=0)
-            us.append(pairs[:, 0])
-            vs.append(pairs[:, 1])
-        else:
-            iu, iv = np.triu_indices(k, k=1)
-            us.append(members[iu])
-            vs.append(members[iv])
-    if us:
-        line_edges = np.stack(
-            [np.concatenate(us), np.concatenate(vs)], axis=1
-        ).astype(np.int64)
-        line_edges = np.sort(line_edges, axis=1)
-    else:
-        line_edges = np.zeros((0, 2), dtype=np.int64)
-    indptr, indices = _csr_from_edges(m, line_edges)
-
-    degs = np.diff(indptr).astype(np.float64)
-    inv_sqrt = np.zeros(m)
-    nz = degs > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(degs[nz])
-    rows = np.repeat(np.arange(m), np.diff(indptr))
-    data = inv_sqrt[rows] * inv_sqrt[indices]
-    norm = sp.csr_array((data, indices.copy(), indptr.copy()), shape=(m, m))
-
+    lo, hi = _line_edges(g.num_nodes, pos, neg)
+    m = lo.size
+    b = _incidence(g.num_nodes, lo, hi, np.ones(m))
+    gram = (b.T @ b).tocoo()
+    off = gram.row != gram.col
+    adj = sp.csr_array(
+        (gram.data[off], (gram.row[off], gram.col[off])), shape=(m, m)
+    )
+    adj.sort_indices()
+    indptr = adj.indptr.astype(np.int64)
+    indices = adj.indices.astype(np.int64)
     return LineGraph(
         num_edge_nodes=m,
         indptr=indptr,
         indices=indices,
-        edge_node_index=index,
-        norm_adjacency=norm,
-        num_line_edges=int(line_edges.shape[0]),
+        norm_adjacency=_sym_normalize(m, indptr, indices),
+        num_line_edges=indices.size // 2,
     )
 
 
 def sym_norm_adjacency(g: Graph) -> sp.csr_array:
     """D^-1/2 A D^-1/2 over the original graph; zero rows when isolated."""
-    n = g.num_nodes
-    degs = g.degrees().astype(np.float64)
-    inv_sqrt = np.zeros(n)
-    nz = degs > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(degs[nz])
-    rows = np.repeat(np.arange(n), g.degrees())
-    data = inv_sqrt[rows] * inv_sqrt[g.indices]
-    return sp.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
+    return _sym_normalize(g.num_nodes, g.indptr, g.indices)
 
 
 def diffuse(
-    operator: sp.csr_array | np.ndarray,
+    operator,
     z0: np.ndarray,
     source: np.ndarray,
     cfg: DiffusionConfig,
 ) -> np.ndarray:
     """Iterate Z <- alpha*S*Z + (1-alpha)*G from Z0.
 
-    Stops after ``k_max`` rounds or once the max-abs step change drops below
-    ``tol`` (set tol=0 to force exactly k_max iterations). Raises on
-    non-finite intermediate values.
+    ``operator`` is anything with a ``shape`` and ``@`` on an (n, d) array:
+    a sparse or dense matrix, or a ``LineOperator``. Stops after ``k_max``
+    rounds or once the max-abs step change drops below ``tol`` (set tol=0 to
+    force exactly k_max iterations). Raises on non-finite intermediate
+    values.
     """
     cfg.validate()
     z = np.asarray(z0, dtype=np.float64)
@@ -242,19 +261,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _manifest_edge_ids(g: Graph, manifest) -> dict[str, np.ndarray]:
-    out = {}
-    for name, pairs in manifest.splits().items():
-        if pairs:
-            flat = g.ids_for([k for pair in pairs for k in pair])
-            arr = flat.reshape(-1, 2)
-            arr = np.sort(arr, axis=1)
-        else:
-            arr = np.zeros((0, 2), dtype=np.int64)
-        out[name] = arr
-    return out
-
-
 def logit_lp(
     g: Graph,
     manifest,
@@ -263,50 +269,29 @@ def logit_lp(
 ) -> np.ndarray:
     """Residual propagation over the positive+negative edge graph.
 
-    ``z`` holds raw logits aligned with ``manifest.all_edges()``. Train
-    edge-nodes seed the diffusion with (label - sigmoid(z)); all other
-    edge-nodes start at zero. The diffused residual is added back onto the
-    sigmoid predictions and clamped to [0, 1]. Returns calibrated scores in
-    ``manifest.all_edges()`` order.
+    ``z`` holds raw logits aligned with ``manifest.all_edges()``, the order
+    the line-graph operator is built in. Train edge-nodes seed the diffusion
+    with (label - sigmoid(z)); all other edge-nodes start at zero. The
+    diffused residual is added back onto the sigmoid predictions and clamped
+    to [0, 1]. Returns calibrated scores in ``manifest.all_edges()`` order.
     """
     z = np.asarray(z, dtype=np.float64)
-    ids = _manifest_edge_ids(g, manifest)
-    counts = {k: v.shape[0] for k, v in ids.items()}
-    total = sum(counts.values())
-    if z.shape[0] != total:
+    pairs = manifest.all_edges()
+    if z.shape[0] != len(pairs):
         raise DataError(
-            f"logit vector has {z.shape[0]} entries, manifest has {total} edges"
+            f"logit vector has {z.shape[0]} entries, manifest has {len(pairs)} edges"
         )
-    pos_arr = np.concatenate([ids["train_pos"], ids["valid_pos"], ids["test_pos"]])
-    neg_arr = np.concatenate([ids["train_neg"], ids["valid_neg"], ids["test_neg"]])
-    lg = build_line_graph(
-        g, pos_arr, neg_arr, degree_cap=cfg.degree_cap, seed=cfg.seed
-    )
-
-    # map manifest order -> line-graph node ids
-    order = ("train_pos", "train_neg", "valid_pos", "valid_neg", "test_pos", "test_neg")
-    line_id = np.empty(total, dtype=np.int64)
-    offset = 0
-    for name in order:
-        arr = ids[name]
-        for i in range(arr.shape[0]):
-            line_id[offset + i] = lg.edge_node_index[(int(arr[i, 0]), int(arr[i, 1]))]
-        offset += arr.shape[0]
+    ids = g.ids_for(chain.from_iterable(pairs)).reshape(-1, 2)
+    operator = line_operator(g, ids)
 
     p = sigmoid(z)
-    p_line = np.empty(lg.num_edge_nodes)
-    p_line[line_id] = p
-    labels_line = np.zeros(lg.num_edge_nodes)
-    train_mask_line = np.zeros(lg.num_edge_nodes, dtype=bool)
-    tp, tn = counts["train_pos"], counts["train_neg"]
-    labels_line[line_id[:tp]] = 1.0
-    train_mask_line[line_id[: tp + tn]] = True
-
-    source = np.zeros(lg.num_edge_nodes)
-    source[train_mask_line] = labels_line[train_mask_line] - p_line[train_mask_line]
-    z_final = diffuse(lg.norm_adjacency, source, source, cfg)
-    scores_line = np.clip(p_line + z_final, 0.0, 1.0)
-    return scores_line[line_id]
+    n_tp = len(manifest.train_pos)
+    n_train = n_tp + len(manifest.train_neg)
+    source = np.zeros(len(pairs))
+    source[:n_tp] = 1.0
+    source[:n_train] -= p[:n_train]
+    z_final = diffuse(operator, source, source, cfg)
+    return np.clip(p + z_final, 0.0, 1.0)
 
 
 def emb_lp(
@@ -325,19 +310,14 @@ def emb_lp(
     product of the updated node embeddings. Returns updated embeddings when
     ``query_edges`` is None.
     """
-    pos = _as_canonical_ids(pos)
-    if pos.shape[0] == 0:
-        raise DataError("embedding propagation needs a nonempty positive set")
-    lo = np.minimum(pos[:, 0], pos[:, 1])
-    hi = np.maximum(pos[:, 0], pos[:, 1])
-    lg = build_line_graph(g, np.stack([lo, hi], axis=1),
-                          degree_cap=cfg.degree_cap, seed=cfg.seed)
+    lo, hi = _line_edges(g.num_nodes, pos)
+    operator = LineOperator(g.num_nodes, lo, hi)
     d = y.shape[1]
     feats = np.concatenate([y[lo], y[hi]], axis=1)
-    diffused = diffuse(lg.norm_adjacency, feats, feats, cfg)
+    diffused = diffuse(operator, feats, feats, cfg)
     # an edge-node with no neighbor has nothing to mix with; keep it intact
     # rather than letting the damping shrink it toward (1-alpha)*G
-    isolated = np.diff(lg.indptr) == 0
+    isolated = operator.line_degrees == 0
     diffused[isolated] = feats[isolated]
 
     y_upd = np.array(y, dtype=np.float64, copy=True)
@@ -355,56 +335,28 @@ def emb_lp(
     return np.einsum("ij,ij->i", y_upd[q[:, 0]], y_upd[q[:, 1]])
 
 
-def xmc_lp(
-    g: Graph,
-    y: np.ndarray,
-    cfg: DiffusionConfig,
-    candidate_cols: np.ndarray | Sequence | None = None,
-    dense_cap: int = 20000,
-) -> np.ndarray:
-    """Diffuse the logit matrix over the original graph.
-
-    Without ``candidate_cols`` the full N x N logit matrix is diffused,
-    which is refused above ``dense_cap`` nodes. With candidate columns only
-    those columns are materialized; column j of the restricted run equals
-    column candidate_cols[j] of the full run because diffusion acts
-    column-independently.
-    """
-    n = g.num_nodes
-    if y.shape[0] != n:
-        raise DataError("embedding row count does not match graph")
-    if candidate_cols is None:
-        if n > dense_cap:
-            raise ConfigError(
-                f"{n} nodes exceeds the dense cap {dense_cap}; "
-                "pass candidate_cols to restrict the score matrix"
-            )
-        z0 = y @ y.T
-    else:
-        cols = np.asarray(candidate_cols, dtype=np.int64)
-        z0 = y @ y[cols].T
-    operator = sym_norm_adjacency(g)
-    return diffuse(operator, z0, z0, cfg)
-
-
 def xmc_scores(
     g: Graph,
     y: np.ndarray,
     cfg: DiffusionConfig,
     query_edges: np.ndarray | Sequence,
-    dense_cap: int = 20000,
 ) -> np.ndarray:
-    """Score query edges via matrix diffusion restricted to their columns.
+    """Score query edges off the diffused logit matrix Z = diffuse(S, Y*Y^T).
 
-    Edge (u, v) in canonical order reads entry (u, v) of the diffused
-    matrix, i.e. row u, column v.
+    Diffusion is linear and acts from the left, and Z0 = Y*Y^T, so every
+    iterate factors as Z_k = Yhat_k * Y^T with Yhat_k the same diffusion run
+    on Y itself: Z = diffuse(S, Y, Y) * Y^T. Edge (u, v) with u < v reads
+    entry (u, v), i.e. Yhat[u] . Y[v]; only N x d state is ever held. The
+    ``tol`` early stop is measured on Yhat, not on Z.
     """
+    if y.shape[0] != g.num_nodes:
+        raise DataError("embedding row count does not match graph")
+    y = np.asarray(y, dtype=np.float64)
+    y_hat = diffuse(sym_norm_adjacency(g), y, y, cfg)
     q = _as_canonical_ids(query_edges)
     lo = np.minimum(q[:, 0], q[:, 1])
     hi = np.maximum(q[:, 0], q[:, 1])
-    cols, col_inv = np.unique(hi, return_inverse=True)
-    z = xmc_lp(g, y, cfg, candidate_cols=cols, dense_cap=dense_cap)
-    return z[lo, col_inv]
+    return np.einsum("ij,ij->i", y_hat[lo], y[hi])
 
 
 @dataclass(frozen=True)

@@ -348,30 +348,37 @@ class SplitManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitManifest":
-        payload = json.loads(text)
-        splits = payload["splits"]
-
         def tup(name: str) -> tuple[Pair, ...]:
             return tuple(_canon(str(a), str(b)) for a, b in splits[name])
 
-        return cls(
-            regime=Regime.parse(payload["regime"]),
-            seed=int(payload["seed"]),
-            neg_ratio=float(payload["neg_ratio"]),
-            train_pos=tup("train_pos"),
-            train_neg=tup("train_neg"),
-            valid_pos=tup("valid_pos"),
-            valid_neg=tup("valid_neg"),
-            test_pos=tup("test_pos"),
-            test_neg=tup("test_neg"),
-        )
+        # ValueError covers invalid JSON as well as bad numbers and pairs
+        try:
+            payload = json.loads(text)
+            splits = payload["splits"]
+            return cls(
+                regime=Regime.parse(payload["regime"]),
+                seed=int(payload["seed"]),
+                neg_ratio=float(payload["neg_ratio"]),
+                train_pos=tup("train_pos"),
+                train_neg=tup("train_neg"),
+                valid_pos=tup("valid_pos"),
+                valid_neg=tup("valid_neg"),
+                test_pos=tup("test_pos"),
+                test_neg=tup("test_neg"),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"malformed manifest: {exc!r}") from exc
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "SplitManifest":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read manifest ({exc.strerror})") from exc
+        return cls.from_json(text)
 
 
 def make_split(

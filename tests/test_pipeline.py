@@ -1,0 +1,56 @@
+import json
+
+from linkbridge.datasets import SyntheticSpec, generate_synthetic
+from linkbridge.evaluation import KNOWN_METHODS
+from linkbridge.io import save_graph
+from linkbridge.pipeline import run_pipeline
+
+SPEC = dict(
+    n_src=80,
+    n_tar=40,
+    overlap_ratio=0.4,
+    mean_deg_src=5,
+    mean_deg_tar=3,
+    feature_dim=4,
+    feature_shift=0.3,
+    seed=4,
+)
+
+
+def _config(out_dir, dataset, methods=KNOWN_METHODS):
+    return {
+        "seed": 3,
+        "out_dir": out_dir,
+        "dataset": dataset,
+        "regimes": ["int"],
+        "methods": list(methods),
+        "scorer": {"epochs": 2, "d_trainable": 8},
+        "distill": {"hidden": 8, "max_epochs": 3, "finetune_epochs": 1},
+    }
+
+
+def test_run_pipeline_is_deterministic(tmp_path):
+    dataset = {"kind": "synthetic", "spec": SPEC}
+    first = run_pipeline(_config("a", dataset), base_dir=tmp_path)
+    second = run_pipeline(_config("b", dataset), base_dir=tmp_path)
+    assert [row["method"] for row in first.rows] == list(KNOWN_METHODS)
+    assert first.content_hash() == second.content_hash()
+    saved = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert saved["content_hash"] == second.content_hash()
+
+
+def test_run_pipeline_accepts_graph_directories(tmp_path):
+    src, tar, _ = generate_synthetic(SyntheticSpec(**SPEC))
+    save_graph(src, tmp_path / "source")
+    save_graph(tar, tmp_path / "target")
+    dataset = {"kind": "files", "source": "source", "target": "target"}
+    report = run_pipeline(_config("out", dataset, ["scorer", "logit_lp"]), tmp_path)
+    assert len(report.rows) == 2
+    inputs = json.loads((tmp_path / "out" / "provenance.json").read_text())["inputs"]
+    assert sorted(inputs) == [str(tmp_path / "source"), str(tmp_path / "target")]
+    # the digest covers every file in the directory
+    (tmp_path / "source" / "notes.txt").write_text("added\n")
+    run_pipeline(_config("out2", dataset, ["scorer"]), tmp_path)
+    again = json.loads((tmp_path / "out2" / "provenance.json").read_text())["inputs"]
+    assert again[str(tmp_path / "source")] != inputs[str(tmp_path / "source")]
+    assert again[str(tmp_path / "target")] == inputs[str(tmp_path / "target")]

@@ -11,10 +11,10 @@ from linkbridge.propagation import (
     diffuse,
     emb_lp,
     estimate_line_graph_cost,
+    line_operator,
     logit_lp,
     sigmoid,
     sym_norm_adjacency,
-    xmc_lp,
     xmc_scores,
 )
 from linkbridge.scorer import score_edges
@@ -87,17 +87,35 @@ def test_line_graph_duplicate_rejected(triangle):
         build_line_graph(triangle, triangle.edges, triangle.edges[:1])
 
 
-def test_line_graph_degree_cap_bounds_hub():
-    hub = build_graph([("h", f"x{i}") for i in range(30)])
-    lg_full = build_line_graph(hub, hub.edges)
-    lg_capped = build_line_graph(hub, hub.edges, degree_cap=5, seed=1)
-    assert lg_full.num_line_edges == 30 * 29 // 2
-    assert lg_capped.num_line_edges < lg_full.num_line_edges
-    assert lg_capped.num_line_edges <= 30 * 5
-    # capped adjacency is a subset of the clique
-    full = line_adjacency_dense(lg_full)
-    capped = line_adjacency_dense(lg_capped)
-    assert np.all(full - capped >= 0)
+def test_line_operator_matches_brute_force_oracle(rng):
+    graphs = []
+    for _ in range(10):
+        n = int(rng.integers(6, 30))
+        m = int(rng.integers(3, min(80, n * (n - 1) // 2)))
+        edges = random_graph_edges(rng, n, m)
+        graphs.append(build_graph([(f"n{u}", f"n{v}") for u, v in edges]))
+    # a hub whose 30 incident edges form a 435-edge clique in the line graph
+    graphs.append(build_graph([("h", f"x{i}") for i in range(30)]))
+    for g in graphs:
+        edges = [tuple(e) for e in np.sort(g.edges, axis=1)]
+        order = rng.permutation(len(edges))
+        edges = [edges[i] for i in order]
+        op = line_operator(g, np.array(edges))
+        s_dense = dense_sym_norm(brute_line_adjacency(edges))
+        x = rng.normal(size=(len(edges), 3))
+        assert np.max(np.abs(op @ x - s_dense @ x)) <= 1e-12
+        assert np.max(np.abs(op @ x[:, 0] - s_dense @ x[:, 0])) <= 1e-12
+
+
+def test_line_operator_input_validation(triangle):
+    with pytest.raises(DataError):
+        line_operator(triangle, triangle.edges, triangle.edges[:1])
+    with pytest.raises(DataError):
+        line_operator(triangle, np.array([[0, 0]]))
+    with pytest.raises(DataError):
+        line_operator(triangle, np.array([[0, 3]]))
+    with pytest.raises(DataError):
+        line_operator(triangle, np.zeros((0, 2), dtype=int))
 
 
 def test_diffuse_alpha_near_zero_returns_source(rng):
@@ -327,8 +345,9 @@ def test_xmc_alpha_zero_limit_is_raw_logits(rng):
     edges = random_graph_edges(rng, 8, 12)
     g = build_graph([(f"n{u}", f"n{v}") for u, v in edges])
     y = rng.normal(size=(8, 4))
-    out = xmc_lp(g, y, DiffusionConfig(alpha=1e-12, k_max=5))
-    assert np.allclose(out, y @ y.T, atol=1e-9)
+    queries = np.array([(i, j) for i in range(8) for j in range(i + 1, 8)])
+    out = xmc_scores(g, y, DiffusionConfig(alpha=1e-12, k_max=5), queries)
+    assert np.allclose(out, (y @ y.T)[queries[:, 0], queries[:, 1]], atol=1e-9)
 
 
 def test_xmc_matches_dense_oracle(rng):
@@ -343,31 +362,6 @@ def test_xmc_matches_dense_oracle(rng):
     scores = xmc_scores(g, y, cfg, np.array(queries))
     ref = dense_xmc(10, id_edges, y, 0.8, 15, queries)
     assert np.max(np.abs(scores - ref)) <= 1e-10
-
-
-def test_xmc_candidate_columns_match_full_run(rng):
-    edges = random_graph_edges(rng, 12, 20)
-    g = build_graph([(f"n{u}", f"n{v}") for u, v in edges])
-    y = rng.normal(size=(12, 4))
-    cfg = DiffusionConfig(alpha=0.7, k_max=12, tol=0.0)
-    full = xmc_lp(g, y, cfg)
-    cols = np.array([2, 5, 9])
-    restricted = xmc_lp(g, y, cfg, candidate_cols=cols)
-    assert np.allclose(restricted, full[:, cols], atol=1e-12)
-
-
-def test_xmc_dense_cap(rng):
-    edges = random_graph_edges(rng, 30, 40)
-    g = build_graph(
-        [(f"n{u}", f"n{v}") for u, v in edges],
-        extra_nodes=[f"n{i}" for i in range(30)],
-    )
-    y = rng.normal(size=(g.num_nodes, 2))
-    with pytest.raises(ConfigError):
-        xmc_lp(g, y, DiffusionConfig(), dense_cap=10)
-    # candidate restriction lifts the cap
-    out = xmc_lp(g, y, DiffusionConfig(), candidate_cols=np.array([0, 1]), dense_cap=10)
-    assert out.shape == (30, 2)
 
 
 def test_cost_four_cycle():
