@@ -186,8 +186,8 @@ def cmd_train_scorer(args) -> int:
         y = embed(model, g_train)
         if args.emit_logits:
             pairs = manifest.all_edges()
-            ids = g_train.ids_for([k for pair in pairs for k in pair]).reshape(-1, 2)
-            write_scores_tsv(args.emit_logits, pairs, score_edges(y, ids))
+            z = score_edges(y, g_train.pair_ids(pairs))
+            write_scores_tsv(args.emit_logits, pairs, z)
         if args.emit_embeddings:
             write_features_bin(args.emit_embeddings, list(g_train.keys), y)
     return 0
@@ -210,7 +210,7 @@ def cmd_propagate(args) -> int:
     manifest = SplitManifest.load(args.manifest)
     g_train = _load_training_graph(args.graph, manifest)
     pairs = manifest.all_edges()
-    ids = g_train.ids_for([k for pair in pairs for k in pair]).reshape(-1, 2)
+    ids = g_train.pair_ids(pairs)
 
     y = None
     z = None
@@ -238,10 +238,7 @@ def cmd_propagate(args) -> int:
     elif args.variant == "emb":
         if y is None:
             raise ConfigError("emb variant needs --model")
-        pos_ids = g_train.ids_for(
-            [k for pair in manifest.train_pos for k in pair]
-        ).reshape(-1, 2)
-        scores = emb_lp(g_train, pos_ids, y, cfg, ids)
+        scores = emb_lp(g_train, g_train.pair_ids(manifest.train_pos), y, cfg, ids)
     else:
         if y is None:
             raise ConfigError("xmc variant needs --model")
@@ -279,7 +276,7 @@ def cmd_baseline(args) -> int:
 
     g = load_graph(args.graph)
     pairs = read_pairs_tsv(args.edges)
-    ids = g.ids_for([k for pair in pairs for k in pair]).reshape(-1, 2)
+    ids = g.pair_ids(pairs)
     if args.method == "cn":
         scores = common_neighbors(g, ids).astype(float)
     elif args.method == "aa":
@@ -349,15 +346,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .errors import ConfigError
-    from .pipeline import load_run_config, run_pipeline, validate_config
+    from .pipeline import run_pipeline
 
-    config = load_run_config(args.config)
-    base = Path(args.config).resolve().parent
-    problems = validate_config(config, base)
-    if problems:
-        raise ConfigError("invalid run config: " + "; ".join(problems))
-    report = run_pipeline(config, base_dir=base)
+    config = _read_json(args.config)
+    report = run_pipeline(config, base_dir=Path(args.config).resolve().parent)
     print(report.text_table(), end="")
     print(f"report content hash: {report.content_hash()}")
     return 0
@@ -378,9 +370,9 @@ def cmd_cost(args) -> int:
         neg_pairs = (
             list(manifest.train_neg) + list(manifest.valid_neg) + list(manifest.test_neg)
         )
-        pos = g_train.ids_for([k for p in pos_pairs for k in p]).reshape(-1, 2)
-        neg = g_train.ids_for([k for p in neg_pairs for k in p]).reshape(-1, 2)
-        cost = estimate_line_graph_cost(g_train, pos, neg, d=args.d)
+        cost = estimate_line_graph_cost(
+            g_train, g_train.pair_ids(pos_pairs), g_train.pair_ids(neg_pairs), d=args.d
+        )
         payload = {
             "num_edge_nodes": cost.num_edge_nodes,
             "num_nodes": cost.num_nodes,

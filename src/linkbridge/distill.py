@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .graph import Graph
-from .metrics import recall_at
+from .scorer import pair_indices, pair_loss, pair_recall
 
 __all__ = [
     "DistillConfig",
@@ -202,19 +202,7 @@ def _finetune_pass(
     z1 = np.maximum(a, 0.0)
     y_rows = z1 @ model.w2 + model.b2
 
-    pu, pv = inv[0:b], inv[b : 2 * b]
-    nu, nv = inv[2 * b : 3 * b], inv[3 * b :]
-    z_pos = np.einsum("ij,ij->i", y_rows[pu], y_rows[pv])
-    z_neg = np.einsum("ij,ij->i", y_rows[nu], y_rows[nv])
-    resid = 1.0 - z_pos + z_neg
-    loss = float(np.mean(resid * resid))
-    dz_pos = -2.0 * resid / b
-    dz_neg = 2.0 * resid / b
-    dy = np.zeros_like(y_rows)
-    np.add.at(dy, pu, dz_pos[:, None] * y_rows[pv])
-    np.add.at(dy, pv, dz_pos[:, None] * y_rows[pu])
-    np.add.at(dy, nu, dz_neg[:, None] * y_rows[nv])
-    np.add.at(dy, nv, dz_neg[:, None] * y_rows[nu])
+    loss, dy = pair_loss(y_rows, inv, b)
 
     grads = {"w2": z1.T @ dy, "b2": dy.sum(axis=0)}
     dz1 = dy @ model.w2.T
@@ -241,9 +229,8 @@ def finetune_loss_and_grads(
     neg = np.asarray(neg_edges, dtype=np.int64)
     if pos.size == 0 or neg.size == 0:
         raise DataError("need nonempty positive and negative edge arrays")
-    length = max(pos.shape[0], neg.shape[0])
-    idx = np.arange(length)
-    return _finetune_pass(model, pos[idx % pos.shape[0]], neg[idx % neg.shape[0]])
+    pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng=None)
+    return _finetune_pass(model, pos[pp], neg[pn])
 
 
 def finetune_linkpred(
@@ -258,13 +245,8 @@ def finetune_linkpred(
     config = config or model.config
     config.validate()
 
-    def ids(pairs) -> np.ndarray:
-        if not pairs:
-            return np.zeros((0, 2), dtype=np.int64)
-        return g.ids_for([k for pair in pairs for k in pair]).reshape(-1, 2)
-
-    pos, neg = ids(manifest.train_pos), ids(manifest.train_neg)
-    valid_pos, valid_neg = ids(manifest.valid_pos), ids(manifest.valid_neg)
+    pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
+    valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DataError("manifest has empty training splits")
 
@@ -274,29 +256,16 @@ def finetune_linkpred(
     work.x_prime = model.x_prime.copy()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xF17E]))
 
-    def valid_recall() -> float:
-        y = student_embed(work)
-        z = np.concatenate([
-            np.einsum("ij,ij->i", y[valid_pos[:, 0]], y[valid_pos[:, 1]]),
-            np.einsum("ij,ij->i", y[valid_neg[:, 0]], y[valid_neg[:, 1]]),
-        ])
-        labels = np.concatenate([
-            np.ones(valid_pos.shape[0], dtype=np.int8),
-            np.zeros(valid_neg.shape[0], dtype=np.int8),
-        ])
-        return recall_at(z, labels, valid_pos.shape[0])
-
     has_valid = valid_pos.shape[0] > 0 and valid_neg.shape[0] > 0
-    best_rec = valid_recall() if has_valid else -1.0
+    best_rec = (
+        pair_recall(student_embed(work), valid_pos, valid_neg) if has_valid else -1.0
+    )
     best = (work.w1.copy(), work.b1.copy(), work.w2.copy(), work.b2.copy(),
             work.x_prime.copy())
-    length = max(pos.shape[0], neg.shape[0])
     for epoch in range(config.finetune_epochs):
-        pp = rng.permutation(pos.shape[0])
-        pn = rng.permutation(neg.shape[0])
-        idx = np.arange(length)
-        epos, eneg = pos[pp[idx % pos.shape[0]]], neg[pn[idx % neg.shape[0]]]
-        for start in range(0, length, config.finetune_batch_size):
+        pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng)
+        epos, eneg = pos[pp], neg[pn]
+        for start in range(0, epos.shape[0], config.finetune_batch_size):
             bp = epos[start : start + config.finetune_batch_size]
             bn = eneg[start : start + config.finetune_batch_size]
             loss, grads = _finetune_pass(work, bp, bn)
@@ -304,7 +273,7 @@ def finetune_linkpred(
                 raise NumericError(f"fine-tuning diverged at epoch {epoch}")
             _apply_grads(work, grads, config.finetune_lr)
         if has_valid:
-            rec = valid_recall()
+            rec = pair_recall(student_embed(work), valid_pos, valid_neg)
             if rec > best_rec:
                 best_rec = rec
                 best = (work.w1.copy(), work.b1.copy(), work.w2.copy(),

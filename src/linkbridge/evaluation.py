@@ -1,10 +1,10 @@
-"""Regime orchestration, ranking evaluation and report emission.
+"""Broadcast-method dispatch, ranking evaluation and the report.
 
-``run_regime_suite`` drives the full comparison: for every requested regime
-it builds the split, trains the scorer on that regime's training graph,
-broadcasts with each requested method, and evaluates everything on the
-regime's held-out edges. Reports carry every knob so a rerun from the same
-config and seed reproduces them bit for bit (modulo wall-clock fields,
+``method_scores`` turns one regime's trained scorer into evaluation-edge
+scores under each broadcast method; ``evaluate_scores`` ranks them against
+the held-out labels. ``pipeline.run_pipeline`` is the one loop over regimes
+and methods that calls both. Reports carry every knob so a rerun from the
+same config and seed reproduces them bit for bit (modulo wall-clock fields,
 which stay out of the content hash).
 """
 
@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distill import DistillConfig, finetune_linkpred, imitate, student_embed
 from .errors import ConfigError, DataError
-from .graph import Graph, union_graph
+from .graph import Graph
 from .heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
 from .metrics import precision_accuracy, recall_at
 from .propagation import (
@@ -31,14 +30,12 @@ from .propagation import (
     sym_norm_adjacency,
     xmc_scores,
 )
-from .scorer import ScorerConfig, embed, score_edges, train_scorer
+from .scorer import ScorerConfig, score_edges
 from .seeds import derive_seed
-from .selection import Regime, make_split, manifest_training_graph
 
 __all__ = [
     "SuiteConfig",
     "EvalReport",
-    "run_regime_suite",
     "node_centric_lp_ablation",
     "evaluate_scores",
     "shuffle_eval_order",
@@ -82,7 +79,7 @@ def node_centric_lp_ablation(
     pairs = manifest.all_edges()
     if z.shape[0] != len(pairs):
         raise DataError("logit vector does not align with manifest edges")
-    ids = g.ids_for([k for pair in pairs for k in pair]).reshape(-1, 2)
+    ids = g.pair_ids(pairs)
     p = sigmoid(z)
     n_tp, n_tn = len(manifest.train_pos), len(manifest.train_neg)
     labels = np.zeros(len(pairs))
@@ -119,16 +116,6 @@ class SuiteConfig:
     ppr: PprConfig = field(default_factory=PprConfig)
     k_multipliers: tuple[float, ...] = (1.0, 1.25)
     eval_split: str = "test"
-
-    def validate(self) -> None:
-        if self.eval_split not in ("test", "valid", "pooled"):
-            raise ConfigError(f"unknown eval_split {self.eval_split!r}")
-        if not self.k_multipliers:
-            raise ConfigError("need at least one recall multiplier")
-        self.scorer.validate()
-        self.diffusion.validate()
-        self.distill.validate()
-        self.ppr.validate()
 
     def echo(self) -> dict:
         return {
@@ -299,9 +286,7 @@ def method_scores(
     if method == "node_lp":
         return node_centric_lp_ablation(g_train, manifest, z_all, config.diffusion)
     if method == "emb_lp":
-        train_pos_ids = g_train.ids_for(
-            [k for pair in manifest.train_pos for k in pair]
-        ).reshape(-1, 2)
+        train_pos_ids = g_train.pair_ids(manifest.train_pos)
         return emb_lp(g_train, train_pos_ids, y, config.diffusion, eval_ids)
     if method == "xmc_lp":
         return xmc_scores(g_train, y, config.diffusion, eval_ids)
@@ -319,76 +304,3 @@ def method_scores(
     if method == "ppr":
         return ppr_scores(g_train, eval_ids, config.ppr)
     raise ConfigError(f"unknown method {method!r}")
-
-
-def run_regime_suite(
-    src: Graph,
-    tar: Graph,
-    methods: list[str],
-    regimes: list[Regime],
-    config: SuiteConfig,
-) -> EvalReport:
-    """Full comparison: one report row per (regime, method).
-
-    Splits are seeded from the suite seed, the scorer trains on each
-    regime's training-positive graph, and every method within a regime is
-    evaluated on the same held-out edges.
-    """
-    config.validate()
-    for method in methods:
-        if method not in KNOWN_METHODS:
-            raise ConfigError(f"unknown method {method!r}; options: {KNOWN_METHODS}")
-    if not regimes:
-        raise ConfigError("need at least one regime")
-    started = time.perf_counter()
-    union = union_graph(src, tar)
-    rows: list[dict] = []
-    for regime in regimes:
-        manifest = make_split(
-            regime,
-            src,
-            tar,
-            neg_ratio=config.neg_ratio,
-            train_frac_outside=config.train_frac_outside,
-            seed=derive_seed(config.seed, "split"),
-            union=union,
-        )
-        g_train = manifest_training_graph(manifest, src, tar, union=union)
-        scorer_cfg = replace(config.scorer, seed=derive_seed(config.seed, "scorer"))
-        model = train_scorer(scorer_cfg, g_train, manifest)
-        y = embed(model, g_train)
-        all_pairs = manifest.all_edges()
-        all_ids = g_train.ids_for([k for pair in all_pairs for k in pair]).reshape(-1, 2)
-        z_all = score_edges(y, all_ids)
-
-        pos_eval, neg_eval = eval_pairs(manifest, config.eval_split)
-        eval_order, labels = shuffle_eval_order(pos_eval, neg_eval, config.seed)
-        index_of = {pair: i for i, pair in enumerate(all_pairs)}
-        eval_positions = np.array([index_of[p] for p in eval_order], dtype=np.int64)
-        eval_ids = all_ids[eval_positions]
-
-        for method in methods:
-            t0 = time.perf_counter()
-            full = method_scores(
-                method, g_train, manifest, model, y, z_all, eval_ids, config
-            )
-            calibrated = method in CALIBRATED_METHODS
-            scores = full[eval_positions] if calibrated else full
-            threshold = 0.5 if calibrated else 0.0
-            row = {
-                "regime": regime.value,
-                "method": method,
-                "split": config.eval_split,
-                "threshold": threshold,
-            }
-            row.update(
-                evaluate_scores(
-                    scores, labels, config.k_multipliers, threshold, config.seed
-                )
-            )
-            row["runtime_seconds"] = round(time.perf_counter() - t0, 6)
-            rows.append(row)
-    runtime = time.perf_counter() - started
-    return EvalReport(
-        rows=rows, config=config.echo(), seed=config.seed, runtime_seconds=runtime
-    )

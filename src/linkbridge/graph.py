@@ -9,9 +9,11 @@ self-loops and duplicates dropped at build time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError
 
@@ -22,6 +24,7 @@ __all__ = [
     "node_intersection",
     "union_graph",
     "degree_stats",
+    "mean_aggregator",
 ]
 
 
@@ -95,6 +98,10 @@ class Graph:
             return np.array([self.key_to_id[k] for k in keys], dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"unknown node key {exc.args[0]!r}") from exc
+
+    def pair_ids(self, pairs: Iterable[tuple[str, str]]) -> np.ndarray:
+        """(m, 2) int64 internal ids of external key pairs; (0, 2) if empty."""
+        return self.ids_for(chain.from_iterable(pairs)).reshape(-1, 2)
 
 
 def _csr_from_edges(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,3 +302,15 @@ def degree_stats(g: Graph) -> tuple[float, int]:
     mean = 2.0 * g.num_edges / g.num_nodes
     median = int(degs[(g.num_nodes - 1) // 2])
     return mean, median
+
+
+def mean_aggregator(g: Graph) -> sp.csr_array:
+    """Row-normalized adjacency D^-1 A; isolated nodes get a zero row."""
+    n = g.num_nodes
+    degs = g.degrees().astype(np.float64)
+    inv = np.zeros(n)
+    nz = degs > 0
+    inv[nz] = 1.0 / degs[nz]
+    rows = np.repeat(np.arange(n), g.degrees())
+    data = inv[rows]
+    return sp.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))

@@ -6,10 +6,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
-from .graph import Graph
+from .graph import Graph, mean_aggregator
 
 __all__ = ["PprConfig", "common_neighbors", "adamic_adar", "ppr_scores"]
 
@@ -66,19 +65,6 @@ def adamic_adar(g: Graph, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transition_t(g: Graph) -> sp.csr_array:
-    """Transpose of the row-stochastic walk matrix D^-1 A."""
-    n = g.num_nodes
-    degs = g.degrees().astype(np.float64)
-    inv = np.zeros(n)
-    nz = degs > 0
-    inv[nz] = 1.0 / degs[nz]
-    rows = np.repeat(np.arange(n), g.degrees())
-    data = inv[rows]
-    walk = sp.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
-    return walk.T.tocsr()
-
-
 def ppr_vectors(
     g: Graph, sources: np.ndarray, cfg: PprConfig, chunk: int = 256
 ) -> np.ndarray:
@@ -92,7 +78,7 @@ def ppr_vectors(
     cfg.validate()
     sources = np.asarray(sources, dtype=np.int64)
     n = g.num_nodes
-    p_t = _transition_t(g)
+    p_t = mean_aggregator(g).T.tocsr()
     dangling = g.degrees() == 0
     t = cfg.teleport
     out = np.zeros((n, sources.size))

@@ -42,17 +42,10 @@ from .scorer import ScorerConfig, embed, score_edges, train_scorer
 from .seeds import derive_seed
 from .selection import Regime, make_split, manifest_training_graph
 
-__all__ = ["validate_config", "run_pipeline", "load_run_config", "write_provenance"]
+__all__ = ["validate_config", "run_pipeline", "write_provenance"]
 
 _REGIME_ALIASES = {"tar", "uni", "int",
                    "target_to_target", "union_to_target", "intersection_to_target"}
-
-
-def load_run_config(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def validate_config(config: dict, base_dir: Path | None = None) -> list[str]:
@@ -92,16 +85,16 @@ def validate_config(config: dict, base_dir: Path | None = None) -> list[str]:
             errors.append(f"dataset.kind must be 'files' or 'synthetic', got {kind!r}")
 
     regimes = config.get("regimes")
-    if not regimes:
-        errors.append("regimes list must be nonempty")
+    if not isinstance(regimes, list) or not regimes:
+        errors.append("regimes must be a nonempty list")
     else:
         for r in regimes:
-            if r not in _REGIME_ALIASES:
+            if not isinstance(r, str) or r not in _REGIME_ALIASES:
                 errors.append(f"unknown regime {r!r}")
 
     methods = config.get("methods", ["scorer", "logit_lp"])
-    if not methods:
-        errors.append("methods list must be nonempty")
+    if not isinstance(methods, list) or not methods:
+        errors.append("methods must be a nonempty list")
     else:
         for m in methods:
             if m not in KNOWN_METHODS:
@@ -137,10 +130,10 @@ def validate_config(config: dict, base_dir: Path | None = None) -> list[str]:
         if split not in ("test", "valid", "pooled"):
             errors.append(f"eval.split must be test/valid/pooled, got {split!r}")
         mults = eval_cfg.get("k_multipliers", [1.0, 1.25])
-        if not mults or any(
+        if not isinstance(mults, list) or not mults or any(
             not isinstance(m, (int, float)) or m <= 0 for m in mults
         ):
-            errors.append("eval.k_multipliers must be positive numbers")
+            errors.append("eval.k_multipliers must be a list of positive numbers")
     return errors
 
 
@@ -270,9 +263,7 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
             save_scorer(out_dir / "models" / f"{tag}.bin", model)
             y = embed(model, g_train)
             all_pairs = manifest.all_edges()
-            all_ids = g_train.ids_for(
-                [k for pair in all_pairs for k in pair]
-            ).reshape(-1, 2)
+            all_ids = g_train.pair_ids(all_pairs)
             z_all = score_edges(y, all_ids)
             write_scores_tsv(out_dir / "scores" / f"{tag}.logits.tsv", all_pairs, z_all)
 

@@ -27,7 +27,6 @@ a reference for tests and size probes; no propagation variant calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -281,7 +280,7 @@ def logit_lp(
         raise DataError(
             f"logit vector has {z.shape[0]} entries, manifest has {len(pairs)} edges"
         )
-    ids = g.ids_for(chain.from_iterable(pairs)).reshape(-1, 2)
+    ids = g.pair_ids(pairs)
     operator = line_operator(g, ids)
 
     p = sigmoid(z)

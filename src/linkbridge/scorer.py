@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, NumericError
-from .graph import Graph
+from .graph import Graph, mean_aggregator
 from .metrics import recall_at
 
 __all__ = [
@@ -29,7 +29,9 @@ __all__ = [
     "auc_loss",
     "train_scorer",
     "training_loss_and_grads",
-    "mean_aggregator",
+    "pair_indices",
+    "pair_loss",
+    "pair_recall",
 ]
 
 ENCODERS = ("embedding_only", "one_hop_mean")
@@ -108,18 +110,6 @@ def init_model(config: ScorerConfig, g: Graph) -> ScorerModel:
     )
 
 
-def mean_aggregator(g: Graph) -> sp.csr_array:
-    """Row-normalized adjacency D^-1 A; isolated nodes get a zero row."""
-    n = g.num_nodes
-    degs = g.degrees().astype(np.float64)
-    inv = np.zeros(n)
-    nz = degs > 0
-    inv[nz] = 1.0 / degs[nz]
-    rows = np.repeat(np.arange(n), g.degrees())
-    data = inv[rows]
-    return sp.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
-
-
 def embed(model: ScorerModel, g: Graph) -> np.ndarray:
     """Per-node embeddings Y for the whole graph."""
     if model.num_nodes != g.num_nodes:
@@ -152,13 +142,12 @@ def auc_loss(z_pos: np.ndarray, z_neg: np.ndarray) -> float:
     z_pos, z_neg = np.asarray(z_pos, dtype=np.float64), np.asarray(z_neg, dtype=np.float64)
     if z_pos.size == 0 or z_neg.size == 0:
         raise DataError("need at least one positive and one negative logit")
-    length = max(z_pos.size, z_neg.size)
-    idx = np.arange(length)
-    diff = 1.0 - z_pos[idx % z_pos.size] + z_neg[idx % z_neg.size]
+    pp, pn = pair_indices(z_pos.size, z_neg.size, rng=None)
+    diff = 1.0 - z_pos[pp] + z_neg[pn]
     return float(np.sum(diff * diff))
 
 
-def _pair_indices(n_pos: int, n_neg: int, rng: np.random.Generator | None):
+def pair_indices(n_pos: int, n_neg: int, rng: np.random.Generator | None):
     """Index-matched (pos, neg) id arrays covering the longer list once."""
     length = max(n_pos, n_neg)
     if rng is None:
@@ -167,6 +156,46 @@ def _pair_indices(n_pos: int, n_neg: int, rng: np.random.Generator | None):
         pp, pn = rng.permutation(n_pos), rng.permutation(n_neg)
     idx = np.arange(length)
     return pp[idx % n_pos], pn[idx % n_neg]
+
+
+def pair_loss(
+    y_rows: np.ndarray, inv: np.ndarray, b: int
+) -> tuple[float, np.ndarray]:
+    """Mean squared ranking loss of one batch and its gradient w.r.t. ``y_rows``.
+
+    ``inv`` holds 4b row indices into ``y_rows`` in four blocks of ``b``:
+    positive logit i is y[inv[i]] . y[inv[b + i]] and negative logit i is
+    y[inv[2b + i]] . y[inv[3b + i]]. Every trainer's batch loss goes through
+    here, so the scorer and the MLP student optimize the same objective.
+    """
+    pu, pv = inv[0:b], inv[b : 2 * b]
+    nu, nv = inv[2 * b : 3 * b], inv[3 * b :]
+    z_pos = np.einsum("ij,ij->i", y_rows[pu], y_rows[pv])
+    z_neg = np.einsum("ij,ij->i", y_rows[nu], y_rows[nv])
+    resid = 1.0 - z_pos + z_neg
+    loss = float(np.mean(resid * resid))
+
+    dz_pos = -2.0 * resid / b
+    dz_neg = 2.0 * resid / b
+    dy_rows = np.zeros_like(y_rows)
+    np.add.at(dy_rows, pu, dz_pos[:, None] * y_rows[pv])
+    np.add.at(dy_rows, pv, dz_pos[:, None] * y_rows[pu])
+    np.add.at(dy_rows, nu, dz_neg[:, None] * y_rows[nv])
+    np.add.at(dy_rows, nv, dz_neg[:, None] * y_rows[nu])
+    return loss, dy_rows
+
+
+def pair_recall(y: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
+    """Recall at |pos| of inner-product logits over ``pos`` then ``neg`` pairs.
+
+    The model-selection rule of every trainer: the checkpoint with the best
+    validation value wins.
+    """
+    z = np.concatenate([score_edges(y, pos), score_edges(y, neg)])
+    labels = np.concatenate(
+        [np.ones(len(pos), dtype=np.int8), np.zeros(len(neg), dtype=np.int8)]
+    )
+    return recall_at(z, labels, len(pos))
 
 
 def _batch_loss_and_grads(
@@ -192,20 +221,7 @@ def _batch_loss_and_grads(
         p_rows = h[rows] + agg_rows @ h
         y_rows = p_rows @ weights
 
-    pu, pv = inv[0:b], inv[b : 2 * b]
-    nu, nv = inv[2 * b : 3 * b], inv[3 * b :]
-    z_pos = np.einsum("ij,ij->i", y_rows[pu], y_rows[pv])
-    z_neg = np.einsum("ij,ij->i", y_rows[nu], y_rows[nv])
-    resid = 1.0 - z_pos + z_neg
-    loss = float(np.mean(resid * resid))
-
-    dz_pos = -2.0 * resid / b
-    dz_neg = 2.0 * resid / b
-    dy_rows = np.zeros_like(y_rows)
-    np.add.at(dy_rows, pu, dz_pos[:, None] * y_rows[pv])
-    np.add.at(dy_rows, pv, dz_pos[:, None] * y_rows[pu])
-    np.add.at(dy_rows, nu, dz_neg[:, None] * y_rows[nv])
-    np.add.at(dy_rows, nv, dz_neg[:, None] * y_rows[nu])
+    loss, dy_rows = pair_loss(y_rows, inv, b)
 
     n, d_in = h.shape
     if encoder == "embedding_only":
@@ -246,7 +262,7 @@ def training_loss_and_grads(
     neg_edges = np.asarray(neg_edges, dtype=np.int64)
     if pos_edges.size == 0 or neg_edges.size == 0:
         raise DataError("need nonempty positive and negative edge arrays")
-    pp, pn = _pair_indices(pos_edges.shape[0], neg_edges.shape[0], rng=None)
+    pp, pn = pair_indices(pos_edges.shape[0], neg_edges.shape[0], rng=None)
     h = model.input_matrix()
     d_x = 0 if model.features is None else model.features.shape[1]
     agg = mean_aggregator(g) if model.config.encoder == "one_hop_mean" else None
@@ -266,22 +282,6 @@ def training_loss_and_grads(
     return loss, grads
 
 
-def _valid_recall(
-    h: np.ndarray,
-    weights: np.ndarray | None,
-    agg: sp.csr_matrix | None,
-    encoder: str,
-    valid_pos: np.ndarray,
-    valid_neg: np.ndarray,
-) -> float:
-    y = h if encoder == "embedding_only" else (h + agg @ h) @ weights
-    z = np.concatenate([score_edges(y, valid_pos), score_edges(y, valid_neg)])
-    labels = np.concatenate(
-        [np.ones(len(valid_pos), dtype=np.int8), np.zeros(len(valid_neg), dtype=np.int8)]
-    )
-    return recall_at(z, labels, len(valid_pos))
-
-
 def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     """Fit the scorer on a manifest's training edges.
 
@@ -295,16 +295,10 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
         raise DataError("manifest has empty training splits")
     model = init_model(config, g_train)
 
-    def ids(pairs) -> np.ndarray:
-        if not pairs:
-            return np.zeros((0, 2), dtype=np.int64)
-        flat = g_train.ids_for([k for pair in pairs for k in pair])
-        return flat.reshape(-1, 2)
-
-    pos = ids(manifest.train_pos)
-    neg = ids(manifest.train_neg)
-    valid_pos = ids(manifest.valid_pos)
-    valid_neg = ids(manifest.valid_neg)
+    pos = g_train.pair_ids(manifest.train_pos)
+    neg = g_train.pair_ids(manifest.train_neg)
+    valid_pos = g_train.pair_ids(manifest.valid_pos)
+    valid_neg = g_train.pair_ids(manifest.valid_neg)
 
     d_x = 0 if g_train.features is None else g_train.features.shape[1]
     h = model.input_matrix().copy()
@@ -318,7 +312,7 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     best: tuple[float, np.ndarray, np.ndarray | None] | None = None
     trace: list[float] = []
     for _epoch in range(config.epochs):
-        pp, pn = _pair_indices(pos.shape[0], neg.shape[0], rng)
+        pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng)
         epoch_pos, epoch_neg = pos[pp], neg[pn]
         losses = []
         for start in range(0, epoch_pos.shape[0], config.batch_size):
@@ -346,7 +340,8 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
                     weights -= config.learning_rate * dw
         trace.append(float(np.mean(losses)) if losses else 0.0)
         if len(valid_pos) and len(valid_neg):
-            rec = _valid_recall(h, weights, agg, config.encoder, valid_pos, valid_neg)
+            y = h if config.encoder == "embedding_only" else (h + agg @ h) @ weights
+            rec = pair_recall(y, valid_pos, valid_neg)
             if best is None or rec > best[0]:
                 best = (rec, h[:, d_x:].copy(), None if weights is None else weights.copy())
 

@@ -139,6 +139,41 @@ def dense_ppr(n, edges, source, teleport, iterations):
     return pi
 
 
+def dense_common_neighbors(n, edges, queries) -> np.ndarray:
+    """Shared-neighbor counts read off the two-step walk counts A @ A."""
+    a = dense_adjacency(n, edges)
+    a2 = a @ a
+    return np.array([a2[u, v] for u, v in queries])
+
+
+def brute_adamic_adar(n, edges, queries) -> np.ndarray:
+    """Sum of 1/ln(k_w) over every w adjacent to both endpoints, by loops."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    out = []
+    for u, v in queries:
+        total = 0.0
+        for w in range(n):
+            if w in nbrs[u] and w in nbrs[v]:
+                total += 1.0 / np.log(len(nbrs[w]))
+        out.append(total)
+    return np.array(out)
+
+
+def closed_form_ppr(n, edges, source, teleport) -> np.ndarray:
+    """Stationary PPR vector t * (I - (1 - t) P^T)^-1 e_s, P = D^-1 A.
+
+    Needs every node to have an edge (no dangling mass to restart).
+    """
+    a = dense_adjacency(n, edges)
+    p = a / a.sum(axis=1)[:, None]
+    e = np.zeros(n)
+    e[source] = 1.0
+    return teleport * np.linalg.solve(np.eye(n) - (1.0 - teleport) * p.T, e)
+
+
 def full_sort_recall(scores, labels, k) -> float:
     """Reference recall: stable full sort by descending score."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))

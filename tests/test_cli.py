@@ -76,3 +76,35 @@ def test_gen_synmodel_bad_spec_exits_2(tmp_path, spec):
         "--out-dir", str(tmp_path / "out"),
     ])
     assert code == 2
+
+
+RUN_CONFIG = {
+    "seed": 1,
+    "out_dir": "out",
+    "dataset": {"kind": "synthetic", "spec": VALID_SPEC},
+    "regimes": ["int"],
+    "methods": ["scorer"],
+    "scorer": {"epochs": 1, "d_trainable": 4},
+}
+
+
+def test_run_succeeds(tmp_path):
+    assert main(["run", "--config", _write_json(tmp_path / "run.json", RUN_CONFIG)]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("config", [
+    None,
+    [RUN_CONFIG],
+    RUN_CONFIG | {"regimes": 5},
+    RUN_CONFIG | {"methods": 7},
+    RUN_CONFIG | {"eval": {"k_multipliers": 3}},
+    RUN_CONFIG | {"regimes": [["int"]]},
+], ids=["missing-file", "json-list", "regimes-int", "methods-int", "k-multipliers-int",
+        "regime-list"])
+def test_run_bad_config_exits_2(tmp_path, config):
+    path = tmp_path / "run.json"
+    if config is not None:
+        _write_json(path, config)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()

@@ -1,0 +1,70 @@
+import numpy as np
+import pytest
+
+from linkbridge.errors import ConfigError
+from linkbridge.evaluation import (
+    EvalReport,
+    SuiteConfig,
+    eval_pairs,
+    evaluate_scores,
+    method_scores,
+    shuffle_eval_order,
+)
+from linkbridge.selection import Regime, make_split
+
+
+@pytest.fixture(scope="module")
+def manifest(small_pair):
+    src, tar, _ = small_pair
+    return make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1)
+
+
+def test_pooled_eval_pairs_are_valid_then_test(manifest):
+    pos, neg = eval_pairs(manifest, "pooled")
+    assert pos == list(manifest.valid_pos) + list(manifest.test_pos)
+    assert neg == list(manifest.valid_neg) + list(manifest.test_neg)
+    assert eval_pairs(manifest, "valid") == (
+        list(manifest.valid_pos), list(manifest.valid_neg)
+    )
+    assert eval_pairs(manifest, "test") == (
+        list(manifest.test_pos), list(manifest.test_neg)
+    )
+
+
+def test_shuffle_eval_order_is_deterministic_and_keeps_labels(manifest):
+    pos, neg = eval_pairs(manifest, "test")
+    order, labels = shuffle_eval_order(pos, neg, seed=5)
+    again, labels_again = shuffle_eval_order(pos, neg, seed=5)
+    assert order == again
+    assert np.array_equal(labels, labels_again)
+    assert sorted(order) == sorted(pos + neg)
+    pos_set = set(pos)
+    assert [int(pair in pos_set) for pair in order] == labels.tolist()
+    # the order is a real shuffle, not positives first
+    assert labels.tolist() != sorted(labels.tolist(), reverse=True)
+
+
+def test_evaluate_scores_breaks_ties_in_input_order():
+    scores = np.zeros(4)
+    late = evaluate_scores(scores, np.array([0, 0, 1, 1]), (1.0,), 0.0, seed=0)
+    early = evaluate_scores(scores, np.array([1, 1, 0, 0]), (1.0,), 0.0, seed=0)
+    mixed = evaluate_scores(scores, np.array([0, 1, 1, 0]), (1.0,), 0.0, seed=0)
+    assert late["recall_at_1x"] == 0.0
+    assert early["recall_at_1x"] == 1.0
+    assert mixed["recall_at_1x"] == 0.5
+
+
+def _report(runtime, recall=0.5):
+    row = {"regime": "int", "method": "scorer", "recall_at_1x": recall,
+           "runtime_seconds": runtime, "runtime_note": f"{runtime}s"}
+    return EvalReport(rows=[row], config={"seed": 1}, seed=1, runtime_seconds=runtime)
+
+
+def test_content_hash_ignores_runtime_keys():
+    assert _report(0.1).content_hash() == _report(9.9).content_hash()
+    assert _report(0.1).content_hash() != _report(0.1, recall=0.75).content_hash()
+
+
+def test_method_scores_rejects_unknown_method():
+    with pytest.raises(ConfigError, match="unknown method"):
+        method_scores("bogus", None, None, None, None, None, None, SuiteConfig())

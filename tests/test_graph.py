@@ -139,3 +139,14 @@ def test_union_disjoint_edge_count():
 def test_graph_arrays_read_only(triangle):
     with pytest.raises(ValueError):
         triangle.edges[0, 0] = 5
+
+
+def test_pair_ids(triangle):
+    ids = triangle.pair_ids([("a", "b"), ("c", "a")])
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [[0, 1], [2, 0]]
+    empty = triangle.pair_ids([])
+    assert empty.shape == (0, 2)
+    assert empty.dtype == np.int64
+    with pytest.raises(DataError, match="unknown node key 'zz'"):
+        triangle.pair_ids([("a", "zz")])

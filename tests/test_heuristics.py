@@ -1,0 +1,101 @@
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+
+from linkbridge.errors import DataError
+from linkbridge.graph import build_graph
+from linkbridge.heuristics import (
+    PprConfig,
+    adamic_adar,
+    common_neighbors,
+    ppr_scores,
+    ppr_vectors,
+)
+
+from oracles import (
+    brute_adamic_adar,
+    closed_form_ppr,
+    dense_common_neighbors,
+    dense_ppr,
+    random_graph_edges,
+)
+
+
+def _random_graph(seed, n=14, m=30):
+    rng = np.random.default_rng(seed)
+    edges = random_graph_edges(rng, n, m)
+    g = build_graph([(str(u), str(v)) for u, v in edges])
+    # every node comes from an edge, so none has degree 0
+    return g, [tuple(e) for e in g.edges]
+
+
+def _all_pairs(n):
+    return np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_common_neighbors_matches_two_step_walks(seed):
+    g, edges = _random_graph(seed)
+    queries = _all_pairs(g.num_nodes)
+    got = common_neighbors(g, queries)
+    want = dense_common_neighbors(g.num_nodes, edges, queries)
+    assert np.array_equal(got, want.astype(np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_adamic_adar_matches_brute_force(seed):
+    g, edges = _random_graph(seed)
+    queries = _all_pairs(g.num_nodes)
+    got = adamic_adar(g, queries)
+    want = brute_adamic_adar(g.num_nodes, edges, queries)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.any(got > 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ppr_scores_match_closed_form(seed):
+    g, edges = _random_graph(seed)
+    cfg = PprConfig(teleport=0.2, iterations=2000, tol=1e-13)
+    queries = _all_pairs(g.num_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = ppr_scores(g, queries, cfg)
+    pi = np.stack(
+        [closed_form_ppr(g.num_nodes, edges, s, cfg.teleport) for s in range(g.num_nodes)]
+    )
+    want = np.array([pi[u, v] + pi[v, u] for u, v in queries])
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+    # pi_u[v] + pi_v[u] is the same under P and P^T on an undirected graph
+    # (d_u pi_u[v] = d_v pi_v[u]), so the walk direction is checked per vector
+    sources = np.arange(g.num_nodes)
+    assert np.allclose(ppr_vectors(g, sources, cfg), pi.T, rtol=1e-9, atol=1e-12)
+
+
+def test_ppr_dangling_mass_restarts_at_source():
+    # "e" is isolated: a walk never reaches it, and a walk from it stays put
+    g = build_graph([("a", "b"), ("b", "c"), ("c", "d")], extra_nodes=["e"])
+    cfg = PprConfig(teleport=0.15, iterations=7, tol=0.0)
+    queries = _all_pairs(g.num_nodes)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        got = ppr_scores(g, queries, cfg)
+    edges = [tuple(e) for e in g.edges]
+    pi = np.stack(
+        [dense_ppr(g.num_nodes, edges, s, cfg.teleport, cfg.iterations)
+         for s in range(g.num_nodes)]
+    )
+    want = np.array([pi[u, v] + pi[v, u] for u, v in queries])
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+    iso = g.key_to_id["e"]
+    assert np.all(got[(queries == iso).any(axis=1)] == 0.0)
+
+
+@pytest.mark.parametrize("score", [
+    common_neighbors,
+    adamic_adar,
+    lambda g, q: ppr_scores(g, q, PprConfig()),
+])
+def test_out_of_range_endpoint_rejected(triangle, score):
+    with pytest.raises(DataError):
+        score(triangle, np.array([[0, 3]]))
