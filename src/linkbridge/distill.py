@@ -6,6 +6,11 @@ under mean squared error, then fine-tunes on the pairwise ranking loss over
 its own inner-product logits. Inference touches node features only, never
 the adjacency, so isolated and low-degree nodes score exactly like any
 other node.
+
+A training step reads and writes only the batch's rows: the input [X, X']
+is gathered per batch, never rebuilt for all N nodes, and with
+``train_xprime`` the X' gradient comes back row-sparse and is applied by
+index.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .graph import Graph
-from .scorer import pair_indices, pair_loss, pair_recall
+from .scorer import node_inputs, pair_indices, pair_loss, pair_recall
 
 __all__ = [
     "DistillConfig",
@@ -70,11 +75,9 @@ class MlpModel:
     def num_nodes(self) -> int:
         return int(self.x_prime.shape[0])
 
-    def input_matrix(self) -> np.ndarray:
-        xp = self.x_prime.astype(np.float64, copy=False)
-        if self.features is None:
-            return xp
-        return np.concatenate([self.features.astype(np.float64), xp], axis=1)
+    def input_matrix(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Per-node input [X, X'] as float64, optionally for ``rows`` only."""
+        return node_inputs(self.features, self.x_prime, rows)
 
 
 def _init_mlp(config: DistillConfig, d_in: int, d_out: int, rng) -> tuple:
@@ -87,60 +90,87 @@ def _init_mlp(config: DistillConfig, d_in: int, d_out: int, rng) -> tuple:
     return w1, b1, w2, b2
 
 
+def _forward(model: MlpModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-activation, hidden activation and output for input rows ``h``."""
+    a = h @ model.w1 + model.b1
+    z1 = np.maximum(a, 0.0)
+    return a, z1, z1 @ model.w2 + model.b2
+
+
+def _backward(
+    model: MlpModel, h: np.ndarray, a: np.ndarray, z1: np.ndarray, d_out: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Parameter gradients from the output gradient of the rows ``h``.
+
+    With ``train_xprime`` the X' gradient has one row per row of ``h``.
+    """
+    grads = {"w2": z1.T @ d_out, "b2": d_out.sum(axis=0)}
+    da = (d_out @ model.w2.T) * (a > 0)
+    grads["w1"] = h.T @ da
+    grads["b1"] = da.sum(axis=0)
+    if model.config.train_xprime:
+        d_x = 0 if model.features is None else model.features.shape[1]
+        grads["x_prime"] = (da @ model.w1.T)[:, d_x:]
+    return grads
+
+
+def _mse(out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    err = out - target
+    return float(np.sum(err * err) / err.size), err
+
+
 def student_embed(model: MlpModel, rows: np.ndarray | None = None) -> np.ndarray:
     """Student embeddings from node inputs alone (no adjacency access)."""
-    h = model.input_matrix()
     if rows is not None:
-        h = h[np.asarray(rows, dtype=np.int64)]
-    hidden = np.maximum(h @ model.w1 + model.b1, 0.0)
-    return hidden @ model.w2 + model.b2
+        rows = np.asarray(rows, dtype=np.int64)
+    return _forward(model, model.input_matrix(rows))[2]
 
 
 def _imitation_pass(
     model: MlpModel, teacher_y: np.ndarray, rows: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    h_full = model.input_matrix()
-    h = h_full[rows]
-    a = h @ model.w1 + model.b1
-    z1 = np.maximum(a, 0.0)
-    out = z1 @ model.w2 + model.b2
-    err = out - teacher_y[rows]
-    denom = err.size
-    loss = float(np.sum(err * err) / denom)
-    d_out = 2.0 * err / denom
-    grads = {
-        "w2": z1.T @ d_out,
-        "b2": d_out.sum(axis=0),
-    }
-    dz1 = d_out @ model.w2.T
-    da = dz1 * (a > 0)
-    grads["w1"] = h.T @ da
-    grads["b1"] = da.sum(axis=0)
-    if model.config.train_xprime:
-        dh = da @ model.w1.T
-        d_x = 0 if model.features is None else model.features.shape[1]
+    h = model.input_matrix(rows)
+    a, z1, out = _forward(model, h)
+    loss, err = _mse(out, teacher_y[rows])
+    return loss, _backward(model, h, a, z1, 2.0 * err / err.size)
+
+
+def _dense_xprime(
+    model: MlpModel, grads: dict[str, np.ndarray], rows: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Scatter a row-sparse X' gradient into the full N-row table."""
+    if "x_prime" in grads:
         dxp = np.zeros_like(model.x_prime, dtype=np.float64)
-        np.add.at(dxp, rows, dh[:, d_x:])
+        np.add.at(dxp, rows, grads["x_prime"])
         grads["x_prime"] = dxp
-    return loss, grads
+    return grads
 
 
 def imitation_loss_and_grads(
     model: MlpModel, teacher_y: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared imitation error and analytic gradients (for checks)."""
+    """Mean squared imitation error and analytic gradients (for checks).
+
+    The X' gradient, when trained, is dense (N rows).
+    """
     if rows is None:
         rows = np.arange(model.num_nodes)
-    return _imitation_pass(model, teacher_y, np.asarray(rows, dtype=np.int64))
+    rows = np.asarray(rows, dtype=np.int64)
+    loss, grads = _imitation_pass(model, teacher_y, rows)
+    return loss, _dense_xprime(model, grads, rows)
 
 
-def _apply_grads(model: MlpModel, grads: dict[str, np.ndarray], lr: float) -> None:
+def _apply_grads(
+    model: MlpModel, grads: dict[str, np.ndarray], lr: float, rows: np.ndarray
+) -> None:
+    """SGD step in place; the X' gradient holds one row per entry of the
+    distinct ``rows``."""
     model.w1 -= lr * grads["w1"]
     model.b1 -= lr * grads["b1"]
     model.w2 -= lr * grads["w2"]
     model.b2 -= lr * grads["b2"]
     if "x_prime" in grads:
-        model.x_prime = model.x_prime - lr * grads["x_prime"]
+        model.x_prime[rows] -= lr * grads["x_prime"]
 
 
 def imitate(
@@ -179,43 +209,29 @@ def imitate(
             if not np.isfinite(loss):
                 raise NumericError(f"imitation diverged at epoch {epoch}")
             losses.append(loss)
-            _apply_grads(model, grads, config.learning_rate)
+            _apply_grads(model, grads, config.learning_rate, rows)
         trace.append(float(np.mean(losses)))
         if len(trace) > config.plateau_epochs:
             past = trace[-config.plateau_epochs - 1]
             if past > 0 and (past - trace[-1]) / past < config.plateau_tol:
                 break
-    final_loss, _ = imitation_loss_and_grads(model, teacher_y)
-    model.imitation_mse = final_loss
+    model.imitation_mse = _mse(student_embed(model), teacher_y)[0]
     model.loss_trace = trace
     return model
 
 
 def _finetune_pass(
     model: MlpModel, pos: np.ndarray, neg: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Batch ranking loss and gradients; also returns the distinct node ids
+    the X' gradient rows belong to."""
     b = pos.shape[0]
     nodes = np.concatenate([pos.ravel(), neg.ravel()])
     rows, inv = np.unique(nodes, return_inverse=True)
-    h_rows = model.input_matrix()[rows]
-    a = h_rows @ model.w1 + model.b1
-    z1 = np.maximum(a, 0.0)
-    y_rows = z1 @ model.w2 + model.b2
-
+    h = model.input_matrix(rows)
+    a, z1, y_rows = _forward(model, h)
     loss, dy = pair_loss(y_rows, inv, b)
-
-    grads = {"w2": z1.T @ dy, "b2": dy.sum(axis=0)}
-    dz1 = dy @ model.w2.T
-    da = dz1 * (a > 0)
-    grads["w1"] = h_rows.T @ da
-    grads["b1"] = da.sum(axis=0)
-    if model.config.train_xprime:
-        dh = da @ model.w1.T
-        d_x = 0 if model.features is None else model.features.shape[1]
-        dxp = np.zeros_like(model.x_prime, dtype=np.float64)
-        np.add.at(dxp, rows, dh[:, d_x:])
-        grads["x_prime"] = dxp
-    return loss, grads
+    return loss, _backward(model, h, a, z1, dy), rows
 
 
 def finetune_loss_and_grads(
@@ -224,13 +240,15 @@ def finetune_loss_and_grads(
     """Ranking loss over student logits with analytic gradients (for checks).
 
     Index-matched with cycling, no shuffling: a pure function of parameters.
+    The X' gradient, when trained, is dense (N rows).
     """
     pos = np.asarray(pos_edges, dtype=np.int64)
     neg = np.asarray(neg_edges, dtype=np.int64)
     if pos.size == 0 or neg.size == 0:
         raise DataError("need nonempty positive and negative edge arrays")
     pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng=None)
-    return _finetune_pass(model, pos[pp], neg[pn])
+    loss, grads, rows = _finetune_pass(model, pos[pp], neg[pn])
+    return loss, _dense_xprime(model, grads, rows)
 
 
 def finetune_linkpred(
@@ -257,9 +275,17 @@ def finetune_linkpred(
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xF17E]))
 
     has_valid = valid_pos.shape[0] > 0 and valid_neg.shape[0] > 0
-    best_rec = (
-        pair_recall(student_embed(work), valid_pos, valid_neg) if has_valid else -1.0
+    # validation embeds only the validation endpoints, under local ids
+    valid_rows, valid_local = np.unique(
+        np.concatenate([valid_pos.ravel(), valid_neg.ravel()]), return_inverse=True
     )
+    valid_pos = valid_local[: valid_pos.size].reshape(-1, 2)
+    valid_neg = valid_local[valid_pos.size :].reshape(-1, 2)
+
+    def valid_recall() -> float:
+        return pair_recall(student_embed(work, valid_rows), valid_pos, valid_neg)
+
+    best_rec = valid_recall() if has_valid else -1.0
     best = (work.w1.copy(), work.b1.copy(), work.w2.copy(), work.b2.copy(),
             work.x_prime.copy())
     for epoch in range(config.finetune_epochs):
@@ -268,12 +294,12 @@ def finetune_linkpred(
         for start in range(0, epos.shape[0], config.finetune_batch_size):
             bp = epos[start : start + config.finetune_batch_size]
             bn = eneg[start : start + config.finetune_batch_size]
-            loss, grads = _finetune_pass(work, bp, bn)
+            loss, grads, rows = _finetune_pass(work, bp, bn)
             if not np.isfinite(loss):
                 raise NumericError(f"fine-tuning diverged at epoch {epoch}")
-            _apply_grads(work, grads, config.finetune_lr)
+            _apply_grads(work, grads, config.finetune_lr, rows)
         if has_valid:
-            rec = pair_recall(student_embed(work), valid_pos, valid_neg)
+            rec = valid_recall()
             if rec > best_rec:
                 best_rec = rec
                 best = (work.w1.copy(), work.b1.copy(), work.w2.copy(),

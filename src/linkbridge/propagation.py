@@ -221,7 +221,8 @@ def diffuse(
     """Iterate Z <- alpha*S*Z + (1-alpha)*G from Z0.
 
     ``operator`` is anything with a ``shape`` and ``@`` on an (n, d) array:
-    a sparse or dense matrix, or a ``LineOperator``. Stops after ``k_max``
+    a sparse or dense matrix, or a ``LineOperator``, whose product is a new
+    array (the loop updates it in place). Stops after ``k_max``
     rounds or once the max-abs step change drops below ``tol`` (set tol=0 to
     force exactly k_max iterations). Raises on non-finite intermediate
     values.
@@ -241,10 +242,18 @@ def diffuse(
         )
     alpha = cfg.alpha
     for _k in range(cfg.k_max):
-        z_next = alpha * (operator @ z) + (1.0 - alpha) * g_mat
-        if not np.all(np.isfinite(z_next)):
+        z_next = operator @ z
+        z_next *= alpha
+        z_next += (1.0 - alpha) * g_mat
+        if not np.isfinite(z_next).all():
             raise NumericError(f"diffusion produced non-finite values at step {_k}")
-        delta = float(np.max(np.abs(z_next - z))) if z.size else 0.0
+        if z.size:
+            # from the second step on, z is this call's own buffer and is
+            # dropped below, so the step difference overwrites it
+            step = np.subtract(z_next, z, out=z if _k else None)
+            delta = float(np.abs(step, out=step).max())
+        else:
+            delta = 0.0
         z = z_next
         if delta < cfg.tol:
             break

@@ -7,6 +7,11 @@ of its endpoint embeddings, and training minimizes the squared pairwise
 ranking loss (1 - z_pos + z_neg)^2 over matched positive/negative batches
 with plain (optionally momentum) SGD. Gradients are closed-form; no autodiff
 framework is involved, which keeps runs deterministic for a fixed seed.
+
+A training step touches only the batch's rows (and, under the one-hop
+encoder, their neighbors): gradients come back row-sparse and the trainable
+table is updated by index. L2 decay and momentum act on every row by
+definition, so only a run that sets them pays a full-table update per step.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .metrics import recall_at
 __all__ = [
     "ScorerConfig",
     "ScorerModel",
+    "node_inputs",
     "init_model",
     "embed",
     "score_edges",
@@ -81,12 +87,23 @@ class ScorerModel:
         d_x = 0 if self.features is None else self.features.shape[1]
         return int(d_x + self.x_prime.shape[1])
 
-    def input_matrix(self) -> np.ndarray:
-        """Per-node encoder input [X, X'] as float64."""
-        xp = self.x_prime.astype(np.float64, copy=False)
-        if self.features is None:
-            return xp
-        return np.concatenate([self.features.astype(np.float64), xp], axis=1)
+    def input_matrix(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Per-node encoder input [X, X'] as float64, optionally for ``rows`` only."""
+        return node_inputs(self.features, self.x_prime, rows)
+
+
+def node_inputs(
+    features: np.ndarray | None, x_prime: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows of [X, X'] as float64; gathers before it concatenates, so a
+    batch's input costs O(batch), not O(N)."""
+    if rows is not None:
+        x_prime = x_prime[rows]
+        features = None if features is None else features[rows]
+    xp = x_prime.astype(np.float64, copy=False)
+    if features is None:
+        return xp
+    return np.concatenate([features.astype(np.float64), xp], axis=1)
 
 
 def init_model(config: ScorerConfig, g: Graph) -> ScorerModel:
@@ -177,12 +194,17 @@ def pair_loss(
 
     dz_pos = -2.0 * resid / b
     dz_neg = 2.0 * resid / b
-    dy_rows = np.zeros_like(y_rows)
-    np.add.at(dy_rows, pu, dz_pos[:, None] * y_rows[pv])
-    np.add.at(dy_rows, pv, dz_pos[:, None] * y_rows[pu])
-    np.add.at(dy_rows, nu, dz_neg[:, None] * y_rows[nv])
-    np.add.at(dy_rows, nv, dz_neg[:, None] * y_rows[nu])
-    return loss, dy_rows
+    # dy[u] += dz * y[v] and dy[v] += dz * y[u] for every logit, as one
+    # product with the r x r matrix holding dz at (u, v) and (v, u)
+    r = y_rows.shape[0]
+    coef = sp.csr_matrix(
+        (
+            np.concatenate([dz_pos, dz_pos, dz_neg, dz_neg]),
+            (inv, np.concatenate([pv, pu, nv, nu])),
+        ),
+        shape=(r, r),
+    )
+    return loss, coef @ y_rows
 
 
 def pair_recall(y: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
@@ -201,49 +223,87 @@ def pair_recall(y: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
 def _batch_loss_and_grads(
     h: np.ndarray,
     weights: np.ndarray | None,
-    agg: sp.csr_matrix | None,
+    agg: sp.csr_array | None,
     encoder: str,
     pos_edges: np.ndarray,
     neg_edges: np.ndarray,
     d_x: int,
     l2: float,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Mean pair loss and gradients w.r.t. X' (dense) and W for one batch."""
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Mean pair loss of one batch and its gradients, row-sparse in X'.
+
+    Returns ``(loss, touched, dxp_rows, dw)``: ``touched`` holds the sorted
+    node ids whose X' rows get a non-zero batch gradient ``dxp_rows``. The
+    L2 term on X' covers every row, so it is left to ``_dense_xp_grad``;
+    the loss includes it.
+    """
     b = pos_edges.shape[0]
     nodes = np.concatenate([pos_edges.ravel(), neg_edges.ravel()])
     rows, inv = np.unique(nodes, return_inverse=True)
-    r = rows.size
 
     if encoder == "embedding_only":
-        y_rows = h[rows]
+        loss, dy_rows = pair_loss(h[rows], inv, b)
+        touched, dxp_rows, dw = rows, dy_rows[:, d_x:], None
     else:
         agg_rows = agg[rows, :]
         p_rows = h[rows] + agg_rows @ h
-        y_rows = p_rows @ weights
-
-    loss, dy_rows = pair_loss(y_rows, inv, b)
-
-    n, d_in = h.shape
-    if encoder == "embedding_only":
-        dh = np.zeros((n, d_in))
-        np.add.at(dh, rows, dy_rows)
-        dw = None
-    else:
+        loss, dy_rows = pair_loss(p_rows @ weights, inv, b)
         dw = p_rows.T @ dy_rows
-        dp_rows = dy_rows @ weights.T
-        dh = np.zeros((n, d_in))
-        np.add.at(dh, rows, dp_rows)
-        dh += agg_rows.T @ dp_rows
+        dp_rows = (dy_rows @ weights.T)[:, d_x:]
+        # p_rows reads h at the batch rows and, through the mean, at their
+        # neighbors; agg_rows re-indexed onto that set stays O(batch)
+        touched, local = np.unique(
+            np.concatenate([rows, agg_rows.indices]), return_inverse=True
+        )
+        agg_local = sp.csr_array(
+            (agg_rows.data, local[rows.size :], agg_rows.indptr),
+            shape=(rows.size, touched.size),
+        )
+        dxp_rows = np.zeros((touched.size, dp_rows.shape[1]))
+        dxp_rows[local[: rows.size]] = dp_rows
+        dxp_rows += agg_local.T @ dp_rows
         if l2:
             dw += 2.0 * l2 * weights
             loss += l2 * float(np.sum(weights * weights))
 
-    dxp = dh[:, d_x:]
     if l2:
         xp = h[:, d_x:]
-        dxp = dxp + 2.0 * l2 * xp
         loss += l2 * float(np.sum(xp * xp))
-    return loss, dxp, dw
+    return loss, touched, dxp_rows, dw
+
+
+def _dense_xp_grad(
+    h: np.ndarray, d_x: int, l2: float, touched: np.ndarray, dxp_rows: np.ndarray
+) -> np.ndarray:
+    """The full N-row X' gradient: the batch rows plus the L2 term on every row."""
+    xp = h[:, d_x:]
+    dxp = 2.0 * l2 * xp if l2 else np.zeros_like(xp)
+    dxp[touched] += dxp_rows
+    return dxp
+
+
+def _descend_xprime(
+    h: np.ndarray,
+    d_x: int,
+    touched: np.ndarray,
+    dxp_rows: np.ndarray,
+    velocity: np.ndarray | None,
+    config: ScorerConfig,
+) -> None:
+    """One SGD (or momentum) step on the X' columns of ``h``, in place.
+
+    Without L2 or momentum only the touched rows move. L2 decay and the
+    velocity's decay reach every row, so those runs take the dense step.
+    """
+    if not config.l2_weight and config.momentum == 0:
+        h[touched, d_x:] -= config.learning_rate * dxp_rows
+        return
+    dxp = _dense_xp_grad(h, d_x, config.l2_weight, touched, dxp_rows)
+    if config.momentum > 0:
+        velocity *= config.momentum
+        velocity += dxp
+        dxp = velocity
+    h[:, d_x:] -= config.learning_rate * dxp
 
 
 def training_loss_and_grads(
@@ -256,7 +316,8 @@ def training_loss_and_grads(
 
     The shorter list is cycled to the longer one's length (no shuffling),
     so the value is a pure deterministic function of the model parameters;
-    finite-difference tests probe exactly this.
+    finite-difference tests probe exactly this. The X' gradient is dense
+    (N rows).
     """
     pos_edges = np.asarray(pos_edges, dtype=np.int64)
     neg_edges = np.asarray(neg_edges, dtype=np.int64)
@@ -266,7 +327,8 @@ def training_loss_and_grads(
     h = model.input_matrix()
     d_x = 0 if model.features is None else model.features.shape[1]
     agg = mean_aggregator(g) if model.config.encoder == "one_hop_mean" else None
-    loss, dxp, dw = _batch_loss_and_grads(
+    l2 = model.config.l2_weight
+    loss, touched, dxp_rows, dw = _batch_loss_and_grads(
         h,
         model.encoder_weights,
         agg,
@@ -274,9 +336,9 @@ def training_loss_and_grads(
         pos_edges[pp],
         neg_edges[pn],
         d_x,
-        model.config.l2_weight,
+        l2,
     )
-    grads = {"x_prime": dxp}
+    grads = {"x_prime": _dense_xp_grad(h, d_x, l2, touched, dxp_rows)}
     if dw is not None:
         grads["encoder_weights"] = dw
     return loss, grads
@@ -305,7 +367,7 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     weights = None if model.encoder_weights is None else model.encoder_weights.copy()
     agg = mean_aggregator(g_train) if config.encoder == "one_hop_mean" else None
 
-    vel_xp = np.zeros_like(h[:, d_x:])
+    vel_xp = np.zeros_like(h[:, d_x:]) if config.momentum > 0 else None
     vel_w = np.zeros_like(weights) if weights is not None else None
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
 
@@ -318,7 +380,7 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
         for start in range(0, epoch_pos.shape[0], config.batch_size):
             bp = epoch_pos[start : start + config.batch_size]
             bn = epoch_neg[start : start + config.batch_size]
-            loss, dxp, dw = _batch_loss_and_grads(
+            loss, touched, dxp_rows, dw = _batch_loss_and_grads(
                 h, weights, agg, config.encoder, bp, bn, d_x, config.l2_weight
             )
             if not np.isfinite(loss):
@@ -326,18 +388,13 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
                     f"training diverged: non-finite loss {loss} at epoch {_epoch}"
                 )
             losses.append(loss)
-            if config.momentum > 0:
-                vel_xp *= config.momentum
-                vel_xp += dxp
-                h[:, d_x:] -= config.learning_rate * vel_xp
-                if dw is not None:
+            _descend_xprime(h, d_x, touched, dxp_rows, vel_xp, config)
+            if dw is not None:
+                if config.momentum > 0:
                     vel_w *= config.momentum
                     vel_w += dw
-                    weights -= config.learning_rate * vel_w
-            else:
-                h[:, d_x:] -= config.learning_rate * dxp
-                if dw is not None:
-                    weights -= config.learning_rate * dw
+                    dw = vel_w
+                weights -= config.learning_rate * dw
         trace.append(float(np.mean(losses)) if losses else 0.0)
         if len(valid_pos) and len(valid_neg):
             y = h if config.encoder == "embedding_only" else (h + agg @ h) @ weights

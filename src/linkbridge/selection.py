@@ -38,6 +38,10 @@ __all__ = [
 
 Pair = tuple[str, str]
 
+# Most nodes the exhaustive negative-pair fallback enumerates. Its grids are
+# k x k, about 85 MiB at this bound, so it never runs over a whole large graph.
+ENUMERATION_NODES = 2048
+
 
 class Regime(str, Enum):
     """Which training graph feeds the scorer."""
@@ -149,26 +153,35 @@ def _enumerate_non_edges(
     g: Graph, u_pool: np.ndarray, v_pool: np.ndarray, outside_only: np.ndarray | None,
     bipartite: bool,
 ) -> np.ndarray:
-    """Dense fallback for small graphs: all candidate non-edges as (m, 2)."""
-    n = g.num_nodes
-    adj = np.zeros((n, n), dtype=bool)
+    """Exhaustive fallback: every candidate non-edge among the pools as (m, 2).
+
+    Only the pools' nodes are enumerated, so the grid is |pool| x |pool|, not
+    N x N; pairs come in ascending (u, v) order.
+    """
+    nodes = np.unique(np.concatenate([u_pool, v_pool]))
+    k = nodes.size
+    if k > ENUMERATION_NODES:
+        raise DataError(
+            f"cannot enumerate candidate pairs over {k} nodes "
+            f"(limit {ENUMERATION_NODES}); the graph is too dense to sample negatives"
+        )
+    adj = np.zeros((k, k), dtype=bool)
     if g.num_edges:
-        adj[g.edges[:, 0], g.edges[:, 1]] = True
-    allowed_u = np.zeros(n, dtype=bool)
-    allowed_u[u_pool] = True
-    allowed_v = np.zeros(n, dtype=bool)
-    allowed_v[v_pool] = True
-    uu, vv = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    mask = (uu < vv) & ~adj[uu, vv]
-    pair_ok = (allowed_u[uu] & allowed_v[vv]) | (allowed_u[vv] & allowed_v[uu])
-    mask &= pair_ok
+        at = np.minimum(np.searchsorted(nodes, g.edges), k - 1)
+        inside = (nodes[at] == g.edges).all(axis=1)
+        adj[at[inside, 0], at[inside, 1]] = True
+    allowed_u = np.isin(nodes, u_pool)
+    allowed_v = np.isin(nodes, v_pool)
+    uu, vv = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    mask = (uu < vv) & ~adj
+    mask &= (allowed_u[uu] & allowed_v[vv]) | (allowed_u[vv] & allowed_v[uu])
     if outside_only is not None:
-        out = np.zeros(n, dtype=bool)
-        out[outside_only] = True
+        out = np.isin(nodes, outside_only)
         mask &= out[uu] | out[vv]
     if bipartite and g.sides is not None:
-        mask &= g.sides[uu] != g.sides[vv]
-    return np.stack([uu[mask], vv[mask]], axis=1)
+        sides = g.sides[nodes]
+        mask &= sides[uu] != sides[vv]
+    return np.stack([nodes[uu[mask]], nodes[vv[mask]]], axis=1)
 
 
 def _rejection_sample_pairs(
@@ -289,7 +302,7 @@ def sample_negatives(
     rng = np.random.default_rng(seed)
     pool = np.arange(n, dtype=np.int64)
     # exhaustive path when rejection would thrash (small and nearly full)
-    if n <= 2048 and count > 0.5 * available:
+    if n <= ENUMERATION_NODES and count > 0.5 * available:
         cand = _enumerate_non_edges(g, pool, pool, None, bipartite_aware)
         pick = np.sort(rng.choice(cand.shape[0], size=count, replace=False))
         pairs = [(int(u), int(v)) for u, v in cand[pick]]

@@ -1,7 +1,11 @@
 """Independent dense/brute-force reference implementations.
 
 Everything here recomputes results from first principles with dense numpy
-and explicit loops; no code path is shared with the package internals.
+and explicit loops; no code path is shared with the package internals,
+except in the dense reference trainers. Those reuse the package's seeded
+initialization, shuffling and batch ranking loss (checked by their own
+tests), and pin what the trainers' row-sparse steps replace: a dense N-row
+gradient per batch, applied to every row.
 """
 
 from __future__ import annotations
@@ -221,3 +225,199 @@ def random_graph_edges(rng, n, m):
         seen.add(pair)
         edges.append(pair)
     return edges
+
+
+def grid_non_edges(n, edges, u_pool, v_pool, outside_only=None, sides=None):
+    """Candidate non-edges (u < v) over the full n x n grid, row-major order.
+
+    A pair qualifies when it is not an edge, one endpoint is in ``u_pool``
+    and the other in ``v_pool``, at least one is in ``outside_only`` (when
+    given), and the two sides differ (when ``sides`` is given).
+    """
+    adj = dense_adjacency(n, edges) > 0
+    u_pool, v_pool = set(int(x) for x in u_pool), set(int(x) for x in v_pool)
+    out = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u, v]:
+                continue
+            if not ((u in u_pool and v in v_pool) or (v in u_pool and u in v_pool)):
+                continue
+            if outside_only is not None and u not in outside_only and v not in outside_only:
+                continue
+            if sides is not None and sides[u] == sides[v]:
+                continue
+            out.append((u, v))
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def dense_train_scorer(config, g, manifest):
+    """Scorer training with the dense N-row X' gradient and full-table update.
+
+    Returns the selected (x_prime, encoder_weights).
+    """
+    from linkbridge.graph import mean_aggregator
+    from linkbridge.scorer import init_model, pair_indices, pair_loss, pair_recall
+
+    model = init_model(config, g)
+    pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
+    valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)
+    d_x = g.feature_dim
+    h = model.input_matrix().copy()
+    w = None if model.encoder_weights is None else model.encoder_weights.copy()
+    agg = mean_aggregator(g) if config.encoder == "one_hop_mean" else None
+    l2, lr, mom = config.l2_weight, config.learning_rate, config.momentum
+    vel_xp = np.zeros_like(h[:, d_x:])
+    vel_w = None if w is None else np.zeros_like(w)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
+    best = None
+    for _ in range(config.epochs):
+        pp, pn = pair_indices(len(pos), len(neg), rng)
+        epos, eneg = pos[pp], neg[pn]
+        for start in range(0, len(epos), config.batch_size):
+            bp = epos[start : start + config.batch_size]
+            bn = eneg[start : start + config.batch_size]
+            rows, inv = np.unique(np.concatenate([bp.ravel(), bn.ravel()]),
+                                  return_inverse=True)
+            dh = np.zeros(h.shape)
+            if agg is None:
+                _, dy = pair_loss(h[rows], inv, len(bp))
+                np.add.at(dh, rows, dy)
+                dw = None
+            else:
+                agg_rows = agg[rows, :]
+                p_rows = h[rows] + agg_rows @ h
+                _, dy = pair_loss(p_rows @ w, inv, len(bp))
+                dw = p_rows.T @ dy
+                dp = dy @ w.T
+                np.add.at(dh, rows, dp)
+                dh += agg_rows.T @ dp
+                if l2:
+                    dw += 2.0 * l2 * w
+            dxp = dh[:, d_x:]
+            if l2:
+                dxp = dxp + 2.0 * l2 * h[:, d_x:]
+            if mom > 0:
+                vel_xp *= mom
+                vel_xp += dxp
+                h[:, d_x:] -= lr * vel_xp
+                if dw is not None:
+                    vel_w *= mom
+                    vel_w += dw
+                    w -= lr * vel_w
+            else:
+                h[:, d_x:] -= lr * dxp
+                if dw is not None:
+                    w -= lr * dw
+        y = h if agg is None else (h + agg @ h) @ w
+        rec = pair_recall(y, valid_pos, valid_neg)
+        if best is None or rec > best[0]:
+            best = (rec, h[:, d_x:].copy(), None if w is None else w.copy())
+    return best[1], best[2]
+
+
+def _dense_mlp_step(params, x_prime, features, rows, d_out_fn, train_xprime, lr):
+    """One student SGD step built from the full N-row input [X, X']."""
+    w1, b1, w2, b2 = params
+    h_full = x_prime if features is None else np.concatenate(
+        [features.astype(np.float64), x_prime], axis=1)
+    h = h_full[rows]
+    a = h @ w1 + b1
+    z1 = np.maximum(a, 0.0)
+    loss, d_out = d_out_fn(z1 @ w2 + b2)
+    da = (d_out @ w2.T) * (a > 0)
+    grads = [h.T @ da, da.sum(axis=0), z1.T @ d_out, d_out.sum(axis=0)]
+    if train_xprime:
+        d_x = 0 if features is None else features.shape[1]
+        dxp = np.zeros_like(x_prime)
+        np.add.at(dxp, rows, (da @ w1.T)[:, d_x:])
+        x_prime = x_prime - lr * dxp
+    for p, gr in zip(params, grads):
+        p -= lr * gr
+    return loss, x_prime
+
+
+def _dense_student_embed(params, x_prime, features):
+    w1, b1, w2, b2 = params
+    h = x_prime if features is None else np.concatenate(
+        [features.astype(np.float64), x_prime], axis=1)
+    return np.maximum(h @ w1 + b1, 0.0) @ w2 + b2
+
+
+def dense_imitate(teacher_y, g, config, x_prime):
+    """Student imitation with full-input steps and a dense X' update.
+
+    Returns ((w1, b1, w2, b2), x_prime, final mse).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD157]))
+    d_in = g.feature_dim + x_prime.shape[1]
+    params = [
+        rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, config.hidden)),
+        np.zeros(config.hidden),
+        rng.normal(0.0, np.sqrt(2.0 / config.hidden),
+                   size=(config.hidden, teacher_y.shape[1])),
+        np.zeros(teacher_y.shape[1]),
+    ]
+    x_prime = np.array(x_prime, dtype=np.float64, copy=True)
+    trace = []
+    for _ in range(config.max_epochs):
+        perm = rng.permutation(g.num_nodes)
+        losses = []
+        for start in range(0, g.num_nodes, config.batch_size):
+            rows = perm[start : start + config.batch_size]
+
+            def mse_grad(out, rows=rows):
+                err = out - teacher_y[rows]
+                return float(np.sum(err * err) / err.size), 2.0 * err / err.size
+
+            loss, x_prime = _dense_mlp_step(params, x_prime, g.features, rows,
+                                            mse_grad, config.train_xprime,
+                                            config.learning_rate)
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+        if len(trace) > config.plateau_epochs:
+            past = trace[-config.plateau_epochs - 1]
+            if past > 0 and (past - trace[-1]) / past < config.plateau_tol:
+                break
+    err = _dense_student_embed(params, x_prime, g.features) - teacher_y
+    return params, x_prime, float(np.sum(err * err) / err.size)
+
+
+def dense_finetune(params, x_prime, manifest, g, config):
+    """Student fine-tuning with full-input steps, a dense X' update and
+    validation over every node's embedding.
+
+    Returns the selected ((w1, b1, w2, b2), x_prime).
+    """
+    from linkbridge.scorer import pair_indices, pair_loss, pair_recall
+
+    params = [p.copy() for p in params]
+    x_prime = x_prime.copy()
+    pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
+    valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xF17E]))
+
+    def recall():
+        y = _dense_student_embed(params, x_prime, g.features)
+        return pair_recall(y, valid_pos, valid_neg)
+
+    best = (recall(), [p.copy() for p in params], x_prime.copy())
+    for _ in range(config.finetune_epochs):
+        pp, pn = pair_indices(len(pos), len(neg), rng)
+        epos, eneg = pos[pp], neg[pn]
+        for start in range(0, len(epos), config.finetune_batch_size):
+            bp = epos[start : start + config.finetune_batch_size]
+            bn = eneg[start : start + config.finetune_batch_size]
+            rows, inv = np.unique(np.concatenate([bp.ravel(), bn.ravel()]),
+                                  return_inverse=True)
+
+            def rank_grad(out, inv=inv, b=len(bp)):
+                return pair_loss(out, inv, b)
+
+            _, x_prime = _dense_mlp_step(params, x_prime, g.features, rows,
+                                         rank_grad, config.train_xprime,
+                                         config.finetune_lr)
+        rec = recall()
+        if rec > best[0]:
+            best = (rec, [p.copy() for p in params], x_prime.copy())
+    return best[1], best[2]

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linkbridge.checkpoint import load_student, save_student
 from linkbridge.distill import (
     DistillConfig,
+    MlpModel,
+    _apply_grads,
+    _finetune_pass,
+    _imitation_pass,
     finetune_linkpred,
     finetune_loss_and_grads,
     imitate,
@@ -16,7 +22,7 @@ from linkbridge.metrics import recall_at
 from linkbridge.scorer import ScorerConfig, embed, init_model
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
-from oracles import fd_grad, max_rel_error
+from oracles import dense_finetune, dense_imitate, fd_grad, max_rel_error
 
 
 def fixture_graph():
@@ -180,3 +186,67 @@ def test_imitate_rejects_short_teacher():
     g = fixture_graph()
     with pytest.raises(DataError):
         imitate(np.zeros((3, 2)), g, DistillConfig(), x_prime=np.zeros((5, 2)))
+
+
+def test_input_matrix_gathers_rows():
+    manifest, g_train, teacher, teacher_y = _distill_fixture()
+    student = imitate(teacher_y, g_train, DistillConfig(hidden=4, max_epochs=1),
+                      x_prime=teacher.x_prime)
+    rows = np.array([3, 1, 3, 0])
+    assert np.array_equal(student.input_matrix(rows), student.input_matrix()[rows])
+
+
+@pytest.mark.parametrize("train_xprime", [False, True])
+def test_student_matches_dense_reference(small_pair, train_xprime):
+    src, tar, _ = small_pair
+    manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
+    g_train = manifest_training_graph(manifest, src, tar)
+    teacher = init_model(ScorerConfig(d_trainable=4, seed=3), g_train)
+    teacher_y = embed(teacher, g_train)
+    cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,
+                        seed=2, train_xprime=train_xprime, finetune_epochs=3,
+                        finetune_lr=0.05, finetune_batch_size=16)
+
+    student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
+    params, x_ref, mse = dense_imitate(teacher_y, g_train, cfg, teacher.x_prime)
+    for got, want in zip((student.w1, student.b1, student.w2, student.b2), params):
+        assert np.array_equal(got, want)
+    assert np.array_equal(student.x_prime, x_ref)
+    assert student.imitation_mse == mse
+
+    tuned = finetune_linkpred(student, manifest, g_train, cfg)
+    params, x_ref = dense_finetune(params, x_ref, manifest, g_train, cfg)
+    for got, want in zip((tuned.w1, tuned.b1, tuned.w2, tuned.b2), params):
+        assert np.array_equal(got, want)
+    assert np.array_equal(tuned.x_prime, x_ref)
+    # fine-tuning keeps a later epoch here, so its steps are compared too
+    assert not np.array_equal(tuned.w1, student.w1)
+
+
+@pytest.mark.parametrize("train_xprime", [False, True])
+def test_student_step_memory_is_o_batch(train_xprime):
+    """Imitation and fine-tuning steps on 100k nodes allocate a small
+    fraction of one N x d_in input."""
+    n, d_x, d_t, d_out, hidden, batch = 100_000, 8, 24, 16, 32, 256
+    rng = np.random.default_rng(0)
+    model = MlpModel(
+        config=DistillConfig(hidden=hidden, train_xprime=train_xprime),
+        w1=rng.normal(size=(d_x + d_t, hidden)), b1=np.zeros(hidden),
+        w2=rng.normal(size=(hidden, d_out)), b2=np.zeros(d_out),
+        x_prime=rng.normal(size=(n, d_t)),
+        features=rng.normal(size=(n, d_x)).astype(np.float32),
+    )
+    teacher_y = rng.normal(size=(n, d_out))
+    rows = rng.choice(n, size=batch, replace=False)
+    pos, neg = rng.integers(0, n, size=(2, batch, 2))
+    tracemalloc.start()
+    try:
+        _, grads = _imitation_pass(model, teacher_y, rows)
+        _apply_grads(model, grads, 0.01, rows)
+        _, grads, touched = _finetune_pass(model, pos, neg)
+        _apply_grads(model, grads, 0.01, touched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ("x_prime" in grads) == train_xprime
+    assert peak < n * (d_x + d_t) * 8 / 10

@@ -189,6 +189,24 @@ def test_diffuse_early_stop(rng):
     assert np.allclose(tight, fixed, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(9,), (9, 3)])
+def test_diffuse_matches_plain_update_and_keeps_inputs(rng, shape):
+    edges = random_graph_edges(rng, 9, 16)
+    s = sym_norm_adjacency(build_graph([(f"n{u}", f"n{v}") for u, v in edges]))
+    z0, g_mat = rng.normal(size=shape), rng.normal(size=shape)
+    kept_z0, kept_g = z0.copy(), g_mat.copy()
+    alpha, steps = 0.8, 7
+    cfg = DiffusionConfig(alpha=alpha, k_max=steps, tol=0.0)
+    out = diffuse(s, z0, g_mat, cfg)
+    same = diffuse(s, g_mat, g_mat, cfg)
+    want = z0
+    for _ in range(steps):
+        want = alpha * (s @ want) + (1.0 - alpha) * g_mat
+    assert np.array_equal(out, want)
+    assert np.array_equal(z0, kept_z0) and np.array_equal(g_mat, kept_g)
+    assert np.array_equal(same, diffuse(s, g_mat.copy(), g_mat, cfg))
+
+
 def test_diffuse_nonfinite_raises():
     s = sp.csr_array(np.eye(3))
     cfg = DiffusionConfig(alpha=0.5, k_max=3, tol=0.0)

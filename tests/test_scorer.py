@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linkbridge.errors import DataError, NumericError
-from linkbridge.graph import build_graph
+from linkbridge.graph import Graph, build_graph, mean_aggregator
 from linkbridge.scorer import (
     ScorerConfig,
+    _batch_loss_and_grads,
+    _descend_xprime,
     auc_loss,
     embed,
     init_model,
@@ -14,7 +18,7 @@ from linkbridge.scorer import (
 )
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
-from oracles import fd_grad, max_rel_error
+from oracles import dense_train_scorer, fd_grad, max_rel_error
 
 
 def featured_graph():
@@ -207,3 +211,78 @@ def test_config_validation():
         ScorerConfig(encoder="other").validate()
     with pytest.raises(DataError):
         ScorerConfig(momentum=1.5).validate()
+
+
+def test_input_matrix_gathers_rows():
+    g = featured_graph()
+    model = init_model(ScorerConfig(d_trainable=3, seed=2), g)
+    rows = np.array([4, 0, 2, 0])
+    assert np.array_equal(model.input_matrix(rows), model.input_matrix()[rows])
+    bare = init_model(ScorerConfig(d_trainable=3, seed=2), build_graph([("a", "b")]))
+    assert np.array_equal(bare.input_matrix(np.array([1])), bare.x_prime[[1]])
+
+
+@pytest.mark.parametrize(
+    "encoder, momentum, l2_weight",
+    [
+        ("embedding_only", 0.0, 0.0),
+        ("one_hop_mean", 0.0, 0.0),
+        ("embedding_only", 0.5, 0.0),
+        ("embedding_only", 0.0, 1e-3),
+        ("one_hop_mean", 0.5, 1e-3),
+    ],
+)
+def test_train_scorer_matches_dense_reference(small_pair, encoder, momentum, l2_weight):
+    src, tar, _ = small_pair
+    manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=5)
+    g_train = manifest_training_graph(manifest, src, tar)
+    cfg = ScorerConfig(d_trainable=6, encoder=encoder, batch_size=32, epochs=3,
+                       seed=9, momentum=momentum, l2_weight=l2_weight, d_out=5)
+    model = train_scorer(cfg, g_train, manifest)
+    x_ref, w_ref = dense_train_scorer(cfg, g_train, manifest)
+    assert np.array_equal(model.x_prime, x_ref)
+    if w_ref is None:
+        assert model.encoder_weights is None
+    else:
+        assert np.array_equal(model.encoder_weights, w_ref)
+
+
+def ring_graph(n: int, d_x: int) -> Graph:
+    """n-node circulant graph (offsets 1 and 7) built straight from arrays."""
+    ids = np.arange(n)
+    nbrs = np.sort(np.stack([(ids - 7) % n, (ids - 1) % n, (ids + 1) % n, (ids + 7) % n],
+                            axis=1), axis=1)
+    edges = np.concatenate([np.stack([ids, (ids + k) % n], axis=1) for k in (1, 7)])
+    keys = tuple(str(i) for i in range(n))
+    return Graph(
+        keys=keys,
+        key_to_id={k: i for i, k in enumerate(keys)},
+        indptr=np.arange(0, 4 * n + 1, 4),
+        indices=nbrs.ravel(),
+        edges=np.sort(edges, axis=1),
+        features=np.random.default_rng(0).normal(size=(n, d_x)).astype(np.float32),
+    )
+
+
+@pytest.mark.parametrize("encoder", ["embedding_only", "one_hop_mean"])
+def test_training_step_memory_is_o_batch(encoder):
+    """One step on 100k nodes allocates a small fraction of one N x d_in table."""
+    n, d_x, batch = 100_000, 8, 128
+    g = ring_graph(n, d_x)
+    cfg = ScorerConfig(d_trainable=24, encoder=encoder, seed=1)
+    model = init_model(cfg, g)
+    h = model.input_matrix().copy()
+    agg = mean_aggregator(g) if encoder == "one_hop_mean" else None
+    rng = np.random.default_rng(2)
+    pos, neg = rng.integers(0, n, size=(2, batch, 2))
+    tracemalloc.start()
+    try:
+        loss, touched, dxp_rows, dw = _batch_loss_and_grads(
+            h, model.encoder_weights, agg, cfg.encoder, pos, neg, d_x, cfg.l2_weight
+        )
+        _descend_xprime(h, d_x, touched, dxp_rows, None, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss)
+    assert peak < h.nbytes / 10

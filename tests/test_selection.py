@@ -4,6 +4,7 @@ import pytest
 from linkbridge.errors import DataError
 from linkbridge.graph import build_graph, node_intersection, union_graph
 from linkbridge.selection import (
+    ENUMERATION_NODES,
     Regime,
     SplitManifest,
     audit_manifest,
@@ -13,9 +14,10 @@ from linkbridge.selection import (
     sample_negatives,
     subsample_intersection,
     training_graph_for,
+    _enumerate_non_edges,
 )
 
-from oracles import random_graph_edges
+from oracles import grid_non_edges, random_graph_edges
 
 
 def canon(pairs):
@@ -134,6 +136,33 @@ def test_sample_negatives_bipartite():
     assert canon(negs) == {("a", "d"), ("b", "c")}
     with pytest.raises(DataError):
         sample_negatives(g, 3, seed=1, bipartite_aware=True)
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+@pytest.mark.parametrize("with_outside", [False, True])
+def test_enumerate_non_edges_matches_full_grid(rng, bipartite, with_outside):
+    n = 30
+    edges = random_graph_edges(rng, n, 120)
+    sides = {f"n{i}": int(rng.integers(0, 2)) for i in range(n)} if bipartite else None
+    g = build_graph([(f"n{u}", f"n{v}") for u, v in edges],
+                    extra_nodes=[f"n{i}" for i in range(n)], sides=sides)
+    pool = np.sort(rng.choice(n, size=12, replace=False))
+    outside = np.sort(rng.choice(np.setdiff1d(np.arange(n), pool), size=6, replace=False))
+    u_pool = v_pool = np.concatenate([pool, outside]) if with_outside else pool
+    got = _enumerate_non_edges(g, u_pool, v_pool, outside if with_outside else None, bipartite)
+    want = grid_non_edges(n, g.edges.tolist(), u_pool, v_pool,
+                          set(outside.tolist()) if with_outside else None,
+                          g.sides if bipartite else None)
+    assert len(want) > 0
+    assert np.array_equal(got, want)
+
+
+def test_enumerate_non_edges_refuses_large_pools():
+    n = ENUMERATION_NODES + 1
+    g = build_graph([("n0", "n1")], extra_nodes=[f"n{i}" for i in range(n)])
+    pool = np.arange(n)
+    with pytest.raises(DataError, match="cannot enumerate"):
+        _enumerate_non_edges(g, pool, pool, None, False)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
