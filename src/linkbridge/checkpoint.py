@@ -1,7 +1,12 @@
-"""Model checkpoints: one JSON header line + little-endian f32 blob."""
+"""Model checkpoints: one JSON header line + little-endian f32 blob.
+
+Node rows are stored by internal id, and ``load_graph`` renumbers nodes, so
+the header records a digest of the node-key order that loading must match.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -14,6 +19,7 @@ from .graph import Graph
 from .scorer import ScorerConfig, ScorerModel
 
 __all__ = [
+    "node_order_digest",
     "save_checkpoint",
     "load_checkpoint",
     "save_scorer",
@@ -24,11 +30,12 @@ __all__ = [
 
 
 def save_checkpoint(
-    path: str | Path, kind: str, config: dict, arrays: dict[str, np.ndarray]
+    path: str | Path, kind: str, config: dict, arrays: dict[str, np.ndarray], node_order: str
 ) -> None:
     header = {
         "kind": kind,
         "config": config,
+        "node_order": node_order,
         "arrays": [
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()
         ],
@@ -60,33 +67,43 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def save_scorer(path: str | Path, model: ScorerModel) -> None:
+def node_order_digest(g: Graph) -> str:
+    """SHA-256 of the graph's node keys in id order."""
+    return hashlib.sha256("\n".join(g.keys).encode("utf-8")).hexdigest()
+
+
+def _load_model(path: str | Path, kind: str, g: Graph) -> tuple[dict, dict]:
+    """A model checkpoint whose node rows follow ``g``'s node order."""
+    header, arrays = load_checkpoint(path)
+    if header.get("kind") != kind:
+        raise DataError(f"{path}: expected a {kind} checkpoint, got {header.get('kind')!r}")
+    if header.get("node_order") != node_order_digest(g):
+        raise DataError(f"{path}: checkpoint rows follow another graph's node order")
+    rows = arrays["x_prime"].shape[0]
+    if rows != g.num_nodes:
+        raise DataError(f"{path}: checkpoint has {rows} node rows, graph has {g.num_nodes}")
+    return header, arrays
+
+
+def save_scorer(path: str | Path, model: ScorerModel, g: Graph) -> None:
     arrays = {"x_prime": model.x_prime}
     if model.encoder_weights is not None:
         arrays["encoder_weights"] = model.encoder_weights
-    save_checkpoint(path, "scorer", asdict(model.config), arrays)
+    save_checkpoint(path, "scorer", asdict(model.config), arrays, node_order_digest(g))
 
 
 def load_scorer(path: str | Path, g: Graph) -> ScorerModel:
     """Rehydrate a scorer; frozen features come from the graph."""
-    header, arrays = load_checkpoint(path)
-    if header.get("kind") != "scorer":
-        raise DataError(f"{path}: expected a scorer checkpoint, got {header.get('kind')!r}")
-    config = ScorerConfig(**header["config"])
-    x_prime = arrays["x_prime"]
-    if x_prime.shape[0] != g.num_nodes:
-        raise DataError(
-            f"{path}: checkpoint has {x_prime.shape[0]} node rows, graph has {g.num_nodes}"
-        )
+    header, arrays = _load_model(path, "scorer", g)
     return ScorerModel(
-        config=config,
-        x_prime=x_prime,
+        config=ScorerConfig(**header["config"]),
+        x_prime=arrays["x_prime"],
         encoder_weights=arrays.get("encoder_weights"),
         features=g.features,
     )
 
 
-def save_student(path: str | Path, model: MlpModel) -> None:
+def save_student(path: str | Path, model: MlpModel, g: Graph) -> None:
     arrays = {
         "w1": model.w1,
         "b1": model.b1,
@@ -94,18 +111,13 @@ def save_student(path: str | Path, model: MlpModel) -> None:
         "b2": model.b2,
         "x_prime": model.x_prime,
     }
-    save_checkpoint(path, "mlp", asdict(model.config), arrays)
+    save_checkpoint(path, "mlp", asdict(model.config), arrays, node_order_digest(g))
 
 
 def load_student(path: str | Path, g: Graph) -> MlpModel:
-    header, arrays = load_checkpoint(path)
-    if header.get("kind") != "mlp":
-        raise DataError(f"{path}: expected an mlp checkpoint, got {header.get('kind')!r}")
-    config = DistillConfig(**header["config"])
-    if arrays["x_prime"].shape[0] != g.num_nodes:
-        raise DataError(f"{path}: node count mismatch with graph")
+    header, arrays = _load_model(path, "mlp", g)
     return MlpModel(
-        config=config,
+        config=DistillConfig(**header["config"]),
         w1=arrays["w1"],
         b1=arrays["b1"],
         w2=arrays["w2"],

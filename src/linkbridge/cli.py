@@ -1,5 +1,11 @@
 """Command-line interface: every pipeline stage as a subcommand.
 
+The stage subcommands run what ``linkbridge run`` runs (``pipeline.fit_scorer``,
+``evaluation.method_scores``, ``evaluation.train_student``,
+``pipeline.metric_row``), and an option left unset keeps the library default.
+Seeds are used as given (``--seed``, a config file's ``seed``), while
+``linkbridge run`` derives every stage seed from its run seed.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 Heavy imports happen inside the command handlers so that ``--threads`` can
 pin the BLAS pool size before numpy loads.
@@ -40,10 +46,17 @@ def _read_json(path: str) -> dict:
     return payload
 
 
-def _build_config(cls, payload):
-    """``cls(**payload)``, validated; any problem is a ConfigError (exit 2)."""
+def _given(**options) -> dict:
+    """The options set on the command line; the rest keep the library defaults."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
+def _build_config(cls, path=None, **options):
+    """``cls`` from a JSON file's fields and the options given, validated;
+    any problem is a ConfigError (exit 2)."""
     from .errors import ConfigError, LinkBridgeError
 
+    payload = (_read_json(path) if path else {}) | _given(**options)
     try:
         config = cls(**payload)
         config.validate()
@@ -116,7 +129,7 @@ def cmd_gen_synmodel(args) -> int:
     from .datasets import SyntheticSpec, generate_synthetic
     from .io import write_edge_tsv, write_features_bin, write_features_csv
 
-    spec = _build_config(SyntheticSpec, _read_json(args.spec))
+    spec = _build_config(SyntheticSpec, args.spec)
     src, tar, heldout = generate_synthetic(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,107 +155,68 @@ def cmd_make_split(args) -> int:
 
     src = load_graph(args.src)
     tar = load_graph(args.tar)
-    manifest = make_split(
-        Regime.parse(args.regime),
-        src,
-        tar,
-        neg_ratio=args.neg_ratio,
-        train_frac_outside=args.train_frac,
-        seed=args.seed,
-    )
+    given = _given(neg_ratio=args.neg_ratio, train_frac_outside=args.train_frac, seed=args.seed)
+    manifest = make_split(Regime.parse(args.regime), src, tar, **given)
     manifest.save(args.out)
     sizes = {k: len(v) for k, v in manifest.splits().items()}
     print(f"manifest -> {args.out} {json.dumps(sizes)}")
     return 0
 
 
-def _load_training_graph(graph_path: str, manifest):
+def _load_training_graph(args):
+    """``--manifest`` and its training graph over the ``--graph`` universe."""
     from .io import load_graph
-    from .selection import training_graph_from_universe
+    from .selection import SplitManifest, training_graph_from_universe
 
-    universe = load_graph(graph_path)
-    return training_graph_from_universe(manifest, universe)
+    manifest = SplitManifest.load(args.manifest)
+    return manifest, training_graph_from_universe(manifest, load_graph(args.graph))
 
 
 def cmd_train_scorer(args) -> int:
-    from .checkpoint import save_scorer
-    from .io import write_features_bin, write_scores_tsv
-    from .scorer import ScorerConfig, embed, score_edges, train_scorer
-    from .selection import SplitManifest
+    from .io import write_features_bin
+    from .pipeline import fit_scorer
+    from .scorer import ScorerConfig
 
-    payload = _read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    config = _build_config(ScorerConfig, payload)
-    manifest = SplitManifest.load(args.manifest)
-    g_train = _load_training_graph(args.graph, manifest)
-    model = train_scorer(config, g_train, manifest)
-    save_scorer(args.out, model)
+    config = _build_config(ScorerConfig, args.config, seed=args.seed)
+    manifest, g_train = _load_training_graph(args)
+    model, y, _, _ = fit_scorer(config, g_train, manifest, args.out, args.emit_logits)
     print(
         f"model -> {args.out} (final epoch loss "
         f"{model.loss_trace[-1]:.6f})" if model.loss_trace else f"model -> {args.out}"
     )
-    if args.emit_logits or args.emit_embeddings:
-        y = embed(model, g_train)
-        if args.emit_logits:
-            pairs = manifest.all_edges()
-            z = score_edges(y, g_train.pair_ids(pairs))
-            write_scores_tsv(args.emit_logits, pairs, z)
-        if args.emit_embeddings:
-            write_features_bin(args.emit_embeddings, list(g_train.keys), y)
+    if args.emit_embeddings:
+        write_features_bin(args.emit_embeddings, list(g_train.keys), y)
     return 0
 
 
 def cmd_propagate(args) -> int:
-    import numpy as np
-
     from .checkpoint import load_scorer
-    from .errors import ConfigError, DataError
-    from .evaluation import node_centric_lp_ablation
-    from .io import read_scores_tsv, write_scores_tsv
-    from .propagation import DiffusionConfig, emb_lp, logit_lp, xmc_scores
+    from .errors import ConfigError
+    from .evaluation import CALIBRATED_METHODS, SuiteConfig, method_scores
+    from .io import read_scores_for, write_scores_tsv
+    from .propagation import DiffusionConfig
     from .scorer import embed, score_edges
-    from .selection import SplitManifest
 
-    cfg = _build_config(
-        DiffusionConfig, {"alpha": args.alpha, "k_max": args.kmax, "tol": args.tol}
-    )
-    manifest = SplitManifest.load(args.manifest)
-    g_train = _load_training_graph(args.graph, manifest)
+    diffusion = _build_config(DiffusionConfig, alpha=args.alpha, k_max=args.kmax, tol=args.tol)
+    manifest, g_train = _load_training_graph(args)
     pairs = manifest.all_edges()
     ids = g_train.pair_ids(pairs)
 
-    y = None
-    z = None
+    model = y = z = None
     if args.model:
         model = load_scorer(args.model, g_train)
         y = embed(model, g_train)
         z = score_edges(y, ids)
     if args.logits:
-        table = read_scores_tsv(args.logits)
-        try:
-            z = np.array([table[pair] for pair in pairs])
-        except KeyError as exc:
-            raise DataError(
-                f"logits file is missing manifest edge {exc.args[0]}"
-            ) from None
-
-    if args.variant == "logit":
-        if z is None:
-            raise ConfigError("logit variant needs --logits or --model")
-        scores = logit_lp(g_train, manifest, z, cfg)
-    elif args.variant == "node":
-        if z is None:
-            raise ConfigError("node variant needs --logits or --model")
-        scores = node_centric_lp_ablation(g_train, manifest, z, cfg)
-    elif args.variant == "emb":
-        if y is None:
-            raise ConfigError("emb variant needs --model")
-        scores = emb_lp(g_train, g_train.pair_ids(manifest.train_pos), y, cfg, ids)
-    else:
-        if y is None:
-            raise ConfigError("xmc variant needs --model")
-        scores = xmc_scores(g_train, y, cfg, ids)
+        z = read_scores_for(args.logits, pairs)
+    # calibrated methods propagate edge logits; the rest need node embeddings
+    method = f"{args.variant}_lp"
+    if method in CALIBRATED_METHODS and z is None:
+        raise ConfigError(f"{args.variant} variant needs --logits or --model")
+    if method not in CALIBRATED_METHODS and y is None:
+        raise ConfigError(f"{args.variant} variant needs --model")
+    suite = SuiteConfig(diffusion=diffusion)
+    scores = method_scores(method, g_train, manifest, model, y, z, ids, suite)
     write_scores_tsv(args.out, pairs, scores)
     print(f"{args.variant} scores for {len(pairs)} edges -> {args.out}")
     return 0
@@ -250,94 +224,60 @@ def cmd_propagate(args) -> int:
 
 def cmd_distill(args) -> int:
     from .checkpoint import load_scorer, save_student
-    from .distill import DistillConfig, finetune_linkpred, imitate
+    from .distill import DistillConfig
+    from .evaluation import train_student
     from .scorer import embed
-    from .selection import SplitManifest
 
-    payload = _read_json(args.config) if args.config else {}
-    if args.train_xprime:
-        payload["train_xprime"] = True
-    config = _build_config(DistillConfig, payload)
-    manifest = SplitManifest.load(args.manifest)
-    g_train = _load_training_graph(args.graph, manifest)
+    config = _build_config(DistillConfig, args.config, train_xprime=args.train_xprime)
+    manifest, g_train = _load_training_graph(args)
     teacher = load_scorer(args.teacher, g_train)
-    y = embed(teacher, g_train)
-    student = imitate(y, g_train, config, x_prime=teacher.x_prime)
-    mse = student.imitation_mse
-    student = finetune_linkpred(student, manifest, g_train, config)
-    save_student(args.out, student)
-    print(f"student -> {args.out} (imitation mse {mse:.6f})")
+    student = train_student(embed(teacher, g_train), g_train, manifest, teacher, config)
+    save_student(args.out, student, g_train)
+    print(f"student -> {args.out} (imitation mse {student.imitation_mse:.6f})")
     return 0
 
 
 def cmd_baseline(args) -> int:
-    from .heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
+    from .evaluation import SuiteConfig, method_scores
+    from .heuristics import PprConfig
     from .io import load_graph, read_pairs_tsv, write_scores_tsv
 
+    ppr = _build_config(PprConfig, teleport=args.teleport, iterations=args.iterations)
     g = load_graph(args.graph)
     pairs = read_pairs_tsv(args.edges)
-    ids = g.pair_ids(pairs)
-    if args.method == "cn":
-        scores = common_neighbors(g, ids).astype(float)
-    elif args.method == "aa":
-        scores = adamic_adar(g, ids)
-    else:
-        cfg = PprConfig(teleport=args.teleport, iterations=args.iterations)
-        scores = ppr_scores(g, ids, cfg)
+    suite = SuiteConfig(ppr=ppr)
+    scores = method_scores(args.method, g, None, None, None, None, g.pair_ids(pairs), suite)
     write_scores_tsv(args.out, pairs, scores)
     print(f"{args.method} scores for {len(pairs)} pairs -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    import numpy as np
-
-    from .errors import ConfigError, DataError
-    from .evaluation import (
-        CALIBRATED_METHODS,
-        EvalReport,
-        eval_pairs,
-        evaluate_scores,
-        shuffle_eval_order,
-    )
-    from .io import read_scores_tsv
+    from .errors import ConfigError
+    from .evaluation import EvalReport, SuiteConfig, eval_pairs, shuffle_eval_order
+    from .io import read_scores_for
+    from .pipeline import metric_row
     from .selection import SplitManifest
 
+    k_mult = tuple(args.k_mult) if args.k_mult else None
+    suite = SuiteConfig(**_given(seed=args.seed, eval_split=args.split, k_multipliers=k_mult))
     manifest = SplitManifest.load(args.manifest)
-    pos, neg = eval_pairs(manifest, args.split)
-    eval_order, labels = shuffle_eval_order(pos, neg, args.seed)
+    pos, neg = eval_pairs(manifest, suite.eval_split)
+    eval_order, labels = shuffle_eval_order(pos, neg, suite.seed)
 
     rows = []
     for item in args.scores:
         if "=" not in item:
             raise ConfigError(f"--scores wants METHOD=FILE, got {item!r}")
         method, path = item.split("=", 1)
-        table = read_scores_tsv(path)
-        try:
-            scores = np.array([table[pair] for pair in eval_order])
-        except KeyError as exc:
-            raise DataError(
-                f"{path} is missing evaluation edge {exc.args[0]}"
-            ) from None
-        threshold = (
-            args.threshold
-            if args.threshold is not None
-            else (0.5 if method in CALIBRATED_METHODS else 0.0)
+        scores = read_scores_for(path, eval_order)
+        rows.append(
+            metric_row(manifest.regime, method, scores, labels, suite, args.threshold)
         )
-        row = {
-            "regime": manifest.regime.value,
-            "method": method,
-            "split": args.split,
-            "threshold": threshold,
-        }
-        row.update(
-            evaluate_scores(scores, labels, tuple(args.k_mult), threshold, args.seed)
-        )
-        rows.append(row)
     report = EvalReport(
         rows=rows,
-        config={"split": args.split, "k_multipliers": args.k_mult},
-        seed=args.seed,
+        config={"split": suite.eval_split, "k_multipliers": list(suite.k_multipliers)},
+        seed=suite.seed,
         runtime_seconds=0.0,
     )
     report.save(args.report, args.table)
@@ -360,10 +300,7 @@ def cmd_cost(args) -> int:
     from .propagation import cost_formulas, estimate_line_graph_cost
 
     if args.graph and args.manifest:
-        from .selection import SplitManifest
-
-        manifest = SplitManifest.load(args.manifest)
-        g_train = _load_training_graph(args.graph, manifest)
+        manifest, g_train = _load_training_graph(args)
         pos_pairs = (
             list(manifest.train_pos) + list(manifest.valid_pos) + list(manifest.test_pos)
         )
@@ -432,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--tar", required=True)
-    p.add_argument("--neg-ratio", type=float, default=2.0)
-    p.add_argument("--train-frac", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--neg-ratio", type=float, default=None)
+    p.add_argument("--train-frac", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_split)
 
@@ -456,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--logits", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--kmax", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_propagate)
 
@@ -467,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--train-xprime", action="store_true")
+    p.add_argument("--train-xprime", action="store_true", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)
 
@@ -475,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("cn", "aa", "ppr"), required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--edges", required=True)
-    p.add_argument("--teleport", type=float, default=0.15)
-    p.add_argument("--iterations", type=int, default=50)
+    p.add_argument("--teleport", type=float, default=None)
+    p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
@@ -484,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--scores", action="append", required=True,
                    help="METHOD=FILE, repeatable")
-    p.add_argument("--split", choices=("test", "valid", "pooled"), default="test")
+    p.add_argument("--split", default=None, help="valid, test or pooled")
     p.add_argument("--k-mult", type=float, action="append", default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--table", default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -510,10 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _apply_threads(args.threads)
-    if getattr(args, "k_mult", None) is not None and not args.k_mult:
-        args.k_mult = None
-    if hasattr(args, "k_mult") and args.k_mult is None:
-        args.k_mult = [1.0, 1.25]
 
     from .errors import ConfigError, DataError, NumericError
 

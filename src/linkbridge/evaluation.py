@@ -3,7 +3,8 @@
 ``method_scores`` turns one regime's trained scorer into evaluation-edge
 scores under each broadcast method; ``evaluate_scores`` ranks them against
 the held-out labels. ``pipeline.run_pipeline`` is the one loop over regimes
-and methods that calls both. Reports carry every knob so a rerun from the
+and methods that calls both, and the CLI stage commands call the same
+functions one stage at a time. Reports carry every knob so a rerun from the
 same config and seed reproduces them bit for bit (modulo wall-clock fields,
 which stay out of the content hash).
 """
@@ -32,6 +33,7 @@ from .propagation import (
 )
 from .scorer import ScorerConfig, score_edges
 from .seeds import derive_seed
+from .selection import NEG_RATIO, TRAIN_FRAC_OUTSIDE
 
 __all__ = [
     "SuiteConfig",
@@ -41,7 +43,10 @@ __all__ = [
     "shuffle_eval_order",
     "KNOWN_METHODS",
     "CALIBRATED_METHODS",
+    "HEURISTIC_METHODS",
+    "EVAL_SPLITS",
     "eval_pairs",
+    "train_student",
     "recall_at",
     "precision_accuracy",
 ]
@@ -60,8 +65,14 @@ KNOWN_METHODS = (
 
 # methods that score every manifest edge at once and return calibrated
 # [0, 1] scores (threshold 0.5); the rest score only the evaluation edges and
-# return raw logits (threshold 0.0)
+# return raw logits (threshold 0.0) or heuristic scores
 CALIBRATED_METHODS = ("logit_lp", "node_lp")
+
+# non-negative scores with no decision point (at 0.0 every pair is positive),
+# so these methods report no threshold, precision or accuracy
+HEURISTIC_METHODS = ("cn", "aa", "ppr")
+
+EVAL_SPLITS = ("test", "valid", "pooled")
 
 
 def node_centric_lp_ablation(
@@ -108,27 +119,14 @@ class SuiteConfig:
     """Every knob of one regime-comparison run."""
 
     seed: int = 0
-    neg_ratio: float = 2.0
-    train_frac_outside: float = 0.2
+    neg_ratio: float = NEG_RATIO
+    train_frac_outside: float = TRAIN_FRAC_OUTSIDE
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     distill: DistillConfig = field(default_factory=DistillConfig)
     ppr: PprConfig = field(default_factory=PprConfig)
     k_multipliers: tuple[float, ...] = (1.0, 1.25)
     eval_split: str = "test"
-
-    def echo(self) -> dict:
-        return {
-            "seed": self.seed,
-            "neg_ratio": self.neg_ratio,
-            "train_frac_outside": self.train_frac_outside,
-            "scorer": vars(self.scorer) | {},
-            "diffusion": vars(self.diffusion) | {},
-            "distill": vars(self.distill) | {},
-            "ppr": vars(self.ppr) | {},
-            "k_multipliers": list(self.k_multipliers),
-            "eval_split": self.eval_split,
-        }
 
 
 @dataclass
@@ -179,9 +177,8 @@ class EvalReport:
         for row in self.rows:
             table.append(
                 [str(row.get("regime")), str(row.get("method")), str(row.get("split"))]
-                + [f"{row.get(k, float('nan')):.4f}" for k in metric_keys]
-                + [f"{row.get('precision', float('nan')):.4f}",
-                   f"{row.get('accuracy', float('nan')):.4f}"]
+                + [_cell(row.get(k, float("nan")))
+                   for k in metric_keys + ["precision", "accuracy"]]
             )
         widths = [max(len(r[c]) for r in table) for c in range(len(header))]
         lines = []
@@ -200,6 +197,10 @@ class EvalReport:
             Path(table_path).write_text(self.text_table(), encoding="utf-8")
 
 
+def _cell(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
+
+
 def _mult_key(mult: float) -> str:
     return f"recall_at_{mult:g}x"
 
@@ -208,10 +209,11 @@ def evaluate_scores(
     scores: np.ndarray,
     labels: np.ndarray,
     k_multipliers: tuple[float, ...],
-    threshold: float,
+    threshold: float | None,
     seed: int,
 ) -> dict:
-    """Recall at each multiplier of |positives| plus balanced precision/accuracy."""
+    """Recall at each multiplier of |positives| plus balanced precision and
+    accuracy, which are None without a threshold."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
@@ -219,6 +221,9 @@ def evaluate_scores(
     for mult in k_multipliers:
         k = min(int(round(mult * n_pos)), scores.size)
         out[_mult_key(mult)] = recall_at(scores, labels, k)
+    if threshold is None:
+        out["precision"] = out["accuracy"] = None
+        return out
     # balanced subset: all positives plus an equal-count negative subsample
     pos_idx = np.flatnonzero(labels == 1)
     neg_idx = np.flatnonzero(labels != 1)
@@ -240,9 +245,11 @@ def eval_pairs(manifest, split: str) -> tuple[list, list]:
         pos, neg = manifest.valid_pos, manifest.valid_neg
     elif split == "test":
         pos, neg = manifest.test_pos, manifest.test_neg
-    else:
+    elif split == "pooled":
         pos = manifest.valid_pos + manifest.test_pos
         neg = manifest.valid_neg + manifest.test_neg
+    else:
+        raise ConfigError(f"eval split must be one of {EVAL_SPLITS}, got {split!r}")
     return list(pos), list(neg)
 
 
@@ -261,6 +268,12 @@ def shuffle_eval_order(pos_eval: list, neg_eval: list, seed: int):
     rng = np.random.default_rng(derive_seed(seed, "eval-order"))
     perm = rng.permutation(len(pairs))
     return [pairs[i] for i in perm], labels[perm]
+
+
+def train_student(y: np.ndarray, g_train: Graph, manifest, model, config: DistillConfig):
+    """The MLP student: imitate the scorer's embeddings, then fine-tune."""
+    student = imitate(y, g_train, config, x_prime=model.x_prime)
+    return finetune_linkpred(student, manifest, g_train, config)
 
 
 def method_scores(
@@ -291,11 +304,7 @@ def method_scores(
     if method == "xmc_lp":
         return xmc_scores(g_train, y, config.diffusion, eval_ids)
     if method == "mlp":
-        student = imitate(
-            y, g_train, config.distill, x_prime=model.x_prime
-        )
-        student = finetune_linkpred(student, manifest, g_train, config.distill)
-        y_s = student_embed(student)
+        y_s = student_embed(train_student(y, g_train, manifest, model, config.distill))
         return np.einsum("ij,ij->i", y_s[eval_ids[:, 0]], y_s[eval_ids[:, 1]])
     if method == "cn":
         return common_neighbors(g_train, eval_ids).astype(np.float64)

@@ -35,6 +35,7 @@ __all__ = [
     "read_pairs_tsv",
     "write_scores_tsv",
     "read_scores_tsv",
+    "read_scores_for",
 ]
 
 
@@ -257,3 +258,12 @@ def read_scores_tsv(path: str | Path) -> dict[tuple[str, str], float]:
             a, b = sorted((cols[0], cols[1]))
             out[(a, b)] = float(cols[2])
     return out
+
+
+def read_scores_for(path: str | Path, pairs: list[tuple[str, str]]) -> np.ndarray:
+    """A scores TSV's values in ``pairs`` order; a missing pair is a DataError."""
+    table = read_scores_tsv(path)
+    try:
+        return np.array([table[pair] for pair in pairs])
+    except KeyError as exc:
+        raise DataError(f"{path} is missing edge {exc.args[0]}") from None

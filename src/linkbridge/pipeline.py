@@ -2,10 +2,16 @@
 
 A run config is a JSON document naming the dataset (files or synthetic),
 the regimes and broadcast methods to compare, and every stage's knobs. All
-randomness flows from the single run seed through per-stage derivation, so
-rerunning a config reproduces the report content hash exactly. Artifacts
-land under the output directory together with a provenance record (config
-hash, tool version, input digests).
+randomness flows from the single run seed: the split, the scorer and the
+distilled student each take ``derive_seed(seed, stage)``. A ``seed`` key in
+the ``scorer`` or ``distill`` section is therefore a config error, and the
+report's config echo shows the derived seeds that ran. Rerunning a config
+reproduces the report content hash exactly. Artifacts land under the output
+directory together with a provenance record (config hash, tool version,
+input digests).
+
+The CLI stage commands call ``fit_scorer``, ``metric_row`` and
+``evaluation.method_scores``, so one stage run alone decides as it does here.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +28,11 @@ import numpy as np
 from . import __version__
 from .checkpoint import save_scorer
 from .datasets import SyntheticSpec, generate_synthetic
-from .distill import DistillConfig
 from .errors import ConfigError, DataError, LinkBridgeError
 from .evaluation import (
     CALIBRATED_METHODS,
+    EVAL_SPLITS,
+    HEURISTIC_METHODS,
     KNOWN_METHODS,
     EvalReport,
     SuiteConfig,
@@ -35,27 +42,27 @@ from .evaluation import (
     shuffle_eval_order,
 )
 from .graph import Graph, union_graph
-from .heuristics import PprConfig
 from .io import load_graph, save_graph, write_edge_tsv, write_scores_tsv
-from .propagation import DiffusionConfig
 from .scorer import ScorerConfig, embed, score_edges, train_scorer
 from .seeds import derive_seed
 from .selection import Regime, make_split, manifest_training_graph
 
-__all__ = ["validate_config", "run_pipeline", "write_provenance"]
+__all__ = ["validate_config", "run_pipeline", "write_provenance", "fit_scorer",
+           "metric_row"]
 
-_REGIME_ALIASES = {"tar", "uni", "int",
-                   "target_to_target", "union_to_target", "intersection_to_target"}
+# sections whose seed is derive_seed(run seed, section name)
+_SEEDED = ("scorer", "distill")
 
 
-def validate_config(config: dict, base_dir: Path | None = None) -> list[str]:
-    """Schema and cross-field checks; every problem reported at once."""
-    errors: list[str] = []
-    base = base_dir or Path.cwd()
-
+def _suite_config(
+    config: dict, base: Path, errors: list[str]
+) -> tuple[SuiteConfig | None, list[str], list[Regime]]:
+    """(suite, methods, regimes) of a run config; every problem is appended
+    to ``errors``, and the suite is None when there is any."""
+    seed = config.get("seed")
     if "seed" not in config:
         errors.append("seed is mandatory")
-    elif not isinstance(config["seed"], int):
+    elif not isinstance(seed, int):
         errors.append("seed must be an integer")
     if not config.get("out_dir"):
         errors.append("out_dir is required")
@@ -85,12 +92,15 @@ def validate_config(config: dict, base_dir: Path | None = None) -> list[str]:
             errors.append(f"dataset.kind must be 'files' or 'synthetic', got {kind!r}")
 
     regimes = config.get("regimes")
+    parsed: list[Regime] = []
     if not isinstance(regimes, list) or not regimes:
         errors.append("regimes must be a nonempty list")
     else:
         for r in regimes:
-            if not isinstance(r, str) or r not in _REGIME_ALIASES:
-                errors.append(f"unknown regime {r!r}")
+            try:
+                parsed.append(Regime.parse(r))
+            except DataError as exc:
+                errors.append(str(exc))
 
     methods = config.get("methods", ["scorer", "logit_lp"])
     if not isinstance(methods, list) or not methods:
@@ -100,56 +110,66 @@ def validate_config(config: dict, base_dir: Path | None = None) -> list[str]:
             if m not in KNOWN_METHODS:
                 errors.append(f"unknown method {m!r}")
 
-    neg_ratio = config.get("neg_ratio", 2.0)
+    neg_ratio = config.get("neg_ratio", SuiteConfig.neg_ratio)
     if not isinstance(neg_ratio, (int, float)) or neg_ratio <= 0:
         errors.append(f"neg_ratio must be positive, got {neg_ratio!r}")
-    frac = config.get("train_frac_outside", 0.2)
+    frac = config.get("train_frac_outside", SuiteConfig.train_frac_outside)
     if not isinstance(frac, (int, float)) or not 0.0 <= frac < 1.0:
         errors.append(f"train_frac_outside must be in [0, 1), got {frac!r}")
 
-    for section, cls in (
-        ("scorer", ScorerConfig),
-        ("diffusion", DiffusionConfig),
-        ("distill", DistillConfig),
-        ("ppr", PprConfig),
-    ):
+    sections = {}
+    for spec in fields(SuiteConfig):
+        section, cls = spec.name, spec.default_factory
+        if cls is MISSING:  # a knob, not a sub-config section
+            continue
         payload = config.get(section, {})
         if not isinstance(payload, dict):
             errors.append(f"{section} section must be an object")
             continue
+        if section in _SEEDED and "seed" in payload:
+            errors.append(f"{section}.seed is derived from the run seed; remove it")
+            continue
         try:
-            cls(**payload).validate()
+            sections[section] = cls(**payload)
+            sections[section].validate()
         except (TypeError, LinkBridgeError) as exc:
             errors.append(f"{section}: {exc}")
 
     eval_cfg = config.get("eval", {})
+    split = SuiteConfig.eval_split
+    mults = list(SuiteConfig.k_multipliers)
     if not isinstance(eval_cfg, dict):
         errors.append("eval section must be an object")
     else:
-        split = eval_cfg.get("split", "test")
-        if split not in ("test", "valid", "pooled"):
+        split = eval_cfg.get("split", split)
+        if split not in EVAL_SPLITS:
             errors.append(f"eval.split must be test/valid/pooled, got {split!r}")
-        mults = eval_cfg.get("k_multipliers", [1.0, 1.25])
+        mults = eval_cfg.get("k_multipliers", mults)
         if not isinstance(mults, list) or not mults or any(
             not isinstance(m, (int, float)) or m <= 0 for m in mults
         ):
             errors.append("eval.k_multipliers must be a list of positive numbers")
-    return errors
 
-
-def _suite_config(config: dict) -> SuiteConfig:
-    eval_cfg = config.get("eval", {})
-    return SuiteConfig(
-        seed=config["seed"],
-        neg_ratio=float(config.get("neg_ratio", 2.0)),
-        train_frac_outside=float(config.get("train_frac_outside", 0.2)),
-        scorer=ScorerConfig(**config.get("scorer", {})),
-        diffusion=DiffusionConfig(**config.get("diffusion", {})),
-        distill=DistillConfig(**config.get("distill", {})),
-        ppr=PprConfig(**config.get("ppr", {})),
-        k_multipliers=tuple(eval_cfg.get("k_multipliers", [1.0, 1.25])),
-        eval_split=eval_cfg.get("split", "test"),
+    if errors:
+        return None, methods, parsed
+    for section in _SEEDED:
+        sections[section] = replace(sections[section], seed=derive_seed(seed, section))
+    suite = SuiteConfig(
+        seed=seed,
+        neg_ratio=float(neg_ratio),
+        train_frac_outside=float(frac),
+        k_multipliers=tuple(mults),
+        eval_split=split,
+        **sections,
     )
+    return suite, list(methods), parsed
+
+
+def validate_config(config: dict, base_dir: Path | None = None) -> list[str]:
+    """Schema and cross-field checks; every problem reported at once."""
+    errors: list[str] = []
+    _suite_config(config, base_dir or Path.cwd(), errors)
+    return errors
 
 
 def _sha256_input(path: Path) -> str:
@@ -219,18 +239,45 @@ def _load_dataset(
     return src, tar, []
 
 
+def fit_scorer(
+    config: ScorerConfig, g_train: Graph, manifest, model_path, logits_path=None
+) -> tuple:
+    """Train and checkpoint the scorer, then score every manifest edge:
+    ``(model, y, all_ids, z_all)``, the logits written to ``logits_path``."""
+    model = train_scorer(config, g_train, manifest)
+    save_scorer(model_path, model, g_train)
+    y = embed(model, g_train)
+    all_pairs = manifest.all_edges()
+    all_ids = g_train.pair_ids(all_pairs)
+    z_all = score_edges(y, all_ids)
+    if logits_path is not None:
+        write_scores_tsv(logits_path, all_pairs, z_all)
+    return model, y, all_ids, z_all
+
+
+def metric_row(
+    regime: Regime, method: str, scores: np.ndarray, labels: np.ndarray,
+    suite: SuiteConfig, threshold: float | None = None,
+) -> dict:
+    """One report row, cut at ``threshold`` or else at the method's own
+    decision point: 0.5 if calibrated, 0.0 for logits, none for heuristics."""
+    if threshold is None and method not in HEURISTIC_METHODS:
+        threshold = 0.5 if method in CALIBRATED_METHODS else 0.0
+    row = {"regime": regime.value, "method": method, "split": suite.eval_split,
+           "threshold": threshold}
+    return row | evaluate_scores(scores, labels, suite.k_multipliers, threshold, suite.seed)
+
+
 def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport:
     """Execute selection -> scorer -> broadcast -> evaluation, persisting
     manifests, checkpoints, score files, the report, and provenance."""
     base = Path(base_dir) if base_dir is not None else Path.cwd()
-    problems = validate_config(config, base)
+    problems: list[str] = []
+    suite, methods, regimes = _suite_config(config, base, problems)
     if problems:
         raise ConfigError("invalid run config: " + "; ".join(problems))
     out_dir = base / config["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    suite = _suite_config(config)
-    methods = list(config.get("methods", ["scorer", "logit_lp"]))
-    regimes = [Regime.parse(r) for r in config["regimes"]]
 
     started = time.perf_counter()
     with _stage("dataset"):
@@ -258,18 +305,14 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
             manifest.save(out_dir / "manifests" / f"{tag}.json")
         with _stage(f"scorer:{tag}"):
             g_train = manifest_training_graph(manifest, src, tar, union=union)
-            scorer_cfg = replace(suite.scorer, seed=derive_seed(suite.seed, "scorer"))
-            model = train_scorer(scorer_cfg, g_train, manifest)
-            save_scorer(out_dir / "models" / f"{tag}.bin", model)
-            y = embed(model, g_train)
-            all_pairs = manifest.all_edges()
-            all_ids = g_train.pair_ids(all_pairs)
-            z_all = score_edges(y, all_ids)
-            write_scores_tsv(out_dir / "scores" / f"{tag}.logits.tsv", all_pairs, z_all)
+            model, y, all_ids, z_all = fit_scorer(
+                suite.scorer, g_train, manifest, out_dir / "models" / f"{tag}.bin",
+                out_dir / "scores" / f"{tag}.logits.tsv",
+            )
 
         pos_eval, neg_eval = eval_pairs(manifest, suite.eval_split)
         eval_order, labels = shuffle_eval_order(pos_eval, neg_eval, suite.seed)
-        index_of = {pair: i for i, pair in enumerate(all_pairs)}
+        index_of = {pair: i for i, pair in enumerate(manifest.all_edges())}
         eval_positions = np.array([index_of[p] for p in eval_order], dtype=np.int64)
         eval_ids = all_ids[eval_positions]
 
@@ -279,32 +322,19 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
                 full = method_scores(
                     method, g_train, manifest, model, y, z_all, eval_ids, suite
                 )
-                calibrated = method in CALIBRATED_METHODS
-                scores = full[eval_positions] if calibrated else full
+                scores = full[eval_positions] if method in CALIBRATED_METHODS else full
                 write_scores_tsv(
                     out_dir / "scores" / f"{tag}.{method}.tsv", eval_order, scores
                 )
-                threshold = 0.5 if calibrated else 0.0
-                row = {
-                    "regime": regime.value,
-                    "method": method,
-                    "split": suite.eval_split,
-                    "threshold": threshold,
-                }
-                row.update(
-                    evaluate_scores(
-                        scores, labels, suite.k_multipliers, threshold, suite.seed
-                    )
-                )
+                row = metric_row(regime, method, scores, labels, suite)
                 row["runtime_seconds"] = round(time.perf_counter() - t0, 6)
                 rows.append(row)
 
     report = EvalReport(
         rows=rows,
-        config=suite.echo() | {"methods": methods, "regimes": [r.value for r in regimes]},
+        config=asdict(suite) | {"methods": methods, "regimes": [r.value for r in regimes]},
         seed=suite.seed,
         runtime_seconds=time.perf_counter() - started,
     )
     report.save(out_dir / "report.json", out_dir / "report.txt")
     return report
-

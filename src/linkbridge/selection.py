@@ -42,6 +42,10 @@ Pair = tuple[str, str]
 # k x k, about 85 MiB at this bound, so it never runs over a whole large graph.
 ENUMERATION_NODES = 2048
 
+# split defaults of make_split, audit_manifest and the run config
+NEG_RATIO = 2.0
+TRAIN_FRAC_OUTSIDE = 0.2
+
 
 class Regime(str, Enum):
     """Which training graph feeds the scorer."""
@@ -57,7 +61,7 @@ class Regime(str, Enum):
             "uni": cls.UNION_TO_TARGET,
             "int": cls.INTERSECTION_TO_TARGET,
         }
-        text = text.strip().lower()
+        text = str(text).strip().lower()
         if text in aliases:
             return aliases[text]
         try:
@@ -398,8 +402,8 @@ def make_split(
     regime: Regime,
     src: Graph,
     tar: Graph,
-    neg_ratio: float = 2.0,
-    train_frac_outside: float = 0.2,
+    neg_ratio: float = NEG_RATIO,
+    train_frac_outside: float = TRAIN_FRAC_OUTSIDE,
     seed: int = 0,
     union: Graph | None = None,
 ) -> SplitManifest:
@@ -550,7 +554,7 @@ def audit_manifest(
     manifest: SplitManifest,
     src: Graph,
     tar: Graph,
-    train_frac_outside: float = 0.2,
+    train_frac_outside: float = TRAIN_FRAC_OUTSIDE,
 ) -> list[str]:
     """Machine-check every manifest invariant; returns a list of violations."""
     problems: list[str] = []

@@ -1,0 +1,64 @@
+import numpy as np
+import pytest
+
+from linkbridge.checkpoint import (
+    load_scorer,
+    load_student,
+    node_order_digest,
+    save_scorer,
+    save_student,
+)
+from linkbridge.distill import DistillConfig, imitate
+from linkbridge.errors import DataError
+from linkbridge.graph import union_graph
+from linkbridge.io import load_graph, save_graph
+from linkbridge.scorer import ScorerConfig, embed, init_model
+from linkbridge.selection import (
+    Regime,
+    make_split,
+    manifest_training_graph,
+    training_graph_from_universe,
+)
+
+
+@pytest.fixture(scope="module")
+def two_orders(small_pair, tmp_path_factory):
+    """One training graph built in memory and again from the saved union.
+
+    ``load_graph`` renumbers nodes, so the two share their keys but not
+    their ids.
+    """
+    src, tar, _ = small_pair
+    manifest = make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1)
+    in_memory = manifest_training_graph(manifest, src, tar)
+    union_dir = tmp_path_factory.mktemp("union")
+    save_graph(union_graph(src, tar), union_dir)
+    reloaded = training_graph_from_universe(manifest, load_graph(union_dir))
+    assert sorted(in_memory.keys) == sorted(reloaded.keys)
+    assert list(in_memory.keys) != list(reloaded.keys)
+    return in_memory, reloaded
+
+
+def test_scorer_checkpoint_loads_only_against_its_node_order(two_orders, tmp_path):
+    g, other = two_orders
+    model = init_model(ScorerConfig(d_trainable=4, seed=2), g)
+    path = tmp_path / "scorer.bin"
+    save_scorer(path, model, g)
+    loaded = load_scorer(path, g)
+    assert np.allclose(embed(loaded, g), embed(model, g), atol=1e-5)
+    assert node_order_digest(g) != node_order_digest(other)
+    with pytest.raises(DataError, match="node order"):
+        load_scorer(path, other)
+
+
+def test_student_checkpoint_loads_only_against_its_node_order(two_orders, tmp_path):
+    g, other = two_orders
+    teacher = init_model(ScorerConfig(d_trainable=4, seed=2), g)
+    student = imitate(
+        embed(teacher, g), g, DistillConfig(hidden=4, max_epochs=1), x_prime=teacher.x_prime
+    )
+    path = tmp_path / "student.bin"
+    save_student(path, student, g)
+    assert np.allclose(load_student(path, g).x_prime, student.x_prime, atol=1e-6)
+    with pytest.raises(DataError, match="node order"):
+        load_student(path, other)

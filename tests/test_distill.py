@@ -173,7 +173,7 @@ def test_student_checkpoint_round_trip(tmp_path):
     cfg = DistillConfig(hidden=8, max_epochs=2, seed=7)
     student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
     path = tmp_path / "student.bin"
-    save_student(path, student)
+    save_student(path, student, g_train)
     loaded = load_student(path, g_train)
     assert np.allclose(loaded.w1, student.w1, atol=1e-6)
     assert np.allclose(loaded.x_prime, student.x_prime, atol=1e-6)

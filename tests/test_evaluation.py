@@ -10,6 +10,7 @@ from linkbridge.evaluation import (
     method_scores,
     shuffle_eval_order,
 )
+from linkbridge.pipeline import metric_row
 from linkbridge.selection import Regime, make_split
 
 
@@ -68,3 +69,30 @@ def test_content_hash_ignores_runtime_keys():
 def test_method_scores_rejects_unknown_method():
     with pytest.raises(ConfigError, match="unknown method"):
         method_scores("bogus", None, None, None, None, None, None, SuiteConfig())
+
+
+def test_eval_pairs_rejects_unknown_split(manifest):
+    with pytest.raises(ConfigError, match="eval split"):
+        eval_pairs(manifest, "tset")
+
+
+def test_heuristic_rows_have_no_threshold_precision_or_accuracy():
+    scores = np.array([0.0, 2.0, 1.0, 0.0])
+    labels = np.array([0, 1, 1, 0])
+    suite = SuiteConfig()
+    rows = [
+        metric_row(Regime.TARGET_TO_TARGET, method, scores, labels, suite)
+        for method in ("cn", "aa", "ppr", "scorer", "logit_lp")
+    ]
+    for row in rows[:3]:
+        assert (row["threshold"], row["precision"], row["accuracy"]) == (None, None, None)
+        assert row["recall_at_1x"] == 1.0
+    assert [row["threshold"] for row in rows[3:]] == [0.0, 0.5]
+    assert all(row["precision"] is not None for row in rows[3:])
+    # an explicit threshold still gives a heuristic precision and accuracy
+    cut = metric_row(Regime.TARGET_TO_TARGET, "cn", scores, labels, suite, threshold=1.0)
+    assert (cut["threshold"], cut["precision"], cut["accuracy"]) == (1.0, 1.0, 1.0)
+    table = EvalReport(rows=rows, config={}, seed=0, runtime_seconds=0.0).text_table()
+    lines = table.splitlines()
+    assert lines[2].split()[-2:] == ["n/a", "n/a"]
+    assert "n/a" not in lines[5] and "n/a" not in lines[6]

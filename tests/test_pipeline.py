@@ -1,9 +1,13 @@
 import json
 
+import pytest
+
 from linkbridge.datasets import SyntheticSpec, generate_synthetic
+from linkbridge.errors import ConfigError
 from linkbridge.evaluation import KNOWN_METHODS
 from linkbridge.io import save_graph
 from linkbridge.pipeline import run_pipeline
+from linkbridge.seeds import derive_seed
 
 SPEC = dict(
     n_src=80,
@@ -54,3 +58,19 @@ def test_run_pipeline_accepts_graph_directories(tmp_path):
     again = json.loads((tmp_path / "out2" / "provenance.json").read_text())["inputs"]
     assert again[str(tmp_path / "source")] != inputs[str(tmp_path / "source")]
     assert again[str(tmp_path / "target")] == inputs[str(tmp_path / "target")]
+
+
+def test_report_echoes_the_derived_stage_seeds(tmp_path):
+    dataset = {"kind": "synthetic", "spec": SPEC}
+    report = run_pipeline(_config("out", dataset, ["scorer"]), tmp_path)
+    assert report.config["scorer"]["seed"] == derive_seed(3, "scorer")
+    assert report.config["distill"]["seed"] == derive_seed(3, "distill")
+
+
+@pytest.mark.parametrize("section", ["scorer", "distill"])
+def test_stage_seed_in_run_config_is_a_config_error(tmp_path, section):
+    config = _config("out", {"kind": "synthetic", "spec": SPEC})
+    config[section] = config[section] | {"seed": 123}
+    with pytest.raises(ConfigError, match=f"{section}.seed"):
+        run_pipeline(config, tmp_path)
+    assert not (tmp_path / "out").exists()
