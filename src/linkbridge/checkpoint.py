@@ -47,21 +47,28 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise DataError(f"{path}: malformed checkpoint (no header line)")
-    header = json.loads(raw[:newline].decode("utf-8"))
-    blob = np.frombuffer(raw[newline + 1 :], dtype="<f4")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for meta in header.get("arrays", []):
-        shape = tuple(int(s) for s in meta["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        if offset + size > blob.size:
-            raise DataError(f"{path}: parameter blob shorter than header claims")
-        arrays[meta["name"]] = blob[offset : offset + size].reshape(shape).astype(np.float64)
-        offset += size
+    """(header, named float64 arrays); any file that is not a well-formed
+    checkpoint is a DataError naming it."""
+    try:
+        raw = Path(path).read_bytes()
+        newline = raw.find(b"\n")
+        if newline < 0:
+            raise DataError(f"{path}: malformed checkpoint (no header line)")
+        header = json.loads(raw[:newline].decode("utf-8"))
+        blob = np.frombuffer(raw[newline + 1 :], dtype="<f4")
+        arrays: dict[str, np.ndarray] = {}
+        offset = 0
+        for meta in header.get("arrays", []):
+            shape = tuple(int(s) for s in meta["shape"])
+            size = int(np.prod(shape)) if shape else 1
+            if offset + size > blob.size:
+                raise DataError(f"{path}: parameter blob shorter than header claims")
+            arrays[meta["name"]] = blob[offset : offset + size].reshape(shape).astype(np.float64)
+            offset += size
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read checkpoint ({exc.strerror})") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
     if offset != blob.size:
         raise DataError(f"{path}: {blob.size - offset} unexplained trailing floats")
     return header, arrays

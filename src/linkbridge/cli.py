@@ -6,7 +6,8 @@ The stage subcommands run what ``linkbridge run`` runs (``pipeline.fit_scorer``,
 Seeds are used as given (``--seed``, a config file's ``seed``), while
 ``linkbridge run`` derives every stage seed from its run seed.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error (also for an input file
+that is missing, unreadable or malformed), 4 numeric failure.
 Heavy imports happen inside the command handlers so that ``--threads`` can
 pin the BLAS pool size before numpy loads.
 """
@@ -53,16 +54,34 @@ def _given(**options) -> dict:
 
 def _build_config(cls, path=None, **options):
     """``cls`` from a JSON file's fields and the options given, validated;
-    any problem is a ConfigError (exit 2)."""
-    from .errors import ConfigError, LinkBridgeError
+    an unknown or missing field is a ConfigError (exit 2), as is every
+    ``validate()`` failure."""
+    from .errors import ConfigError
 
     payload = (_read_json(path) if path else {}) | _given(**options)
     try:
         config = cls(**payload)
-        config.validate()
-    except (TypeError, LinkBridgeError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"{cls.__name__}: {exc}") from exc
+    config.validate()
     return config
+
+
+def _write_pair(out_dir: str, src, tar, feature_format: str = "csv") -> Path:
+    """``source.tsv`` and ``target.tsv``, each with its features file if any."""
+    from .io import write_edge_tsv, write_features_bin, write_features_csv
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, g in (("source", src), ("target", tar)):
+        write_edge_tsv(out / f"{name}.tsv", g.edge_keys())
+        if g.features is None:
+            continue
+        if feature_format == "csv":
+            write_features_csv(out / f"{name}.features.csv", list(g.keys), g.features)
+        else:
+            write_features_bin(out / f"{name}.features.json", list(g.keys), g.features)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +115,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_split_temporal(args) -> int:
     from .datasets import temporal_split
-    from .io import (
-        read_edge_tsv,
-        read_features,
-        write_edge_tsv,
-        write_features_csv,
-    )
+    from .io import read_edge_tsv, read_features
 
     pairs, years = read_edge_tsv(args.edges)
     if any(y is None for y in years):
@@ -111,13 +125,7 @@ def cmd_split_temporal(args) -> int:
     features = read_features(args.features) if args.features else None
     edges = [(u, v, y) for (u, v), y in zip(pairs, years)]
     src, tar = temporal_split(edges, args.y_low, args.y_high, features=features)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_edge_tsv(out / "source.tsv", src.edge_keys())
-    write_edge_tsv(out / "target.tsv", tar.edge_keys())
-    if src.features is not None:
-        write_features_csv(out / "source.features.csv", list(src.keys), src.features)
-        write_features_csv(out / "target.features.csv", list(tar.keys), tar.features)
+    out = _write_pair(args.out_dir, src, tar)
     print(
         f"source: {src.num_nodes} nodes / {src.num_edges} edges; "
         f"target: {tar.num_nodes} nodes / {tar.num_edges} edges -> {out}"
@@ -127,21 +135,12 @@ def cmd_split_temporal(args) -> int:
 
 def cmd_gen_synmodel(args) -> int:
     from .datasets import SyntheticSpec, generate_synthetic
-    from .io import write_edge_tsv, write_features_bin, write_features_csv
+    from .io import write_edge_tsv
 
     spec = _build_config(SyntheticSpec, args.spec)
     src, tar, heldout = generate_synthetic(spec)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_edge_tsv(out / "source.tsv", src.edge_keys())
-    write_edge_tsv(out / "target.tsv", tar.edge_keys())
+    out = _write_pair(args.out_dir, src, tar, args.feature_format)
     write_edge_tsv(out / "heldout.tsv", heldout)
-    if args.feature_format == "csv":
-        write_features_csv(out / "source.features.csv", list(src.keys), src.features)
-        write_features_csv(out / "target.features.csv", list(tar.keys), tar.features)
-    else:
-        write_features_bin(out / "source.features.json", list(src.keys), src.features)
-        write_features_bin(out / "target.features.json", list(tar.keys), tar.features)
     print(
         f"synthetic pair written to {out}: source {src.num_nodes}n/{src.num_edges}e, "
         f"target {tar.num_nodes}n/{tar.num_edges}e, {len(heldout)} held-out edges"
@@ -295,40 +294,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_cost(args) -> int:
-    from .errors import ConfigError
-    from .propagation import cost_formulas, estimate_line_graph_cost
-
-    if args.graph and args.manifest:
-        manifest, g_train = _load_training_graph(args)
-        pos_pairs = (
-            list(manifest.train_pos) + list(manifest.valid_pos) + list(manifest.test_pos)
-        )
-        neg_pairs = (
-            list(manifest.train_neg) + list(manifest.valid_neg) + list(manifest.test_neg)
-        )
-        cost = estimate_line_graph_cost(
-            g_train, g_train.pair_ids(pos_pairs), g_train.pair_ids(neg_pairs), d=args.d
-        )
-        payload = {
-            "num_edge_nodes": cost.num_edge_nodes,
-            "num_nodes": cost.num_nodes,
-            "mean_degree": cost.mean_degree,
-            "exact_line_edges": cost.exact_line_edges,
-            "exact_directed_incidences": cost.exact_directed_incidences,
-            "approx_line_edges": cost.approx_line_edges,
-            "multiplies": cost.multiplies,
-        }
-    elif args.ne is not None:
-        if args.mean_deg is None or args.nnodes is None:
-            raise ConfigError("formula mode needs --ne, --mean-deg, --d, --nnodes")
-        payload = cost_formulas(args.ne, args.mean_deg, args.d, args.nnodes)
-    else:
-        raise ConfigError("use either --graph/--manifest or --ne/--mean-deg/--nnodes")
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -433,14 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("cost", help="line-graph size and per-iteration costs")
-    p.add_argument("--graph", default=None)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--ne", type=float, default=None)
-    p.add_argument("--mean-deg", type=float, default=None)
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--nnodes", type=int, default=None)
-    p.set_defaults(func=cmd_cost)
     return parser
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import Graph, build_graph, node_intersection
 
 __all__ = ["TemporalEdge", "SyntheticSpec", "temporal_split", "generate_synthetic"]
@@ -95,25 +95,25 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if self.n_src < 2 or self.n_tar < 2:
-            raise DataError("need at least 2 nodes per domain")
+            raise ConfigError("need at least 2 nodes per domain")
         if not 0.0 < self.overlap_ratio <= 1.0:
-            raise DataError(f"overlap_ratio must be in (0, 1], got {self.overlap_ratio}")
+            raise ConfigError(f"overlap_ratio must be in (0, 1], got {self.overlap_ratio}")
         if self.overlap_ratio * min(self.n_src, self.n_tar) < 1.0:
-            raise DataError("overlap_ratio leaves no shared node")
+            raise ConfigError("overlap_ratio leaves no shared node")
         # equality admits the degenerate no-gap limit (identical domains);
         # a sparser source than target is never meaningful here
         if self.mean_deg_src < self.mean_deg_tar:
-            raise DataError(
+            raise ConfigError(
                 "source must not be sparser than target: "
                 f"mean_deg_src={self.mean_deg_src} < mean_deg_tar={self.mean_deg_tar}"
             )
         for name, n in (("n_src", self.n_src), ("n_tar", self.n_tar)):
             if self.mean_deg_src >= n - 1:
-                raise DataError(f"mean_deg_src={self.mean_deg_src} infeasible for {name}={n}")
+                raise ConfigError(f"mean_deg_src={self.mean_deg_src} infeasible for {name}={n}")
         if self.feature_dim < 1:
-            raise DataError("feature_dim must be >= 1")
+            raise ConfigError("feature_dim must be >= 1")
         if self.n_communities < 1:
-            raise DataError("n_communities must be >= 1")
+            raise ConfigError("n_communities must be >= 1")
 
 
 def _sample_block_edges(

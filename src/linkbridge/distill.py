@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .graph import Graph
 from .scorer import node_inputs, pair_indices, pair_loss, pair_recall
 
@@ -50,11 +50,13 @@ class DistillConfig:
 
     def validate(self) -> None:
         if self.hidden < 1:
-            raise DataError("hidden width must be >= 1")
+            raise ConfigError("hidden width must be >= 1")
         if self.learning_rate < 0 or self.finetune_lr < 0:
-            raise DataError("learning rates must be >= 0")
+            raise ConfigError("learning rates must be >= 0")
         if self.max_epochs < 0 or self.finetune_epochs < 0:
-            raise DataError("epoch budgets must be >= 0")
+            raise ConfigError("epoch budgets must be >= 0")
+        if self.batch_size < 1 or self.finetune_batch_size < 1:
+            raise ConfigError("batch sizes must be >= 1")
 
 
 @dataclass

@@ -10,11 +10,11 @@ class LinkBridgeError(Exception):
 
 
 class ConfigError(LinkBridgeError):
-    """Invalid configuration: bad ranges, missing files, unknown names."""
+    """Invalid configuration: bad ranges, unknown names, an unreadable config file."""
 
 
 class DataError(LinkBridgeError):
-    """Malformed or inconsistent input data (graphs, manifests, features)."""
+    """Missing, malformed or inconsistent input data (files, graphs, manifests)."""
 
 
 class NumericError(LinkBridgeError):

@@ -45,6 +45,7 @@ __all__ = [
     "CALIBRATED_METHODS",
     "HEURISTIC_METHODS",
     "EVAL_SPLITS",
+    "check_k_multipliers",
     "eval_pairs",
     "train_student",
     "recall_at",
@@ -214,6 +215,7 @@ def evaluate_scores(
 ) -> dict:
     """Recall at each multiplier of |positives| plus balanced precision and
     accuracy, which are None without a threshold."""
+    check_k_multipliers(k_multipliers)
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
@@ -237,6 +239,14 @@ def evaluate_scores(
     out["precision"] = precision
     out["accuracy"] = accuracy
     return out
+
+
+def check_k_multipliers(mults) -> None:
+    """Recall cut-offs are positive multiples of the positive count."""
+    if not isinstance(mults, (list, tuple)) or not mults or any(
+        not isinstance(m, (int, float)) or m <= 0 for m in mults
+    ):
+        raise ConfigError("k_multipliers must be a list of positive numbers")
 
 
 def eval_pairs(manifest, split: str) -> tuple[list, list]:

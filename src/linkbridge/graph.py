@@ -86,9 +86,6 @@ class Graph:
         pos = np.searchsorted(row, v)
         return bool(pos < row.size and row[pos] == v)
 
-    def has_node_key(self, key: str) -> bool:
-        return key in self.key_to_id
-
     def edge_keys(self) -> list[tuple[str, str]]:
         """Edges as external key pairs, in canonical internal order."""
         return [(self.keys[u], self.keys[v]) for u, v in self.edges]

@@ -19,7 +19,6 @@ class PprConfig:
     # default tol is reachable within the 50-iteration budget
     teleport: float = 0.15
     iterations: int = 50
-    per_source_topk: int | None = None
     tol: float = 5e-4
 
     def validate(self) -> None:
@@ -84,10 +83,9 @@ def ppr_vectors(
     out = np.zeros((n, sources.size))
     for start in range(0, sources.size, chunk):
         cols = sources[start : start + chunk]
-        pi = np.zeros((n, cols.size))
-        pi[cols, np.arange(cols.size)] = 1.0
         restart = np.zeros((n, cols.size))
         restart[cols, np.arange(cols.size)] = 1.0
+        pi = restart.copy()
         converged = False
         for _ in range(cfg.iterations):
             stranded = pi[dangling].sum(axis=0) if dangling.any() else 0.0
@@ -104,12 +102,6 @@ def ppr_vectors(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if cfg.per_source_topk is not None and cfg.per_source_topk < n:
-            k = cfg.per_source_topk
-            ranks = np.argsort(-pi, axis=0, kind="stable")
-            mask = np.zeros_like(pi, dtype=bool)
-            mask[ranks[:k], np.arange(cols.size)] = True
-            pi = np.where(mask, pi, 0.0)
         out[:, start : start + cols.size] = pi
     return out
 

@@ -39,27 +39,37 @@ __all__ = [
 ]
 
 
+def _records(path: str | Path, strip=str.strip):
+    """(line number, line) of each non-blank, non-comment line of a UTF-8
+    text file; a file that cannot be read is a DataError naming it."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = strip(line)
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text") from exc
+
+
 def read_edge_tsv(path: str | Path) -> tuple[list[tuple[str, str]], list[int | None]]:
     """Parse an edge TSV into (pairs, per-edge year or None)."""
-    path = Path(path)
     pairs: list[tuple[str, str]] = []
     years: list[int | None] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2:
-                raise DataError(f"{path}:{lineno}: expected at least 2 columns")
-            pairs.append((cols[0], cols[1]))
-            if len(cols) >= 3 and cols[2] != "":
-                try:
-                    years.append(int(cols[2]))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad year {cols[2]!r}") from exc
-            else:
-                years.append(None)
+    for lineno, line in _records(path, strip=lambda line: line.rstrip("\n")):
+        cols = line.split("\t")
+        if len(cols) < 2:
+            raise DataError(f"{path}:{lineno}: expected at least 2 columns")
+        pairs.append((cols[0], cols[1]))
+        if len(cols) >= 3 and cols[2] != "":
+            try:
+                years.append(int(cols[2]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad year {cols[2]!r}") from exc
+        else:
+            years.append(None)
     return pairs, years
 
 
@@ -79,15 +89,14 @@ def write_edge_tsv(
 
 def _read_features_csv(path: Path) -> dict[str, np.ndarray]:
     rows: dict[str, np.ndarray] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split(",")
-            if len(cols) < 2:
-                raise DataError(f"{path}:{lineno}: feature row needs key + values")
+    for lineno, line in _records(path):
+        cols = line.split(",")
+        if len(cols) < 2:
+            raise DataError(f"{path}:{lineno}: feature row needs key + values")
+        try:
             rows[cols[0]] = np.array([float(c) for c in cols[1:]], dtype=np.float32)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 
@@ -116,9 +125,12 @@ def _read_features_bin(sidecar: Path) -> dict[str, np.ndarray]:
 def read_features(path: str | Path) -> dict[str, np.ndarray]:
     """Read features from CSV or a binary sidecar, keyed by node id."""
     path = Path(path)
-    if path.suffix == ".json":
+    if path.suffix != ".json":
+        return _read_features_csv(path)
+    try:
         return _read_features_bin(path)
-    return _read_features_csv(path)
+    except (OSError, ValueError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable binary features ({exc})") from exc
 
 
 def write_features_csv(path: str | Path, keys: list[str], matrix: np.ndarray) -> None:
@@ -151,13 +163,12 @@ def write_features_bin(
 
 def read_sides_tsv(path: str | Path) -> dict[str, int]:
     sides: dict[str, int] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in _records(path):
+        try:
             key, side = line.split("\t")[:2]
             sides[key] = int(side)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: expected node key and side") from exc
     return sides
 
 
@@ -247,16 +258,15 @@ def write_scores_tsv(
 def read_scores_tsv(path: str | Path) -> dict[tuple[str, str], float]:
     """Read a scores TSV into an unordered-pair -> value map."""
     out: dict[tuple[str, str], float] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 3:
-                raise DataError(f"{path}:{lineno}: expected u, v, score columns")
-            a, b = sorted((cols[0], cols[1]))
+    for lineno, line in _records(path):
+        cols = line.split("\t")
+        if len(cols) < 3:
+            raise DataError(f"{path}:{lineno}: expected u, v, score columns")
+        a, b = sorted((cols[0], cols[1]))
+        try:
             out[(a, b)] = float(cols[2])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad score {cols[2]!r}") from exc
     return out
 
 

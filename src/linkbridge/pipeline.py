@@ -36,6 +36,7 @@ from .evaluation import (
     KNOWN_METHODS,
     EvalReport,
     SuiteConfig,
+    check_k_multipliers,
     eval_pairs,
     evaluate_scores,
     method_scores,
@@ -86,7 +87,7 @@ def _suite_config(
             else:
                 try:
                     SyntheticSpec(**spec).validate()
-                except (TypeError, DataError) as exc:
+                except (TypeError, ConfigError) as exc:
                     errors.append(f"dataset.spec: {exc}")
         else:
             errors.append(f"dataset.kind must be 'files' or 'synthetic', got {kind!r}")
@@ -132,7 +133,7 @@ def _suite_config(
         try:
             sections[section] = cls(**payload)
             sections[section].validate()
-        except (TypeError, LinkBridgeError) as exc:
+        except (TypeError, ConfigError) as exc:
             errors.append(f"{section}: {exc}")
 
     eval_cfg = config.get("eval", {})
@@ -145,10 +146,10 @@ def _suite_config(
         if split not in EVAL_SPLITS:
             errors.append(f"eval.split must be test/valid/pooled, got {split!r}")
         mults = eval_cfg.get("k_multipliers", mults)
-        if not isinstance(mults, list) or not mults or any(
-            not isinstance(m, (int, float)) or m <= 0 for m in mults
-        ):
-            errors.append("eval.k_multipliers must be a list of positive numbers")
+        try:
+            check_k_multipliers(mults)
+        except ConfigError as exc:
+            errors.append(f"eval.{exc}")
 
     if errors:
         return None, methods, parsed

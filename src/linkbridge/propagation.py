@@ -38,7 +38,6 @@ from .graph import Graph
 __all__ = [
     "DiffusionConfig",
     "LineGraph",
-    "LineGraphCost",
     "LineOperator",
     "line_operator",
     "build_line_graph",
@@ -48,8 +47,6 @@ __all__ = [
     "logit_lp",
     "emb_lp",
     "xmc_scores",
-    "estimate_line_graph_cost",
-    "cost_formulas",
 ]
 
 
@@ -365,73 +362,3 @@ def xmc_scores(
     lo = np.minimum(q[:, 0], q[:, 1])
     hi = np.maximum(q[:, 0], q[:, 1])
     return np.einsum("ij,ij->i", y_hat[lo], y[hi])
-
-
-@dataclass(frozen=True)
-class LineGraphCost:
-    """Exact and estimated size/cost of the edge-centric graph."""
-
-    num_edge_nodes: int
-    num_nodes: int
-    mean_degree: float
-    exact_line_edges: int
-    exact_directed_incidences: int
-    approx_line_edges: float
-    embed_dim: int
-    multiplies: dict
-
-
-def cost_formulas(n_e: float, mean_deg: float, d: int, n_nodes: int) -> dict:
-    """Per-iteration multiply counts from the closed-form size estimate."""
-    n_line = 4.0 * n_e * mean_deg
-    return {
-        "n_line_edges_estimate": n_line,
-        "emb_lp": n_line * d,
-        "logit_lp": n_line * 1.0,
-        "xmc_lp": float(n_e) * float(n_nodes),
-    }
-
-
-def estimate_line_graph_cost(
-    g: Graph,
-    pos: np.ndarray | Sequence,
-    neg: np.ndarray | Sequence = (),
-    d: int = 64,
-) -> LineGraphCost:
-    """Predict line-graph size by degree arithmetic, next to the estimate.
-
-    The exact undirected count is sum_v C(k_v, 2) over per-node incident
-    edge counts k_v; the estimate is 4 * |edges| * mean_degree. Multiply
-    counts are reported for both.
-    """
-    pos = _as_canonical_ids(pos)
-    neg = _as_canonical_ids(neg)
-    all_edges = np.concatenate([pos, neg], axis=0)
-    m = all_edges.shape[0]
-    inc = np.zeros(g.num_nodes, dtype=np.int64)
-    if m:
-        np.add.at(inc, all_edges.ravel(), 1)
-    exact = int(np.sum(inc * (inc - 1) // 2))
-    mean_deg = 2.0 * g.num_edges / g.num_nodes if g.num_nodes else 0.0
-    formulas = cost_formulas(m, mean_deg, d, g.num_nodes)
-    return LineGraphCost(
-        num_edge_nodes=m,
-        num_nodes=g.num_nodes,
-        mean_degree=mean_deg,
-        exact_line_edges=exact,
-        exact_directed_incidences=2 * exact,
-        approx_line_edges=formulas["n_line_edges_estimate"],
-        embed_dim=d,
-        multiplies={
-            "formula": {
-                "emb_lp": formulas["emb_lp"],
-                "logit_lp": formulas["logit_lp"],
-                "xmc_lp": formulas["xmc_lp"],
-            },
-            "exact": {
-                "emb_lp": float(2 * exact * d),
-                "logit_lp": float(2 * exact),
-                "xmc_lp": float(m) * float(g.num_nodes),
-            },
-        },
-    )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .graph import Graph, mean_aggregator
 from .metrics import recall_at
 
@@ -57,15 +57,15 @@ class ScorerConfig:
 
     def validate(self) -> None:
         if self.d_trainable < 1:
-            raise DataError("d_trainable must be >= 1")
+            raise ConfigError("d_trainable must be >= 1")
         if self.learning_rate < 0:
-            raise DataError("learning_rate must be >= 0")
+            raise ConfigError("learning_rate must be >= 0")
         if self.encoder not in ENCODERS:
-            raise DataError(f"unknown encoder {self.encoder!r}; options: {ENCODERS}")
+            raise ConfigError(f"unknown encoder {self.encoder!r}; options: {ENCODERS}")
         if self.batch_size < 1 or self.epochs < 0:
-            raise DataError("batch_size must be >= 1 and epochs >= 0")
+            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if not 0.0 <= self.momentum < 1.0:
-            raise DataError("momentum must be in [0, 1)")
+            raise ConfigError("momentum must be in [0, 1)")
 
 
 @dataclass

@@ -1,14 +1,16 @@
 """Training-graph selection and train/valid/test split construction.
 
-Three regimes pick the edge set the scorer trains on: the target graph
-alone, the union of both graphs, or the overlap-induced subgraph (every
+The regime picks the pairs a split draws its positives from: the target
+graph's edges, the union of both graphs' edges, or the intersection's (every
 source/target edge with at least one endpoint among the shared nodes).
 The split protocol puts all edges with both endpoints inside the source
 node set into training, sends a fixed fraction of the remaining "outside"
 edges to training as well, and halves the rest into validation and test,
 so evaluation always happens on edges that reach beyond the source graph.
 Negatives are uniform non-edges of the union graph, sampled per stratum so
-every split keeps the requested negative:positive ratio.
+every split keeps the requested negative:positive ratio. The scorer trains
+on the union keyspace with the training positives as its only edges
+(``training_graph_from_universe``).
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ from .graph import Graph, build_graph, node_intersection, union_graph
 __all__ = [
     "Regime",
     "SplitManifest",
-    "build_intersection_graph",
-    "training_graph_for",
     "sample_negatives",
     "make_split",
-    "subsample_intersection",
     "audit_manifest",
     "manifest_training_graph",
     "training_graph_from_universe",
@@ -79,54 +78,24 @@ def _canon(a: str, b: str) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
-def _merged_feature_map(src: Graph, tar: Graph, keys: set[str]) -> dict | None:
-    if src.features is None and tar.features is None:
-        return None
-    out = {}
-    for key in keys:
-        if src.features is not None and key in src.key_to_id:
-            out[key] = src.features[src.key_to_id[key]]
-        elif tar.features is not None and key in tar.key_to_id:
-            out[key] = tar.features[tar.key_to_id[key]]
-        else:
-            raise DataError(f"no feature row available for node {key!r}")
-    return out
-
-
-def _overlap_training_graph(src: Graph, tar: Graph, shared: set[str]) -> Graph:
-    """Edges from either graph with >=1 endpoint in ``shared``; nodes are
-    the shared set plus the boundary endpoints of kept edges."""
-    kept: list[Pair] = []
-    seen: set[Pair] = set()
-    for g in (src, tar):
-        for a, b in g.edge_keys():
-            if a in shared or b in shared:
-                pair = _canon(a, b)
-                if pair not in seen:
-                    seen.add(pair)
-                    kept.append(pair)
-    nodes = set(shared)
-    for a, b in kept:
-        nodes.add(a)
-        nodes.add(b)
-    feats = _merged_feature_map(src, tar, nodes)
-    return build_graph(kept, features=feats, extra_nodes=sorted(shared))
-
-
-def build_intersection_graph(src: Graph, tar: Graph) -> Graph:
-    """The overlap-induced training graph over the shared node set."""
-    shared = node_intersection(src, tar)
+def _regime_positives(regime: Regime, src: Graph, tar: Graph, union: Graph) -> list[Pair]:
+    """The pairs a regime draws its positives from: the target's edges, the
+    union's, or every edge of either graph touching a shared node, taken in
+    ``build_graph``'s deduplicated edge order, which the split permutes."""
+    if regime is Regime.TARGET_TO_TARGET:
+        return tar.edge_keys()
+    if regime is Regime.UNION_TO_TARGET:
+        return union.edge_keys()
+    shared = set(node_intersection(src, tar))
     if not shared:
         raise DataError("source and target graphs share no nodes")
-    return _overlap_training_graph(src, tar, set(shared))
-
-
-def training_graph_for(regime: Regime, src: Graph, tar: Graph) -> Graph:
-    if regime is Regime.TARGET_TO_TARGET:
-        return tar
-    if regime is Regime.UNION_TO_TARGET:
-        return union_graph(src, tar)
-    return build_intersection_graph(src, tar)
+    kept = [
+        _canon(a, b)
+        for g in (src, tar)
+        for a, b in g.edge_keys()
+        if a in shared or b in shared
+    ]
+    return build_graph(kept).edge_keys() if kept else []
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +123,14 @@ def _cross_side_ok(g: Graph, u: np.ndarray, v: np.ndarray, bipartite: bool) -> n
 
 
 def _enumerate_non_edges(
-    g: Graph, u_pool: np.ndarray, v_pool: np.ndarray, outside_only: np.ndarray | None,
-    bipartite: bool,
+    g: Graph, pool: np.ndarray, outside_only: np.ndarray | None, bipartite: bool
 ) -> np.ndarray:
-    """Exhaustive fallback: every candidate non-edge among the pools as (m, 2).
+    """Exhaustive fallback: every candidate non-edge within the pool as (m, 2).
 
-    Only the pools' nodes are enumerated, so the grid is |pool| x |pool|, not
+    Only the pool's nodes are enumerated, so the grid is |pool| x |pool|, not
     N x N; pairs come in ascending (u, v) order.
     """
-    nodes = np.unique(np.concatenate([u_pool, v_pool]))
+    nodes = np.unique(pool)
     k = nodes.size
     if k > ENUMERATION_NODES:
         raise DataError(
@@ -174,11 +142,8 @@ def _enumerate_non_edges(
         at = np.minimum(np.searchsorted(nodes, g.edges), k - 1)
         inside = (nodes[at] == g.edges).all(axis=1)
         adj[at[inside, 0], at[inside, 1]] = True
-    allowed_u = np.isin(nodes, u_pool)
-    allowed_v = np.isin(nodes, v_pool)
     uu, vv = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
     mask = (uu < vv) & ~adj
-    mask &= (allowed_u[uu] & allowed_v[vv]) | (allowed_u[vv] & allowed_v[uu])
     if outside_only is not None:
         out = np.isin(nodes, outside_only)
         mask &= out[uu] | out[vv]
@@ -262,13 +227,8 @@ def _rejection_sample_pairs(
         accept_array(u, v)
         stalls = stalls + 1 if len(out) == before else 0
         if stalls >= 8:
-            cand = _enumerate_non_edges(
-                g,
-                inside_pool if outside_pool is None else np.concatenate([inside_pool, outside_pool]),
-                inside_pool if outside_pool is None else np.concatenate([inside_pool, outside_pool]),
-                outside_pool,
-                bipartite,
-            )
+            pool = inside_pool if outside_pool is None else np.concatenate([inside_pool, outside_pool])
+            cand = _enumerate_non_edges(g, pool, outside_pool, bipartite)
             codes = cand[:, 0].astype(np.uint64) * n + cand[:, 1].astype(np.uint64)
             fresh = np.array([c not in taken for c in codes.tolist()], dtype=bool)
             cand = cand[fresh]
@@ -307,7 +267,7 @@ def sample_negatives(
     pool = np.arange(n, dtype=np.int64)
     # exhaustive path when rejection would thrash (small and nearly full)
     if n <= ENUMERATION_NODES and count > 0.5 * available:
-        cand = _enumerate_non_edges(g, pool, pool, None, bipartite_aware)
+        cand = _enumerate_non_edges(g, pool, None, bipartite_aware)
         pick = np.sort(rng.choice(cand.shape[0], size=count, replace=False))
         pairs = [(int(u), int(v)) for u, v in cand[pick]]
     else:
@@ -409,8 +369,8 @@ def make_split(
 ) -> SplitManifest:
     """Build the split manifest for one regime.
 
-    Positives are the regime training graph's edges. Edges with both
-    endpoints in the source node set train the model; of the rest, a seeded
+    Positives are the regime's pairs (``_regime_positives``). Those with
+    both endpoints in the source node set train the model; of the rest, a seeded
     ``train_frac_outside`` share also trains and the remainder is halved
     into validation and test. Negatives are uniform non-edges of the union
     graph, drawn inside/outside the source node set in proportion to the
@@ -421,11 +381,10 @@ def make_split(
     if not 0.0 <= train_frac_outside < 1.0:
         raise DataError("train_frac_outside must be in [0, 1)")
     union = union if union is not None else union_graph(src, tar)
-    g_regime = training_graph_for(regime, src, tar)
     rng = np.random.default_rng(seed)
 
     src_keys = set(src.keys)
-    pos_pairs = [_canon(a, b) for a, b in g_regime.edge_keys()]
+    pos_pairs = [_canon(a, b) for a, b in _regime_positives(regime, src, tar, union)]
     inside_pos = [p for p in pos_pairs if p[0] in src_keys and p[1] in src_keys]
     outside_pos = [p for p in pos_pairs if p[0] not in src_keys or p[1] not in src_keys]
     if not outside_pos:
@@ -485,69 +444,6 @@ def make_split(
         test_pos=tuple(test_pos),
         test_neg=tuple(test_neg),
     )
-
-
-def subsample_intersection(
-    src: Graph,
-    tar: Graph,
-    ratio: float,
-    extended_hops: int = 0,
-    seed: int = 0,
-) -> Graph:
-    """Training graph from a random fraction of the shared nodes.
-
-    Keeps a uniform ``ratio`` fraction of the shared set and rebuilds the
-    overlap training graph on it. With ``extended_hops`` > 0, source nodes
-    within that BFS distance of the retained set join too, along with the
-    source edges induced among the enlarged node set.
-    """
-    if not 0.0 < ratio <= 1.0:
-        raise DataError(f"ratio must be in (0, 1], got {ratio}")
-    if extended_hops not in (0, 1, 2):
-        raise DataError(f"extended_hops must be 0, 1 or 2, got {extended_hops}")
-    shared = node_intersection(src, tar)
-    if not shared:
-        raise DataError("source and target graphs share no nodes")
-    rng = np.random.default_rng(seed)
-    n_keep = int(round(ratio * len(shared)))
-    if n_keep < 1:
-        raise DataError(f"ratio {ratio} retains no shared node")
-    keep_idx = np.sort(rng.choice(len(shared), size=n_keep, replace=False))
-    retained = {shared[i] for i in keep_idx}
-
-    base = _overlap_training_graph(src, tar, retained)
-    if extended_hops == 0:
-        return base
-
-    # BFS over the source graph from the retained shared nodes
-    frontier = {src.key_to_id[k] for k in retained if k in src.key_to_id}
-    visited = set(frontier)
-    for _hop in range(extended_hops):
-        nxt: set[int] = set()
-        for node in frontier:
-            nxt.update(int(x) for x in src.neighbors(node))
-        frontier = nxt - visited
-        visited |= frontier
-    bfs_keys = {src.keys[i] for i in visited}
-
-    kept: list[Pair] = []
-    seen: set[Pair] = set()
-    for a, b in base.edge_keys():
-        pair = _canon(a, b)
-        seen.add(pair)
-        kept.append(pair)
-    for a, b in src.edge_keys():
-        if a in bfs_keys and b in bfs_keys:
-            pair = _canon(a, b)
-            if pair not in seen:
-                seen.add(pair)
-                kept.append(pair)
-    nodes = set(retained) | bfs_keys
-    for a, b in kept:
-        nodes.add(a)
-        nodes.add(b)
-    feats = _merged_feature_map(src, tar, nodes)
-    return build_graph(kept, features=feats, extra_nodes=sorted(retained | bfs_keys))
 
 
 def audit_manifest(

@@ -120,8 +120,11 @@ def test_run_succeeds(tmp_path):
     RUN_CONFIG | {"regimes": [["int"]]},
     RUN_CONFIG | {"scorer": {"epochs": 1, "seed": 123}},
     RUN_CONFIG | {"distill": {"seed": 123}},
+    RUN_CONFIG | {"distill": {"batch_size": 0}},
+    RUN_CONFIG | {"distill": {"finetune_batch_size": 0}},
 ], ids=["missing-file", "json-list", "regimes-int", "methods-int", "k-multipliers-int",
-        "regime-list", "scorer-seed", "distill-seed"])
+        "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
+        "distill-finetune-batch-size-0"])
 def test_run_bad_config_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -284,3 +287,55 @@ def test_checkpoint_from_another_node_order_exits_3(workspace, small_pair):
                  "--manifest", str(workspace / "m.json"), "--model",
                  str(workspace / "model.bin"), "--out", str(workspace / "out.tsv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("k_mult", ["-1", "0"])
+def test_evaluate_non_positive_k_multiplier_exits_2(trained, k_mult):
+    code = main(["evaluate", "--manifest", str(trained / "m.json"),
+                 "--scores", f"scorer={trained / 'logits.tsv'}", "--k-mult", k_mult])
+    assert code == 2
+
+
+def _stage_args(ws):
+    return ["--graph", str(ws / "union"), "--manifest", str(ws / "m.json"),
+            "--out", str(ws / "out.tsv")]
+
+
+# each command reading a file that is missing, of another kind, or holding a
+# non-numeric value
+BAD_INPUT_FILES = {
+    "propagate-model-missing": lambda ws: [
+        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "missing.bin")],
+    "propagate-model-report": lambda ws: [
+        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "report.json")],
+    "propagate-model-scores": lambda ws: [
+        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "logits.tsv")],
+    "propagate-logits-missing": lambda ws: [
+        "propagate", "--variant", "logit", *_stage_args(ws), "--logits", str(ws / "missing.tsv")],
+    "evaluate-scores-missing": lambda ws: [
+        "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'missing.tsv'}"],
+    "evaluate-scores-non-numeric": lambda ws: [
+        "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'bad.tsv'}"],
+    "baseline-edges-missing": lambda ws: [
+        "baseline", "--method", "cn", "--graph", str(ws / "union"),
+        "--edges", str(ws / "missing.tsv"), "--out", str(ws / "out.tsv")],
+    "ingest-edges-missing": lambda ws: [
+        "ingest", "--edges", str(ws / "missing.tsv"), "--out", str(ws / "g")],
+    "ingest-features-non-numeric": lambda ws: [
+        "ingest", "--edges", str(ws / "edges.tsv"), "--features", str(ws / "bad.csv"),
+        "--out", str(ws / "g")],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT_FILES))
+def test_bad_input_file_exits_3(trained, case, capsys):
+    ws = trained
+    (ws / "report.json").write_text(json.dumps({"rows": [], "seed": 1}, indent=2))
+    lines = (ws / "logits.tsv").read_text().splitlines(keepends=True)
+    a, b, _ = lines[0].split("\t")
+    (ws / "bad.tsv").write_text(f"{a}\t{b}\tnot-a-number\n" + "".join(lines[1:]))
+    (ws / "edges.tsv").write_text("a\tb\n")
+    (ws / "bad.csv").write_text("a,1.0,2.0\nb,1.0,x\n")
+    assert main(BAD_INPUT_FILES[case](ws)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(ws) in err

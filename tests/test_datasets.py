@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linkbridge.datasets import SyntheticSpec, generate_synthetic, temporal_split
-from linkbridge.errors import DataError
+from linkbridge.errors import ConfigError, DataError
 from linkbridge.graph import degree_stats, node_intersection
 
 
@@ -126,13 +126,13 @@ def test_no_shift_equal_degree_limit():
 
 
 def test_spec_validation_errors():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         _spec(overlap_ratio=0.0).validate()
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         _spec(mean_deg_src=2, mean_deg_tar=3).validate()
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         _spec(n_src=10, mean_deg_src=20).validate()
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         _spec(overlap_ratio=0.001, n_src=100, n_tar=100).validate()
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         _spec(feature_dim=0).validate()

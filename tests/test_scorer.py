@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linkbridge.errors import DataError, NumericError
+from linkbridge.errors import ConfigError, DataError, NumericError
 from linkbridge.graph import Graph, build_graph, mean_aggregator
 from linkbridge.scorer import (
     ScorerConfig,
@@ -205,11 +205,11 @@ def test_train_scorer_momentum_variant_runs():
 
 
 def test_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         ScorerConfig(d_trainable=0).validate()
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         ScorerConfig(encoder="other").validate()
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         ScorerConfig(momentum=1.5).validate()
 
 

@@ -8,13 +8,11 @@ from linkbridge.selection import (
     Regime,
     SplitManifest,
     audit_manifest,
-    build_intersection_graph,
     make_split,
     manifest_training_graph,
     sample_negatives,
-    subsample_intersection,
-    training_graph_for,
     _enumerate_non_edges,
+    _regime_positives,
 )
 
 from oracles import grid_non_edges, random_graph_edges
@@ -31,23 +29,24 @@ def test_regime_parse():
         Regime.parse("bogus")
 
 
+def _int_positives(src, tar):
+    return _regime_positives(Regime.INTERSECTION_TO_TARGET, src, tar, union_graph(src, tar))
+
+
 def test_intersection_graph_identity(small_pair):
     src, _, _ = small_pair
-    ig = build_intersection_graph(src, src)
-    assert canon(ig.edge_keys()) == canon(src.edge_keys())
+    assert canon(_int_positives(src, src)) == canon(src.edge_keys())
 
 
 def test_intersection_graph_one_hop_closure():
     src = build_graph([("a", "b")])
     tar = build_graph([("b", "c")])
-    ig = build_intersection_graph(src, tar)
-    assert canon(ig.edge_keys()) == {("a", "b"), ("b", "c")}
-    assert set(ig.keys) == {"a", "b", "c"}
+    assert canon(_int_positives(src, tar)) == {("a", "b"), ("b", "c")}
 
 
 def test_intersection_graph_empty_intersection():
     with pytest.raises(DataError):
-        build_intersection_graph(build_graph([("a", "b")]), build_graph([("x", "y")]))
+        _int_positives(build_graph([("a", "b")]), build_graph([("x", "y")]))
 
 
 def test_intersection_graph_brute_force_oracle(rng):
@@ -63,30 +62,33 @@ def test_intersection_graph_brute_force_oracle(rng):
         shared = set(node_intersection(src, tar))
         if not shared:
             continue
-        ig = build_intersection_graph(src, tar)
+        positives = _int_positives(src, tar)
         expected = {
             tuple(sorted(p))
             for g in (src, tar)
             for p in g.edge_keys()
             if p[0] in shared or p[1] in shared
         }
-        assert canon(ig.edge_keys()) == expected
+        assert canon(positives) == expected
+        assert len(positives) == len(expected)
 
 
-def test_training_graph_for(small_pair):
+def test_regime_positives(small_pair):
     src, tar, _ = small_pair
-    assert training_graph_for(Regime.TARGET_TO_TARGET, src, tar) is tar
-    uni = training_graph_for(Regime.UNION_TO_TARGET, src, tar)
-    assert canon(uni.edge_keys()) == canon(src.edge_keys()) | canon(tar.edge_keys())
-    ig = training_graph_for(Regime.INTERSECTION_TO_TARGET, src, tar)
-    assert canon(ig.edge_keys()) <= canon(uni.edge_keys())
+    union = union_graph(src, tar)
+    tar_pos = _regime_positives(Regime.TARGET_TO_TARGET, src, tar, union)
+    assert tar_pos == tar.edge_keys()
+    uni_pos = _regime_positives(Regime.UNION_TO_TARGET, src, tar, union)
+    assert canon(uni_pos) == canon(src.edge_keys()) | canon(tar.edge_keys())
+    int_pos = _regime_positives(Regime.INTERSECTION_TO_TARGET, src, tar, union)
+    assert canon(int_pos) <= canon(uni_pos)
 
 
 def test_uni_disjoint_edge_count():
     src = build_graph([("a", "b"), ("b", "c")])
     tar = build_graph([("x", "y")])
-    uni = training_graph_for(Regime.UNION_TO_TARGET, src, tar)
-    assert uni.num_edges == 3
+    uni = _regime_positives(Regime.UNION_TO_TARGET, src, tar, union_graph(src, tar))
+    assert len(uni) == 3
 
 
 def test_sample_negatives_complete_graph_error():
@@ -148,9 +150,9 @@ def test_enumerate_non_edges_matches_full_grid(rng, bipartite, with_outside):
                     extra_nodes=[f"n{i}" for i in range(n)], sides=sides)
     pool = np.sort(rng.choice(n, size=12, replace=False))
     outside = np.sort(rng.choice(np.setdiff1d(np.arange(n), pool), size=6, replace=False))
-    u_pool = v_pool = np.concatenate([pool, outside]) if with_outside else pool
-    got = _enumerate_non_edges(g, u_pool, v_pool, outside if with_outside else None, bipartite)
-    want = grid_non_edges(n, g.edges.tolist(), u_pool, v_pool,
+    pool = np.concatenate([pool, outside]) if with_outside else pool
+    got = _enumerate_non_edges(g, pool, outside if with_outside else None, bipartite)
+    want = grid_non_edges(n, g.edges.tolist(), pool, pool,
                           set(outside.tolist()) if with_outside else None,
                           g.sides if bipartite else None)
     assert len(want) > 0
@@ -162,7 +164,7 @@ def test_enumerate_non_edges_refuses_large_pools():
     g = build_graph([("n0", "n1")], extra_nodes=[f"n{i}" for i in range(n)])
     pool = np.arange(n)
     with pytest.raises(DataError, match="cannot enumerate"):
-        _enumerate_non_edges(g, pool, pool, None, False)
+        _enumerate_non_edges(g, pool, None, False)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -236,71 +238,3 @@ def test_manifest_json_round_trip(small_pair, tmp_path):
     manifest.save(path)
     loaded = SplitManifest.load(path)
     assert loaded == manifest
-
-
-def test_subsample_ratio_one_is_identity(small_pair):
-    src, tar, _ = small_pair
-    full = build_intersection_graph(src, tar)
-    sub = subsample_intersection(src, tar, ratio=1.0, seed=0)
-    assert canon(sub.edge_keys()) == canon(full.edge_keys())
-    assert set(sub.keys) == set(full.keys)
-
-
-def test_subsample_count_arithmetic():
-    # each shared node s_i has one private source neighbor and one private
-    # target neighbor, so dropped shared nodes vanish entirely and the
-    # retained count is directly observable
-    n = 40
-    src = build_graph([(f"s{i}", f"h{i}") for i in range(n)])
-    tar = build_graph([(f"s{i}", f"t{i}") for i in range(n)])
-    for ratio, want in ((0.5, 20), (0.25, 10), (0.2, 8)):
-        sub = subsample_intersection(src, tar, ratio=ratio, seed=1)
-        retained = [k for k in sub.keys if k.startswith("s")]
-        assert len(retained) == want
-    # the sweep arithmetic used for reporting: a 20% keep of 55423 shared
-    # nodes retains 11085
-    assert round(0.2 * 55423) == 11085
-
-
-def test_subsample_deterministic(small_pair):
-    src, tar, _ = small_pair
-    sub1 = subsample_intersection(src, tar, ratio=0.5, seed=1)
-    sub2 = subsample_intersection(src, tar, ratio=0.5, seed=1)
-    assert canon(sub1.edge_keys()) == canon(sub2.edge_keys())
-
-
-def test_subsample_two_hop_bfs_oracle(small_pair):
-    src, tar, _ = small_pair
-    sub = subsample_intersection(src, tar, ratio=0.4, extended_hops=2, seed=5)
-    base = subsample_intersection(src, tar, ratio=0.4, extended_hops=0, seed=5)
-    # reference BFS from the retained shared set over the source graph
-    shared = node_intersection(src, tar)
-    rng = np.random.default_rng(5)
-    keep_idx = np.sort(rng.choice(len(shared), size=round(0.4 * len(shared)), replace=False))
-    retained = {shared[i] for i in keep_idx}
-    frontier = {src.key_to_id[k] for k in retained if k in src.key_to_id}
-    visited = set(frontier)
-    for _ in range(2):
-        nxt = set()
-        for node in frontier:
-            nxt.update(int(x) for x in src.neighbors(node))
-        frontier = nxt - visited
-        visited |= frontier
-    bfs_keys = {src.keys[i] for i in visited}
-    expected_extra = {
-        tuple(sorted(p))
-        for p in src.edge_keys()
-        if p[0] in bfs_keys and p[1] in bfs_keys
-    }
-    assert canon(sub.edge_keys()) == canon(base.edge_keys()) | expected_extra
-    assert bfs_keys <= set(sub.keys)
-
-
-def test_subsample_errors(small_pair):
-    src, tar, _ = small_pair
-    with pytest.raises(DataError):
-        subsample_intersection(src, tar, ratio=0.0, seed=0)
-    with pytest.raises(DataError):
-        subsample_intersection(src, tar, ratio=0.5, extended_hops=3, seed=0)
-    with pytest.raises(DataError):
-        subsample_intersection(src, tar, ratio=1e-9, seed=0)
