@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .distill import DistillConfig, MlpModel
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import Graph
 from .scorer import ScorerConfig, ScorerModel
 
@@ -79,8 +79,10 @@ def node_order_digest(g: Graph) -> str:
     return hashlib.sha256("\n".join(g.keys).encode("utf-8")).hexdigest()
 
 
-def _load_model(path: str | Path, kind: str, g: Graph) -> tuple[dict, dict]:
-    """A model checkpoint whose node rows follow ``g``'s node order."""
+def _load_model(path: str | Path, kind: str, g: Graph, cls) -> tuple:
+    """``(config, arrays)`` of a model checkpoint whose node rows follow
+    ``g``'s node order; a config this version cannot build (an unknown or
+    missing key, a value out of range) is a DataError too."""
     header, arrays = load_checkpoint(path)
     if header.get("kind") != kind:
         raise DataError(f"{path}: expected a {kind} checkpoint, got {header.get('kind')!r}")
@@ -89,7 +91,12 @@ def _load_model(path: str | Path, kind: str, g: Graph) -> tuple[dict, dict]:
     rows = arrays["x_prime"].shape[0]
     if rows != g.num_nodes:
         raise DataError(f"{path}: checkpoint has {rows} node rows, graph has {g.num_nodes}")
-    return header, arrays
+    try:
+        config = cls(**header.get("config"))
+        config.validate()
+    except (TypeError, ConfigError) as exc:
+        raise DataError(f"{path}: checkpoint config does not fit {cls.__name__} ({exc})") from exc
+    return config, arrays
 
 
 def save_scorer(path: str | Path, model: ScorerModel, g: Graph) -> None:
@@ -101,9 +108,9 @@ def save_scorer(path: str | Path, model: ScorerModel, g: Graph) -> None:
 
 def load_scorer(path: str | Path, g: Graph) -> ScorerModel:
     """Rehydrate a scorer; frozen features come from the graph."""
-    header, arrays = _load_model(path, "scorer", g)
+    config, arrays = _load_model(path, "scorer", g, ScorerConfig)
     return ScorerModel(
-        config=ScorerConfig(**header["config"]),
+        config=config,
         x_prime=arrays["x_prime"],
         encoder_weights=arrays.get("encoder_weights"),
         features=g.features,
@@ -122,9 +129,9 @@ def save_student(path: str | Path, model: MlpModel, g: Graph) -> None:
 
 
 def load_student(path: str | Path, g: Graph) -> MlpModel:
-    header, arrays = _load_model(path, "mlp", g)
+    config, arrays = _load_model(path, "mlp", g, DistillConfig)
     return MlpModel(
-        config=DistillConfig(**header["config"]),
+        config=config,
         w1=arrays["w1"],
         b1=arrays["b1"],
         w2=arrays["w2"],

@@ -3,9 +3,10 @@
 The student is a 2-layer rectifier MLP mapping each node's [X, X'] input to
 the teacher's embedding space. It first imitates the teacher embeddings
 under mean squared error, then fine-tunes on the pairwise ranking loss over
-its own inner-product logits. Inference touches node features only, never
-the adjacency, so isolated and low-degree nodes score exactly like any
-other node.
+its own inner-product logits, in the scorer's own epoch loop
+(``scorer.sgd_epochs``) and batch layout (``scorer.batch_rows``). Inference
+touches node features only, never the adjacency, so isolated and
+low-degree nodes score exactly like any other node.
 
 A training step reads and writes only the batch's rows: the input [X, X']
 is gathered per batch, never rebuilt for all N nodes, and with
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .graph import Graph
-from .scorer import node_inputs, pair_indices, pair_loss, pair_recall
+from .scorer import batch_rows, node_inputs, pair_indices, pair_loss, pair_recall, sgd_epochs
 
 __all__ = [
     "DistillConfig",
@@ -227,12 +228,10 @@ def _finetune_pass(
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Batch ranking loss and gradients; also returns the distinct node ids
     the X' gradient rows belong to."""
-    b = pos.shape[0]
-    nodes = np.concatenate([pos.ravel(), neg.ravel()])
-    rows, inv = np.unique(nodes, return_inverse=True)
+    rows, inv = batch_rows(pos, neg)
     h = model.input_matrix(rows)
     a, z1, y_rows = _forward(model, h)
-    loss, dy = pair_loss(y_rows, inv, b)
+    loss, dy = pair_loss(y_rows, inv, pos.shape[0])
     return loss, _backward(model, h, a, z1, dy), rows
 
 
@@ -258,9 +257,10 @@ def finetune_linkpred(
 ) -> MlpModel:
     """Continue training the student on the link prediction loss.
 
-    Mini-batch SGD over matched train pos/neg pairs; returns the checkpoint
-    with the best validation recall (at |valid_pos|), matching the scorer's
-    selection rule.
+    ``sgd_epochs`` over matched train pos/neg pairs; returns the checkpoint
+    with the best validation recall (at |valid_pos|), the imitated student
+    included: an epoch is kept only if it beats the recall training starts
+    from.
     """
     config = config or model.config
     config.validate()
@@ -270,10 +270,8 @@ def finetune_linkpred(
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DataError("manifest has empty training splits")
 
-    work = replace(model)
-    work.w1, work.b1 = model.w1.copy(), model.b1.copy()
-    work.w2, work.b2 = model.w2.copy(), model.b2.copy()
-    work.x_prime = model.x_prime.copy()
+    work = replace(model, w1=model.w1.copy(), b1=model.b1.copy(), w2=model.w2.copy(),
+                   b2=model.b2.copy(), x_prime=model.x_prime.copy())
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xF17E]))
 
     has_valid = valid_pos.shape[0] > 0 and valid_neg.shape[0] > 0
@@ -284,28 +282,22 @@ def finetune_linkpred(
     valid_pos = valid_local[: valid_pos.size].reshape(-1, 2)
     valid_neg = valid_local[valid_pos.size :].reshape(-1, 2)
 
+    def step(bp: np.ndarray, bn: np.ndarray) -> float:
+        loss, grads, rows = _finetune_pass(work, bp, bn)
+        _apply_grads(work, grads, config.finetune_lr, rows)
+        return loss
+
     def valid_recall() -> float:
         return pair_recall(student_embed(work, valid_rows), valid_pos, valid_neg)
 
-    best_rec = valid_recall() if has_valid else -1.0
-    best = (work.w1.copy(), work.b1.copy(), work.w2.copy(), work.b2.copy(),
-            work.x_prime.copy())
-    for epoch in range(config.finetune_epochs):
-        pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng)
-        epos, eneg = pos[pp], neg[pn]
-        for start in range(0, epos.shape[0], config.finetune_batch_size):
-            bp = epos[start : start + config.finetune_batch_size]
-            bn = eneg[start : start + config.finetune_batch_size]
-            loss, grads, rows = _finetune_pass(work, bp, bn)
-            if not np.isfinite(loss):
-                raise NumericError(f"fine-tuning diverged at epoch {epoch}")
-            _apply_grads(work, grads, config.finetune_lr, rows)
-        if has_valid:
-            rec = valid_recall()
-            if rec > best_rec:
-                best_rec = rec
-                best = (work.w1.copy(), work.b1.copy(), work.w2.copy(),
-                        work.b2.copy(), work.x_prime.copy())
-    if has_valid:
-        work.w1, work.b1, work.w2, work.b2, work.x_prime = best
+    def snapshot() -> tuple[np.ndarray, ...]:
+        return (work.w1.copy(), work.b1.copy(), work.w2.copy(), work.b2.copy(),
+                work.x_prime.copy())
+
+    best = (valid_recall(), snapshot()) if has_valid else (-np.inf, None)
+    _, selected = sgd_epochs(
+        pos, neg, config.finetune_epochs, config.finetune_batch_size, rng, step,
+        valid_recall if has_valid else None, snapshot, best,
+    )
+    work.w1, work.b1, work.w2, work.b2, work.x_prime = selected
     return work

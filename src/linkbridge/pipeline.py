@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields, replace
@@ -46,7 +47,7 @@ from .graph import Graph, union_graph
 from .io import load_graph, save_graph, write_edge_tsv, write_scores_tsv
 from .scorer import ScorerConfig, embed, score_edges, train_scorer
 from .seeds import derive_seed
-from .selection import Regime, make_split, manifest_training_graph
+from .selection import Regime, check_split_knobs, make_split, manifest_training_graph
 
 __all__ = ["validate_config", "run_pipeline", "write_provenance", "fit_scorer",
            "metric_row"]
@@ -112,11 +113,11 @@ def _suite_config(
                 errors.append(f"unknown method {m!r}")
 
     neg_ratio = config.get("neg_ratio", SuiteConfig.neg_ratio)
-    if not isinstance(neg_ratio, (int, float)) or neg_ratio <= 0:
-        errors.append(f"neg_ratio must be positive, got {neg_ratio!r}")
     frac = config.get("train_frac_outside", SuiteConfig.train_frac_outside)
-    if not isinstance(frac, (int, float)) or not 0.0 <= frac < 1.0:
-        errors.append(f"train_frac_outside must be in [0, 1), got {frac!r}")
+    try:
+        check_split_knobs(neg_ratio, frac)
+    except ConfigError as exc:
+        errors.append(str(exc))
 
     sections = {}
     for spec in fields(SuiteConfig):
@@ -195,14 +196,17 @@ def _sha256_input(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_provenance(out_dir: Path, config: dict, inputs: list[Path]) -> None:
+def write_provenance(out_dir: Path, config: dict, inputs: list[Path], base: Path) -> None:
+    """``provenance.json``: config hash, tool version, seed and a digest of
+    each input, keyed by its path relative to ``base`` so that the record
+    does not depend on where the run directory lives."""
     payload = {
         "config_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")
         ).hexdigest(),
         "tool_version": __version__,
         "seed": config.get("seed"),
-        "inputs": {str(p): _sha256_input(p) for p in inputs if p.exists()},
+        "inputs": {os.path.relpath(p, base): _sha256_input(p) for p in inputs if p.exists()},
     }
     (out_dir / "provenance.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -284,7 +288,7 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
     with _stage("dataset"):
         src, tar, inputs = _load_dataset(config, out_dir, base)
         union = union_graph(src, tar)
-    write_provenance(out_dir, config, inputs)
+    write_provenance(out_dir, config, inputs, base)
 
     (out_dir / "manifests").mkdir(exist_ok=True)
     (out_dir / "models").mkdir(exist_ok=True)

@@ -5,18 +5,20 @@ trainable row; an optional one-hop encoder adds the neighborhood mean and
 projects through a shared weight matrix. An edge logit is the inner product
 of its endpoint embeddings, and training minimizes the squared pairwise
 ranking loss (1 - z_pos + z_neg)^2 over matched positive/negative batches
-with plain (optionally momentum) SGD. Gradients are closed-form; no autodiff
-framework is involved, which keeps runs deterministic for a fixed seed.
+with plain SGD. Gradients are closed-form; no autodiff framework is
+involved, which keeps runs deterministic for a fixed seed.
 
 A training step touches only the batch's rows (and, under the one-hop
 encoder, their neighbors): gradients come back row-sparse and the trainable
-table is updated by index. L2 decay and momentum act on every row by
-definition, so only a run that sets them pays a full-table update per step.
+table is updated by index. ``sgd_epochs`` is the epoch loop of both this
+scorer and the distilled MLP student, and ``batch_rows`` the one layout of
+a batch that ``pair_loss`` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,8 +38,10 @@ __all__ = [
     "train_scorer",
     "training_loss_and_grads",
     "pair_indices",
+    "batch_rows",
     "pair_loss",
     "pair_recall",
+    "sgd_epochs",
 ]
 
 ENCODERS = ("embedding_only", "one_hop_mean")
@@ -51,8 +55,6 @@ class ScorerConfig:
     batch_size: int = 512
     epochs: int = 30
     seed: int = 0
-    l2_weight: float = 0.0
-    momentum: float = 0.0
     d_out: int | None = None
 
     def validate(self) -> None:
@@ -64,8 +66,6 @@ class ScorerConfig:
             raise ConfigError(f"unknown encoder {self.encoder!r}; options: {ENCODERS}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must be in [0, 1)")
 
 
 @dataclass
@@ -81,11 +81,6 @@ class ScorerModel:
     @property
     def num_nodes(self) -> int:
         return int(self.x_prime.shape[0])
-
-    @property
-    def d_in(self) -> int:
-        d_x = 0 if self.features is None else self.features.shape[1]
-        return int(d_x + self.x_prime.shape[1])
 
     def input_matrix(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Per-node encoder input [X, X'] as float64, optionally for ``rows`` only."""
@@ -175,6 +170,17 @@ def pair_indices(n_pos: int, n_neg: int, rng: np.random.Generator | None):
     return pp[idx % n_pos], pn[idx % n_neg]
 
 
+def batch_rows(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one batch layout of every trainer: sorted distinct node ids and,
+    for ``pair_loss``, 4b indices into them.
+
+    Known defect: it lays endpoints out pair by pair (u0, v0, u1, ...) while
+    ``pair_loss`` reads four blocks of b, so logits pair the wrong endpoints.
+    The column layout ``pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1]`` fixes it.
+    """
+    return np.unique(np.concatenate([pos.ravel(), neg.ravel()]), return_inverse=True)
+
+
 def pair_loss(
     y_rows: np.ndarray, inv: np.ndarray, b: int
 ) -> tuple[float, np.ndarray]:
@@ -228,82 +234,36 @@ def _batch_loss_and_grads(
     pos_edges: np.ndarray,
     neg_edges: np.ndarray,
     d_x: int,
-    l2: float,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
     """Mean pair loss of one batch and its gradients, row-sparse in X'.
 
     Returns ``(loss, touched, dxp_rows, dw)``: ``touched`` holds the sorted
-    node ids whose X' rows get a non-zero batch gradient ``dxp_rows``. The
-    L2 term on X' covers every row, so it is left to ``_dense_xp_grad``;
-    the loss includes it.
+    node ids whose X' rows get a non-zero batch gradient ``dxp_rows``.
     """
+    rows, inv = batch_rows(pos_edges, neg_edges)
     b = pos_edges.shape[0]
-    nodes = np.concatenate([pos_edges.ravel(), neg_edges.ravel()])
-    rows, inv = np.unique(nodes, return_inverse=True)
 
     if encoder == "embedding_only":
         loss, dy_rows = pair_loss(h[rows], inv, b)
-        touched, dxp_rows, dw = rows, dy_rows[:, d_x:], None
-    else:
-        agg_rows = agg[rows, :]
-        p_rows = h[rows] + agg_rows @ h
-        loss, dy_rows = pair_loss(p_rows @ weights, inv, b)
-        dw = p_rows.T @ dy_rows
-        dp_rows = (dy_rows @ weights.T)[:, d_x:]
-        # p_rows reads h at the batch rows and, through the mean, at their
-        # neighbors; agg_rows re-indexed onto that set stays O(batch)
-        touched, local = np.unique(
-            np.concatenate([rows, agg_rows.indices]), return_inverse=True
-        )
-        agg_local = sp.csr_array(
-            (agg_rows.data, local[rows.size :], agg_rows.indptr),
-            shape=(rows.size, touched.size),
-        )
-        dxp_rows = np.zeros((touched.size, dp_rows.shape[1]))
-        dxp_rows[local[: rows.size]] = dp_rows
-        dxp_rows += agg_local.T @ dp_rows
-        if l2:
-            dw += 2.0 * l2 * weights
-            loss += l2 * float(np.sum(weights * weights))
-
-    if l2:
-        xp = h[:, d_x:]
-        loss += l2 * float(np.sum(xp * xp))
+        return loss, rows, dy_rows[:, d_x:], None
+    agg_rows = agg[rows, :]
+    p_rows = h[rows] + agg_rows @ h
+    loss, dy_rows = pair_loss(p_rows @ weights, inv, b)
+    dw = p_rows.T @ dy_rows
+    dp_rows = (dy_rows @ weights.T)[:, d_x:]
+    # p_rows reads h at the batch rows and, through the mean, at their
+    # neighbors; agg_rows re-indexed onto that set stays O(batch)
+    touched, local = np.unique(
+        np.concatenate([rows, agg_rows.indices]), return_inverse=True
+    )
+    agg_local = sp.csr_array(
+        (agg_rows.data, local[rows.size :], agg_rows.indptr),
+        shape=(rows.size, touched.size),
+    )
+    dxp_rows = np.zeros((touched.size, dp_rows.shape[1]))
+    dxp_rows[local[: rows.size]] = dp_rows
+    dxp_rows += agg_local.T @ dp_rows
     return loss, touched, dxp_rows, dw
-
-
-def _dense_xp_grad(
-    h: np.ndarray, d_x: int, l2: float, touched: np.ndarray, dxp_rows: np.ndarray
-) -> np.ndarray:
-    """The full N-row X' gradient: the batch rows plus the L2 term on every row."""
-    xp = h[:, d_x:]
-    dxp = 2.0 * l2 * xp if l2 else np.zeros_like(xp)
-    dxp[touched] += dxp_rows
-    return dxp
-
-
-def _descend_xprime(
-    h: np.ndarray,
-    d_x: int,
-    touched: np.ndarray,
-    dxp_rows: np.ndarray,
-    velocity: np.ndarray | None,
-    config: ScorerConfig,
-) -> None:
-    """One SGD (or momentum) step on the X' columns of ``h``, in place.
-
-    Without L2 or momentum only the touched rows move. L2 decay and the
-    velocity's decay reach every row, so those runs take the dense step.
-    """
-    if not config.l2_weight and config.momentum == 0:
-        h[touched, d_x:] -= config.learning_rate * dxp_rows
-        return
-    dxp = _dense_xp_grad(h, d_x, config.l2_weight, touched, dxp_rows)
-    if config.momentum > 0:
-        velocity *= config.momentum
-        velocity += dxp
-        dxp = velocity
-    h[:, d_x:] -= config.learning_rate * dxp
 
 
 def training_loss_and_grads(
@@ -327,30 +287,62 @@ def training_loss_and_grads(
     h = model.input_matrix()
     d_x = 0 if model.features is None else model.features.shape[1]
     agg = mean_aggregator(g) if model.config.encoder == "one_hop_mean" else None
-    l2 = model.config.l2_weight
     loss, touched, dxp_rows, dw = _batch_loss_and_grads(
-        h,
-        model.encoder_weights,
-        agg,
-        model.config.encoder,
-        pos_edges[pp],
-        neg_edges[pn],
-        d_x,
-        l2,
+        h, model.encoder_weights, agg, model.config.encoder,
+        pos_edges[pp], neg_edges[pn], d_x,
     )
-    grads = {"x_prime": _dense_xp_grad(h, d_x, l2, touched, dxp_rows)}
+    dxp = np.zeros_like(h[:, d_x:])
+    dxp[touched] += dxp_rows
+    grads = {"x_prime": dxp}
     if dw is not None:
         grads["encoder_weights"] = dw
     return loss, grads
 
 
+def sgd_epochs(
+    pos: np.ndarray, neg: np.ndarray, epochs: int, batch_size: int, rng: np.random.Generator,
+    step: Callable[[np.ndarray, np.ndarray], float], valid_recall: Callable[[], float] | None,
+    snapshot: Callable[[], Any], best: tuple[float, Any],
+) -> tuple[list[float], Any]:
+    """Mini-batch pairwise SGD: the epoch loop of the scorer and the student.
+
+    Each epoch draws shuffled index-matched (pos, neg) pairs from ``rng``
+    and calls ``step(batch_pos, batch_neg)`` on consecutive batches; the
+    step updates the trainer's state in place and returns the batch loss.
+    After each epoch ``valid_recall()`` scores the state, and a strictly
+    better recall than ``best = (recall, snapshot)`` keeps ``snapshot()``.
+    Returns the per-epoch mean losses and the selected snapshot: the final
+    state's when there is no validation split (``valid_recall`` None) or
+    ``best`` still holds no snapshot.
+    """
+    trace: list[float] = []
+    for epoch in range(epochs):
+        pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng)
+        epoch_pos, epoch_neg = pos[pp], neg[pn]
+        losses = []
+        for start in range(0, epoch_pos.shape[0], batch_size):
+            batch = slice(start, start + batch_size)
+            loss = step(epoch_pos[batch], epoch_neg[batch])
+            if not np.isfinite(loss):
+                raise NumericError(f"training diverged: non-finite loss {loss} at epoch {epoch}")
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+        if valid_recall is not None:
+            rec = valid_recall()
+            if rec > best[0]:
+                best = (rec, snapshot())
+    if valid_recall is None or best[1] is None:
+        return trace, snapshot()
+    return trace, best[1]
+
+
 def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     """Fit the scorer on a manifest's training edges.
 
-    Mini-batch SGD over shuffled index-matched pos/neg pairs; after each
-    epoch the model is scored on the validation split and the best
-    checkpoint (recall at |valid_pos|) is returned. The per-epoch mean batch
-    loss lands in ``model.loss_trace``.
+    ``sgd_epochs`` over the training pairs; after each epoch the model is
+    scored on the validation split and the best checkpoint (recall at
+    |valid_pos|) is returned. The per-epoch mean batch loss lands in
+    ``model.loss_trace``.
     """
     config.validate()
     if len(manifest.train_pos) == 0 or len(manifest.train_neg) == 0:
@@ -366,46 +358,28 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     h = model.input_matrix().copy()
     weights = None if model.encoder_weights is None else model.encoder_weights.copy()
     agg = mean_aggregator(g_train) if config.encoder == "one_hop_mean" else None
-
-    vel_xp = np.zeros_like(h[:, d_x:]) if config.momentum > 0 else None
-    vel_w = np.zeros_like(weights) if weights is not None else None
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
 
-    best: tuple[float, np.ndarray, np.ndarray | None] | None = None
-    trace: list[float] = []
-    for _epoch in range(config.epochs):
-        pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng)
-        epoch_pos, epoch_neg = pos[pp], neg[pn]
-        losses = []
-        for start in range(0, epoch_pos.shape[0], config.batch_size):
-            bp = epoch_pos[start : start + config.batch_size]
-            bn = epoch_neg[start : start + config.batch_size]
-            loss, touched, dxp_rows, dw = _batch_loss_and_grads(
-                h, weights, agg, config.encoder, bp, bn, d_x, config.l2_weight
-            )
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"training diverged: non-finite loss {loss} at epoch {_epoch}"
-                )
-            losses.append(loss)
-            _descend_xprime(h, d_x, touched, dxp_rows, vel_xp, config)
-            if dw is not None:
-                if config.momentum > 0:
-                    vel_w *= config.momentum
-                    vel_w += dw
-                    dw = vel_w
-                weights -= config.learning_rate * dw
-        trace.append(float(np.mean(losses)) if losses else 0.0)
-        if len(valid_pos) and len(valid_neg):
-            y = h if config.encoder == "embedding_only" else (h + agg @ h) @ weights
-            rec = pair_recall(y, valid_pos, valid_neg)
-            if best is None or rec > best[0]:
-                best = (rec, h[:, d_x:].copy(), None if weights is None else weights.copy())
+    def step(bp: np.ndarray, bn: np.ndarray) -> float:
+        loss, touched, dxp_rows, dw = _batch_loss_and_grads(
+            h, weights, agg, config.encoder, bp, bn, d_x
+        )
+        h[touched, d_x:] -= config.learning_rate * dxp_rows
+        if dw is not None:
+            weights[...] -= config.learning_rate * dw
+        return loss
 
-    if best is not None:
-        x_final, w_final = best[1], best[2]
-    else:
-        x_final, w_final = h[:, d_x:].copy(), None if weights is None else weights.copy()
+    def valid_recall() -> float:
+        y = h if agg is None else (h + agg @ h) @ weights
+        return pair_recall(y, valid_pos, valid_neg)
+
+    def snapshot() -> tuple[np.ndarray, np.ndarray | None]:
+        return h[:, d_x:].copy(), None if weights is None else weights.copy()
+
+    trace, (x_final, w_final) = sgd_epochs(
+        pos, neg, config.epochs, config.batch_size, rng, step,
+        valid_recall if len(valid_pos) and len(valid_neg) else None, snapshot, (-np.inf, None),
+    )
     return replace(
         model, x_prime=x_final, encoder_weights=w_final, loss_trace=trace
     )

@@ -16,19 +16,21 @@ on the union keyspace with the training positives as its only edges
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import Graph, build_graph, node_intersection, union_graph
 
 __all__ = [
     "Regime",
     "SplitManifest",
     "sample_negatives",
+    "check_split_knobs",
     "make_split",
     "audit_manifest",
     "manifest_training_graph",
@@ -358,6 +360,18 @@ class SplitManifest:
         return cls.from_json(text)
 
 
+def check_split_knobs(neg_ratio, train_frac_outside) -> None:
+    """ConfigError naming every split knob out of range: ``neg_ratio`` must
+    be positive and ``train_frac_outside`` in [0, 1)."""
+    problems = []
+    if not isinstance(neg_ratio, numbers.Real) or not neg_ratio > 0:
+        problems.append(f"neg_ratio must be positive, got {neg_ratio!r}")
+    if not isinstance(train_frac_outside, numbers.Real) or not 0.0 <= train_frac_outside < 1.0:
+        problems.append(f"train_frac_outside must be in [0, 1), got {train_frac_outside!r}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
 def make_split(
     regime: Regime,
     src: Graph,
@@ -376,10 +390,7 @@ def make_split(
     graph, drawn inside/outside the source node set in proportion to the
     positive counts so each split keeps the negative ratio.
     """
-    if neg_ratio <= 0:
-        raise DataError("neg_ratio must be positive")
-    if not 0.0 <= train_frac_outside < 1.0:
-        raise DataError("train_frac_outside must be in [0, 1)")
+    check_split_knobs(neg_ratio, train_frac_outside)
     union = union if union is not None else union_graph(src, tar)
     rng = np.random.default_rng(seed)
 

@@ -257,7 +257,7 @@ def dense_train_scorer(config, g, manifest):
     Returns the selected (x_prime, encoder_weights).
     """
     from linkbridge.graph import mean_aggregator
-    from linkbridge.scorer import init_model, pair_indices, pair_loss, pair_recall
+    from linkbridge.scorer import batch_rows, init_model, pair_indices, pair_loss, pair_recall
 
     model = init_model(config, g)
     pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
@@ -266,9 +266,7 @@ def dense_train_scorer(config, g, manifest):
     h = model.input_matrix().copy()
     w = None if model.encoder_weights is None else model.encoder_weights.copy()
     agg = mean_aggregator(g) if config.encoder == "one_hop_mean" else None
-    l2, lr, mom = config.l2_weight, config.learning_rate, config.momentum
-    vel_xp = np.zeros_like(h[:, d_x:])
-    vel_w = None if w is None else np.zeros_like(w)
+    lr = config.learning_rate
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
     best = None
     for _ in range(config.epochs):
@@ -277,38 +275,21 @@ def dense_train_scorer(config, g, manifest):
         for start in range(0, len(epos), config.batch_size):
             bp = epos[start : start + config.batch_size]
             bn = eneg[start : start + config.batch_size]
-            rows, inv = np.unique(np.concatenate([bp.ravel(), bn.ravel()]),
-                                  return_inverse=True)
+            rows, inv = batch_rows(bp, bn)
             dh = np.zeros(h.shape)
             if agg is None:
                 _, dy = pair_loss(h[rows], inv, len(bp))
                 np.add.at(dh, rows, dy)
-                dw = None
             else:
                 agg_rows = agg[rows, :]
                 p_rows = h[rows] + agg_rows @ h
                 _, dy = pair_loss(p_rows @ w, inv, len(bp))
-                dw = p_rows.T @ dy
+                w_grad = p_rows.T @ dy
                 dp = dy @ w.T
                 np.add.at(dh, rows, dp)
                 dh += agg_rows.T @ dp
-                if l2:
-                    dw += 2.0 * l2 * w
-            dxp = dh[:, d_x:]
-            if l2:
-                dxp = dxp + 2.0 * l2 * h[:, d_x:]
-            if mom > 0:
-                vel_xp *= mom
-                vel_xp += dxp
-                h[:, d_x:] -= lr * vel_xp
-                if dw is not None:
-                    vel_w *= mom
-                    vel_w += dw
-                    w -= lr * vel_w
-            else:
-                h[:, d_x:] -= lr * dxp
-                if dw is not None:
-                    w -= lr * dw
+                w -= lr * w_grad
+            h[:, d_x:] -= lr * dh[:, d_x:]
         y = h if agg is None else (h + agg @ h) @ w
         rec = pair_recall(y, valid_pos, valid_neg)
         if best is None or rec > best[0]:
@@ -389,7 +370,7 @@ def dense_finetune(params, x_prime, manifest, g, config):
 
     Returns the selected ((w1, b1, w2, b2), x_prime).
     """
-    from linkbridge.scorer import pair_indices, pair_loss, pair_recall
+    from linkbridge.scorer import batch_rows, pair_indices, pair_loss, pair_recall
 
     params = [p.copy() for p in params]
     x_prime = x_prime.copy()
@@ -408,8 +389,7 @@ def dense_finetune(params, x_prime, manifest, g, config):
         for start in range(0, len(epos), config.finetune_batch_size):
             bp = epos[start : start + config.finetune_batch_size]
             bn = eneg[start : start + config.finetune_batch_size]
-            rows, inv = np.unique(np.concatenate([bp.ravel(), bn.ravel()]),
-                                  return_inverse=True)
+            rows, inv = batch_rows(bp, bn)
 
             def rank_grad(out, inv=inv, b=len(bp)):
                 return pair_loss(out, inv, b)

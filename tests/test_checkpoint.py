@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,19 @@ def test_student_checkpoint_loads_only_against_its_node_order(two_orders, tmp_pa
     assert np.allclose(load_student(path, g).x_prime, student.x_prime, atol=1e-6)
     with pytest.raises(DataError, match="node order"):
         load_student(path, other)
+
+
+def test_student_checkpoint_config_out_of_range_is_a_data_error(two_orders, tmp_path):
+    g, _ = two_orders
+    teacher = init_model(ScorerConfig(d_trainable=4, seed=2), g)
+    student = imitate(
+        embed(teacher, g), g, DistillConfig(hidden=4, max_epochs=1), x_prime=teacher.x_prime
+    )
+    path = tmp_path / "student.bin"
+    save_student(path, student, g)
+    line, _, blob = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    header["config"]["finetune_batch_size"] = 0
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    with pytest.raises(DataError, match="batch sizes must be >= 1"):
+        load_student(path, g)

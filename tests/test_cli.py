@@ -122,9 +122,14 @@ def test_run_succeeds(tmp_path):
     RUN_CONFIG | {"distill": {"seed": 123}},
     RUN_CONFIG | {"distill": {"batch_size": 0}},
     RUN_CONFIG | {"distill": {"finetune_batch_size": 0}},
+    RUN_CONFIG | {"scorer": {"momentum": 0.9}},
+    RUN_CONFIG | {"scorer": {"l2_weight": 1e-3}},
+    RUN_CONFIG | {"neg_ratio": -1},
+    RUN_CONFIG | {"train_frac_outside": 1.5},
 ], ids=["missing-file", "json-list", "regimes-int", "methods-int", "k-multipliers-int",
         "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
-        "distill-finetune-batch-size-0"])
+        "distill-finetune-batch-size-0", "scorer-momentum", "scorer-l2-weight",
+        "neg-ratio-negative", "train-frac-above-1"])
 def test_run_bad_config_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -158,6 +163,18 @@ def test_make_split_writes_the_library_manifest(tmp_path, small_pair):
     make_split(Regime.UNION_TO_TARGET, load_graph(tmp_path / "src"),
                load_graph(tmp_path / "tar"), seed=4).save(tmp_path / "lib.json")
     assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
+@pytest.mark.parametrize("knob", [["--neg-ratio", "-1"], ["--train-frac", "1.5"]],
+                         ids=["neg-ratio-negative", "train-frac-above-1"])
+def test_make_split_bad_knob_exits_2(tmp_path, small_pair, knob):
+    src, tar, _ = small_pair
+    save_graph(src, tmp_path / "src")
+    save_graph(tar, tmp_path / "tar")
+    code = main(["make-split", "--regime", "uni", "--src", str(tmp_path / "src"),
+                 "--tar", str(tmp_path / "tar"), *knob, "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.fixture
@@ -287,6 +304,28 @@ def test_checkpoint_from_another_node_order_exits_3(workspace, small_pair):
                  "--manifest", str(workspace / "m.json"), "--model",
                  str(workspace / "model.bin"), "--out", str(workspace / "out.tsv")])
     assert code == 3
+
+
+def _add_removed_config_keys(path):
+    """Rewrite a scorer checkpoint's header as it was written while the scorer
+    still had ``l2_weight`` and ``momentum`` knobs."""
+    line, _, blob = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    header["config"] |= {"l2_weight": 0.0, "momentum": 0.0}
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + blob)
+
+
+@pytest.mark.parametrize("command", ["propagate", "distill"])
+def test_checkpoint_config_with_an_unknown_key_exits_3(trained, command, capsys):
+    model = trained / "model.bin"
+    _add_removed_config_keys(model)
+    argv = {
+        "propagate": ["propagate", "--variant", "xmc", "--model", str(model)],
+        "distill": ["distill", "--teacher", str(model)],
+    }[command]
+    assert main(argv + _stage_args(trained)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(model) in err and "l2_weight" in err
 
 
 @pytest.mark.parametrize("k_mult", ["-1", "0"])

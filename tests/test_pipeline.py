@@ -51,13 +51,26 @@ def test_run_pipeline_accepts_graph_directories(tmp_path):
     report = run_pipeline(_config("out", dataset, ["scorer", "logit_lp"]), tmp_path)
     assert len(report.rows) == 2
     inputs = json.loads((tmp_path / "out" / "provenance.json").read_text())["inputs"]
-    assert sorted(inputs) == [str(tmp_path / "source"), str(tmp_path / "target")]
+    assert sorted(inputs) == ["source", "target"]
     # the digest covers every file in the directory
     (tmp_path / "source" / "notes.txt").write_text("added\n")
     run_pipeline(_config("out2", dataset, ["scorer"]), tmp_path)
     again = json.loads((tmp_path / "out2" / "provenance.json").read_text())["inputs"]
-    assert again[str(tmp_path / "source")] != inputs[str(tmp_path / "source")]
-    assert again[str(tmp_path / "target")] == inputs[str(tmp_path / "target")]
+    assert again["source"] != inputs["source"]
+    assert again["target"] == inputs["target"]
+
+
+def test_provenance_does_not_depend_on_the_base_directory(tmp_path):
+    src, tar, _ = generate_synthetic(SyntheticSpec(**SPEC))
+    dataset = {"kind": "files", "source": "source", "target": "target"}
+    written = []
+    for base in (tmp_path / "a", tmp_path / "a-much-longer-base-directory"):
+        save_graph(src, base / "source")
+        save_graph(tar, base / "target")
+        run_pipeline(_config("out", dataset, ["scorer"]), base)
+        written.append((base / "out" / "provenance.json").read_bytes())
+    assert written[0] == written[1]
+    assert sorted(json.loads(written[0])["inputs"]) == ["source", "target"]
 
 
 def test_report_echoes_the_derived_stage_seeds(tmp_path):

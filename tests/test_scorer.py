@@ -8,7 +8,6 @@ from linkbridge.graph import Graph, build_graph, mean_aggregator
 from linkbridge.scorer import (
     ScorerConfig,
     _batch_loss_and_grads,
-    _descend_xprime,
     auc_loss,
     embed,
     init_model,
@@ -125,7 +124,7 @@ def test_gradient_check(encoder, with_features):
         g = featured_graph()
     else:
         g = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d"), ("e", "a")])
-    cfg = ScorerConfig(d_trainable=3, encoder=encoder, seed=11, l2_weight=0.02, d_out=4)
+    cfg = ScorerConfig(d_trainable=3, encoder=encoder, seed=11, d_out=4)
     model = init_model(cfg, g)
     pos = np.array([[0, 1], [1, 2], [2, 3]])
     neg = np.array([[0, 2], [1, 3], [0, 3], [4, 2]])
@@ -135,6 +134,20 @@ def test_gradient_check(encoder, with_features):
         arr = getattr(model, name)
         fd = fd_grad(lambda: training_loss_and_grads(model, g, pos, neg)[0], arr)
         assert max_rel_error(analytic, fd) <= 1e-4, name
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: batch_rows lays a batch out pair "
+                   "by pair while pair_loss reads it in blocks, so the loss pairs the "
+                   "wrong endpoints")
+def test_training_loss_is_the_ranking_loss_of_the_true_edges():
+    g = build_graph([("a", "b"), ("c", "d"), ("a", "c"), ("b", "d")])
+    model = init_model(ScorerConfig(d_trainable=3, seed=1), g)
+    pos = np.array([[0, 1], [2, 3]])
+    neg = np.array([[0, 2], [1, 3]])
+    y = embed(model, g)
+    expected = auc_loss(score_edges(y, pos), score_edges(y, neg)) / 2
+    assert expected == pytest.approx(0.8878, abs=1e-4)
+    assert training_loss_and_grads(model, g, pos, neg)[0] == pytest.approx(expected)
 
 
 def _tiny_manifest_and_graph(seed=0):
@@ -196,21 +209,11 @@ def test_train_scorer_emits_loss_trace():
     assert all(np.isfinite(x) for x in model.loss_trace)
 
 
-def test_train_scorer_momentum_variant_runs():
-    manifest, g_train = _tiny_manifest_and_graph()
-    cfg = ScorerConfig(d_trainable=3, epochs=3, seed=2, momentum=0.9,
-                       learning_rate=0.01)
-    model = train_scorer(cfg, g_train, manifest)
-    assert np.all(np.isfinite(model.x_prime))
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         ScorerConfig(d_trainable=0).validate()
     with pytest.raises(ConfigError):
         ScorerConfig(encoder="other").validate()
-    with pytest.raises(ConfigError):
-        ScorerConfig(momentum=1.5).validate()
 
 
 def test_input_matrix_gathers_rows():
@@ -222,22 +225,15 @@ def test_input_matrix_gathers_rows():
     assert np.array_equal(bare.input_matrix(np.array([1])), bare.x_prime[[1]])
 
 
-@pytest.mark.parametrize(
-    "encoder, momentum, l2_weight",
-    [
-        ("embedding_only", 0.0, 0.0),
-        ("one_hop_mean", 0.0, 0.0),
-        ("embedding_only", 0.5, 0.0),
-        ("embedding_only", 0.0, 1e-3),
-        ("one_hop_mean", 0.5, 1e-3),
-    ],
-)
-def test_train_scorer_matches_dense_reference(small_pair, encoder, momentum, l2_weight):
+# the ids keep the momentum and L2 weight (both 0.0) that the test once varied
+@pytest.mark.parametrize("encoder", ["embedding_only", "one_hop_mean"],
+                         ids=lambda encoder: f"{encoder}-0.0-0.0")
+def test_train_scorer_matches_dense_reference(small_pair, encoder):
     src, tar, _ = small_pair
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=5)
     g_train = manifest_training_graph(manifest, src, tar)
     cfg = ScorerConfig(d_trainable=6, encoder=encoder, batch_size=32, epochs=3,
-                       seed=9, momentum=momentum, l2_weight=l2_weight, d_out=5)
+                       seed=9, d_out=5)
     model = train_scorer(cfg, g_train, manifest)
     x_ref, w_ref = dense_train_scorer(cfg, g_train, manifest)
     assert np.array_equal(model.x_prime, x_ref)
@@ -278,9 +274,9 @@ def test_training_step_memory_is_o_batch(encoder):
     tracemalloc.start()
     try:
         loss, touched, dxp_rows, dw = _batch_loss_and_grads(
-            h, model.encoder_weights, agg, cfg.encoder, pos, neg, d_x, cfg.l2_weight
+            h, model.encoder_weights, agg, cfg.encoder, pos, neg, d_x
         )
-        _descend_xprime(h, d_x, touched, dxp_rows, None, cfg)
+        h[touched, d_x:] -= cfg.learning_rate * dxp_rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
