@@ -6,6 +6,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .graph import Graph, mean_aggregator
@@ -64,33 +65,71 @@ def adamic_adar(g: Graph, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def ppr_vectors(
-    g: Graph, sources: np.ndarray, cfg: PprConfig, chunk: int = 256
-) -> np.ndarray:
-    """Personalized PageRank vectors, one column per source node.
+# Personalized PageRank sources are iterated this many columns at a time
+_CHUNK = 256
 
-    Power iteration of pi <- t*e_s + (1-t)*(P^T pi + dangling_mass*e_s);
-    random-walk mass stranded on degree-0 nodes restarts at the source, so
-    every column sums to one. Warns and keeps the last iterate if the
-    iteration budget runs out before ``tol`` is met.
+
+def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
+    """Symmetrized personalized PageRank, pi_u[v] + pi_v[u] per query pair.
+
+    pi_s is the power iteration pi <- t*e_s + (1-t)*(P^T pi + stranded*e_s)
+    from pi = e_s, with P = D^-1 A and the random-walk mass stranded on
+    degree-0 nodes restarting at the source. The sorted unique endpoints are
+    the sources, iterated 256 at a time; a chunk stops once the max-abs step
+    over its columns drops below ``tol``, or warns at ``iterations`` and keeps
+    the last iterate.
+
+    Only the rows and source columns of the non-isolated nodes are iterated,
+    and the floats are those of the iteration over all N nodes:
+
+    - A walk never reaches a degree-0 node: its row of P^T is empty, so every
+      iterate is exactly 0 on it. A live column strands no mass, and its step
+      is 0 on those rows.
+    - A degree-0 source's column stays exactly e_s (t + (1-t)*1 rounds to 1),
+      so its step is 0, and it scores 0 except on the pair (s, s).
+    - P^T restricted to the live nodes keeps each row's entries in order, so
+      every product entry is the same sum. The chunks, their step maxima and
+      hence their round counts and warnings are unchanged.
+
+    Memory is O(live nodes x 256) per chunk, not O(N x |sources|): each
+    chunk's scores are read off before the next one starts.
     """
+    edges = _check_edges(g, edges)
+    if edges.size == 0:
+        return np.zeros(0)
     cfg.validate()
-    sources = np.asarray(sources, dtype=np.int64)
-    n = g.num_nodes
-    p_t = mean_aggregator(g).T.tocsr()
-    dangling = g.degrees() == 0
     t = cfg.teleport
-    out = np.zeros((n, sources.size))
-    for start in range(0, sources.size, chunk):
-        cols = sources[start : start + chunk]
-        restart = np.zeros((n, cols.size))
-        restart[cols, np.arange(cols.size)] = 1.0
-        pi = restart.copy()
+    sources, inv = np.unique(edges.ravel(), return_inverse=True)
+    live_nodes = np.flatnonzero(g.degrees())
+    local = np.full(g.num_nodes, -1)
+    local[live_nodes] = np.arange(live_nodes.size)
+    # a live node's P^T row only holds its neighbours, which are live too
+    rows = mean_aggregator(g).T.tocsr()[live_nodes]
+    p_t = sp.csr_array(
+        (rows.data, local[rows.indices], rows.indptr),
+        shape=(live_nodes.size, live_nodes.size),
+    )
+
+    # the two reads per pair, pi_u[v] and pi_v[u]: the node read and the
+    # index of the source column it is read from
+    node = np.concatenate([edges[:, 1], edges[:, 0]])
+    col = inv.reshape(-1, 2).T.ravel()
+    # a read on a degree-0 node is 1 on its own column and 0 elsewhere
+    reads = (node == sources[col]).astype(np.float64)
+
+    for start in range(0, sources.size, _CHUNK):
+        chunk_local = local[sources[start : start + _CHUNK]]
+        live = np.flatnonzero(chunk_local >= 0)
+        seeds, slots = chunk_local[live], np.arange(live.size)
+        pi = np.zeros((live_nodes.size, live.size))
+        pi[seeds, slots] = 1.0
         converged = False
         for _ in range(cfg.iterations):
-            stranded = pi[dangling].sum(axis=0) if dangling.any() else 0.0
-            nxt = t * restart + (1.0 - t) * (p_t @ pi + restart * stranded)
-            delta = float(np.max(np.abs(nxt - pi)))
+            nxt = p_t @ pi
+            nxt *= 1.0 - t
+            nxt[seeds, slots] += t
+            step = np.subtract(nxt, pi, out=pi)
+            delta = float(np.abs(step, out=step).max(initial=0.0))
             pi = nxt
             if delta < cfg.tol:
                 converged = True
@@ -102,18 +141,11 @@ def ppr_vectors(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        out[:, start : start + cols.size] = pi
-    return out
-
-
-def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
-    """Symmetrized scores pi_u[v] + pi_v[u] per query pair."""
-    edges = _check_edges(g, edges)
-    if edges.size == 0:
-        return np.zeros(0)
-    sources, inv = np.unique(edges.ravel(), return_inverse=True)
-    pi = ppr_vectors(g, sources, cfg)
-    inv = inv.reshape(-1, 2)
-    u_col, v_col = inv[:, 0], inv[:, 1]
-    u_node, v_node = edges[:, 0], edges[:, 1]
-    return pi[v_node, u_col] + pi[u_node, v_col]
+        idx = np.flatnonzero(col // _CHUNK == start // _CHUNK)
+        slot = np.full(chunk_local.size, -1)
+        slot[live] = slots
+        row, s = local[node[idx]], slot[col[idx] - start]
+        hit = (row >= 0) & (s >= 0)
+        reads[idx[hit]] = pi[row[hit], s[hit]]
+    half = edges.shape[0]
+    return reads[:half] + reads[half:]

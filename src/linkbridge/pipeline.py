@@ -79,7 +79,7 @@ def _suite_config(
                 path = dataset.get(field)
                 if not path:
                     errors.append(f"dataset.{field} is required for kind=files")
-                elif not (base / path).exists() and not Path(path).exists():
+                elif not (base / path).exists():
                     errors.append(f"dataset.{field}: no such path {path!r}")
         elif kind == "synthetic":
             spec = dataset.get("spec")
@@ -227,12 +227,9 @@ def _load_dataset(
 ) -> tuple[Graph, Graph, list[Path]]:
     dataset = config["dataset"]
     if dataset["kind"] == "files":
-        def resolve(p: str) -> Path:
-            cand = Path(p)
-            return cand if cand.exists() else base_dir / p
-
-        src_path = resolve(dataset["source"])
-        tar_path = resolve(dataset["target"])
+        # relative to the base directory, as out_dir is; absolute stays absolute
+        src_path = base_dir / dataset["source"]
+        tar_path = base_dir / dataset["target"]
         return load_graph(src_path), load_graph(tar_path), [src_path, tar_path]
     spec = SyntheticSpec(**dataset["spec"])
     src, tar, heldout = generate_synthetic(spec)
@@ -275,7 +272,10 @@ def metric_row(
 
 def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport:
     """Execute selection -> scorer -> broadcast -> evaluation, persisting
-    manifests, checkpoints, score files, the report, and provenance."""
+    manifests, checkpoints, score files, the report, and provenance.
+
+    Relative ``out_dir`` and dataset paths resolve against ``base_dir``
+    (default: the working directory) only."""
     base = Path(base_dir) if base_dir is not None else Path.cwd()
     problems: list[str] = []
     suite, methods, regimes = _suite_config(config, base, problems)

@@ -153,7 +153,9 @@ class LineOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         diag = self._diag.reshape((-1,) + (1,) * (x.ndim - 1))
-        return self._c.T @ (self._c @ x) - diag * x
+        out = self._c.T @ (self._c @ x)
+        out -= diag * x
+        return out
 
 
 def line_operator(

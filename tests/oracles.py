@@ -2,13 +2,18 @@
 
 Everything here recomputes results from first principles with dense numpy
 and explicit loops; no code path is shared with the package internals,
-except in the dense reference trainers. Those reuse the package's seeded
-initialization, shuffling and batch ranking loss (checked by their own
-tests), and pin what the trainers' row-sparse steps replace: a dense N-row
-gradient per batch, applied to every row.
+except in the dense reference trainers and the chunked PPR reference. The
+trainers reuse the package's seeded initialization, shuffling and batch
+ranking loss (checked by their own tests), and pin what the trainers'
+row-sparse steps replace: a dense N-row gradient per batch, applied to every
+row. The PPR reference reuses the package's D^-1 A, so that its products sum
+in the same order, and pins what the live-node iteration replaces: the dense
+N x |sources| power iteration.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -141,6 +146,57 @@ def dense_ppr(n, edges, source, teleport, iterations):
         stranded = pi[~nz].sum()
         pi = teleport * e + (1.0 - teleport) * (p.T @ pi + stranded * e)
     return pi
+
+
+def chunked_ppr_vectors(g, sources, cfg, chunk: int = 256) -> np.ndarray:
+    """Personalized PageRank vectors over all N nodes, one column per source.
+
+    The dense chunked power iteration ``heuristics.ppr_scores`` replaces:
+    pi <- t*e_s + (1-t)*(P^T pi + dangling_mass*e_s) with a dense restart
+    matrix, stopping each chunk of ``chunk`` sources once its max-abs step
+    drops below ``tol`` and warning at ``iterations``.
+    """
+    from linkbridge.graph import mean_aggregator
+
+    cfg.validate()
+    sources = np.asarray(sources, dtype=np.int64)
+    n = g.num_nodes
+    p_t = mean_aggregator(g).T.tocsr()
+    dangling = g.degrees() == 0
+    t = cfg.teleport
+    out = np.zeros((n, sources.size))
+    for start in range(0, sources.size, chunk):
+        cols = sources[start : start + chunk]
+        restart = np.zeros((n, cols.size))
+        restart[cols, np.arange(cols.size)] = 1.0
+        pi = restart.copy()
+        converged = False
+        for _ in range(cfg.iterations):
+            stranded = pi[dangling].sum(axis=0) if dangling.any() else 0.0
+            nxt = t * restart + (1.0 - t) * (p_t @ pi + restart * stranded)
+            delta = float(np.max(np.abs(nxt - pi)))
+            pi = nxt
+            if delta < cfg.tol:
+                converged = True
+                break
+        if not converged:
+            warnings.warn(
+                f"personalized PageRank did not converge within {cfg.iterations} "
+                "iterations; using the last iterate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        out[:, start : start + cols.size] = pi
+    return out
+
+
+def chunked_ppr_scores(g, edges, cfg) -> np.ndarray:
+    """pi_u[v] + pi_v[u] per pair, read off the N x |sources| matrix."""
+    edges = np.asarray(edges, dtype=np.int64)
+    sources, inv = np.unique(edges.ravel(), return_inverse=True)
+    pi = chunked_ppr_vectors(g, sources, cfg)
+    inv = inv.reshape(-1, 2)
+    return pi[edges[:, 1], inv[:, 0]] + pi[edges[:, 0], inv[:, 1]]
 
 
 def dense_common_neighbors(n, edges, queries) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,11 +12,12 @@ from linkbridge.heuristics import (
     adamic_adar,
     common_neighbors,
     ppr_scores,
-    ppr_vectors,
 )
 
 from oracles import (
     brute_adamic_adar,
+    chunked_ppr_scores,
+    chunked_ppr_vectors,
     closed_form_ppr,
     dense_common_neighbors,
     dense_ppr,
@@ -70,7 +72,7 @@ def test_ppr_scores_match_closed_form(seed):
     # pi_u[v] + pi_v[u] is the same under P and P^T on an undirected graph
     # (d_u pi_u[v] = d_v pi_v[u]), so the walk direction is checked per vector
     sources = np.arange(g.num_nodes)
-    assert np.allclose(ppr_vectors(g, sources, cfg), pi.T, rtol=1e-9, atol=1e-12)
+    assert np.allclose(chunked_ppr_vectors(g, sources, cfg), pi.T, rtol=1e-9, atol=1e-12)
 
 
 def test_ppr_dangling_mass_restarts_at_source():
@@ -89,6 +91,64 @@ def test_ppr_dangling_mass_restarts_at_source():
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
     iso = g.key_to_id["e"]
     assert np.all(got[(queries == iso).any(axis=1)] == 0.0)
+
+
+def _sparse_graph(rng, n, n_live, m):
+    """n nodes, of which only the first n_live can carry any of the m edges."""
+    edges = random_graph_edges(rng, n_live, m)
+    return build_graph(
+        [(f"{u:06d}", f"{v:06d}") for u, v in edges],
+        extra_nodes=[f"{i:06d}" for i in range(n)],
+    )
+
+
+@pytest.mark.parametrize("cfg", [
+    PprConfig(),
+    PprConfig(teleport=0.1, iterations=4, tol=1e-9),
+], ids=["default", "non-converging"])
+def test_ppr_scores_equal_the_dense_chunked_iteration(cfg):
+    rng = np.random.default_rng(5)
+    g = _sparse_graph(rng, n=900, n_live=300, m=700)
+    degs = g.degrees()
+    queries = np.concatenate([
+        rng.integers(0, g.num_nodes, size=(500, 2)),
+        rng.choice(np.flatnonzero(degs), size=(200, 2)),
+        np.repeat(rng.integers(0, g.num_nodes, size=(6, 1)), 2, axis=1),
+    ])
+    sources = np.unique(queries)
+    assert sources.size > 2 * 256
+    assert np.any(degs[sources] == 0) and np.any(degs[sources] > 0)
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always", RuntimeWarning)
+        got = ppr_scores(g, queries, cfg)
+    with warnings.catch_warnings(record=True) as ref:
+        warnings.simplefilter("always", RuntimeWarning)
+        want = chunked_ppr_scores(g, queries, cfg)
+    assert np.array_equal(got, want)
+    assert len(ours) == len(ref)
+    # a chunk of degree-0 sources only steps by 0, so it converges anyway
+    assert (len(ours) > 0) == (cfg != PprConfig())
+    assert np.any(got > 0)
+
+
+def test_ppr_scores_memory_is_o_live_nodes():
+    """100k nodes, a few hundred of them with edges, a few thousand pairs:
+    far below the N x |sources| float64 matrix of the full iteration."""
+    rng = np.random.default_rng(7)
+    g = _sparse_graph(rng, n=100_000, n_live=400, m=1500)
+    queries = np.concatenate([
+        rng.integers(0, g.num_nodes, size=(2000, 2)),
+        rng.choice(np.flatnonzero(g.degrees()), size=(1000, 2)),
+    ])
+    dense_bytes = g.num_nodes * np.unique(queries).size * 8
+    tracemalloc.start()
+    try:
+        scores = ppr_scores(g, queries, PprConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(scores > 0)
+    assert peak < dense_bytes / 100
 
 
 @pytest.mark.parametrize("score", [

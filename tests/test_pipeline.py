@@ -73,6 +73,25 @@ def test_provenance_does_not_depend_on_the_base_directory(tmp_path):
     assert sorted(json.loads(written[0])["inputs"]) == ["source", "target"]
 
 
+def test_dataset_paths_resolve_against_the_base_directory(tmp_path, monkeypatch):
+    src, tar, _ = generate_synthetic(SyntheticSpec(**SPEC))
+    base = tmp_path / "base"
+    save_graph(src, base / "source")
+    save_graph(tar, base / "target")
+    # a decoy of another seed under the working directory, at the same path
+    decoy, _, _ = generate_synthetic(SyntheticSpec(**(SPEC | {"seed": 5})))
+    save_graph(decoy, tmp_path / "cwd" / "source")
+    monkeypatch.chdir(tmp_path / "cwd")
+    dataset = {"kind": "files", "source": "source", "target": "target"}
+    report = run_pipeline(_config("out", dataset, ["scorer"]), base)
+    expected = run_pipeline(_config("ref", dataset | {
+        "source": str(base / "source"), "target": str(base / "target"),
+    }, ["scorer"]), tmp_path)
+    assert [row | {"runtime_seconds": 0} for row in report.rows] == [
+        row | {"runtime_seconds": 0} for row in expected.rows
+    ]
+
+
 def test_report_echoes_the_derived_stage_seeds(tmp_path):
     dataset = {"kind": "synthetic", "spec": SPEC}
     report = run_pipeline(_config("out", dataset, ["scorer"]), tmp_path)
