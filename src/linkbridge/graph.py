@@ -142,10 +142,8 @@ def _canonicalize_edges(
         pairs.append((u, v) if u < v else (v, u))
     if pairs:
         arr = np.array(pairs, dtype=np.int64)
-        uniq = np.unique(arr, axis=0)
-        duplicates = arr.shape[0] - uniq.shape[0]
-        order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-        edges = uniq[order]
+        edges = np.unique(arr, axis=0)  # rows in lexicographic order
+        duplicates = arr.shape[0] - edges.shape[0]
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
         duplicates = 0
@@ -265,8 +263,6 @@ def union_graph(g1: Graph, g2: Graph) -> Graph:
     merged = np.concatenate([remap(g1), remap(g2)], axis=0)
     if merged.size:
         merged = np.unique(merged, axis=0)
-        order = np.lexsort((merged[:, 1], merged[:, 0]))
-        merged = merged[order]
     indptr, indices = _csr_from_edges(len(keys), merged)
     feats = _merge_features(g1, g2, keys)
 

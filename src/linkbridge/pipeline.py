@@ -49,8 +49,7 @@ from .scorer import ScorerConfig, embed, score_edges, train_scorer
 from .seeds import derive_seed
 from .selection import Regime, check_split_knobs, make_split, manifest_training_graph
 
-__all__ = ["validate_config", "run_pipeline", "write_provenance", "fit_scorer",
-           "metric_row"]
+__all__ = ["run_pipeline", "write_provenance", "fit_scorer", "metric_row"]
 
 # sections whose seed is derive_seed(run seed, section name)
 _SEEDED = ("scorer", "distill")
@@ -165,13 +164,6 @@ def _suite_config(
         **sections,
     )
     return suite, list(methods), parsed
-
-
-def validate_config(config: dict, base_dir: Path | None = None) -> list[str]:
-    """Schema and cross-field checks; every problem reported at once."""
-    errors: list[str] = []
-    _suite_config(config, base_dir or Path.cwd(), errors)
-    return errors
 
 
 def _sha256_input(path: Path) -> str:

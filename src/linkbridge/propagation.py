@@ -240,10 +240,11 @@ def diffuse(
             f"operator rows {operator.shape[0]} != state rows {z.shape[0]}"
         )
     alpha = cfg.alpha
+    g_term = (1.0 - alpha) * g_mat
     for _k in range(cfg.k_max):
         z_next = operator @ z
         z_next *= alpha
-        z_next += (1.0 - alpha) * g_mat
+        z_next += g_term
         if not np.isfinite(z_next).all():
             raise NumericError(f"diffusion produced non-finite values at step {_k}")
         if z.size:
@@ -251,6 +252,7 @@ def diffuse(
             # dropped below, so the step difference overwrites it
             step = np.subtract(z_next, z, out=z if _k else None)
             delta = float(np.abs(step, out=step).max())
+            del step  # freed before the next product, where the peak memory is
         else:
             delta = 0.0
         z = z_next
@@ -306,7 +308,7 @@ def emb_lp(
     pos: np.ndarray | Sequence,
     y: np.ndarray,
     cfg: DiffusionConfig,
-    query_edges: np.ndarray | Sequence | None = None,
+    query_edges: np.ndarray | Sequence,
 ) -> np.ndarray:
     """Unsupervised embedding diffusion over the positive-edge graph.
 
@@ -314,8 +316,7 @@ def emb_lp(
     endpoint order). After diffusion the two halves are handed back to the
     endpoints and averaged over incident edges; nodes without a positive
     edge keep their original embedding. Query edges are scored by dot
-    product of the updated node embeddings. Returns updated embeddings when
-    ``query_edges`` is None.
+    product of the updated node embeddings.
     """
     lo, hi = _line_edges(g.num_nodes, pos)
     operator = LineOperator(g.num_nodes, lo, hi)
@@ -336,8 +337,6 @@ def emb_lp(
     np.add.at(counts, hi, 1.0)
     touched = counts > 0
     y_upd[touched] = sums[touched] / counts[touched, None]
-    if query_edges is None:
-        return y_upd
     q = _as_canonical_ids(query_edges)
     return np.einsum("ij,ij->i", y_upd[q[:, 0]], y_upd[q[:, 1]])
 

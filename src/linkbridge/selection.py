@@ -47,6 +47,9 @@ ENUMERATION_NODES = 2048
 NEG_RATIO = 2.0
 TRAIN_FRAC_OUTSIDE = 0.2
 
+# the manifest's splits, in all_edges() and JSON order
+SPLIT_NAMES = ("train_pos", "train_neg", "valid_pos", "valid_neg", "test_pos", "test_neg")
+
 
 class Regime(str, Enum):
     """Which training graph feeds the scorer."""
@@ -57,23 +60,17 @@ class Regime(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Regime":
-        aliases = {
-            "tar": cls.TARGET_TO_TARGET,
-            "uni": cls.UNION_TO_TARGET,
-            "int": cls.INTERSECTION_TO_TARGET,
-        }
+        """A regime by its value or its short name."""
         text = str(text).strip().lower()
-        if text in aliases:
-            return aliases[text]
-        try:
-            return cls(text)
-        except ValueError:
-            raise DataError(f"unknown regime {text!r}") from None
+        for regime in cls:
+            if text in (regime.value, regime.short):
+                return regime
+        raise DataError(f"unknown regime {text!r}")
 
     @property
     def short(self) -> str:
-        return {"target_to_target": "tar", "union_to_target": "uni",
-                "intersection_to_target": "int"}[self.value]
+        """The value's first three letters: ``tar``, ``uni`` or ``int``."""
+        return self.value[:3]
 
 
 def _canon(a: str, b: str) -> Pair:
@@ -103,34 +100,14 @@ def _regime_positives(regime: Regime, src: Graph, tar: Graph, union: Graph) -> l
 # ---------------------------------------------------------------------------
 # negative sampling
 
-def _edge_code_set(g: Graph) -> np.ndarray:
-    """Sorted uint64 codes of existing canonical edges, for O(log E) lookup."""
-    n = np.uint64(g.num_nodes)
-    codes = g.edges[:, 0].astype(np.uint64) * n + g.edges[:, 1].astype(np.uint64)
-    return np.sort(codes)
-
-
-def _codes_exist(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(sorted_codes, codes)
-    pos = np.minimum(pos, max(len(sorted_codes) - 1, 0))
-    if len(sorted_codes) == 0:
-        return np.zeros(len(codes), dtype=bool)
-    return sorted_codes[pos] == codes
-
-
-def _cross_side_ok(g: Graph, u: np.ndarray, v: np.ndarray, bipartite: bool) -> np.ndarray:
-    if not bipartite or g.sides is None:
-        return np.ones(u.shape, dtype=bool)
-    return g.sides[u] != g.sides[v]
-
-
 def _enumerate_non_edges(
-    g: Graph, pool: np.ndarray, outside_only: np.ndarray | None, bipartite: bool
+    g: Graph, pool: np.ndarray, outside_only: np.ndarray | None
 ) -> np.ndarray:
     """Exhaustive fallback: every candidate non-edge within the pool as (m, 2).
 
     Only the pool's nodes are enumerated, so the grid is |pool| x |pool|, not
-    N x N; pairs come in ascending (u, v) order.
+    N x N; pairs come in ascending (u, v) order. A graph with ``sides`` keeps
+    only cross-side pairs.
     """
     nodes = np.unique(pool)
     k = nodes.size
@@ -149,7 +126,7 @@ def _enumerate_non_edges(
     if outside_only is not None:
         out = np.isin(nodes, outside_only)
         mask &= out[uu] | out[vv]
-    if bipartite and g.sides is not None:
+    if g.sides is not None:
         sides = g.sides[nodes]
         mask &= sides[uu] != sides[vv]
     return np.stack([nodes[uu[mask]], nodes[vv[mask]]], axis=1)
@@ -161,25 +138,43 @@ def _rejection_sample_pairs(
     rng: np.random.Generator,
     inside_pool: np.ndarray,
     outside_pool: np.ndarray | None = None,
-    bipartite: bool = False,
-    taken: set[int] | None = None,
-) -> list[tuple[int, int]]:
-    """Sample ``count`` distinct non-adjacent pairs uniformly from a stratum.
+    taken: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``count`` distinct non-adjacent pairs from a stratum.
 
     With ``outside_pool`` unset, the stratum is all pairs within
-    ``inside_pool``. Otherwise it is all pairs with at least one endpoint in
-    ``outside_pool`` (the other drawn from ``inside_pool`` or ``outside_pool``
-    with the exact category weights, so the stratum stays uniform). Pairs are
-    rejected when adjacent in ``g``, already taken, self-pairs, or same-side
-    in bipartite mode. Falls back to exhaustive enumeration when the graph is
-    small and rejection stalls.
+    ``inside_pool``, drawn uniformly. Otherwise it is all pairs with at least
+    one endpoint in ``outside_pool``: the other endpoint comes from
+    ``outside_pool`` with weight o(o-1)/2 against o*s for ``inside_pool``.
+    Self-pairs drawn from the outside pool are rejected afterwards, so
+    outside-outside pairs come at (o-1)/o of the rate of outside-inside
+    pairs; the stratum is not quite uniform. Pairs are rejected when
+    adjacent in ``g``, already in ``taken`` (sorted uint64 codes
+    ``lo * N + hi``), self-pairs, or same-side when ``g`` has ``sides``.
+    Falls back to exhaustive enumeration after eight batches without a new
+    pair.
+
+    Returns the (lo, hi) pairs in draw order as a (count, 2) array and
+    ``taken`` with their codes added.
     """
+    taken = np.zeros(0, dtype=np.uint64) if taken is None else taken
     if count == 0:
-        return []
+        return np.zeros((0, 2), dtype=np.int64), taken
     n = np.uint64(g.num_nodes)
-    sorted_codes = _edge_code_set(g)
-    taken = taken if taken is not None else set()
-    out: list[tuple[int, int]] = []
+
+    def code(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        return lo.astype(np.uint64) * n + hi.astype(np.uint64)
+
+    # sorted codes of edges and taken pairs, disjoint sets, so a sort merges
+    # them; the sentinel n*n encodes no pair, so searchsorted always lands
+    # on an entry
+    blocked = np.sort(np.concatenate([code(g.edges[:, 0], g.edges[:, 1]), taken, [n * n]]))
+
+    def fresh(codes: np.ndarray) -> np.ndarray:
+        return codes[blocked[np.searchsorted(blocked, codes)] != codes]
+
+    picked: list[np.ndarray] = []
+    need = count
 
     if outside_pool is not None:
         o, s = len(outside_pool), len(inside_pool)
@@ -188,8 +183,6 @@ def _rejection_sample_pairs(
         if w_oo + w_os <= 0:
             raise DataError("outside stratum has no candidate pairs")
         p_oo = w_oo / (w_oo + w_os)
-    else:
-        p_oo = None
 
     def draw(batch: int) -> tuple[np.ndarray, np.ndarray]:
         if outside_pool is None:
@@ -206,56 +199,45 @@ def _rejection_sample_pairs(
             v[~both_out] = inside_pool[rng.integers(0, len(inside_pool), size=batch - k)]
         return u, v
 
-    def accept_array(u: np.ndarray, v: np.ndarray) -> None:
+    stalls = 0
+    while need > 0:
+        u, v = draw(max(1024, 2 * need))
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         ok = lo != hi
-        ok &= _cross_side_ok(g, lo, hi, bipartite)
-        codes = lo.astype(np.uint64) * n + hi.astype(np.uint64)
-        ok &= ~_codes_exist(codes, sorted_codes)
-        for i in np.flatnonzero(ok):
-            code = int(codes[i])
-            if code in taken:
-                continue
-            taken.add(code)
-            out.append((int(lo[i]), int(hi[i])))
-            if len(out) >= count:
-                return
-
-    stalls = 0
-    while len(out) < count:
-        batch = max(1024, 2 * (count - len(out)))
-        before = len(out)
-        u, v = draw(batch)
-        accept_array(u, v)
-        stalls = stalls + 1 if len(out) == before else 0
+        if g.sides is not None:
+            ok &= g.sides[lo] != g.sides[hi]
+        codes = fresh(code(lo[ok], hi[ok]))
+        # first draw of each code, in draw order
+        _, first = np.unique(codes, return_index=True)
+        new = codes[np.sort(first)][:need]
+        stalls = 0 if new.size else stalls + 1
         if stalls >= 8:
             pool = inside_pool if outside_pool is None else np.concatenate([inside_pool, outside_pool])
-            cand = _enumerate_non_edges(g, pool, outside_pool, bipartite)
-            codes = cand[:, 0].astype(np.uint64) * n + cand[:, 1].astype(np.uint64)
-            fresh = np.array([c not in taken for c in codes.tolist()], dtype=bool)
-            cand = cand[fresh]
-            need = count - len(out)
-            if cand.shape[0] < need:
+            cand = _enumerate_non_edges(g, pool, outside_pool)
+            cand = fresh(code(cand[:, 0], cand[:, 1]))
+            if cand.size < need:
                 raise DataError(
-                    f"graph too dense: only {cand.shape[0] + len(out)} candidate "
+                    f"graph too dense: only {cand.size + count - need} candidate "
                     f"negative pairs available, {count} requested"
                 )
-            pick = rng.choice(cand.shape[0], size=need, replace=False)
-            for i in pick:
-                u_i, v_i = int(cand[i, 0]), int(cand[i, 1])
-                taken.add(u_i * int(n) + v_i)
-                out.append((u_i, v_i))
-    return out
+            new = cand[rng.choice(cand.size, size=need, replace=False)]
+        picked.append(new)
+        blocked = np.sort(np.concatenate([blocked, new]))
+        need -= new.size
+    codes = np.concatenate(picked)
+    pairs = np.stack([codes // n, codes % n], axis=1).astype(np.int64)
+    return pairs, np.sort(np.concatenate([taken, codes]))
 
 
-def sample_negatives(
-    g: Graph, count: int, seed: int, bipartite_aware: bool = False
-) -> list[Pair]:
-    """Uniformly sample ``count`` distinct non-edges of ``g`` as key pairs."""
+def sample_negatives(g: Graph, count: int, seed: int) -> list[Pair]:
+    """Uniformly sample ``count`` distinct non-edges of ``g`` as key pairs.
+
+    A graph with ``sides`` is bipartite: only cross-side pairs qualify.
+    """
     if count < 0:
         raise DataError("negative count must be >= 0")
     n = g.num_nodes
-    if bipartite_aware and g.sides is not None:
+    if g.sides is not None:
         n0 = int((g.sides == 0).sum())
         cross_edges = int((g.sides[g.edges[:, 0]] != g.sides[g.edges[:, 1]]).sum())
         available = n0 * (n - n0) - cross_edges
@@ -266,15 +248,8 @@ def sample_negatives(
             f"graph too dense: {available} non-edges available, {count} requested"
         )
     rng = np.random.default_rng(seed)
-    pool = np.arange(n, dtype=np.int64)
-    # exhaustive path when rejection would thrash (small and nearly full)
-    if n <= ENUMERATION_NODES and count > 0.5 * available:
-        cand = _enumerate_non_edges(g, pool, None, bipartite_aware)
-        pick = np.sort(rng.choice(cand.shape[0], size=count, replace=False))
-        pairs = [(int(u), int(v)) for u, v in cand[pick]]
-    else:
-        pairs = _rejection_sample_pairs(g, count, rng, pool, bipartite=bipartite_aware)
-    return [_canon(g.keys[u], g.keys[v]) for u, v in pairs]
+    pairs, _ = _rejection_sample_pairs(g, count, rng, np.arange(n, dtype=np.int64))
+    return [_canon(g.keys[u], g.keys[v]) for u, v in pairs.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +274,11 @@ class SplitManifest:
     test_neg: tuple[Pair, ...]
 
     def splits(self) -> dict[str, tuple[Pair, ...]]:
-        return {
-            "train_pos": self.train_pos,
-            "train_neg": self.train_neg,
-            "valid_pos": self.valid_pos,
-            "valid_neg": self.valid_neg,
-            "test_pos": self.test_pos,
-            "test_neg": self.test_neg,
-        }
+        return {name: getattr(self, name) for name in SPLIT_NAMES}
 
     def all_edges(self) -> list[Pair]:
         """Canonical edge ordering used for logit vectors and line graphs."""
-        out: list[Pair] = []
-        for name in ("train_pos", "train_neg", "valid_pos",
-                     "valid_neg", "test_pos", "test_neg"):
-            out.extend(getattr(self, name))
-        return out
+        return [pair for name in SPLIT_NAMES for pair in getattr(self, name)]
 
     def to_json(self) -> str:
         payload = {
@@ -327,23 +291,18 @@ class SplitManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitManifest":
-        def tup(name: str) -> tuple[Pair, ...]:
-            return tuple(_canon(str(a), str(b)) for a, b in splits[name])
-
         # ValueError covers invalid JSON as well as bad numbers and pairs
         try:
             payload = json.loads(text)
-            splits = payload["splits"]
+            splits = {
+                name: tuple(_canon(str(a), str(b)) for a, b in payload["splits"][name])
+                for name in SPLIT_NAMES
+            }
             return cls(
                 regime=Regime.parse(payload["regime"]),
                 seed=int(payload["seed"]),
                 neg_ratio=float(payload["neg_ratio"]),
-                train_pos=tup("train_pos"),
-                train_neg=tup("train_neg"),
-                valid_pos=tup("valid_pos"),
-                valid_neg=tup("valid_neg"),
-                test_pos=tup("test_pos"),
-                test_neg=tup("test_neg"),
+                **splits,
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"malformed manifest: {exc!r}") from exc
@@ -416,29 +375,20 @@ def make_split(
     # negative strata over the union graph
     src_ids = union.ids_for([k for k in union.keys if k in src_keys])
     outside_ids = union.ids_for([k for k in union.keys if k not in src_keys])
-    bipartite = union.sides is not None
-    taken: set[int] = set()
 
     n_in_neg = int(round(neg_ratio * len(inside_pos)))
     n_tr_out_neg = int(round(neg_ratio * n_train_out))
     n_va_neg = int(round(neg_ratio * len(valid_pos)))
     n_te_neg = int(round(neg_ratio * len(test_pos)))
 
-    inside_neg_ids = _rejection_sample_pairs(
-        union, n_in_neg, rng, src_ids, bipartite=bipartite, taken=taken
-    )
-    outside_neg_ids = _rejection_sample_pairs(
-        union,
-        n_tr_out_neg + n_va_neg + n_te_neg,
-        rng,
-        src_ids,
-        outside_pool=outside_ids,
-        bipartite=bipartite,
-        taken=taken,
+    inside_neg_ids, taken = _rejection_sample_pairs(union, n_in_neg, rng, src_ids)
+    outside_neg_ids, _ = _rejection_sample_pairs(
+        union, n_tr_out_neg + n_va_neg + n_te_neg, rng, src_ids,
+        outside_pool=outside_ids, taken=taken,
     )
 
-    def to_keys(pairs: list[tuple[int, int]]) -> list[Pair]:
-        return [_canon(union.keys[u], union.keys[v]) for u, v in pairs]
+    def to_keys(pairs: np.ndarray) -> list[Pair]:
+        return [_canon(union.keys[u], union.keys[v]) for u, v in pairs.tolist()]
 
     train_neg = to_keys(inside_neg_ids) + to_keys(outside_neg_ids[:n_tr_out_neg])
     valid_neg = to_keys(outside_neg_ids[n_tr_out_neg : n_tr_out_neg + n_va_neg])

@@ -307,6 +307,77 @@ def grid_non_edges(n, edges, u_pool, v_pool, outside_only=None, sides=None):
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
+def loop_rejection_sample_pairs(g, count, rng, inside_pool, outside_pool=None, taken=None):
+    """Per-pair loop reference of ``selection._rejection_sample_pairs``.
+
+    The same draws from the same RNG stream, accepted one pair at a time
+    against a Python set of codes ``lo * N + hi`` (``taken``, updated in
+    place); the exhaustive fallback enumerates the full grid with
+    ``grid_non_edges``. Returns a list of (lo, hi) tuples in draw order.
+    """
+    from linkbridge.errors import DataError
+
+    if count == 0:
+        return []
+    n = g.num_nodes
+    edge_codes = {int(u) * n + int(v) for u, v in g.edges}
+    taken = taken if taken is not None else set()
+    out = []
+
+    if outside_pool is not None:
+        o, s = len(outside_pool), len(inside_pool)
+        w_oo = o * (o - 1) / 2.0
+        w_os = float(o * s)
+        p_oo = w_oo / (w_oo + w_os)
+
+    def draw(batch):
+        if outside_pool is None:
+            u = inside_pool[rng.integers(0, len(inside_pool), size=batch)]
+            v = inside_pool[rng.integers(0, len(inside_pool), size=batch)]
+            return u, v
+        both_out = rng.random(batch) < p_oo
+        u = outside_pool[rng.integers(0, len(outside_pool), size=batch)]
+        v = np.empty(batch, dtype=np.int64)
+        k = int(both_out.sum())
+        if k:
+            v[both_out] = outside_pool[rng.integers(0, len(outside_pool), size=k)]
+        if batch - k:
+            v[~both_out] = inside_pool[rng.integers(0, len(inside_pool), size=batch - k)]
+        return u, v
+
+    stalls = 0
+    while len(out) < count:
+        before = len(out)
+        u, v = draw(max(1024, 2 * (count - len(out))))
+        for a, b in zip(u.tolist(), v.tolist()):
+            lo, hi = min(a, b), max(a, b)
+            code = lo * n + hi
+            if lo == hi or code in edge_codes or code in taken:
+                continue
+            if g.sides is not None and g.sides[lo] == g.sides[hi]:
+                continue
+            taken.add(code)
+            out.append((lo, hi))
+            if len(out) >= count:
+                break
+        stalls = stalls + 1 if len(out) == before else 0
+        if stalls >= 8:
+            pool = inside_pool if outside_pool is None else np.concatenate([inside_pool, outside_pool])
+            outside = None if outside_pool is None else set(outside_pool.tolist())
+            cand = grid_non_edges(n, g.edges.tolist(), pool, pool, outside, g.sides)
+            cand = [(u, v) for u, v in cand.tolist() if u * n + v not in taken]
+            need = count - len(out)
+            if len(cand) < need:
+                raise DataError(
+                    f"graph too dense: only {len(cand) + len(out)} candidate "
+                    f"negative pairs available, {count} requested"
+                )
+            for i in rng.choice(len(cand), size=need, replace=False):
+                taken.add(cand[i][0] * n + cand[i][1])
+                out.append(cand[i])
+    return out
+
+
 def dense_train_scorer(config, g, manifest):
     """Scorer training with the dense N-row X' gradient and full-table update.
 

@@ -351,7 +351,7 @@ def test_emb_lp_matches_dense_oracle(rng):
 
 def test_emb_lp_empty_pos_error(triangle):
     with pytest.raises(DataError):
-        emb_lp(triangle, np.zeros((0, 2), dtype=int), np.eye(3), DiffusionConfig(), None)
+        emb_lp(triangle, np.zeros((0, 2), dtype=int), np.eye(3), DiffusionConfig(), [(0, 1)])
 
 
 def test_xmc_alpha_zero_limit_is_raw_logits(rng):

@@ -13,9 +13,10 @@ from linkbridge.selection import (
     sample_negatives,
     _enumerate_non_edges,
     _regime_positives,
+    _rejection_sample_pairs,
 )
 
-from oracles import grid_non_edges, random_graph_edges
+from oracles import grid_non_edges, loop_rejection_sample_pairs, random_graph_edges
 
 
 def canon(pairs):
@@ -134,10 +135,10 @@ def test_sample_negatives_uniform():
 def test_sample_negatives_bipartite():
     sides = {"a": 0, "b": 1, "c": 0, "d": 1}
     g = build_graph([("a", "b"), ("c", "d")], sides=sides)
-    negs = sample_negatives(g, 2, seed=1, bipartite_aware=True)
+    negs = sample_negatives(g, 2, seed=1)
     assert canon(negs) == {("a", "d"), ("b", "c")}
     with pytest.raises(DataError):
-        sample_negatives(g, 3, seed=1, bipartite_aware=True)
+        sample_negatives(g, 3, seed=1)
 
 
 @pytest.mark.parametrize("bipartite", [False, True])
@@ -148,13 +149,13 @@ def test_enumerate_non_edges_matches_full_grid(rng, bipartite, with_outside):
     sides = {f"n{i}": int(rng.integers(0, 2)) for i in range(n)} if bipartite else None
     g = build_graph([(f"n{u}", f"n{v}") for u, v in edges],
                     extra_nodes=[f"n{i}" for i in range(n)], sides=sides)
+    assert (g.sides is not None) == bipartite
     pool = np.sort(rng.choice(n, size=12, replace=False))
     outside = np.sort(rng.choice(np.setdiff1d(np.arange(n), pool), size=6, replace=False))
     pool = np.concatenate([pool, outside]) if with_outside else pool
-    got = _enumerate_non_edges(g, pool, outside if with_outside else None, bipartite)
+    got = _enumerate_non_edges(g, pool, outside if with_outside else None)
     want = grid_non_edges(n, g.edges.tolist(), pool, pool,
-                          set(outside.tolist()) if with_outside else None,
-                          g.sides if bipartite else None)
+                          set(outside.tolist()) if with_outside else None, g.sides)
     assert len(want) > 0
     assert np.array_equal(got, want)
 
@@ -164,7 +165,123 @@ def test_enumerate_non_edges_refuses_large_pools():
     g = build_graph([("n0", "n1")], extra_nodes=[f"n{i}" for i in range(n)])
     pool = np.arange(n)
     with pytest.raises(DataError, match="cannot enumerate"):
-        _enumerate_non_edges(g, pool, None, False)
+        _enumerate_non_edges(g, pool, None)
+
+
+def _numbered_graph(n, edges, sides=None):
+    return build_graph([(f"n{u:03d}", f"n{v:03d}") for u, v in edges],
+                       extra_nodes=[f"n{i:03d}" for i in range(n)], sides=sides)
+
+
+def _assert_matches_loop(g, count, seed, inside, outside=None):
+    """Draw with the array sampler and the loop reference from one seed;
+    both must return the same pairs in the same order and the same codes."""
+    got, got_taken = _rejection_sample_pairs(
+        g, count, np.random.default_rng(seed), inside, outside)
+    want_taken = set()
+    want = loop_rejection_sample_pairs(
+        g, count, np.random.default_rng(seed), inside, outside, want_taken)
+    assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(-1, 2))
+    assert got_taken.dtype == np.uint64
+    assert np.array_equal(got_taken, np.array(sorted(want_taken), dtype=np.uint64))
+    return got, got_taken
+
+
+def _strata(rng, n, n_inside):
+    inside = np.sort(rng.choice(n, size=n_inside, replace=False))
+    return inside, np.setdiff1d(np.arange(n), inside)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_rejection_sampler_matches_loop_reference_inside(seed):
+    rng = np.random.default_rng(100 + seed)
+    g = _numbered_graph(60, random_graph_edges(rng, 60, 300))
+    inside, _ = _strata(rng, 60, 35)
+    pairs, _ = _assert_matches_loop(g, 250, seed, inside)
+    assert len(pairs) == 250
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_rejection_sampler_matches_loop_reference_outside_after_inside(seed):
+    rng = np.random.default_rng(200 + seed)
+    g = _numbered_graph(50, random_graph_edges(rng, 50, 200))
+    inside, outside = _strata(rng, 50, 30)
+    # one generator across both strata and the inside call's codes carried
+    # over, as make_split draws them
+    gen, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    _, taken = _rejection_sample_pairs(g, 200, gen, inside)
+    taken_ref = set()
+    loop_rejection_sample_pairs(g, 200, gen_ref, inside, None, taken_ref)
+    got, got_taken = _rejection_sample_pairs(g, 400, gen, inside, outside, taken)
+    want = loop_rejection_sample_pairs(g, 400, gen_ref, inside, outside, taken_ref)
+    assert np.array_equal(got, np.array(want, dtype=np.int64))
+    assert np.array_equal(got_taken, np.array(sorted(taken_ref), dtype=np.uint64))
+    assert len(got_taken) == 600
+    assert (np.isin(got[:, 0], outside) | np.isin(got[:, 1], outside)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("with_outside", [False, True])
+def test_rejection_sampler_matches_loop_reference_with_sides(seed, with_outside):
+    rng = np.random.default_rng(300 + seed)
+    n = 40
+    sides = {f"n{i:03d}": int(rng.integers(0, 2)) for i in range(n)}
+    g = _numbered_graph(n, random_graph_edges(rng, n, 150), sides=sides)
+    inside, outside = _strata(rng, n, 25)
+    pairs, _ = _assert_matches_loop(
+        g, 80, seed, inside, outside if with_outside else None)
+    assert (g.sides[pairs[:, 0]] != g.sides[pairs[:, 1]]).all()
+
+
+def test_rejection_sampler_matches_loop_reference_through_fallback(monkeypatch):
+    # K_300 less six edges: a batch of 1024 draws hits a non-edge with
+    # probability about 0.13, so every seed stalls eight batches in a row
+    # before it has all six
+    n = 300
+    missing = {(3, 150), (40, 41), (0, 299), (7, 8), (100, 250), (150, 151)}
+    g = _numbered_graph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in missing])
+    enumerated = []
+    monkeypatch.setattr(
+        "linkbridge.selection._enumerate_non_edges",
+        lambda *args: enumerated.append(1) or _enumerate_non_edges(*args))
+    for seed in range(8):
+        pairs, _ = _assert_matches_loop(g, len(missing), seed, np.arange(n))
+        assert {tuple(p) for p in pairs.tolist()} == missing
+    assert len(enumerated) == 8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rejection_sampler_too_dense_matches_loop_reference(seed):
+    # K_5 less one edge: rejection takes the one non-edge, stalls, and the
+    # fallback finds nothing left for the second
+    g = _numbered_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (1, 3)])
+    msg = "only 1 candidate negative pairs available, 2 requested"
+    with pytest.raises(DataError, match=msg):
+        _rejection_sample_pairs(g, 2, np.random.default_rng(seed), np.arange(5))
+    with pytest.raises(DataError, match=msg):
+        loop_rejection_sample_pairs(g, 2, np.random.default_rng(seed), np.arange(5))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "outside-outside pairs are drawn at (o-1)/o of the outside-inside rate: "
+    "p_oo weighs o(o-1)/2 where o^2/2 is needed, because self-pairs are "
+    "rejected after the draw"))
+def test_outside_stratum_is_uniform():
+    # 2 inside, 2 outside, no edges: five stratum pairs, each due 1/5 of draws
+    g = build_graph([], extra_nodes=["i0", "i1", "o0", "o1"])
+    inside, outside = np.array([0, 1]), np.array([2, 3])
+    counts = {}
+    seeds = 2000
+    for seed in range(seeds):
+        pairs, _ = _rejection_sample_pairs(
+            g, 1, np.random.default_rng(seed), inside, outside)
+        pair = tuple(pairs[0].tolist())
+        counts[pair] = counts.get(pair, 0) + 1
+    assert len(counts) == 5
+    sigma = np.sqrt(seeds * 0.2 * 0.8)
+    for pair, count in counts.items():
+        assert abs(count - seeds / 5) < 4.5 * sigma, (pair, count)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
