@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distill import DistillConfig, finetune_linkpred, imitate, student_embed
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .graph import Graph
 from .heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
 from .metrics import precision_accuracy, recall_at
@@ -26,9 +26,10 @@ from .propagation import (
     DiffusionConfig,
     diffuse,
     emb_lp,
+    endpoint_mean,
     logit_lp,
-    sigmoid,
     sym_norm_adjacency,
+    train_residuals,
     xmc_scores,
 )
 from .scorer import ScorerConfig, score_edges
@@ -87,28 +88,11 @@ def node_centric_lp_ablation(
     on top of its sigmoid prediction. At alpha -> 0 the increment vanishes
     and the raw predictions come back unchanged.
     """
-    z = np.asarray(z, dtype=np.float64)
-    pairs = manifest.all_edges()
-    if z.shape[0] != len(pairs):
-        raise DataError("logit vector does not align with manifest edges")
-    ids = g.pair_ids(pairs)
-    p = sigmoid(z)
-    n_tp, n_tn = len(manifest.train_pos), len(manifest.train_neg)
-    labels = np.zeros(len(pairs))
-    labels[:n_tp] = 1.0
-
-    resid_sum = np.zeros(g.num_nodes)
-    resid_cnt = np.zeros(g.num_nodes)
-    train_ids = ids[: n_tp + n_tn]
-    train_resid = labels[: n_tp + n_tn] - p[: n_tp + n_tn]
-    np.add.at(resid_sum, train_ids[:, 0], train_resid)
-    np.add.at(resid_sum, train_ids[:, 1], train_resid)
-    np.add.at(resid_cnt, train_ids[:, 0], 1.0)
-    np.add.at(resid_cnt, train_ids[:, 1], 1.0)
-    node_resid = np.zeros(g.num_nodes)
-    touched = resid_cnt > 0
-    node_resid[touched] = resid_sum[touched] / resid_cnt[touched]
-
+    p, resid, n_train = train_residuals(manifest, z)
+    ids = g.pair_ids(manifest.all_edges())
+    node_resid, _ = endpoint_mean(
+        g.num_nodes, ids[:n_train, 0], ids[:n_train, 1], resid[:n_train], resid[:n_train]
+    )
     z_final = diffuse(sym_norm_adjacency(g), node_resid, node_resid, cfg)
     increment = z_final - node_resid
     edge_corr = 0.5 * (increment[ids[:, 0]] + increment[ids[:, 1]])
@@ -315,7 +299,7 @@ def method_scores(
         return xmc_scores(g_train, y, config.diffusion, eval_ids)
     if method == "mlp":
         y_s = student_embed(train_student(y, g_train, manifest, model, config.distill))
-        return np.einsum("ij,ij->i", y_s[eval_ids[:, 0]], y_s[eval_ids[:, 1]])
+        return score_edges(y_s, eval_ids)
     if method == "cn":
         return common_neighbors(g_train, eval_ids).astype(np.float64)
     if method == "aa":

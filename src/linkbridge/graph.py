@@ -21,6 +21,7 @@ __all__ = [
     "Graph",
     "BuildStats",
     "build_graph",
+    "checked_pairs",
     "node_intersection",
     "union_graph",
     "degree_stats",
@@ -34,10 +35,6 @@ class BuildStats:
 
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
-
-    @property
-    def total_dropped(self) -> int:
-        return self.self_loops_dropped + self.duplicates_dropped
 
 
 @dataclass(frozen=True)
@@ -75,17 +72,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, node: int) -> int:
-        return int(self.indptr[node + 1] - self.indptr[node])
-
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        pos = np.searchsorted(row, v)
-        return bool(pos < row.size and row[pos] == v)
-
     def edge_keys(self) -> list[tuple[str, str]]:
         """Edges as external key pairs, in canonical internal order."""
         return [(self.keys[u], self.keys[v]) for u, v in self.edges]
@@ -99,6 +85,16 @@ class Graph:
     def pair_ids(self, pairs: Iterable[tuple[str, str]]) -> np.ndarray:
         """(m, 2) int64 internal ids of external key pairs; (0, 2) if empty."""
         return self.ids_for(chain.from_iterable(pairs)).reshape(-1, 2)
+
+
+def checked_pairs(edges: Sequence | np.ndarray, num_nodes: int) -> np.ndarray:
+    """(m, 2) int64 node-id pairs; raises unless every id is in [0, num_nodes)."""
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if arr.min() < 0 or arr.max() >= num_nodes:
+        raise DataError("edge endpoint out of range")
+    return np.stack([arr[:, 0], arr[:, 1]], axis=1)
 
 
 def _csr_from_edges(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

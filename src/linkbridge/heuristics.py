@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError
-from .graph import Graph, mean_aggregator
+from .errors import ConfigError
+from .graph import Graph, checked_pairs, mean_aggregator
+from .propagation import damped_iteration
 
 __all__ = ["PprConfig", "common_neighbors", "adamic_adar", "ppr_scores"]
 
@@ -29,40 +30,35 @@ class PprConfig:
             raise ConfigError("iterations must be >= 1")
 
 
-def _check_edges(g: Graph, edges: np.ndarray) -> np.ndarray:
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size and (edges.min() < 0 or edges.max() >= g.num_nodes):
-        raise DataError("edge endpoint out of range")
-    return edges
+def _shared_neighbors(g: Graph, edges: np.ndarray) -> sp.csr_array:
+    """A[u] * A[v] elementwise for the 0/1 adjacency A: row i stores a 1 at
+    each shared neighbour of pair i, in node order."""
+    adj = sp.csr_array(
+        (np.ones(g.indices.size), g.indices, g.indptr),
+        shape=(g.num_nodes, g.num_nodes),
+    )
+    return adj[edges[:, 0]].multiply(adj[edges[:, 1]]).tocsr()
 
 
 def common_neighbors(g: Graph, edges: np.ndarray) -> np.ndarray:
     """|N(u) & N(v)| per query pair."""
-    edges = _check_edges(g, edges)
-    out = np.zeros(edges.shape[0], dtype=np.int64)
-    for i, (u, v) in enumerate(edges):
-        out[i] = np.intersect1d(
-            g.neighbors(int(u)), g.neighbors(int(v)), assume_unique=True
-        ).size
-    return out
+    edges = checked_pairs(edges, g.num_nodes)
+    return np.diff(_shared_neighbors(g, edges).indptr).astype(np.int64)
 
 
 def adamic_adar(g: Graph, edges: np.ndarray) -> np.ndarray:
     """Sum of 1/ln(deg(w)) over shared neighbors w.
 
     A shared neighbor has edges to both endpoints, so deg(w) >= 2 and the
-    log never vanishes.
+    log never vanishes; the weight of every other node is 0. The sparse
+    product sums each pair's terms left to right in node order.
     """
-    edges = _check_edges(g, edges)
+    edges = checked_pairs(edges, g.num_nodes)
     degs = g.degrees()
-    out = np.zeros(edges.shape[0])
-    for i, (u, v) in enumerate(edges):
-        shared = np.intersect1d(
-            g.neighbors(int(u)), g.neighbors(int(v)), assume_unique=True
-        )
-        if shared.size:
-            out[i] = float(np.sum(1.0 / np.log(degs[shared])))
-    return out
+    weight = np.zeros(g.num_nodes)
+    shareable = degs >= 2
+    weight[shareable] = 1.0 / np.log(degs[shareable])
+    return _shared_neighbors(g, edges) @ weight
 
 
 # Personalized PageRank sources are iterated this many columns at a time
@@ -74,7 +70,9 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
 
     pi_s is the power iteration pi <- t*e_s + (1-t)*(P^T pi + stranded*e_s)
     from pi = e_s, with P = D^-1 A and the random-walk mass stranded on
-    degree-0 nodes restarting at the source. The sorted unique endpoints are
+    degree-0 nodes restarting at the source: ``damped_iteration`` with
+    alpha = 1-t and the teleport term t*E of the one-hot chunk E, the loop of
+    label spreading (``propagation.diffuse``). The sorted unique endpoints are
     the sources, iterated 256 at a time; a chunk stops once the max-abs step
     over its columns drops below ``tol``, or warns at ``iterations`` and keeps
     the last iterate.
@@ -94,7 +92,7 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
     Memory is O(live nodes x 256) per chunk, not O(N x |sources|): each
     chunk's scores are read off before the next one starts.
     """
-    edges = _check_edges(g, edges)
+    edges = checked_pairs(edges, g.num_nodes)
     if edges.size == 0:
         return np.zeros(0)
     cfg.validate()
@@ -121,19 +119,13 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
         chunk_local = local[sources[start : start + _CHUNK]]
         live = np.flatnonzero(chunk_local >= 0)
         seeds, slots = chunk_local[live], np.arange(live.size)
-        pi = np.zeros((live_nodes.size, live.size))
-        pi[seeds, slots] = 1.0
-        converged = False
-        for _ in range(cfg.iterations):
-            nxt = p_t @ pi
-            nxt *= 1.0 - t
-            nxt[seeds, slots] += t
-            step = np.subtract(nxt, pi, out=pi)
-            delta = float(np.abs(step, out=step).max(initial=0.0))
-            pi = nxt
-            if delta < cfg.tol:
-                converged = True
-                break
+        teleport = np.zeros((live_nodes.size, live.size))
+        teleport[seeds, slots] = t
+        # from the one-hot E (t > 0 marks it exactly), teleport = t*E
+        pi, converged = damped_iteration(
+            p_t, (teleport > 0).astype(np.float64), teleport, 1.0 - t,
+            cfg.iterations, cfg.tol,
+        )
         if not converged:
             warnings.warn(
                 f"personalized PageRank did not converge within {cfg.iterations} "

@@ -54,12 +54,25 @@ __all__ = ["run_pipeline", "write_provenance", "fit_scorer", "metric_row"]
 # sections whose seed is derive_seed(run seed, section name)
 _SEEDED = ("scorer", "distill")
 
+# every key a run config may hold: a misspelt key is an error, not a default
+_TOP_KEYS = (
+    "seed", "out_dir", "dataset", "regimes", "methods", "neg_ratio",
+    "train_frac_outside", "eval",
+    *(spec.name for spec in fields(SuiteConfig) if spec.default_factory is not MISSING),
+)
+_DATASET_KEYS = {"files": ("kind", "source", "target"), "synthetic": ("kind", "spec")}
+
+
+def _unknown_keys(section: dict, known: tuple, prefix: str = "") -> list[str]:
+    return [f"unknown config key {prefix + str(k)!r}" for k in section if k not in known]
+
 
 def _suite_config(
     config: dict, base: Path, errors: list[str]
 ) -> tuple[SuiteConfig | None, list[str], list[Regime]]:
     """(suite, methods, regimes) of a run config; every problem is appended
     to ``errors``, and the suite is None when there is any."""
+    errors += _unknown_keys(config, _TOP_KEYS)
     seed = config.get("seed")
     if "seed" not in config:
         errors.append("seed is mandatory")
@@ -73,6 +86,8 @@ def _suite_config(
         errors.append("dataset section is required")
     else:
         kind = dataset.get("kind")
+        if kind in _DATASET_KEYS:
+            errors += _unknown_keys(dataset, _DATASET_KEYS[kind], "dataset.")
         if kind == "files":
             for field in ("source", "target"):
                 path = dataset.get(field)
@@ -142,6 +157,7 @@ def _suite_config(
     if not isinstance(eval_cfg, dict):
         errors.append("eval section must be an object")
     else:
+        errors += _unknown_keys(eval_cfg, ("split", "k_multipliers"), "eval.")
         split = eval_cfg.get("split", split)
         if split not in EVAL_SPLITS:
             errors.append(f"eval.split must be test/valid/pooled, got {split!r}")

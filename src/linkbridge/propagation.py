@@ -33,7 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import Graph
+from .graph import Graph, checked_pairs
+from .scorer import score_edges
 
 __all__ = [
     "DiffusionConfig",
@@ -42,8 +43,11 @@ __all__ = [
     "line_operator",
     "build_line_graph",
     "sym_norm_adjacency",
+    "damped_iteration",
     "diffuse",
+    "endpoint_mean",
     "sigmoid",
+    "train_residuals",
     "logit_lp",
     "emb_lp",
     "xmc_scores",
@@ -83,13 +87,6 @@ class LineGraph:
     num_line_edges: int
 
 
-def _as_canonical_ids(edges: Sequence | np.ndarray) -> np.ndarray:
-    arr = np.asarray(edges, dtype=np.int64)
-    if arr.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.stack([arr[:, 0], arr[:, 1]], axis=1)
-
-
 def _line_edges(
     num_nodes: int, pos: np.ndarray | Sequence, neg: np.ndarray | Sequence = ()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,13 +95,13 @@ def _line_edges(
     The incidence identity behind the line-graph operator holds only for
     distinct edges without self-loops, so both are rejected here.
     """
-    edges = np.concatenate([_as_canonical_ids(pos), _as_canonical_ids(neg)])
+    edges = np.concatenate(
+        [checked_pairs(pos, num_nodes), checked_pairs(neg, num_nodes)]
+    )
     if edges.shape[0] == 0:
         raise DataError("cannot build a line graph over zero edges")
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    if lo.min() < 0 or hi.max() >= num_nodes:
-        raise DataError("edge endpoint out of range")
     if np.any(lo == hi):
         raise DataError("self-loop among line-graph input edges")
     keys = np.sort(lo * num_nodes + hi)
@@ -211,6 +208,33 @@ def sym_norm_adjacency(g: Graph) -> sp.csr_array:
     return _sym_normalize(g.num_nodes, g.indptr, g.indices)
 
 
+def damped_iteration(
+    operator, z: np.ndarray, g_term: np.ndarray, alpha: float, k_max: int, tol: float
+) -> tuple[np.ndarray, bool]:
+    """Iterate Z <- alpha*S*Z + g_term from ``z``, which is overwritten.
+
+    ``operator @ z`` must return a new array. Returns ``(Z, converged)``:
+    converged once the max-abs step drops below ``tol`` (tol=0 forces
+    ``k_max`` rounds). A non-finite iterate makes that maximum non-finite
+    and raises ``NumericError``; numpy's warnings on the way (inf - inf,
+    0 * inf) are silenced.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(k_max):
+            z_next = operator @ z
+            z_next *= alpha
+            z_next += g_term
+            # the step overwrites the old iterate, so no third state is held
+            np.subtract(z_next, z, out=z)
+            delta = float(np.abs(z, out=z).max(initial=0.0))
+            z = z_next
+            if not np.isfinite(delta):
+                raise NumericError(f"diffusion produced non-finite values at step {k}")
+            if delta < tol:
+                return z, True
+    return z, False
+
+
 def diffuse(
     operator,
     z0: np.ndarray,
@@ -219,46 +243,42 @@ def diffuse(
 ) -> np.ndarray:
     """Iterate Z <- alpha*S*Z + (1-alpha)*G from Z0.
 
-    ``operator`` is anything with a ``shape`` and ``@`` on an (n, d) array:
-    a sparse or dense matrix, or a ``LineOperator``, whose product is a new
-    array (the loop updates it in place). Stops after ``k_max``
-    rounds or once the max-abs step change drops below ``tol`` (set tol=0 to
-    force exactly k_max iterations). Raises on non-finite intermediate
-    values.
+    ``operator`` is anything with a ``shape`` and ``@`` on an (n,) or (n, d)
+    array: a sparse or dense matrix, or a ``LineOperator``. Runs
+    ``damped_iteration`` on a copy of Z0 that only the loop holds, so
+    neither input is modified: at most ``k_max`` rounds, or until the
+    max-abs step change drops below ``tol`` (set tol=0 to force exactly
+    k_max iterations). Raises on non-finite intermediate values.
     """
     cfg.validate()
     z = np.asarray(z0, dtype=np.float64)
     g_mat = np.asarray(source, dtype=np.float64)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[:, None]
-        g_mat = g_mat[:, None]
     if z.shape != g_mat.shape:
         raise DataError(f"Z0 shape {z.shape} != source shape {g_mat.shape}")
     if operator.shape[0] != z.shape[0]:
         raise DataError(
             f"operator rows {operator.shape[0]} != state rows {z.shape[0]}"
         )
-    alpha = cfg.alpha
-    g_term = (1.0 - alpha) * g_mat
-    for _k in range(cfg.k_max):
-        z_next = operator @ z
-        z_next *= alpha
-        z_next += g_term
-        if not np.isfinite(z_next).all():
-            raise NumericError(f"diffusion produced non-finite values at step {_k}")
-        if z.size:
-            # from the second step on, z is this call's own buffer and is
-            # dropped below, so the step difference overwrites it
-            step = np.subtract(z_next, z, out=z if _k else None)
-            delta = float(np.abs(step, out=step).max())
-            del step  # freed before the next product, where the peak memory is
-        else:
-            delta = 0.0
-        z = z_next
-        if delta < cfg.tol:
-            break
-    return z[:, 0] if squeeze else z
+    return damped_iteration(
+        operator, z.copy(), (1.0 - cfg.alpha) * g_mat, cfg.alpha, cfg.k_max, cfg.tol
+    )[0]
+
+
+def endpoint_mean(
+    num_nodes: int, u: np.ndarray, v: np.ndarray, at_u: np.ndarray, at_v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the mean of the values its edges hand it: ``(means, touched)``.
+
+    Edge e hands ``at_u[e]`` to ``u[e]`` and ``at_v[e]`` to ``v[e]``, summed
+    in that order, u side first. A node no edge touches gets 0.
+    """
+    means = np.zeros((num_nodes,) + np.shape(at_u)[1:])
+    np.add.at(means, u, at_u)
+    np.add.at(means, v, at_v)
+    counts = np.bincount(np.concatenate([u, v]), minlength=num_nodes)
+    touched = counts > 0
+    means[touched] /= counts[touched].reshape((-1,) + (1,) * (means.ndim - 1))
+    return means, touched
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -268,6 +288,23 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def train_residuals(manifest, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(sigmoid(z), r, n_train)`` for raw logits ``z`` aligned with
+    ``manifest.all_edges()``: r is label - sigmoid(z) on the first
+    ``n_train`` (training) edges, positives first, and 0 elsewhere."""
+    z = np.asarray(z, dtype=np.float64)
+    n_all = len(manifest.all_edges())
+    if z.shape[0] != n_all:
+        raise DataError(f"logit vector has {z.shape[0]} entries, manifest has {n_all} edges")
+    p = sigmoid(z)
+    n_tp = len(manifest.train_pos)
+    n_train = n_tp + len(manifest.train_neg)
+    resid = np.zeros(n_all)
+    resid[:n_tp] = 1.0
+    resid[:n_train] -= p[:n_train]
+    return p, resid, n_train
 
 
 def logit_lp(
@@ -284,21 +321,8 @@ def logit_lp(
     diffused residual is added back onto the sigmoid predictions and clamped
     to [0, 1]. Returns calibrated scores in ``manifest.all_edges()`` order.
     """
-    z = np.asarray(z, dtype=np.float64)
-    pairs = manifest.all_edges()
-    if z.shape[0] != len(pairs):
-        raise DataError(
-            f"logit vector has {z.shape[0]} entries, manifest has {len(pairs)} edges"
-        )
-    ids = g.pair_ids(pairs)
-    operator = line_operator(g, ids)
-
-    p = sigmoid(z)
-    n_tp = len(manifest.train_pos)
-    n_train = n_tp + len(manifest.train_neg)
-    source = np.zeros(len(pairs))
-    source[:n_tp] = 1.0
-    source[:n_train] -= p[:n_train]
+    p, source, _ = train_residuals(manifest, z)
+    operator = line_operator(g, g.pair_ids(manifest.all_edges()))
     z_final = diffuse(operator, source, source, cfg)
     return np.clip(p + z_final, 0.0, 1.0)
 
@@ -328,17 +352,9 @@ def emb_lp(
     isolated = operator.line_degrees == 0
     diffused[isolated] = feats[isolated]
 
-    y_upd = np.array(y, dtype=np.float64, copy=True)
-    sums = np.zeros_like(y_upd)
-    counts = np.zeros(y.shape[0])
-    np.add.at(sums, lo, diffused[:, :d])
-    np.add.at(sums, hi, diffused[:, d:])
-    np.add.at(counts, lo, 1.0)
-    np.add.at(counts, hi, 1.0)
-    touched = counts > 0
-    y_upd[touched] = sums[touched] / counts[touched, None]
-    q = _as_canonical_ids(query_edges)
-    return np.einsum("ij,ij->i", y_upd[q[:, 0]], y_upd[q[:, 1]])
+    y_upd, touched = endpoint_mean(y.shape[0], lo, hi, diffused[:, :d], diffused[:, d:])
+    y_upd[~touched] = y[~touched]
+    return score_edges(y_upd, query_edges)
 
 
 def xmc_scores(
@@ -359,7 +375,5 @@ def xmc_scores(
         raise DataError("embedding row count does not match graph")
     y = np.asarray(y, dtype=np.float64)
     y_hat = diffuse(sym_norm_adjacency(g), y, y, cfg)
-    q = _as_canonical_ids(query_edges)
-    lo = np.minimum(q[:, 0], q[:, 1])
-    hi = np.maximum(q[:, 0], q[:, 1])
-    return np.einsum("ij,ij->i", y_hat[lo], y[hi])
+    q = np.sort(checked_pairs(query_edges, g.num_nodes), axis=1)
+    return np.einsum("ij,ij->i", y_hat[q[:, 0]], y[q[:, 1]])

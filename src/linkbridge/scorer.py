@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import Graph, mean_aggregator
+from .graph import Graph, checked_pairs, mean_aggregator
 from .metrics import recall_at
 
 __all__ = [
@@ -137,11 +137,7 @@ def embed(model: ScorerModel, g: Graph) -> np.ndarray:
 
 def score_edges(y: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Inner-product logits for an (m, 2) array of node index pairs."""
-    edges = np.asarray(edges)
-    if edges.size == 0:
-        return np.zeros(0)
-    if edges.max(initial=-1) >= y.shape[0] or edges.min(initial=0) < 0:
-        raise DataError("edge endpoint index out of range")
+    edges = checked_pairs(edges, y.shape[0])
     return np.einsum("ij,ij->i", y[edges[:, 0]], y[edges[:, 1]])
 
 

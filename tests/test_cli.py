@@ -126,10 +126,14 @@ def test_run_succeeds(tmp_path):
     RUN_CONFIG | {"scorer": {"l2_weight": 1e-3}},
     RUN_CONFIG | {"neg_ratio": -1},
     RUN_CONFIG | {"train_frac_outside": 1.5},
+    RUN_CONFIG | {"scorrer": {"epochs": 1}},
+    RUN_CONFIG | {"eval": {"k_multiplier": [2.0]}},
+    RUN_CONFIG | {"dataset": RUN_CONFIG["dataset"] | {"sourc": "source.tsv"}},
 ], ids=["missing-file", "json-list", "regimes-int", "methods-int", "k-multipliers-int",
         "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
         "distill-finetune-batch-size-0", "scorer-momentum", "scorer-l2-weight",
-        "neg-ratio-negative", "train-frac-above-1"])
+        "neg-ratio-negative", "train-frac-above-1", "top-level-typo", "eval-typo",
+        "dataset-typo"])
 def test_run_bad_config_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from linkbridge.errors import ConfigError
+from linkbridge.distill import DistillConfig
+from linkbridge.errors import ConfigError, DataError
 from linkbridge.evaluation import (
+    CALIBRATED_METHODS,
+    KNOWN_METHODS,
     EvalReport,
     SuiteConfig,
     eval_pairs,
@@ -11,7 +14,8 @@ from linkbridge.evaluation import (
     shuffle_eval_order,
 )
 from linkbridge.pipeline import metric_row
-from linkbridge.selection import Regime, make_split
+from linkbridge.scorer import ScorerConfig, embed, train_scorer
+from linkbridge.selection import Regime, make_split, manifest_training_graph
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,22 @@ def test_content_hash_ignores_runtime_keys():
 def test_method_scores_rejects_unknown_method():
     with pytest.raises(ConfigError, match="unknown method"):
         method_scores("bogus", None, None, None, None, None, None, SuiteConfig())
+
+
+@pytest.mark.parametrize("method", [m for m in KNOWN_METHODS if m not in CALIBRATED_METHODS])
+@pytest.mark.parametrize("bad", ["-1", "N"])
+def test_method_scores_reject_out_of_range_eval_ids(small_pair, manifest, method, bad):
+    src, tar, _ = small_pair
+    g_train = manifest_training_graph(manifest, src, tar)
+    suite = SuiteConfig(
+        scorer=ScorerConfig(epochs=1, d_trainable=4),
+        distill=DistillConfig(hidden=4, max_epochs=1, finetune_epochs=1),
+    )
+    model = train_scorer(suite.scorer, g_train, manifest)
+    eval_ids = np.array([[0, 1], [0, -1 if bad == "-1" else g_train.num_nodes]])
+    with pytest.raises(DataError):
+        method_scores(method, g_train, manifest, model, embed(model, g_train), None,
+                      eval_ids, suite)
 
 
 def test_eval_pairs_rejects_unknown_split(manifest):

@@ -16,7 +16,6 @@ def test_dedup_and_self_loop_drop():
     assert g.num_edges == 1
     assert g.build_stats.self_loops_dropped == 1
     assert g.build_stats.duplicates_dropped == 1
-    assert g.build_stats.total_dropped == 2
 
 
 def test_first_seen_id_order():
@@ -44,18 +43,19 @@ def test_csr_symmetry(rng):
         if u != v:
             pairs.add((f"n{min(u,v)}", f"n{max(u,v)}"))
     g = build_graph(sorted(pairs))
+    rows = [g.indices[g.indptr[i] : g.indptr[i + 1]] for i in range(g.num_nodes)]
     for u, v in g.edges:
-        assert v in g.neighbors(u)
-        assert u in g.neighbors(v)
+        assert v in rows[u]
+        assert u in rows[v]
     assert int(np.diff(g.indptr).sum()) == 2 * g.num_edges
-    for node in range(g.num_nodes):
-        row = g.neighbors(node)
+    for row in rows:
         assert np.all(np.diff(row) > 0)  # sorted, no duplicates
 
 
 def test_has_edge(triangle):
-    assert triangle.has_edge(0, 1)
-    assert not triangle.has_edge(0, 0)
+    row = triangle.indices[triangle.indptr[0] : triangle.indptr[1]]
+    assert 1 in row
+    assert 0 not in row
 
 
 def test_empty_edge_list_rejected():
@@ -66,7 +66,7 @@ def test_empty_edge_list_rejected():
 def test_extra_nodes_isolated():
     g = build_graph([("a", "b")], extra_nodes=["c", "a"])
     assert g.num_nodes == 3
-    assert g.degree(g.key_to_id["c"]) == 0
+    assert g.degrees()[g.key_to_id["c"]] == 0
 
 
 def test_feature_validation():

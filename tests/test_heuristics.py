@@ -21,6 +21,8 @@ from oracles import (
     closed_form_ppr,
     dense_common_neighbors,
     dense_ppr,
+    loop_adamic_adar,
+    loop_common_neighbors,
     random_graph_edges,
 )
 
@@ -159,3 +161,38 @@ def test_ppr_scores_memory_is_o_live_nodes():
 def test_out_of_range_endpoint_rejected(triangle, score):
     with pytest.raises(DataError):
         score(triangle, np.array([[0, 3]]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cn_and_aa_equal_the_per_pair_loops(seed):
+    """Below 8 terms the sparse product and np.sum both add left to right,
+    so AA is bit-equal to the loop on pairs with 0-7 shared neighbours."""
+    rng = np.random.default_rng(seed)
+    edges = random_graph_edges(rng, 40, 250)
+    g = build_graph([(str(u), str(v)) for u, v in edges], extra_nodes=["isolated"])
+    queries = np.concatenate([_all_pairs(g.num_nodes), np.repeat(np.arange(4)[:, None], 2, axis=1)])
+    cn = common_neighbors(g, queries)
+    assert cn.dtype == np.int64
+    assert np.array_equal(cn, loop_common_neighbors(g, queries))
+    few = cn < 8
+    assert set(range(8)) <= set(cn[few].tolist())
+    assert np.array_equal(adamic_adar(g, queries)[few], loop_adamic_adar(g, queries[few]))
+
+
+def test_adamic_adar_with_many_shared_neighbours_is_within_2_ulp_of_the_loop():
+    """From 8 terms on np.sum adds pairwise and the sparse product still
+    left to right: pair k shares k neighbours, the j-th of degree 2 + j."""
+    pairs = []
+    for k in range(8, 17):
+        for j in range(k):
+            hub = f"w{k}.{j}"
+            pairs += [(f"u{k}", hub), (f"v{k}", hub)]
+            pairs += [(hub, f"leaf{k}.{j}.{i}") for i in range(j)]
+    g = build_graph(pairs)
+    queries = g.ids_for(
+        [key for k in range(8, 17) for key in (f"u{k}", f"v{k}")]
+    ).reshape(-1, 2)
+    assert np.array_equal(common_neighbors(g, queries), np.arange(8, 17))
+    np.testing.assert_array_max_ulp(
+        adamic_adar(g, queries), loop_adamic_adar(g, queries), maxulp=2
+    )

@@ -106,3 +106,14 @@ def test_stage_seed_in_run_config_is_a_config_error(tmp_path, section):
     with pytest.raises(ConfigError, match=f"{section}.seed"):
         run_pipeline(config, tmp_path)
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_config_keys_are_all_reported(tmp_path):
+    config = _config("out", {"kind": "files", "source": "s", "target": "t",
+                             "spec": SPEC})
+    config |= {"scorrer": {}, "eval": {"split": "test", "k_multiplier": [2.0]}}
+    with pytest.raises(ConfigError) as info:
+        run_pipeline(config, tmp_path)
+    for key in ("'scorrer'", "'dataset.spec'", "'eval.k_multiplier'"):
+        assert f"unknown config key {key}" in str(info.value)
+    assert not (tmp_path / "out").exists()

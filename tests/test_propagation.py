@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -209,6 +211,26 @@ def test_diffuse_nonfinite_raises():
         diffuse(s, np.array([np.inf, 0.0, 0.0]), np.zeros(3), cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_diffuse_non_finite_input_raises_without_a_warning(triangle, bad):
+    """Non-finiteness is read off the step maximum; numpy's warnings for
+    inf - inf or 0 * inf on the way there are silenced."""
+    ops = [
+        sp.csr_array(np.eye(3)),
+        np.zeros((3, 3)),
+        line_operator(triangle, np.array([[0, 1], [1, 2]])),
+    ]
+    cfg = DiffusionConfig(alpha=0.5, k_max=3, tol=1.0)
+    for op in ops:
+        for z0, g_mat in [(np.array([bad, 0.0, 0.0]), np.zeros(3)),
+                          (np.zeros(3), np.array([0.0, bad, 0.0]))]:
+            n = op.shape[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError):
+                    diffuse(op, z0[:n], g_mat[:n], cfg)
+
+
 def test_diffusion_config_validation():
     with pytest.raises(ConfigError):
         DiffusionConfig(alpha=1.5).validate()
@@ -352,6 +374,17 @@ def test_emb_lp_matches_dense_oracle(rng):
 def test_emb_lp_empty_pos_error(triangle):
     with pytest.raises(DataError):
         emb_lp(triangle, np.zeros((0, 2), dtype=int), np.eye(3), DiffusionConfig(), [(0, 1)])
+
+
+@pytest.mark.parametrize("score", [
+    lambda g, y, q: emb_lp(g, np.array([[0, 1], [1, 2]]), y, DiffusionConfig(), q),
+    lambda g, y, q: xmc_scores(g, y, DiffusionConfig(), q),
+], ids=["emb_lp", "xmc_scores"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_query_id_out_of_range_rejected(path4, score, bad):
+    y = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(DataError):
+        score(path4, y, np.array([[0, 1], [0, bad]]))
 
 
 def test_xmc_alpha_zero_limit_is_raw_logits(rng):
