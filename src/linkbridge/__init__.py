@@ -8,7 +8,7 @@ target graph with edge-centric label propagation or a distilled MLP.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, LinkBridgeError, NumericError
-from .graph import Graph, build_graph, degree_stats, node_intersection, union_graph
+from .graph import Graph, build_graph, node_intersection, union_graph
 
 __all__ = [
     "__version__",
@@ -18,7 +18,6 @@ __all__ = [
     "NumericError",
     "Graph",
     "build_graph",
-    "degree_stats",
     "node_intersection",
     "union_graph",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .graph import Graph
-from .scorer import batch_rows, node_inputs, pair_indices, pair_loss, pair_recall, sgd_epochs
+from .scorer import batch_rows, node_inputs, pair_loss, pair_recall, sgd_epochs
 
 __all__ = [
     "DistillConfig",
@@ -30,8 +30,6 @@ __all__ = [
     "student_embed",
     "imitate",
     "finetune_linkpred",
-    "imitation_loss_and_grads",
-    "finetune_loss_and_grads",
 ]
 
 
@@ -58,6 +56,8 @@ class DistillConfig:
             raise ConfigError("epoch budgets must be >= 0")
         if self.batch_size < 1 or self.finetune_batch_size < 1:
             raise ConfigError("batch sizes must be >= 1")
+        if self.plateau_epochs < 1 or self.plateau_tol < 0:
+            raise ConfigError("plateau_epochs must be >= 1 and plateau_tol >= 0")
 
 
 @dataclass
@@ -73,14 +73,6 @@ class MlpModel:
     features: np.ndarray | None
     imitation_mse: float | None = None
     loss_trace: list[float] = field(default_factory=list)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.x_prime.shape[0])
-
-    def input_matrix(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Per-node input [X, X'] as float64, optionally for ``rows`` only."""
-        return node_inputs(self.features, self.x_prime, rows)
 
 
 def _init_mlp(config: DistillConfig, d_in: int, d_out: int, rng) -> tuple:
@@ -126,41 +118,17 @@ def student_embed(model: MlpModel, rows: np.ndarray | None = None) -> np.ndarray
     """Student embeddings from node inputs alone (no adjacency access)."""
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-    return _forward(model, model.input_matrix(rows))[2]
+    return _forward(model, node_inputs(model.features, model.x_prime, rows))[2]
 
 
 def _imitation_pass(
     model: MlpModel, teacher_y: np.ndarray, rows: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    h = model.input_matrix(rows)
+    """Mean squared imitation error of the distinct ``rows`` and its gradients."""
+    h = node_inputs(model.features, model.x_prime, rows)
     a, z1, out = _forward(model, h)
     loss, err = _mse(out, teacher_y[rows])
     return loss, _backward(model, h, a, z1, 2.0 * err / err.size)
-
-
-def _dense_xprime(
-    model: MlpModel, grads: dict[str, np.ndarray], rows: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Scatter a row-sparse X' gradient into the full N-row table."""
-    if "x_prime" in grads:
-        dxp = np.zeros_like(model.x_prime, dtype=np.float64)
-        np.add.at(dxp, rows, grads["x_prime"])
-        grads["x_prime"] = dxp
-    return grads
-
-
-def imitation_loss_and_grads(
-    model: MlpModel, teacher_y: np.ndarray, rows: np.ndarray | None = None
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared imitation error and analytic gradients (for checks).
-
-    The X' gradient, when trained, is dense (N rows).
-    """
-    if rows is None:
-        rows = np.arange(model.num_nodes)
-    rows = np.asarray(rows, dtype=np.int64)
-    loss, grads = _imitation_pass(model, teacher_y, rows)
-    return loss, _dense_xprime(model, grads, rows)
 
 
 def _apply_grads(
@@ -229,27 +197,10 @@ def _finetune_pass(
     """Batch ranking loss and gradients; also returns the distinct node ids
     the X' gradient rows belong to."""
     rows, inv = batch_rows(pos, neg)
-    h = model.input_matrix(rows)
+    h = node_inputs(model.features, model.x_prime, rows)
     a, z1, y_rows = _forward(model, h)
     loss, dy = pair_loss(y_rows, inv, pos.shape[0])
     return loss, _backward(model, h, a, z1, dy), rows
-
-
-def finetune_loss_and_grads(
-    model: MlpModel, pos_edges: np.ndarray, neg_edges: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Ranking loss over student logits with analytic gradients (for checks).
-
-    Index-matched with cycling, no shuffling: a pure function of parameters.
-    The X' gradient, when trained, is dense (N rows).
-    """
-    pos = np.asarray(pos_edges, dtype=np.int64)
-    neg = np.asarray(neg_edges, dtype=np.int64)
-    if pos.size == 0 or neg.size == 0:
-        raise DataError("need nonempty positive and negative edge arrays")
-    pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng=None)
-    loss, grads, rows = _finetune_pass(model, pos[pp], neg[pn])
-    return loss, _dense_xprime(model, grads, rows)
 
 
 def finetune_linkpred(

@@ -24,7 +24,6 @@ __all__ = [
     "checked_pairs",
     "node_intersection",
     "union_graph",
-    "degree_stats",
     "mean_aggregator",
 ]
 
@@ -281,16 +280,6 @@ def union_graph(g1: Graph, g2: Graph) -> Graph:
         features=feats,
         sides=side_arr,
     )
-
-
-def degree_stats(g: Graph) -> tuple[float, int]:
-    """(mean degree, median degree); median is the lower median on ties."""
-    if g.num_nodes == 0:
-        raise DataError("degree stats of an empty graph")
-    degs = np.sort(g.degrees())
-    mean = 2.0 * g.num_edges / g.num_nodes
-    median = int(degs[(g.num_nodes - 1) // 2])
-    return mean, median
 
 
 def mean_aggregator(g: Graph) -> sp.csr_array:

@@ -28,6 +28,8 @@ class PprConfig:
             raise ConfigError(f"teleport must be in (0, 1), got {self.teleport}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if self.tol < 0:
+            raise ConfigError("tol must be >= 0")
 
 
 def _shared_neighbors(g: Graph, edges: np.ndarray) -> sp.csr_array:

@@ -342,6 +342,8 @@ def emb_lp(
     edge keep their original embedding. Query edges are scored by dot
     product of the updated node embeddings.
     """
+    if y.shape[0] != g.num_nodes:
+        raise DataError("embedding row count does not match graph")
     lo, hi = _line_edges(g.num_nodes, pos)
     operator = LineOperator(g.num_nodes, lo, hi)
     d = y.shape[1]

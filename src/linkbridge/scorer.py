@@ -34,7 +34,6 @@ __all__ = [
     "init_model",
     "embed",
     "score_edges",
-    "auc_loss",
     "train_scorer",
     "training_loss_and_grads",
     "pair_indices",
@@ -60,6 +59,8 @@ class ScorerConfig:
     def validate(self) -> None:
         if self.d_trainable < 1:
             raise ConfigError("d_trainable must be >= 1")
+        if self.d_out is not None and self.d_out < 1:
+            raise ConfigError("d_out must be >= 1")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         if self.encoder not in ENCODERS:
@@ -81,10 +82,6 @@ class ScorerModel:
     @property
     def num_nodes(self) -> int:
         return int(self.x_prime.shape[0])
-
-    def input_matrix(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Per-node encoder input [X, X'] as float64, optionally for ``rows`` only."""
-        return node_inputs(self.features, self.x_prime, rows)
 
 
 def node_inputs(
@@ -128,7 +125,7 @@ def embed(model: ScorerModel, g: Graph) -> np.ndarray:
         raise DataError(
             f"model has {model.num_nodes} node rows, graph has {g.num_nodes}"
         )
-    h = model.input_matrix()
+    h = node_inputs(model.features, model.x_prime)
     if model.config.encoder == "embedding_only":
         return h
     agg = mean_aggregator(g)
@@ -139,20 +136,6 @@ def score_edges(y: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Inner-product logits for an (m, 2) array of node index pairs."""
     edges = checked_pairs(edges, y.shape[0])
     return np.einsum("ij,ij->i", y[edges[:, 0]], y[edges[:, 1]])
-
-
-def auc_loss(z_pos: np.ndarray, z_neg: np.ndarray) -> float:
-    """Squared pairwise ranking loss, summed over index-matched pairs.
-
-    The shorter logit vector cycles so every entry of the longer one is
-    paired exactly once.
-    """
-    z_pos, z_neg = np.asarray(z_pos, dtype=np.float64), np.asarray(z_neg, dtype=np.float64)
-    if z_pos.size == 0 or z_neg.size == 0:
-        raise DataError("need at least one positive and one negative logit")
-    pp, pn = pair_indices(z_pos.size, z_neg.size, rng=None)
-    diff = 1.0 - z_pos[pp] + z_neg[pn]
-    return float(np.sum(diff * diff))
 
 
 def pair_indices(n_pos: int, n_neg: int, rng: np.random.Generator | None):
@@ -271,16 +254,16 @@ def training_loss_and_grads(
     """Loss and analytic gradients over index-matched pos/neg edge arrays.
 
     The shorter list is cycled to the longer one's length (no shuffling),
-    so the value is a pure deterministic function of the model parameters;
-    finite-difference tests probe exactly this. The X' gradient is dense
-    (N rows).
+    so the value is a pure deterministic function of the model parameters.
+    One ``_batch_loss_and_grads`` step, with the X' gradient scattered into
+    the table's shape; ``perfbench/probes.py`` times it.
     """
     pos_edges = np.asarray(pos_edges, dtype=np.int64)
     neg_edges = np.asarray(neg_edges, dtype=np.int64)
     if pos_edges.size == 0 or neg_edges.size == 0:
         raise DataError("need nonempty positive and negative edge arrays")
     pp, pn = pair_indices(pos_edges.shape[0], neg_edges.shape[0], rng=None)
-    h = model.input_matrix()
+    h = node_inputs(model.features, model.x_prime)
     d_x = 0 if model.features is None else model.features.shape[1]
     agg = mean_aggregator(g) if model.config.encoder == "one_hop_mean" else None
     loss, touched, dxp_rows, dw = _batch_loss_and_grads(
@@ -351,7 +334,7 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     valid_neg = g_train.pair_ids(manifest.valid_neg)
 
     d_x = 0 if g_train.features is None else g_train.features.shape[1]
-    h = model.input_matrix().copy()
+    h = node_inputs(model.features, model.x_prime).copy()
     weights = None if model.encoder_weights is None else model.encoder_weights.copy()
     agg = mean_aggregator(g_train) if config.encoder == "one_hop_mean" else None
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))

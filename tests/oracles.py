@@ -269,6 +269,12 @@ def full_sort_recall(scores, labels, k) -> float:
     return hits / n_pos
 
 
+def ranking_loss(z_pos, z_neg) -> float:
+    """Mean squared pairwise ranking loss (1 - z_pos + z_neg)^2 of matched logits."""
+    diff = 1.0 - np.asarray(z_pos, dtype=np.float64) + np.asarray(z_neg, dtype=np.float64)
+    return float(np.mean(diff * diff))
+
+
 def fd_grad(fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function w.r.t. one array."""
     grad = np.zeros_like(array, dtype=np.float64)
@@ -409,13 +415,15 @@ def dense_train_scorer(config, g, manifest):
     Returns the selected (x_prime, encoder_weights).
     """
     from linkbridge.graph import mean_aggregator
-    from linkbridge.scorer import batch_rows, init_model, pair_indices, pair_loss, pair_recall
+    from linkbridge.scorer import (
+        batch_rows, init_model, node_inputs, pair_indices, pair_loss, pair_recall,
+    )
 
     model = init_model(config, g)
     pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
     valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)
     d_x = g.feature_dim
-    h = model.input_matrix().copy()
+    h = node_inputs(model.features, model.x_prime).copy()
     w = None if model.encoder_weights is None else model.encoder_weights.copy()
     agg = mean_aggregator(g) if config.encoder == "one_hop_mean" else None
     lr = config.learning_rate

@@ -129,11 +129,19 @@ def test_run_succeeds(tmp_path):
     RUN_CONFIG | {"scorrer": {"epochs": 1}},
     RUN_CONFIG | {"eval": {"k_multiplier": [2.0]}},
     RUN_CONFIG | {"dataset": RUN_CONFIG["dataset"] | {"sourc": "source.tsv"}},
+    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_out": -2}},
+    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_out": 0}},
+    RUN_CONFIG | {"ppr": {"tol": -1e-3}},
+    RUN_CONFIG | {"distill": {"plateau_epochs": 0}},
+    RUN_CONFIG | {"distill": {"plateau_epochs": -1}},
+    RUN_CONFIG | {"distill": {"plateau_tol": -1e-4}},
 ], ids=["missing-file", "json-list", "regimes-int", "methods-int", "k-multipliers-int",
         "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
         "distill-finetune-batch-size-0", "scorer-momentum", "scorer-l2-weight",
         "neg-ratio-negative", "train-frac-above-1", "top-level-typo", "eval-typo",
-        "dataset-typo"])
+        "dataset-typo", "scorer-d-out-negative", "scorer-d-out-0", "ppr-tol-negative",
+        "distill-plateau-epochs-0", "distill-plateau-epochs-negative",
+        "distill-plateau-tol-negative"])
 def test_run_bad_config_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:

@@ -11,15 +11,13 @@ from linkbridge.distill import (
     _finetune_pass,
     _imitation_pass,
     finetune_linkpred,
-    finetune_loss_and_grads,
     imitate,
-    imitation_loss_and_grads,
     student_embed,
 )
 from linkbridge.errors import DataError
 from linkbridge.graph import build_graph
 from linkbridge.metrics import recall_at
-from linkbridge.scorer import ScorerConfig, embed, init_model
+from linkbridge.scorer import ScorerConfig, embed, init_model, node_inputs
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
 from oracles import dense_finetune, dense_imitate, fd_grad, max_rel_error
@@ -56,6 +54,20 @@ def test_zero_epoch_budget_returns_init():
     assert model.loss_trace == []
 
 
+def assert_fd_grads(model, grads, rows, loss_fn):
+    """Each analytic gradient of a training pass against central differences
+    of ``loss_fn``; the row-sparse X' gradient is scattered into zeros at
+    ``rows`` first."""
+    for name, analytic in grads.items():
+        arr = getattr(model, name)
+        if name == "x_prime":
+            dense = np.zeros(arr.shape)
+            dense[rows] = analytic
+            analytic = dense
+        fd = fd_grad(loss_fn, arr)
+        assert max_rel_error(analytic, fd) <= 1e-4, name
+
+
 @pytest.mark.parametrize("train_xprime", [False, True])
 def test_imitation_gradient_check(train_xprime):
     g = fixture_graph()
@@ -63,14 +75,12 @@ def test_imitation_gradient_check(train_xprime):
     teacher_y = rng.normal(size=(5, 3))
     cfg = DistillConfig(hidden=6, max_epochs=0, seed=5, train_xprime=train_xprime)
     model = imitate(teacher_y, g, cfg, x_prime=rng.normal(size=(5, 2)))
-    loss, grads = imitation_loss_and_grads(model, teacher_y)
+    rows = np.array([3, 0, 4])  # one batch as imitate draws it: distinct, shuffled
+    loss, grads = _imitation_pass(model, teacher_y, rows)
     assert np.isfinite(loss)
     expected_keys = {"w1", "b1", "w2", "b2"} | ({"x_prime"} if train_xprime else set())
     assert set(grads) == expected_keys
-    for name, analytic in grads.items():
-        arr = getattr(model, name)
-        fd = fd_grad(lambda: imitation_loss_and_grads(model, teacher_y)[0], arr)
-        assert max_rel_error(analytic, fd) <= 1e-4, name
+    assert_fd_grads(model, grads, rows, lambda: _imitation_pass(model, teacher_y, rows)[0])
 
 
 @pytest.mark.parametrize("train_xprime", [False, True])
@@ -81,13 +91,12 @@ def test_finetune_gradient_check(train_xprime):
     cfg = DistillConfig(hidden=6, max_epochs=0, seed=7, train_xprime=train_xprime)
     model = imitate(teacher_y, g, cfg, x_prime=rng.normal(size=(5, 2)))
     pos = np.array([[0, 1], [1, 2], [2, 3]])
-    neg = np.array([[0, 2], [1, 4]])
-    loss, grads = finetune_loss_and_grads(model, pos, neg)
+    neg = np.array([[0, 2], [1, 4], [3, 0]])
+    loss, grads, rows = _finetune_pass(model, pos, neg)
     assert np.isfinite(loss)
-    for name, analytic in grads.items():
-        arr = getattr(model, name)
-        fd = fd_grad(lambda: finetune_loss_and_grads(model, pos, neg)[0], arr)
-        assert max_rel_error(analytic, fd) <= 1e-4, name
+    expected_keys = {"w1", "b1", "w2", "b2"} | ({"x_prime"} if train_xprime else set())
+    assert set(grads) == expected_keys
+    assert_fd_grads(model, grads, rows, lambda: _finetune_pass(model, pos, neg)[0])
 
 
 def _distill_fixture():
@@ -193,7 +202,8 @@ def test_input_matrix_gathers_rows():
     student = imitate(teacher_y, g_train, DistillConfig(hidden=4, max_epochs=1),
                       x_prime=teacher.x_prime)
     rows = np.array([3, 1, 3, 0])
-    assert np.array_equal(student.input_matrix(rows), student.input_matrix()[rows])
+    full = node_inputs(student.features, student.x_prime)
+    assert np.array_equal(node_inputs(student.features, student.x_prime, rows), full[rows])
 
 
 @pytest.mark.parametrize("train_xprime", [False, True])

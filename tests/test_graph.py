@@ -4,7 +4,6 @@ import pytest
 from linkbridge.errors import DataError
 from linkbridge.graph import (
     build_graph,
-    degree_stats,
     node_intersection,
     union_graph,
 )
@@ -76,23 +75,6 @@ def test_feature_validation():
         build_graph([("a", "b")], features={"a": [1.0], "b": [2.0], "zz": [3.0]})
     with pytest.raises(DataError):
         build_graph([("a", "b")], features={"a": [1.0]})  # missing row for b
-
-
-def test_degree_stats_triangle(triangle):
-    assert degree_stats(triangle) == (2.0, 2)
-
-
-def test_degree_stats_star():
-    g = build_graph([("c", "a"), ("c", "b"), ("c", "d"), ("c", "e")])
-    mean, median = degree_stats(g)
-    assert mean == pytest.approx(2 * 4 / 5)
-    assert median == 1
-
-
-def test_degree_stats_lower_median():
-    # degrees 1,1,2,2 -> lower median 1
-    g = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
-    assert degree_stats(g)[1] == 1
 
 
 def test_intersection_disjoint_and_identity():

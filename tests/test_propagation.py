@@ -362,12 +362,13 @@ def test_emb_lp_matches_dense_oracle(rng):
     id_edges = [
         tuple(sorted((g.key_to_id[f"n{u}"], g.key_to_id[f"n{v}"]))) for u, v in edges
     ]
-    y = rng.normal(size=(20, 3))
-    queries = [(int(rng.integers(0, 20)), int(rng.integers(0, 20))) for _ in range(15)]
+    n = g.num_nodes  # nodes that no drawn edge touches are not in g
+    y = rng.normal(size=(n, 3))
+    queries = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(15)]
     queries = [(min(u, v), max(u, v)) for u, v in queries if u != v]
     cfg = DiffusionConfig(alpha=0.75, k_max=18, tol=0.0)
     scores = emb_lp(g, np.array(id_edges), y, cfg, np.array(queries))
-    ref = dense_emb_lp(20, id_edges, y, 0.75, 18, queries)
+    ref = dense_emb_lp(n, id_edges, y, 0.75, 18, queries)
     assert np.max(np.abs(scores - ref)) <= 1e-8
 
 
@@ -385,6 +386,18 @@ def test_query_id_out_of_range_rejected(path4, score, bad):
     y = np.arange(8.0).reshape(4, 2)
     with pytest.raises(DataError):
         score(path4, y, np.array([[0, 1], [0, bad]]))
+
+
+@pytest.mark.parametrize("score", [
+    lambda g, y, q: emb_lp(g, np.array([[0, 1], [1, 2]]), y, DiffusionConfig(), q),
+    lambda g, y, q: xmc_scores(g, y, DiffusionConfig(), q),
+], ids=["emb_lp", "xmc_scores"])
+@pytest.mark.parametrize("rows", [3, 5])
+def test_embedding_rows_must_match_graph(path4, score, rows):
+    # with 5 rows, query id 4 names a row of y but no node of the 4-node graph
+    y = np.arange(2.0 * rows).reshape(rows, 2)
+    with pytest.raises(DataError):
+        score(path4, y, np.array([[0, 1], [0, rows - 1]]))
 
 
 def test_xmc_alpha_zero_limit_is_raw_logits(rng):

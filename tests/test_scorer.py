@@ -8,16 +8,16 @@ from linkbridge.graph import Graph, build_graph, mean_aggregator
 from linkbridge.scorer import (
     ScorerConfig,
     _batch_loss_and_grads,
-    auc_loss,
     embed,
     init_model,
+    node_inputs,
     score_edges,
     train_scorer,
     training_loss_and_grads,
 )
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
-from oracles import dense_train_scorer, fd_grad, max_rel_error
+from oracles import dense_train_scorer, fd_grad, max_rel_error, ranking_loss
 
 
 def featured_graph():
@@ -87,36 +87,6 @@ def test_score_edges_out_of_range():
         score_edges(np.eye(3), np.array([[0, 5]]))
 
 
-def test_auc_loss_examples():
-    assert auc_loss(np.array([1.0]), np.array([0.0])) == pytest.approx(0.0)
-    assert auc_loss(np.array([0.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(2.0)
-    with pytest.raises(DataError):
-        auc_loss(np.array([]), np.array([1.0]))
-
-
-def test_auc_loss_cycles_shorter_side():
-    z_pos = np.array([1.0, 2.0])
-    z_neg = np.array([0.5, 0.0, 1.5])
-    expected = sum(
-        (1.0 - z_pos[i % 2] + z_neg[i % 3]) ** 2 for i in range(3)
-    )
-    assert auc_loss(z_pos, z_neg) == pytest.approx(expected)
-
-
-def test_auc_loss_batch_scalar_oracle(rng):
-    z_pos = rng.normal(size=5)
-    z_neg = rng.normal(size=5)
-    expected = sum((1.0 - zp + zn) ** 2 for zp, zn in zip(z_pos, z_neg))
-    assert auc_loss(z_pos, z_neg) == pytest.approx(expected)
-
-
-def test_auc_loss_shift_invariant(rng):
-    z_pos = rng.normal(size=7)
-    z_neg = rng.normal(size=7)
-    shifted = auc_loss(z_pos + 3.7, z_neg + 3.7)
-    assert shifted == pytest.approx(auc_loss(z_pos, z_neg))
-
-
 @pytest.mark.parametrize("encoder", ["embedding_only", "one_hop_mean"])
 @pytest.mark.parametrize("with_features", [True, False])
 def test_gradient_check(encoder, with_features):
@@ -145,7 +115,7 @@ def test_training_loss_is_the_ranking_loss_of_the_true_edges():
     pos = np.array([[0, 1], [2, 3]])
     neg = np.array([[0, 2], [1, 3]])
     y = embed(model, g)
-    expected = auc_loss(score_edges(y, pos), score_edges(y, neg)) / 2
+    expected = ranking_loss(score_edges(y, pos), score_edges(y, neg))
     assert expected == pytest.approx(0.8878, abs=1e-4)
     assert training_loss_and_grads(model, g, pos, neg)[0] == pytest.approx(expected)
 
@@ -214,15 +184,19 @@ def test_config_validation():
         ScorerConfig(d_trainable=0).validate()
     with pytest.raises(ConfigError):
         ScorerConfig(encoder="other").validate()
+    for d_out in (0, -2):
+        with pytest.raises(ConfigError):
+            ScorerConfig(encoder="one_hop_mean", d_out=d_out).validate()
 
 
 def test_input_matrix_gathers_rows():
     g = featured_graph()
     model = init_model(ScorerConfig(d_trainable=3, seed=2), g)
     rows = np.array([4, 0, 2, 0])
-    assert np.array_equal(model.input_matrix(rows), model.input_matrix()[rows])
+    full = node_inputs(model.features, model.x_prime)
+    assert np.array_equal(node_inputs(model.features, model.x_prime, rows), full[rows])
     bare = init_model(ScorerConfig(d_trainable=3, seed=2), build_graph([("a", "b")]))
-    assert np.array_equal(bare.input_matrix(np.array([1])), bare.x_prime[[1]])
+    assert np.array_equal(node_inputs(None, bare.x_prime, np.array([1])), bare.x_prime[[1]])
 
 
 # the ids keep the momentum and L2 weight (both 0.0) that the test once varied
@@ -267,7 +241,7 @@ def test_training_step_memory_is_o_batch(encoder):
     g = ring_graph(n, d_x)
     cfg = ScorerConfig(d_trainable=24, encoder=encoder, seed=1)
     model = init_model(cfg, g)
-    h = model.input_matrix().copy()
+    h = node_inputs(model.features, model.x_prime).copy()
     agg = mean_aggregator(g) if encoder == "one_hop_mean" else None
     rng = np.random.default_rng(2)
     pos, neg = rng.integers(0, n, size=(2, batch, 2))
