@@ -101,7 +101,8 @@ def cmd_ingest(args) -> int:
         for path in args.features:
             features.update(read_features(path))
     sides = read_sides_tsv(args.sides) if args.sides else None
-    extra = list(features.keys()) if features else []
+    # feature and side rows declare nodes, as in load_graph
+    extra = [*(features or {}), *(sides or {})]
     g = build_graph(pairs, features=features, sides=sides, extra_nodes=extra)
     save_graph(g, args.out, feature_format=args.feature_format)
     stats = g.build_stats

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph, build_graph, node_intersection
+from .graph import Graph, build_graph, first_seen, graph_from_ids, node_intersection
 
 __all__ = ["TemporalEdge", "SyntheticSpec", "temporal_split", "generate_synthetic"]
 
@@ -242,11 +242,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, Graph, list[tuple[st
     feats[tar_only] += spec.feature_shift * scale * shift_dir
     feats = feats.astype(np.float32)
 
-    def to_graph(member_ids: np.ndarray, edge_arr: np.ndarray) -> Graph:
-        pairs = [(keys[u], keys[v]) for u, v in edge_arr]
-        extra = [keys[i] for i in member_ids]
-        feat_map = {keys[i]: feats[i] for i in member_ids}
-        return build_graph(pairs, features=feat_map, extra_nodes=extra)
+    def to_graph(members: np.ndarray, edge_arr: np.ndarray) -> Graph:
+        order = first_seen([edge_arr, members])
+        return graph_from_ids(keys, edge_arr, feats, order=order)
 
     src = to_graph(src_members, src_edges)
     tar = to_graph(tar_members, kept)

@@ -1,15 +1,19 @@
 """Immutable CSR-indexed undirected graph with external<->internal id mapping.
 
-External node ids are opaque strings; internal ids are dense integers assigned
-in first-seen ingest order, so construction is deterministic given the input
-edge order. All edges are canonical unordered pairs (u < v internally), with
-self-loops and duplicates dropped at build time.
+External node ids are opaque strings; internal ids are dense integers. Every
+graph is built by ``graph_from_ids`` from integer edge ids, and numbered by
+one rule, ``first_seen``: nodes in order of first appearance over the edge
+endpoints, then any extra nodes. Checkpoints pin that order through
+``checkpoint.node_order_digest``, so construction must stay deterministic given
+the input order. ``build_graph`` interns string keys by the same rule. All
+edges are canonical unordered pairs (u < v internally), with self-loops and
+duplicates dropped at build time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +26,8 @@ __all__ = [
     "BuildStats",
     "build_graph",
     "checked_pairs",
+    "first_seen",
+    "graph_from_ids",
     "node_intersection",
     "union_graph",
     "mean_aggregator",
@@ -96,53 +102,89 @@ def checked_pairs(edges: Sequence | np.ndarray, num_nodes: int) -> np.ndarray:
     return np.stack([arr[:, 0], arr[:, 1]], axis=1)
 
 
-def _csr_from_edges(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Build sorted-CSR (indptr, indices) from a canonical edge array."""
-    if edges.size == 0:
-        return np.zeros(num_nodes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst.astype(np.int64)
+def first_seen(ids: Sequence[np.ndarray]) -> np.ndarray:
+    """The distinct ids of a sequence of id arrays (each read row-major), in
+    order of first appearance: the node-numbering rule."""
+    flat = np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in ids])
+    _, first = np.unique(flat, return_index=True)
+    return flat[np.sort(first)]
 
 
-def _freeze(*arrays: np.ndarray | None) -> None:
-    for arr in arrays:
+def graph_from_ids(
+    keys: Sequence[str],
+    edges: np.ndarray,
+    features: np.ndarray | None = None,
+    sides: np.ndarray | None = None,
+    order: np.ndarray | None = None,
+) -> Graph:
+    """The one Graph constructor: ``edges`` is an (m, 2) array of ids into
+    ``keys``, and ``features``/``sides`` hold one row per key.
+
+    ``order``, when given, lists the ids to keep: node i of the graph is
+    ``keys[order[i]]``, and every edge must join two kept ids. Edges are
+    canonicalized (u < v); self-loops and duplicates are dropped and counted
+    on ``build_stats``. Side labels must be 0 or 1.
+    """
+    if len(keys) == 0:
+        raise DataError("graph has no nodes")
+    edges = checked_pairs(edges, len(keys))
+    if features is not None:
+        features = np.array(features, dtype=np.float32)
+        if features.ndim != 2 or features.shape[0] != len(keys):
+            raise DataError(f"{len(keys)} nodes but feature rows of shape {features.shape}")
+    if sides is not None:
+        sides = np.array(sides)
+        if sides.shape != (len(keys),):
+            raise DataError(f"{len(keys)} nodes but side labels of shape {sides.shape}")
+        bad = np.flatnonzero((sides != 0) & (sides != 1))
+        if bad.size:
+            raise DataError(f"side of node {keys[bad[0]]!r} is {sides[bad[0]]!r}, not 0 or 1")
+        sides = sides.astype(np.int8)
+    if order is not None:
+        order = np.asarray(order, dtype=np.int64)
+        new_id = np.full(len(keys), -1, dtype=np.int64)
+        new_id[order] = np.arange(order.size)
+        edges = checked_pairs(new_id[edges], order.size)
+        keys = [keys[i] for i in order.tolist()]
+        features = None if features is None else features[order]
+        sides = None if sides is None else sides[order]
+    keys = tuple(keys)
+    key_to_id = {k: i for i, k in enumerate(keys)}
+    if len(key_to_id) != len(keys):
+        raise DataError("duplicate node keys")
+
+    loops = edges[:, 0] == edges[:, 1]
+    canon = np.sort(edges[~loops], axis=1)
+    edges = np.unique(canon, axis=0)  # rows in lexicographic order
+    stats = BuildStats(self_loops_dropped=int(loops.sum()),
+                       duplicates_dropped=canon.shape[0] - edges.shape[0])
+
+    # sorted CSR: both directions of every edge, ordered by (row, column)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(keys)), out=indptr[1:])
+    indices = cols[np.lexsort((cols, rows))]
+
+    for arr in (indptr, indices, edges, features, sides):
         if arr is not None:
             arr.flags.writeable = False
+    return Graph(keys, key_to_id, indptr, indices, edges, features, sides, build_stats=stats)
 
 
-def _canonicalize_edges(
-    edge_list: Sequence[tuple[str, str]],
-    key_to_id: dict[str, int],
-    keys: list[str],
-) -> tuple[np.ndarray, BuildStats]:
-    """Assign internal ids in first-seen order, drop self-loops/duplicates."""
-    pairs: list[tuple[int, int]] = []
-    self_loops = 0
-    for a, b in edge_list:
-        a, b = str(a), str(b)
-        for key in (a, b):
-            if key not in key_to_id:
-                key_to_id[key] = len(keys)
-                keys.append(key)
-        if a == b:
-            self_loops += 1
-            continue
-        u, v = key_to_id[a], key_to_id[b]
-        pairs.append((u, v) if u < v else (v, u))
-    if pairs:
-        arr = np.array(pairs, dtype=np.int64)
-        edges = np.unique(arr, axis=0)  # rows in lexicographic order
-        duplicates = arr.shape[0] - edges.shape[0]
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-        duplicates = 0
-    return edges, BuildStats(self_loops_dropped=self_loops, duplicates_dropped=duplicates)
+def _rows_in_id_order(
+    mapping: Mapping[str, object] | None, key_to_id: Mapping[str, int], name: str
+) -> list | None:
+    """A node-keyed mapping's values in id order: exactly one row per node."""
+    if mapping is None:
+        return None
+    unknown = [k for k in mapping if k not in key_to_id]
+    if unknown:
+        raise DataError(f"{name} rows for unknown nodes: {unknown[:5]}")
+    missing = [k for k in key_to_id if k not in mapping]
+    if missing:
+        raise DataError(f"missing {name} rows for nodes: {missing[:5]}")
+    return [mapping[k] for k in key_to_id]
 
 
 def build_graph(
@@ -153,58 +195,25 @@ def build_graph(
 ) -> Graph:
     """Build a canonical Graph from external-id edge pairs.
 
-    Duplicate undirected edges and self-loops are dropped; the counts are
-    reported on ``Graph.build_stats``. ``extra_nodes`` admits isolated nodes
-    (appended after all edge endpoints, in given order). Feature keys must be
-    a subset of node keys and all rows must share one dimension.
+    Keys are interned in first-seen order over the edge endpoints, then
+    ``extra_nodes`` (isolated nodes, in given order). Duplicate undirected
+    edges and self-loops are dropped; the counts are reported on
+    ``Graph.build_stats``. ``features`` and ``sides`` need exactly one row per
+    node: feature rows share one dimension, side labels are 0 or 1.
     """
-    if len(edge_list) == 0 and len(extra_nodes) == 0:
-        raise DataError("empty edge list")
     key_to_id: dict[str, int] = {}
-    keys: list[str] = []
-    edges, stats = _canonicalize_edges(edge_list, key_to_id, keys)
+    ids = [key_to_id.setdefault(str(k), len(key_to_id)) for a, b in edge_list for k in (a, b)]
     for key in extra_nodes:
-        key = str(key)
-        if key not in key_to_id:
-            key_to_id[key] = len(keys)
-            keys.append(key)
-    num_nodes = len(keys)
-    indptr, indices = _csr_from_edges(num_nodes, edges)
-
-    feat_matrix = None
+        key_to_id.setdefault(str(key), len(key_to_id))
     if features is not None:
         dims = {len(row) for row in features.values()}
         if len(dims) > 1:
             raise DataError(f"inconsistent feature dimensions: {sorted(dims)}")
-        unknown = [k for k in features if k not in key_to_id]
-        if unknown:
-            raise DataError(f"feature rows for unknown nodes: {unknown[:5]}")
-        missing = [k for k in keys if k not in features]
-        if missing:
-            raise DataError(f"missing feature rows for nodes: {missing[:5]}")
-        dim = dims.pop() if dims else 0
-        feat_matrix = np.zeros((num_nodes, dim), dtype=np.float32)
-        for key, row in features.items():
-            feat_matrix[key_to_id[key]] = np.asarray(row, dtype=np.float32)
-
-    side_arr = None
-    if sides is not None:
-        side_arr = np.zeros(num_nodes, dtype=np.int8)
-        for key, side in sides.items():
-            if key not in key_to_id:
-                raise DataError(f"side label for unknown node {key!r}")
-            side_arr[key_to_id[key]] = int(side)
-
-    _freeze(indptr, indices, edges, feat_matrix, side_arr)
-    return Graph(
-        keys=tuple(keys),
-        key_to_id=key_to_id,
-        indptr=indptr,
-        indices=indices,
-        edges=edges,
-        features=feat_matrix,
-        sides=side_arr,
-        build_stats=stats,
+    return graph_from_ids(
+        list(key_to_id),
+        np.array(ids, dtype=np.int64).reshape(-1, 2),
+        features=_rows_in_id_order(features, key_to_id, "feature"),
+        sides=_rows_in_id_order(sides, key_to_id, "side"),
     )
 
 
@@ -214,71 +223,48 @@ def node_intersection(g1: Graph, g2: Graph) -> list[str]:
     return sorted(k for k in smaller.keys if k in larger.key_to_id)
 
 
-def _merge_features(g1: Graph, g2: Graph, keys: list[str]) -> np.ndarray | None:
-    if g1.features is None and g2.features is None:
+def _merged_rows(
+    name: str, rows1: np.ndarray | None, rows2: np.ndarray | None, lookup: np.ndarray,
+    keys: Sequence[str],
+) -> np.ndarray | None:
+    """Per-node rows of a union: g1's, then g2's at their union ids ``lookup``.
+
+    Both graphs carry rows or neither does, and a shared node's two rows must
+    agree (``np.isclose`` with atol 1e-6).
+    """
+    if rows1 is None and rows2 is None:
         return None
-    if g1.features is None or g2.features is None:
-        raise DataError("cannot merge graphs where only one side has features")
-    if g1.feature_dim != g2.feature_dim:
-        raise DataError(
-            f"feature dimension mismatch: {g1.feature_dim} vs {g2.feature_dim}"
-        )
-    out = np.zeros((len(keys), g1.feature_dim), dtype=np.float32)
-    for i, key in enumerate(keys):
-        in1, in2 = key in g1.key_to_id, key in g2.key_to_id
-        if in1 and in2:
-            r1 = g1.features[g1.key_to_id[key]]
-            r2 = g2.features[g2.key_to_id[key]]
-            if not np.allclose(r1, r2, atol=1e-6):
-                raise DataError(f"conflicting feature rows for shared node {key!r}")
-            out[i] = r1
-        else:
-            src = g1 if in1 else g2
-            out[i] = src.features[src.key_to_id[key]]
+    if rows1 is None or rows2 is None:
+        raise DataError(f"cannot merge a graph with {name} rows and one without")
+    if rows1.shape[1:] != rows2.shape[1:]:
+        raise DataError(f"{name} dimension mismatch: {rows1.shape[1]} vs {rows2.shape[1]}")
+    shared = lookup < len(rows1)
+    agree = np.isclose(rows1[lookup[shared]], rows2[shared], atol=1e-6)
+    clash = lookup[shared][~agree.all(axis=tuple(range(1, agree.ndim)))]
+    if clash.size:
+        raise DataError(f"conflicting {name} rows for shared node {keys[clash.min()]!r}")
+    out = np.empty((len(keys), *rows1.shape[1:]), dtype=rows1.dtype)
+    out[lookup] = rows2
+    out[: len(rows1)] = rows1
     return out
 
 
 def union_graph(g1: Graph, g2: Graph) -> Graph:
     """Graph over the union keyspace with the union of both edge sets.
 
-    Node order: g1's nodes first, then g2-only nodes in g2 order. Features
-    are merged when both graphs carry them (shared rows must agree); side
-    labels are merged the same way.
+    Node order: g1's nodes first, then g2-only nodes in g2 order. Feature
+    rows and side labels each merge the same way: both graphs carry them or
+    neither does, and a shared node's rows must agree (features to within
+    1e-6; sides, being 0 or 1, exactly).
     """
-    keys = list(g1.keys) + [k for k in g2.keys if k not in g1.key_to_id]
-    key_to_id = {k: i for i, k in enumerate(keys)}
-
-    def remap(g: Graph) -> np.ndarray:
-        if g.num_edges == 0:
-            return np.zeros((0, 2), dtype=np.int64)
-        lookup = np.array([key_to_id[k] for k in g.keys], dtype=np.int64)
-        e = lookup[g.edges]
-        return np.sort(e, axis=1)
-
-    merged = np.concatenate([remap(g1), remap(g2)], axis=0)
-    if merged.size:
-        merged = np.unique(merged, axis=0)
-    indptr, indices = _csr_from_edges(len(keys), merged)
-    feats = _merge_features(g1, g2, keys)
-
-    side_arr = None
-    if g1.sides is not None or g2.sides is not None:
-        side_arr = np.zeros(len(keys), dtype=np.int8)
-        for g in (g1, g2):
-            if g.sides is None:
-                continue
-            for i, key in enumerate(g.keys):
-                side_arr[key_to_id[key]] = g.sides[i]
-
-    _freeze(indptr, indices, merged, feats, side_arr)
-    return Graph(
-        keys=tuple(keys),
-        key_to_id=key_to_id,
-        indptr=indptr,
-        indices=indices,
-        edges=merged,
-        features=feats,
-        sides=side_arr,
+    key_to_id = dict(g1.key_to_id)
+    lookup = np.array([key_to_id.setdefault(k, len(key_to_id)) for k in g2.keys], dtype=np.int64)
+    keys = g1.keys + tuple(compress(g2.keys, lookup >= g1.num_nodes))
+    return graph_from_ids(
+        keys,
+        np.concatenate([g1.edges, lookup[g2.edges]]),
+        features=_merged_rows("feature", g1.features, g2.features, lookup, keys),
+        sides=_merged_rows("side", g1.sides, g2.sides, lookup, keys),
     )
 
 

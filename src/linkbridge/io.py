@@ -4,7 +4,8 @@ Edge lists are UTF-8 TSV with columns ``src<TAB>dst[<TAB>year]``; lines
 starting with ``#`` are comments. Features come either as CSV rows
 ``node_key,f1,...,fd`` or as a row-major little-endian float32 blob described
 by a JSON sidecar ``{"num_rows": N, "dim": d, "key_file": "..."}`` whose key
-file lists one node key per line.
+file lists one node key per line. A sides file marks a bipartite graph: TSV
+rows ``node_key<TAB>side``, one row per node, each side 0 or 1.
 
 A "graph path" is either a single edges TSV (with optional sibling files
 ``<stem>.features.csv`` / ``<stem>.features.json`` / ``<stem>.sides.tsv``)

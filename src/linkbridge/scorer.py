@@ -59,6 +59,8 @@ class ScorerConfig:
     def validate(self) -> None:
         if self.d_trainable < 1:
             raise ConfigError("d_trainable must be >= 1")
+        if self.d_out is not None and self.encoder != "one_hop_mean":
+            raise ConfigError(f"d_out sizes the one_hop_mean encoder; encoder is {self.encoder!r}")
         if self.d_out is not None and self.d_out < 1:
             raise ConfigError("d_out must be >= 1")
         if self.learning_rate < 0:

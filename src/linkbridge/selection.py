@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph, build_graph, node_intersection, union_graph
+from .graph import Graph, build_graph, first_seen, graph_from_ids, node_intersection, union_graph
 
 __all__ = [
     "Regime",
@@ -472,15 +472,15 @@ def audit_manifest(
 def training_graph_from_universe(manifest: SplitManifest, universe: Graph) -> Graph:
     """Graph the scorer sees: the universe's nodes, training positives only.
 
-    Valid/test edges never appear in the adjacency, so message passing and
-    heuristics cannot peek at evaluation edges.
+    Nodes are numbered first-seen over the training pairs, then the rest of
+    the universe in its order; features and sides follow their nodes. A pair
+    naming a node outside the universe is a DataError. Valid/test edges never
+    appear in the adjacency, so message passing and heuristics cannot peek at
+    evaluation edges.
     """
-    feats = None
-    if universe.features is not None:
-        feats = {k: universe.features[i] for i, k in enumerate(universe.keys)}
-    return build_graph(
-        list(manifest.train_pos), features=feats, extra_nodes=list(universe.keys)
-    )
+    ids = universe.pair_ids(manifest.train_pos)
+    order = first_seen([ids, np.arange(universe.num_nodes)])
+    return graph_from_ids(universe.keys, ids, universe.features, universe.sides, order=order)
 
 
 def manifest_training_graph(

@@ -314,6 +314,102 @@ def random_graph_edges(rng, n, m):
     return edges
 
 
+def noisy_keyed_graph_input(rng, names, m):
+    """Build-graph input over string keys: ``m`` random pairs of ``names``
+    plus a self-loop and a reversed duplicate, three extra (often isolated)
+    nodes, and feature and side rows that are a function of the key, so two
+    graphs always agree on a shared node."""
+    u, v = rng.choice(names, size=m), rng.choice(names, size=m)
+    pairs = list(zip(u.tolist(), v.tolist())) + [(u[0], u[0]), (v[1], u[1])]
+    extra = rng.choice(names, size=3).tolist()
+    nodes = {k for pair in pairs for k in pair} | set(extra)
+    features = {k: [float(k[1:]), float(k[1:]) % 7 / 3] for k in nodes}
+    sides = {k: int(k[1:]) % 2 for k in nodes}
+    return pairs, extra, features, sides
+
+
+def reference_graph(keys, pairs, feature_rows=None, side_rows=None):
+    """A graph's arrays built with loops from string pairs: nodes ``keys`` in
+    the given order, self-loops and duplicate pairs dropped, each node's
+    neighbors sorted, feature and side rows looked up per key."""
+    key_to_id = {k: i for i, k in enumerate(keys)}
+    edges = sorted({tuple(sorted((key_to_id[a], key_to_id[b]))) for a, b in pairs if a != b})
+    neighbors = [[] for _ in keys]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return {
+        "keys": tuple(keys),
+        "edges": np.array(edges, dtype=np.int64).reshape(-1, 2),
+        "indptr": np.cumsum([0] + [len(row) for row in neighbors]),
+        "indices": np.array([v for row in neighbors for v in sorted(row)], dtype=np.int64),
+        "features": None if feature_rows is None
+        else np.array([feature_rows[k] for k in keys], dtype=np.float32),
+        "sides": None if side_rows is None
+        else np.array([side_rows[k] for k in keys], dtype=np.int8),
+    }
+
+
+def first_seen_keys(pairs, extra=()):
+    """Keys in order of first appearance over the pairs' endpoints, then ``extra``."""
+    return list(dict.fromkeys([k for pair in pairs for k in pair] + list(extra)))
+
+
+def graph_mismatches(g, ref) -> list[str]:
+    """Names of the arrays where a Graph differs from ``reference_graph``'s:
+    keys, edges and CSR by value, features and sides by dtype and bytes."""
+    bad = [] if g.keys == ref["keys"] else ["keys"]
+    bad += [n for n in ("edges", "indptr", "indices") if not np.array_equal(getattr(g, n), ref[n])]
+    for name in ("features", "sides"):
+        got, want = getattr(g, name), ref[name]
+        if (got is None) != (want is None) or (
+            got is not None and (got.dtype != want.dtype or got.tobytes() != want.tobytes())
+        ):
+            bad.append(name)
+    return bad
+
+
+def dict_training_graph(manifest, universe):
+    """The training graph built from strings: nodes first-seen over the
+    training pairs, then the universe's keys; rows from ``{key: row}`` dicts."""
+    def rows(arr):
+        return None if arr is None else {k: arr[i] for i, k in enumerate(universe.keys)}
+
+    keys = first_seen_keys(manifest.train_pos, universe.keys)
+    return reference_graph(keys, manifest.train_pos, rows(universe.features), rows(universe.sides))
+
+
+def loop_union_graph(g1, g2):
+    """Per-key union: g1's nodes, then g2-only nodes in g2 order. Each node's
+    feature and side rows come from whichever graph has it; a shared node's
+    two rows are compared one key at a time and must agree."""
+    keys = list(g1.keys) + [k for k in g2.keys if k not in g1.key_to_id]
+    merged = {}
+    for name in ("features", "sides"):
+        a1, a2 = getattr(g1, name), getattr(g2, name)
+        assert (a1 is None) == (a2 is None), f"only one graph has {name}"
+        if a1 is None:
+            merged[name] = None
+            continue
+        merged[name] = {}
+        for key in keys:
+            r1 = a1[g1.key_to_id[key]] if key in g1.key_to_id else None
+            r2 = a2[g2.key_to_id[key]] if key in g2.key_to_id else None
+            assert r1 is None or r2 is None or np.allclose(r1, r2, atol=1e-6), key
+            merged[name][key] = r2 if r1 is None else r1
+    pairs = g1.edge_keys() + g2.edge_keys()
+    return reference_graph(keys, pairs, merged["features"], merged["sides"])
+
+
+def string_pair_graph(keys, edge_ids, features, members):
+    """A synthetic domain built from strings: ``edge_ids`` and ``members``
+    index the universe ``keys`` and ``features``; nodes are first-seen over
+    the edges, then the members."""
+    pairs = [(keys[u], keys[v]) for u, v in edge_ids]
+    node_keys = first_seen_keys(pairs, [keys[i] for i in members])
+    return reference_graph(node_keys, pairs, {keys[i]: features[i] for i in members})
+
+
 def grid_non_edges(n, edges, u_pool, v_pool, outside_only=None, sides=None):
     """Candidate non-edges (u < v) over the full n x n grid, row-major order.
 

@@ -12,7 +12,7 @@ from linkbridge.evaluation import (
     node_centric_lp_ablation,
     shuffle_eval_order,
 )
-from linkbridge.graph import union_graph
+from linkbridge.graph import build_graph, union_graph
 from linkbridge.heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
 from linkbridge.io import load_graph, read_scores_tsv, save_graph, write_edge_tsv, write_scores_tsv
 from linkbridge.propagation import DiffusionConfig, emb_lp, logit_lp, xmc_scores
@@ -61,6 +61,18 @@ def test_unreadable_manifest_exits_3(workspace, text):
     if text is not None:
         (workspace / "bad.json").write_text(text)
     assert _train(workspace, {"epochs": 1}, manifest="bad.json") == 3
+
+
+def test_foreign_manifest_key_exits_3(tmp_path, small_pair):
+    # featureless graphs, so that the foreign key is not caught as a node
+    # without a feature row instead
+    src, tar = (build_graph(g.edge_keys()) for g in small_pair[:2])
+    save_graph(union_graph(src, tar), tmp_path / "union")
+    payload = json.loads(make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1).to_json())
+    payload["splits"]["train_pos"].append(["n000000", "zz"])
+    _write_json(tmp_path / "foreign.json", payload)
+    assert _train(tmp_path, {"epochs": 1, "d_trainable": 4}, manifest="foreign.json") == 3
+    assert not (tmp_path / "model.bin").exists()
 
 
 def test_distill_bad_config_exits_2(workspace):
@@ -131,6 +143,7 @@ def test_run_succeeds(tmp_path):
     RUN_CONFIG | {"dataset": RUN_CONFIG["dataset"] | {"sourc": "source.tsv"}},
     RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_out": -2}},
     RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_out": 0}},
+    RUN_CONFIG | {"scorer": {"epochs": 1, "d_out": 4}},
     RUN_CONFIG | {"ppr": {"tol": -1e-3}},
     RUN_CONFIG | {"distill": {"plateau_epochs": 0}},
     RUN_CONFIG | {"distill": {"plateau_epochs": -1}},
@@ -139,7 +152,8 @@ def test_run_succeeds(tmp_path):
         "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
         "distill-finetune-batch-size-0", "scorer-momentum", "scorer-l2-weight",
         "neg-ratio-negative", "train-frac-above-1", "top-level-typo", "eval-typo",
-        "dataset-typo", "scorer-d-out-negative", "scorer-d-out-0", "ppr-tol-negative",
+        "dataset-typo", "scorer-d-out-negative", "scorer-d-out-0",
+        "scorer-d-out-without-one-hop-mean", "ppr-tol-negative",
         "distill-plateau-epochs-0", "distill-plateau-epochs-negative",
         "distill-plateau-tol-negative"])
 def test_run_bad_config_exits_2(tmp_path, config):
@@ -350,6 +364,26 @@ def test_evaluate_non_positive_k_multiplier_exits_2(trained, k_mult):
 def _stage_args(ws):
     return ["--graph", str(ws / "union"), "--manifest", str(ws / "m.json"),
             "--out", str(ws / "out.tsv")]
+
+
+def test_ingest_side_rows_declare_nodes(tmp_path):
+    (tmp_path / "edges.tsv").write_text("a\tb\n")
+    (tmp_path / "sides.tsv").write_text("a\t0\nb\t1\niso\t0\n")
+    code = main(["ingest", "--edges", str(tmp_path / "edges.tsv"),
+                 "--sides", str(tmp_path / "sides.tsv"), "--out", str(tmp_path / "g")])
+    assert code == 0
+    g = load_graph(tmp_path / "g")
+    assert g.keys == ("a", "b", "iso")
+    assert g.sides.tolist() == [0, 1, 0]
+
+
+def test_ingest_missing_side_row_exits_3(tmp_path):
+    (tmp_path / "edges.tsv").write_text("a\tb\nb\tc\n")
+    (tmp_path / "sides.tsv").write_text("a\t0\nb\t1\n")
+    code = main(["ingest", "--edges", str(tmp_path / "edges.tsv"),
+                 "--sides", str(tmp_path / "sides.tsv"), "--out", str(tmp_path / "g")])
+    assert code == 3
+    assert not (tmp_path / "g").exists()
 
 
 # each command reading a file that is missing, of another kind, or holding a

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from linkbridge import datasets
 from linkbridge.datasets import SyntheticSpec, generate_synthetic, temporal_split
 from linkbridge.errors import ConfigError, DataError
-from linkbridge.graph import node_intersection
+from linkbridge.graph import graph_from_ids, node_intersection
+
+from oracles import graph_mismatches, string_pair_graph
 
 
 def test_temporal_boundary_containment():
@@ -135,3 +138,23 @@ def test_spec_validation_errors():
         _spec(overlap_ratio=0.001, n_src=100, n_tar=100).validate()
     with pytest.raises(ConfigError):
         _spec(feature_dim=0).validate()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generate_synthetic_matches_string_pair_build(monkeypatch, seed):
+    spec = SyntheticSpec(n_src=60, n_tar=30, overlap_ratio=0.4, mean_deg_src=4,
+                         mean_deg_tar=2, feature_dim=3, feature_shift=0.3, seed=seed)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)  # (universe keys, edge ids, universe features)
+        return graph_from_ids(*args, **kwargs)
+
+    monkeypatch.setattr(datasets, "graph_from_ids", spy)
+    src, tar, _ = generate_synthetic(spec)
+    n_overlap = int(round(spec.overlap_ratio * min(spec.n_src, spec.n_tar)))
+    n_union = spec.n_src + spec.n_tar - n_overlap
+    members = (range(spec.n_src), [*range(n_overlap), *range(spec.n_src, n_union)])
+    assert len(calls) == 2
+    for g, (keys, edge_ids, features), m in zip((src, tar), calls, members):
+        assert graph_mismatches(g, string_pair_graph(keys, edge_ids, features, m)) == []

@@ -8,6 +8,8 @@ from linkbridge.graph import (
     union_graph,
 )
 
+from oracles import graph_mismatches, loop_union_graph, noisy_keyed_graph_input
+
 
 def test_dedup_and_self_loop_drop():
     g = build_graph([("a", "b"), ("b", "a"), ("a", "a")])
@@ -107,8 +109,47 @@ def test_union_graph_merges_edges_and_features():
 def test_union_graph_conflicting_features():
     g1 = build_graph([("a", "b")], features={"a": [1.0], "b": [2.0]})
     g2 = build_graph([("a", "c")], features={"a": [9.0], "c": [3.0]})
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="shared node 'a'"):
         union_graph(g1, g2)
+
+
+def test_side_labels_need_a_row_per_node():
+    with pytest.raises(DataError, match="missing side rows"):
+        build_graph([("a", "b"), ("b", "c")], sides={"a": 0, "b": 1})
+
+
+@pytest.mark.parametrize("side", [2, -1, 256])
+def test_side_labels_are_0_or_1(side):
+    with pytest.raises(DataError, match="not 0 or 1"):
+        build_graph([("a", "b")], sides={"a": 0, "b": side})
+
+
+def test_union_graph_conflicting_sides():
+    g1 = build_graph([("a", "b")], sides={"a": 0, "b": 1})
+    g2 = build_graph([("b", "c")], sides={"b": 0, "c": 1})
+    with pytest.raises(DataError, match="conflicting side rows for shared node 'b'"):
+        union_graph(g1, g2)
+
+
+@pytest.mark.parametrize("labelled_first", [True, False])
+def test_union_graph_needs_sides_on_both_or_neither(labelled_first):
+    labelled = build_graph([("a", "b")], sides={"a": 0, "b": 1})
+    bare = build_graph([("b", "c")])
+    with pytest.raises(DataError, match="side rows and one without"):
+        union_graph(*((labelled, bare) if labelled_first else (bare, labelled)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("with_rows", [True, False])
+def test_union_graph_matches_per_key_merge(seed, with_rows):
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for lo, hi in ((0, 40), (25, 70)):
+        pairs, extra, features, sides = noisy_keyed_graph_input(
+            rng, [f"n{i}" for i in range(lo, hi)], 60)
+        rows = dict(features=features, sides=sides) if with_rows else {}
+        graphs.append(build_graph(pairs, extra_nodes=extra, **rows))
+    assert graph_mismatches(union_graph(*graphs), loop_union_graph(*graphs)) == []
 
 
 def test_union_disjoint_edge_count():

@@ -94,7 +94,8 @@ def test_gradient_check(encoder, with_features):
         g = featured_graph()
     else:
         g = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d"), ("e", "a")])
-    cfg = ScorerConfig(d_trainable=3, encoder=encoder, seed=11, d_out=4)
+    d_out = 4 if encoder == "one_hop_mean" else None
+    cfg = ScorerConfig(d_trainable=3, encoder=encoder, seed=11, d_out=d_out)
     model = init_model(cfg, g)
     pos = np.array([[0, 1], [1, 2], [2, 3]])
     neg = np.array([[0, 2], [1, 3], [0, 3], [4, 2]])
@@ -187,6 +188,8 @@ def test_config_validation():
     for d_out in (0, -2):
         with pytest.raises(ConfigError):
             ScorerConfig(encoder="one_hop_mean", d_out=d_out).validate()
+    with pytest.raises(ConfigError, match="d_out sizes the one_hop_mean encoder"):
+        ScorerConfig(d_out=4).validate()
 
 
 def test_input_matrix_gathers_rows():
@@ -207,7 +210,7 @@ def test_train_scorer_matches_dense_reference(small_pair, encoder):
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=5)
     g_train = manifest_training_graph(manifest, src, tar)
     cfg = ScorerConfig(d_trainable=6, encoder=encoder, batch_size=32, epochs=3,
-                       seed=9, d_out=5)
+                       seed=9, d_out=5 if encoder == "one_hop_mean" else None)
     model = train_scorer(cfg, g_train, manifest)
     x_ref, w_ref = dense_train_scorer(cfg, g_train, manifest)
     assert np.array_equal(model.x_prime, x_ref)

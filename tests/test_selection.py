@@ -11,12 +11,20 @@ from linkbridge.selection import (
     make_split,
     manifest_training_graph,
     sample_negatives,
+    training_graph_from_universe,
     _enumerate_non_edges,
     _regime_positives,
     _rejection_sample_pairs,
 )
 
-from oracles import grid_non_edges, loop_rejection_sample_pairs, random_graph_edges
+from oracles import (
+    dict_training_graph,
+    graph_mismatches,
+    grid_non_edges,
+    loop_rejection_sample_pairs,
+    noisy_keyed_graph_input,
+    random_graph_edges,
+)
 
 
 def canon(pairs):
@@ -355,3 +363,35 @@ def test_manifest_json_round_trip(small_pair, tmp_path):
     manifest.save(path)
     loaded = SplitManifest.load(path)
     assert loaded == manifest
+
+
+def _train_manifest(train_pos):
+    return SplitManifest(Regime.UNION_TO_TARGET, 0, 1.0, tuple(train_pos), (), (), (), (), ())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("with_rows", [True, False])
+def test_training_graph_matches_dict_build(seed, with_rows):
+    rng = np.random.default_rng(seed)
+    pairs, extra, features, sides = noisy_keyed_graph_input(rng, [f"n{i}" for i in range(50)], 70)
+    rows = dict(features=features, sides=sides) if with_rows else {}
+    universe = build_graph(pairs, extra_nodes=extra, **rows)
+    picks = rng.choice(universe.num_nodes, size=(30, 2))
+    train_pos = [tuple(sorted((universe.keys[u], universe.keys[v]))) for u, v in picks]
+    # with duplicate pairs and a self-loop
+    manifest = _train_manifest(train_pos + train_pos[:2] + [(universe.keys[0],) * 2])
+    got = training_graph_from_universe(manifest, universe)
+    assert graph_mismatches(got, dict_training_graph(manifest, universe)) == []
+
+
+def test_training_graph_keeps_sides():
+    universe = build_graph([("a", "b"), ("b", "c")], sides={"a": 0, "b": 1, "c": 0})
+    g = training_graph_from_universe(_train_manifest([("b", "c")]), universe)
+    assert g.keys == ("b", "c", "a")
+    assert g.sides.tolist() == [1, 0, 0]
+
+
+def test_training_graph_rejects_a_pair_outside_the_universe():
+    universe = build_graph([("a", "b"), ("b", "c")])
+    with pytest.raises(DataError, match="unknown node key 'zz'"):
+        training_graph_from_universe(_train_manifest([("a", "zz")]), universe)
