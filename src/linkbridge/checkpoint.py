@@ -93,7 +93,6 @@ def _load_model(path: str | Path, kind: str, g: Graph, cls) -> tuple:
         raise DataError(f"{path}: checkpoint has {rows} node rows, graph has {g.num_nodes}")
     try:
         config = cls(**header.get("config"))
-        config.validate()
     except (TypeError, ConfigError) as exc:
         raise DataError(f"{path}: checkpoint config does not fit {cls.__name__} ({exc})") from exc
     return config, arrays

@@ -8,34 +8,52 @@ Seeds are used as given (``--seed``, a config file's ``seed``), while
 
 Exit codes: 0 success, 2 config error, 3 data error (also for an input file
 that is missing, unreadable or malformed), 4 numeric failure.
-Heavy imports happen inside the command handlers so that ``--threads`` can
-pin the BLAS pool size before numpy loads.
+
+The BLAS pool size is read once, when numpy loads, which importing this
+module already does: set ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or
+``MKL_NUM_THREADS`` in the environment before the process starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-
-def _apply_threads(threads: int | None) -> None:
-    if threads is None:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(threads)
+from .checkpoint import load_scorer, save_student
+from .datasets import SyntheticSpec, generate_synthetic, temporal_split
+from .distill import DistillConfig
+from .errors import ConfigError, DataError, NumericError
+from .evaluation import (
+    CALIBRATED_METHODS,
+    EvalReport,
+    SuiteConfig,
+    eval_pairs,
+    method_scores,
+    shuffle_eval_order,
+    train_student,
+)
+from .heuristics import PprConfig
+from .io import (
+    load_graph,
+    read_edge_tsv,
+    read_features,
+    read_graph,
+    read_scores_for,
+    save_graph,
+    write_edge_tsv,
+    write_features_bin,
+    write_features_csv,
+    write_scores_tsv,
+)
+from .pipeline import fit_scorer, metric_row, run_pipeline
+from .propagation import DiffusionConfig
+from .scorer import ScorerConfig, embed, score_edges
+from .selection import Regime, SplitManifest, make_split, training_graph_from_universe
 
 
 def _read_json(path: str) -> dict:
-    from .errors import ConfigError
-
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -53,24 +71,18 @@ def _given(**options) -> dict:
 
 
 def _build_config(cls, path=None, **options):
-    """``cls`` from a JSON file's fields and the options given, validated;
-    an unknown or missing field is a ConfigError (exit 2), as is every
-    ``validate()`` failure."""
-    from .errors import ConfigError
-
+    """``cls`` from a JSON file's fields and the options given; an unknown
+    or missing field is a ConfigError (exit 2), as is a value the class
+    rejects when it is constructed."""
     payload = (_read_json(path) if path else {}) | _given(**options)
     try:
-        config = cls(**payload)
+        return cls(**payload)
     except TypeError as exc:
         raise ConfigError(f"{cls.__name__}: {exc}") from exc
-    config.validate()
-    return config
 
 
 def _write_pair(out_dir: str, src, tar, feature_format: str = "csv") -> Path:
     """``source.tsv`` and ``target.tsv``, each with its features file if any."""
-    from .io import write_edge_tsv, write_features_bin, write_features_csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, g in (("source", src), ("target", tar)):
@@ -88,22 +100,7 @@ def _write_pair(out_dir: str, src, tar, feature_format: str = "csv") -> Path:
 # command handlers
 
 def cmd_ingest(args) -> int:
-    from .graph import build_graph
-    from .io import read_edge_tsv, read_features, read_sides_tsv, save_graph
-
-    pairs = []
-    for path in args.edges:
-        p, _ = read_edge_tsv(path)
-        pairs.extend(p)
-    features = None
-    if args.features:
-        features = {}
-        for path in args.features:
-            features.update(read_features(path))
-    sides = read_sides_tsv(args.sides) if args.sides else None
-    # feature and side rows declare nodes, as in load_graph
-    extra = [*(features or {}), *(sides or {})]
-    g = build_graph(pairs, features=features, sides=sides, extra_nodes=extra)
+    g = read_graph(args.edges, args.features or [], args.sides)
     save_graph(g, args.out, feature_format=args.feature_format)
     stats = g.build_stats
     print(
@@ -115,13 +112,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split_temporal(args) -> int:
-    from .datasets import temporal_split
-    from .io import read_edge_tsv, read_features
-
     pairs, years = read_edge_tsv(args.edges)
     if any(y is None for y in years):
-        from .errors import DataError
-
         raise DataError(f"{args.edges}: every edge needs a year column")
     features = read_features(args.features) if args.features else None
     edges = [(u, v, y) for (u, v), y in zip(pairs, years)]
@@ -135,9 +127,6 @@ def cmd_split_temporal(args) -> int:
 
 
 def cmd_gen_synmodel(args) -> int:
-    from .datasets import SyntheticSpec, generate_synthetic
-    from .io import write_edge_tsv
-
     spec = _build_config(SyntheticSpec, args.spec)
     src, tar, heldout = generate_synthetic(spec)
     out = _write_pair(args.out_dir, src, tar, args.feature_format)
@@ -150,9 +139,6 @@ def cmd_gen_synmodel(args) -> int:
 
 
 def cmd_make_split(args) -> int:
-    from .io import load_graph
-    from .selection import Regime, make_split
-
     src = load_graph(args.src)
     tar = load_graph(args.tar)
     given = _given(neg_ratio=args.neg_ratio, train_frac_outside=args.train_frac, seed=args.seed)
@@ -165,18 +151,11 @@ def cmd_make_split(args) -> int:
 
 def _load_training_graph(args):
     """``--manifest`` and its training graph over the ``--graph`` universe."""
-    from .io import load_graph
-    from .selection import SplitManifest, training_graph_from_universe
-
     manifest = SplitManifest.load(args.manifest)
     return manifest, training_graph_from_universe(manifest, load_graph(args.graph))
 
 
 def cmd_train_scorer(args) -> int:
-    from .io import write_features_bin
-    from .pipeline import fit_scorer
-    from .scorer import ScorerConfig
-
     config = _build_config(ScorerConfig, args.config, seed=args.seed)
     manifest, g_train = _load_training_graph(args)
     model, y, _, _ = fit_scorer(config, g_train, manifest, args.out, args.emit_logits)
@@ -190,13 +169,6 @@ def cmd_train_scorer(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    from .checkpoint import load_scorer
-    from .errors import ConfigError
-    from .evaluation import CALIBRATED_METHODS, SuiteConfig, method_scores
-    from .io import read_scores_for, write_scores_tsv
-    from .propagation import DiffusionConfig
-    from .scorer import embed, score_edges
-
     diffusion = _build_config(DiffusionConfig, alpha=args.alpha, k_max=args.kmax, tol=args.tol)
     manifest, g_train = _load_training_graph(args)
     pairs = manifest.all_edges()
@@ -223,11 +195,6 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    from .checkpoint import load_scorer, save_student
-    from .distill import DistillConfig
-    from .evaluation import train_student
-    from .scorer import embed
-
     config = _build_config(DistillConfig, args.config, train_xprime=args.train_xprime)
     manifest, g_train = _load_training_graph(args)
     teacher = load_scorer(args.teacher, g_train)
@@ -238,13 +205,9 @@ def cmd_distill(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    from .evaluation import SuiteConfig, method_scores
-    from .heuristics import PprConfig
-    from .io import load_graph, read_pairs_tsv, write_scores_tsv
-
     ppr = _build_config(PprConfig, teleport=args.teleport, iterations=args.iterations)
     g = load_graph(args.graph)
-    pairs = read_pairs_tsv(args.edges)
+    pairs, _ = read_edge_tsv(args.edges)
     suite = SuiteConfig(ppr=ppr)
     scores = method_scores(args.method, g, None, None, None, None, g.pair_ids(pairs), suite)
     write_scores_tsv(args.out, pairs, scores)
@@ -253,12 +216,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .errors import ConfigError
-    from .evaluation import EvalReport, SuiteConfig, eval_pairs, shuffle_eval_order
-    from .io import read_scores_for
-    from .pipeline import metric_row
-    from .selection import SplitManifest
-
     k_mult = tuple(args.k_mult) if args.k_mult else None
     suite = SuiteConfig(**_given(seed=args.seed, eval_split=args.split, k_multipliers=k_mult))
     manifest = SplitManifest.load(args.manifest)
@@ -286,8 +243,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .pipeline import run_pipeline
-
     config = _read_json(args.config)
     report = run_pipeline(config, base_dir=Path(args.config).resolve().parent)
     print(report.text_table(), end="")
@@ -304,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-graph link prediction via overlap-selected training "
         "and edge-centric score propagation.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="canonicalize edge lists into a graph dir")
@@ -404,10 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_threads(args.threads)
-
-    from .errors import ConfigError, DataError, NumericError
-
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -11,24 +11,18 @@ a full-density draw, so the removed edges double as recovery ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .graph import Graph, build_graph, first_seen, graph_from_ids, node_intersection
 
-__all__ = ["TemporalEdge", "SyntheticSpec", "temporal_split", "generate_synthetic"]
-
-
-class TemporalEdge(NamedTuple):
-    u: str
-    v: str
-    year: int
+__all__ = ["SyntheticSpec", "temporal_split", "generate_synthetic"]
 
 
 def temporal_split(
-    edges: Sequence[TemporalEdge | tuple[str, str, int]],
+    edges: Sequence[tuple[str, str, int]],
     y_low: int,
     y_high: int,
     features: dict[str, np.ndarray] | None = None,
@@ -38,7 +32,9 @@ def temporal_split(
     The source keeps every edge strictly before ``y_high``; the target keeps
     every edge strictly after ``y_low``. With ``y_low < y_high`` the window
     in between lands in both graphs, which guarantees node overlap on any
-    edge set spanning it. Node sets are induced by each side's edges.
+    edge set spanning it. Node sets are induced by each side's edges, and
+    each side keeps the feature rows of its nodes; a feature row for a node
+    that no edge names is a DataError, as in ``build_graph``.
     """
     if y_low >= y_high:
         raise DataError(f"y_low must be < y_high, got {y_low} >= {y_high}")
@@ -65,6 +61,10 @@ def temporal_split(
 
     src = build_graph(src_pairs, features=subset_feats(src_pairs))
     tar = build_graph(tar_pairs, features=subset_feats(tar_pairs))
+    if features is not None:
+        unknown = [k for k in features if k not in src.key_to_id and k not in tar.key_to_id]
+        if unknown:
+            raise DataError(f"feature rows for unknown nodes: {unknown[:5]}")
     if not node_intersection(src, tar):
         raise DataError("source and target graphs share no nodes")
     return src, tar
@@ -78,6 +78,7 @@ class SyntheticSpec:
     ``mean_deg_src > mean_deg_tar`` encodes the source's richer links.
     ``feature_shift`` moves the feature mean of target-exclusive nodes along
     a fixed random direction, modelling the cross-domain distribution gap.
+    A spec out of range is a ConfigError at construction.
     """
 
     n_src: int
@@ -93,7 +94,7 @@ class SyntheticSpec:
     degree_sigma: float = 0.5
     feature_noise: float = 0.35
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_src < 2 or self.n_tar < 2:
             raise ConfigError("need at least 2 nodes per domain")
         if not 0.0 < self.overlap_ratio <= 1.0:
@@ -202,7 +203,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, Graph, list[tuple[st
     source density and keeps a subsample at ``mean_deg_tar``; the removed
     edges are returned as the latent-link recovery ground truth.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n_overlap = int(round(spec.overlap_ratio * min(spec.n_src, spec.n_tar)))
     n_union = spec.n_src + spec.n_tar - n_overlap

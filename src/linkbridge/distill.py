@@ -35,6 +35,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DistillConfig:
+    """Student knobs; a value out of range is a ConfigError at construction."""
+
     hidden: int = 128
     learning_rate: float = 0.02
     batch_size: int = 256
@@ -47,7 +49,7 @@ class DistillConfig:
     finetune_lr: float = 0.01
     finetune_batch_size: int = 256
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.hidden < 1:
             raise ConfigError("hidden width must be >= 1")
         if self.learning_rate < 0 or self.finetune_lr < 0:
@@ -156,7 +158,6 @@ def imitate(
     ``config.train_xprime`` asks for joint optimization. The fitted model
     records the final imitation MSE and the per-epoch loss trace.
     """
-    config.validate()
     if teacher_y.shape[0] != g.num_nodes:
         raise DataError("teacher embeddings do not cover all nodes")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD157]))
@@ -203,18 +204,15 @@ def _finetune_pass(
     return loss, _backward(model, h, a, z1, dy), rows
 
 
-def finetune_linkpred(
-    model: MlpModel, manifest, g: Graph, config: DistillConfig | None = None
-) -> MlpModel:
+def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
     """Continue training the student on the link prediction loss.
 
     ``sgd_epochs`` over matched train pos/neg pairs; returns the checkpoint
     with the best validation recall (at |valid_pos|), the imitated student
     included: an epoch is kept only if it beats the recall training starts
-    from.
+    from. The step size, epochs and batches are ``model.config``'s.
     """
-    config = config or model.config
-    config.validate()
+    config = model.config
 
     pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
     valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)

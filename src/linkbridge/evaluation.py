@@ -267,7 +267,7 @@ def shuffle_eval_order(pos_eval: list, neg_eval: list, seed: int):
 def train_student(y: np.ndarray, g_train: Graph, manifest, model, config: DistillConfig):
     """The MLP student: imitate the scorer's embeddings, then fine-tune."""
     student = imitate(y, g_train, config, x_prime=model.x_prime)
-    return finetune_linkpred(student, manifest, g_train, config)
+    return finetune_linkpred(student, manifest, g_train)
 
 
 def method_scores(

@@ -17,13 +17,15 @@ __all__ = ["PprConfig", "common_neighbors", "adamic_adar", "ppr_scores"]
 
 @dataclass(frozen=True)
 class PprConfig:
+    """PPR knobs; a value out of range is a ConfigError at construction."""
+
     # at teleport 0.15 the residual shrinks by 0.85 per round, so the
     # default tol is reachable within the 50-iteration budget
     teleport: float = 0.15
     iterations: int = 50
     tol: float = 5e-4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.teleport < 1.0:
             raise ConfigError(f"teleport must be in (0, 1), got {self.teleport}")
         if self.iterations < 1:
@@ -97,7 +99,6 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
     edges = checked_pairs(edges, g.num_nodes)
     if edges.size == 0:
         return np.zeros(0)
-    cfg.validate()
     t = cfg.teleport
     sources, inv = np.unique(edges.ravel(), return_inverse=True)
     live_nodes = np.flatnonzero(g.degrees())

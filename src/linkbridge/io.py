@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +32,9 @@ __all__ = [
     "write_features_bin",
     "read_sides_tsv",
     "write_sides_tsv",
+    "read_graph",
     "load_graph",
     "save_graph",
-    "read_pairs_tsv",
     "write_scores_tsv",
     "read_scores_tsv",
     "read_scores_for",
@@ -74,18 +75,10 @@ def read_edge_tsv(path: str | Path) -> tuple[list[tuple[str, str]], list[int | N
     return pairs, years
 
 
-def write_edge_tsv(
-    path: str | Path,
-    pairs: list[tuple[str, str]],
-    years: list[int] | None = None,
-) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for i, (a, b) in enumerate(pairs):
-            if years is not None:
-                fh.write(f"{a}\t{b}\t{years[i]}\n")
-            else:
-                fh.write(f"{a}\t{b}\n")
+def write_edge_tsv(path: str | Path, pairs: list[tuple[str, str]]) -> None:
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for a, b in pairs:
+            fh.write(f"{a}\t{b}\n")
 
 
 def _read_features_csv(path: Path) -> dict[str, np.ndarray]:
@@ -201,6 +194,32 @@ def _companion(path: Path, kind: str) -> Path | None:
     return None
 
 
+def read_graph(
+    edge_paths: Sequence[str | Path],
+    feature_paths: Sequence[str | Path],
+    side_path: str | Path | None,
+) -> Graph:
+    """A graph from edge lists, feature files and a sides file.
+
+    Feature and side rows double as node declarations, so isolated nodes
+    survive the edges.tsv round trip. A graph these files cannot make (a
+    node without its feature or side row, say) is a DataError naming them.
+    """
+    pairs = [pair for path in edge_paths for pair in read_edge_tsv(path)[0]]
+    features = None
+    if feature_paths:
+        features = {}
+        for path in feature_paths:
+            features.update(read_features(path))
+    sides = read_sides_tsv(side_path) if side_path else None
+    extra = [*(features or {}), *(sides or {})]
+    try:
+        return build_graph(pairs, features=features, sides=sides, extra_nodes=extra)
+    except DataError as exc:
+        files = [*edge_paths, *feature_paths, *([side_path] if side_path else [])]
+        raise DataError(f"{', '.join(map(str, files))}: {exc}") from exc
+
+
 def load_graph(path: str | Path) -> Graph:
     """Load a graph from an edges TSV or a graph directory."""
     path = Path(path)
@@ -212,18 +231,9 @@ def load_graph(path: str | Path) -> Graph:
         edges_path = path
         if not edges_path.exists():
             raise DataError(f"{edges_path}: no such edge list")
-    pairs, _ = read_edge_tsv(edges_path)
     feat_path = _companion(path, "features")
-    side_path = _companion(path, "sides")
-    features = read_features(feat_path) if feat_path else None
-    sides = read_sides_tsv(side_path) if side_path else None
-    # feature/side rows double as node declarations, so isolated nodes
-    # survive the edges.tsv round trip
-    extra: list[str] = []
-    for mapping in (features, sides):
-        if mapping:
-            extra.extend(mapping.keys())
-    return build_graph(pairs, features=features, sides=sides, extra_nodes=extra)
+    feature_paths = [feat_path] if feat_path else []
+    return read_graph([edges_path], feature_paths, _companion(path, "sides"))
 
 
 def save_graph(g: Graph, out_dir: str | Path, feature_format: str = "csv") -> None:
@@ -240,12 +250,6 @@ def save_graph(g: Graph, out_dir: str | Path, feature_format: str = "csv") -> No
             raise DataError(f"unknown feature format {feature_format!r}")
     if g.sides is not None:
         write_sides_tsv(out_dir / "sides.tsv", list(g.keys), g.sides)
-
-
-def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
-    """Read a 2-column pair list (no year column expected)."""
-    pairs, _ = read_edge_tsv(path)
-    return pairs
 
 
 def write_scores_tsv(

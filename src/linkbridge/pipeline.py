@@ -101,7 +101,7 @@ def _suite_config(
                 errors.append("dataset.spec is required for kind=synthetic")
             else:
                 try:
-                    SyntheticSpec(**spec).validate()
+                    SyntheticSpec(**spec)
                 except (TypeError, ConfigError) as exc:
                     errors.append(f"dataset.spec: {exc}")
         else:
@@ -147,7 +147,6 @@ def _suite_config(
             continue
         try:
             sections[section] = cls(**payload)
-            sections[section].validate()
         except (TypeError, ConfigError) as exc:
             errors.append(f"{section}: {exc}")
 

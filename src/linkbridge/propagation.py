@@ -56,13 +56,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiffusionConfig:
-    """Damping, iteration budget and early-stop tolerance for diffusion."""
+    """Damping, iteration budget and early-stop tolerance for diffusion; a
+    value out of range is a ConfigError at construction."""
 
     alpha: float = 0.8
     k_max: int = 50
     tol: float = 1e-6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.k_max < 1:
@@ -250,7 +251,6 @@ def diffuse(
     max-abs step change drops below ``tol`` (set tol=0 to force exactly
     k_max iterations). Raises on non-finite intermediate values.
     """
-    cfg.validate()
     z = np.asarray(z0, dtype=np.float64)
     g_mat = np.asarray(source, dtype=np.float64)
     if z.shape != g_mat.shape:

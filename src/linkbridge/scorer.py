@@ -48,6 +48,8 @@ ENCODERS = ("embedding_only", "one_hop_mean")
 
 @dataclass(frozen=True)
 class ScorerConfig:
+    """Scorer knobs; a value out of range is a ConfigError at construction."""
+
     d_trainable: int = 64
     encoder: str = "embedding_only"
     learning_rate: float = 0.05
@@ -56,7 +58,7 @@ class ScorerConfig:
     seed: int = 0
     d_out: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.d_trainable < 1:
             raise ConfigError("d_trainable must be >= 1")
         if self.d_out is not None and self.encoder != "one_hop_mean":
@@ -102,7 +104,6 @@ def node_inputs(
 
 def init_model(config: ScorerConfig, g: Graph) -> ScorerModel:
     """Seeded init: X' uniform in [-1/sqrt(d), 1/sqrt(d)], likewise W."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.d_trainable)
     x_prime = rng.uniform(-bound, bound, size=(g.num_nodes, config.d_trainable))
@@ -325,7 +326,6 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     |valid_pos|) is returned. The per-epoch mean batch loss lands in
     ``model.loss_trace``.
     """
-    config.validate()
     if len(manifest.train_pos) == 0 or len(manifest.train_neg) == 0:
         raise DataError("manifest has empty training splits")
     model = init_model(config, g_train)

@@ -158,7 +158,6 @@ def chunked_ppr_vectors(g, sources, cfg, chunk: int = 256) -> np.ndarray:
     """
     from linkbridge.graph import mean_aggregator
 
-    cfg.validate()
     sources = np.asarray(sources, dtype=np.int64)
     n = g.num_nodes
     p_t = mean_aggregator(g).T.tocsr()

@@ -274,7 +274,7 @@ def test_distill_writes_the_library_student(trained, tmp_path):
     teacher = load_scorer(trained / "model.bin", g)
     cfg = DistillConfig(**config)
     student = imitate(embed(teacher, g), g, cfg, x_prime=teacher.x_prime)
-    save_student(tmp_path / "lib.bin", finetune_linkpred(student, manifest, g, cfg), g)
+    save_student(tmp_path / "lib.bin", finetune_linkpred(student, manifest, g), g)
     assert (trained / "student.bin").read_bytes() == (tmp_path / "lib.bin").read_bytes()
 
 
@@ -409,6 +409,12 @@ BAD_INPUT_FILES = {
     "ingest-features-non-numeric": lambda ws: [
         "ingest", "--edges", str(ws / "edges.tsv"), "--features", str(ws / "bad.csv"),
         "--out", str(ws / "g")],
+    "ingest-sides-missing-node": lambda ws: [
+        "ingest", "--edges", str(ws / "edges.tsv"), "--sides", str(ws / "sides.tsv"),
+        "--out", str(ws / "g")],
+    "graph-features-missing-node": lambda ws: [
+        "baseline", "--method", "cn", "--graph", str(ws / "gappy"),
+        "--edges", str(ws / "edges.tsv"), "--out", str(ws / "out.tsv")],
 }
 
 
@@ -421,6 +427,10 @@ def test_bad_input_file_exits_3(trained, case, capsys):
     (ws / "bad.tsv").write_text(f"{a}\t{b}\tnot-a-number\n" + "".join(lines[1:]))
     (ws / "edges.tsv").write_text("a\tb\n")
     (ws / "bad.csv").write_text("a,1.0,2.0\nb,1.0,x\n")
+    (ws / "sides.tsv").write_text("a\t0\n")
+    (ws / "gappy").mkdir()
+    (ws / "gappy" / "edges.tsv").write_text("a\tb\n")
+    (ws / "gappy" / "features.csv").write_text("a,1.0,2.0\n")
     assert main(BAD_INPUT_FILES[case](ws)) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(ws) in err

@@ -1,0 +1,35 @@
+"""Every config class checks its values when it is constructed, so a config
+that exists is valid, also one made by ``dataclasses.replace``."""
+
+from dataclasses import replace
+
+import pytest
+
+from linkbridge.datasets import SyntheticSpec
+from linkbridge.distill import DistillConfig
+from linkbridge.errors import ConfigError
+from linkbridge.heuristics import PprConfig
+from linkbridge.propagation import DiffusionConfig
+from linkbridge.scorer import ScorerConfig
+
+SPEC = dict(n_src=40, n_tar=20, overlap_ratio=0.4, mean_deg_src=4, mean_deg_tar=2,
+            feature_dim=3, feature_shift=0.3, seed=1)
+
+# (class, valid fields, one out-of-range field, the message it raises)
+CASES = {
+    "scorer": (ScorerConfig, {}, {"d_trainable": 0}, "d_trainable must be >= 1"),
+    "distill": (DistillConfig, {}, {"finetune_batch_size": 0}, "batch sizes must be >= 1"),
+    "diffusion": (DiffusionConfig, {}, {"alpha": 1.0}, "alpha must be in"),
+    "ppr": (PprConfig, {}, {"iterations": 0}, "iterations must be >= 1"),
+    "synthetic": (SyntheticSpec, SPEC, {"n_src": 1}, "need at least 2 nodes per domain"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_out_of_range_value_raises_at_construction_and_replace(case):
+    cls, valid, bad, message = CASES[case]
+    with pytest.raises(ConfigError, match=message):
+        cls(**(valid | bad))
+    config = cls(**valid)
+    with pytest.raises(ConfigError, match=message):
+        replace(config, **bad)

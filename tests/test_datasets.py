@@ -53,6 +53,16 @@ def test_temporal_errors():
         temporal_split([("a", "b", 1990), ("c", "d", 2010)], 1991, 2009)
 
 
+def test_temporal_feature_row_of_no_edge_is_rejected():
+    edges = [("a", "b", 2000), ("b", "c", 2005), ("c", "d", 2010)]
+    features = {k: [float(i)] for i, k in enumerate("abcd")}
+    src, tar = temporal_split(edges, 2004, 2006, features=features)
+    assert src.features.ravel().tolist() == [0.0, 1.0, 2.0]
+    assert tar.features.ravel().tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(DataError, match="feature rows for unknown nodes: \\['typo'\\]"):
+        temporal_split(edges, 2004, 2006, features=features | {"typo": [9.0]})
+
+
 def _spec(**kw):
     base = dict(
         n_src=200,
@@ -129,15 +139,15 @@ def test_no_shift_equal_degree_limit():
 
 def test_spec_validation_errors():
     with pytest.raises(ConfigError):
-        _spec(overlap_ratio=0.0).validate()
+        _spec(overlap_ratio=0.0)
     with pytest.raises(ConfigError):
-        _spec(mean_deg_src=2, mean_deg_tar=3).validate()
+        _spec(mean_deg_src=2, mean_deg_tar=3)
     with pytest.raises(ConfigError):
-        _spec(n_src=10, mean_deg_src=20).validate()
+        _spec(n_src=10, mean_deg_src=20)
     with pytest.raises(ConfigError):
-        _spec(overlap_ratio=0.001, n_src=100, n_tar=100).validate()
+        _spec(overlap_ratio=0.001, n_src=100, n_tar=100)
     with pytest.raises(ConfigError):
-        _spec(feature_dim=0).validate()
+        _spec(feature_dim=0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

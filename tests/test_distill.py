@@ -123,7 +123,7 @@ def test_finetune_lr_zero_keeps_model():
     cfg = DistillConfig(hidden=8, max_epochs=5, seed=2, finetune_lr=0.0,
                         finetune_epochs=3)
     student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
-    tuned = finetune_linkpred(student, manifest, g_train, cfg)
+    tuned = finetune_linkpred(student, manifest, g_train)
     assert np.array_equal(tuned.w1, student.w1)
     assert np.array_equal(tuned.w2, student.w2)
 
@@ -146,7 +146,7 @@ def test_finetune_improves_or_keeps_valid_recall():
         return recall_at(z, labels, len(vp))
 
     before = valid_recall(student)
-    tuned = finetune_linkpred(student, manifest, g_train, cfg)
+    tuned = finetune_linkpred(student, manifest, g_train)
     assert valid_recall(tuned) >= before
 
 
@@ -224,7 +224,7 @@ def test_student_matches_dense_reference(small_pair, train_xprime):
     assert np.array_equal(student.x_prime, x_ref)
     assert student.imitation_mse == mse
 
-    tuned = finetune_linkpred(student, manifest, g_train, cfg)
+    tuned = finetune_linkpred(student, manifest, g_train)
     params, x_ref = dense_finetune(params, x_ref, manifest, g_train, cfg)
     for got, want in zip((tuned.w1, tuned.b1, tuned.w2, tuned.b2), params):
         assert np.array_equal(got, want)

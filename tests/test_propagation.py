@@ -233,11 +233,11 @@ def test_diffuse_non_finite_input_raises_without_a_warning(triangle, bad):
 
 def test_diffusion_config_validation():
     with pytest.raises(ConfigError):
-        DiffusionConfig(alpha=1.5).validate()
+        DiffusionConfig(alpha=1.5)
     with pytest.raises(ConfigError):
-        DiffusionConfig(alpha=0.0).validate()
+        DiffusionConfig(alpha=0.0)
     with pytest.raises(ConfigError):
-        DiffusionConfig(k_max=0).validate()
+        DiffusionConfig(k_max=0)
 
 
 def _manifest_fixture(seed=3):

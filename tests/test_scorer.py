@@ -182,14 +182,14 @@ def test_train_scorer_emits_loss_trace():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ScorerConfig(d_trainable=0).validate()
+        ScorerConfig(d_trainable=0)
     with pytest.raises(ConfigError):
-        ScorerConfig(encoder="other").validate()
+        ScorerConfig(encoder="other")
     for d_out in (0, -2):
         with pytest.raises(ConfigError):
-            ScorerConfig(encoder="one_hop_mean", d_out=d_out).validate()
+            ScorerConfig(encoder="one_hop_mean", d_out=d_out)
     with pytest.raises(ConfigError, match="d_out sizes the one_hop_mean encoder"):
-        ScorerConfig(d_out=4).validate()
+        ScorerConfig(d_out=4)
 
 
 def test_input_matrix_gathers_rows():
