@@ -117,7 +117,11 @@ def cmd_split_temporal(args) -> int:
         raise DataError(f"{args.edges}: every edge needs a year column")
     features = read_features(args.features) if args.features else None
     edges = [(u, v, y) for (u, v), y in zip(pairs, years)]
-    src, tar = temporal_split(edges, args.y_low, args.y_high, features=features)
+    try:
+        src, tar = temporal_split(edges, args.y_low, args.y_high, features=features)
+    except DataError as exc:
+        files = [args.edges, *([args.features] if args.features else [])]
+        raise DataError(f"{', '.join(files)}: {exc}") from exc
     out = _write_pair(args.out_dir, src, tar)
     print(
         f"source: {src.num_nodes} nodes / {src.num_edges} edges; "

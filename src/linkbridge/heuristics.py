@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int_fields
 from .graph import Graph, checked_pairs, mean_aggregator
 from .propagation import damped_iteration
 
@@ -26,6 +26,7 @@ class PprConfig:
     tol: float = 5e-4
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if not 0.0 < self.teleport < 1.0:
             raise ConfigError(f"teleport must be in (0, 1), got {self.teleport}")
         if self.iterations < 1:

@@ -18,21 +18,27 @@ Neither large object is built. With B the N x m node-edge incidence matrix
 of m distinct edges, B^T*B has 2 on its diagonal and 1 exactly where two
 edges share an endpoint, so the line-graph operator is
 S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 with line degree k_u + k_v - 2 for edge
-(u, v); it is applied as two sparse products of O(m*d) cost. Matrix-LP acts
-on the logit matrix from the left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T
-and the N x N matrix never exists. ``build_line_graph`` materializes S_L as
-a reference for tests and size probes; no propagation variant calls it.
+(u, v); it is applied as two sparse products of O(m*d) cost. The product
+is handed out one row block of about 256 KiB at a time: ``damped_iteration``
+finishes each block while it is in cache and writes it back into the state
+in place, so a line-graph diffusion holds two state arrays, the iterate and
+(1-alpha)*G, plus C*Z and one block. Other operators run the same loop with
+their full product as one block. Matrix-LP acts on the logit matrix from
+the left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and the N x N matrix
+never exists. ``build_line_graph`` materializes S_L as a reference for
+tests and size probes; no propagation variant calls it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_int_fields
 from .graph import Graph, checked_pairs
 from .scorer import score_edges
 
@@ -64,6 +70,7 @@ class DiffusionConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.k_max < 1:
@@ -132,6 +139,11 @@ def _inv_sqrt(degs: np.ndarray) -> np.ndarray:
     return out
 
 
+# State bytes per row block of a LineOperator product: small enough that a
+# block and its temporaries stay in a core's L2 cache while a step finishes it
+_BLOCK_BYTES = 256 * 1024
+
+
 class LineOperator:
     """S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 applied without the line graph.
 
@@ -139,6 +151,12 @@ class LineOperator:
     through the N nodes, O(m) memory. ``line_degrees`` is k_u + k_v - 2 per
     edge-node; an isolated edge-node has degree 0 and a zero row, as in the
     materialized operator.
+
+    The product is handed out one row block at a time (``row_products``):
+    w = C*x once, then C^T[rows]*w - 2*D_L^-1[rows]*x[rows] per block of
+    about ``_BLOCK_BYTES`` of x, so a caller can finish each block while it
+    is in cache. The row blocks of C^T are sliced from a CSR copy once per
+    state width. ``@`` assembles the same blocks.
     """
 
     def __init__(self, num_nodes: int, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -148,12 +166,32 @@ class LineOperator:
         self._c = _incidence(num_nodes, lo, hi, scale)
         self._diag = 2.0 * scale * scale
         self.shape = (lo.size, lo.size)
+        # rows per block -> [(rows, C^T[rows])]
+        self._blocks: dict[int, list[tuple[slice, sp.csr_array]]] = {}
+
+    def _row_blocks(self, x: np.ndarray) -> list[tuple[slice, sp.csr_array]]:
+        per_block = max(1, _BLOCK_BYTES // max(1, x[:1].nbytes))
+        if per_block not in self._blocks:
+            ct = self._c.T.tocsr()
+            m = self.shape[0]
+            self._blocks[per_block] = [
+                (slice(i, min(i + per_block, m)), ct[i : i + per_block])
+                for i in range(0, m, per_block)
+            ]
+        return self._blocks[per_block]
+
+    def row_products(self, x: np.ndarray):
+        """Yield ``(rows, (S_L @ x)[rows])`` per row block, each a new array;
+        a block reads only C*x and ``x[rows]``."""
+        w = self._c @ x
+        diag = self._diag.reshape((-1,) + (1,) * (x.ndim - 1))
+        for rows, ct in self._row_blocks(x):
+            part = ct @ w
+            part -= diag[rows] * x[rows]
+            yield rows, part
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        diag = self._diag.reshape((-1,) + (1,) * (x.ndim - 1))
-        out = self._c.T @ (self._c @ x)
-        out -= diag * x
-        return out
+        return np.concatenate([part for _, part in self.row_products(x)])
 
 
 def line_operator(
@@ -209,28 +247,57 @@ def sym_norm_adjacency(g: Graph) -> sp.csr_array:
     return _sym_normalize(g.num_nodes, g.indptr, g.indices)
 
 
+def _row_products(operator, z: np.ndarray):
+    """``(rows, (operator @ z)[rows])`` blocks: a ``LineOperator``'s
+    cache-sized row blocks, or one block holding any other operator's full
+    product."""
+    if isinstance(operator, LineOperator):
+        return operator.row_products(z)
+    return ((slice(None), operator @ z),)
+
+
+def _advance(old: np.ndarray, new: np.ndarray, g_rows: np.ndarray, alpha: float) -> float:
+    """Finish one row block of a damped step: ``new`` <- alpha*new + g_rows,
+    and the block's max-abs step from ``old``, which is overwritten on the
+    way. The maximum is NaN or inf if either iterate is not finite."""
+    new *= alpha
+    new += g_rows
+    # |old - new| is |new - old| bit for bit
+    np.subtract(old, new, out=old)
+    return float(np.abs(old, out=old).max(initial=0.0))
+
+
 def damped_iteration(
     operator, z: np.ndarray, g_term: np.ndarray, alpha: float, k_max: int, tol: float
 ) -> tuple[np.ndarray, bool]:
-    """Iterate Z <- alpha*S*Z + g_term from ``z``, which is overwritten.
+    """Iterate Z <- alpha*S*Z + g_term from ``z``, which is used up.
 
-    ``operator @ z`` must return a new array. Returns ``(Z, converged)``:
-    converged once the max-abs step drops below ``tol`` (tol=0 forces
-    ``k_max`` rounds). A non-finite iterate makes that maximum non-finite
-    and raises ``NumericError``; numpy's warnings on the way (inf - inf,
-    0 * inf) are silenced.
+    Each step walks the row blocks of S*Z, ``LineOperator.row_products``
+    or one block holding any other operator's full ``operator @ z``, and
+    finishes each block (``_advance``) before the next is made. A partial
+    block is then copied into its rows of ``z``, so the update is in place;
+    a block of all rows becomes the new iterate, and the old one is freed.
+    A block reads the old iterate only through C*Z, made before the first
+    block, and its own rows, so every step is the plain update bit for bit.
+
+    Returns ``(Z, converged)``: converged once the max-abs step drops below
+    ``tol`` (tol=0 forces ``k_max`` rounds). A non-finite iterate makes that
+    maximum non-finite and raises ``NumericError``; numpy's warnings on the
+    way (inf - inf, 0 * inf) are silenced.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(k_max):
-            z_next = operator @ z
-            z_next *= alpha
-            z_next += g_term
-            # the step overwrites the old iterate, so no third state is held
-            np.subtract(z_next, z, out=z)
-            delta = float(np.abs(z, out=z).max(initial=0.0))
-            z = z_next
-            if not np.isfinite(delta):
-                raise NumericError(f"diffusion produced non-finite values at step {k}")
+            delta = 0.0
+            for rows, new in _row_products(operator, z):
+                step = _advance(z[rows], new, g_term[rows], alpha)
+                # checked per block: max(delta, NaN) would drop the NaN
+                if not math.isfinite(step):
+                    raise NumericError(f"diffusion produced non-finite values at step {k}")
+                delta = max(delta, step)
+                if new.shape == z.shape:
+                    z = new
+                else:
+                    z[rows] = new
             if delta < tol:
                 return z, True
     return z, False

@@ -148,6 +148,8 @@ def test_run_succeeds(tmp_path):
     RUN_CONFIG | {"distill": {"plateau_epochs": 0}},
     RUN_CONFIG | {"distill": {"plateau_epochs": -1}},
     RUN_CONFIG | {"distill": {"plateau_tol": -1e-4}},
+    RUN_CONFIG | {"scorer": {"epochs": 2.5, "d_trainable": 4}},
+    RUN_CONFIG | {"distill": {"hidden": 2.5}},
 ], ids=["missing-file", "json-list", "regimes-int", "methods-int", "k-multipliers-int",
         "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
         "distill-finetune-batch-size-0", "scorer-momentum", "scorer-l2-weight",
@@ -155,7 +157,7 @@ def test_run_succeeds(tmp_path):
         "dataset-typo", "scorer-d-out-negative", "scorer-d-out-0",
         "scorer-d-out-without-one-hop-mean", "ppr-tol-negative",
         "distill-plateau-epochs-0", "distill-plateau-epochs-negative",
-        "distill-plateau-tol-negative"])
+        "distill-plateau-tol-negative", "scorer-epochs-float", "distill-hidden-float"])
 def test_run_bad_config_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -412,6 +414,9 @@ BAD_INPUT_FILES = {
     "ingest-sides-missing-node": lambda ws: [
         "ingest", "--edges", str(ws / "edges.tsv"), "--sides", str(ws / "sides.tsv"),
         "--out", str(ws / "g")],
+    "split-temporal-features-unknown-node": lambda ws: [
+        "split-temporal", "--edges", str(ws / "dated.tsv"), "--features", str(ws / "typo.csv"),
+        "--y-low", "2001", "--y-high", "2002", "--out-dir", str(ws / "pair")],
     "graph-features-missing-node": lambda ws: [
         "baseline", "--method", "cn", "--graph", str(ws / "gappy"),
         "--edges", str(ws / "edges.tsv"), "--out", str(ws / "out.tsv")],
@@ -431,6 +436,8 @@ def test_bad_input_file_exits_3(trained, case, capsys):
     (ws / "gappy").mkdir()
     (ws / "gappy" / "edges.tsv").write_text("a\tb\n")
     (ws / "gappy" / "features.csv").write_text("a,1.0,2.0\n")
+    (ws / "dated.tsv").write_text("a\tb\t2001\nb\tc\t2002\n")
+    (ws / "typo.csv").write_text("a,1.0\nb,1.0\nc,1.0\ntypo,1.0\n")
     assert main(BAD_INPUT_FILES[case](ws)) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(ws) in err

@@ -15,13 +15,20 @@ from linkbridge.scorer import ScorerConfig
 SPEC = dict(n_src=40, n_tar=20, overlap_ratio=0.4, mean_deg_src=4, mean_deg_tar=2,
             feature_dim=3, feature_shift=0.3, seed=1)
 
-# (class, valid fields, one out-of-range field, the message it raises)
+# (class, valid fields, one field out of range or not of its type, the message
+# it raises)
 CASES = {
     "scorer": (ScorerConfig, {}, {"d_trainable": 0}, "d_trainable must be >= 1"),
     "distill": (DistillConfig, {}, {"finetune_batch_size": 0}, "batch sizes must be >= 1"),
     "diffusion": (DiffusionConfig, {}, {"alpha": 1.0}, "alpha must be in"),
     "ppr": (PprConfig, {}, {"iterations": 0}, "iterations must be >= 1"),
     "synthetic": (SyntheticSpec, SPEC, {"n_src": 1}, "need at least 2 nodes per domain"),
+    # an integer field takes only an int: not a float, a bool or a string
+    "scorer-epochs-float": (ScorerConfig, {}, {"epochs": 2.5}, "epochs must be an integer"),
+    "distill-hidden-bool": (DistillConfig, {}, {"hidden": True}, "hidden must be an integer"),
+    "diffusion-k-max-str": (DiffusionConfig, {}, {"k_max": "3"}, "k_max must be an integer"),
+    "ppr-iterations-float": (PprConfig, {}, {"iterations": 50.0}, "iterations must be an integer"),
+    "synthetic-seed-str": (SyntheticSpec, SPEC, {"seed": "1"}, "seed must be an integer"),
 }
 
 
@@ -33,3 +40,4 @@ def test_out_of_range_value_raises_at_construction_and_replace(case):
     config = cls(**valid)
     with pytest.raises(ConfigError, match=message):
         replace(config, **bad)
+

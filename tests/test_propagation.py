@@ -1,13 +1,16 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import linkbridge.propagation as propagation
 from linkbridge.errors import ConfigError, DataError, NumericError
 from linkbridge.graph import build_graph
 from linkbridge.propagation import (
     DiffusionConfig,
+    LineOperator,
     build_line_graph,
     diffuse,
     emb_lp,
@@ -229,6 +232,64 @@ def test_diffuse_non_finite_input_raises_without_a_warning(triangle, bad):
                 warnings.simplefilter("error")
                 with pytest.raises(NumericError):
                     diffuse(op, z0[:n], g_mat[:n], cfg)
+
+
+def _blocked_operator(rng, monkeypatch, shape, rows_per_block=7):
+    """A line operator over shape[0] random edges whose products come in
+    blocks of ``rows_per_block`` rows of a state of ``shape``."""
+    edges = np.array(random_graph_edges(rng, 12, shape[0]))
+    row_bytes = 8 * int(np.prod(shape[1:], dtype=int))
+    monkeypatch.setattr(propagation, "_BLOCK_BYTES", rows_per_block * row_bytes)
+    return LineOperator(12, edges[:, 0], edges[:, 1])
+
+
+@pytest.mark.parametrize("shape", [(23,), (23, 3)])
+def test_blocked_diffusion_is_the_plain_update(rng, monkeypatch, shape):
+    op = _blocked_operator(rng, monkeypatch, shape)
+    z0, g_mat = rng.normal(size=shape), rng.normal(size=shape)
+    blocks = [rows for rows, _ in op.row_products(z0)]
+    assert [b.stop - b.start for b in blocks] == [7, 7, 7, 2]
+    kept_z0, kept_g = z0.copy(), g_mat.copy()
+    alpha, steps = 0.8, 6
+    out = diffuse(op, z0, g_mat, DiffusionConfig(alpha=alpha, k_max=steps, tol=0.0))
+    want = z0
+    for _ in range(steps):
+        want = alpha * (op @ want) + (1.0 - alpha) * g_mat
+    assert np.array_equal(out, want)
+    assert np.array_equal(z0, kept_z0) and np.array_equal(g_mat, kept_g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["z0", "source"])
+def test_non_finite_value_in_the_last_block_raises(rng, monkeypatch, bad, where):
+    """A step maximum taken block by block must not lose a NaN (Python's
+    max(delta, nan) returns delta)."""
+    shape = (23, 3)
+    op = _blocked_operator(rng, monkeypatch, shape)
+    inputs = {"z0": rng.normal(size=shape), "source": rng.normal(size=shape)}
+    inputs[where][-1, 1] = bad
+    cfg = DiffusionConfig(alpha=0.5, k_max=3, tol=1e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            diffuse(op, inputs["z0"], inputs["source"], cfg)
+
+
+def test_line_graph_diffusion_holds_under_three_states(rng):
+    """On a broadcast-sized emb_lp state the diffusion holds the iterate,
+    (1-alpha)*G, C*Z and one row block, not a second iterate and its
+    temporaries."""
+    edges = np.array(random_graph_edges(rng, 1400, 5000))
+    op = LineOperator(1400, edges[:, 0], edges[:, 1])
+    feats = rng.normal(size=(edges.shape[0], 160))
+    cfg = DiffusionConfig(k_max=2, tol=0.0)
+    tracemalloc.start()
+    try:
+        diffuse(op, feats, feats, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * feats.nbytes
 
 
 def test_diffusion_config_validation():
