@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_int_fields
+from .errors import ConfigError, DataError, check_field_types
 from .graph import Graph, build_graph, first_seen, graph_from_ids, node_intersection
 
 __all__ = ["SyntheticSpec", "temporal_split", "generate_synthetic"]
@@ -95,7 +95,7 @@ class SyntheticSpec:
     feature_noise: float = 0.35
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if self.n_src < 2 or self.n_tar < 2:
             raise ConfigError("need at least 2 nodes per domain")
         if not 0.0 < self.overlap_ratio <= 1.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, check_int_fields
+from .errors import ConfigError, DataError, NumericError, check_field_types
 from .graph import Graph
 from .scorer import batch_rows, node_inputs, pair_loss, pair_recall, sgd_epochs
 
@@ -50,7 +50,7 @@ class DistillConfig:
     finetune_batch_size: int = 256
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if self.hidden < 1:
             raise ConfigError("hidden width must be >= 1")
         if self.learning_rate < 0 or self.finetune_lr < 0:

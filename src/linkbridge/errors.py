@@ -24,13 +24,29 @@ class NumericError(LinkBridgeError):
     """Numerical failure: divergence, non-finite values, infeasible sampling."""
 
 
-def check_int_fields(config) -> None:
-    """ConfigError for an ``int`` (or ``int | None``) field of the dataclass
-    ``config`` that holds anything but an int: a bool, a float such as 2.5
-    and a string such as "3" are not ints, and None only where allowed."""
+# the values each type takes; a bool is also an int, so it is told apart by hand
+_ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
+_KIND = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def is_of_type(value, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` (int, float, bool or str) as a config
+    knob reads it: an int is no bool, a float an int or a float but no bool,
+    and a bool only true or false, never a string such as "false"."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind])
+
+
+def check_field_types(config) -> None:
+    """ConfigError for a field of the dataclass ``config`` annotated ``int``,
+    ``float``, ``bool`` or ``str`` (or one of them ``| None``, which also
+    takes None) whose value is not of that type (``is_of_type``)."""
     hints = typing.get_type_hints(type(config))
     for spec in fields(config):
         hint, value = hints[spec.name], getattr(config, spec.name)
-        if hint is int or (hint == int | None and value is not None):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
+        options = set(typing.get_args(hint))
+        if type(None) in options:
+            if value is None:
+                continue
+            (hint,) = options - {type(None)}
+        if hint in _ACCEPTS and not is_of_type(value, hint):
+            raise ConfigError(f"{spec.name} must be {_KIND[hint]}, got {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distill import DistillConfig, finetune_linkpred, imitate, student_embed
-from .errors import ConfigError
+from .errors import ConfigError, is_of_type
 from .graph import Graph
 from .heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
 from .metrics import precision_accuracy, recall_at
@@ -228,7 +228,7 @@ def evaluate_scores(
 def check_k_multipliers(mults) -> None:
     """Recall cut-offs are positive multiples of the positive count."""
     if not isinstance(mults, (list, tuple)) or not mults or any(
-        not isinstance(m, (int, float)) or m <= 0 for m in mults
+        not is_of_type(m, float) or m <= 0 for m in mults
     ):
         raise ConfigError("k_multipliers must be a list of positive numbers")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, check_int_fields
+from .errors import ConfigError, check_field_types
 from .graph import Graph, checked_pairs, mean_aggregator
 from .propagation import damped_iteration
 
@@ -26,7 +26,7 @@ class PprConfig:
     tol: float = 5e-4
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if not 0.0 < self.teleport < 1.0:
             raise ConfigError(f"teleport must be in (0, 1), got {self.teleport}")
         if self.iterations < 1:
@@ -77,32 +77,35 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
     from pi = e_s, with P = D^-1 A and the random-walk mass stranded on
     degree-0 nodes restarting at the source: ``damped_iteration`` with
     alpha = 1-t and the teleport term t*E of the one-hot chunk E, the loop of
-    label spreading (``propagation.diffuse``). The sorted unique endpoints are
-    the sources, iterated 256 at a time; a chunk stops once the max-abs step
-    over its columns drops below ``tol``, or warns at ``iterations`` and keeps
-    the last iterate.
+    label spreading (``propagation.diffuse``). A chunk stops once the max-abs
+    step over its columns drops below ``tol``, or warns at ``iterations`` and
+    keeps the last iterate.
 
-    Only the rows and source columns of the non-isolated nodes are iterated,
-    and the floats are those of the iteration over all N nodes:
+    Only the pairs whose two endpoints both have an edge are iterated. Their
+    sorted distinct endpoints are the sources, 256 to a chunk, over the rows
+    of the non-isolated nodes:
 
-    - A walk never reaches a degree-0 node: its row of P^T is empty, so every
-      iterate is exactly 0 on it. A live column strands no mass, and its step
-      is 0 on those rows.
-    - A degree-0 source's column stays exactly e_s (t + (1-t)*1 rounds to 1),
-      so its step is 0, and it scores 0 except on the pair (s, s).
-    - P^T restricted to the live nodes keeps each row's entries in order, so
-      every product entry is the same sum. The chunks, their step maxima and
-      hence their round counts and warnings are unchanged.
+    - Every other pair reads exactly what the iteration over all N nodes and
+      all endpoints reads: 0, or 1 + 1 = 2 on the self-pair of a degree-0
+      node. A walk never reaches a degree-0 node, since its row of P^T is
+      empty, and a degree-0 source's column stays e_s (t + (1-t)*1 rounds
+      to 1).
+    - A live column strands no mass, and P^T restricted to the live nodes
+      keeps each row's entries in order, so a column that runs the same
+      number of rounds holds the same floats. Dropping sources changes which
+      columns share a chunk, and with it a chunk's stop round: a score moves
+      within the stop rule's tolerance, and its zeros stay where they are.
 
     Memory is O(live nodes x 256) per chunk, not O(N x |sources|): each
     chunk's scores are read off before the next one starts.
     """
     edges = checked_pairs(edges, g.num_nodes)
-    if edges.size == 0:
-        return np.zeros(0)
+    degs = g.degrees()
+    scores = np.where(edges[:, 0] == edges[:, 1], 2.0, 0.0)
+    kept = np.flatnonzero((degs[edges] > 0).all(axis=1))
     t = cfg.teleport
-    sources, inv = np.unique(edges.ravel(), return_inverse=True)
-    live_nodes = np.flatnonzero(g.degrees())
+    sources, inv = np.unique(edges[kept].ravel(), return_inverse=True)
+    live_nodes = np.flatnonzero(degs)
     local = np.full(g.num_nodes, -1)
     local[live_nodes] = np.arange(live_nodes.size)
     # a live node's P^T row only holds its neighbours, which are live too
@@ -112,23 +115,18 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
         shape=(live_nodes.size, live_nodes.size),
     )
 
-    # the two reads per pair, pi_u[v] and pi_v[u]: the node read and the
-    # index of the source column it is read from
-    node = np.concatenate([edges[:, 1], edges[:, 0]])
+    # the two reads per kept pair, pi_u[v] and pi_v[u]: the row of the node
+    # read and the index of the source column it is read from
+    row = local[np.concatenate([edges[kept, 1], edges[kept, 0]])]
     col = inv.reshape(-1, 2).T.ravel()
-    # a read on a degree-0 node is 1 on its own column and 0 elsewhere
-    reads = (node == sources[col]).astype(np.float64)
-
+    reads = np.empty(row.size)
     for start in range(0, sources.size, _CHUNK):
-        chunk_local = local[sources[start : start + _CHUNK]]
-        live = np.flatnonzero(chunk_local >= 0)
-        seeds, slots = chunk_local[live], np.arange(live.size)
-        teleport = np.zeros((live_nodes.size, live.size))
-        teleport[seeds, slots] = t
-        # from the one-hot E (t > 0 marks it exactly), teleport = t*E
+        seeds = local[sources[start : start + _CHUNK]]
+        restart = np.zeros((live_nodes.size, seeds.size))
+        restart[seeds, np.arange(seeds.size)] = 1.0
+        # the one-hot restart E is the iterate the loop uses up; t*E is a copy
         pi, converged = damped_iteration(
-            p_t, (teleport > 0).astype(np.float64), teleport, 1.0 - t,
-            cfg.iterations, cfg.tol,
+            p_t, restart, t * restart, 1.0 - t, cfg.iterations, cfg.tol
         )
         if not converged:
             warnings.warn(
@@ -138,10 +136,7 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
                 stacklevel=2,
             )
         idx = np.flatnonzero(col // _CHUNK == start // _CHUNK)
-        slot = np.full(chunk_local.size, -1)
-        slot[live] = slots
-        row, s = local[node[idx]], slot[col[idx] - start]
-        hit = (row >= 0) & (s >= 0)
-        reads[idx[hit]] = pi[row[hit], s[hit]]
-    half = edges.shape[0]
-    return reads[:half] + reads[half:]
+        reads[idx] = pi[row[idx], col[idx] - start]
+    half = kept.size
+    scores[kept] = reads[:half] + reads[half:]
+    return scores

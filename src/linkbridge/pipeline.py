@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import save_scorer
 from .datasets import SyntheticSpec, generate_synthetic
-from .errors import ConfigError, DataError, LinkBridgeError
+from .errors import ConfigError, DataError, LinkBridgeError, is_of_type
 from .evaluation import (
     CALIBRATED_METHODS,
     EVAL_SPLITS,
@@ -76,8 +76,8 @@ def _suite_config(
     seed = config.get("seed")
     if "seed" not in config:
         errors.append("seed is mandatory")
-    elif not isinstance(seed, int):
-        errors.append("seed must be an integer")
+    elif not is_of_type(seed, int):
+        errors.append(f"seed must be an integer, got {seed!r}")
     if not config.get("out_dir"):
         errors.append("out_dir is required")
 

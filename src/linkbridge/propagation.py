@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, NumericError, check_int_fields
+from .errors import ConfigError, DataError, NumericError, check_field_types
 from .graph import Graph, checked_pairs
 from .scorer import score_edges
 
@@ -70,7 +70,7 @@ class DiffusionConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.k_max < 1:

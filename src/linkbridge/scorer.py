@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, NumericError, check_int_fields
+from .errors import ConfigError, DataError, NumericError, check_field_types
 from .graph import Graph, checked_pairs, mean_aggregator
 from .metrics import recall_at
 
@@ -59,7 +59,7 @@ class ScorerConfig:
     d_out: int | None = None
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if self.d_trainable < 1:
             raise ConfigError("d_trainable must be >= 1")
         if self.d_out is not None and self.encoder != "one_hop_mean":

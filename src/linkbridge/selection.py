@@ -16,14 +16,13 @@ on the union keyspace with the training positives as its only edges
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_of_type
 from .graph import Graph, build_graph, first_seen, graph_from_ids, node_intersection, union_graph
 
 __all__ = [
@@ -323,11 +322,12 @@ class SplitManifest:
 
 def check_split_knobs(neg_ratio, train_frac_outside) -> None:
     """ConfigError naming every split knob out of range: ``neg_ratio`` must
-    be positive and ``train_frac_outside`` in [0, 1)."""
+    be a positive number and ``train_frac_outside`` one in [0, 1), neither a
+    bool (``errors.is_of_type``)."""
     problems = []
-    if not isinstance(neg_ratio, numbers.Real) or not neg_ratio > 0:
+    if not is_of_type(neg_ratio, float) or not neg_ratio > 0:
         problems.append(f"neg_ratio must be positive, got {neg_ratio!r}")
-    if not isinstance(train_frac_outside, numbers.Real) or not 0.0 <= train_frac_outside < 1.0:
+    if not is_of_type(train_frac_outside, float) or not 0.0 <= train_frac_outside < 1.0:
         problems.append(f"train_frac_outside must be in [0, 1), got {train_frac_outside!r}")
     if problems:
         raise ConfigError("; ".join(problems))

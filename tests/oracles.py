@@ -8,7 +8,7 @@ ranking loss (checked by their own tests), and pin what the trainers'
 row-sparse steps replace: a dense N-row gradient per batch, applied to every
 row. The PPR reference reuses the package's D^-1 A, so that its products sum
 in the same order, and pins what the live-node iteration replaces: the dense
-N x |sources| power iteration.
+N x |sources| power iteration, over the same sources or over every endpoint.
 """
 
 from __future__ import annotations
@@ -189,13 +189,36 @@ def chunked_ppr_vectors(g, sources, cfg, chunk: int = 256) -> np.ndarray:
     return out
 
 
-def chunked_ppr_scores(g, edges, cfg) -> np.ndarray:
-    """pi_u[v] + pi_v[u] per pair, read off the N x |sources| matrix."""
-    edges = np.asarray(edges, dtype=np.int64)
+def all_sources_ppr_scores(g, edges, cfg) -> np.ndarray:
+    """pi_u[v] + pi_v[u] per pair, read off the N x |endpoints| matrix whose
+    sources are every distinct endpoint of every pair."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     sources, inv = np.unique(edges.ravel(), return_inverse=True)
     pi = chunked_ppr_vectors(g, sources, cfg)
     inv = inv.reshape(-1, 2)
     return pi[edges[:, 1], inv[:, 0]] + pi[edges[:, 0], inv[:, 1]]
+
+
+def chunked_ppr_scores(g, edges, cfg) -> np.ndarray:
+    """PPR scores under ``heuristics.ppr_scores``'s source rule.
+
+    The pairs whose endpoints both have an edge are scored with their
+    distinct endpoints as the sources, chunked as there. Every other pair is
+    scored by the all-sources iteration of its own endpoints, with the
+    warnings of that second iteration dropped: what it reads on such a pair
+    is a walk's value on a degree-0 node or a degree-0 source's column,
+    neither of which depends on the chunk or its stop round.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    kept = (g.degrees()[edges] > 0).all(axis=1)
+    out = np.zeros(edges.shape[0])
+    if kept.any():
+        out[kept] = all_sources_ppr_scores(g, edges[kept], cfg)
+    if not kept.all():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out[~kept] = all_sources_ppr_scores(g, edges[~kept], cfg)
+    return out
 
 
 def dense_common_neighbors(n, edges, queries) -> np.ndarray:

@@ -166,6 +166,30 @@ def test_run_bad_config_exits_2(tmp_path, config):
     assert not (tmp_path / "out").exists()
 
 
+# a value of the wrong type in a run config: (the change, the message it prints)
+WRONG_TYPES = {
+    "distill-train-xprime-str": ({"distill": {"train_xprime": "false"}},
+                                 "distill: train_xprime must be true or false, got 'false'"),
+    "scorer-learning-rate-bool": ({"scorer": {"learning_rate": True}},
+                                  "scorer: learning_rate must be a number, got True"),
+    "diffusion-alpha-str": ({"diffusion": {"alpha": "0.5"}},
+                            "diffusion: alpha must be a number, got '0.5'"),
+    "seed-bool": ({"seed": True}, "seed must be an integer, got True"),
+    "neg-ratio-bool": ({"neg_ratio": True}, "neg_ratio must be positive, got True"),
+    "k-multipliers-bool": ({"eval": {"k_multipliers": [True]}},
+                           "k_multipliers must be a list of positive numbers"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPES))
+def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, case, capsys):
+    change, message = WRONG_TYPES[case]
+    path = _write_json(tmp_path / "run.json", RUN_CONFIG | change)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # stage subcommands: each written file equals the library call's on the same
 # loaded graph
@@ -389,37 +413,38 @@ def test_ingest_missing_side_row_exits_3(tmp_path):
 
 
 # each command reading a file that is missing, of another kind, or holding a
-# non-numeric value
+# non-numeric value: the file at fault, relative to the workspace, and the
+# command line
 BAD_INPUT_FILES = {
-    "propagate-model-missing": lambda ws: [
-        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "missing.bin")],
-    "propagate-model-report": lambda ws: [
-        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "report.json")],
-    "propagate-model-scores": lambda ws: [
-        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "logits.tsv")],
-    "propagate-logits-missing": lambda ws: [
-        "propagate", "--variant", "logit", *_stage_args(ws), "--logits", str(ws / "missing.tsv")],
-    "evaluate-scores-missing": lambda ws: [
-        "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'missing.tsv'}"],
-    "evaluate-scores-non-numeric": lambda ws: [
-        "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'bad.tsv'}"],
-    "baseline-edges-missing": lambda ws: [
+    "propagate-model-missing": ("missing.bin", lambda ws: [
+        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "missing.bin")]),
+    "propagate-model-report": ("report.json", lambda ws: [
+        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "report.json")]),
+    "propagate-model-scores": ("logits.tsv", lambda ws: [
+        "propagate", "--variant", "xmc", *_stage_args(ws), "--model", str(ws / "logits.tsv")]),
+    "propagate-logits-missing": ("missing.tsv", lambda ws: [
+        "propagate", "--variant", "logit", *_stage_args(ws), "--logits", str(ws / "missing.tsv")]),
+    "evaluate-scores-missing": ("missing.tsv", lambda ws: [
+        "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'missing.tsv'}"]),
+    "evaluate-scores-non-numeric": ("bad.tsv", lambda ws: [
+        "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'bad.tsv'}"]),
+    "baseline-edges-missing": ("missing.tsv", lambda ws: [
         "baseline", "--method", "cn", "--graph", str(ws / "union"),
-        "--edges", str(ws / "missing.tsv"), "--out", str(ws / "out.tsv")],
-    "ingest-edges-missing": lambda ws: [
-        "ingest", "--edges", str(ws / "missing.tsv"), "--out", str(ws / "g")],
-    "ingest-features-non-numeric": lambda ws: [
+        "--edges", str(ws / "missing.tsv"), "--out", str(ws / "out.tsv")]),
+    "ingest-edges-missing": ("missing.tsv", lambda ws: [
+        "ingest", "--edges", str(ws / "missing.tsv"), "--out", str(ws / "g")]),
+    "ingest-features-non-numeric": ("bad.csv", lambda ws: [
         "ingest", "--edges", str(ws / "edges.tsv"), "--features", str(ws / "bad.csv"),
-        "--out", str(ws / "g")],
-    "ingest-sides-missing-node": lambda ws: [
+        "--out", str(ws / "g")]),
+    "ingest-sides-missing-node": ("sides.tsv", lambda ws: [
         "ingest", "--edges", str(ws / "edges.tsv"), "--sides", str(ws / "sides.tsv"),
-        "--out", str(ws / "g")],
-    "split-temporal-features-unknown-node": lambda ws: [
+        "--out", str(ws / "g")]),
+    "split-temporal-features-unknown-node": ("typo.csv", lambda ws: [
         "split-temporal", "--edges", str(ws / "dated.tsv"), "--features", str(ws / "typo.csv"),
-        "--y-low", "2001", "--y-high", "2002", "--out-dir", str(ws / "pair")],
-    "graph-features-missing-node": lambda ws: [
+        "--y-low", "2001", "--y-high", "2002", "--out-dir", str(ws / "pair")]),
+    "graph-features-missing-node": ("gappy/features.csv", lambda ws: [
         "baseline", "--method", "cn", "--graph", str(ws / "gappy"),
-        "--edges", str(ws / "edges.tsv"), "--out", str(ws / "out.tsv")],
+        "--edges", str(ws / "edges.tsv"), "--out", str(ws / "out.tsv")]),
 }
 
 
@@ -438,6 +463,7 @@ def test_bad_input_file_exits_3(trained, case, capsys):
     (ws / "gappy" / "features.csv").write_text("a,1.0,2.0\n")
     (ws / "dated.tsv").write_text("a\tb\t2001\nb\tc\t2002\n")
     (ws / "typo.csv").write_text("a,1.0\nb,1.0\nc,1.0\ntypo,1.0\n")
-    assert main(BAD_INPUT_FILES[case](ws)) == 3
+    at_fault, argv = BAD_INPUT_FILES[case]
+    assert main(argv(ws)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and str(ws) in err
+    assert err.startswith("data error: ") and str(ws / at_fault) in err

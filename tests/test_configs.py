@@ -29,6 +29,21 @@ CASES = {
     "diffusion-k-max-str": (DiffusionConfig, {}, {"k_max": "3"}, "k_max must be an integer"),
     "ppr-iterations-float": (PprConfig, {}, {"iterations": 50.0}, "iterations must be an integer"),
     "synthetic-seed-str": (SyntheticSpec, SPEC, {"seed": "1"}, "seed must be an integer"),
+    "scorer-d-out-float": (ScorerConfig, {"encoder": "one_hop_mean"}, {"d_out": 4.0},
+                           "d_out must be an integer"),
+    # a float field takes an int or a float, not a bool or a string
+    "scorer-learning-rate-bool": (ScorerConfig, {}, {"learning_rate": True},
+                                  "learning_rate must be a number"),
+    "diffusion-alpha-str": (DiffusionConfig, {}, {"alpha": "0.5"}, "alpha must be a number"),
+    "synthetic-overlap-bool": (SyntheticSpec, SPEC, {"overlap_ratio": True},
+                               "overlap_ratio must be a number"),
+    # a bool field takes only a bool, and a str field only a string
+    "distill-train-xprime-str": (DistillConfig, {}, {"train_xprime": "false"},
+                                 "train_xprime must be true or false"),
+    "distill-train-xprime-int": (DistillConfig, {}, {"train_xprime": 0},
+                                 "train_xprime must be true or false"),
+    "scorer-encoder-list": (ScorerConfig, {}, {"encoder": ["one_hop_mean"]},
+                            "encoder must be a string"),
 }
 
 
@@ -41,3 +56,12 @@ def test_out_of_range_value_raises_at_construction_and_replace(case):
     with pytest.raises(ConfigError, match=message):
         replace(config, **bad)
 
+
+def test_typed_fields_take_their_own_values():
+    """An int is a number, None is allowed where annotated, and a bool field
+    takes True."""
+    assert PprConfig(teleport=0.5, tol=0).tol == 0
+    assert ScorerConfig(learning_rate=1, d_out=None).learning_rate == 1
+    assert ScorerConfig(encoder="one_hop_mean", d_out=4).d_out == 4
+    assert DistillConfig(train_xprime=True).train_xprime is True
+    assert SyntheticSpec(**SPEC | {"overlap_ratio": 1}).overlap_ratio == 1

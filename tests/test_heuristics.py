@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from linkbridge import heuristics
 from linkbridge.errors import DataError
 from linkbridge.graph import build_graph
 from linkbridge.heuristics import (
@@ -13,8 +14,10 @@ from linkbridge.heuristics import (
     common_neighbors,
     ppr_scores,
 )
+from linkbridge.propagation import damped_iteration
 
 from oracles import (
+    all_sources_ppr_scores,
     brute_adamic_adar,
     chunked_ppr_scores,
     chunked_ppr_vectors,
@@ -104,19 +107,30 @@ def _sparse_graph(rng, n, n_live, m):
     )
 
 
-@pytest.mark.parametrize("cfg", [
+def _sparse_queries():
+    """900 nodes, about 500 of them live: random pairs, pairs of live nodes
+    and self-pairs, so that many pairs have a degree-0 endpoint and the live
+    pairs' endpoints still fill more than one chunk."""
+    rng = np.random.default_rng(5)
+    g = _sparse_graph(rng, n=900, n_live=500, m=1200)
+    queries = np.concatenate([
+        rng.integers(0, g.num_nodes, size=(500, 2)),
+        rng.choice(np.flatnonzero(g.degrees()), size=(200, 2)),
+        np.repeat(rng.integers(0, g.num_nodes, size=(6, 1)), 2, axis=1),
+    ])
+    return g, queries
+
+
+PPR_CONFIGS = pytest.mark.parametrize("cfg", [
     PprConfig(),
     PprConfig(teleport=0.1, iterations=4, tol=1e-9),
 ], ids=["default", "non-converging"])
+
+
+@PPR_CONFIGS
 def test_ppr_scores_equal_the_dense_chunked_iteration(cfg):
-    rng = np.random.default_rng(5)
-    g = _sparse_graph(rng, n=900, n_live=300, m=700)
+    g, queries = _sparse_queries()
     degs = g.degrees()
-    queries = np.concatenate([
-        rng.integers(0, g.num_nodes, size=(500, 2)),
-        rng.choice(np.flatnonzero(degs), size=(200, 2)),
-        np.repeat(rng.integers(0, g.num_nodes, size=(6, 1)), 2, axis=1),
-    ])
     sources = np.unique(queries)
     assert sources.size > 2 * 256
     assert np.any(degs[sources] == 0) and np.any(degs[sources] > 0)
@@ -128,9 +142,39 @@ def test_ppr_scores_equal_the_dense_chunked_iteration(cfg):
         want = chunked_ppr_scores(g, queries, cfg)
     assert np.array_equal(got, want)
     assert len(ours) == len(ref)
-    # a chunk of degree-0 sources only steps by 0, so it converges anyway
-    assert (len(ours) > 0) == (cfg != PprConfig())
+    # every chunk converges under the defaults, and none within 4 rounds
+    assert len(ours) == (0 if cfg == PprConfig() else 2)
     assert np.any(got > 0)
+
+
+@PPR_CONFIGS
+def test_ppr_scores_stay_within_tol_of_the_all_sources_iteration(cfg):
+    """Iterating only the endpoints of pairs with two live endpoints changes
+    which sources share a chunk, and so a chunk's stop round, but no zero."""
+    g, queries = _sparse_queries()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = ppr_scores(g, queries, cfg)
+        want = all_sources_ppr_scores(g, queries, cfg)
+    assert np.array_equal(got == 0, want == 0)
+    assert np.max(np.abs(got - want)) <= cfg.tol
+    assert np.any(got > 0) and np.any(got == 0)
+
+
+def test_ppr_iterates_only_the_endpoints_of_live_pairs(monkeypatch):
+    g, queries = _sparse_queries()
+    live = (g.degrees()[queries] > 0).all(axis=1)
+    columns = []
+
+    def spy(operator, z, *args):
+        columns.append(z.shape[1])
+        return damped_iteration(operator, z, *args)
+
+    monkeypatch.setattr(heuristics, "damped_iteration", spy)
+    ppr_scores(g, queries, PprConfig())
+    assert sum(columns) == np.unique(queries[live]).size
+    assert sum(columns) < np.unique(queries).size
+    assert columns[0] == 256 and len(columns) == 2
 
 
 def test_ppr_scores_memory_is_o_live_nodes():
