@@ -48,7 +48,7 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, named float64 arrays); any file that is not a well-formed
-    checkpoint is a DataError naming it."""
+    checkpoint, or holds a non-finite value, is a DataError naming it."""
     try:
         raw = Path(path).read_bytes()
         newline = raw.find(b"\n")
@@ -71,6 +71,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
     if offset != blob.size:
         raise DataError(f"{path}: {blob.size - offset} unexplained trailing floats")
+    bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+    if bad:
+        raise DataError(f"{path}: non-finite values in {', '.join(bad)}")
     return header, arrays
 
 

@@ -16,7 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, check_field_types
-from .graph import Graph, build_graph, first_seen, graph_from_ids, node_intersection
+from .graph import (
+    Graph,
+    build_graph,
+    first_seen,
+    graph_from_ids,
+    key_pairs,
+    node_intersection,
+    sorted_distinct,
+)
 
 __all__ = ["SyntheticSpec", "temporal_split", "generate_synthetic"]
 
@@ -131,7 +139,9 @@ def _sample_block_edges(
     Endpoints are drawn proportionally to per-node propensity theta; a
     seeded coin decides for each edge whether both endpoints come from one
     community. Duplicates and self-pairs are dropped, then the draw is
-    trimmed to the requested count with a seeded permutation.
+    trimmed to the requested count with a seeded permutation. Pairs are kept
+    as int64 codes ``lo * n + hi`` over the local ids, whose sort order is
+    the pairs' lexicographic order.
     """
     n = members.size
     target_count = int(round(mean_deg * n / 2.0))
@@ -182,18 +192,17 @@ def _sample_block_edges(
             u[intra] = uu
             v[intra] = vv
         keep = u != v
-        pair = np.stack([np.minimum(u[keep], v[keep]), np.maximum(u[keep], v[keep])], axis=1)
-        collected.append(pair)
-        pool = np.unique(np.concatenate(collected, axis=0), axis=0)
-        n_unique = pool.shape[0]
+        collected.append(np.minimum(u[keep], v[keep]) * n + np.maximum(u[keep], v[keep]))
+        pool = sorted_distinct(np.concatenate(collected))
+        n_unique = pool.size
         if n_unique >= target_count:
             break
         want = max(256, int((target_count - n_unique) * 2))
-    pool = np.unique(np.concatenate(collected, axis=0), axis=0)
-    if pool.shape[0] > target_count:
-        take = rng.permutation(pool.shape[0])[:target_count]
+    pool = sorted_distinct(np.concatenate(collected))
+    if pool.size > target_count:
+        take = rng.permutation(pool.size)[:target_count]
         pool = pool[np.sort(take)]
-    return members[pool]
+    return members[np.stack([pool // n, pool % n], axis=1)]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, Graph, list[tuple[str, str]]]:

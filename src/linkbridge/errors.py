@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
 """
 
+import math
 import typing
 from dataclasses import fields
 
@@ -39,7 +40,9 @@ def is_of_type(value, kind: type) -> bool:
 def check_field_types(config) -> None:
     """ConfigError for a field of the dataclass ``config`` annotated ``int``,
     ``float``, ``bool`` or ``str`` (or one of them ``| None``, which also
-    takes None) whose value is not of that type (``is_of_type``)."""
+    takes None) whose value is not of that type (``is_of_type``), or for a
+    ``float`` field that is NaN or infinite, which every range check, being
+    a comparison, would let through."""
     hints = typing.get_type_hints(type(config))
     for spec in fields(config):
         hint, value = hints[spec.name], getattr(config, spec.name)
@@ -50,3 +53,5 @@ def check_field_types(config) -> None:
             (hint,) = options - {type(None)}
         if hint in _ACCEPTS and not is_of_type(value, hint):
             raise ConfigError(f"{spec.name} must be {_KIND[hint]}, got {value!r}")
+        if hint is float and not math.isfinite(value):
+            raise ConfigError(f"{spec.name} must be finite, got {value!r}")

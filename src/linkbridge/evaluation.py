@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,9 +227,9 @@ def evaluate_scores(
 
 
 def check_k_multipliers(mults) -> None:
-    """Recall cut-offs are positive multiples of the positive count."""
+    """Recall cut-offs are finite positive multiples of the positive count."""
     if not isinstance(mults, (list, tuple)) or not mults or any(
-        not is_of_type(m, float) or m <= 0 for m in mults
+        not is_of_type(m, float) or not 0 < m < math.inf for m in mults
     ):
         raise ConfigError("k_multipliers must be a list of positive numbers")
 

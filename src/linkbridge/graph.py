@@ -8,12 +8,16 @@ endpoints, then any extra nodes. Checkpoints pin that order through
 the input order. ``build_graph`` interns string keys by the same rule. All
 edges are canonical unordered pairs (u < v internally), with self-loops and
 duplicates dropped at build time.
+
+Construction does no per-edge Python work: edges are deduplicated and the CSR
+ordered through int64 codes ``u * N + v``, and keys map to ids and back with
+one dict lookup or one object-array gather per key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +32,8 @@ __all__ = [
     "checked_pairs",
     "first_seen",
     "graph_from_ids",
+    "key_pairs",
+    "sorted_distinct",
     "node_intersection",
     "union_graph",
     "mean_aggregator",
@@ -79,17 +85,33 @@ class Graph:
 
     def edge_keys(self) -> list[tuple[str, str]]:
         """Edges as external key pairs, in canonical internal order."""
-        return [(self.keys[u], self.keys[v]) for u, v in self.edges]
+        return key_pairs(self.keys, self.edges)
 
     def ids_for(self, keys: Iterable[str]) -> np.ndarray:
         try:
-            return np.array([self.key_to_id[k] for k in keys], dtype=np.int64)
+            return np.fromiter(map(self.key_to_id.__getitem__, keys), dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"unknown node key {exc.args[0]!r}") from exc
 
     def pair_ids(self, pairs: Iterable[tuple[str, str]]) -> np.ndarray:
         """(m, 2) int64 internal ids of external key pairs; (0, 2) if empty."""
         return self.ids_for(chain.from_iterable(pairs)).reshape(-1, 2)
+
+
+def key_pairs(keys: Sequence[str], ids: np.ndarray) -> list[tuple[str, str]]:
+    """The key pairs of an (m, 2) array of indices into ``keys``, row by row."""
+    table = np.array(keys, dtype=object)
+    return list(zip(table[ids[:, 0]].tolist(), table[ids[:, 1]].tolist()))
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, by one sort. numpy 2.4's ``np.unique``
+    takes a hash path on int64 that is much slower: 3.1 ms against 0.18 ms
+    at 18,000 values on a 2-vCPU VM."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def checked_pairs(edges: Sequence | np.ndarray, num_nodes: int) -> np.ndarray:
@@ -149,22 +171,25 @@ def graph_from_ids(
         features = None if features is None else features[order]
         sides = None if sides is None else sides[order]
     keys = tuple(keys)
-    key_to_id = {k: i for i, k in enumerate(keys)}
-    if len(key_to_id) != len(keys):
+    n = len(keys)
+    key_to_id = dict(zip(keys, range(n)))
+    if len(key_to_id) != n:
         raise DataError("duplicate node keys")
 
+    # distinct (u < v) pairs in lexicographic order: one sort of the codes u*n+v
     loops = edges[:, 0] == edges[:, 1]
-    canon = np.sort(edges[~loops], axis=1)
-    edges = np.unique(canon, axis=0)  # rows in lexicographic order
+    u, v = edges[~loops, 0], edges[~loops, 1]
+    codes = sorted_distinct(np.minimum(u, v) * n + np.maximum(u, v))
+    edges = np.stack([codes // n, codes % n], axis=1)
     stats = BuildStats(self_loops_dropped=int(loops.sum()),
-                       duplicates_dropped=canon.shape[0] - edges.shape[0])
+                       duplicates_dropped=u.size - codes.size)
 
-    # sorted CSR: both directions of every edge, ordered by (row, column)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(keys)), out=indptr[1:])
-    indices = cols[np.lexsort((cols, rows))]
+    # sorted CSR: both directions of every edge, ordered by the code row*n+col
+    both = np.concatenate([codes, edges[:, 1] * n + edges[:, 0]])
+    both.sort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
+    indices = both % n
 
     for arr in (indptr, indices, edges, features, sides):
         if arr is not None:
@@ -172,46 +197,57 @@ def graph_from_ids(
     return Graph(keys, key_to_id, indptr, indices, edges, features, sides, build_stats=stats)
 
 
+# node-keyed rows: a mapping from key to row, or distinct keys and an array
+# holding one row per key
+KeyedRows = Mapping[str, object] | tuple[Sequence[str], np.ndarray]
+
+
 def _rows_in_id_order(
-    mapping: Mapping[str, object] | None, key_to_id: Mapping[str, int], name: str
-) -> list | None:
-    """A node-keyed mapping's values in id order: exactly one row per node."""
-    if mapping is None:
+    rows: KeyedRows | None, key_to_id: Mapping[str, int], name: str
+) -> np.ndarray | None:
+    """Node-keyed rows in id order: exactly one row per node."""
+    if rows is None:
         return None
-    unknown = [k for k in mapping if k not in key_to_id]
-    if unknown:
-        raise DataError(f"{name} rows for unknown nodes: {unknown[:5]}")
-    missing = [k for k in key_to_id if k not in mapping]
-    if missing:
+    keys, values = (list(rows), list(rows.values())) if isinstance(rows, Mapping) else rows
+    at = np.fromiter(map(key_to_id.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+    unknown = np.flatnonzero(at < 0)
+    if unknown.size:
+        raise DataError(f"{name} rows for unknown nodes: {[keys[i] for i in unknown[:5]]}")
+    if at.size < len(key_to_id):  # distinct known keys, so some node has none
+        have = np.zeros(len(key_to_id), dtype=bool)
+        have[at] = True
+        missing = list(compress(key_to_id, ~have))
         raise DataError(f"missing {name} rows for nodes: {missing[:5]}")
-    return [mapping[k] for k in key_to_id]
+    where = np.empty_like(at)
+    where[at] = np.arange(at.size)
+    return np.asarray(values)[where]
 
 
 def build_graph(
     edge_list: Sequence[tuple[str, str]],
-    features: Mapping[str, Sequence[float]] | None = None,
-    sides: Mapping[str, int] | None = None,
-    extra_nodes: Sequence[str] = (),
+    features: KeyedRows | None = None,
+    sides: KeyedRows | None = None,
+    extra_nodes: Iterable[str] = (),
 ) -> Graph:
     """Build a canonical Graph from external-id edge pairs.
 
-    Keys are interned in first-seen order over the edge endpoints, then
-    ``extra_nodes`` (isolated nodes, in given order). Duplicate undirected
-    edges and self-loops are dropped; the counts are reported on
+    Keys are strings, interned in first-seen order over the edge endpoints,
+    then ``extra_nodes`` (isolated nodes, in given order). Duplicate
+    undirected edges and self-loops are dropped; the counts are reported on
     ``Graph.build_stats``. ``features`` and ``sides`` need exactly one row per
-    node: feature rows share one dimension, side labels are 0 or 1.
+    node, given as a ``{key: row}`` mapping or as distinct keys with an array
+    of their rows: feature rows share one dimension, side labels are 0 or 1.
     """
-    key_to_id: dict[str, int] = {}
-    ids = [key_to_id.setdefault(str(k), len(key_to_id)) for a, b in edge_list for k in (a, b)]
-    for key in extra_nodes:
-        key_to_id.setdefault(str(key), len(key_to_id))
-    if features is not None:
+    keys = dict.fromkeys(chain(chain.from_iterable(edge_list), extra_nodes))
+    key_to_id = dict(zip(keys, range(len(keys))))
+    ids = np.fromiter(map(key_to_id.__getitem__, chain.from_iterable(edge_list)), dtype=np.int64)
+    if isinstance(features, Mapping):
         dims = {len(row) for row in features.values()}
         if len(dims) > 1:
             raise DataError(f"inconsistent feature dimensions: {sorted(dims)}")
     return graph_from_ids(
-        list(key_to_id),
-        np.array(ids, dtype=np.int64).reshape(-1, 2),
+        list(keys),
+        ids.reshape(-1, 2),
         features=_rows_in_id_order(features, key_to_id, "feature"),
         sides=_rows_in_id_order(sides, key_to_id, "side"),
     )
@@ -257,9 +293,11 @@ def union_graph(g1: Graph, g2: Graph) -> Graph:
     neither does, and a shared node's rows must agree (features to within
     1e-6; sides, being 0 or 1, exactly).
     """
-    key_to_id = dict(g1.key_to_id)
-    lookup = np.array([key_to_id.setdefault(k, len(key_to_id)) for k in g2.keys], dtype=np.int64)
-    keys = g1.keys + tuple(compress(g2.keys, lookup >= g1.num_nodes))
+    lookup = np.fromiter(map(g1.key_to_id.get, g2.keys, repeat(-1)), dtype=np.int64,
+                         count=g2.num_nodes)
+    fresh = lookup < 0
+    lookup[fresh] = np.arange(g1.num_nodes, g1.num_nodes + int(fresh.sum()))
+    keys = g1.keys + tuple(compress(g2.keys, fresh))
     return graph_from_ids(
         keys,
         np.concatenate([g1.edges, lookup[g2.edges]]),

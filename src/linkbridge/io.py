@@ -16,6 +16,9 @@ or a directory containing ``edges.tsv`` plus optional ``features.csv`` /
 from __future__ import annotations
 
 import json
+from array import array
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -41,37 +44,49 @@ __all__ = [
 ]
 
 
-def _records(path: str | Path, strip=str.strip):
-    """(line number, line) of each non-blank, non-comment line of a UTF-8
-    text file; a file that cannot be read is a DataError naming it."""
+@contextmanager
+def _text(path: str | Path):
+    """A UTF-8 text file open for reading; a file that cannot be read is a
+    DataError naming it."""
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = strip(line)
-                if line and not line.startswith("#"):
-                    yield lineno, line
+            yield fh
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text") from exc
 
 
+def _records(path: str | Path):
+    """(line number, stripped line) of each non-blank, non-comment line of a
+    UTF-8 text file."""
+    with _text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
 def read_edge_tsv(path: str | Path) -> tuple[list[tuple[str, str]], list[int | None]]:
     """Parse an edge TSV into (pairs, per-edge year or None)."""
     pairs: list[tuple[str, str]] = []
     years: list[int | None] = []
-    for lineno, line in _records(path, strip=lambda line: line.rstrip("\n")):
-        cols = line.split("\t")
-        if len(cols) < 2:
-            raise DataError(f"{path}:{lineno}: expected at least 2 columns")
-        pairs.append((cols[0], cols[1]))
-        if len(cols) >= 3 and cols[2] != "":
-            try:
-                years.append(int(cols[2]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad year {cols[2]!r}") from exc
-        else:
-            years.append(None)
+    with _text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            if len(cols) < 2:
+                raise DataError(f"{path}:{lineno}: expected at least 2 columns")
+            pairs.append((cols[0], cols[1]))
+            if len(cols) >= 3 and cols[2] != "":
+                try:
+                    years.append(int(cols[2]))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad year {cols[2]!r}") from exc
+            else:
+                years.append(None)
     return pairs, years
 
 
@@ -81,20 +96,40 @@ def write_edge_tsv(path: str | Path, pairs: list[tuple[str, str]]) -> None:
             fh.write(f"{a}\t{b}\n")
 
 
-def _read_features_csv(path: Path) -> dict[str, np.ndarray]:
-    rows: dict[str, np.ndarray] = {}
+def _read_features_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """Keys and float32 rows of a features CSV, in file order. The values
+    stream into one float64 buffer; a row whose length differs from the first
+    row's, or a value that is not finite in float32, is a DataError naming
+    its line."""
+    keys: list[str] = []
+    lines: list[int] = []
+    values = array("d")
+    dim = None
     for lineno, line in _records(path):
         cols = line.split(",")
         if len(cols) < 2:
             raise DataError(f"{path}:{lineno}: feature row needs key + values")
+        if len(cols) - 1 != dim:
+            if dim is not None:
+                raise DataError(f"{path}:{lineno}: {len(cols) - 1} feature values, "
+                                f"the first row has {dim}")
+            dim = len(cols) - 1
         try:
-            rows[cols[0]] = np.array([float(c) for c in cols[1:]], dtype=np.float32)
+            values.extend(map(float, islice(cols, 1, None)))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+        keys.append(cols[0])
+        lines.append(lineno)
+    with np.errstate(over="ignore"):  # beyond float32 range: inf, refused below
+        matrix = np.frombuffer(values, dtype=np.float64).astype(np.float32)
+    matrix = matrix.reshape(len(keys), dim or 0)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{lines[bad[0]]}: feature values must be finite float32 numbers")
+    return keys, matrix
 
 
-def _read_features_bin(sidecar: Path) -> dict[str, np.ndarray]:
+def _read_features_bin(sidecar: Path) -> tuple[list[str], np.ndarray]:
     header = json.loads(sidecar.read_text(encoding="utf-8"))
     for field in ("num_rows", "dim", "key_file"):
         if field not in header:
@@ -113,25 +148,49 @@ def _read_features_bin(sidecar: Path) -> dict[str, np.ndarray]:
             f"{blob_path}: expected {num_rows * dim} float32 values, got {raw.size}"
         )
     matrix = raw.reshape(num_rows, dim)
-    return {k: matrix[i] for i, k in enumerate(keys)}
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise DataError(f"{blob_path}: row {bad[0]} (node {keys[bad[0]]!r}) "
+                        "holds a non-finite feature value")
+    return keys, matrix
+
+
+def _feature_table(paths: Sequence[str | Path]) -> tuple[list[str], np.ndarray]:
+    """Keys and float32 rows of one or more feature files (CSV, or binary
+    behind a ``.json`` sidecar). A key given again keeps its first position
+    and takes its last row."""
+    tables = []
+    for path in map(Path, paths):
+        if path.suffix != ".json":
+            tables.append(_read_features_csv(path))
+            continue
+        try:
+            tables.append(_read_features_bin(path))
+        except (OSError, ValueError, TypeError) as exc:
+            raise DataError(f"{path}: unreadable binary features ({exc})") from exc
+    blocks = [matrix for _, matrix in tables if len(matrix)]
+    dims = sorted({matrix.shape[1] for matrix in blocks})
+    if len(dims) > 1:
+        files = ", ".join(map(str, paths))
+        raise DataError(f"{files}: inconsistent feature dimensions: {dims}")
+    keys = [key for table_keys, _ in tables for key in table_keys]
+    last = dict(zip(keys, range(len(keys))))
+    rows = np.fromiter(last.values(), dtype=np.int64, count=len(last))
+    matrix = np.concatenate(blocks) if blocks else np.zeros((0, 0), dtype=np.float32)
+    return list(last), matrix[rows]
 
 
 def read_features(path: str | Path) -> dict[str, np.ndarray]:
     """Read features from CSV or a binary sidecar, keyed by node id."""
-    path = Path(path)
-    if path.suffix != ".json":
-        return _read_features_csv(path)
-    try:
-        return _read_features_bin(path)
-    except (OSError, ValueError, TypeError) as exc:
-        raise DataError(f"{path}: unreadable binary features ({exc})") from exc
+    keys, matrix = _feature_table([path])
+    return dict(zip(keys, matrix))
 
 
 def write_features_csv(path: str | Path, keys: list[str], matrix: np.ndarray) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for key, row in zip(keys, matrix):
-            fh.write(key + "," + ",".join(repr(float(x)) for x in row) + "\n")
+    rows = np.asarray(matrix, dtype=np.float64).tolist()
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for key, row in zip(keys, rows):
+            fh.write(key + "," + ",".join(map(repr, row)) + "\n")
 
 
 def write_features_bin(
@@ -206,13 +265,9 @@ def read_graph(
     node without its feature or side row, say) is a DataError naming them.
     """
     pairs = [pair for path in edge_paths for pair in read_edge_tsv(path)[0]]
-    features = None
-    if feature_paths:
-        features = {}
-        for path in feature_paths:
-            features.update(read_features(path))
+    features = _feature_table(feature_paths) if feature_paths else None
     sides = read_sides_tsv(side_path) if side_path else None
-    extra = [*(features or {}), *(sides or {})]
+    extra = [*(features[0] if features else ()), *(sides or ())]
     try:
         return build_graph(pairs, features=features, sides=sides, extra_nodes=extra)
     except DataError as exc:
@@ -256,8 +311,8 @@ def write_scores_tsv(
     path: str | Path, pairs: list[tuple[str, str]], scores: np.ndarray
 ) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for (a, b), s in zip(pairs, scores):
-            fh.write(f"{a}\t{b}\t{float(s)!r}\n")
+        for (a, b), s in zip(pairs, np.asarray(scores, dtype=np.float64).tolist()):
+            fh.write(f"{a}\t{b}\t{s!r}\n")
 
 
 def read_scores_tsv(path: str | Path) -> dict[tuple[str, str], float]:

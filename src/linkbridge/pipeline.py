@@ -324,8 +324,9 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
 
         pos_eval, neg_eval = eval_pairs(manifest, suite.eval_split)
         eval_order, labels = shuffle_eval_order(pos_eval, neg_eval, suite.seed)
-        index_of = {pair: i for i, pair in enumerate(manifest.all_edges())}
-        eval_positions = np.array([index_of[p] for p in eval_order], dtype=np.int64)
+        all_edges = manifest.all_edges()
+        index_of = dict(zip(all_edges, range(len(all_edges))))
+        eval_positions = np.fromiter(map(index_of.__getitem__, eval_order), dtype=np.int64)
         eval_ids = all_ids[eval_positions]
 
         for method in methods:

@@ -11,19 +11,27 @@ Negatives are uniform non-edges of the union graph, sampled per stratum so
 every split keeps the requested negative:positive ratio. The scorer trains
 on the union keyspace with the training positives as its only edges
 (``training_graph_from_universe``).
+
+The split works on union ids from the regime's positives to the negative
+draws. Key strings enter at two places only: a pair's canonical order is
+the order of its two keys (``_canon``), read off ranks from Python's
+``sorted`` over the union's keys, and the manifest's key pairs are made
+once, from the finished id splits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, is_of_type
-from .graph import Graph, build_graph, first_seen, graph_from_ids, node_intersection, union_graph
+from .graph import Graph, first_seen, graph_from_ids, key_pairs, union_graph
 
 __all__ = [
     "Regime",
@@ -76,24 +84,47 @@ def _canon(a: str, b: str) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
-def _regime_positives(regime: Regime, src: Graph, tar: Graph, union: Graph) -> list[Pair]:
-    """The pairs a regime draws its positives from: the target's edges, the
-    union's, or every edge of either graph touching a shared node, taken in
-    ``build_graph``'s deduplicated edge order, which the split permutes."""
-    if regime is Regime.TARGET_TO_TARGET:
-        return tar.edge_keys()
+def _key_ranks(g: Graph) -> np.ndarray:
+    """Each node's position in the sorted order of the key strings. Python's
+    ``sorted``, since numpy's ``U`` dtype drops trailing NULs."""
+    ranks = np.empty(g.num_nodes, dtype=np.int64)
+    ranks[g.ids_for(sorted(g.keys))] = np.arange(g.num_nodes)
+    return ranks
+
+
+def _canonical(pairs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """(m, 2) id pairs, each row put in the order of its two keys (``_canon``)."""
+    swap = ranks[pairs[:, 0]] > ranks[pairs[:, 1]]
+    return np.where(swap[:, None], pairs[:, ::-1], pairs)
+
+
+def _regime_positives(
+    regime: Regime, src: Graph, tar: Graph, union: Graph, ranks: np.ndarray
+) -> np.ndarray:
+    """The pairs a regime draws its positives from, as (m, 2) union ids: the
+    target's edges, the union's, or every edge of either graph touching a
+    shared node. The order is the one the split permutes: the target's or
+    the union's edge order, or for the intersection the edge order of a
+    graph built from the canonical pairs (``_canon``, ranks from
+    ``_key_ranks``) of the source's edges then the target's."""
     if regime is Regime.UNION_TO_TARGET:
-        return union.edge_keys()
-    shared = set(node_intersection(src, tar))
-    if not shared:
+        return union.edges
+    tar_ids = union.ids_for(tar.keys)
+    if regime is Regime.TARGET_TO_TARGET:
+        return tar_ids[tar.edges]
+    src_ids = union.ids_for(src.keys)
+    in_src = np.zeros(union.num_nodes, dtype=bool)
+    in_src[src_ids] = True
+    shared = np.zeros(union.num_nodes, dtype=bool)
+    shared[tar_ids[in_src[tar_ids]]] = True
+    if not shared.any():
         raise DataError("source and target graphs share no nodes")
-    kept = [
-        _canon(a, b)
-        for g in (src, tar)
-        for a, b in g.edge_keys()
-        if a in shared or b in shared
-    ]
-    return build_graph(kept).edge_keys() if kept else []
+    pairs = np.concatenate([src_ids[src.edges], tar_ids[tar.edges]])
+    kept = _canonical(pairs[shared[pairs].any(axis=1)], ranks)
+    if not kept.size:
+        return kept
+    order = first_seen([kept])
+    return order[graph_from_ids(union.keys, kept, order=order).edges]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +308,7 @@ class SplitManifest:
 
     def all_edges(self) -> list[Pair]:
         """Canonical edge ordering used for logit vectors and line graphs."""
-        return [pair for name in SPLIT_NAMES for pair in getattr(self, name)]
+        return list(chain.from_iterable(self.splits().values()))
 
     def to_json(self) -> str:
         """One line of compact JSON: with ``indent``, ``json`` switches to
@@ -286,7 +317,7 @@ class SplitManifest:
             "regime": self.regime.value,
             "seed": self.seed,
             "neg_ratio": self.neg_ratio,
-            "splits": {k: [list(p) for p in v] for k, v in self.splits().items()},
+            "splits": self.splits(),
         }
         return json.dumps(payload)
 
@@ -322,11 +353,13 @@ class SplitManifest:
 
 def check_split_knobs(neg_ratio, train_frac_outside) -> None:
     """ConfigError naming every split knob out of range: ``neg_ratio`` must
-    be a positive number and ``train_frac_outside`` one in [0, 1), neither a
-    bool (``errors.is_of_type``)."""
+    be a finite positive number and ``train_frac_outside`` one in [0, 1),
+    neither a bool (``errors.is_of_type``)."""
     problems = []
     if not is_of_type(neg_ratio, float) or not neg_ratio > 0:
         problems.append(f"neg_ratio must be positive, got {neg_ratio!r}")
+    elif not math.isfinite(neg_ratio):
+        problems.append(f"neg_ratio must be finite, got {neg_ratio!r}")
     if not is_of_type(train_frac_outside, float) or not 0.0 <= train_frac_outside < 1.0:
         problems.append(f"train_frac_outside must be in [0, 1), got {train_frac_outside!r}")
     if problems:
@@ -349,63 +382,63 @@ def make_split(
     ``train_frac_outside`` share also trains and the remainder is halved
     into validation and test. Negatives are uniform non-edges of the union
     graph, drawn inside/outside the source node set in proportion to the
-    positive counts so each split keeps the negative ratio.
+    positive counts so each split keeps the negative ratio. Every pair is a
+    pair of union ids until the manifest's key pairs are made, each in
+    canonical key order.
     """
     check_split_knobs(neg_ratio, train_frac_outside)
     union = union if union is not None else union_graph(src, tar)
     rng = np.random.default_rng(seed)
+    ranks = _key_ranks(union)
 
-    src_keys = set(src.keys)
-    pos_pairs = [_canon(a, b) for a, b in _regime_positives(regime, src, tar, union)]
-    inside_pos = [p for p in pos_pairs if p[0] in src_keys and p[1] in src_keys]
-    outside_pos = [p for p in pos_pairs if p[0] not in src_keys or p[1] not in src_keys]
-    if not outside_pos:
+    # the source's nodes as sorted union ids, and the rest
+    src_ids = np.sort(union.ids_for(src.keys))
+    in_src = np.zeros(union.num_nodes, dtype=bool)
+    in_src[src_ids] = True
+    outside_ids = np.flatnonzero(~in_src)
+
+    pos = _regime_positives(regime, src, tar, union, ranks)
+    inside = in_src[pos].all(axis=1)
+    inside_pos, outside_pos = pos[inside], pos[~inside]
+    if not len(outside_pos):
         raise DataError(
             "no edges reach outside the source node set; nothing to evaluate"
         )
-    outside_pos = [outside_pos[i] for i in rng.permutation(len(outside_pos))]
+    outside_pos = outside_pos[rng.permutation(len(outside_pos))]
     n_out = len(outside_pos)
     n_train_out = int(round(train_frac_outside * n_out))
     rem = n_out - n_train_out
     n_valid = (rem + 1) // 2
-    train_pos = inside_pos + outside_pos[:n_train_out]
+    train_pos = np.concatenate([inside_pos, outside_pos[:n_train_out]])
     valid_pos = outside_pos[n_train_out : n_train_out + n_valid]
     test_pos = outside_pos[n_train_out + n_valid :]
-    if not valid_pos or not test_pos:
+    if not len(valid_pos) or not len(test_pos):
         raise DataError("too few outside edges to form validation/test splits")
 
     # negative strata over the union graph
-    src_ids = union.ids_for([k for k in union.keys if k in src_keys])
-    outside_ids = union.ids_for([k for k in union.keys if k not in src_keys])
-
     n_in_neg = int(round(neg_ratio * len(inside_pos)))
     n_tr_out_neg = int(round(neg_ratio * n_train_out))
     n_va_neg = int(round(neg_ratio * len(valid_pos)))
     n_te_neg = int(round(neg_ratio * len(test_pos)))
 
-    inside_neg_ids, taken = _rejection_sample_pairs(union, n_in_neg, rng, src_ids)
-    outside_neg_ids, _ = _rejection_sample_pairs(
+    inside_neg, taken = _rejection_sample_pairs(union, n_in_neg, rng, src_ids)
+    outside_neg, _ = _rejection_sample_pairs(
         union, n_tr_out_neg + n_va_neg + n_te_neg, rng, src_ids,
         outside_pool=outside_ids, taken=taken,
     )
+    train_neg = np.concatenate([inside_neg, outside_neg[:n_tr_out_neg]])
+    valid_neg = outside_neg[n_tr_out_neg : n_tr_out_neg + n_va_neg]
+    test_neg = outside_neg[n_tr_out_neg + n_va_neg :]
 
-    def to_keys(pairs: np.ndarray) -> list[Pair]:
-        return [_canon(union.keys[u], union.keys[v]) for u, v in pairs.tolist()]
-
-    train_neg = to_keys(inside_neg_ids) + to_keys(outside_neg_ids[:n_tr_out_neg])
-    valid_neg = to_keys(outside_neg_ids[n_tr_out_neg : n_tr_out_neg + n_va_neg])
-    test_neg = to_keys(outside_neg_ids[n_tr_out_neg + n_va_neg :])
-
+    # key pairs, in canonical order, made once for every split
+    splits = (train_pos, train_neg, valid_pos, valid_neg, test_pos, test_neg)
+    pairs = key_pairs(union.keys, _canonical(np.concatenate(splits), ranks))
+    ends = np.cumsum([0] + [len(ids) for ids in splits])
     return SplitManifest(
         regime=regime,
         seed=seed,
         neg_ratio=neg_ratio,
-        train_pos=tuple(train_pos),
-        train_neg=tuple(train_neg),
-        valid_pos=tuple(valid_pos),
-        valid_neg=tuple(valid_neg),
-        test_pos=tuple(test_pos),
-        test_neg=tuple(test_neg),
+        **{name: tuple(pairs[a:b]) for name, a, b in zip(SPLIT_NAMES, ends, ends[1:])},
     )
 
 

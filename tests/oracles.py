@@ -9,6 +9,10 @@ row-sparse steps replace: a dense N-row gradient per batch, applied to every
 row. The PPR reference reuses the package's D^-1 A, so that its products sum
 in the same order, and pins what the live-node iteration replaces: the dense
 N x |sources| power iteration, over the same sources or over every endpoint.
+The string-keyed split reference reuses the package's rejection sampler
+(pinned by its own loop reference), so that it draws the same negatives, and
+pins what the union-id split replaces: positives and pairs handled as key
+strings.
 """
 
 from __future__ import annotations
@@ -430,6 +434,96 @@ def string_pair_graph(keys, edge_ids, features, members):
     pairs = [(keys[u], keys[v]) for u, v in edge_ids]
     node_keys = first_seen_keys(pairs, [keys[i] for i in members])
     return reference_graph(node_keys, pairs, {keys[i]: features[i] for i in members})
+
+
+def unique_lexsort_graph_arrays(n, edges):
+    """A graph's edge and CSR arrays as ``graph_from_ids`` built them before
+    it sorted int64 codes: ``np.unique(axis=0)`` over the (min, max) rows,
+    then ``np.lexsort`` by (row, column). Returns (edges, indptr, indices,
+    self-loops dropped, duplicates dropped)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = edges[:, 0] == edges[:, 1]
+    canon = np.sort(edges[~loops], axis=1)
+    unique = np.unique(canon, axis=0)
+    rows = np.concatenate([unique[:, 0], unique[:, 1]])
+    cols = np.concatenate([unique[:, 1], unique[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[np.lexsort((cols, rows))]
+    return unique, indptr, indices, int(loops.sum()), canon.shape[0] - unique.shape[0]
+
+
+def loop_edge_keys(g):
+    """A graph's edges as key pairs, one Python lookup per endpoint."""
+    return [(g.keys[u], g.keys[v]) for u, v in g.edges.tolist()]
+
+
+def string_regime_positives(regime, src, tar, union):
+    """The pairs a regime draws its positives from, computed on key strings
+    as ``selection`` did before it moved to union ids: the target's or the
+    union's edge keys, or for the intersection every edge of either graph
+    touching a key of both, put in key order and deduplicated in the edge
+    order of a graph built from those pairs (``reference_graph`` over
+    first-seen keys). Pairs keep the orientation each source gives them."""
+    if regime.short == "tar":
+        return loop_edge_keys(tar)
+    if regime.short == "uni":
+        return loop_edge_keys(union)
+    shared = set(src.keys) & set(tar.keys)
+    kept = [
+        tuple(sorted(pair))
+        for g in (src, tar)
+        for pair in loop_edge_keys(g)
+        if pair[0] in shared or pair[1] in shared
+    ]
+    if not kept:
+        return []
+    ref = reference_graph(first_seen_keys(kept), kept)
+    return [(ref["keys"][u], ref["keys"][v]) for u, v in ref["edges"].tolist()]
+
+
+def string_make_split(regime, src, tar, union, neg_ratio, train_frac_outside, seed):
+    """``make_split``'s six splits computed on key strings, as it did before
+    it moved to union ids: the same permutation and negative draws from one
+    seeded generator, through the package's ``_rejection_sample_pairs``
+    (pinned by its own loop reference), with every pair put in key order."""
+    from linkbridge.selection import _rejection_sample_pairs
+
+    def canon(pair):
+        return tuple(sorted(pair))
+
+    rng = np.random.default_rng(seed)
+    src_keys = set(src.keys)
+    pos = [canon(p) for p in string_regime_positives(regime, src, tar, union)]
+    inside_pos = [p for p in pos if p[0] in src_keys and p[1] in src_keys]
+    outside_pos = [p for p in pos if p[0] not in src_keys or p[1] not in src_keys]
+    outside_pos = [outside_pos[i] for i in rng.permutation(len(outside_pos))]
+    n_train_out = int(round(train_frac_outside * len(outside_pos)))
+    n_valid = (len(outside_pos) - n_train_out + 1) // 2
+    valid_pos = outside_pos[n_train_out : n_train_out + n_valid]
+    test_pos = outside_pos[n_train_out + n_valid :]
+
+    src_ids = np.array([i for i, k in enumerate(union.keys) if k in src_keys], dtype=np.int64)
+    out_ids = np.array([i for i, k in enumerate(union.keys) if k not in src_keys], dtype=np.int64)
+    n_in = int(round(neg_ratio * len(inside_pos)))
+    n_tr = int(round(neg_ratio * n_train_out))
+    n_va = int(round(neg_ratio * len(valid_pos)))
+    n_te = int(round(neg_ratio * len(test_pos)))
+    inside_neg, taken = _rejection_sample_pairs(union, n_in, rng, src_ids)
+    outside_neg, _ = _rejection_sample_pairs(
+        union, n_tr + n_va + n_te, rng, src_ids, outside_pool=out_ids, taken=taken)
+
+    def keys(ids):
+        return [canon((union.keys[u], union.keys[v])) for u, v in ids.tolist()]
+
+    return {
+        "train_pos": tuple(inside_pos + outside_pos[:n_train_out]),
+        "train_neg": tuple(keys(inside_neg) + keys(outside_neg[:n_tr])),
+        "valid_pos": tuple(valid_pos),
+        "valid_neg": tuple(keys(outside_neg[n_tr : n_tr + n_va])),
+        "test_pos": tuple(test_pos),
+        "test_neg": tuple(keys(outside_neg[n_tr + n_va :])),
+    }
 
 
 def grid_non_edges(n, edges, u_pool, v_pool, outside_only=None, sides=None):

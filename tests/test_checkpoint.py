@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,3 +81,13 @@ def test_student_checkpoint_config_out_of_range_is_a_data_error(two_orders, tmp_
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
     with pytest.raises(DataError, match="batch sizes must be >= 1"):
         load_student(path, g)
+
+
+def test_checkpoint_with_a_non_finite_value_is_a_data_error(two_orders, tmp_path):
+    g, _ = two_orders
+    model = init_model(ScorerConfig(d_trainable=4, seed=2), g)
+    model.x_prime[3, 1] = np.inf
+    path = tmp_path / "scorer.bin"
+    save_scorer(path, model, g)
+    with pytest.raises(DataError, match=re.escape(f"{path}: non-finite values in x_prime")):
+        load_scorer(path, g)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -188,6 +189,52 @@ def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, case, capsys):
     assert main(["run", "--config", path]) == 2
     assert not (tmp_path / "out").exists()
     assert message in capsys.readouterr().err
+
+
+# a NaN or infinite value in a run config, written as the JSON literals
+# NaN / Infinity that Python's json reads: (the change, the message it prints)
+NON_FINITE = {
+    "scorer-learning-rate-nan": ({"scorer": {"learning_rate": math.nan}},
+                                 "scorer: learning_rate must be finite, got nan"),
+    "ppr-tol-nan": ({"ppr": {"tol": math.nan}}, "ppr: tol must be finite, got nan"),
+    "neg-ratio-inf": ({"neg_ratio": math.inf}, "neg_ratio must be finite, got inf"),
+    "k-multipliers-inf": ({"eval": {"k_multipliers": [1.0, math.inf]}},
+                          "k_multipliers must be a list of positive numbers"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_run_config_non_finite_value_exits_2(tmp_path, case, capsys):
+    change, message = NON_FINITE[case]
+    path = _write_json(tmp_path / "run.json", RUN_CONFIG | change)
+    assert "NaN" in (tmp_path / "run.json").read_text() or "Infinity" in (
+        tmp_path / "run.json").read_text()
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("node", ["shared", "target-only"])
+def test_run_on_a_non_finite_feature_exits_3(tmp_path, node, capsys):
+    """A NaN in the target's features CSV, on a node the source shares or on
+    one only the target has, is a data error naming the file and its line."""
+    assert main(["gen-synmodel", "--spec", _write_json(tmp_path / "spec.json", VALID_SPEC),
+                 "--out-dir", str(tmp_path / "pair")]) == 0
+    rows = (tmp_path / "pair" / "source.features.csv").read_text().splitlines()
+    source = {row.split(",")[0] for row in rows}
+    features = tmp_path / "pair" / "target.features.csv"
+    lines = features.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines)
+              if (line.split(",")[0] in source) == (node == "shared"))
+    key, first, *rest = lines[at].split(",")
+    lines[at] = ",".join([key, "nan", *rest])
+    features.write_text("".join(lines))
+    config = RUN_CONFIG | {"dataset": {"kind": "files", "source": "pair/source.tsv",
+                                       "target": "pair/target.tsv"}}
+    path = _write_json(tmp_path / "run.json", config)
+    assert main(["run", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{features}:{at + 1}: " in err
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +483,9 @@ BAD_INPUT_FILES = {
     "ingest-features-non-numeric": ("bad.csv", lambda ws: [
         "ingest", "--edges", str(ws / "edges.tsv"), "--features", str(ws / "bad.csv"),
         "--out", str(ws / "g")]),
+    "ingest-features-nan": ("nan.csv", lambda ws: [
+        "ingest", "--edges", str(ws / "edges.tsv"), "--features", str(ws / "nan.csv"),
+        "--out", str(ws / "g")]),
     "ingest-sides-missing-node": ("sides.tsv", lambda ws: [
         "ingest", "--edges", str(ws / "edges.tsv"), "--sides", str(ws / "sides.tsv"),
         "--out", str(ws / "g")]),
@@ -457,6 +507,7 @@ def test_bad_input_file_exits_3(trained, case, capsys):
     (ws / "bad.tsv").write_text(f"{a}\t{b}\tnot-a-number\n" + "".join(lines[1:]))
     (ws / "edges.tsv").write_text("a\tb\n")
     (ws / "bad.csv").write_text("a,1.0,2.0\nb,1.0,x\n")
+    (ws / "nan.csv").write_text("a,1.0,2.0\nb,nan,1.0\n")
     (ws / "sides.tsv").write_text("a\t0\n")
     (ws / "gappy").mkdir()
     (ws / "gappy" / "edges.tsv").write_text("a\tb\n")

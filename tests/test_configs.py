@@ -1,6 +1,7 @@
 """Every config class checks its values when it is constructed, so a config
 that exists is valid, also one made by ``dataclasses.replace``."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -44,6 +45,16 @@ CASES = {
                                  "train_xprime must be true or false"),
     "scorer-encoder-list": (ScorerConfig, {}, {"encoder": ["one_hop_mean"]},
                             "encoder must be a string"),
+    # a float field takes only a finite number: NaN passes every range check,
+    # being a comparison, and an infinity passes the one-sided ones
+    "scorer-learning-rate-nan": (ScorerConfig, {}, {"learning_rate": math.nan},
+                                 "learning_rate must be finite, got nan"),
+    "distill-finetune-lr-inf": (DistillConfig, {}, {"finetune_lr": math.inf},
+                                "finetune_lr must be finite, got inf"),
+    "diffusion-tol-nan": (DiffusionConfig, {}, {"tol": math.nan}, "tol must be finite, got nan"),
+    "ppr-tol-inf": (PprConfig, {}, {"tol": math.inf}, "tol must be finite, got inf"),
+    "synthetic-feature-shift-minus-inf": (SyntheticSpec, SPEC, {"feature_shift": -math.inf},
+                                          "feature_shift must be finite, got -inf"),
 }
 
 

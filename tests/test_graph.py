@@ -4,11 +4,19 @@ import pytest
 from linkbridge.errors import DataError
 from linkbridge.graph import (
     build_graph,
+    first_seen,
+    graph_from_ids,
     node_intersection,
     union_graph,
 )
 
-from oracles import graph_mismatches, loop_union_graph, noisy_keyed_graph_input
+from oracles import (
+    graph_mismatches,
+    loop_edge_keys,
+    loop_union_graph,
+    noisy_keyed_graph_input,
+    unique_lexsort_graph_arrays,
+)
 
 
 def test_dedup_and_self_loop_drop():
@@ -173,3 +181,53 @@ def test_pair_ids(triangle):
     assert empty.dtype == np.int64
     with pytest.raises(DataError, match="unknown node key 'zz'"):
         triangle.pair_ids([("a", "zz")])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("reordered", [False, True])
+def test_graph_from_ids_matches_the_unique_lexsort_build(seed, reordered):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    edges = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+    # self-loops and duplicates in both orientations
+    edges = np.concatenate([edges, edges[:5], edges[:5, ::-1], [[0, 0], [n - 1, n - 1]]])
+    keys = [f"n{i}" for i in range(n)]
+    order = first_seen([edges, np.arange(n)])[::-1] if reordered else None
+    g = graph_from_ids(keys, edges, order=order)
+    local = edges if order is None else np.argsort(order)[edges]
+    want_edges, indptr, indices, loops, dups = unique_lexsort_graph_arrays(n, local)
+    assert np.array_equal(g.edges, want_edges)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    assert (g.build_stats.self_loops_dropped, g.build_stats.duplicates_dropped) == (loops, dups)
+    assert g.edges.dtype == g.indptr.dtype == g.indices.dtype == np.int64
+
+
+def test_key_lookups_match_per_key_loops():
+    # keys whose string order is not their id order, with a trailing NUL
+    keys = ["n9", "n10", "N5", "é1", "e1", "k\x00", "k", "日本", "a b"]
+    pairs = [("n10", "n9"), ("k\x00", "k"), ("日本", "N5"), ("e1", "é1"), ("a b", "n9")]
+    g = build_graph(pairs)
+    assert g.keys == tuple(dict.fromkeys(k for pair in pairs for k in pair))
+    assert g.edge_keys() == loop_edge_keys(g)
+    assert g.ids_for(reversed(keys)).tolist() == [g.key_to_id[k] for k in reversed(keys)]
+    assert g.pair_ids(pairs).tolist() == [[g.key_to_id[a], g.key_to_id[b]] for a, b in pairs]
+    with pytest.raises(DataError, match="unknown node key 'k '"):
+        g.ids_for(["k", "k "])
+
+
+def test_build_graph_takes_rows_as_a_mapping_or_a_table():
+    pairs = [("b", "a"), ("c", "b")]
+    rows = {"c": [3.0, 0.5], "a": [1.0, 2.0], "iso": [0.0, 0.0], "b": [2.0, 1.0]}
+    by_mapping = build_graph(pairs, features=rows, extra_nodes=["iso"])
+    table = (list(rows), np.array(list(rows.values()), dtype=np.float32))
+    by_table = build_graph(pairs, features=table, extra_nodes=["iso"])
+    assert graph_mismatches(by_table, {
+        "keys": by_mapping.keys, "edges": by_mapping.edges, "indptr": by_mapping.indptr,
+        "indices": by_mapping.indices, "features": by_mapping.features, "sides": None,
+    }) == []
+    assert by_table.features[by_table.key_to_id["c"]].tolist() == [3.0, 0.5]
+    with pytest.raises(DataError, match=r"missing feature rows for nodes: \['b'\]"):
+        build_graph(pairs, features=(["c", "a"], table[1][:2]))
+    with pytest.raises(DataError, match=r"side rows for unknown nodes: \['zz'\]"):
+        build_graph(pairs, sides=(["a", "b", "c", "zz"], np.array([0, 1, 0, 1])))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from linkbridge.errors import DataError
 from linkbridge.graph import build_graph
 from linkbridge.io import (
     load_graph,
+    read_graph,
     read_edge_tsv,
     read_features,
     read_scores_tsv,
@@ -107,3 +110,63 @@ def test_scores_tsv_round_trip(tmp_path):
     table = read_scores_tsv(path)
     assert table[("a", "b")] == 0.125
     assert table[("c", "d")] == -3.5
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e39"])
+def test_features_csv_non_finite_value_names_its_line(tmp_path, value):
+    # 1e39 is finite in float64 but beyond float32's range
+    path = tmp_path / "features.csv"
+    path.write_text(f"# header\na,1.0,2.0\nb,0.5,{value}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: feature values must be finite")):
+        read_features(path)
+
+
+def test_features_bin_non_finite_value_names_its_row(tmp_path):
+    matrix = np.arange(6, dtype=np.float32).reshape(3, 2)
+    matrix[2, 1] = np.nan
+    sidecar = tmp_path / "features.json"
+    write_features_bin(sidecar, ["n1", "n2", "n3"], matrix)
+    with pytest.raises(DataError, match=r"features.bin: row 2 \(node 'n3'\) holds a non-finite"):
+        read_features(sidecar)
+
+
+def test_features_csv_rows_of_another_length_name_their_line(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("a,1.0,2.0\nb,1.0\n")
+    message = f"{path}:2: 1 feature values, the first row has 2"
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_features(path)
+
+
+def test_repeated_feature_key_keeps_its_first_position_and_last_row(tmp_path):
+    first, second = tmp_path / "one.csv", tmp_path / "two.csv"
+    first.write_text("b,1.0\na,2.0\nb,3.0\n")
+    second.write_text("c,4.0\na,5.0\n")
+    (tmp_path / "edges.tsv").write_text("a\tc\n")
+    g = read_graph([tmp_path / "edges.tsv"], [first, second], None)
+    assert g.keys == ("a", "c", "b")
+    assert g.features[:, 0].tolist() == [5.0, 4.0, 3.0]
+    loaded = read_features(first)
+    assert list(loaded) == ["b", "a"] and loaded["b"].tolist() == [3.0]
+
+
+def test_feature_files_of_two_dimensions_are_refused(tmp_path):
+    first, second = tmp_path / "one.csv", tmp_path / "two.csv"
+    first.write_text("a,1.0\n")
+    second.write_text("b,1.0,2.0\n")
+    (tmp_path / "edges.tsv").write_text("a\tb\n")
+    with pytest.raises(DataError, match=r"inconsistent feature dimensions: \[1, 2\]"):
+        read_graph([tmp_path / "edges.tsv"], [first, second], None)
+
+
+def test_text_writers_match_per_value_formatting(tmp_path):
+    keys = ["a", "b"]
+    matrix = np.array([[0.1, -2.5e-8], [1e30, 3.0]], dtype=np.float32)
+    write_features_csv(tmp_path / "f.csv", keys, matrix)
+    want = "".join(k + "," + ",".join(repr(float(x)) for x in row) + "\n"
+                   for k, row in zip(keys, matrix))
+    assert (tmp_path / "f.csv").read_text() == want
+    scores = np.array([0.1, -3.0], dtype=np.float32)
+    write_scores_tsv(tmp_path / "s.tsv", [("a", "b"), ("c", "d")], scores)
+    assert (tmp_path / "s.tsv").read_text() == "".join(
+        f"{a}\t{b}\t{float(s)!r}\n" for (a, b), s in zip([("a", "b"), ("c", "d")], scores))

@@ -13,6 +13,7 @@ from linkbridge.selection import (
     sample_negatives,
     training_graph_from_universe,
     _enumerate_non_edges,
+    _key_ranks,
     _regime_positives,
     _rejection_sample_pairs,
 )
@@ -24,6 +25,8 @@ from oracles import (
     loop_rejection_sample_pairs,
     noisy_keyed_graph_input,
     random_graph_edges,
+    string_make_split,
+    string_regime_positives,
 )
 
 
@@ -38,8 +41,15 @@ def test_regime_parse():
         Regime.parse("bogus")
 
 
+def _positives(regime, src, tar):
+    """A regime's positives as key pairs, each in key order, in split order."""
+    union = union_graph(src, tar)
+    ids = _regime_positives(regime, src, tar, union, _key_ranks(union))
+    return [tuple(sorted((union.keys[u], union.keys[v]))) for u, v in ids.tolist()]
+
+
 def _int_positives(src, tar):
-    return _regime_positives(Regime.INTERSECTION_TO_TARGET, src, tar, union_graph(src, tar))
+    return _positives(Regime.INTERSECTION_TO_TARGET, src, tar)
 
 
 def test_intersection_graph_identity(small_pair):
@@ -84,20 +94,75 @@ def test_intersection_graph_brute_force_oracle(rng):
 
 def test_regime_positives(small_pair):
     src, tar, _ = small_pair
-    union = union_graph(src, tar)
-    tar_pos = _regime_positives(Regime.TARGET_TO_TARGET, src, tar, union)
-    assert tar_pos == tar.edge_keys()
-    uni_pos = _regime_positives(Regime.UNION_TO_TARGET, src, tar, union)
+    tar_pos = _positives(Regime.TARGET_TO_TARGET, src, tar)
+    assert tar_pos == [tuple(sorted(p)) for p in tar.edge_keys()]
+    uni_pos = _positives(Regime.UNION_TO_TARGET, src, tar)
     assert canon(uni_pos) == canon(src.edge_keys()) | canon(tar.edge_keys())
-    int_pos = _regime_positives(Regime.INTERSECTION_TO_TARGET, src, tar, union)
+    int_pos = _positives(Regime.INTERSECTION_TO_TARGET, src, tar)
     assert canon(int_pos) <= canon(uni_pos)
 
 
 def test_uni_disjoint_edge_count():
     src = build_graph([("a", "b"), ("b", "c")])
     tar = build_graph([("x", "y")])
-    uni = _regime_positives(Regime.UNION_TO_TARGET, src, tar, union_graph(src, tar))
+    uni = _positives(Regime.UNION_TO_TARGET, src, tar)
     assert len(uni) == 3
+
+
+# keys whose string order differs from any id order: numbers without padding,
+# mixed case, non-ASCII, a space, and a trailing NUL that numpy's U dtype drops
+TRICKY_KEYS = [
+    "n9", "n10", "n100", "N5", "n05", "a", "A", "b", "Z", "z", "k", "k\x00", "é1", "e1",
+    "ß", "日本", "a b", "ab", "n1", "n11", "x", "X9", "x10", "ü", "u", "Ω", "o", "m1",
+    "m10", "m2", "q", "Q", "p9", "p10", "r", "s", "t", "v", "w", "y",
+]
+
+
+def _tricky_pair(seed, with_sides):
+    """A seeded source/target pair over ``TRICKY_KEYS``, each built with a
+    self-loop and a reversed duplicate; the target brings nodes the source
+    lacks. The source opens with edges whose first key sorts last. With
+    sides, a node's side is a function of its key."""
+    rng = np.random.default_rng(seed)
+
+    def graph(names, m, first=()):
+        u, v = rng.choice(names, size=m).tolist(), rng.choice(names, size=m).tolist()
+        pairs = [*first, *zip(u, v), (u[0], u[0]), (v[1], u[1])]
+        nodes = {k for pair in pairs for k in pair}
+        sides = {k: sum(map(ord, k)) % 2 for k in nodes} if with_sides else None
+        return build_graph(pairs, sides=sides)
+
+    first = [("k\x00", "k"), ("n10", "n9"), ("é1", "e1"), ("a", "A")]
+    return graph(TRICKY_KEYS[:26], 50, first), graph(TRICKY_KEYS[14:], 40)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("with_sides", [False, True])
+@pytest.mark.parametrize("regime", list(Regime))
+def test_regime_positives_match_the_string_reference(regime, seed, with_sides):
+    src, tar = _tricky_pair(seed, with_sides)
+    union = union_graph(src, tar)
+    ranks = _key_ranks(union)
+    assert sorted(union.keys, key=lambda k: ranks[union.key_to_id[k]]) == sorted(union.keys)
+    ids = _regime_positives(regime, src, tar, union, ranks)
+    want = string_regime_positives(regime, src, tar, union)
+    assert len(want) > 0
+    got = [(union.keys[u], union.keys[v]) for u, v in ids.tolist()]
+    assert [tuple(sorted(p)) for p in got] == [tuple(sorted(p)) for p in want]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("with_sides", [False, True])
+@pytest.mark.parametrize("regime", list(Regime))
+def test_make_split_matches_the_string_reference(regime, seed, with_sides):
+    src, tar = _tricky_pair(seed, with_sides)
+    union = union_graph(src, tar)
+    neg_ratio = 1.0 if with_sides else 2.0
+    manifest = make_split(regime, src, tar, neg_ratio=neg_ratio, seed=seed, union=union)
+    want = string_make_split(regime, src, tar, union, neg_ratio, 0.2, seed)
+    assert manifest.splits() == want
+    assert audit_manifest(manifest, src, tar) == []
+    assert manifest.test_pos and manifest.test_neg
 
 
 def test_sample_negatives_complete_graph_error():
