@@ -11,7 +11,11 @@ low-degree nodes score exactly like any other node.
 A training step reads and writes only the batch's rows: the input [X, X']
 is gathered per batch, never rebuilt for all N nodes, and with
 ``train_xprime`` the X' gradient comes back row-sparse and is applied by
-index.
+index. Without ``train_xprime`` nothing writes X', so the student shares
+the teacher's table instead of copying it; it owns a copy only when it
+trains X'. Inference over many nodes (``student_embed``, the closing
+imitation MSE) runs in ``scorer.row_blocks``, so it holds one block of
+activations, not N rows of each layer.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, check_field_types
 from .graph import Graph
-from .scorer import batch_rows, node_inputs, pair_loss, pair_recall, sgd_epochs
+from .scorer import batch_rows, node_inputs, pair_loss, pair_recall, row_blocks, sgd_epochs
 
 __all__ = [
     "DistillConfig",
@@ -117,11 +121,40 @@ def _mse(out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(err * err) / err.size), err
 
 
+def _output_blocks(model: MlpModel, rows: np.ndarray | None = None):
+    """Yield ``(block, student output of those rows)`` per ``row_blocks``
+    block of ``rows`` (of every node when None), one row of the widest
+    layer wide; each output row is the same as in one full forward."""
+    n = model.x_prime.shape[0] if rows is None else rows.shape[0]
+    width = max(model.w1.shape[0], model.w1.shape[1], model.w2.shape[1])
+    for block in row_blocks(n, 8 * width):
+        ids = block if rows is None else rows[block]
+        yield block, _forward(model, node_inputs(model.features, model.x_prime, ids))[2]
+
+
 def student_embed(model: MlpModel, rows: np.ndarray | None = None) -> np.ndarray:
-    """Student embeddings from node inputs alone (no adjacency access)."""
+    """Student embeddings from node inputs alone (no adjacency access).
+
+    Besides the output it holds one row block of inputs and activations,
+    about ``scorer._BLOCK_BYTES`` per layer, never an N-row activation.
+    """
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-    return _forward(model, node_inputs(model.features, model.x_prime, rows))[2]
+    n = model.x_prime.shape[0] if rows is None else rows.shape[0]
+    out = np.empty((n, model.w2.shape[1]))
+    for block, y in _output_blocks(model, rows):
+        out[block] = y
+    return out
+
+
+def _imitation_mse(model: MlpModel, teacher_y: np.ndarray) -> float:
+    """Mean squared error of the student against every teacher row, summed
+    block by block, so its last bits may differ from one whole-table sum."""
+    total = 0.0
+    for block, y in _output_blocks(model):
+        err = y - teacher_y[block]
+        total += float(np.sum(err * err))
+    return total / teacher_y.size
 
 
 def _imitation_pass(
@@ -155,9 +188,10 @@ def imitate(
 ) -> MlpModel:
     """Fit the student to the teacher embeddings until the loss plateaus.
 
-    ``x_prime`` is the teacher's trained table; it stays frozen unless
-    ``config.train_xprime`` asks for joint optimization. The fitted model
-    records the final imitation MSE and the per-epoch loss trace.
+    ``x_prime`` is the teacher's trained table; it stays frozen, and is
+    shared rather than copied, unless ``config.train_xprime`` asks for joint
+    optimization. The fitted model records the final imitation MSE and the
+    per-epoch loss trace.
     """
     if teacher_y.shape[0] != g.num_nodes:
         raise DataError("teacher embeddings do not cover all nodes")
@@ -168,7 +202,8 @@ def imitate(
     model = MlpModel(
         config=config,
         w1=w1, b1=b1, w2=w2, b2=b2,
-        x_prime=np.array(x_prime, dtype=np.float64, copy=True),
+        x_prime=(np.array(x_prime, dtype=np.float64) if config.train_xprime
+                 else np.asarray(x_prime, dtype=np.float64)),
         features=g.features,
     )
     n = g.num_nodes
@@ -188,7 +223,7 @@ def imitate(
             past = trace[-config.plateau_epochs - 1]
             if past > 0 and (past - trace[-1]) / past < config.plateau_tol:
                 break
-    model.imitation_mse = _mse(student_embed(model), teacher_y)[0]
+    model.imitation_mse = _imitation_mse(model, teacher_y)
     model.loss_trace = trace
     return model
 
@@ -211,7 +246,9 @@ def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
     ``sgd_epochs`` over matched train pos/neg pairs; returns the checkpoint
     with the best validation recall (at |valid_pos|), the imitated student
     included: an epoch is kept only if it beats the recall training starts
-    from. The step size, epochs and batches are ``model.config``'s.
+    from. The step size, epochs and batches are ``model.config``'s. X' is
+    copied, and snapshotted, only when ``train_xprime`` trains it; a frozen
+    X' stays shared with ``model``.
     """
     config = model.config
 
@@ -221,7 +258,8 @@ def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
         raise DataError("manifest has empty training splits")
 
     work = replace(model, w1=model.w1.copy(), b1=model.b1.copy(), w2=model.w2.copy(),
-                   b2=model.b2.copy(), x_prime=model.x_prime.copy())
+                   b2=model.b2.copy(),
+                   x_prime=model.x_prime.copy() if config.train_xprime else model.x_prime)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xF17E]))
 
     has_valid = valid_pos.shape[0] > 0 and valid_neg.shape[0] > 0
@@ -242,7 +280,7 @@ def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
 
     def snapshot() -> tuple[np.ndarray, ...]:
         return (work.w1.copy(), work.b1.copy(), work.w2.copy(), work.b2.copy(),
-                work.x_prime.copy())
+                work.x_prime.copy() if config.train_xprime else work.x_prime)
 
     best = (valid_recall(), snapshot()) if has_valid else (-np.inf, None)
     _, selected = sgd_epochs(

@@ -16,6 +16,7 @@ or a directory containing ``edges.tsv`` plus optional ``features.csv`` /
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from contextlib import contextmanager
 from itertools import islice
@@ -316,7 +317,8 @@ def write_scores_tsv(
 
 
 def read_scores_tsv(path: str | Path) -> dict[tuple[str, str], float]:
-    """Read a scores TSV into an unordered-pair -> value map."""
+    """Read a scores TSV into an unordered-pair -> value map; a score that
+    does not parse or is not finite (nan, inf) is a DataError."""
     out: dict[tuple[str, str], float] = {}
     for lineno, line in _records(path):
         cols = line.split("\t")
@@ -324,9 +326,12 @@ def read_scores_tsv(path: str | Path) -> dict[tuple[str, str], float]:
             raise DataError(f"{path}:{lineno}: expected u, v, score columns")
         a, b = sorted((cols[0], cols[1]))
         try:
-            out[(a, b)] = float(cols[2])
+            score = float(cols[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad score {cols[2]!r}") from exc
+        if not math.isfinite(score):
+            raise DataError(f"{path}:{lineno}: non-finite score {cols[2]!r}")
+        out[(a, b)] = score
     return out
 
 

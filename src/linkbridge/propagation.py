@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError, check_field_types
 from .graph import Graph, checked_pairs
-from .scorer import score_edges
+from .scorer import row_blocks, score_edges
 
 __all__ = [
     "DiffusionConfig",
@@ -139,11 +139,6 @@ def _inv_sqrt(degs: np.ndarray) -> np.ndarray:
     return out
 
 
-# State bytes per row block of a LineOperator product: small enough that a
-# block and its temporaries stay in a core's L2 cache while a step finishes it
-_BLOCK_BYTES = 256 * 1024
-
-
 class LineOperator:
     """S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 applied without the line graph.
 
@@ -154,9 +149,9 @@ class LineOperator:
 
     The product is handed out one row block at a time (``row_products``):
     w = C*x once, then C^T[rows]*w - 2*D_L^-1[rows]*x[rows] per block of
-    about ``_BLOCK_BYTES`` of x, so a caller can finish each block while it
-    is in cache. The row blocks of C^T are sliced from a CSR copy once per
-    state width. ``@`` assembles the same blocks.
+    ``scorer.row_blocks`` rows of x, so a caller can finish each block while
+    it is in cache. The row blocks of C^T are sliced from a CSR copy once
+    per state row width. ``@`` assembles the same blocks.
     """
 
     def __init__(self, num_nodes: int, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -166,19 +161,17 @@ class LineOperator:
         self._c = _incidence(num_nodes, lo, hi, scale)
         self._diag = 2.0 * scale * scale
         self.shape = (lo.size, lo.size)
-        # rows per block -> [(rows, C^T[rows])]
+        # state row bytes -> [(rows, C^T[rows])]
         self._blocks: dict[int, list[tuple[slice, sp.csr_array]]] = {}
 
     def _row_blocks(self, x: np.ndarray) -> list[tuple[slice, sp.csr_array]]:
-        per_block = max(1, _BLOCK_BYTES // max(1, x[:1].nbytes))
-        if per_block not in self._blocks:
+        row_bytes = x[:1].nbytes
+        if row_bytes not in self._blocks:
             ct = self._c.T.tocsr()
-            m = self.shape[0]
-            self._blocks[per_block] = [
-                (slice(i, min(i + per_block, m)), ct[i : i + per_block])
-                for i in range(0, m, per_block)
+            self._blocks[row_bytes] = [
+                (rows, ct[rows]) for rows in row_blocks(self.shape[0], row_bytes)
             ]
-        return self._blocks[per_block]
+        return self._blocks[row_bytes]
 
     def row_products(self, x: np.ndarray):
         """Yield ``(rows, (S_L @ x)[rows])`` per row block, each a new array;

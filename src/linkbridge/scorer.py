@@ -13,6 +13,11 @@ encoder, their neighbors): gradients come back row-sparse and the trainable
 table is updated by index. ``sgd_epochs`` is the epoch loop of both this
 scorer and the distilled MLP student, and ``batch_rows`` the one layout of
 a batch that ``pair_loss`` reads.
+
+A pass over a whole table (scoring every pair in ``score_edges``, the
+student's forward over every node, a line-graph product in
+``propagation``) walks it in ``row_blocks``: its transient memory is one
+block of about ``_BLOCK_BYTES``, not one table.
 """
 
 from __future__ import annotations
@@ -41,9 +46,23 @@ __all__ = [
     "pair_loss",
     "pair_recall",
     "sgd_epochs",
+    "row_blocks",
 ]
 
 ENCODERS = ("embedding_only", "one_hop_mean")
+
+# Bytes of the widest array that one row block of a whole-table pass makes:
+# small enough that a block and its temporaries stay in a core's L2 cache
+# while the pass finishes it
+_BLOCK_BYTES = 256 * 1024
+
+
+def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices covering ``n_rows`` rows, each of about
+    ``_BLOCK_BYTES`` of rows ``row_bytes`` wide (at least one row): the one
+    block rule of every whole-table pass."""
+    per_block = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(i, min(i + per_block, n_rows)) for i in range(0, n_rows, per_block)]
 
 
 @dataclass(frozen=True)
@@ -90,7 +109,7 @@ class ScorerModel:
 
 
 def node_inputs(
-    features: np.ndarray | None, x_prime: np.ndarray, rows: np.ndarray | None = None
+    features: np.ndarray | None, x_prime: np.ndarray, rows: np.ndarray | slice | None = None
 ) -> np.ndarray:
     """Rows of [X, X'] as float64; gathers before it concatenates, so a
     batch's input costs O(batch), not O(N)."""
@@ -137,9 +156,18 @@ def embed(model: ScorerModel, g: Graph) -> np.ndarray:
 
 
 def score_edges(y: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Inner-product logits for an (m, 2) array of node index pairs."""
+    """Inner-product logits for an (m, 2) array of node index pairs.
+
+    The pairs are scored in ``row_blocks`` of one endpoint row of ``y``, so
+    besides the m logits and the checked (m, 2) pairs it holds two gathered
+    endpoint blocks of about ``_BLOCK_BYTES`` each, never the two m x d
+    endpoint tables. Each logit is the same einsum row as in one pass.
+    """
     edges = checked_pairs(edges, y.shape[0])
-    return np.einsum("ij,ij->i", y[edges[:, 0]], y[edges[:, 1]])
+    out = np.empty(edges.shape[0], dtype=y.dtype)
+    for block in row_blocks(edges.shape[0], y[:1].nbytes):
+        np.einsum("ij,ij->i", y[edges[block, 0]], y[edges[block, 1]], out=out[block])
+    return out
 
 
 def pair_indices(n_pos: int, n_neg: int, rng: np.random.Generator | None):

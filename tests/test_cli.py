@@ -475,6 +475,9 @@ BAD_INPUT_FILES = {
         "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'missing.tsv'}"]),
     "evaluate-scores-non-numeric": ("bad.tsv", lambda ws: [
         "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'bad.tsv'}"]),
+    # a nan score would be ranked at an arbitrary place, not refused
+    "evaluate-scores-nan": ("nan.tsv:2", lambda ws: [
+        "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'nan.tsv'}"]),
     "baseline-edges-missing": ("missing.tsv", lambda ws: [
         "baseline", "--method", "cn", "--graph", str(ws / "union"),
         "--edges", str(ws / "missing.tsv"), "--out", str(ws / "out.tsv")]),
@@ -505,6 +508,8 @@ def test_bad_input_file_exits_3(trained, case, capsys):
     lines = (ws / "logits.tsv").read_text().splitlines(keepends=True)
     a, b, _ = lines[0].split("\t")
     (ws / "bad.tsv").write_text(f"{a}\t{b}\tnot-a-number\n" + "".join(lines[1:]))
+    c, d, _ = lines[1].split("\t")
+    (ws / "nan.tsv").write_text("".join([lines[0], f"{c}\t{d}\tnan\n", *lines[2:]]))
     (ws / "edges.tsv").write_text("a\tb\n")
     (ws / "bad.csv").write_text("a,1.0,2.0\nb,1.0,x\n")
     (ws / "nan.csv").write_text("a,1.0,2.0\nb,nan,1.0\n")

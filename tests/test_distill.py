@@ -9,15 +9,17 @@ from linkbridge.distill import (
     MlpModel,
     _apply_grads,
     _finetune_pass,
+    _forward,
     _imitation_pass,
     finetune_linkpred,
     imitate,
     student_embed,
 )
 from linkbridge.errors import DataError
-from linkbridge.graph import build_graph
+from linkbridge.evaluation import train_student
+from linkbridge.graph import build_graph, graph_from_ids
 from linkbridge.metrics import recall_at
-from linkbridge.scorer import ScorerConfig, embed, init_model, node_inputs
+from linkbridge.scorer import ScorerConfig, embed, init_model, node_inputs, train_scorer
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
 from oracles import dense_finetune, dense_imitate, fd_grad, max_rel_error
@@ -260,3 +262,56 @@ def test_student_step_memory_is_o_batch(train_xprime):
         tracemalloc.stop()
     assert ("x_prime" in grads) == train_xprime
     assert peak < n * (d_x + d_t) * 8 / 10
+
+
+def test_student_inference_memory_is_one_block():
+    """The closing imitation MSE and an embedding of every node each hold one
+    row block of activations: less than one N x hidden activation."""
+    n, d_x, d_t, d_out, hidden = 20_000, 8, 24, 16, 64
+    rng = np.random.default_rng(0)
+    g = graph_from_ids([str(i) for i in range(n)], np.zeros((0, 2), dtype=np.int64),
+                       features=rng.normal(size=(n, d_x)))
+    x_prime = rng.normal(size=(n, d_t))
+    teacher_y = rng.normal(size=(n, d_out))
+    activation = n * hidden * 8
+    tracemalloc.start()
+    try:
+        model = imitate(teacher_y, g, DistillConfig(hidden=hidden, max_epochs=0),
+                        x_prime=x_prime)
+        imitate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        y = student_embed(model)
+        embed_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert imitate_peak < activation and embed_peak < activation
+    # each block's rows are the rows of one full forward
+    full = _forward(model, node_inputs(g.features, x_prime))[2]
+    assert np.array_equal(y, full)
+    assert model.imitation_mse == pytest.approx(np.mean((full - teacher_y) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("train_xprime", [False, True])
+def test_student_shares_a_frozen_teacher_table(small_pair, tmp_path, train_xprime):
+    """train_student copies the teacher's X' only to train it, never writes
+    the teacher's table, and saves the dense reference's checkpoint, whose
+    steps own their X'."""
+    src, tar, _ = small_pair
+    manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
+    g_train = manifest_training_graph(manifest, src, tar)
+    teacher = train_scorer(ScorerConfig(d_trainable=4, epochs=2, seed=3), g_train, manifest)
+    teacher_y = embed(teacher, g_train)
+    kept = teacher.x_prime.tobytes()
+    cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,
+                        seed=2, train_xprime=train_xprime, finetune_epochs=3,
+                        finetune_lr=0.05, finetune_batch_size=16)
+    student = train_student(teacher_y, g_train, manifest, teacher, cfg)
+    assert teacher.x_prime.tobytes() == kept
+    assert np.shares_memory(student.x_prime, teacher.x_prime) == (not train_xprime)
+
+    params, x_ref, _ = dense_imitate(teacher_y, g_train, cfg, teacher.x_prime)
+    params, x_ref = dense_finetune(params, x_ref, manifest, g_train, cfg)
+    reference = MlpModel(cfg, *params, x_prime=x_ref, features=g_train.features)
+    save_student(tmp_path / "student.bin", student, g_train)
+    save_student(tmp_path / "reference.bin", reference, g_train)
+    assert (tmp_path / "student.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()

@@ -112,6 +112,14 @@ def test_scores_tsv_round_trip(tmp_path):
     assert table[("c", "d")] == -3.5
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity"])
+def test_scores_tsv_non_finite_score_names_its_line(tmp_path, value):
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"a\tb\t0.5\nc\td\t{value}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite score")):
+        read_scores_tsv(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e39"])
 def test_features_csv_non_finite_value_names_its_line(tmp_path, value):
     # 1e39 is finite in float64 but beyond float32's range

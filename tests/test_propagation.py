@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import linkbridge.propagation as propagation
+import linkbridge.scorer as scorer
 from linkbridge.errors import ConfigError, DataError, NumericError
 from linkbridge.graph import build_graph
 from linkbridge.propagation import (
@@ -239,7 +239,7 @@ def _blocked_operator(rng, monkeypatch, shape, rows_per_block=7):
     blocks of ``rows_per_block`` rows of a state of ``shape``."""
     edges = np.array(random_graph_edges(rng, 12, shape[0]))
     row_bytes = 8 * int(np.prod(shape[1:], dtype=int))
-    monkeypatch.setattr(propagation, "_BLOCK_BYTES", rows_per_block * row_bytes)
+    monkeypatch.setattr(scorer, "_BLOCK_BYTES", rows_per_block * row_bytes)
     return LineOperator(12, edges[:, 0], edges[:, 1])
 
 

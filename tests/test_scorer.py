@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import linkbridge.scorer as scorer
 from linkbridge.errors import ConfigError, DataError, NumericError
 from linkbridge.graph import Graph, build_graph, mean_aggregator
 from linkbridge.scorer import (
@@ -259,3 +260,30 @@ def test_training_step_memory_is_o_batch(encoder):
         tracemalloc.stop()
     assert np.isfinite(loss)
     assert peak < h.nbytes / 10
+
+
+def test_blocked_scores_are_the_one_pass_scores(monkeypatch):
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=(30, 5))
+    edges = rng.integers(0, 30, size=(23, 2))
+    monkeypatch.setattr(scorer, "_BLOCK_BYTES", 7 * y[:1].nbytes)
+    assert [b.stop - b.start for b in scorer.row_blocks(23, y[:1].nbytes)] == [7, 7, 7, 2]
+    want = np.einsum("ij,ij->i", y[edges[:, 0]], y[edges[:, 1]])
+    assert np.array_equal(score_edges(y, edges), want)
+    assert score_edges(y, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+def test_score_edges_memory_is_one_block():
+    """Scoring 50k pairs over an 80-wide table holds the logits, the checked
+    pairs and one block of endpoint rows, not two m x d endpoint tables."""
+    m, d = 50_000, 80
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=(8000, d))
+    edges = rng.integers(0, y.shape[0], size=(m, 2))
+    tracemalloc.start()
+    try:
+        score_edges(y, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * d * 8 / 10
