@@ -20,7 +20,7 @@ import numpy as np
 
 from .distill import DistillConfig, finetune_linkpred, imitate, student_embed
 from .errors import ConfigError, is_of_type
-from .graph import Graph
+from .graph import Graph, checked_pairs
 from .heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
 from .metrics import precision_accuracy, recall_at
 from .propagation import (
@@ -299,8 +299,11 @@ def method_scores(
     if method == "xmc_lp":
         return xmc_scores(g_train, y, config.diffusion, eval_ids)
     if method == "mlp":
-        y_s = student_embed(train_student(y, g_train, manifest, model, config.distill))
-        return score_edges(y_s, eval_ids)
+        student = train_student(y, g_train, manifest, model, config.distill)
+        # embed only the distinct evaluation endpoints, then score local ids
+        pairs = checked_pairs(eval_ids, g_train.num_nodes)
+        rows, local = np.unique(pairs, return_inverse=True)
+        return score_edges(student_embed(student, rows), local.reshape(-1, 2))
     if method == "cn":
         return common_neighbors(g_train, eval_ids).astype(np.float64)
     if method == "aa":

@@ -10,7 +10,10 @@ operator S:
   positive+negative edge graph, then add the initial predictions back.
 * embedding-LP: diffuse concatenated endpoint embeddings over the
   positive-edge graph, split them back per endpoint, and rescore by dot
-  product of the updated node embeddings.
+  product of the updated node embeddings. The diffusion acts from the left,
+  so each column of the m x 2d edge state evolves on its own: it is run one
+  ``scorer.row_blocks`` block of columns at a time, and only one m x 2c
+  block of the state ever exists.
 * matrix-LP: diffuse the logit matrix Y*Y^T over the original graph and
   read scores off matrix entries.
 
@@ -401,21 +404,40 @@ def emb_lp(
     endpoints and averaged over incident edges; nodes without a positive
     edge keep their original embedding. Query edges are scored by dot
     product of the updated node embeddings.
+
+    The diffusion acts from the left, so each column evolves on its own.
+    The m x 2d edge state is walked one block of c columns of Y at a time,
+    c from ``row_blocks(d, 2*m*8)`` (about ``scorer._BLOCK_BYTES`` of state):
+    gather [Y[lo, cols], Y[hi, cols]], ``diffuse`` it over the one shared
+    ``LineOperator``, restore its isolated edge-nodes, fold it into the
+    updated embedding's columns with ``endpoint_mean``, and free it. Besides
+    the N x d update, one m x 2c block and its diffusion working set are
+    held, never the whole state. Every element is summed in the same order
+    as in one whole-state pass. The ``tol`` early stop is measured on each
+    block's own columns, as PPR measures it per chunk and ``xmc_scores`` on
+    Yhat; where no block stops early (always at tol=0) the scores are the
+    whole-state ones bit for bit.
     """
     if y.shape[0] != g.num_nodes:
         raise DataError("embedding row count does not match graph")
     lo, hi = _line_edges(g.num_nodes, pos)
     operator = LineOperator(g.num_nodes, lo, hi)
-    d = y.shape[1]
-    feats = np.concatenate([y[lo], y[hi]], axis=1)
-    diffused = diffuse(operator, feats, feats, cfg)
     # an edge-node with no neighbor has nothing to mix with; keep it intact
     # rather than letting the damping shrink it toward (1-alpha)*G
     isolated = operator.line_degrees == 0
-    diffused[isolated] = feats[isolated]
-
-    y_upd, touched = endpoint_mean(y.shape[0], lo, hi, diffused[:, :d], diffused[:, d:])
-    y_upd[~touched] = y[~touched]
+    y_upd = np.array(y, dtype=np.float64)
+    for cols in row_blocks(y.shape[1], 2 * lo.size * 8):
+        feats = np.concatenate([y[lo, cols], y[hi, cols]], axis=1)
+        diffused = diffuse(operator, feats, feats, cfg)
+        diffused[isolated] = feats[isolated]
+        c = feats.shape[1] // 2
+        means, touched = endpoint_mean(
+            y.shape[0], lo, hi, diffused[:, :c], diffused[:, c:]
+        )
+        # nodes without a positive edge keep their row of y
+        np.copyto(y_upd[:, cols], means, where=touched[:, None])
+        # freed before the next block is gathered
+        del feats, diffused, means
     return score_edges(y_upd, query_edges)
 
 

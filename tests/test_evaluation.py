@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linkbridge.distill import DistillConfig
+from linkbridge.distill import DistillConfig, student_embed
 from linkbridge.errors import ConfigError, DataError
 from linkbridge.evaluation import (
     CALIBRATED_METHODS,
@@ -12,9 +12,10 @@ from linkbridge.evaluation import (
     evaluate_scores,
     method_scores,
     shuffle_eval_order,
+    train_student,
 )
 from linkbridge.pipeline import metric_row
-from linkbridge.scorer import ScorerConfig, embed, train_scorer
+from linkbridge.scorer import ScorerConfig, embed, score_edges, train_scorer
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
 
@@ -89,6 +90,25 @@ def test_method_scores_reject_out_of_range_eval_ids(small_pair, manifest, method
     with pytest.raises(DataError):
         method_scores(method, g_train, manifest, model, embed(model, g_train), None,
                       eval_ids, suite)
+
+
+def test_mlp_scores_embed_only_the_evaluation_endpoints(small_pair, manifest):
+    """The mlp branch embeds the distinct evaluation endpoints alone and
+    gives the same logits as scoring the student's whole node table."""
+    src, tar, _ = small_pair
+    g_train = manifest_training_graph(manifest, src, tar)
+    suite = SuiteConfig(
+        scorer=ScorerConfig(epochs=1, d_trainable=4),
+        distill=DistillConfig(hidden=4, max_epochs=2, finetune_epochs=1),
+    )
+    model = train_scorer(suite.scorer, g_train, manifest)
+    y = embed(model, g_train)
+    eval_ids = g_train.pair_ids(list(manifest.test_pos) + list(manifest.test_neg))
+    assert np.unique(eval_ids).size < g_train.num_nodes
+    student = train_student(y, g_train, manifest, model, suite.distill)
+    want = score_edges(student_embed(student), eval_ids)
+    out = method_scores("mlp", g_train, manifest, model, y, None, eval_ids, suite)
+    assert np.array_equal(out, want)
 
 
 def test_eval_pairs_rejects_unknown_split(manifest):

@@ -14,6 +14,7 @@ from linkbridge.propagation import (
     build_line_graph,
     diffuse,
     emb_lp,
+    endpoint_mean,
     line_operator,
     logit_lp,
     sigmoid,
@@ -431,6 +432,78 @@ def test_emb_lp_matches_dense_oracle(rng):
     scores = emb_lp(g, np.array(id_edges), y, cfg, np.array(queries))
     ref = dense_emb_lp(n, id_edges, y, 0.75, 18, queries)
     assert np.max(np.abs(scores - ref)) <= 1e-8
+
+
+def _whole_state_update(num_nodes, pos, y, cfg):
+    """emb_lp's node update from one diffusion of the whole m x 2d state
+    [Y[lo], Y[hi]]: isolated edge-nodes restored, endpoint means, and nodes
+    without a positive edge keeping their row of y."""
+    lo, hi = np.min(pos, axis=1), np.max(pos, axis=1)
+    op = LineOperator(num_nodes, lo, hi)
+    feats = np.concatenate([y[lo], y[hi]], axis=1)
+    diffused = diffuse(op, feats, feats, cfg)
+    isolated = op.line_degrees == 0
+    diffused[isolated] = feats[isolated]
+    d = y.shape[1]
+    y_upd, touched = endpoint_mean(num_nodes, lo, hi, diffused[:, :d], diffused[:, d:])
+    y_upd[~touched] = y[~touched]
+    return y_upd
+
+
+def _emb_lp_case(rng):
+    """40 nodes: 60 random positive edges among the first 30, one isolated
+    edge (30, 31), and nodes 32-39 without a positive edge."""
+    pos = np.array(random_graph_edges(rng, 30, 60) + [(30, 31)])
+    g = build_graph([], extra_nodes=[f"n{i}" for i in range(40)])
+    queries = np.array([(i, j) for i in range(0, 40, 3) for j in range(i + 1, 40, 5)])
+    return g, pos, queries
+
+
+@pytest.mark.parametrize("cols_per_block", [1, 2, 5])
+def test_emb_lp_is_the_whole_state_diffusion(rng, monkeypatch, cols_per_block):
+    """At tol=0 the column-block walk is the one whole-state diffusion bit
+    for bit, whatever the block width: one column, blocks of 2, 2 and 1
+    columns, or all five."""
+    g, pos, queries = _emb_lp_case(rng)
+    y = rng.normal(size=(g.num_nodes, 5))
+    monkeypatch.setattr(scorer, "_BLOCK_BYTES", cols_per_block * 2 * pos.shape[0] * 8)
+    cfg = DiffusionConfig(alpha=0.8, k_max=12, tol=0.0)
+    want = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
+    assert np.array_equal(emb_lp(g, pos, y, cfg, queries), want)
+
+
+def test_emb_lp_stops_each_column_block_on_its_own(rng, monkeypatch):
+    """The early stop is measured on each block's columns: with one column
+    per block, a column 1e-6 times smaller converges steps earlier than the
+    rest, and the result is the composition run column by column."""
+    g, pos, queries = _emb_lp_case(rng)
+    y = rng.normal(size=(g.num_nodes, 3))
+    y[:, 0] *= 1e-6
+    monkeypatch.setattr(scorer, "_BLOCK_BYTES", 2 * pos.shape[0] * 8)
+    cfg = DiffusionConfig(alpha=0.8, k_max=200, tol=1e-9)
+    by_column = np.concatenate(
+        [_whole_state_update(g.num_nodes, pos, y[:, [c]], cfg) for c in range(3)], axis=1
+    )
+    whole = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
+    out = emb_lp(g, pos, y, cfg, queries)
+    assert np.array_equal(out, score_edges(by_column, queries))
+    assert not np.array_equal(out, whole)
+
+
+def test_emb_lp_holds_under_one_edge_state(rng):
+    """On a broadcast-sized case emb_lp diffuses one column block at a time,
+    so its peak stays below one m x 2d edge state [Y[lo], Y[hi]]."""
+    pos = np.array(random_graph_edges(rng, 1400, 5000))
+    g = build_graph([], extra_nodes=[f"n{i}" for i in range(1400)])
+    y = rng.normal(size=(1400, 80))
+    cfg = DiffusionConfig(k_max=2, tol=0.0)
+    tracemalloc.start()
+    try:
+        emb_lp(g, pos, y, cfg, pos[:500])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pos.shape[0] * 2 * y.shape[1] * 8
 
 
 def test_emb_lp_empty_pos_error(triangle):
