@@ -1,7 +1,10 @@
 """Model checkpoints: one JSON header line + little-endian f32 blob.
 
-Node rows are stored by internal id, and ``load_graph`` renumbers nodes, so
-the header records a digest of the node-key order that loading must match.
+A scorer stores one row of X' per node, by internal id, and ``load_graph``
+renumbers nodes, so its header records a digest of the node-key order that
+loading must match. A student stores its weights alone: it reads node
+features, so it loads against any graph whose feature width fits its first
+layer, whatever that graph's node count or order.
 """
 
 from __future__ import annotations
@@ -30,16 +33,20 @@ __all__ = [
 
 
 def save_checkpoint(
-    path: str | Path, kind: str, config: dict, arrays: dict[str, np.ndarray], node_order: str
+    path: str | Path, kind: str, config: dict, arrays: dict[str, np.ndarray],
+    node_order: str | None = None,
 ) -> None:
+    """Write a checkpoint; ``node_order`` is recorded when the arrays hold
+    node rows."""
     header = {
         "kind": kind,
         "config": config,
-        "node_order": node_order,
         "arrays": [
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()
         ],
     }
+    if node_order is not None:
+        header["node_order"] = node_order
     with Path(path).open("wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for arr in arrays.values():
@@ -82,23 +89,18 @@ def node_order_digest(g: Graph) -> str:
     return hashlib.sha256("\n".join(g.keys).encode("utf-8")).hexdigest()
 
 
-def _load_model(path: str | Path, kind: str, g: Graph, cls) -> tuple:
-    """``(config, arrays)`` of a model checkpoint whose node rows follow
-    ``g``'s node order; a config this version cannot build (an unknown or
-    missing key, a value out of range) is a DataError too."""
+def _load_model(path: str | Path, kind: str, cls) -> tuple:
+    """``(header, config, arrays)`` of a ``kind`` checkpoint; a config this
+    version cannot build (an unknown or missing key, a value out of range)
+    is a DataError too."""
     header, arrays = load_checkpoint(path)
     if header.get("kind") != kind:
         raise DataError(f"{path}: expected a {kind} checkpoint, got {header.get('kind')!r}")
-    if header.get("node_order") != node_order_digest(g):
-        raise DataError(f"{path}: checkpoint rows follow another graph's node order")
-    rows = arrays["x_prime"].shape[0]
-    if rows != g.num_nodes:
-        raise DataError(f"{path}: checkpoint has {rows} node rows, graph has {g.num_nodes}")
     try:
         config = cls(**header.get("config"))
     except (TypeError, ConfigError) as exc:
         raise DataError(f"{path}: checkpoint config does not fit {cls.__name__} ({exc})") from exc
-    return config, arrays
+    return header, config, arrays
 
 
 def save_scorer(path: str | Path, model: ScorerModel, g: Graph) -> None:
@@ -109,8 +111,14 @@ def save_scorer(path: str | Path, model: ScorerModel, g: Graph) -> None:
 
 
 def load_scorer(path: str | Path, g: Graph) -> ScorerModel:
-    """Rehydrate a scorer; frozen features come from the graph."""
-    config, arrays = _load_model(path, "scorer", g, ScorerConfig)
+    """Rehydrate a scorer whose node rows follow ``g``'s node order; frozen
+    features come from the graph."""
+    header, config, arrays = _load_model(path, "scorer", ScorerConfig)
+    if header.get("node_order") != node_order_digest(g):
+        raise DataError(f"{path}: checkpoint rows follow another graph's node order")
+    rows = arrays["x_prime"].shape[0]
+    if rows != g.num_nodes:
+        raise DataError(f"{path}: checkpoint has {rows} node rows, graph has {g.num_nodes}")
     return ScorerModel(
         config=config,
         x_prime=arrays["x_prime"],
@@ -119,25 +127,25 @@ def load_scorer(path: str | Path, g: Graph) -> ScorerModel:
     )
 
 
-def save_student(path: str | Path, model: MlpModel, g: Graph) -> None:
-    arrays = {
-        "w1": model.w1,
-        "b1": model.b1,
-        "w2": model.w2,
-        "b2": model.b2,
-        "x_prime": model.x_prime,
-    }
-    save_checkpoint(path, "mlp", asdict(model.config), arrays, node_order_digest(g))
+def save_student(path: str | Path, model: MlpModel) -> None:
+    arrays = {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2}
+    save_checkpoint(path, "mlp", asdict(model.config), arrays)
 
 
 def load_student(path: str | Path, g: Graph) -> MlpModel:
-    config, arrays = _load_model(path, "mlp", g, DistillConfig)
+    """Rehydrate a student that embeds ``g``'s nodes from their features; a
+    graph whose feature width is not the student's input width is a
+    DataError."""
+    _, config, arrays = _load_model(path, "mlp", DistillConfig)
+    d_in = arrays["w1"].shape[0]
+    if g.feature_dim != d_in:
+        raise DataError(f"{path}: student reads {d_in} features per node, "
+                        f"graph has {g.feature_dim}")
     return MlpModel(
         config=config,
         w1=arrays["w1"],
         b1=arrays["b1"],
         w2=arrays["w2"],
         b2=arrays["b2"],
-        x_prime=arrays["x_prime"],
         features=g.features,
     )

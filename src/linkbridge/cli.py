@@ -178,10 +178,9 @@ def cmd_propagate(args) -> int:
     pairs = manifest.all_edges()
     ids = g_train.pair_ids(pairs)
 
-    model = y = z = None
+    y = z = None
     if args.model:
-        model = load_scorer(args.model, g_train)
-        y = embed(model, g_train)
+        y = embed(load_scorer(args.model, g_train), g_train)
         z = score_edges(y, ids)
     if args.logits:
         z = read_scores_for(args.logits, pairs)
@@ -192,18 +191,18 @@ def cmd_propagate(args) -> int:
     if method not in CALIBRATED_METHODS and y is None:
         raise ConfigError(f"{args.variant} variant needs --model")
     suite = SuiteConfig(diffusion=diffusion)
-    scores = method_scores(method, g_train, manifest, model, y, z, ids, suite)
+    scores = method_scores(method, g_train, manifest, y, z, ids, suite)
     write_scores_tsv(args.out, pairs, scores)
     print(f"{args.variant} scores for {len(pairs)} edges -> {args.out}")
     return 0
 
 
 def cmd_distill(args) -> int:
-    config = _build_config(DistillConfig, args.config, train_xprime=args.train_xprime)
+    config = _build_config(DistillConfig, args.config)
     manifest, g_train = _load_training_graph(args)
     teacher = load_scorer(args.teacher, g_train)
-    student = train_student(embed(teacher, g_train), g_train, manifest, teacher, config)
-    save_student(args.out, student, g_train)
+    student = train_student(embed(teacher, g_train), g_train, manifest, config)
+    save_student(args.out, student)
     print(f"student -> {args.out} (imitation mse {student.imitation_mse:.6f})")
     return 0
 
@@ -213,7 +212,7 @@ def cmd_baseline(args) -> int:
     g = load_graph(args.graph)
     pairs, _ = read_edge_tsv(args.edges)
     suite = SuiteConfig(ppr=ppr)
-    scores = method_scores(args.method, g, None, None, None, None, g.pair_ids(pairs), suite)
+    scores = method_scores(args.method, g, None, None, None, g.pair_ids(pairs), suite)
     write_scores_tsv(args.out, pairs, scores)
     print(f"{args.method} scores for {len(pairs)} pairs -> {args.out}")
     return 0
@@ -322,12 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_propagate)
 
-    p = sub.add_parser("distill", help="train the MLP student from a teacher")
+    p = sub.add_parser("distill", help="train the MLP student, which reads node "
+                       "features only, from a teacher's embeddings")
     p.add_argument("--teacher", required=True)
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True,
+                   help="graph covering all manifest nodes, with node features")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--train-xprime", action="store_true", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)
 

@@ -1,21 +1,19 @@
 """Pointwise MLP student distilled from the scorer's embeddings.
 
-The student is a 2-layer rectifier MLP mapping each node's [X, X'] input to
+The student is a 2-layer rectifier MLP mapping each node's feature row X to
 the teacher's embedding space. It first imitates the teacher embeddings
 under mean squared error, then fine-tunes on the pairwise ranking loss over
 its own inner-product logits, in the scorer's own epoch loop
-(``scorer.sgd_epochs``) and batch layout (``scorer.batch_rows``). Inference
-touches node features only, never the adjacency, so isolated and
-low-degree nodes score exactly like any other node.
+(``scorer.sgd_epochs``) and batch layout (``scorer.batch_rows``). Its
+parameters are its weights alone: it reads neither the adjacency nor any
+per-node table, so it scores any node from its feature row, an isolated or
+low-degree node exactly like any other, and a node of another graph with
+the same feature columns too.
 
-A training step reads and writes only the batch's rows: the input [X, X']
-is gathered per batch, never rebuilt for all N nodes, and with
-``train_xprime`` the X' gradient comes back row-sparse and is applied by
-index. Without ``train_xprime`` nothing writes X', so the student shares
-the teacher's table instead of copying it; it owns a copy only when it
-trains X'. Inference over many nodes (``student_embed``, the closing
-imitation MSE) runs in ``scorer.row_blocks``, so it holds one block of
-activations, not N rows of each layer.
+A training step gathers only the batch's feature rows. Inference over many
+nodes (``student_embed``, the closing imitation MSE) runs in
+``scorer.row_blocks``, so it holds one block of activations, not N rows of
+each layer.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, check_field_types
 from .graph import Graph
-from .scorer import batch_rows, node_inputs, pair_loss, pair_recall, row_blocks, sgd_epochs
+from .scorer import batch_rows, pair_loss, pair_recall, row_blocks, sgd_epochs
 
 __all__ = [
     "DistillConfig",
@@ -46,7 +44,6 @@ class DistillConfig:
     batch_size: int = 256
     max_epochs: int = 200
     seed: int = 0
-    train_xprime: bool = False
     plateau_tol: float = 1e-4
     plateau_epochs: int = 5
     finetune_epochs: int = 20
@@ -69,15 +66,15 @@ class DistillConfig:
 
 @dataclass
 class MlpModel:
-    """2-layer student: [X, X'] -> hidden (relu) -> teacher embedding dim."""
+    """2-layer student: X -> hidden (relu) -> teacher embedding dim, plus a
+    handle on the feature rows of the graph it embeds."""
 
     config: DistillConfig
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    x_prime: np.ndarray
-    features: np.ndarray | None
+    features: np.ndarray
     imitation_mse: float | None = None
     loss_trace: list[float] = field(default_factory=list)
 
@@ -92,6 +89,11 @@ def _init_mlp(config: DistillConfig, d_in: int, d_out: int, rng) -> tuple:
     return w1, b1, w2, b2
 
 
+def _inputs(model: MlpModel, rows: np.ndarray | slice) -> np.ndarray:
+    """Feature rows of the nodes ``rows`` as float64."""
+    return model.features[rows].astype(np.float64, copy=False)
+
+
 def _forward(model: MlpModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-activation, hidden activation and output for input rows ``h``."""
     a = h @ model.w1 + model.b1
@@ -102,18 +104,9 @@ def _forward(model: MlpModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def _backward(
     model: MlpModel, h: np.ndarray, a: np.ndarray, z1: np.ndarray, d_out: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients from the output gradient of the rows ``h``.
-
-    With ``train_xprime`` the X' gradient has one row per row of ``h``.
-    """
-    grads = {"w2": z1.T @ d_out, "b2": d_out.sum(axis=0)}
+    """Parameter gradients from the output gradient of the rows ``h``."""
     da = (d_out @ model.w2.T) * (a > 0)
-    grads["w1"] = h.T @ da
-    grads["b1"] = da.sum(axis=0)
-    if model.config.train_xprime:
-        d_x = 0 if model.features is None else model.features.shape[1]
-        grads["x_prime"] = (da @ model.w1.T)[:, d_x:]
-    return grads
+    return {"w1": h.T @ da, "b1": da.sum(axis=0), "w2": z1.T @ d_out, "b2": d_out.sum(axis=0)}
 
 
 def _mse(out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -125,22 +118,22 @@ def _output_blocks(model: MlpModel, rows: np.ndarray | None = None):
     """Yield ``(block, student output of those rows)`` per ``row_blocks``
     block of ``rows`` (of every node when None), one row of the widest
     layer wide; each output row is the same as in one full forward."""
-    n = model.x_prime.shape[0] if rows is None else rows.shape[0]
+    n = model.features.shape[0] if rows is None else rows.shape[0]
     width = max(model.w1.shape[0], model.w1.shape[1], model.w2.shape[1])
     for block in row_blocks(n, 8 * width):
         ids = block if rows is None else rows[block]
-        yield block, _forward(model, node_inputs(model.features, model.x_prime, ids))[2]
+        yield block, _forward(model, _inputs(model, ids))[2]
 
 
 def student_embed(model: MlpModel, rows: np.ndarray | None = None) -> np.ndarray:
-    """Student embeddings from node inputs alone (no adjacency access).
+    """Student embeddings from node features alone (no adjacency access).
 
     Besides the output it holds one row block of inputs and activations,
     about ``scorer._BLOCK_BYTES`` per layer, never an N-row activation.
     """
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-    n = model.x_prime.shape[0] if rows is None else rows.shape[0]
+    n = model.features.shape[0] if rows is None else rows.shape[0]
     out = np.empty((n, model.w2.shape[1]))
     for block, y in _output_blocks(model, rows):
         out[block] = y
@@ -161,51 +154,33 @@ def _imitation_pass(
     model: MlpModel, teacher_y: np.ndarray, rows: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared imitation error of the distinct ``rows`` and its gradients."""
-    h = node_inputs(model.features, model.x_prime, rows)
+    h = _inputs(model, rows)
     a, z1, out = _forward(model, h)
     loss, err = _mse(out, teacher_y[rows])
     return loss, _backward(model, h, a, z1, 2.0 * err / err.size)
 
 
-def _apply_grads(
-    model: MlpModel, grads: dict[str, np.ndarray], lr: float, rows: np.ndarray
-) -> None:
-    """SGD step in place; the X' gradient holds one row per entry of the
-    distinct ``rows``."""
+def _apply_grads(model: MlpModel, grads: dict[str, np.ndarray], lr: float) -> None:
+    """SGD step in place."""
     model.w1 -= lr * grads["w1"]
     model.b1 -= lr * grads["b1"]
     model.w2 -= lr * grads["w2"]
     model.b2 -= lr * grads["b2"]
-    if "x_prime" in grads:
-        model.x_prime[rows] -= lr * grads["x_prime"]
 
 
-def imitate(
-    teacher_y: np.ndarray,
-    g: Graph,
-    config: DistillConfig,
-    x_prime: np.ndarray,
-) -> MlpModel:
-    """Fit the student to the teacher embeddings until the loss plateaus.
-
-    ``x_prime`` is the teacher's trained table; it stays frozen, and is
-    shared rather than copied, unless ``config.train_xprime`` asks for joint
-    optimization. The fitted model records the final imitation MSE and the
+def imitate(teacher_y: np.ndarray, g: Graph, config: DistillConfig) -> MlpModel:
+    """Fit the student, from ``g``'s node features, to the teacher
+    embeddings until the loss plateaus; a graph without features is a
+    DataError. The fitted model records the final imitation MSE and the
     per-epoch loss trace.
     """
+    if g.features is None:
+        raise DataError("the MLP student reads node features, and the graph has none")
     if teacher_y.shape[0] != g.num_nodes:
         raise DataError("teacher embeddings do not cover all nodes")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD157]))
-    d_x = 0 if g.features is None else g.features.shape[1]
-    d_in = d_x + x_prime.shape[1]
-    w1, b1, w2, b2 = _init_mlp(config, d_in, teacher_y.shape[1], rng)
-    model = MlpModel(
-        config=config,
-        w1=w1, b1=b1, w2=w2, b2=b2,
-        x_prime=(np.array(x_prime, dtype=np.float64) if config.train_xprime
-                 else np.asarray(x_prime, dtype=np.float64)),
-        features=g.features,
-    )
+    w1, b1, w2, b2 = _init_mlp(config, g.feature_dim, teacher_y.shape[1], rng)
+    model = MlpModel(config=config, w1=w1, b1=b1, w2=w2, b2=b2, features=g.features)
     n = g.num_nodes
     trace: list[float] = []
     for epoch in range(config.max_epochs):
@@ -217,7 +192,7 @@ def imitate(
             if not np.isfinite(loss):
                 raise NumericError(f"imitation diverged at epoch {epoch}")
             losses.append(loss)
-            _apply_grads(model, grads, config.learning_rate, rows)
+            _apply_grads(model, grads, config.learning_rate)
         trace.append(float(np.mean(losses)))
         if len(trace) > config.plateau_epochs:
             past = trace[-config.plateau_epochs - 1]
@@ -230,14 +205,13 @@ def imitate(
 
 def _finetune_pass(
     model: MlpModel, pos: np.ndarray, neg: np.ndarray
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Batch ranking loss and gradients; also returns the distinct node ids
-    the X' gradient rows belong to."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Batch ranking loss and gradients."""
     rows, inv = batch_rows(pos, neg)
-    h = node_inputs(model.features, model.x_prime, rows)
+    h = _inputs(model, rows)
     a, z1, y_rows = _forward(model, h)
     loss, dy = pair_loss(y_rows, inv, pos.shape[0])
-    return loss, _backward(model, h, a, z1, dy), rows
+    return loss, _backward(model, h, a, z1, dy)
 
 
 def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
@@ -246,9 +220,8 @@ def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
     ``sgd_epochs`` over matched train pos/neg pairs; returns the checkpoint
     with the best validation recall (at |valid_pos|), the imitated student
     included: an epoch is kept only if it beats the recall training starts
-    from. The step size, epochs and batches are ``model.config``'s. X' is
-    copied, and snapshotted, only when ``train_xprime`` trains it; a frozen
-    X' stays shared with ``model``.
+    from. The step size, epochs and batches are ``model.config``'s; the
+    input is ``model``'s feature rows, as in imitation.
     """
     config = model.config
 
@@ -258,8 +231,7 @@ def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
         raise DataError("manifest has empty training splits")
 
     work = replace(model, w1=model.w1.copy(), b1=model.b1.copy(), w2=model.w2.copy(),
-                   b2=model.b2.copy(),
-                   x_prime=model.x_prime.copy() if config.train_xprime else model.x_prime)
+                   b2=model.b2.copy())
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xF17E]))
 
     has_valid = valid_pos.shape[0] > 0 and valid_neg.shape[0] > 0
@@ -271,21 +243,20 @@ def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
     valid_neg = valid_local[valid_pos.size :].reshape(-1, 2)
 
     def step(bp: np.ndarray, bn: np.ndarray) -> float:
-        loss, grads, rows = _finetune_pass(work, bp, bn)
-        _apply_grads(work, grads, config.finetune_lr, rows)
+        loss, grads = _finetune_pass(work, bp, bn)
+        _apply_grads(work, grads, config.finetune_lr)
         return loss
 
     def valid_recall() -> float:
         return pair_recall(student_embed(work, valid_rows), valid_pos, valid_neg)
 
     def snapshot() -> tuple[np.ndarray, ...]:
-        return (work.w1.copy(), work.b1.copy(), work.w2.copy(), work.b2.copy(),
-                work.x_prime.copy() if config.train_xprime else work.x_prime)
+        return work.w1.copy(), work.b1.copy(), work.w2.copy(), work.b2.copy()
 
     best = (valid_recall(), snapshot()) if has_valid else (-np.inf, None)
     _, selected = sgd_epochs(
         pos, neg, config.finetune_epochs, config.finetune_batch_size, rng, step,
         valid_recall if has_valid else None, snapshot, best,
     )
-    work.w1, work.b1, work.w2, work.b2, work.x_prime = selected
+    work.w1, work.b1, work.w2, work.b2 = selected
     return work

@@ -26,20 +26,19 @@ class NumericError(LinkBridgeError):
 
 
 # the values each type takes; a bool is also an int, so it is told apart by hand
-_ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
-_KIND = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_ACCEPTS = {int: int, float: (int, float), str: str}
+_KIND = {int: "an integer", float: "a number", str: "a string"}
 
 
 def is_of_type(value, kind: type) -> bool:
-    """Whether ``value`` is a ``kind`` (int, float, bool or str) as a config
-    knob reads it: an int is no bool, a float an int or a float but no bool,
-    and a bool only true or false, never a string such as "false"."""
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind])
+    """Whether ``value`` is a ``kind`` (int, float or str) as a config knob
+    reads it: an int is no bool, and a float an int or a float but no bool."""
+    return not isinstance(value, bool) and isinstance(value, _ACCEPTS[kind])
 
 
 def check_field_types(config) -> None:
     """ConfigError for a field of the dataclass ``config`` annotated ``int``,
-    ``float``, ``bool`` or ``str`` (or one of them ``| None``, which also
+    ``float`` or ``str`` (or one of them ``| None``, which also
     takes None) whose value is not of that type (``is_of_type``), or for a
     ``float`` field that is NaN or infinite, which every range check, being
     a comparison, would let through."""

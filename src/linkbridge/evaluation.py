@@ -265,17 +265,16 @@ def shuffle_eval_order(pos_eval: list, neg_eval: list, seed: int):
     return [pairs[i] for i in perm], labels[perm]
 
 
-def train_student(y: np.ndarray, g_train: Graph, manifest, model, config: DistillConfig):
-    """The MLP student: imitate the scorer's embeddings, then fine-tune."""
-    student = imitate(y, g_train, config, x_prime=model.x_prime)
-    return finetune_linkpred(student, manifest, g_train)
+def train_student(y: np.ndarray, g_train: Graph, manifest, config: DistillConfig):
+    """The MLP student: imitate the scorer's embeddings ``y`` from the node
+    features of ``g_train``, then fine-tune on its training pairs."""
+    return finetune_linkpred(imitate(y, g_train, config), manifest, g_train)
 
 
 def method_scores(
     method: str,
     g_train: Graph,
     manifest,
-    model,
     y: np.ndarray,
     z_all: np.ndarray,
     eval_ids: np.ndarray,
@@ -299,7 +298,7 @@ def method_scores(
     if method == "xmc_lp":
         return xmc_scores(g_train, y, config.diffusion, eval_ids)
     if method == "mlp":
-        student = train_student(y, g_train, manifest, model, config.distill)
+        student = train_student(y, g_train, manifest, config.distill)
         # embed only the distinct evaluation endpoints, then score local ids
         pairs = checked_pairs(eval_ids, g_train.num_nodes)
         rows, local = np.unique(pairs, return_inverse=True)

@@ -295,6 +295,8 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
     with _stage("dataset"):
         src, tar, inputs = _load_dataset(config, out_dir, base)
         union = union_graph(src, tar)
+        if "mlp" in methods and union.features is None:
+            raise DataError("method 'mlp' reads node features, and the dataset has none")
     write_provenance(out_dir, config, inputs, base)
 
     (out_dir / "manifests").mkdir(exist_ok=True)
@@ -317,7 +319,7 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
             manifest.save(out_dir / "manifests" / f"{tag}.json")
         with _stage(f"scorer:{tag}"):
             g_train = manifest_training_graph(manifest, src, tar, union=union)
-            model, y, all_ids, z_all = fit_scorer(
+            _, y, all_ids, z_all = fit_scorer(
                 suite.scorer, g_train, manifest, out_dir / "models" / f"{tag}.bin",
                 out_dir / "scores" / f"{tag}.logits.tsv",
             )
@@ -332,9 +334,7 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
         for method in methods:
             with _stage(f"{method}:{tag}"):
                 t0 = time.perf_counter()
-                full = method_scores(
-                    method, g_train, manifest, model, y, z_all, eval_ids, suite
-                )
+                full = method_scores(method, g_train, manifest, y, z_all, eval_ids, suite)
                 scores = full[eval_positions] if method in CALIBRATED_METHODS else full
                 write_scores_tsv(
                     out_dir / "scores" / f"{tag}.{method}.tsv", eval_order, scores

@@ -669,41 +669,32 @@ def dense_train_scorer(config, g, manifest):
     return best[1], best[2]
 
 
-def _dense_mlp_step(params, x_prime, features, rows, d_out_fn, train_xprime, lr):
-    """One student SGD step built from the full N-row input [X, X']."""
+def _dense_mlp_step(params, features, rows, d_out_fn, lr):
+    """One student SGD step on rows of the full N-row feature input."""
     w1, b1, w2, b2 = params
-    h_full = x_prime if features is None else np.concatenate(
-        [features.astype(np.float64), x_prime], axis=1)
-    h = h_full[rows]
+    h = features.astype(np.float64)[rows]
     a = h @ w1 + b1
     z1 = np.maximum(a, 0.0)
     loss, d_out = d_out_fn(z1 @ w2 + b2)
     da = (d_out @ w2.T) * (a > 0)
     grads = [h.T @ da, da.sum(axis=0), z1.T @ d_out, d_out.sum(axis=0)]
-    if train_xprime:
-        d_x = 0 if features is None else features.shape[1]
-        dxp = np.zeros_like(x_prime)
-        np.add.at(dxp, rows, (da @ w1.T)[:, d_x:])
-        x_prime = x_prime - lr * dxp
     for p, gr in zip(params, grads):
         p -= lr * gr
-    return loss, x_prime
+    return loss
 
 
-def _dense_student_embed(params, x_prime, features):
+def _dense_student_embed(params, features):
     w1, b1, w2, b2 = params
-    h = x_prime if features is None else np.concatenate(
-        [features.astype(np.float64), x_prime], axis=1)
-    return np.maximum(h @ w1 + b1, 0.0) @ w2 + b2
+    return np.maximum(features.astype(np.float64) @ w1 + b1, 0.0) @ w2 + b2
 
 
-def dense_imitate(teacher_y, g, config, x_prime):
-    """Student imitation with full-input steps and a dense X' update.
+def dense_imitate(teacher_y, g, config):
+    """Student imitation with full-input steps.
 
-    Returns ((w1, b1, w2, b2), x_prime, final mse).
+    Returns ((w1, b1, w2, b2), final mse).
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD157]))
-    d_in = g.feature_dim + x_prime.shape[1]
+    d_in = g.feature_dim
     params = [
         rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, config.hidden)),
         np.zeros(config.hidden),
@@ -711,7 +702,6 @@ def dense_imitate(teacher_y, g, config, x_prime):
                    size=(config.hidden, teacher_y.shape[1])),
         np.zeros(teacher_y.shape[1]),
     ]
-    x_prime = np.array(x_prime, dtype=np.float64, copy=True)
     trace = []
     for _ in range(config.max_epochs):
         perm = rng.permutation(g.num_nodes)
@@ -723,38 +713,36 @@ def dense_imitate(teacher_y, g, config, x_prime):
                 err = out - teacher_y[rows]
                 return float(np.sum(err * err) / err.size), 2.0 * err / err.size
 
-            loss, x_prime = _dense_mlp_step(params, x_prime, g.features, rows,
-                                            mse_grad, config.train_xprime,
-                                            config.learning_rate)
+            loss = _dense_mlp_step(params, g.features, rows, mse_grad,
+                                   config.learning_rate)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
         if len(trace) > config.plateau_epochs:
             past = trace[-config.plateau_epochs - 1]
             if past > 0 and (past - trace[-1]) / past < config.plateau_tol:
                 break
-    err = _dense_student_embed(params, x_prime, g.features) - teacher_y
-    return params, x_prime, float(np.sum(err * err) / err.size)
+    err = _dense_student_embed(params, g.features) - teacher_y
+    return params, float(np.sum(err * err) / err.size)
 
 
-def dense_finetune(params, x_prime, manifest, g, config):
-    """Student fine-tuning with full-input steps, a dense X' update and
-    validation over every node's embedding.
+def dense_finetune(params, manifest, g, config):
+    """Student fine-tuning with full-input steps and validation over every
+    node's embedding.
 
-    Returns the selected ((w1, b1, w2, b2), x_prime).
+    Returns the selected (w1, b1, w2, b2).
     """
     from linkbridge.scorer import batch_rows, pair_indices, pair_loss, pair_recall
 
     params = [p.copy() for p in params]
-    x_prime = x_prime.copy()
     pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
     valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xF17E]))
 
     def recall():
-        y = _dense_student_embed(params, x_prime, g.features)
+        y = _dense_student_embed(params, g.features)
         return pair_recall(y, valid_pos, valid_neg)
 
-    best = (recall(), [p.copy() for p in params], x_prime.copy())
+    best = (recall(), [p.copy() for p in params])
     for _ in range(config.finetune_epochs):
         pp, pn = pair_indices(len(pos), len(neg), rng)
         epos, eneg = pos[pp], neg[pn]
@@ -766,10 +754,8 @@ def dense_finetune(params, x_prime, manifest, g, config):
             def rank_grad(out, inv=inv, b=len(bp)):
                 return pair_loss(out, inv, b)
 
-            _, x_prime = _dense_mlp_step(params, x_prime, g.features, rows,
-                                         rank_grad, config.train_xprime,
-                                         config.finetune_lr)
+            _dense_mlp_step(params, g.features, rows, rank_grad, config.finetune_lr)
         rec = recall()
         if rec > best[0]:
-            best = (rec, [p.copy() for p in params], x_prime.copy())
-    return best[1], best[2]
+            best = (rec, [p.copy() for p in params])
+    return best[1]

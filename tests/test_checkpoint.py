@@ -11,11 +11,11 @@ from linkbridge.checkpoint import (
     save_scorer,
     save_student,
 )
-from linkbridge.distill import DistillConfig, imitate
+from linkbridge.distill import DistillConfig, imitate, student_embed
 from linkbridge.errors import DataError
-from linkbridge.graph import union_graph
+from linkbridge.graph import build_graph, union_graph
 from linkbridge.io import load_graph, save_graph
-from linkbridge.scorer import ScorerConfig, embed, init_model
+from linkbridge.scorer import ScorerConfig, embed, init_model, score_edges
 from linkbridge.selection import (
     Regime,
     make_split,
@@ -54,27 +54,49 @@ def test_scorer_checkpoint_loads_only_against_its_node_order(two_orders, tmp_pat
         load_scorer(path, other)
 
 
-def test_student_checkpoint_loads_only_against_its_node_order(two_orders, tmp_path):
-    g, other = two_orders
+def _student(g, path):
+    """A student imitating an untrained scorer on ``g``, saved to ``path``."""
     teacher = init_model(ScorerConfig(d_trainable=4, seed=2), g)
-    student = imitate(
-        embed(teacher, g), g, DistillConfig(hidden=4, max_epochs=1), x_prime=teacher.x_prime
-    )
+    student = imitate(embed(teacher, g), g, DistillConfig(hidden=4, max_epochs=1))
+    save_student(path, student)
+    return student
+
+
+def test_student_checkpoint_loads_on_another_graph(two_orders, tmp_path):
+    """A student holds no node rows: it loads against a graph of another
+    node count and order and embeds each node from its feature row."""
+    g, other = two_orders
     path = tmp_path / "student.bin"
-    save_student(path, student, g)
-    assert np.allclose(load_student(path, g).x_prime, student.x_prime, atol=1e-6)
-    with pytest.raises(DataError, match="node order"):
-        load_student(path, other)
+    student = _student(g, path)
+    keys = list(other.keys)[:3][::-1] + ["unseen"]
+    rows = {k: other.features[other.ids_for([k])[0]] for k in keys[:3]}
+    small = build_graph([(keys[0], keys[1]), (keys[2], keys[3])],
+                        features=rows | {"unseen": [0.1, -0.2, 0.3, 0.0]})
+    assert small.num_nodes != g.num_nodes
+    weights = (student.w1, student.b1, student.w2, student.b2)
+    assert len(path.read_bytes().partition(b"\n")[2]) == 4 * sum(w.size for w in weights)
+    loaded = load_student(path, small)
+    y = student_embed(loaded)
+    ids = small.ids_for(keys[:3])
+    assert np.allclose(y[ids], student_embed(student, g.ids_for(keys[:3])), atol=1e-5)
+    assert np.isfinite(score_edges(y, np.array([[ids[0], small.ids_for(["unseen"])[0]]]))).all()
+
+
+def test_student_checkpoint_on_another_feature_width_is_a_data_error(two_orders, tmp_path):
+    g, _ = two_orders
+    path = tmp_path / "student.bin"
+    _student(g, path)
+    narrow = build_graph([("a", "b")], features={"a": [0.0, 1.0], "b": [1.0, 0.0]})
+    with pytest.raises(DataError, match="student reads 4 features per node, graph has 2"):
+        load_student(path, narrow)
+    with pytest.raises(DataError, match="graph has 0"):
+        load_student(path, build_graph([("a", "b")]))
 
 
 def test_student_checkpoint_config_out_of_range_is_a_data_error(two_orders, tmp_path):
     g, _ = two_orders
-    teacher = init_model(ScorerConfig(d_trainable=4, seed=2), g)
-    student = imitate(
-        embed(teacher, g), g, DistillConfig(hidden=4, max_epochs=1), x_prime=teacher.x_prime
-    )
     path = tmp_path / "student.bin"
-    save_student(path, student, g)
+    _student(g, path)
     line, _, blob = path.read_bytes().partition(b"\n")
     header = json.loads(line)
     header["config"]["finetune_batch_size"] = 0

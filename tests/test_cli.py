@@ -6,12 +6,13 @@ import pytest
 
 from linkbridge.checkpoint import load_scorer, save_scorer, save_student
 from linkbridge.cli import main
-from linkbridge.distill import DistillConfig, finetune_linkpred, imitate
+from linkbridge.distill import DistillConfig
 from linkbridge.evaluation import (
     eval_pairs,
     evaluate_scores,
     node_centric_lp_ablation,
     shuffle_eval_order,
+    train_student,
 )
 from linkbridge.graph import build_graph, union_graph
 from linkbridge.heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
@@ -169,8 +170,6 @@ def test_run_bad_config_exits_2(tmp_path, config):
 
 # a value of the wrong type in a run config: (the change, the message it prints)
 WRONG_TYPES = {
-    "distill-train-xprime-str": ({"distill": {"train_xprime": "false"}},
-                                 "distill: train_xprime must be true or false, got 'false'"),
     "scorer-learning-rate-bool": ({"scorer": {"learning_rate": True}},
                                   "scorer: learning_rate must be a number, got True"),
     "diffusion-alpha-str": ({"diffusion": {"alpha": "0.5"}},
@@ -344,11 +343,22 @@ def test_distill_writes_the_library_student(trained, tmp_path):
                  "--out", str(trained / "student.bin")])
     assert code == 0
     manifest, g = _training_graph(trained)
-    teacher = load_scorer(trained / "model.bin", g)
-    cfg = DistillConfig(**config)
-    student = imitate(embed(teacher, g), g, cfg, x_prime=teacher.x_prime)
-    save_student(tmp_path / "lib.bin", finetune_linkpred(student, manifest, g), g)
+    y = embed(load_scorer(trained / "model.bin", g), g)
+    save_student(tmp_path / "lib.bin", train_student(y, g, manifest, DistillConfig(**config)))
     assert (trained / "student.bin").read_bytes() == (tmp_path / "lib.bin").read_bytes()
+
+
+def test_distill_on_a_featureless_graph_exits_3(tmp_path, small_pair, capsys):
+    src, tar = (build_graph(g.edge_keys()) for g in small_pair[:2])
+    save_graph(union_graph(src, tar), tmp_path / "union")
+    make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1).save(tmp_path / "m.json")
+    assert _train(tmp_path, {"epochs": 1, "d_trainable": 4}) == 0
+    code = main(["distill", "--teacher", str(tmp_path / "model.bin"),
+                 "--graph", str(tmp_path / "union"), "--manifest", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "student.bin")])
+    assert code == 3
+    assert "reads node features, and the graph has none" in capsys.readouterr().err
+    assert not (tmp_path / "student.bin").exists()
 
 
 def test_evaluate_writes_the_library_rows(trained):

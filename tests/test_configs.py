@@ -38,11 +38,7 @@ CASES = {
     "diffusion-alpha-str": (DiffusionConfig, {}, {"alpha": "0.5"}, "alpha must be a number"),
     "synthetic-overlap-bool": (SyntheticSpec, SPEC, {"overlap_ratio": True},
                                "overlap_ratio must be a number"),
-    # a bool field takes only a bool, and a str field only a string
-    "distill-train-xprime-str": (DistillConfig, {}, {"train_xprime": "false"},
-                                 "train_xprime must be true or false"),
-    "distill-train-xprime-int": (DistillConfig, {}, {"train_xprime": 0},
-                                 "train_xprime must be true or false"),
+    # a str field takes only a string
     "scorer-encoder-list": (ScorerConfig, {}, {"encoder": ["one_hop_mean"]},
                             "encoder must be a string"),
     # a float field takes only a finite number: NaN passes every range check,
@@ -69,10 +65,8 @@ def test_out_of_range_value_raises_at_construction_and_replace(case):
 
 
 def test_typed_fields_take_their_own_values():
-    """An int is a number, None is allowed where annotated, and a bool field
-    takes True."""
+    """An int is a number, and None is allowed where annotated."""
     assert PprConfig(teleport=0.5, tol=0).tol == 0
     assert ScorerConfig(learning_rate=1, d_out=None).learning_rate == 1
     assert ScorerConfig(encoder="one_hop_mean", d_out=4).d_out == 4
-    assert DistillConfig(train_xprime=True).train_xprime is True
     assert SyntheticSpec(**SPEC | {"overlap_ratio": 1}).overlap_ratio == 1

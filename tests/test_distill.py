@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from linkbridge.distill import (
     _finetune_pass,
     _forward,
     _imitation_pass,
+    _inputs,
     finetune_linkpred,
     imitate,
     student_embed,
@@ -19,7 +21,7 @@ from linkbridge.errors import DataError
 from linkbridge.evaluation import train_student
 from linkbridge.graph import build_graph, graph_from_ids
 from linkbridge.metrics import recall_at
-from linkbridge.scorer import ScorerConfig, embed, init_model, node_inputs, train_scorer
+from linkbridge.scorer import ScorerConfig, embed, init_model, score_edges
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
 from oracles import dense_finetune, dense_imitate, fd_grad, max_rel_error
@@ -35,14 +37,12 @@ def fixture_graph():
 def test_realizable_linear_teacher():
     g = fixture_graph()
     rng = np.random.default_rng(0)
-    x_prime = rng.normal(size=(5, 3))
-    h = np.concatenate([g.features, x_prime], axis=1)
-    w_true = rng.normal(size=(5, 4))
-    teacher_y = h @ w_true  # linear target, exactly representable
+    w_true = rng.normal(size=(2, 4))
+    teacher_y = g.features @ w_true  # linear target, exactly representable
     cfg = DistillConfig(hidden=16, learning_rate=0.05, batch_size=5,
                         max_epochs=4000, seed=1, plateau_tol=1e-9,
                         plateau_epochs=50)
-    model = imitate(teacher_y, g, cfg, x_prime=x_prime)
+    model = imitate(teacher_y, g, cfg)
     assert model.imitation_mse < 1e-3
 
 
@@ -51,54 +51,41 @@ def test_zero_epoch_budget_returns_init():
     rng = np.random.default_rng(2)
     teacher_y = rng.normal(size=(5, 3))
     cfg = DistillConfig(hidden=8, max_epochs=0, seed=3)
-    model = imitate(teacher_y, g, cfg, x_prime=rng.normal(size=(5, 2)))
+    model = imitate(teacher_y, g, cfg)
     assert model.imitation_mse is not None
     assert model.loss_trace == []
 
 
-def assert_fd_grads(model, grads, rows, loss_fn):
-    """Each analytic gradient of a training pass against central differences
-    of ``loss_fn``; the row-sparse X' gradient is scattered into zeros at
-    ``rows`` first."""
+def assert_fd_grads(model, grads, loss_fn):
+    """Each of the four weight gradients of a training pass against central
+    differences of ``loss_fn``."""
+    assert set(grads) == {"w1", "b1", "w2", "b2"}
     for name, analytic in grads.items():
-        arr = getattr(model, name)
-        if name == "x_prime":
-            dense = np.zeros(arr.shape)
-            dense[rows] = analytic
-            analytic = dense
-        fd = fd_grad(loss_fn, arr)
+        fd = fd_grad(loss_fn, getattr(model, name))
         assert max_rel_error(analytic, fd) <= 1e-4, name
 
 
-@pytest.mark.parametrize("train_xprime", [False, True])
-def test_imitation_gradient_check(train_xprime):
+def test_imitation_gradient_check():
     g = fixture_graph()
     rng = np.random.default_rng(4)
     teacher_y = rng.normal(size=(5, 3))
-    cfg = DistillConfig(hidden=6, max_epochs=0, seed=5, train_xprime=train_xprime)
-    model = imitate(teacher_y, g, cfg, x_prime=rng.normal(size=(5, 2)))
+    model = imitate(teacher_y, g, DistillConfig(hidden=6, max_epochs=0, seed=5))
     rows = np.array([3, 0, 4])  # one batch as imitate draws it: distinct, shuffled
     loss, grads = _imitation_pass(model, teacher_y, rows)
     assert np.isfinite(loss)
-    expected_keys = {"w1", "b1", "w2", "b2"} | ({"x_prime"} if train_xprime else set())
-    assert set(grads) == expected_keys
-    assert_fd_grads(model, grads, rows, lambda: _imitation_pass(model, teacher_y, rows)[0])
+    assert_fd_grads(model, grads, lambda: _imitation_pass(model, teacher_y, rows)[0])
 
 
-@pytest.mark.parametrize("train_xprime", [False, True])
-def test_finetune_gradient_check(train_xprime):
+def test_finetune_gradient_check():
     g = fixture_graph()
     rng = np.random.default_rng(6)
     teacher_y = rng.normal(size=(5, 3))
-    cfg = DistillConfig(hidden=6, max_epochs=0, seed=7, train_xprime=train_xprime)
-    model = imitate(teacher_y, g, cfg, x_prime=rng.normal(size=(5, 2)))
+    model = imitate(teacher_y, g, DistillConfig(hidden=6, max_epochs=0, seed=7))
     pos = np.array([[0, 1], [1, 2], [2, 3]])
     neg = np.array([[0, 2], [1, 4], [3, 0]])
-    loss, grads, rows = _finetune_pass(model, pos, neg)
+    loss, grads = _finetune_pass(model, pos, neg)
     assert np.isfinite(loss)
-    expected_keys = {"w1", "b1", "w2", "b2"} | ({"x_prime"} if train_xprime else set())
-    assert set(grads) == expected_keys
-    assert_fd_grads(model, grads, rows, lambda: _finetune_pass(model, pos, neg)[0])
+    assert_fd_grads(model, grads, lambda: _finetune_pass(model, pos, neg)[0])
 
 
 def _distill_fixture():
@@ -124,7 +111,7 @@ def test_finetune_lr_zero_keeps_model():
     manifest, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=8, max_epochs=5, seed=2, finetune_lr=0.0,
                         finetune_epochs=3)
-    student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
+    student = imitate(teacher_y, g_train, cfg)
     tuned = finetune_linkpred(student, manifest, g_train)
     assert np.array_equal(tuned.w1, student.w1)
     assert np.array_equal(tuned.w2, student.w2)
@@ -134,7 +121,7 @@ def test_finetune_improves_or_keeps_valid_recall():
     manifest, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=16, learning_rate=0.05, max_epochs=60, seed=4,
                         finetune_epochs=15, finetune_lr=0.02)
-    student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
+    student = imitate(teacher_y, g_train, cfg)
 
     def valid_recall(model):
         y = student_embed(model)
@@ -153,25 +140,25 @@ def test_finetune_improves_or_keeps_valid_recall():
 
 
 def test_student_scores_without_graph_access():
+    """A node absent from the training graph is embedded from its feature
+    row alone and scored against a training node."""
     manifest, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=8, max_epochs=3, seed=5)
-    student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
-    # the scoring path takes feature rows only; scoring an isolated node
-    # needs no adjacency at all
-    iso_features = np.concatenate(
-        [np.array([[0.5, 0.5]]), np.zeros((1, teacher.x_prime.shape[1]))], axis=1
-    )
-    hidden = np.maximum(iso_features @ student.w1 + student.b1, 0.0)
-    out = hidden @ student.w2 + student.b2
-    assert out.shape == (1, teacher_y.shape[1])
-    y = student_embed(student, rows=np.array([0, 3]))
-    assert y.shape == (2, teacher_y.shape[1])
+    student = imitate(teacher_y, g_train, cfg)
+    assert "new" not in g_train.keys
+    row = np.array([[0.5, 0.5]])
+    y_new = student_embed(replace(student, features=row))
+    hidden = np.maximum(row @ student.w1 + student.b1, 0.0)
+    assert np.allclose(y_new, hidden @ student.w2 + student.b2)
+    y = np.concatenate([student_embed(student, rows=np.array([0])), y_new])
+    logit = score_edges(y, np.array([[0, 1]]))
+    assert logit.shape == (1,) and np.isfinite(logit).all()
 
 
 def test_imitation_loss_non_increasing_trace():
     manifest, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=16, learning_rate=0.02, max_epochs=40, seed=6)
-    student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
+    student = imitate(teacher_y, g_train, cfg)
     trace = student.loss_trace
     assert len(trace) >= 2
     # allow tiny stochastic wiggle between epochs, but the trend must descend
@@ -182,12 +169,12 @@ def test_imitation_loss_non_increasing_trace():
 def test_student_checkpoint_round_trip(tmp_path):
     manifest, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=8, max_epochs=2, seed=7)
-    student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
+    student = imitate(teacher_y, g_train, cfg)
     path = tmp_path / "student.bin"
-    save_student(path, student, g_train)
+    save_student(path, student)
     loaded = load_student(path, g_train)
-    assert np.allclose(loaded.w1, student.w1, atol=1e-6)
-    assert np.allclose(loaded.x_prime, student.x_prime, atol=1e-6)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.allclose(getattr(loaded, name), getattr(student, name), atol=1e-6)
     y1 = student_embed(student)
     y2 = student_embed(loaded)
     assert np.allclose(y1, y2, atol=1e-5)
@@ -196,56 +183,63 @@ def test_student_checkpoint_round_trip(tmp_path):
 def test_imitate_rejects_short_teacher():
     g = fixture_graph()
     with pytest.raises(DataError):
-        imitate(np.zeros((3, 2)), g, DistillConfig(), x_prime=np.zeros((5, 2)))
+        imitate(np.zeros((3, 2)), g, DistillConfig())
+
+
+def test_imitate_rejects_a_featureless_graph():
+    g = build_graph([("a", "b"), ("b", "c")])
+    with pytest.raises(DataError, match="reads node features, and the graph has none"):
+        imitate(np.zeros((3, 2)), g, DistillConfig())
 
 
 def test_input_matrix_gathers_rows():
     manifest, g_train, teacher, teacher_y = _distill_fixture()
-    student = imitate(teacher_y, g_train, DistillConfig(hidden=4, max_epochs=1),
-                      x_prime=teacher.x_prime)
+    student = imitate(teacher_y, g_train, DistillConfig(hidden=4, max_epochs=1))
     rows = np.array([3, 1, 3, 0])
-    full = node_inputs(student.features, student.x_prime)
-    assert np.array_equal(node_inputs(student.features, student.x_prime, rows), full[rows])
+    assert np.array_equal(_inputs(student, rows), g_train.features[rows])
+    assert np.array_equal(student_embed(student, rows), student_embed(student)[rows])
 
 
-@pytest.mark.parametrize("train_xprime", [False, True])
-def test_student_matches_dense_reference(small_pair, train_xprime):
+def test_student_matches_dense_reference(small_pair, tmp_path):
+    """Imitation and fine-tuning take the dense reference's steps, and
+    ``train_student`` saves the dense reference's checkpoint."""
     src, tar, _ = small_pair
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
     g_train = manifest_training_graph(manifest, src, tar)
     teacher = init_model(ScorerConfig(d_trainable=4, seed=3), g_train)
     teacher_y = embed(teacher, g_train)
     cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,
-                        seed=2, train_xprime=train_xprime, finetune_epochs=3,
-                        finetune_lr=0.05, finetune_batch_size=16)
+                        seed=3, finetune_epochs=3, finetune_lr=0.05,
+                        finetune_batch_size=16)
 
-    student = imitate(teacher_y, g_train, cfg, x_prime=teacher.x_prime)
-    params, x_ref, mse = dense_imitate(teacher_y, g_train, cfg, teacher.x_prime)
+    student = imitate(teacher_y, g_train, cfg)
+    params, mse = dense_imitate(teacher_y, g_train, cfg)
     for got, want in zip((student.w1, student.b1, student.w2, student.b2), params):
         assert np.array_equal(got, want)
-    assert np.array_equal(student.x_prime, x_ref)
     assert student.imitation_mse == mse
 
     tuned = finetune_linkpred(student, manifest, g_train)
-    params, x_ref = dense_finetune(params, x_ref, manifest, g_train, cfg)
+    params = dense_finetune(params, manifest, g_train, cfg)
     for got, want in zip((tuned.w1, tuned.b1, tuned.w2, tuned.b2), params):
         assert np.array_equal(got, want)
-    assert np.array_equal(tuned.x_prime, x_ref)
     # fine-tuning keeps a later epoch here, so its steps are compared too
     assert not np.array_equal(tuned.w1, student.w1)
 
+    reference = MlpModel(cfg, *params, features=g_train.features)
+    save_student(tmp_path / "student.bin", train_student(teacher_y, g_train, manifest, cfg))
+    save_student(tmp_path / "reference.bin", reference)
+    assert (tmp_path / "student.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
 
-@pytest.mark.parametrize("train_xprime", [False, True])
-def test_student_step_memory_is_o_batch(train_xprime):
+
+def test_student_step_memory_is_o_batch():
     """Imitation and fine-tuning steps on 100k nodes allocate a small
     fraction of one N x d_in input."""
-    n, d_x, d_t, d_out, hidden, batch = 100_000, 8, 24, 16, 32, 256
+    n, d_x, d_out, hidden, batch = 100_000, 32, 16, 32, 256
     rng = np.random.default_rng(0)
     model = MlpModel(
-        config=DistillConfig(hidden=hidden, train_xprime=train_xprime),
-        w1=rng.normal(size=(d_x + d_t, hidden)), b1=np.zeros(hidden),
+        config=DistillConfig(hidden=hidden),
+        w1=rng.normal(size=(d_x, hidden)), b1=np.zeros(hidden),
         w2=rng.normal(size=(hidden, d_out)), b2=np.zeros(d_out),
-        x_prime=rng.normal(size=(n, d_t)),
         features=rng.normal(size=(n, d_x)).astype(np.float32),
     )
     teacher_y = rng.normal(size=(n, d_out))
@@ -254,30 +248,27 @@ def test_student_step_memory_is_o_batch(train_xprime):
     tracemalloc.start()
     try:
         _, grads = _imitation_pass(model, teacher_y, rows)
-        _apply_grads(model, grads, 0.01, rows)
-        _, grads, touched = _finetune_pass(model, pos, neg)
-        _apply_grads(model, grads, 0.01, touched)
+        _apply_grads(model, grads, 0.01)
+        _, grads = _finetune_pass(model, pos, neg)
+        _apply_grads(model, grads, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ("x_prime" in grads) == train_xprime
-    assert peak < n * (d_x + d_t) * 8 / 10
+    assert peak < n * d_x * 8 / 10
 
 
 def test_student_inference_memory_is_one_block():
     """The closing imitation MSE and an embedding of every node each hold one
     row block of activations: less than one N x hidden activation."""
-    n, d_x, d_t, d_out, hidden = 20_000, 8, 24, 16, 64
+    n, d_x, d_out, hidden = 20_000, 8, 16, 64
     rng = np.random.default_rng(0)
     g = graph_from_ids([str(i) for i in range(n)], np.zeros((0, 2), dtype=np.int64),
                        features=rng.normal(size=(n, d_x)))
-    x_prime = rng.normal(size=(n, d_t))
     teacher_y = rng.normal(size=(n, d_out))
     activation = n * hidden * 8
     tracemalloc.start()
     try:
-        model = imitate(teacher_y, g, DistillConfig(hidden=hidden, max_epochs=0),
-                        x_prime=x_prime)
+        model = imitate(teacher_y, g, DistillConfig(hidden=hidden, max_epochs=0))
         imitate_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         y = student_embed(model)
@@ -286,32 +277,7 @@ def test_student_inference_memory_is_one_block():
         tracemalloc.stop()
     assert imitate_peak < activation and embed_peak < activation
     # each block's rows are the rows of one full forward
-    full = _forward(model, node_inputs(g.features, x_prime))[2]
+    full = _forward(model, g.features)[2]
     assert np.array_equal(y, full)
     assert model.imitation_mse == pytest.approx(np.mean((full - teacher_y) ** 2), rel=1e-12)
 
-
-@pytest.mark.parametrize("train_xprime", [False, True])
-def test_student_shares_a_frozen_teacher_table(small_pair, tmp_path, train_xprime):
-    """train_student copies the teacher's X' only to train it, never writes
-    the teacher's table, and saves the dense reference's checkpoint, whose
-    steps own their X'."""
-    src, tar, _ = small_pair
-    manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
-    g_train = manifest_training_graph(manifest, src, tar)
-    teacher = train_scorer(ScorerConfig(d_trainable=4, epochs=2, seed=3), g_train, manifest)
-    teacher_y = embed(teacher, g_train)
-    kept = teacher.x_prime.tobytes()
-    cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,
-                        seed=2, train_xprime=train_xprime, finetune_epochs=3,
-                        finetune_lr=0.05, finetune_batch_size=16)
-    student = train_student(teacher_y, g_train, manifest, teacher, cfg)
-    assert teacher.x_prime.tobytes() == kept
-    assert np.shares_memory(student.x_prime, teacher.x_prime) == (not train_xprime)
-
-    params, x_ref, _ = dense_imitate(teacher_y, g_train, cfg, teacher.x_prime)
-    params, x_ref = dense_finetune(params, x_ref, manifest, g_train, cfg)
-    reference = MlpModel(cfg, *params, x_prime=x_ref, features=g_train.features)
-    save_student(tmp_path / "student.bin", student, g_train)
-    save_student(tmp_path / "reference.bin", reference, g_train)
-    assert (tmp_path / "student.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()

@@ -73,7 +73,7 @@ def test_content_hash_ignores_runtime_keys():
 
 def test_method_scores_rejects_unknown_method():
     with pytest.raises(ConfigError, match="unknown method"):
-        method_scores("bogus", None, None, None, None, None, None, SuiteConfig())
+        method_scores("bogus", None, None, None, None, None, SuiteConfig())
 
 
 @pytest.mark.parametrize("method", [m for m in KNOWN_METHODS if m not in CALIBRATED_METHODS])
@@ -88,8 +88,7 @@ def test_method_scores_reject_out_of_range_eval_ids(small_pair, manifest, method
     model = train_scorer(suite.scorer, g_train, manifest)
     eval_ids = np.array([[0, 1], [0, -1 if bad == "-1" else g_train.num_nodes]])
     with pytest.raises(DataError):
-        method_scores(method, g_train, manifest, model, embed(model, g_train), None,
-                      eval_ids, suite)
+        method_scores(method, g_train, manifest, embed(model, g_train), None, eval_ids, suite)
 
 
 def test_mlp_scores_embed_only_the_evaluation_endpoints(small_pair, manifest):
@@ -105,9 +104,9 @@ def test_mlp_scores_embed_only_the_evaluation_endpoints(small_pair, manifest):
     y = embed(model, g_train)
     eval_ids = g_train.pair_ids(list(manifest.test_pos) + list(manifest.test_neg))
     assert np.unique(eval_ids).size < g_train.num_nodes
-    student = train_student(y, g_train, manifest, model, suite.distill)
+    student = train_student(y, g_train, manifest, suite.distill)
     want = score_edges(student_embed(student), eval_ids)
-    out = method_scores("mlp", g_train, manifest, model, y, None, eval_ids, suite)
+    out = method_scores("mlp", g_train, manifest, y, None, eval_ids, suite)
     assert np.array_equal(out, want)
 
 

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from linkbridge.datasets import SyntheticSpec, generate_synthetic
-from linkbridge.errors import ConfigError
+from linkbridge.errors import ConfigError, DataError
 from linkbridge.evaluation import KNOWN_METHODS
-from linkbridge.io import save_graph
+from linkbridge.io import save_graph, write_edge_tsv
 from linkbridge.pipeline import run_pipeline
 from linkbridge.seeds import derive_seed
 
@@ -58,6 +58,18 @@ def test_run_pipeline_accepts_graph_directories(tmp_path):
     again = json.loads((tmp_path / "out2" / "provenance.json").read_text())["inputs"]
     assert again["source"] != inputs["source"]
     assert again["target"] == inputs["target"]
+
+
+def test_mlp_on_a_featureless_pair_fails_before_any_split(tmp_path):
+    """The student reads node features, so a pair without them is a data
+    error raised before any manifest, model or score file is written."""
+    src, tar, _ = generate_synthetic(SyntheticSpec(**SPEC))
+    write_edge_tsv(tmp_path / "source.tsv", src.edge_keys())
+    write_edge_tsv(tmp_path / "target.tsv", tar.edge_keys())
+    dataset = {"kind": "files", "source": "source.tsv", "target": "target.tsv"}
+    with pytest.raises(DataError, match=r"\[stage: dataset\] method 'mlp' reads node features"):
+        run_pipeline(_config("out", dataset, ["scorer", "mlp"]), tmp_path)
+    assert not any((tmp_path / "out" / d).exists() for d in ("manifests", "models", "scores"))
 
 
 def test_provenance_does_not_depend_on_the_base_directory(tmp_path):
