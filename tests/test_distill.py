@@ -21,7 +21,7 @@ from linkbridge.errors import DataError
 from linkbridge.evaluation import train_student
 from linkbridge.graph import build_graph, graph_from_ids
 from linkbridge.metrics import recall_at
-from linkbridge.scorer import ScorerConfig, embed, init_model, score_edges
+from linkbridge.scorer import ScorerConfig, embed, init_model, score_edges, train_scorer
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
 from oracles import dense_finetune, dense_imitate, fd_grad, max_rel_error
@@ -200,9 +200,8 @@ def test_input_matrix_gathers_rows():
     assert np.array_equal(student_embed(student, rows), student_embed(student)[rows])
 
 
-def test_student_matches_dense_reference(small_pair, tmp_path):
-    """Imitation and fine-tuning take the dense reference's steps, and
-    ``train_student`` saves the dense reference's checkpoint."""
+def test_student_matches_dense_reference(small_pair):
+    """Imitation and fine-tuning take the dense reference's steps."""
     src, tar, _ = small_pair
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
     g_train = manifest_training_graph(manifest, src, tar)
@@ -225,8 +224,26 @@ def test_student_matches_dense_reference(small_pair, tmp_path):
     # fine-tuning keeps a later epoch here, so its steps are compared too
     assert not np.array_equal(tuned.w1, student.w1)
 
+
+def test_train_student_saves_the_dense_reference_checkpoint(small_pair, tmp_path):
+    """``train_student`` on a trained teacher's embeddings leaves them
+    untouched and saves the dense reference's checkpoint."""
+    src, tar, _ = small_pair
+    manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
+    g_train = manifest_training_graph(manifest, src, tar)
+    teacher = train_scorer(ScorerConfig(d_trainable=4, epochs=2, seed=3), g_train, manifest)
+    teacher_y = embed(teacher, g_train)
+    kept = teacher_y.tobytes()
+    cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,
+                        seed=2, finetune_epochs=3, finetune_lr=0.05,
+                        finetune_batch_size=16)
+    student = train_student(teacher_y, g_train, manifest, cfg)
+    assert teacher_y.tobytes() == kept
+
+    params, _ = dense_imitate(teacher_y, g_train, cfg)
+    params = dense_finetune(params, manifest, g_train, cfg)
     reference = MlpModel(cfg, *params, features=g_train.features)
-    save_student(tmp_path / "student.bin", train_student(teacher_y, g_train, manifest, cfg))
+    save_student(tmp_path / "student.bin", student)
     save_student(tmp_path / "reference.bin", reference)
     assert (tmp_path / "student.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
 
