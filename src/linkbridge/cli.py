@@ -12,6 +12,10 @@ that is missing, unreadable or malformed), 4 numeric failure.
 The BLAS pool size is read once, when numpy loads, which importing this
 module already does: set ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` in the environment before the process starts.
+
+``emb_lp`` diffuses its column blocks on one thread per CPU in the process's
+affinity mask, so ``taskset`` restricts it; the BLAS variables do not size
+that pool. Its scores do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -200,6 +204,9 @@ def cmd_propagate(args) -> int:
 def cmd_distill(args) -> int:
     config = _build_config(DistillConfig, args.config)
     manifest, g_train = _load_training_graph(args)
+    # checked before the teacher is loaded and embedded, as run_pipeline does
+    if g_train.features is None:
+        raise DataError("the MLP student reads node features, and the graph has none")
     teacher = load_scorer(args.teacher, g_train)
     student = train_student(embed(teacher, g_train), g_train, manifest, config)
     save_student(args.out, student)

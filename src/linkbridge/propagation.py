@@ -11,9 +11,9 @@ operator S:
 * embedding-LP: diffuse concatenated endpoint embeddings over the
   positive-edge graph, split them back per endpoint, and rescore by dot
   product of the updated node embeddings. The diffusion acts from the left,
-  so each column of the m x 2d edge state evolves on its own: it is run one
-  ``scorer.row_blocks`` block of columns at a time, and only one m x 2c
-  block of the state ever exists.
+  so each column of the m x 2d edge state evolves on its own: the state is
+  cut into blocks of columns, a few blocks are diffused at once on a thread
+  pool, and each column stops on its own.
 * matrix-LP: diffuse the logit matrix Y*Y^T over the original graph and
   read scores off matrix entries.
 
@@ -21,20 +21,25 @@ Neither large object is built. With B the N x m node-edge incidence matrix
 of m distinct edges, B^T*B has 2 on its diagonal and 1 exactly where two
 edges share an endpoint, so the line-graph operator is
 S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 with line degree k_u + k_v - 2 for edge
-(u, v); it is applied as two sparse products of O(m*d) cost. The product
-is handed out one row block of about 256 KiB at a time: ``damped_iteration``
-finishes each block while it is in cache and writes it back into the state
-in place, so a line-graph diffusion holds two state arrays, the iterate and
-(1-alpha)*G, plus C*Z and one block. Other operators run the same loop with
-their full product as one block. Matrix-LP acts on the logit matrix from
-the left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and the N x N matrix
-never exists. ``build_line_graph`` materializes S_L as a reference for
-tests and size probes; no propagation variant calls it.
+(u, v); it is applied as two sparse products of O(m*d) cost, C*Z and
+then [C^T | -2*D_L^-1] on the state stacked under C*Z, which also folds in
+the diagonal term. The product is handed out one row block of about 1 MiB
+at a time: ``damped_iteration`` finishes each block while it is in cache
+and writes it back into the state in place, so a line-graph diffusion holds
+the stacked iterate, (1-alpha)*G, C*Z and one block. Other operators run
+the same loop with their full product as one block. Matrix-LP acts on the
+logit matrix from the left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and
+the N x N matrix never exists. ``build_line_graph`` materializes S_L as a
+reference for tests and size probes; no propagation variant calls it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -142,6 +147,11 @@ def _inv_sqrt(degs: np.ndarray) -> np.ndarray:
     return out
 
 
+# a line-graph product's row block: larger than ``scorer._BLOCK_BYTES``, so
+# that emb_lp's threads share the GIL over fewer, longer numpy calls
+_LINE_BLOCK_BYTES = 1024 * 1024
+
+
 class LineOperator:
     """S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 applied without the line graph.
 
@@ -150,44 +160,79 @@ class LineOperator:
     edge-node; an isolated edge-node has degree 0 and a zero row, as in the
     materialized operator.
 
-    The product is handed out one row block at a time (``row_products``):
-    w = C*x once, then C^T[rows]*w - 2*D_L^-1[rows]*x[rows] per block of
-    ``scorer.row_blocks`` rows of x, so a caller can finish each block while
-    it is in cache. The row blocks of C^T are sliced from a CSR copy once
-    per state row width. ``@`` assembles the same blocks.
+    The second product and the diagonal term are one sparse product: the
+    folded m x (N+m) matrix F = [C^T | -2*D_L^-1], built once, is applied
+    to the state stacked under C*x. Row e of F holds C^T's two entries of
+    edge e, then -2/k_e in column N+e, so each output is summed as
+    C^T[e]*(C*x) and then minus 2/k_e*x[e], bit for bit the two-step round.
+    A diffusion works in ``stacked`` layout: an (N+m)-row buffer whose last
+    m rows are the iterate. ``row_products`` writes C*x over its first N
+    rows and hands the product out one block of about ``_LINE_BLOCK_BYTES``
+    of rows at a time, so a caller can finish each block while it is in
+    cache. The row blocks of F are sliced once per state row width, and
+    several threads may share the operator. ``@`` assembles the same blocks.
     """
 
     def __init__(self, num_nodes: int, lo: np.ndarray, hi: np.ndarray) -> None:
         incident = np.bincount(np.concatenate([lo, hi]), minlength=num_nodes)
         self.line_degrees = incident[lo] + incident[hi] - 2
         scale = _inv_sqrt(self.line_degrees)
+        m = lo.size
+        self.num_nodes = num_nodes
         self._c = _incidence(num_nodes, lo, hi, scale)
-        self._diag = 2.0 * scale * scale
-        self.shape = (lo.size, lo.size)
-        # state row bytes -> [(rows, C^T[rows])]
+        index = np.int32 if 3 * m + num_nodes < 2**31 else np.int64
+        self._folded = sp.csr_array(
+            (
+                np.column_stack([scale, scale, -(2.0 * scale * scale)]).ravel(),
+                np.column_stack([lo, hi, num_nodes + np.arange(m)]).ravel().astype(index),
+                np.arange(0, 3 * m + 1, 3, dtype=index),
+            ),
+            shape=(m, num_nodes + m),
+        )
+        self.shape = (m, m)
+        # state row bytes -> [(rows, F[rows])], filled under the lock
         self._blocks: dict[int, list[tuple[slice, sp.csr_array]]] = {}
+        self._blocks_lock = threading.Lock()
+
+    def stacked(
+        self, tail: tuple[int, ...] = (), out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(buffer, state)``: an uninitialized (N+m)-row buffer of rows
+        shaped ``tail``, laid in the front of the flat float64 array ``out``
+        if one is given, and ``state``, the view of its last m rows, for the
+        caller to fill with the iterate."""
+        shape = (self.num_nodes + self.shape[0],) + tuple(tail)
+        buf = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
+        return buf, buf[self.num_nodes :]
 
     def _row_blocks(self, x: np.ndarray) -> list[tuple[slice, sp.csr_array]]:
         row_bytes = x[:1].nbytes
-        if row_bytes not in self._blocks:
-            ct = self._c.T.tocsr()
-            self._blocks[row_bytes] = [
-                (rows, ct[rows]) for rows in row_blocks(self.shape[0], row_bytes)
-            ]
-        return self._blocks[row_bytes]
+        with self._blocks_lock:
+            if row_bytes not in self._blocks:
+                blocks = row_blocks(self.shape[0], row_bytes, _LINE_BLOCK_BYTES)
+                self._blocks[row_bytes] = [
+                    (rows, self._folded if len(blocks) == 1 else self._folded[rows])
+                    for rows in blocks
+                ]
+            return self._blocks[row_bytes]
 
-    def row_products(self, x: np.ndarray):
-        """Yield ``(rows, (S_L @ x)[rows])`` per row block, each a new array;
-        a block reads only C*x and ``x[rows]``."""
-        w = self._c @ x
-        diag = self._diag.reshape((-1,) + (1,) * (x.ndim - 1))
-        for rows, ct in self._row_blocks(x):
-            part = ct @ w
-            part -= diag[rows] * x[rows]
-            yield rows, part
+    def row_products(self, buf: np.ndarray):
+        """Yield ``(rows, (S_L @ x)[rows])`` per row block, each a new array,
+        for the iterate x held in the last m rows of the ``stacked`` buffer
+        ``buf``. C*x is written over ``buf``'s first N rows before the first
+        block; a block reads only C*x and ``x[rows]``."""
+        n = self.num_nodes
+        x = buf[n:]
+        # the sparse products take at most two axes; every row stays whole
+        flat = buf.reshape(buf.shape[0], -1) if buf.ndim > 2 else buf
+        flat[:n] = self._c @ flat[n:]
+        for rows, f in self._row_blocks(x):
+            yield rows, (f @ flat).reshape((rows.stop - rows.start,) + x.shape[1:])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([part for _, part in self.row_products(x)])
+        buf, state = self.stacked(np.shape(x)[1:])
+        state[...] = x
+        return np.concatenate([part for _, part in self.row_products(buf)])
 
 
 def line_operator(
@@ -244,9 +289,9 @@ def sym_norm_adjacency(g: Graph) -> sp.csr_array:
 
 
 def _row_products(operator, z: np.ndarray):
-    """``(rows, (operator @ z)[rows])`` blocks: a ``LineOperator``'s
-    cache-sized row blocks, or one block holding any other operator's full
-    product."""
+    """``(rows, (operator @ Z)[rows])`` blocks: a ``LineOperator``'s
+    cache-sized row blocks of its ``stacked`` buffer ``z``, or one block
+    holding any other operator's full product."""
     if isinstance(operator, LineOperator):
         return operator.row_products(z)
     return ((slice(None), operator @ z),)
@@ -254,8 +299,8 @@ def _row_products(operator, z: np.ndarray):
 
 def _advance(old: np.ndarray, new: np.ndarray, g_rows: np.ndarray, alpha: float) -> float:
     """Finish one row block of a damped step: ``new`` <- alpha*new + g_rows,
-    and the block's max-abs step from ``old``, which is overwritten on the
-    way. The maximum is NaN or inf if either iterate is not finite."""
+    and the block's max-abs step, which is left in ``old`` on the way. The
+    maximum is NaN or inf if either iterate is not finite."""
     new *= alpha
     new += g_rows
     # |old - new| is |new - old| bit for bit
@@ -263,40 +308,102 @@ def _advance(old: np.ndarray, new: np.ndarray, g_rows: np.ndarray, alpha: float)
     return float(np.abs(old, out=old).max(initial=0.0))
 
 
+def _column_max(a: np.ndarray) -> np.ndarray:
+    """Max over every axis but the last, 0 if empty. numpy reduces a tall,
+    narrow array one short row at a time, so 32 rows are first laid side by
+    side as one (a strided ``a`` is copied for that)."""
+    rows = a.reshape(-1, a.shape[-1])
+    n, c = rows.shape
+    whole = n - n % 32
+    side_by_side = rows[:whole].reshape(-1, 32 * c).max(axis=0, initial=0.0)
+    return np.maximum(
+        side_by_side.reshape(32, c).max(axis=0), rows[whole:].max(axis=0, initial=0.0)
+    )
+
+
 def damped_iteration(
-    operator, z: np.ndarray, g_term: np.ndarray, alpha: float, k_max: int, tol: float
+    operator,
+    z: np.ndarray,
+    g_term: np.ndarray,
+    alpha: float,
+    k_max: int,
+    tol: float,
+    by_column: bool = False,
 ) -> tuple[np.ndarray, bool]:
     """Iterate Z <- alpha*S*Z + g_term from ``z``, which is used up.
 
-    Each step walks the row blocks of S*Z, ``LineOperator.row_products``
-    or one block holding any other operator's full ``operator @ z``, and
-    finishes each block (``_advance``) before the next is made. A partial
-    block is then copied into its rows of ``z``, so the update is in place;
-    a block of all rows becomes the new iterate, and the old one is freed.
-    A block reads the old iterate only through C*Z, made before the first
-    block, and its own rows, so every step is the plain update bit for bit.
+    For a ``LineOperator``, ``z`` is its ``stacked`` buffer with the
+    iterate in its last m rows, and each step is the folded product
+    [C^T | -2*D_L^-1] of that buffer, handed out one row block at a time.
+    Any other operator takes the iterate ``z`` itself and makes its full
+    ``operator @ z`` as one block. Each block is finished (``_advance``)
+    before the next is made. A partial block is then copied into its rows
+    of the iterate, so the update is in place; a block of all rows becomes
+    the new iterate, and the old one is freed. A block reads the old
+    iterate only through C*Z, made before the first block, and its own
+    rows, so every step is the plain update bit for bit.
 
-    Returns ``(Z, converged)``: converged once the max-abs step drops below
-    ``tol`` (tol=0 forces ``k_max`` rounds). A non-finite iterate makes that
-    maximum non-finite and raises ``NumericError``; numpy's warnings on the
-    way (inf - inf, 0 * inf) are silenced.
+    Stops once the max-abs step drops below ``tol`` (tol=0 forces ``k_max``
+    rounds). With ``by_column`` each index of the last axis stops on its
+    own, on its max-abs step over every other axis: a converged column is
+    copied out and leaves the product, and the rest go on, so each column
+    ends as it would if iterated alone. Returns ``(Z, converged)``: Z the
+    iterate's rows, with every column, and converged once all have stopped.
+
+    A non-finite iterate makes a step maximum non-finite and raises
+    ``NumericError``. numpy's warnings on the way (inf - inf, 0 * inf) are
+    silenced in numpy's error state, which is per thread: the loop enters
+    its own, so it behaves the same on any thread.
     """
+    line = isinstance(operator, LineOperator)
+    offset = operator.num_nodes if line else 0
+    out = cols = None  # once a column stops: the result, and z's columns in it
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(k_max):
+            state = z[offset:]
             delta = 0.0
+            moving = np.zeros(state.shape[-1], dtype=bool) if by_column else None
             for rows, new in _row_products(operator, z):
-                step = _advance(z[rows], new, g_term[rows], alpha)
+                moved = state[rows]
+                step = _advance(moved, new, g_term[rows], alpha)
                 # checked per block: max(delta, NaN) would drop the NaN
                 if not math.isfinite(step):
                     raise NumericError(f"diffusion produced non-finite values at step {k}")
                 delta = max(delta, step)
-                if new.shape == z.shape:
-                    z = new
+                # a column moves while any of its steps reaches tol; every
+                # 16th row usually shows that for all of them, at a
+                # sixteenth of the cost of the full maximum
+                if by_column and step >= tol and not moving.all():
+                    moving |= _column_max(moved[::16]) >= tol
+                    if not moving.all():
+                        moving |= _column_max(moved) >= tol
+                del moved  # may be the old iterate's last reference
+                if line:
+                    state[rows] = new
+                    del new  # freed before the next block is made
                 else:
-                    z[rows] = new
-            if delta < tol:
-                return z, True
-    return z, False
+                    z = state = new
+            if not by_column:
+                if delta < tol:
+                    return state, True
+                continue
+            if moving.all():
+                continue
+            if out is None:
+                if not moving.any():
+                    return state, True
+                if k + 1 == k_max:
+                    break  # no step left to save by freezing
+                out, cols = np.empty(state.shape), np.arange(state.shape[-1])
+            out[..., cols[~moving]] = state[..., ~moving]
+            if not moving.any():
+                return out, True
+            if k + 1 < k_max:
+                z, g_term, cols = z[..., moving], g_term[..., moving], cols[moving]
+    if out is None:
+        return z[offset:], False
+    out[..., cols] = z[offset:]
+    return out, False
 
 
 def diffuse(
@@ -309,10 +416,11 @@ def diffuse(
 
     ``operator`` is anything with a ``shape`` and ``@`` on an (n,) or (n, d)
     array: a sparse or dense matrix, or a ``LineOperator``. Runs
-    ``damped_iteration`` on a copy of Z0 that only the loop holds, so
-    neither input is modified: at most ``k_max`` rounds, or until the
-    max-abs step change drops below ``tol`` (set tol=0 to force exactly
-    k_max iterations). Raises on non-finite intermediate values.
+    ``damped_iteration`` on a copy of Z0 that only the loop holds (in a
+    ``LineOperator``'s stacked buffer), so neither input is modified: at
+    most ``k_max`` rounds, or until the max-abs step change over the whole
+    state drops below ``tol`` (set tol=0 to force exactly k_max
+    iterations). Raises on non-finite intermediate values.
     """
     z = np.asarray(z0, dtype=np.float64)
     g_mat = np.asarray(source, dtype=np.float64)
@@ -322,9 +430,21 @@ def diffuse(
         raise DataError(
             f"operator rows {operator.shape[0]} != state rows {z.shape[0]}"
         )
+    # the copy is handed straight to the loop, so that nothing else holds it
     return damped_iteration(
-        operator, z.copy(), (1.0 - cfg.alpha) * g_mat, cfg.alpha, cfg.k_max, cfg.tol
+        operator, _working_copy(operator, z), (1.0 - cfg.alpha) * g_mat,
+        cfg.alpha, cfg.k_max, cfg.tol,
     )[0]
+
+
+def _working_copy(operator, z: np.ndarray) -> np.ndarray:
+    """A copy of ``z`` laid out as ``damped_iteration`` takes it for
+    ``operator``: a ``LineOperator``'s stacked buffer, or ``z`` itself."""
+    if not isinstance(operator, LineOperator):
+        return z.copy()
+    buf, state = operator.stacked(z.shape[1:])
+    state[...] = z
+    return buf
 
 
 def endpoint_mean(
@@ -390,6 +510,26 @@ def logit_lp(
     return np.clip(p + z_final, 0.0, 1.0)
 
 
+def _clear(todo: queue.SimpleQueue) -> None:
+    try:
+        while True:
+            todo.get_nowait()
+    except queue.Empty:
+        pass
+
+
+def _workers() -> int:
+    """CPUs in this process's affinity mask (all CPUs where there is none)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# emb_lp's in-flight edge state: the m x 2c blocks of all its workers together
+_STATE_BYTES = 1024 * 1024
+
+
 def emb_lp(
     g: Graph,
     pos: np.ndarray | Sequence,
@@ -406,39 +546,98 @@ def emb_lp(
     product of the updated node embeddings.
 
     The diffusion acts from the left, so each column evolves on its own.
-    The m x 2d edge state is walked one block of c columns of Y at a time,
-    c from ``row_blocks(d, 2*m*8)`` (about ``scorer._BLOCK_BYTES`` of state):
-    gather [Y[lo, cols], Y[hi, cols]], ``diffuse`` it over the one shared
-    ``LineOperator``, restore its isolated edge-nodes, fold it into the
-    updated embedding's columns with ``endpoint_mean``, and free it. Besides
-    the N x d update, one m x 2c block and its diffusion working set are
-    held, never the whole state. Every element is summed in the same order
-    as in one whole-state pass. The ``tol`` early stop is measured on each
-    block's own columns, as PPR measures it per chunk and ``xmc_scores`` on
-    Yhat; where no block stops early (always at tol=0) the scores are the
-    whole-state ones bit for bit.
+    The m x 2d edge state is cut into blocks of c columns of Y, c from
+    ``row_blocks(d, w*2*m*8, _STATE_BYTES)`` for w workers: one byte budget
+    for all blocks in flight. w is the number of CPUs in the process's
+    affinity mask (``_workers``), at most one per block; the calling thread
+    is one worker and a private thread pool runs the others. A worker takes
+    the next block, gathers [Y[lo, cols], Y[hi, cols]] into its stacked
+    buffer, runs ``damped_iteration`` (not ``diffuse``) over the one shared
+    ``LineOperator``, restores the isolated edge-nodes, and folds the block
+    into its own columns of the updated embedding with ``endpoint_mean``.
+    Besides the N x d update, each worker holds one block's stacked state
+    and (1-alpha)*G, never the whole state. A failing block stops the other
+    workers after their current block, and the pool is shut down before
+    this returns or raises.
+
+    Every element is summed in the same order as in one whole-state pass.
+    The ``tol`` early stop is measured per column of Y, the max over its
+    two halves, and a converged column is frozen while the rest of its
+    block goes on, so the scores are those of a walk one column at a time,
+    whatever the block width and the number of workers; where no column
+    stops early (always at tol=0) they are the whole-state ones bit for bit.
+    A non-finite diffusion or endpoint mean is a ``NumericError``.
     """
     if y.shape[0] != g.num_nodes:
         raise DataError("embedding row count does not match graph")
+    queries = checked_pairs(query_edges, g.num_nodes)
     lo, hi = _line_edges(g.num_nodes, pos)
     operator = LineOperator(g.num_nodes, lo, hi)
     # an edge-node with no neighbor has nothing to mix with; keep it intact
     # rather than letting the damping shrink it toward (1-alpha)*G
     isolated = operator.line_degrees == 0
     y_upd = np.array(y, dtype=np.float64)
-    for cols in row_blocks(y.shape[1], 2 * lo.size * 8):
-        feats = np.concatenate([y[lo, cols], y[hi, cols]], axis=1)
-        diffused = diffuse(operator, feats, feats, cfg)
-        diffused[isolated] = feats[isolated]
-        c = feats.shape[1] // 2
-        means, touched = endpoint_mean(
-            y.shape[0], lo, hi, diffused[:, :c], diffused[:, c:]
+    d, m = y.shape[1], lo.size
+    cpus = max(1, min(_workers(), d))
+    blocks = row_blocks(d, cpus * 2 * m * 8, _STATE_BYTES)
+    workers = min(cpus, max(1, len(blocks)))
+    todo: queue.SimpleQueue = queue.SimpleQueue()
+    for cols in blocks:
+        todo.put(cols)
+
+    def diffuse_block(cols: slice, space: np.ndarray, g_space: np.ndarray) -> None:
+        buf, state = operator.stacked((2, cols.stop - cols.start), out=space)
+        state[:, 0] = y[lo, cols]
+        state[:, 1] = y[hi, cols]
+        g_term = np.multiply(
+            1.0 - cfg.alpha, state, out=g_space[: state.size].reshape(state.shape)
         )
+        diffused, _ = damped_iteration(
+            operator, buf, g_term, cfg.alpha, cfg.k_max, cfg.tol, by_column=True
+        )
+        diffused[isolated, 0] = y[lo[isolated], cols]
+        diffused[isolated, 1] = y[hi[isolated], cols]
+        # numpy's error state is per thread: this worker's own turns an
+        # overflowing sum into a NumericError below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            means, touched = endpoint_mean(
+                y.shape[0], lo, hi, diffused[:, 0], diffused[:, 1]
+            )
+        if not np.isfinite(means).all():
+            raise NumericError("embedding LP's endpoint means are not finite")
         # nodes without a positive edge keep their row of y
         np.copyto(y_upd[:, cols], means, where=touched[:, None])
-        # freed before the next block is gathered
-        del feats, diffused, means
-    return score_edges(y_upd, query_edges)
+
+    def drain(space: np.ndarray, g_space: np.ndarray) -> None:
+        while True:
+            try:
+                cols = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                diffuse_block(cols, space, g_space)
+            except BaseException:
+                _clear(todo)  # the other workers stop after their block
+                raise
+
+    # Every worker's stacked state and (1-alpha)*G live in buffers made here
+    # and one worker is this thread: memory a pool thread allocates returns
+    # to that thread's malloc arena, where the rest of the run cannot use it.
+    c_max = blocks[0].stop if blocks else 0
+    spaces = [
+        (np.empty((g.num_nodes + m) * 2 * c_max), np.empty(m * 2 * c_max))
+        for _ in range(workers)
+    ]
+    pool = ThreadPoolExecutor(max_workers=max(1, workers - 1))
+    try:
+        helpers = [pool.submit(drain, *space) for space in spaces[1:]]
+        drain(*spaces[0])
+        for future in helpers:
+            future.result()
+    finally:
+        _clear(todo)
+        pool.shutdown()
+    return score_edges(y_upd, queries)
 
 
 def xmc_scores(
@@ -457,7 +656,7 @@ def xmc_scores(
     """
     if y.shape[0] != g.num_nodes:
         raise DataError("embedding row count does not match graph")
+    q = np.sort(checked_pairs(query_edges, g.num_nodes), axis=1)
     y = np.asarray(y, dtype=np.float64)
     y_hat = diffuse(sym_norm_adjacency(g), y, y, cfg)
-    q = np.sort(checked_pairs(query_edges, g.num_nodes), axis=1)
     return np.einsum("ij,ij->i", y_hat[q[:, 0]], y[q[:, 1]])

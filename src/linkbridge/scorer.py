@@ -17,7 +17,8 @@ a batch that ``pair_loss`` reads.
 A pass over a whole table (scoring every pair in ``score_edges``, the
 student's forward over every node, a line-graph product in
 ``propagation``) walks it in ``row_blocks``: its transient memory is one
-block of about ``_BLOCK_BYTES``, not one table.
+block of about ``_BLOCK_BYTES`` (or the caller's own block size), not one
+table.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ ENCODERS = ("embedding_only", "one_hop_mean")
 _BLOCK_BYTES = 256 * 1024
 
 
-def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+def row_blocks(n_rows: int, row_bytes: int, block_bytes: int | None = None) -> list[slice]:
     """Consecutive slices covering ``n_rows`` rows, each of about
-    ``_BLOCK_BYTES`` of rows ``row_bytes`` wide (at least one row): the one
-    block rule of every whole-table pass."""
-    per_block = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    ``block_bytes`` (default ``_BLOCK_BYTES``) of rows ``row_bytes`` wide,
+    at least one row: the one block rule of every whole-table pass."""
+    budget = _BLOCK_BYTES if block_bytes is None else block_bytes
+    per_block = max(1, budget // max(1, row_bytes))
     return [slice(i, min(i + per_block, n_rows)) for i in range(0, n_rows, per_block)]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from linkbridge.checkpoint import load_scorer, save_scorer, save_student
+import linkbridge.cli as cli
 from linkbridge.cli import main
 from linkbridge.distill import DistillConfig
 from linkbridge.evaluation import (
@@ -348,11 +349,16 @@ def test_distill_writes_the_library_student(trained, tmp_path):
     assert (trained / "student.bin").read_bytes() == (tmp_path / "lib.bin").read_bytes()
 
 
-def test_distill_on_a_featureless_graph_exits_3(tmp_path, small_pair, capsys):
+def test_distill_on_a_featureless_graph_exits_3(tmp_path, small_pair, capsys, monkeypatch):
     src, tar = (build_graph(g.edge_keys()) for g in small_pair[:2])
     save_graph(union_graph(src, tar), tmp_path / "union")
     make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1).save(tmp_path / "m.json")
     assert _train(tmp_path, {"epochs": 1, "d_trainable": 4}) == 0
+
+    def no_teacher(*args):
+        raise AssertionError("the teacher was loaded before the features were checked")
+
+    monkeypatch.setattr(cli, "load_scorer", no_teacher)
     code = main(["distill", "--teacher", str(tmp_path / "model.bin"),
                  "--graph", str(tmp_path / "union"), "--manifest", str(tmp_path / "m.json"),
                  "--out", str(tmp_path / "student.bin")])

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -5,13 +7,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import linkbridge.scorer as scorer
+import linkbridge.propagation as propagation
 from linkbridge.errors import ConfigError, DataError, NumericError
 from linkbridge.graph import build_graph
 from linkbridge.propagation import (
     DiffusionConfig,
     LineOperator,
     build_line_graph,
+    damped_iteration,
     diffuse,
     emb_lp,
     endpoint_mean,
@@ -106,6 +109,29 @@ def test_line_operator_matches_brute_force_oracle(rng):
         x = rng.normal(size=(len(edges), 3))
         assert np.max(np.abs(op @ x - s_dense @ x)) <= 1e-12
         assert np.max(np.abs(op @ x[:, 0] - s_dense @ x[:, 0])) <= 1e-12
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+def test_folded_product_is_the_two_step_product(rng, tail):
+    """[C^T | -2*D_L^-1] on the state stacked under C*x is C^T*(C*x) and
+    then minus 2/k_e*x[e], bit for bit, for a state of any row shape; the
+    hub's edges, and an isolated edge, are among the rows."""
+    edges = np.array(random_graph_edges(rng, 12, 30) + [(20, 21)] + [(22, i) for i in range(23, 30)])
+    lo, hi = edges[:, 0], edges[:, 1]
+    op = LineOperator(30, lo, hi)
+    m = lo.size
+    scale = np.zeros(m)
+    live = op.line_degrees > 0
+    scale[live] = 1.0 / np.sqrt(op.line_degrees[live].astype(float))
+    c = sp.csr_array(
+        (np.tile(scale, 2), (np.concatenate([lo, hi]), np.tile(np.arange(m), 2))), shape=(30, m)
+    )
+    x = rng.normal(size=(m,) + tail)
+    flat = x.reshape(m, -1) if x.ndim > 2 else x
+    diag = (2.0 * scale * scale).reshape((-1,) + (1,) * (flat.ndim - 1))
+    want = c.T.tocsr() @ (c @ flat)
+    want -= diag * flat
+    assert np.array_equal(op @ x, want.reshape(x.shape))
 
 
 def test_line_operator_input_validation(triangle):
@@ -240,7 +266,7 @@ def _blocked_operator(rng, monkeypatch, shape, rows_per_block=7):
     blocks of ``rows_per_block`` rows of a state of ``shape``."""
     edges = np.array(random_graph_edges(rng, 12, shape[0]))
     row_bytes = 8 * int(np.prod(shape[1:], dtype=int))
-    monkeypatch.setattr(scorer, "_BLOCK_BYTES", rows_per_block * row_bytes)
+    monkeypatch.setattr(propagation, "_LINE_BLOCK_BYTES", rows_per_block * row_bytes)
     return LineOperator(12, edges[:, 0], edges[:, 1])
 
 
@@ -248,7 +274,9 @@ def _blocked_operator(rng, monkeypatch, shape, rows_per_block=7):
 def test_blocked_diffusion_is_the_plain_update(rng, monkeypatch, shape):
     op = _blocked_operator(rng, monkeypatch, shape)
     z0, g_mat = rng.normal(size=shape), rng.normal(size=shape)
-    blocks = [rows for rows, _ in op.row_products(z0)]
+    buf, state = op.stacked(shape[1:])
+    state[...] = z0
+    blocks = [rows for rows, _ in op.row_products(buf)]
     assert [b.stop - b.start for b in blocks] == [7, 7, 7, 2]
     kept_z0, kept_g = z0.copy(), g_mat.copy()
     alpha, steps = 0.8, 6
@@ -276,6 +304,38 @@ def test_non_finite_value_in_the_last_block_raises(rng, monkeypatch, bad, where)
             diffuse(op, inputs["z0"], inputs["source"], cfg)
 
 
+@pytest.mark.parametrize("line", [False, True], ids=["sym_norm", "line"])
+def test_damped_iteration_by_column_is_each_column_alone(rng, line):
+    """With by_column, columns 10 and 1e4 times smaller stop steps before
+    the rest; at every step budget, including one that ends on a column's
+    stop step, each column is the one iterated alone, and converged means
+    all of them stopped."""
+    edges = np.array(random_graph_edges(rng, 12, 24))
+    if line:
+        op = LineOperator(12, edges[:, 0], edges[:, 1])
+    else:
+        op = sym_norm_adjacency(build_graph([(f"n{u}", f"n{v}") for u, v in edges]))
+    # a line state's column has two halves, as in emb_lp
+    tail = (2, 3) if line else (3,)
+    z0 = rng.normal(size=(op.shape[0],) + tail) * np.array([1.0, 1e-1, 1e-4])
+    alpha, tol = 0.6, 1e-5
+
+    def run(z, k_max, by_column):
+        g_term = (1 - alpha) * z
+        work = z.copy()
+        if line:
+            work, state = op.stacked(z.shape[1:])
+            state[...] = z
+        return damped_iteration(op, work, g_term, alpha, k_max, tol, by_column)
+
+    for k_max in range(1, 40):
+        out, converged = run(z0, k_max, True)
+        alone = [run(z0[..., [j]], k_max, False) for j in range(3)]
+        assert np.array_equal(out, np.concatenate([a for a, _ in alone], axis=-1)), k_max
+        assert converged == all(done for _, done in alone), k_max
+    assert converged
+
+
 def test_line_graph_diffusion_holds_under_three_states(rng):
     """On a broadcast-sized emb_lp state the diffusion holds the iterate,
     (1-alpha)*G, C*Z and one row block, not a second iterate and its
@@ -291,6 +351,22 @@ def test_line_graph_diffusion_holds_under_three_states(rng):
     finally:
         tracemalloc.stop()
     assert peak < 3 * feats.nbytes
+
+
+def test_sparse_operator_diffusion_holds_under_three_states(rng):
+    """On a sparse operator the diffusion holds its working copy,
+    (1-alpha)*G and the next iterate, and nothing keeps the old iterate
+    alive past its step."""
+    edges = random_graph_edges(rng, 2000, 8000)
+    s = sym_norm_adjacency(build_graph([(f"n{u}", f"n{v}") for u, v in edges]))
+    z = rng.normal(size=(s.shape[0], 64))
+    tracemalloc.start()
+    try:
+        diffuse(s, z, z, DiffusionConfig(k_max=3, tol=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * z.nbytes
 
 
 def test_diffusion_config_validation():
@@ -459,6 +535,25 @@ def _emb_lp_case(rng):
     return g, pos, queries
 
 
+def _column_blocks(monkeypatch, pos, workers, cols_per_block, d):
+    """Make emb_lp run on ``workers`` workers (at most d) in blocks of
+    ``cols_per_block`` columns of Y, and return the list that records the
+    width of each block's diffusion."""
+    cpus = min(workers, d)
+    monkeypatch.setattr(propagation, "_workers", lambda: workers)
+    monkeypatch.setattr(
+        propagation, "_STATE_BYTES", cpus * cols_per_block * 2 * pos.shape[0] * 8
+    )
+    widths = []
+
+    def spy(operator, z, *args, **kwargs):
+        widths.append(z.shape[-1])
+        return damped_iteration(operator, z, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "damped_iteration", spy)
+    return widths
+
+
 @pytest.mark.parametrize("cols_per_block", [1, 2, 5])
 def test_emb_lp_is_the_whole_state_diffusion(rng, monkeypatch, cols_per_block):
     """At tol=0 the column-block walk is the one whole-state diffusion bit
@@ -466,44 +561,125 @@ def test_emb_lp_is_the_whole_state_diffusion(rng, monkeypatch, cols_per_block):
     columns, or all five."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 5))
-    monkeypatch.setattr(scorer, "_BLOCK_BYTES", cols_per_block * 2 * pos.shape[0] * 8)
     cfg = DiffusionConfig(alpha=0.8, k_max=12, tol=0.0)
     want = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
+    widths = _column_blocks(monkeypatch, pos, 1, cols_per_block, 5)
     assert np.array_equal(emb_lp(g, pos, y, cfg, queries), want)
+    assert widths == [min(cols_per_block, 5 - i) for i in range(0, 5, cols_per_block)]
 
 
-def test_emb_lp_stops_each_column_block_on_its_own(rng, monkeypatch):
-    """The early stop is measured on each block's columns: with one column
-    per block, a column 1e-6 times smaller converges steps earlier than the
-    rest, and the result is the composition run column by column."""
+@pytest.mark.parametrize("budget_cols", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_emb_lp_is_the_same_on_any_worker_count(rng, monkeypatch, workers, budget_cols):
+    """The blocks run concurrently and write disjoint columns: on 1, 2 or 8
+    workers and at two byte budgets the scores are those of one column at a
+    time on one worker, also where columns stop at different steps."""
+    g, pos, queries = _emb_lp_case(rng)
+    y = rng.normal(size=(g.num_nodes, 7))
+    y[:, ::3] *= 1e-6
+    cfg = DiffusionConfig(alpha=0.8, k_max=200, tol=1e-9)
+    _column_blocks(monkeypatch, pos, 1, 1, 7)
+    want = emb_lp(g, pos, y, cfg, queries)
+    widths = _column_blocks(monkeypatch, pos, workers, budget_cols, 7)
+    assert np.array_equal(emb_lp(g, pos, y, cfg, queries), want)
+    assert sum(widths) == 7 and max(widths) == budget_cols
+
+
+def test_emb_lp_loses_no_column_under_thread_switches(rng, monkeypatch):
+    """Stress: 8 workers on 40 one-column blocks of two steps each, with
+    threads switching far more often than by default. A lost or misplaced
+    write of a block's columns would change the scores."""
+    g, pos, queries = _emb_lp_case(rng)
+    y = rng.normal(size=(g.num_nodes, 40))
+    cfg = DiffusionConfig(alpha=0.8, k_max=2, tol=0.0)
+    _column_blocks(monkeypatch, pos, 1, 40, 40)
+    want = emb_lp(g, pos, y, cfg, queries)
+    _column_blocks(monkeypatch, pos, 8, 1, 40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert np.array_equal(emb_lp(g, pos, y, cfg, queries), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cols_per_block", [1, 2, 3])
+def test_emb_lp_stops_each_column_block_on_its_own(rng, monkeypatch, cols_per_block):
+    """The early stop is measured on each column of Y, over its two halves:
+    a column 1e-6 times smaller converges steps earlier than the rest, and
+    whatever the block width the result is the composition run column by
+    column, not the whole-state diffusion."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 3))
     y[:, 0] *= 1e-6
-    monkeypatch.setattr(scorer, "_BLOCK_BYTES", 2 * pos.shape[0] * 8)
     cfg = DiffusionConfig(alpha=0.8, k_max=200, tol=1e-9)
     by_column = np.concatenate(
         [_whole_state_update(g.num_nodes, pos, y[:, [c]], cfg) for c in range(3)], axis=1
     )
     whole = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
+    widths = _column_blocks(monkeypatch, pos, 1, cols_per_block, 3)
     out = emb_lp(g, pos, y, cfg, queries)
+    assert max(widths) == cols_per_block
     assert np.array_equal(out, score_edges(by_column, queries))
     assert not np.array_equal(out, whole)
 
 
-def test_emb_lp_holds_under_one_edge_state(rng):
-    """On a broadcast-sized case emb_lp diffuses one column block at a time,
-    so its peak stays below one m x 2d edge state [Y[lo], Y[hi]]."""
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_emb_lp_non_finite_input_raises_on_every_worker_count(rng, monkeypatch, workers, bad):
+    """A non-finite Y raises NumericError from the worker that meets it,
+    with warnings as errors: no worker's RuntimeWarning is raised instead,
+    and the pool's threads are gone once emb_lp has raised or returned."""
+    g, pos, queries = _emb_lp_case(rng)
+    y = rng.normal(size=(g.num_nodes, 6))
+    _column_blocks(monkeypatch, pos, workers, 2, 6)
+    threads = threading.active_count()
+    cfg = DiffusionConfig(alpha=0.8, k_max=5, tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emb_lp(g, pos, y, cfg, queries)
+        assert threading.active_count() == threads
+        y[pos[3, 0], 4] = bad
+        with pytest.raises(NumericError):
+            emb_lp(g, pos, y, cfg, queries)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_emb_lp_overflowing_endpoint_mean_raises(monkeypatch, workers):
+    """A finite Y whose diffusion stays finite can still overflow in a
+    node's sum over its edges: the star's centre here. That is a
+    NumericError, raised under warnings as errors, not a worker's
+    RuntimeWarning or NaN scores."""
+    g = build_graph([], extra_nodes=[f"n{i}" for i in range(6)])
+    pos = np.array([(0, i) for i in range(1, 6)])
+    y = np.zeros((6, 2))
+    y[0, 1] = 0.5e308
+    monkeypatch.setattr(propagation, "_workers", lambda: workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            emb_lp(g, pos, y, DiffusionConfig(alpha=0.8, k_max=5, tol=0.0), pos)
+
+
+def test_emb_lp_holds_under_one_edge_state(rng, monkeypatch):
+    """On a broadcast-sized case emb_lp diffuses a few column blocks at a
+    time, so its peak stays below one m x 2d edge state [Y[lo], Y[hi]], on
+    this machine's worker count and on 8 workers."""
     pos = np.array(random_graph_edges(rng, 1400, 5000))
     g = build_graph([], extra_nodes=[f"n{i}" for i in range(1400)])
     y = rng.normal(size=(1400, 80))
     cfg = DiffusionConfig(k_max=2, tol=0.0)
-    tracemalloc.start()
-    try:
-        emb_lp(g, pos, y, cfg, pos[:500])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < pos.shape[0] * 2 * y.shape[1] * 8
+    for workers in (propagation._workers(), 8):
+        monkeypatch.setattr(propagation, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            emb_lp(g, pos, y, cfg, pos[:500])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pos.shape[0] * 2 * y.shape[1] * 8, workers
 
 
 def test_emb_lp_empty_pos_error(triangle):
@@ -516,7 +692,13 @@ def test_emb_lp_empty_pos_error(triangle):
     lambda g, y, q: xmc_scores(g, y, DiffusionConfig(), q),
 ], ids=["emb_lp", "xmc_scores"])
 @pytest.mark.parametrize("bad", [-1, 4])
-def test_query_id_out_of_range_rejected(path4, score, bad):
+def test_query_id_out_of_range_rejected(path4, score, bad, monkeypatch):
+    """A bad query id is rejected before any diffusion round runs."""
+
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("a diffusion ran before the query ids were checked")
+
+    monkeypatch.setattr(propagation, "damped_iteration", no_rounds)
     y = np.arange(8.0).reshape(4, 2)
     with pytest.raises(DataError):
         score(path4, y, np.array([[0, 1], [0, bad]]))
