@@ -147,8 +147,9 @@ def _inv_sqrt(degs: np.ndarray) -> np.ndarray:
     return out
 
 
-# a line-graph product's row block: larger than ``scorer._BLOCK_BYTES``, so
-# that emb_lp's threads share the GIL over fewer, longer numpy calls
+# a line-graph product's row block. With ``scorer._BLOCK_BYTES`` (256 KiB)
+# instead, broadcast ``run_s`` was 12% higher, in 8 of 8 alternating pairs
+# on a 2-vCPU host
 _LINE_BLOCK_BYTES = 1024 * 1024
 
 
@@ -311,7 +312,9 @@ def _advance(old: np.ndarray, new: np.ndarray, g_rows: np.ndarray, alpha: float)
 def _column_max(a: np.ndarray) -> np.ndarray:
     """Max over every axis but the last, 0 if empty. numpy reduces a tall,
     narrow array one short row at a time, so 32 rows are first laid side by
-    side as one (a strided ``a`` is copied for that)."""
+    side as one (a strided ``a`` is copied for that). With the plain
+    ``max(axis=0)`` instead, broadcast ``run_s`` was 37% higher, in 8 of 8
+    alternating pairs on a 2-vCPU host."""
     rows = a.reshape(-1, a.shape[-1])
     n, c = rows.shape
     whole = n - n % 32
@@ -370,13 +373,9 @@ def damped_iteration(
                 if not math.isfinite(step):
                     raise NumericError(f"diffusion produced non-finite values at step {k}")
                 delta = max(delta, step)
-                # a column moves while any of its steps reaches tol; every
-                # 16th row usually shows that for all of them, at a
-                # sixteenth of the cost of the full maximum
+                # a column moves while any of its steps reaches tol
                 if by_column and step >= tol and not moving.all():
-                    moving |= _column_max(moved[::16]) >= tol
-                    if not moving.all():
-                        moving |= _column_max(moved) >= tol
+                    moving |= _column_max(moved) >= tol
                 del moved  # may be the old iterate's last reference
                 if line:
                     state[rows] = new
@@ -546,11 +545,14 @@ def emb_lp(
     product of the updated node embeddings.
 
     The diffusion acts from the left, so each column evolves on its own.
-    The m x 2d edge state is cut into blocks of c columns of Y, c from
-    ``row_blocks(d, w*2*m*8, _STATE_BYTES)`` for w workers: one byte budget
-    for all blocks in flight. w is the number of CPUs in the process's
-    affinity mask (``_workers``), at most one per block; the calling thread
-    is one worker and a private thread pool runs the others. A worker takes
+    The m x 2d edge state is cut into blocks of c columns of Y, with one
+    byte budget, ``_STATE_BYTES``, for all blocks in flight. The w workers
+    are the CPUs in the process's affinity mask (``_workers``), at most d
+    and at most as many one-column blocks as fit in the budget; then c is
+    ``row_blocks(d, w*2*m*8, _STATE_BYTES)``, and w at most one per block.
+    So the state in flight is at most the budget, or one column where a
+    column alone exceeds it, on any number of CPUs. The calling thread is
+    one worker and a private thread pool runs the others. A worker takes
     the next block, gathers [Y[lo, cols], Y[hi, cols]] into its stacked
     buffer, runs ``damped_iteration`` (not ``diffuse``) over the one shared
     ``LineOperator``, restores the isolated edge-nodes, and folds the block
@@ -578,9 +580,11 @@ def emb_lp(
     isolated = operator.line_degrees == 0
     y_upd = np.array(y, dtype=np.float64)
     d, m = y.shape[1], lo.size
-    cpus = max(1, min(_workers(), d))
-    blocks = row_blocks(d, cpus * 2 * m * 8, _STATE_BYTES)
-    workers = min(cpus, max(1, len(blocks)))
+    # workers first, so that more CPUs never means more state in flight
+    column_bytes = 2 * m * 8
+    workers = max(1, min(_workers(), d, _STATE_BYTES // column_bytes))
+    blocks = row_blocks(d, workers * column_bytes, _STATE_BYTES)
+    workers = min(workers, max(1, len(blocks)))
     todo: queue.SimpleQueue = queue.SimpleQueue()
     for cols in blocks:
         todo.put(cols)

@@ -666,12 +666,13 @@ def test_emb_lp_overflowing_endpoint_mean_raises(monkeypatch, workers):
 def test_emb_lp_holds_under_one_edge_state(rng, monkeypatch):
     """On a broadcast-sized case emb_lp diffuses a few column blocks at a
     time, so its peak stays below one m x 2d edge state [Y[lo], Y[hi]], on
-    this machine's worker count and on 8 workers."""
+    this machine's worker count, on 8 workers, and with one CPU per column
+    of Y, where the byte budget, not the CPU count, sets the workers."""
     pos = np.array(random_graph_edges(rng, 1400, 5000))
     g = build_graph([], extra_nodes=[f"n{i}" for i in range(1400)])
     y = rng.normal(size=(1400, 80))
     cfg = DiffusionConfig(k_max=2, tol=0.0)
-    for workers in (propagation._workers(), 8):
+    for workers in (propagation._workers(), 8, 80):
         monkeypatch.setattr(propagation, "_workers", lambda: workers)
         tracemalloc.start()
         try:
