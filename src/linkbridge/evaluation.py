@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distill import DistillConfig, finetune_linkpred, imitate, student_embed
-from .errors import ConfigError, is_of_type
+from .errors import ConfigError, NumericError, is_of_type
 from .graph import Graph, checked_pairs
 from .heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
 from .metrics import precision_accuracy, recall_at
@@ -285,7 +285,20 @@ def method_scores(
     ``logit_lp`` and ``node_lp`` score every manifest edge at once and
     return the full vector in manifest order; the caller slices the
     evaluation block. All other methods score ``eval_ids`` directly.
+
+    A score that is not finite, such as an inner product that overflows on
+    large but finite embeddings, is a ``NumericError`` naming the method,
+    raised before the caller writes a score file; numpy's overflow and
+    invalid-value warnings on the way are not raised.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _method_scores(method, g_train, manifest, y, z_all, eval_ids, config)
+    if not np.isfinite(scores).all():
+        raise NumericError(f"{method} scores are not finite")
+    return scores
+
+
+def _method_scores(method, g_train, manifest, y, z_all, eval_ids, config) -> np.ndarray:
     if method == "scorer":
         return score_edges(y, eval_ids)
     if method == "logit_lp":

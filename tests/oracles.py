@@ -203,21 +203,49 @@ def all_sources_ppr_scores(g, edges, cfg) -> np.ndarray:
     return pi[edges[:, 1], inv[:, 0]] + pi[edges[:, 0], inv[:, 1]]
 
 
-def chunked_ppr_scores(g, edges, cfg) -> np.ndarray:
-    """PPR scores under ``heuristics.ppr_scores``'s source rule.
+def iterated_endpoints(g, edges):
+    """The pairs ``heuristics.ppr_scores`` iterates and, per such pair, the
+    endpoint it iterates, by a loop over the pairs.
 
-    The pairs whose endpoints both have an edge are scored with their
-    distinct endpoints as the sources, chunked as there. Every other pair is
-    scored by the all-sources iteration of its own endpoints, with the
-    warnings of that second iteration dropped: what it reads on such a pair
-    is a walk's value on a degree-0 node or a degree-0 source's column,
-    neither of which depends on the chunk or its stop round.
+    A pair is kept when both endpoints have an edge. Its iterated endpoint s
+    is the one that more kept pairs contain, the lower id on a tie; w is the
+    other. Returns the kept mask and the s and w of each kept pair.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    kept = (g.degrees()[edges] > 0).all(axis=1)
+    degs = g.degrees()
+    kept = np.array([degs[u] > 0 and degs[v] > 0 for u, v in edges], dtype=bool)
+    query_degree = {}
+    for u, v in edges[kept]:
+        for node in (u, v):
+            query_degree[node] = query_degree.get(node, 0) + 1
+    s, w = [], []
+    for u, v in edges[kept]:
+        if (query_degree[u], -u) < (query_degree[v], -v):
+            u, v = v, u
+        s.append(u)
+        w.append(v)
+    return kept, np.array(s, dtype=np.int64), np.array(w, dtype=np.int64)
+
+
+def chunked_ppr_scores(g, edges, cfg, chunk: int = 256) -> np.ndarray:
+    """PPR scores under ``heuristics.ppr_scores``'s source rule.
+
+    Each kept pair of ``iterated_endpoints`` reads pi_s[w] * (1 + d_s/d_w)
+    off the dense N-node iteration of the sorted distinct s, ``chunk`` to a
+    chunk. Every other pair is scored by the all-sources iteration of its
+    own endpoints, with the warnings of that second iteration dropped: what
+    it reads on such a pair is a walk's value on a degree-0 node or a
+    degree-0 source's column, neither of which depends on the chunk or its
+    stop round.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    degs = g.degrees()
+    kept, s, w = iterated_endpoints(g, edges)
     out = np.zeros(edges.shape[0])
     if kept.any():
-        out[kept] = all_sources_ppr_scores(g, edges[kept], cfg)
+        sources, col = np.unique(s, return_inverse=True)
+        pi = chunked_ppr_vectors(g, sources, cfg, chunk)
+        out[kept] = pi[w, col] * (1.0 + degs[s] / degs[w])
     if not kept.all():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

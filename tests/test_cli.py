@@ -394,6 +394,26 @@ def test_propagate_emb_without_model_exits_2(trained):
     assert code == 2
 
 
+def test_propagate_with_non_finite_scores_exits_4(trained, monkeypatch, capsys):
+    """Embeddings that are zero except one 1e300 entry: finite, while their
+    diffused inner products overflow. A float32 checkpoint cannot hold them,
+    so they stand in for the loaded scorer's. No score file is written."""
+    manifest, g = _training_graph(trained)
+
+    def overflowing(model, graph):
+        y = np.zeros_like(embed(model, graph))
+        y[g.pair_ids(manifest.train_pos)[0, 0], 0] = 1e300
+        return y
+
+    monkeypatch.setattr(cli, "embed", overflowing)
+    code = main(["propagate", "--variant", "emb", "--graph", str(trained / "union"),
+                 "--manifest", str(trained / "m.json"), "--model", str(trained / "model.bin"),
+                 "--out", str(trained / "out.tsv")])
+    assert code == 4
+    assert capsys.readouterr().err == "numeric error: emb_lp scores are not finite\n"
+    assert not (trained / "out.tsv").exists()
+
+
 def test_evaluate_scores_without_method_exits_2(workspace):
     code = main(["evaluate", "--manifest", str(workspace / "m.json"), "--scores", "foo"])
     assert code == 2

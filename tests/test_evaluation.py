@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from linkbridge.distill import DistillConfig, student_embed
-from linkbridge.errors import ConfigError, DataError
+from linkbridge.errors import ConfigError, DataError, NumericError
 from linkbridge.evaluation import (
     CALIBRATED_METHODS,
     KNOWN_METHODS,
@@ -14,9 +16,12 @@ from linkbridge.evaluation import (
     shuffle_eval_order,
     train_student,
 )
+from linkbridge.graph import build_graph
 from linkbridge.pipeline import metric_row
 from linkbridge.scorer import ScorerConfig, embed, score_edges, train_scorer
 from linkbridge.selection import Regime, make_split, manifest_training_graph
+
+from oracles import random_graph_edges
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,25 @@ def test_method_scores_reject_out_of_range_eval_ids(small_pair, manifest, method
     eval_ids = np.array([[0, 1], [0, -1 if bad == "-1" else g_train.num_nodes]])
     with pytest.raises(DataError):
         method_scores(method, g_train, manifest, embed(model, g_train), None, eval_ids, suite)
+
+
+@pytest.mark.parametrize("method", ["scorer", "emb_lp", "xmc_lp"])
+def test_non_finite_method_scores_are_a_numeric_error(method):
+    """A 40-node graph and a Y that is zero except one 1e300 entry: finite
+    embeddings whose inner products overflow to inf, with no warning."""
+    rng = np.random.default_rng(0)
+    edges = random_graph_edges(rng, 40, 80)
+    g = build_graph(
+        [(f"{u:02d}", f"{v:02d}") for u, v in edges],
+        extra_nodes=[f"{i:02d}" for i in range(40)],
+    )
+    y = np.zeros((40, 4))
+    y[3, 1] = 1e300
+    # emb_lp reads its positive training pairs off the manifest, and nothing else
+    manifest = SimpleNamespace(train_pos=g.edge_keys()[:30])
+    eval_ids = np.array([[3, 3], [3, 5], [1, 2]])
+    with pytest.raises(NumericError, match=f"^{method} scores are not finite"):
+        method_scores(method, g, manifest, y, None, eval_ids, SuiteConfig())
 
 
 def test_mlp_scores_embed_only_the_evaluation_endpoints(small_pair, manifest):

@@ -24,6 +24,7 @@ from oracles import (
     closed_form_ppr,
     dense_common_neighbors,
     dense_ppr,
+    iterated_endpoints,
     loop_adamic_adar,
     loop_common_neighbors,
     random_graph_edges,
@@ -128,23 +129,26 @@ PPR_CONFIGS = pytest.mark.parametrize("cfg", [
 
 
 @PPR_CONFIGS
-def test_ppr_scores_equal_the_dense_chunked_iteration(cfg):
+def test_ppr_scores_equal_the_dense_chunked_iteration(cfg, monkeypatch):
     g, queries = _sparse_queries()
     degs = g.degrees()
-    sources = np.unique(queries)
-    assert sources.size > 2 * 256
-    assert np.any(degs[sources] == 0) and np.any(degs[sources] > 0)
-    with warnings.catch_warnings(record=True) as ours:
-        warnings.simplefilter("always", RuntimeWarning)
-        got = ppr_scores(g, queries, cfg)
-    with warnings.catch_warnings(record=True) as ref:
-        warnings.simplefilter("always", RuntimeWarning)
-        want = chunked_ppr_scores(g, queries, cfg)
-    assert np.array_equal(got, want)
-    assert len(ours) == len(ref)
-    # every chunk converges under the defaults, and none within 4 rounds
-    assert len(ours) == (0 if cfg == PprConfig() else 2)
-    assert np.any(got > 0)
+    assert np.any(degs[np.unique(queries)] == 0)
+    _, s, _ = iterated_endpoints(g, queries)
+    n_sources = np.unique(s).size
+    # the chosen sources fit one chunk of 256, and fill three of 80
+    for chunk in (256, 80):
+        monkeypatch.setattr(heuristics, "_CHUNK", chunk)
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always", RuntimeWarning)
+            got = ppr_scores(g, queries, cfg)
+        with warnings.catch_warnings(record=True) as ref:
+            warnings.simplefilter("always", RuntimeWarning)
+            want = chunked_ppr_scores(g, queries, cfg, chunk)
+        assert np.array_equal(got, want)
+        assert len(ours) == len(ref)
+        # every chunk converges under the defaults, and none within 4 rounds
+        assert len(ours) == (0 if cfg == PprConfig() else -(-n_sources // chunk))
+        assert np.any(got > 0)
 
 
 @PPR_CONFIGS
@@ -161,9 +165,38 @@ def test_ppr_scores_stay_within_tol_of_the_all_sources_iteration(cfg):
     assert np.any(got > 0) and np.any(got == 0)
 
 
+def test_ppr_scores_are_the_all_sources_scores_at_a_fixed_round_count():
+    """With tol = 0 every chunk runs all its rounds, so one column per pair
+    and the identity d_s pi_s[w] = d_w pi_w[s] give the scores of iterating
+    both endpoints, up to rounding: also on hub-leaf pairs, where d_s/d_w is
+    largest, and on self-pairs of live nodes."""
+    g, queries = _sparse_queries()
+    degs = g.degrees()
+    hub = int(np.argmax(degs))
+    leaves = np.flatnonzero(degs == 1)
+    live = np.flatnonzero(degs)[:5]
+    queries = np.concatenate([
+        queries,
+        np.stack([np.full(leaves.size, hub), leaves], axis=1),
+        np.stack([leaves, np.full(leaves.size, hub)], axis=1),
+        np.repeat(live[:, None], 2, axis=1),
+    ])
+    assert leaves.size > 0 and degs[hub] > 10
+    cfg = PprConfig(iterations=30, tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = ppr_scores(g, queries, cfg)
+        want = all_sources_ppr_scores(g, queries, cfg)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.any(got > 0) and np.any(got == 0)
+
+
 def test_ppr_iterates_only_the_endpoints_of_live_pairs(monkeypatch):
+    """One endpoint per pair with two live endpoints, chosen by the loop
+    reference of the source rule."""
     g, queries = _sparse_queries()
     live = (g.degrees()[queries] > 0).all(axis=1)
+    _, s, _ = iterated_endpoints(g, queries)
     columns = []
 
     def spy(operator, z, *args):
@@ -172,9 +205,9 @@ def test_ppr_iterates_only_the_endpoints_of_live_pairs(monkeypatch):
 
     monkeypatch.setattr(heuristics, "damped_iteration", spy)
     ppr_scores(g, queries, PprConfig())
-    assert sum(columns) == np.unique(queries[live]).size
-    assert sum(columns) < np.unique(queries).size
-    assert columns[0] == 256 and len(columns) == 2
+    assert sum(columns) == np.unique(s).size
+    assert sum(columns) < np.unique(queries[live]).size
+    assert len(columns) == 1
 
 
 def test_ppr_scores_memory_is_o_live_nodes():
