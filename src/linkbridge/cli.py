@@ -182,14 +182,15 @@ def cmd_propagate(args) -> int:
     pairs = manifest.all_edges()
     ids = g_train.pair_ids(pairs)
 
+    # calibrated methods propagate edge logits; the rest need node embeddings
+    method = f"{args.variant}_lp"
     y = z = None
     if args.model:
         y = embed(load_scorer(args.model, g_train), g_train)
-        z = score_edges(y, ids)
     if args.logits:
         z = read_scores_for(args.logits, pairs)
-    # calibrated methods propagate edge logits; the rest need node embeddings
-    method = f"{args.variant}_lp"
+    elif y is not None and method in CALIBRATED_METHODS:
+        z = score_edges(y, ids)
     if method in CALIBRATED_METHODS and z is None:
         raise ConfigError(f"{args.variant} variant needs --logits or --model")
     if method not in CALIBRATED_METHODS and y is None:

@@ -258,5 +258,5 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, Graph, list[tuple[st
 
     src = to_graph(src_members, src_edges)
     tar = to_graph(tar_members, kept)
-    heldout = [(keys[u], keys[v]) for u, v in removed]
+    heldout = key_pairs(keys, removed)
     return src, tar, heldout

@@ -4,8 +4,12 @@ Edge lists are UTF-8 TSV with columns ``src<TAB>dst[<TAB>year]``; lines
 starting with ``#`` are comments. Features come either as CSV rows
 ``node_key,f1,...,fd`` or as a row-major little-endian float32 blob described
 by a JSON sidecar ``{"num_rows": N, "dim": d, "key_file": "..."}`` whose key
-file lists one node key per line. A sides file marks a bipartite graph: TSV
-rows ``node_key<TAB>side``, one row per node, each side 0 or 1.
+file lists one node key per line. Features are float32 on both paths. The CSV
+writer prints each value to 9 significant digits (``%.9g``), which is enough
+to read every float32 back bit for bit (Goldberg 1991, Thm. 15; IEEE 754-2008
+§5.12.2); CSVs with 17-digit float64 ``repr`` values, as older runs wrote
+them, read back to the same float32 values. A sides file marks a bipartite
+graph: TSV rows ``node_key<TAB>side``, one row per node, each side 0 or 1.
 
 A "graph path" is either a single edges TSV (with optional sibling files
 ``<stem>.features.csv`` / ``<stem>.features.json`` / ``<stem>.sides.tsv``)
@@ -43,6 +47,10 @@ __all__ = [
     "read_scores_tsv",
     "read_scores_for",
 ]
+
+# rows of a features CSV joined into one write; joining a whole file would
+# hold a string as large as the file
+_FEATURE_ROWS = 4096
 
 
 @contextmanager
@@ -188,10 +196,27 @@ def read_features(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def write_features_csv(path: str | Path, keys: list[str], matrix: np.ndarray) -> None:
-    rows = np.asarray(matrix, dtype=np.float64).tolist()
+    """Write one ``key,v1,...,vd`` row per node, each value its float32 cast
+    printed to 9 significant digits (``%.9g``).
+
+    Nine digits carry every binary32 value exactly (Goldberg, "What Every
+    Computer Scientist Should Know About Floating-Point Arithmetic", 1991,
+    Thm. 15; IEEE 754-2008 §5.12.2). For x in [2^E, 2^(E+1)) the rounding
+    moves x by at most 2^24/10^8 ≈ 0.168 of its half-ulp, and the reader's
+    float64 parse adds at most 2^(E-53), so its cast to float32 lands back
+    on x, never on a tie. Files of 17-digit float64 ``repr`` values, as
+    older runs wrote them, read back to the same float32 values. A float64
+    value beyond float32's range is written as ``inf``, which the reader
+    refuses.
+    """
+    with np.errstate(over="ignore"):  # beyond float32 range: inf, refused on read
+        values = np.asarray(matrix, dtype=np.float32)
+    row_format = "%s" + ",%.9g" * values.shape[1] + "\n"
+    rows = values.tolist()
     with Path(path).open("w", encoding="utf-8") as fh:
-        for key, row in zip(keys, rows):
-            fh.write(key + "," + ",".join(map(repr, row)) + "\n")
+        for start in range(0, len(rows), _FEATURE_ROWS):
+            block = zip(keys[start:start + _FEATURE_ROWS], rows[start:start + _FEATURE_ROWS])
+            fh.write("".join(row_format % (key, *row) for key, row in block))
 
 
 def write_features_bin(

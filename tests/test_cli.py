@@ -394,6 +394,25 @@ def test_propagate_emb_without_model_exits_2(trained):
     assert code == 2
 
 
+@pytest.mark.parametrize("variant, logits, calls", [
+    ("emb", False, 0), ("logit", False, 1), ("logit", True, 0)])
+def test_propagate_scores_the_manifest_only_when_the_variant_reads_model_logits(
+        trained, monkeypatch, variant, logits, calls):
+    scored = []
+
+    def spy(y, ids):
+        scored.append(len(ids))
+        return score_edges(y, ids)
+
+    monkeypatch.setattr(cli, "score_edges", spy)
+    given = ["--logits", str(trained / "logits.tsv")] if logits else []
+    code = main(["propagate", "--variant", variant, "--graph", str(trained / "union"),
+                 "--manifest", str(trained / "m.json"), "--model", str(trained / "model.bin"),
+                 *given, "--out", str(trained / "out.tsv")])
+    assert code == 0
+    assert scored == [len(SplitManifest.load(trained / "m.json").all_edges())] * calls
+
+
 def test_propagate_with_non_finite_scores_exits_4(trained, monkeypatch, capsys):
     """Embeddings that are zero except one 1e300 entry: finite, while their
     diffused inner products overflow. A float32 checkpoint cannot hold them,

@@ -6,6 +6,7 @@ import pytest
 from linkbridge.errors import DataError
 from linkbridge.graph import build_graph
 from linkbridge.io import (
+    _read_features_csv,
     load_graph,
     read_graph,
     read_edge_tsv,
@@ -48,7 +49,47 @@ def test_features_csv_round_trip(tmp_path):
     write_features_csv(path, keys, matrix)
     loaded = read_features(path)
     assert set(loaded) == {"a", "b"}
-    assert np.allclose(loaded["a"], [1.25, -0.5])
+    assert loaded["a"].tolist() == [1.25, -0.5]
+    assert loaded["b"].tolist() == [0.0, 3.75]
+
+
+# +-0, +-FLT_MAX, FLT_MIN, the smallest subnormal and 2**24 + 1
+_FLOAT32_EDGE_BITS = [0x00000000, 0x80000000, 0x7F7FFFFF, 0xFF7FFFFF,
+                      0x00800000, 0x00000001, 0x4B800001]
+
+
+def _read_back_bits(path, matrix):
+    write_features_csv(path, [f"n{i}" for i in range(len(matrix))], matrix)
+    keys, loaded = _read_features_csv(path)
+    assert keys == [f"n{i}" for i in range(len(matrix))]
+    assert loaded.dtype == np.float32
+    return loaded.view(np.uint32)
+
+
+def test_features_csv_reads_back_every_float32_bitwise(tmp_path):
+    edge = np.array(_FLOAT32_EDGE_BITS, dtype=np.uint32).reshape(1, -1)
+    assert np.array_equal(_read_back_bits(tmp_path / "edge.csv", edge.view(np.float32)), edge)
+    bits = np.random.default_rng(0).integers(0, 2**32, size=120_000, dtype=np.uint32)
+    bits = bits[np.isfinite(bits.view(np.float32))]
+    bits = bits[: bits.size - bits.size % 16].reshape(-1, 16)
+    assert bits.size >= 100_000
+    assert np.array_equal(_read_back_bits(tmp_path / "random.csv", bits.view(np.float32)), bits)
+
+
+def test_features_csv_writes_float64_matrices_as_their_float32_cast(tmp_path):
+    matrix = np.random.default_rng(1).normal(0.0, 3.0, size=(500, 8))
+    matrix[0, :4] = [0.1, 1.0 / 3.0, 2.0**-140, 3.0e38]
+    want = matrix.astype(np.float32).view(np.uint32)
+    assert np.array_equal(_read_back_bits(tmp_path / "f64.csv", matrix), want)
+
+
+def test_features_csv_writes_float64_beyond_float32_range_as_a_refused_row(tmp_path):
+    path = tmp_path / "features.csv"
+    # pytest turns warnings into errors, so the cast to inf must not warn
+    write_features_csv(path, ["a", "b"], np.array([[1.0, 2.0], [0.5, 1e39]]))
+    assert path.read_text().splitlines()[1] == "b,0.5,inf"
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: feature values must be finite")):
+        read_features(path)
 
 
 def test_features_bin_round_trip(tmp_path):
@@ -171,10 +212,13 @@ def test_text_writers_match_per_value_formatting(tmp_path):
     keys = ["a", "b"]
     matrix = np.array([[0.1, -2.5e-8], [1e30, 3.0]], dtype=np.float32)
     write_features_csv(tmp_path / "f.csv", keys, matrix)
-    want = "".join(k + "," + ",".join(repr(float(x)) for x in row) + "\n"
+    want = "".join(k + "," + ",".join("%.9g" % float(x) for x in row) + "\n"
                    for k, row in zip(keys, matrix))
     assert (tmp_path / "f.csv").read_text() == want
+    pairs = [("a", "b"), ("c", "d")]
+    write_edge_tsv(tmp_path / "e.tsv", pairs)
+    assert (tmp_path / "e.tsv").read_text() == "a\tb\nc\td\n"
     scores = np.array([0.1, -3.0], dtype=np.float32)
-    write_scores_tsv(tmp_path / "s.tsv", [("a", "b"), ("c", "d")], scores)
+    write_scores_tsv(tmp_path / "s.tsv", pairs, scores)
     assert (tmp_path / "s.tsv").read_text() == "".join(
-        f"{a}\t{b}\t{float(s)!r}\n" for (a, b), s in zip([("a", "b"), ("c", "d")], scores))
+        f"{a}\t{b}\t{float(s)!r}\n" for (a, b), s in zip(pairs, scores))
