@@ -147,10 +147,14 @@ def cmd_gen_synmodel(args) -> int:
 
 
 def cmd_make_split(args) -> int:
+    try:
+        regime = Regime.parse(args.regime)
+    except DataError as exc:
+        raise ConfigError(f"--regime: {exc}") from None
     src = load_graph(args.src)
     tar = load_graph(args.tar)
     given = _given(neg_ratio=args.neg_ratio, train_frac_outside=args.train_frac, seed=args.seed)
-    manifest = make_split(Regime.parse(args.regime), src, tar, **given)
+    manifest = make_split(regime, src, tar, **given)
     manifest.save(args.out)
     sizes = {k: len(v) for k, v in manifest.splits().items()}
     print(f"manifest -> {args.out} {json.dumps(sizes)}")

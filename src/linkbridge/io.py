@@ -42,6 +42,7 @@ __all__ = [
     "write_sides_tsv",
     "read_graph",
     "load_graph",
+    "graph_inputs",
     "save_graph",
     "write_scores_tsv",
     "read_scores_tsv",
@@ -138,19 +139,24 @@ def _read_features_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return keys, matrix
 
 
-def _read_features_bin(sidecar: Path) -> tuple[list[str], np.ndarray]:
+def _bin_layout(sidecar: Path) -> tuple[int, int, Path, Path]:
+    """``(num_rows, dim, key file, blob file)`` of a binary features sidecar."""
     header = json.loads(sidecar.read_text(encoding="utf-8"))
     for field in ("num_rows", "dim", "key_file"):
         if field not in header:
             raise DataError(f"{sidecar}: missing header field {field!r}")
-    num_rows, dim = int(header["num_rows"]), int(header["dim"])
-    key_path = sidecar.parent / header["key_file"]
-    keys = [k for k in key_path.read_text(encoding="utf-8").splitlines() if k]
-    if len(keys) != num_rows:
-        raise DataError(f"{key_path}: {len(keys)} keys but header says {num_rows}")
     blob_path = sidecar.with_suffix(".bin")
     if "data_file" in header:
         blob_path = sidecar.parent / header["data_file"]
+    key_path = sidecar.parent / header["key_file"]
+    return int(header["num_rows"]), int(header["dim"]), key_path, blob_path
+
+
+def _read_features_bin(sidecar: Path) -> tuple[list[str], np.ndarray]:
+    num_rows, dim, key_path, blob_path = _bin_layout(sidecar)
+    keys = [k for k in key_path.read_text(encoding="utf-8").splitlines() if k]
+    if len(keys) != num_rows:
+        raise DataError(f"{key_path}: {len(keys)} keys but header says {num_rows}")
     raw = np.fromfile(blob_path, dtype="<f4")
     if raw.size != num_rows * dim:
         raise DataError(
@@ -301,20 +307,36 @@ def read_graph(
         raise DataError(f"{', '.join(map(str, files))}: {exc}") from exc
 
 
-def load_graph(path: str | Path) -> Graph:
-    """Load a graph from an edges TSV or a graph directory."""
+def _graph_files(path: Path) -> tuple[Path, list[Path], Path | None]:
+    """``(edges TSV, feature files, sides file)`` of a graph path."""
+    edges_path = path / "edges.tsv" if path.is_dir() else path
+    if not edges_path.exists():
+        raise DataError(f"{path}: graph directory has no edges.tsv" if path.is_dir()
+                        else f"{path}: no such edge list")
+    feat_path = _companion(path, "features")
+    return edges_path, [feat_path] if feat_path else [], _companion(path, "sides")
+
+
+def graph_inputs(path: str | Path) -> list[Path]:
+    """The paths ``load_graph(path)`` reads: a graph directory as a whole,
+    or an edges TSV with each sibling file it finds, a binary features
+    sidecar with its key and blob files."""
     path = Path(path)
     if path.is_dir():
-        edges_path = path / "edges.tsv"
-        if not edges_path.exists():
-            raise DataError(f"{path}: graph directory has no edges.tsv")
-    else:
-        edges_path = path
-        if not edges_path.exists():
-            raise DataError(f"{edges_path}: no such edge list")
-    feat_path = _companion(path, "features")
-    feature_paths = [feat_path] if feat_path else []
-    return read_graph([edges_path], feature_paths, _companion(path, "sides"))
+        return [path]
+    edges_path, feature_paths, side_path = _graph_files(path)
+    files = [edges_path]
+    for feat_path in feature_paths:
+        files.append(feat_path)
+        if feat_path.suffix == ".json":
+            files += _bin_layout(feat_path)[2:]
+    return files + ([side_path] if side_path else [])
+
+
+def load_graph(path: str | Path) -> Graph:
+    """Load a graph from an edges TSV or a graph directory."""
+    edges_path, feature_paths, side_path = _graph_files(Path(path))
+    return read_graph([edges_path], feature_paths, side_path)
 
 
 def save_graph(g: Graph, out_dir: str | Path, feature_format: str = "csv") -> None:

@@ -44,7 +44,7 @@ from .evaluation import (
     shuffle_eval_order,
 )
 from .graph import Graph, union_graph
-from .io import load_graph, save_graph, write_edge_tsv, write_scores_tsv
+from .io import graph_inputs, load_graph, save_graph, write_edge_tsv, write_scores_tsv
 from .scorer import ScorerConfig, embed, score_edges, train_scorer
 from .seeds import derive_seed
 from .selection import Regime, check_split_knobs, make_split, manifest_training_graph
@@ -114,17 +114,23 @@ def _suite_config(
     else:
         for r in regimes:
             try:
-                parsed.append(Regime.parse(r))
+                regime = Regime.parse(r)
             except DataError as exc:
                 errors.append(str(exc))
+                continue
+            if regime in parsed:
+                errors.append(f"duplicate regime {r!r}: {regime.value} is already listed")
+            parsed.append(regime)
 
     methods = config.get("methods", ["scorer", "logit_lp"])
     if not isinstance(methods, list) or not methods:
         errors.append("methods must be a nonempty list")
     else:
-        for m in methods:
+        for i, m in enumerate(methods):
             if m not in KNOWN_METHODS:
                 errors.append(f"unknown method {m!r}")
+            elif m in methods[:i]:
+                errors.append(f"duplicate method {m!r}")
 
     neg_ratio = config.get("neg_ratio", SuiteConfig.neg_ratio)
     frac = config.get("train_frac_outside", SuiteConfig.train_frac_outside)
@@ -237,7 +243,8 @@ def _load_dataset(
         # relative to the base directory, as out_dir is; absolute stays absolute
         src_path = base_dir / dataset["source"]
         tar_path = base_dir / dataset["target"]
-        return load_graph(src_path), load_graph(tar_path), [src_path, tar_path]
+        src, tar = load_graph(src_path), load_graph(tar_path)
+        return src, tar, [*graph_inputs(src_path), *graph_inputs(tar_path)]
     spec = SyntheticSpec(**dataset["spec"])
     src, tar, heldout = generate_synthetic(spec)
     data_dir = out_dir / "dataset"

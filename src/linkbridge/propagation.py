@@ -23,14 +23,13 @@ edges share an endpoint, so the line-graph operator is
 S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 with line degree k_u + k_v - 2 for edge
 (u, v); it is applied as two sparse products of O(m*d) cost, C*Z and
 then [C^T | -2*D_L^-1] on the state stacked under C*Z, which also folds in
-the diagonal term. The product is handed out one row block of about 1 MiB
-at a time: ``damped_iteration`` finishes each block while it is in cache
-and writes it back into the state in place, so a line-graph diffusion holds
-the stacked iterate, (1-alpha)*G, C*Z and one block. Other operators run
-the same loop with their full product as one block. Matrix-LP acts on the
-logit matrix from the left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and
-the N x N matrix never exists. ``build_line_graph`` materializes S_L as a
-reference for tests and size probes; no propagation variant calls it.
+the diagonal term. Every diffusion round is one such product of the whole
+state, so a line-graph diffusion holds the stacked iterate, (1-alpha)*G
+and one product; other operators run the same loop on their own product.
+Matrix-LP acts on the logit matrix from the left, so
+diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and the N x N matrix never exists.
+``build_line_graph`` materializes S_L as a reference for tests and size
+probes; no propagation variant calls it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import math
 import os
 import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -147,12 +145,6 @@ def _inv_sqrt(degs: np.ndarray) -> np.ndarray:
     return out
 
 
-# a line-graph product's row block. With ``scorer._BLOCK_BYTES`` (256 KiB)
-# instead, broadcast ``run_s`` was 12% higher, in 8 of 8 alternating pairs
-# on a 2-vCPU host
-_LINE_BLOCK_BYTES = 1024 * 1024
-
-
 class LineOperator:
     """S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 applied without the line graph.
 
@@ -167,11 +159,13 @@ class LineOperator:
     edge e, then -2/k_e in column N+e, so each output is summed as
     C^T[e]*(C*x) and then minus 2/k_e*x[e], bit for bit the two-step round.
     A diffusion works in ``stacked`` layout: an (N+m)-row buffer whose last
-    m rows are the iterate. ``row_products`` writes C*x over its first N
-    rows and hands the product out one block of about ``_LINE_BLOCK_BYTES``
-    of rows at a time, so a caller can finish each block while it is in
-    cache. The row blocks of F are sliced once per state row width, and
-    several threads may share the operator. ``@`` assembles the same blocks.
+    m rows are the iterate. ``product`` writes C*x over its first N rows and
+    returns F times the whole buffer as one new array, so a diffusion round
+    holds one product as large as the state, however wide (a logit-LP state
+    passes 1 MiB only beyond 131,072 manifest pairs, an embedding-LP column
+    only beyond 65,536 positive edges). The operator is read-only after
+    construction, so several threads may share it; ``@`` makes the same
+    product.
     """
 
     def __init__(self, num_nodes: int, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -191,9 +185,6 @@ class LineOperator:
             shape=(m, num_nodes + m),
         )
         self.shape = (m, m)
-        # state row bytes -> [(rows, F[rows])], filled under the lock
-        self._blocks: dict[int, list[tuple[slice, sp.csr_array]]] = {}
-        self._blocks_lock = threading.Lock()
 
     def stacked(
         self, tail: tuple[int, ...] = (), out: np.ndarray | None = None
@@ -206,34 +197,20 @@ class LineOperator:
         buf = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
         return buf, buf[self.num_nodes :]
 
-    def _row_blocks(self, x: np.ndarray) -> list[tuple[slice, sp.csr_array]]:
-        row_bytes = x[:1].nbytes
-        with self._blocks_lock:
-            if row_bytes not in self._blocks:
-                blocks = row_blocks(self.shape[0], row_bytes, _LINE_BLOCK_BYTES)
-                self._blocks[row_bytes] = [
-                    (rows, self._folded if len(blocks) == 1 else self._folded[rows])
-                    for rows in blocks
-                ]
-            return self._blocks[row_bytes]
-
-    def row_products(self, buf: np.ndarray):
-        """Yield ``(rows, (S_L @ x)[rows])`` per row block, each a new array,
-        for the iterate x held in the last m rows of the ``stacked`` buffer
-        ``buf``. C*x is written over ``buf``'s first N rows before the first
-        block; a block reads only C*x and ``x[rows]``."""
+    def product(self, buf: np.ndarray) -> np.ndarray:
+        """S_L @ x as a new array, for the iterate x held in the last m rows
+        of the ``stacked`` buffer ``buf``; C*x is written over ``buf``'s
+        first N rows on the way."""
         n = self.num_nodes
-        x = buf[n:]
         # the sparse products take at most two axes; every row stays whole
         flat = buf.reshape(buf.shape[0], -1) if buf.ndim > 2 else buf
         flat[:n] = self._c @ flat[n:]
-        for rows, f in self._row_blocks(x):
-            yield rows, (f @ flat).reshape((rows.stop - rows.start,) + x.shape[1:])
+        return (self._folded @ flat).reshape(buf[n:].shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         buf, state = self.stacked(np.shape(x)[1:])
         state[...] = x
-        return np.concatenate([part for _, part in self.row_products(buf)])
+        return self.product(buf)
 
 
 def line_operator(
@@ -289,21 +266,12 @@ def sym_norm_adjacency(g: Graph) -> sp.csr_array:
     return _sym_normalize(g.num_nodes, g.indptr, g.indices)
 
 
-def _row_products(operator, z: np.ndarray):
-    """``(rows, (operator @ Z)[rows])`` blocks: a ``LineOperator``'s
-    cache-sized row blocks of its ``stacked`` buffer ``z``, or one block
-    holding any other operator's full product."""
-    if isinstance(operator, LineOperator):
-        return operator.row_products(z)
-    return ((slice(None), operator @ z),)
-
-
-def _advance(old: np.ndarray, new: np.ndarray, g_rows: np.ndarray, alpha: float) -> float:
-    """Finish one row block of a damped step: ``new`` <- alpha*new + g_rows,
-    and the block's max-abs step, which is left in ``old`` on the way. The
-    maximum is NaN or inf if either iterate is not finite."""
+def _advance(old: np.ndarray, new: np.ndarray, g_term: np.ndarray, alpha: float) -> float:
+    """Finish a damped step: ``new`` <- alpha*new + g_term, and the max-abs
+    step, which is left in ``old`` on the way. The maximum is NaN or inf if
+    either iterate is not finite."""
     new *= alpha
-    new += g_rows
+    new += g_term
     # |old - new| is |new - old| bit for bit
     np.subtract(old, new, out=old)
     return float(np.abs(old, out=old).max(initial=0.0))
@@ -336,15 +304,12 @@ def damped_iteration(
     """Iterate Z <- alpha*S*Z + g_term from ``z``, which is used up.
 
     For a ``LineOperator``, ``z`` is its ``stacked`` buffer with the
-    iterate in its last m rows, and each step is the folded product
-    [C^T | -2*D_L^-1] of that buffer, handed out one row block at a time.
-    Any other operator takes the iterate ``z`` itself and makes its full
-    ``operator @ z`` as one block. Each block is finished (``_advance``)
-    before the next is made. A partial block is then copied into its rows
-    of the iterate, so the update is in place; a block of all rows becomes
-    the new iterate, and the old one is freed. A block reads the old
-    iterate only through C*Z, made before the first block, and its own
-    rows, so every step is the plain update bit for bit.
+    iterate in its last m rows, and each round is one folded product
+    [C^T | -2*D_L^-1] of that buffer (``LineOperator.product``), copied back
+    into the buffer's last m rows once finished (``_advance``). Any other
+    operator takes the iterate ``z`` itself, and its ``operator @ z``
+    becomes the new iterate, the old one freed. Either way a round makes
+    exactly one product and holds it until the next round starts.
 
     Stops once the max-abs step drops below ``tol`` (tol=0 forces ``k_max``
     rounds). With ``by_column`` each index of the last axis stops on its
@@ -364,24 +329,20 @@ def damped_iteration(
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(k_max):
             state = z[offset:]
-            delta = 0.0
-            moving = np.zeros(state.shape[-1], dtype=bool) if by_column else None
-            for rows, new in _row_products(operator, z):
-                moved = state[rows]
-                step = _advance(moved, new, g_term[rows], alpha)
-                # checked per block: max(delta, NaN) would drop the NaN
-                if not math.isfinite(step):
-                    raise NumericError(f"diffusion produced non-finite values at step {k}")
-                delta = max(delta, step)
-                # a column moves while any of its steps reaches tol
-                if by_column and step >= tol and not moving.all():
-                    moving |= _column_max(moved) >= tol
-                del moved  # may be the old iterate's last reference
-                if line:
-                    state[rows] = new
-                    del new  # freed before the next block is made
-                else:
-                    z = state = new
+            new = operator.product(z) if line else operator @ z
+            delta = _advance(state, new, g_term, alpha)
+            if not math.isfinite(delta):
+                raise NumericError(f"diffusion produced non-finite values at step {k}")
+            if by_column:
+                # a column moves while its max-abs step reaches tol
+                moving = np.zeros(state.shape[-1], dtype=bool)
+                if delta >= tol:
+                    moving = _column_max(state) >= tol
+            if line:
+                state[...] = new
+            else:
+                z = state = new
+            del new  # a line product is freed before the next one is made
             if not by_column:
                 if delta < tol:
                     return state, True
@@ -557,10 +518,10 @@ def emb_lp(
     buffer, runs ``damped_iteration`` (not ``diffuse``) over the one shared
     ``LineOperator``, restores the isolated edge-nodes, and folds the block
     into its own columns of the updated embedding with ``endpoint_mean``.
-    Besides the N x d update, each worker holds one block's stacked state
-    and (1-alpha)*G, never the whole state. A failing block stops the other
-    workers after their current block, and the pool is shut down before
-    this returns or raises.
+    Besides the N x d update, each worker holds one block's stacked state,
+    its (1-alpha)*G and one product of it per round, never the whole state.
+    A failing block stops the other workers after their current block, and
+    the pool is shut down before this returns or raises.
 
     Every element is summed in the same order as in one whole-state pass.
     The ``tol`` early stop is measured per column of Y, the max over its

@@ -15,10 +15,9 @@ scorer and the distilled MLP student, and ``batch_rows`` the one layout of
 a batch that ``pair_loss`` reads.
 
 A pass over a whole table (scoring every pair in ``score_edges``, the
-student's forward over every node, a line-graph product in
-``propagation``) walks it in ``row_blocks``: its transient memory is one
-block of about ``_BLOCK_BYTES`` (or the caller's own block size), not one
-table.
+student's forward over every node) walks it in ``row_blocks``: its
+transient memory is one block of about ``_BLOCK_BYTES`` (or the caller's
+own block size), not one table.
 """
 
 from __future__ import annotations

@@ -153,6 +153,8 @@ def test_run_succeeds(tmp_path):
     RUN_CONFIG | {"distill": {"plateau_tol": -1e-4}},
     RUN_CONFIG | {"scorer": {"epochs": 2.5, "d_trainable": 4}},
     RUN_CONFIG | {"distill": {"hidden": 2.5}},
+    RUN_CONFIG | {"methods": ["scorer", "scorer"]},
+    RUN_CONFIG | {"regimes": ["int", "intersection_to_target"]},
 ], ids=["missing-file", "json-list", "regimes-int", "methods-int", "k-multipliers-int",
         "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
         "distill-finetune-batch-size-0", "scorer-momentum", "scorer-l2-weight",
@@ -160,13 +162,26 @@ def test_run_succeeds(tmp_path):
         "dataset-typo", "scorer-d-out-negative", "scorer-d-out-0",
         "scorer-d-out-without-one-hop-mean", "ppr-tol-negative",
         "distill-plateau-epochs-0", "distill-plateau-epochs-negative",
-        "distill-plateau-tol-negative", "scorer-epochs-float", "distill-hidden-float"])
+        "distill-plateau-tol-negative", "scorer-epochs-float", "distill-hidden-float",
+        "method-twice", "regime-twice"])
 def test_run_bad_config_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
         _write_json(path, config)
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"methods": ["scorer", "logit_lp", "scorer"]}, "duplicate method 'scorer'"),
+    ({"regimes": ["int", "tar", "Intersection_To_Target"]},
+     "duplicate regime 'Intersection_To_Target': intersection_to_target is already listed"),
+], ids=["method", "regime"])
+def test_run_config_listing_an_entry_twice_names_it(tmp_path, change, message, capsys):
+    path = _write_json(tmp_path / "run.json", RUN_CONFIG | change)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert message in capsys.readouterr().err
 
 
 # a value of the wrong type in a run config: (the change, the message it prints)
@@ -264,16 +279,33 @@ def test_make_split_writes_the_library_manifest(tmp_path, small_pair):
     assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
 
-@pytest.mark.parametrize("knob", [["--neg-ratio", "-1"], ["--train-frac", "1.5"]],
-                         ids=["neg-ratio-negative", "train-frac-above-1"])
-def test_make_split_bad_knob_exits_2(tmp_path, small_pair, knob):
+# a bad make-split option: (the options, the message it prints); the last
+# --regime given wins over the valid one
+BAD_SPLIT_KNOBS = {
+    "neg-ratio-negative": (["--neg-ratio", "-1"], "neg_ratio must be positive"),
+    "train-frac-above-1": (["--train-frac", "1.5"], "train_frac_outside must be in"),
+    "regime-bogus": (["--regime", "bogus"], "--regime: unknown regime 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("knob", list(BAD_SPLIT_KNOBS))
+def test_make_split_bad_knob_exits_2(tmp_path, small_pair, knob, capsys):
+    options, message = BAD_SPLIT_KNOBS[knob]
     src, tar, _ = small_pair
     save_graph(src, tmp_path / "src")
     save_graph(tar, tmp_path / "tar")
     code = main(["make-split", "--regime", "uni", "--src", str(tmp_path / "src"),
-                 "--tar", str(tmp_path / "tar"), *knob, "--out", str(tmp_path / "m.json")])
+                 "--tar", str(tmp_path / "tar"), *options, "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert not (tmp_path / "m.json").exists()
+    assert message in capsys.readouterr().err
+
+
+def test_manifest_with_an_unknown_regime_exits_3(workspace):
+    payload = json.loads((workspace / "m.json").read_text())
+    payload["regime"] = "bogus"
+    _write_json(workspace / "bad.json", payload)
+    assert _train(workspace, {"epochs": 1}, manifest="bad.json") == 3
 
 
 @pytest.fixture

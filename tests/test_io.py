@@ -7,6 +7,7 @@ from linkbridge.errors import DataError
 from linkbridge.graph import build_graph
 from linkbridge.io import (
     _read_features_csv,
+    graph_inputs,
     load_graph,
     read_graph,
     read_edge_tsv,
@@ -17,6 +18,7 @@ from linkbridge.io import (
     write_features_bin,
     write_features_csv,
     write_scores_tsv,
+    write_sides_tsv,
 )
 
 
@@ -125,6 +127,23 @@ def test_graph_dir_bin_features(tmp_path):
     save_graph(g, tmp_path / "gdir", feature_format="bin")
     g2 = load_graph(tmp_path / "gdir")
     assert np.allclose(g2.features[g2.key_to_id["b"]], [3.0, 4.0])
+
+
+def test_graph_inputs_are_the_files_load_graph_reads(tmp_path):
+    write_edge_tsv(tmp_path / "g.tsv", [("a", "b")])
+    assert graph_inputs(tmp_path / "g.tsv") == [tmp_path / "g.tsv"]
+    write_features_bin(tmp_path / "g.features.json", ["a", "b"], np.eye(2))
+    write_sides_tsv(tmp_path / "g.sides.tsv", ["a", "b"], np.array([0, 1]))
+    assert graph_inputs(tmp_path / "g.tsv") == [
+        tmp_path / name for name in
+        ("g.tsv", "g.features.json", "g.keys", "g.bin", "g.sides.tsv")
+    ]
+    assert load_graph(tmp_path / "g.tsv").sides.tolist() == [0, 1]
+    # a graph directory stands for every file in it
+    save_graph(load_graph(tmp_path / "g.tsv"), tmp_path / "gdir")
+    assert graph_inputs(tmp_path / "gdir") == [tmp_path / "gdir"]
+    with pytest.raises(DataError, match="no such edge list"):
+        graph_inputs(tmp_path / "missing.tsv")
 
 
 def test_load_graph_file_with_sibling_features(tmp_path):

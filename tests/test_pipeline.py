@@ -5,7 +5,7 @@ import pytest
 from linkbridge.datasets import SyntheticSpec, generate_synthetic
 from linkbridge.errors import ConfigError, DataError
 from linkbridge.evaluation import KNOWN_METHODS
-from linkbridge.io import save_graph, write_edge_tsv
+from linkbridge.io import save_graph, write_edge_tsv, write_features_csv
 from linkbridge.pipeline import run_pipeline
 from linkbridge.seeds import derive_seed
 
@@ -83,6 +83,30 @@ def test_provenance_does_not_depend_on_the_base_directory(tmp_path):
         written.append((base / "out" / "provenance.json").read_bytes())
     assert written[0] == written[1]
     assert sorted(json.loads(written[0])["inputs"]) == ["source", "target"]
+
+
+def test_provenance_covers_the_files_beside_an_edge_list(tmp_path):
+    src, tar, _ = generate_synthetic(SyntheticSpec(**SPEC))
+    for name, g in (("source", src), ("target", tar)):
+        write_edge_tsv(tmp_path / f"{name}.tsv", g.edge_keys())
+        write_features_csv(tmp_path / f"{name}.features.csv", list(g.keys), g.features)
+    dataset = {"kind": "files", "source": "source.tsv", "target": "target.tsv"}
+    recorded = []
+    for out in ("a", "b"):
+        run_pipeline(_config(out, dataset, ["scorer"]), tmp_path)
+        recorded.append(json.loads((tmp_path / out / "provenance.json").read_text())["inputs"])
+        # one feature value of a node only the source holds changes
+        path = tmp_path / "source.features.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, key in enumerate(src.keys) if key not in tar.key_to_id)
+        key, first, rest = lines[row].split(",", 2)
+        lines[row] = f"{key},{float(first) + 1.0!r},{rest}"
+        path.write_text("".join(lines))
+    assert sorted(recorded[0]) == [
+        "source.features.csv", "source.tsv", "target.features.csv", "target.tsv"
+    ]
+    changed = [name for name in recorded[0] if recorded[0][name] != recorded[1][name]]
+    assert changed == ["source.features.csv"]
 
 
 def test_dataset_paths_resolve_against_the_base_directory(tmp_path, monkeypatch):
