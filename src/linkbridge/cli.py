@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -231,6 +232,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold!r}")
     k_mult = tuple(args.k_mult) if args.k_mult else None
     suite = SuiteConfig(**_given(seed=args.seed, eval_split=args.split, k_multipliers=k_mult))
     manifest = SplitManifest.load(args.manifest)

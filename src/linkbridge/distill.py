@@ -10,10 +10,10 @@ per-node table, so it scores any node from its feature row, an isolated or
 low-degree node exactly like any other, and a node of another graph with
 the same feature columns too.
 
-A training step gathers only the batch's feature rows. Inference over many
-nodes (``student_embed``, the closing imitation MSE) runs in
-``scorer.row_blocks``, so it holds one block of activations, not N rows of
-each layer.
+A training step gathers only the batch's feature rows, and of hidden width
+it holds one activation and one gradient. Inference over many nodes
+(``student_embed``, the closing imitation MSE) runs in ``scorer.row_blocks``,
+so it holds one block of activations, not N rows of each layer.
 """
 
 from __future__ import annotations
@@ -94,18 +94,27 @@ def _inputs(model: MlpModel, rows: np.ndarray | slice) -> np.ndarray:
     return model.features[rows].astype(np.float64, copy=False)
 
 
-def _forward(model: MlpModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-activation, hidden activation and output for input rows ``h``."""
-    a = h @ model.w1 + model.b1
-    z1 = np.maximum(a, 0.0)
-    return a, z1, z1 @ model.w2 + model.b2
+def _forward(model: MlpModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activation and output for input rows ``h``.
+
+    The bias and the rectifier are applied in place, so the pass holds one
+    hidden-width array; ``z1 > 0`` is the pre-activation's ``a > 0`` for
+    every float, so the backward pass needs no other.
+    """
+    z1 = h @ model.w1
+    z1 += model.b1
+    np.maximum(z1, 0.0, out=z1)
+    out = z1 @ model.w2
+    out += model.b2
+    return z1, out
 
 
 def _backward(
-    model: MlpModel, h: np.ndarray, a: np.ndarray, z1: np.ndarray, d_out: np.ndarray
+    model: MlpModel, h: np.ndarray, z1: np.ndarray, d_out: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Parameter gradients from the output gradient of the rows ``h``."""
-    da = (d_out @ model.w2.T) * (a > 0)
+    da = d_out @ model.w2.T
+    da *= z1 > 0
     return {"w1": h.T @ da, "b1": da.sum(axis=0), "w2": z1.T @ d_out, "b2": d_out.sum(axis=0)}
 
 
@@ -122,7 +131,7 @@ def _output_blocks(model: MlpModel, rows: np.ndarray | None = None):
     width = max(model.w1.shape[0], model.w1.shape[1], model.w2.shape[1])
     for block in row_blocks(n, 8 * width):
         ids = block if rows is None else rows[block]
-        yield block, _forward(model, _inputs(model, ids))[2]
+        yield block, _forward(model, _inputs(model, ids))[1]
 
 
 def student_embed(model: MlpModel, rows: np.ndarray | None = None) -> np.ndarray:
@@ -155,9 +164,9 @@ def _imitation_pass(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared imitation error of the distinct ``rows`` and its gradients."""
     h = _inputs(model, rows)
-    a, z1, out = _forward(model, h)
+    z1, out = _forward(model, h)
     loss, err = _mse(out, teacher_y[rows])
-    return loss, _backward(model, h, a, z1, 2.0 * err / err.size)
+    return loss, _backward(model, h, z1, 2.0 * err / err.size)
 
 
 def _apply_grads(model: MlpModel, grads: dict[str, np.ndarray], lr: float) -> None:
@@ -209,9 +218,10 @@ def _finetune_pass(
     """Batch ranking loss and gradients."""
     rows, inv = batch_rows(pos, neg)
     h = _inputs(model, rows)
-    a, z1, y_rows = _forward(model, h)
+    z1, y_rows = _forward(model, h)
     loss, dy = pair_loss(y_rows, inv, pos.shape[0])
-    return loss, _backward(model, h, a, z1, dy)
+    del y_rows
+    return loss, _backward(model, h, z1, dy)
 
 
 def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:

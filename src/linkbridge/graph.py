@@ -160,7 +160,7 @@ def graph_from_ids(
             raise DataError(f"{len(keys)} nodes but side labels of shape {sides.shape}")
         bad = np.flatnonzero((sides != 0) & (sides != 1))
         if bad.size:
-            raise DataError(f"side of node {keys[bad[0]]!r} is {sides[bad[0]]!r}, not 0 or 1")
+            raise DataError(f"side of node {keys[bad[0]]!r} is {sides[bad[0]].item()!r}, not 0 or 1")
         sides = sides.astype(np.int8)
     if order is not None:
         order = np.asarray(order, dtype=np.int64)

@@ -254,6 +254,8 @@ def read_sides_tsv(path: str | Path) -> dict[str, int]:
             sides[key] = int(side)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: expected node key and side") from exc
+        if sides[key] not in (0, 1):
+            raise DataError(f"{path}:{lineno}: side of node {key!r} is {sides[key]}, not 0 or 1")
     return sides
 
 

@@ -259,7 +259,14 @@ def fit_scorer(
     config: ScorerConfig, g_train: Graph, manifest, model_path, logits_path=None
 ) -> tuple:
     """Train and checkpoint the scorer, then score every manifest edge:
-    ``(model, y, all_ids, z_all)``, the logits written to ``logits_path``."""
+    ``(model, y, all_ids, z_all)``, the logits written to ``logits_path``.
+
+    ``y`` is the N-row embedding table, ``all_ids`` the node-id pairs of
+    ``manifest.all_edges()`` and ``z_all`` their logits. The model is
+    returned for its ``loss_trace``. ``run_pipeline`` keeps only ``y``,
+    ``all_ids`` (until it has the evaluation pairs' ids) and ``z_all``, so
+    the model's X' is freed before the broadcast methods run.
+    """
     model = train_scorer(config, g_train, manifest)
     save_scorer(model_path, model, g_train)
     y = embed(model, g_train)
@@ -326,10 +333,10 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
             manifest.save(out_dir / "manifests" / f"{tag}.json")
         with _stage(f"scorer:{tag}"):
             g_train = manifest_training_graph(manifest, src, tar, union=union)
-            _, y, all_ids, z_all = fit_scorer(
+            y, all_ids, z_all = fit_scorer(
                 suite.scorer, g_train, manifest, out_dir / "models" / f"{tag}.bin",
                 out_dir / "scores" / f"{tag}.logits.tsv",
-            )
+            )[1:]
 
         pos_eval, neg_eval = eval_pairs(manifest, suite.eval_split)
         eval_order, labels = shuffle_eval_order(pos_eval, neg_eval, suite.seed)
@@ -337,6 +344,8 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
         index_of = dict(zip(all_edges, range(len(all_edges))))
         eval_positions = np.fromiter(map(index_of.__getitem__, eval_order), dtype=np.int64)
         eval_ids = all_ids[eval_positions]
+        # the methods read y, z_all and the eval ids: free the rest first
+        del index_of, all_edges, all_ids, pos_eval, neg_eval
 
         for method in methods:
             with _stage(f"{method}:{tag}"):

@@ -326,6 +326,10 @@ def sgd_epochs(
     Returns the per-epoch mean losses and the selected snapshot: the final
     state's when there is no validation split (``valid_recall`` None) or
     ``best`` still holds no snapshot.
+
+    At most one snapshot is alive: a new one is taken only to replace the
+    one in ``best``, and the final one only when ``best`` holds none. So
+    ``snapshot`` may overwrite one buffer in place and return it each time.
     """
     trace: list[float] = []
     for epoch in range(epochs):
@@ -355,6 +359,11 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     scored on the validation split and the best checkpoint (recall at
     |valid_pos|) is returned. The per-epoch mean batch loss lands in
     ``model.loss_trace``.
+
+    Of N-row arrays it holds the float64 ``[X, X']`` working table and one
+    X' buffer: ``init_model``'s draw, copied into the table and then
+    overwritten by each better epoch's X'. The returned model's ``x_prime``
+    is that buffer.
     """
     if len(manifest.train_pos) == 0 or len(manifest.train_neg) == 0:
         raise DataError("manifest has empty training splits")
@@ -365,9 +374,13 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     valid_pos = g_train.pair_ids(manifest.valid_pos)
     valid_neg = g_train.pair_ids(manifest.valid_neg)
 
-    d_x = 0 if g_train.features is None else g_train.features.shape[1]
-    h = node_inputs(model.features, model.x_prime).copy()
-    weights = None if model.encoder_weights is None else model.encoder_weights.copy()
+    d_x = g_train.feature_dim
+    x_best = model.x_prime
+    h = np.empty((x_best.shape[0], d_x + x_best.shape[1]))
+    if d_x:
+        h[:, :d_x] = g_train.features
+    h[:, d_x:] = x_best
+    weights = model.encoder_weights
     agg = mean_aggregator(g_train) if config.encoder == "one_hop_mean" else None
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
 
@@ -385,7 +398,8 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
         return pair_recall(y, valid_pos, valid_neg)
 
     def snapshot() -> tuple[np.ndarray, np.ndarray | None]:
-        return h[:, d_x:].copy(), None if weights is None else weights.copy()
+        np.copyto(x_best, h[:, d_x:])
+        return x_best, None if weights is None else weights.copy()
 
     trace, (x_final, w_final) = sgd_epochs(
         pos, neg, config.epochs, config.batch_size, rng, step,

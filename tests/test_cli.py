@@ -521,6 +521,17 @@ def test_evaluate_non_positive_k_multiplier_exits_2(trained, k_mult):
     assert code == 2
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_evaluate_non_finite_threshold_exits_2(trained, threshold, capsys):
+    report = trained / "threshold.json"
+    code = main(["evaluate", "--manifest", str(trained / "m.json"),
+                 "--scores", f"scorer={trained / 'logits.tsv'}", "--threshold", threshold,
+                 "--report", str(report)])
+    assert code == 2
+    assert not report.exists()
+    assert f"--threshold must be finite, got {threshold}" in capsys.readouterr().err
+
+
 def _stage_args(ws):
     return ["--graph", str(ws / "union"), "--manifest", str(ws / "m.json"),
             "--out", str(ws / "out.tsv")]

@@ -21,7 +21,9 @@ from linkbridge.errors import DataError
 from linkbridge.evaluation import train_student
 from linkbridge.graph import build_graph, graph_from_ids
 from linkbridge.metrics import recall_at
-from linkbridge.scorer import ScorerConfig, embed, init_model, score_edges, train_scorer
+from linkbridge.scorer import (
+    ScorerConfig, batch_rows, embed, init_model, score_edges, train_scorer,
+)
 from linkbridge.selection import Regime, make_split, manifest_training_graph
 
 from oracles import dense_finetune, dense_imitate, fd_grad, max_rel_error
@@ -274,6 +276,30 @@ def test_student_step_memory_is_o_batch():
     assert peak < n * d_x * 8 / 10
 
 
+def test_finetune_pass_holds_one_hidden_activation_and_one_gradient():
+    """A fine-tune pass over r distinct batch rows holds, of hidden width,
+    the activation, its gradient and the gradient's one-byte mask; the
+    rest is batch rows of the input and output widths. Its traced peak stays
+    below 2.5 r x hidden float64 arrays, never a separate pre-activation."""
+    n, d_x, d_out, hidden, b = 50_000, 8, 16, 256, 1024
+    rng = np.random.default_rng(0)
+    model = MlpModel(
+        config=DistillConfig(hidden=hidden),
+        w1=rng.normal(size=(d_x, hidden)), b1=rng.normal(size=hidden),
+        w2=rng.normal(size=(hidden, d_out)) / 16, b2=np.zeros(d_out),
+        features=rng.normal(size=(n, d_x)).astype(np.float32),
+    )
+    pos, neg = rng.integers(0, n, size=(2, b, 2))
+    r = batch_rows(pos, neg)[0].size
+    tracemalloc.start()
+    try:
+        _finetune_pass(model, pos, neg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * r * hidden * 8
+
+
 def test_student_inference_memory_is_one_block():
     """The closing imitation MSE and an embedding of every node each hold one
     row block of activations: less than one N x hidden activation."""
@@ -294,7 +320,7 @@ def test_student_inference_memory_is_one_block():
         tracemalloc.stop()
     assert imitate_peak < activation and embed_peak < activation
     # each block's rows are the rows of one full forward
-    full = _forward(model, g.features)[2]
+    full = _forward(model, g.features)[1]
     assert np.array_equal(y, full)
     assert model.imitation_mse == pytest.approx(np.mean((full - teacher_y) ** 2), rel=1e-12)
 

@@ -128,7 +128,7 @@ def test_side_labels_need_a_row_per_node():
 
 @pytest.mark.parametrize("side", [2, -1, 256])
 def test_side_labels_are_0_or_1(side):
-    with pytest.raises(DataError, match="not 0 or 1"):
+    with pytest.raises(DataError, match=f"side of node 'b' is {side}, not 0 or 1"):
         build_graph([("a", "b")], sides={"a": 0, "b": side})
 
 

@@ -189,6 +189,16 @@ def test_features_csv_non_finite_value_names_its_line(tmp_path, value):
         read_features(path)
 
 
+@pytest.mark.parametrize("side", ["2", "-1"])
+def test_sides_tsv_value_other_than_0_or_1_names_its_line(tmp_path, side):
+    write_edge_tsv(tmp_path / "g.tsv", [("a", "b")])
+    path = tmp_path / "g.sides.tsv"
+    path.write_text(f"a\t0\nb\t{side}\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:2: side of node 'b' is {side}, not 0 or 1")):
+        load_graph(tmp_path / "g.tsv")
+
+
 def test_features_bin_non_finite_value_names_its_row(tmp_path):
     matrix = np.arange(6, dtype=np.float32).reshape(3, 2)
     matrix[2, 1] = np.nan

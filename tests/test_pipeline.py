@@ -1,7 +1,9 @@
 import json
+import weakref
 
 import pytest
 
+from linkbridge import pipeline
 from linkbridge.datasets import SyntheticSpec, generate_synthetic
 from linkbridge.errors import ConfigError, DataError
 from linkbridge.evaluation import KNOWN_METHODS
@@ -153,3 +155,25 @@ def test_unknown_config_keys_are_all_reported(tmp_path):
     for key in ("'scorrer'", "'dataset.spec'", "'eval.k_multiplier'"):
         assert f"unknown config key {key}" in str(info.value)
     assert not (tmp_path / "out").exists()
+
+
+def test_scorer_model_is_freed_before_the_methods_run(tmp_path, monkeypatch):
+    """run_pipeline keeps the scorer's embeddings and logits, not its model:
+    the model that fit_scorer returns (and its X') is dead at every method."""
+    refs, alive = [], []
+
+    def fit_scorer(*args, **kwargs):
+        out = real_fit(*args, **kwargs)
+        refs.append(weakref.ref(out[0]))
+        return out
+
+    def method_scores(*args, **kwargs):
+        alive.append(refs[-1]() is not None)
+        return real_scores(*args, **kwargs)
+
+    real_fit, real_scores = pipeline.fit_scorer, pipeline.method_scores
+    monkeypatch.setattr(pipeline, "fit_scorer", fit_scorer)
+    monkeypatch.setattr(pipeline, "method_scores", method_scores)
+    dataset = {"kind": "synthetic", "spec": SPEC}
+    run_pipeline(_config("out", dataset, ["scorer", "logit_lp"]), tmp_path)
+    assert alive == [False, False]

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,3 +288,29 @@ def test_score_edges_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < m * d * 8 / 10
+
+
+def test_train_scorer_holds_one_table_and_one_x_prime(monkeypatch):
+    """Training with a snapshot every epoch holds the [X, X'] working table
+    and one best-epoch X' buffer: its traced peak stays below one of each
+    plus a small slack, never an extra table or a second X'."""
+    n, d_x, d = 20_000, 8, 24
+    g = ring_graph(n, d_x)
+    pairs = [(g.keys[u], g.keys[v]) for u, v in g.edges.tolist()]
+    far = [(g.keys[i], g.keys[(i + n // 2) % n]) for i in range(0, n, 5)]
+    manifest = SimpleNamespace(train_pos=pairs[:3000], train_neg=far[:3000],
+                               valid_pos=pairs[3000:3500], valid_neg=far[3000:3500])
+    # every epoch scores strictly better, so every epoch takes a snapshot
+    recalls = iter(range(1, 100))
+    monkeypatch.setattr(scorer, "pair_recall", lambda y, pos, neg: next(recalls))
+    cfg = ScorerConfig(d_trainable=d, batch_size=64, epochs=3, seed=1)
+    table, x_prime = n * (d_x + d) * 8, n * d * 8
+    tracemalloc.start()
+    try:
+        model = train_scorer(cfg, g, manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert next(recalls) == cfg.epochs + 1
+    assert model.x_prime.shape == (n, d)
+    assert peak < table + x_prime + x_prime / 4
