@@ -13,9 +13,11 @@ The BLAS pool size is read once, when numpy loads, which importing this
 module already does: set ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` in the environment before the process starts.
 
-``emb_lp`` diffuses its column blocks on one thread per CPU in the process's
-affinity mask, so ``taskset`` restricts it; the BLAS variables do not size
-that pool. Its scores do not depend on the thread count.
+``emb_lp`` diffuses its column blocks on at most as many threads as blocks
+fit its byte budget, capped by the CPUs in the process's affinity mask, so
+``taskset`` restricts it; the BLAS variables do not size that pool. Its
+scores are unchanged by either: the blocks are fixed by the data and the
+budget.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distill import DistillConfig, finetune_linkpred, imitate, student_embed
-from .errors import ConfigError, NumericError, is_of_type
+from .errors import ConfigError, NumericError, check_field_types, is_of_type
 from .graph import Graph, checked_pairs
 from .heuristics import PprConfig, adamic_adar, common_neighbors, ppr_scores
 from .metrics import precision_accuracy, recall_at
@@ -35,7 +35,7 @@ from .propagation import (
 )
 from .scorer import ScorerConfig, score_edges
 from .seeds import derive_seed
-from .selection import NEG_RATIO, TRAIN_FRAC_OUTSIDE
+from .selection import NEG_RATIO, TRAIN_FRAC_OUTSIDE, check_split_knobs
 
 __all__ = [
     "SuiteConfig",
@@ -102,7 +102,8 @@ def node_centric_lp_ablation(
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Every knob of one regime-comparison run."""
+    """Every knob of one regime-comparison run; a value out of range is a
+    ConfigError at construction."""
 
     seed: int = 0
     neg_ratio: float = NEG_RATIO
@@ -113,6 +114,13 @@ class SuiteConfig:
     ppr: PprConfig = field(default_factory=PprConfig)
     k_multipliers: tuple[float, ...] = (1.0, 1.25)
     eval_split: str = "test"
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        check_split_knobs(self.neg_ratio, self.train_frac_outside)
+        if self.eval_split not in EVAL_SPLITS:
+            raise ConfigError(f"eval split must be one of {EVAL_SPLITS}, got {self.eval_split!r}")
+        check_k_multipliers(self.k_multipliers)
 
 
 @dataclass
@@ -206,7 +214,10 @@ def evaluate_scores(
     n_pos = int(np.sum(labels == 1))
     out: dict = {"n_pos": n_pos, "n_neg": int(labels.size - n_pos)}
     for mult in k_multipliers:
-        k = min(int(round(mult * n_pos)), scores.size)
+        # a cut-off past the last score is every score; only one below it is
+        # rounded, so that a huge multiplier cannot overflow int()
+        cut = mult * n_pos
+        k = scores.size if cut >= scores.size else int(round(cut))
         out[_mult_key(mult)] = recall_at(scores, labels, k)
     if threshold is None:
         out["precision"] = out["accuracy"] = None

@@ -12,8 +12,9 @@ operator S:
   positive-edge graph, split them back per endpoint, and rescore by dot
   product of the updated node embeddings. The diffusion acts from the left,
   so each column of the m x 2d edge state evolves on its own: the state is
-  cut into blocks of columns, a few blocks are diffused at once on a thread
-  pool, and each column stops on its own.
+  cut into blocks of columns, fixed by d, m and a byte budget, a few blocks
+  are diffused at once on a thread pool, and each block stops on its own
+  whole-state step, as a PPR chunk does.
 * matrix-LP: diffuse the logit matrix Y*Y^T over the original graph and
   read scores off matrix entries.
 
@@ -277,21 +278,6 @@ def _advance(old: np.ndarray, new: np.ndarray, g_term: np.ndarray, alpha: float)
     return float(np.abs(old, out=old).max(initial=0.0))
 
 
-def _column_max(a: np.ndarray) -> np.ndarray:
-    """Max over every axis but the last, 0 if empty. numpy reduces a tall,
-    narrow array one short row at a time, so 32 rows are first laid side by
-    side as one (a strided ``a`` is copied for that). With the plain
-    ``max(axis=0)`` instead, broadcast ``run_s`` was 37% higher, in 8 of 8
-    alternating pairs on a 2-vCPU host."""
-    rows = a.reshape(-1, a.shape[-1])
-    n, c = rows.shape
-    whole = n - n % 32
-    side_by_side = rows[:whole].reshape(-1, 32 * c).max(axis=0, initial=0.0)
-    return np.maximum(
-        side_by_side.reshape(32, c).max(axis=0), rows[whole:].max(axis=0, initial=0.0)
-    )
-
-
 def damped_iteration(
     operator,
     z: np.ndarray,
@@ -299,7 +285,6 @@ def damped_iteration(
     alpha: float,
     k_max: int,
     tol: float,
-    by_column: bool = False,
 ) -> tuple[np.ndarray, bool]:
     """Iterate Z <- alpha*S*Z + g_term from ``z``, which is used up.
 
@@ -311,12 +296,9 @@ def damped_iteration(
     becomes the new iterate, the old one freed. Either way a round makes
     exactly one product and holds it until the next round starts.
 
-    Stops once the max-abs step drops below ``tol`` (tol=0 forces ``k_max``
-    rounds). With ``by_column`` each index of the last axis stops on its
-    own, on its max-abs step over every other axis: a converged column is
-    copied out and leaves the product, and the rest go on, so each column
-    ends as it would if iterated alone. Returns ``(Z, converged)``: Z the
-    iterate's rows, with every column, and converged once all have stopped.
+    Stops once the max-abs step over the whole state drops below ``tol``
+    (tol=0 forces ``k_max`` rounds). Returns ``(Z, converged)``: Z the
+    iterate's rows, and converged once the step dropped below ``tol``.
 
     A non-finite iterate makes a step maximum non-finite and raises
     ``NumericError``. numpy's warnings on the way (inf - inf, 0 * inf) are
@@ -325,7 +307,6 @@ def damped_iteration(
     """
     line = isinstance(operator, LineOperator)
     offset = operator.num_nodes if line else 0
-    out = cols = None  # once a column stops: the result, and z's columns in it
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(k_max):
             state = z[offset:]
@@ -333,37 +314,14 @@ def damped_iteration(
             delta = _advance(state, new, g_term, alpha)
             if not math.isfinite(delta):
                 raise NumericError(f"diffusion produced non-finite values at step {k}")
-            if by_column:
-                # a column moves while its max-abs step reaches tol
-                moving = np.zeros(state.shape[-1], dtype=bool)
-                if delta >= tol:
-                    moving = _column_max(state) >= tol
             if line:
                 state[...] = new
             else:
                 z = state = new
             del new  # a line product is freed before the next one is made
-            if not by_column:
-                if delta < tol:
-                    return state, True
-                continue
-            if moving.all():
-                continue
-            if out is None:
-                if not moving.any():
-                    return state, True
-                if k + 1 == k_max:
-                    break  # no step left to save by freezing
-                out, cols = np.empty(state.shape), np.arange(state.shape[-1])
-            out[..., cols[~moving]] = state[..., ~moving]
-            if not moving.any():
-                return out, True
-            if k + 1 < k_max:
-                z, g_term, cols = z[..., moving], g_term[..., moving], cols[moving]
-    if out is None:
-        return z[offset:], False
-    out[..., cols] = z[offset:]
-    return out, False
+            if delta < tol:
+                return state, True
+    return z[offset:], False
 
 
 def diffuse(
@@ -506,16 +464,17 @@ def emb_lp(
     product of the updated node embeddings.
 
     The diffusion acts from the left, so each column evolves on its own.
-    The m x 2d edge state is cut into blocks of c columns of Y, with one
-    byte budget, ``_STATE_BYTES``, for all blocks in flight. The w workers
-    are the CPUs in the process's affinity mask (``_workers``), at most d
-    and at most as many one-column blocks as fit in the budget; then c is
-    ``row_blocks(d, w*2*m*8, _STATE_BYTES)``, and w at most one per block.
-    So the state in flight is at most the budget, or one column where a
-    column alone exceeds it, on any number of CPUs. The calling thread is
-    one worker and a private thread pool runs the others. A worker takes
-    the next block, gathers [Y[lo, cols], Y[hi, cols]] into its stacked
-    buffer, runs ``damped_iteration`` (not ``diffuse``) over the one shared
+    The m x 2d edge state is cut into blocks of c columns of Y, fixed by d,
+    m and one byte budget, ``_STATE_BYTES``, for all blocks in flight: c is
+    ``row_blocks(d, 2*(2*m*8), _STATE_BYTES)``, so a block is at most half
+    the budget and at least one column. The w workers are the CPUs in the
+    process's affinity mask (``_workers``), at most one per block and at
+    most as many blocks as fit in the budget. So the state in flight is at
+    most the budget, or one column where a column alone exceeds it, on any
+    number of CPUs. The calling thread is one worker and a private thread
+    pool runs the others. A worker takes the next block, gathers
+    [Y[lo, cols], Y[hi, cols]] into its stacked buffer, runs
+    ``damped_iteration`` (not ``diffuse``) over the one shared
     ``LineOperator``, restores the isolated edge-nodes, and folds the block
     into its own columns of the updated embedding with ``endpoint_mean``.
     Besides the N x d update, each worker holds one block's stacked state,
@@ -524,10 +483,9 @@ def emb_lp(
     the pool is shut down before this returns or raises.
 
     Every element is summed in the same order as in one whole-state pass.
-    The ``tol`` early stop is measured per column of Y, the max over its
-    two halves, and a converged column is frozen while the rest of its
-    block goes on, so the scores are those of a walk one column at a time,
-    whatever the block width and the number of workers; where no column
+    The ``tol`` early stop is measured per block, on its max-abs step over
+    all of its columns, as ``ppr_scores`` stops a chunk. The partition does
+    not follow the CPU count, so neither do the scores; where no block
     stops early (always at tol=0) they are the whole-state ones bit for bit.
     A non-finite diffusion or endpoint mean is a ``NumericError``.
     """
@@ -541,11 +499,13 @@ def emb_lp(
     isolated = operator.line_degrees == 0
     y_upd = np.array(y, dtype=np.float64)
     d, m = y.shape[1], lo.size
-    # workers first, so that more CPUs never means more state in flight
+    # the partition is fixed by d, m and the budget, never by the CPU count
     column_bytes = 2 * m * 8
-    workers = max(1, min(_workers(), d, _STATE_BYTES // column_bytes))
-    blocks = row_blocks(d, workers * column_bytes, _STATE_BYTES)
-    workers = min(workers, max(1, len(blocks)))
+    blocks = row_blocks(d, 2 * column_bytes, _STATE_BYTES)
+    c_max = blocks[0].stop if blocks else 0
+    workers = max(
+        1, min(_workers(), len(blocks), _STATE_BYTES // max(1, c_max * column_bytes))
+    )
     todo: queue.SimpleQueue = queue.SimpleQueue()
     for cols in blocks:
         todo.put(cols)
@@ -557,9 +517,7 @@ def emb_lp(
         g_term = np.multiply(
             1.0 - cfg.alpha, state, out=g_space[: state.size].reshape(state.shape)
         )
-        diffused, _ = damped_iteration(
-            operator, buf, g_term, cfg.alpha, cfg.k_max, cfg.tol, by_column=True
-        )
+        diffused, _ = damped_iteration(operator, buf, g_term, cfg.alpha, cfg.k_max, cfg.tol)
         diffused[isolated, 0] = y[lo[isolated], cols]
         diffused[isolated, 1] = y[hi[isolated], cols]
         # numpy's error state is per thread: this worker's own turns an
@@ -588,7 +546,6 @@ def emb_lp(
     # Every worker's stacked state and (1-alpha)*G live in buffers made here
     # and one worker is this thread: memory a pool thread allocates returns
     # to that thread's malloc arena, where the rest of the run cannot use it.
-    c_max = blocks[0].stop if blocks else 0
     spaces = [
         (np.empty((g.num_nodes + m) * 2 * c_max), np.empty(m * 2 * c_max))
         for _ in range(workers)

@@ -366,6 +366,21 @@ def check_split_knobs(neg_ratio, train_frac_outside) -> None:
         raise ConfigError("; ".join(problems))
 
 
+def _negative_counts(neg_ratio: float, n_pos: list[int], pairs: int) -> list[int]:
+    """``neg_ratio`` times each positive count, rounded: the negative counts
+    of one stratum of ``pairs`` node pairs. Asking for more negatives than
+    node pairs is a "graph too dense" DataError, raised before any draw."""
+    # clamped to pairs + 1, a count is exact up to the bound and past it
+    # beyond, and a huge finite ratio cannot overflow int()
+    counts = [int(round(min(neg_ratio * n, pairs + 1))) for n in n_pos]
+    if sum(counts) > pairs:
+        raise DataError(
+            f"graph too dense: neg_ratio {neg_ratio!r} asks for "
+            f"{neg_ratio * sum(n_pos):.6g} negative pairs from a stratum of {pairs} node pairs"
+        )
+    return counts
+
+
 def make_split(
     regime: Regime,
     src: Graph,
@@ -416,10 +431,11 @@ def make_split(
         raise DataError("too few outside edges to form validation/test splits")
 
     # negative strata over the union graph
-    n_in_neg = int(round(neg_ratio * len(inside_pos)))
-    n_tr_out_neg = int(round(neg_ratio * n_train_out))
-    n_va_neg = int(round(neg_ratio * len(valid_pos)))
-    n_te_neg = int(round(neg_ratio * len(test_pos)))
+    s, o = src_ids.size, outside_ids.size
+    (n_in_neg,) = _negative_counts(neg_ratio, [len(inside_pos)], s * (s - 1) // 2)
+    n_tr_out_neg, n_va_neg, n_te_neg = _negative_counts(
+        neg_ratio, [n_train_out, len(valid_pos), len(test_pos)], o * (o - 1) // 2 + o * s
+    )
 
     inside_neg, taken = _rejection_sample_pairs(union, n_in_neg, rng, src_ids)
     outside_neg, _ = _rejection_sample_pairs(

@@ -126,6 +126,13 @@ def test_run_succeeds(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_run_with_a_huge_k_multiplier_recalls_every_positive(tmp_path):
+    config = RUN_CONFIG | {"eval": {"k_multipliers": [1.0, 1e308]}}
+    assert main(["run", "--config", _write_json(tmp_path / "run.json", config)]) == 0
+    (row,) = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert row["recall_at_1e+308x"] == 1.0
+
+
 @pytest.mark.parametrize("config", [
     None,
     [RUN_CONFIG],
@@ -299,6 +306,17 @@ def test_make_split_bad_knob_exits_2(tmp_path, small_pair, knob, capsys):
     assert code == 2
     assert not (tmp_path / "m.json").exists()
     assert message in capsys.readouterr().err
+
+
+def test_make_split_more_negatives_than_node_pairs_exits_3(tmp_path, capsys):
+    assert main(["gen-synmodel", "--spec", _write_json(tmp_path / "spec.json", VALID_SPEC),
+                 "--out-dir", str(tmp_path / "pair")]) == 0
+    code = main(["make-split", "--regime", "int", "--src", str(tmp_path / "pair" / "source.tsv"),
+                 "--tar", str(tmp_path / "pair" / "target.tsv"), "--neg-ratio", "1e308",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 3
+    assert not (tmp_path / "m.json").exists()
+    assert "graph too dense" in capsys.readouterr().err
 
 
 def test_manifest_with_an_unknown_regime_exits_3(workspace):
@@ -519,6 +537,17 @@ def test_evaluate_non_positive_k_multiplier_exits_2(trained, k_mult):
     code = main(["evaluate", "--manifest", str(trained / "m.json"),
                  "--scores", f"scorer={trained / 'logits.tsv'}", "--k-mult", k_mult])
     assert code == 2
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--split", "bogus"], "eval split must be one of"),
+    (["--k-mult", "0"], "k_multipliers must be a list of positive numbers"),
+], ids=["split", "k-mult"])
+def test_evaluate_bad_knob_exits_2_before_reading_the_manifest(tmp_path, option, message, capsys):
+    code = main(["evaluate", "--manifest", str(tmp_path / "missing.json"),
+                 "--scores", f"scorer={tmp_path / 'missing.tsv'}", *option])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf"])

@@ -9,6 +9,7 @@ import pytest
 from linkbridge.datasets import SyntheticSpec
 from linkbridge.distill import DistillConfig
 from linkbridge.errors import ConfigError
+from linkbridge.evaluation import SuiteConfig
 from linkbridge.heuristics import PprConfig
 from linkbridge.propagation import DiffusionConfig
 from linkbridge.scorer import ScorerConfig
@@ -51,6 +52,16 @@ CASES = {
     "ppr-tol-inf": (PprConfig, {}, {"tol": math.inf}, "tol must be finite, got inf"),
     "synthetic-feature-shift-minus-inf": (SyntheticSpec, SPEC, {"feature_shift": -math.inf},
                                           "feature_shift must be finite, got -inf"),
+    # the run's own knobs, outside its sub-config sections
+    "suite-neg-ratio": (SuiteConfig, {}, {"neg_ratio": -1.0}, "neg_ratio must be positive"),
+    "suite-train-frac": (SuiteConfig, {}, {"train_frac_outside": 2.0},
+                         "train_frac_outside must be in"),
+    "suite-eval-split": (SuiteConfig, {}, {"eval_split": "bogus"}, "eval split must be one of"),
+    "suite-k-multipliers": (SuiteConfig, {}, {"k_multipliers": (-1.0,)},
+                            "k_multipliers must be a list of positive numbers"),
+    "suite-seed-bool": (SuiteConfig, {}, {"seed": True}, "seed must be an integer"),
+    "suite-neg-ratio-nan": (SuiteConfig, {}, {"neg_ratio": math.nan},
+                            "neg_ratio must be finite, got nan"),
 }
 
 

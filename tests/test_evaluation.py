@@ -65,6 +65,15 @@ def test_evaluate_scores_breaks_ties_in_input_order():
     assert mixed["recall_at_1x"] == 0.5
 
 
+@pytest.mark.parametrize("mult", [1e308, 1.5])
+def test_evaluate_scores_takes_every_score_past_the_last(mult):
+    """A cut-off at or past the number of scores is every score, also one
+    whose product with the positive count is too large for an int."""
+    scores = np.array([0.3, 0.1, 0.2, 0.4])
+    out = evaluate_scores(scores, np.array([1, 1, 0, 1]), (mult,), None, seed=0)
+    assert out[f"recall_at_{mult:g}x"] == 1.0
+
+
 def _report(runtime, recall=0.5):
     row = {"regime": "int", "method": "scorer", "recall_at_1x": recall,
            "runtime_seconds": runtime, "runtime_note": f"{runtime}s"}

@@ -285,38 +285,6 @@ def test_line_graph_diffusion_is_the_plain_update(rng, shape):
     assert np.array_equal(z0, kept_z0) and np.array_equal(g_mat, kept_g)
 
 
-@pytest.mark.parametrize("line", [False, True], ids=["sym_norm", "line"])
-def test_damped_iteration_by_column_is_each_column_alone(rng, line):
-    """With by_column, columns 10 and 1e4 times smaller stop steps before
-    the rest; at every step budget, including one that ends on a column's
-    stop step, each column is the one iterated alone, and converged means
-    all of them stopped."""
-    edges = np.array(random_graph_edges(rng, 12, 24))
-    if line:
-        op = LineOperator(12, edges[:, 0], edges[:, 1])
-    else:
-        op = sym_norm_adjacency(build_graph([(f"n{u}", f"n{v}") for u, v in edges]))
-    # a line state's column has two halves, as in emb_lp
-    tail = (2, 3) if line else (3,)
-    z0 = rng.normal(size=(op.shape[0],) + tail) * np.array([1.0, 1e-1, 1e-4])
-    alpha, tol = 0.6, 1e-5
-
-    def run(z, k_max, by_column):
-        g_term = (1 - alpha) * z
-        work = z.copy()
-        if line:
-            work, state = op.stacked(z.shape[1:])
-            state[...] = z
-        return damped_iteration(op, work, g_term, alpha, k_max, tol, by_column)
-
-    for k_max in range(1, 40):
-        out, converged = run(z0, k_max, True)
-        alone = [run(z0[..., [j]], k_max, False) for j in range(3)]
-        assert np.array_equal(out, np.concatenate([a for a, _ in alone], axis=-1)), k_max
-        assert converged == all(done for _, done in alone), k_max
-    assert converged
-
-
 def test_line_graph_diffusion_holds_its_buffer_the_source_and_one_product(rng):
     """On a broadcast-sized emb_lp state the diffusion holds the stacked
     iterate, (1-alpha)*G and one product, within 1 MiB: a round that keeps
@@ -517,23 +485,22 @@ def _emb_lp_case(rng):
     return g, pos, queries
 
 
-def _column_blocks(monkeypatch, pos, workers, cols_per_block, d):
-    """Make emb_lp run on ``workers`` workers (at most d) in blocks of
-    ``cols_per_block`` columns of Y, and return the list that records the
-    width of each block's diffusion."""
-    cpus = min(workers, d)
+def _column_blocks(monkeypatch, pos, workers, cols_per_block):
+    """Make emb_lp cut Y into blocks of ``cols_per_block`` columns, through
+    a budget of two such blocks, and run them on ``workers`` CPUs (at most
+    as many blocks as fit the budget); return the list that records each
+    block's diffusion as ``(width, converged)``."""
     monkeypatch.setattr(propagation, "_workers", lambda: workers)
-    monkeypatch.setattr(
-        propagation, "_STATE_BYTES", cpus * cols_per_block * 2 * pos.shape[0] * 8
-    )
-    widths = []
+    monkeypatch.setattr(propagation, "_STATE_BYTES", 2 * cols_per_block * 2 * pos.shape[0] * 8)
+    runs = []
 
-    def spy(operator, z, *args, **kwargs):
-        widths.append(z.shape[-1])
-        return damped_iteration(operator, z, *args, **kwargs)
+    def spy(operator, z, *args):
+        out = damped_iteration(operator, z, *args)
+        runs.append((z.shape[-1], out[1]))
+        return out
 
     monkeypatch.setattr(propagation, "damped_iteration", spy)
-    return widths
+    return runs
 
 
 @pytest.mark.parametrize("cols_per_block", [1, 2, 5])
@@ -545,38 +512,45 @@ def test_emb_lp_is_the_whole_state_diffusion(rng, monkeypatch, cols_per_block):
     y = rng.normal(size=(g.num_nodes, 5))
     cfg = DiffusionConfig(alpha=0.8, k_max=12, tol=0.0)
     want = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
-    widths = _column_blocks(monkeypatch, pos, 1, cols_per_block, 5)
+    runs = _column_blocks(monkeypatch, pos, 1, cols_per_block)
     assert np.array_equal(emb_lp(g, pos, y, cfg, queries), want)
-    assert widths == [min(cols_per_block, 5 - i) for i in range(0, 5, cols_per_block)]
+    assert [width for width, _ in runs] == [
+        min(cols_per_block, 5 - i) for i in range(0, 5, cols_per_block)
+    ]
 
 
-@pytest.mark.parametrize("budget_cols", [1, 3])
+@pytest.mark.parametrize("cols_per_block", [1, 3])
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_emb_lp_is_the_same_on_any_worker_count(rng, monkeypatch, workers, budget_cols):
-    """The blocks run concurrently and write disjoint columns: on 1, 2 or 8
-    workers and at two byte budgets the scores are those of one column at a
-    time on one worker, also where columns stop at different steps."""
+def test_emb_lp_is_the_same_on_any_worker_count(rng, monkeypatch, workers, cols_per_block):
+    """The blocks run concurrently and write disjoint columns, and the byte
+    budget alone fixes their partition: on 1, 2 or 8 workers the scores are
+    those of one worker, also where blocks stop at different steps."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 7))
     y[:, ::3] *= 1e-6
     cfg = DiffusionConfig(alpha=0.8, k_max=200, tol=1e-9)
-    _column_blocks(monkeypatch, pos, 1, 1, 7)
+    _column_blocks(monkeypatch, pos, 1, cols_per_block)
     want = emb_lp(g, pos, y, cfg, queries)
-    widths = _column_blocks(monkeypatch, pos, workers, budget_cols, 7)
+    runs = _column_blocks(monkeypatch, pos, workers, cols_per_block)
     assert np.array_equal(emb_lp(g, pos, y, cfg, queries), want)
-    assert sum(widths) == 7 and max(widths) == budget_cols
+    assert sorted(runs) == sorted(
+        (min(cols_per_block, 7 - i), True) for i in range(0, 7, cols_per_block)
+    )
 
 
 def test_emb_lp_loses_no_column_under_thread_switches(rng, monkeypatch):
-    """Stress: 8 workers on 40 one-column blocks of two steps each, with
-    threads switching far more often than by default. A lost or misplaced
-    write of a block's columns would change the scores."""
+    """Stress: three workers, the most a budget lets in, on 40 one-column
+    blocks of two steps each, with threads switching far more often than by
+    default. A lost or misplaced write of a block's columns would change the
+    scores."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 40))
     cfg = DiffusionConfig(alpha=0.8, k_max=2, tol=0.0)
-    _column_blocks(monkeypatch, pos, 1, 40, 40)
+    _column_blocks(monkeypatch, pos, 1, 40)
     want = emb_lp(g, pos, y, cfg, queries)
-    _column_blocks(monkeypatch, pos, 8, 1, 40)
+    runs = _column_blocks(monkeypatch, pos, 8, 1)
+    # a budget of three columns still cuts one-column blocks, and fits three
+    monkeypatch.setattr(propagation, "_STATE_BYTES", 3 * 2 * pos.shape[0] * 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -584,27 +558,31 @@ def test_emb_lp_loses_no_column_under_thread_switches(rng, monkeypatch):
             assert np.array_equal(emb_lp(g, pos, y, cfg, queries), want)
     finally:
         sys.setswitchinterval(interval)
+    assert {width for width, _ in runs} == {1}
 
 
 @pytest.mark.parametrize("cols_per_block", [1, 2, 3])
 def test_emb_lp_stops_each_column_block_on_its_own(rng, monkeypatch, cols_per_block):
-    """The early stop is measured on each column of Y, over its two halves:
-    a column 1e-6 times smaller converges steps earlier than the rest, and
-    whatever the block width the result is the composition run column by
-    column, not the whole-state diffusion."""
+    """The early stop is measured on each block, over all of its columns: a
+    column 1e-6 times smaller stops its block steps earlier than the rest
+    when it is alone in it, and whatever the block width the result is the
+    whole-state diffusion composed block by block over the fixed partition."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 3))
     y[:, 0] *= 1e-6
     cfg = DiffusionConfig(alpha=0.8, k_max=200, tol=1e-9)
-    by_column = np.concatenate(
-        [_whole_state_update(g.num_nodes, pos, y[:, [c]], cfg) for c in range(3)], axis=1
+    starts = range(0, 3, cols_per_block)
+    by_block = np.concatenate(
+        [_whole_state_update(g.num_nodes, pos, y[:, i : i + cols_per_block], cfg) for i in starts],
+        axis=1,
     )
     whole = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
-    widths = _column_blocks(monkeypatch, pos, 1, cols_per_block, 3)
+    runs = _column_blocks(monkeypatch, pos, 1, cols_per_block)
     out = emb_lp(g, pos, y, cfg, queries)
-    assert max(widths) == cols_per_block
-    assert np.array_equal(out, score_edges(by_column, queries))
-    assert not np.array_equal(out, whole)
+    assert runs == [(min(cols_per_block, 3 - i), True) for i in starts]
+    assert np.array_equal(out, score_edges(by_block, queries))
+    if cols_per_block == 1:
+        assert not np.array_equal(out, whole)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -615,7 +593,7 @@ def test_emb_lp_non_finite_input_raises_on_every_worker_count(rng, monkeypatch, 
     and the pool's threads are gone once emb_lp has raised or returned."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 6))
-    _column_blocks(monkeypatch, pos, workers, 2, 6)
+    _column_blocks(monkeypatch, pos, workers, 2)
     threads = threading.active_count()
     cfg = DiffusionConfig(alpha=0.8, k_max=5, tol=0.0)
     with warnings.catch_warnings():

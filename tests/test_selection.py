@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import linkbridge.selection as selection
+from linkbridge.datasets import SyntheticSpec, generate_synthetic
 from linkbridge.errors import DataError
 from linkbridge.graph import build_graph, node_intersection, union_graph
 from linkbridge.selection import (
@@ -385,6 +387,23 @@ def test_make_split_degenerate_overlap_error():
     tar = build_graph([("a", "b")])
     with pytest.raises(DataError):
         make_split(Regime.TARGET_TO_TARGET, src, tar, seed=0)
+
+
+@pytest.mark.parametrize("neg_ratio", [1e3, 1e308])
+def test_make_split_refuses_more_negatives_than_node_pairs(monkeypatch, neg_ratio):
+    """A stratum asked for more negatives than it has node pairs is refused
+    before any draw, also at a ratio too large for an int."""
+    src, tar, _ = generate_synthetic(SyntheticSpec(
+        n_src=40, n_tar=20, overlap_ratio=0.4, mean_deg_src=4, mean_deg_tar=2,
+        feature_dim=3, feature_shift=0.3, seed=1,
+    ))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("negatives were drawn")
+
+    monkeypatch.setattr(selection, "_rejection_sample_pairs", no_draw)
+    with pytest.raises(DataError, match="graph too dense: .* from a stratum of 780 node pairs"):
+        make_split(Regime.INTERSECTION_TO_TARGET, src, tar, neg_ratio=neg_ratio, seed=1)
 
 
 def test_make_split_deterministic(small_pair):
