@@ -12,12 +12,6 @@ that is missing, unreadable or malformed), 4 numeric failure.
 The BLAS pool size is read once, when numpy loads, which importing this
 module already does: set ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` in the environment before the process starts.
-
-``emb_lp`` diffuses its column blocks on at most as many threads as blocks
-fit its byte budget, capped by the CPUs in the process's affinity mask, so
-``taskset`` restricts it; the BLAS variables do not size that pool. Its
-scores are unchanged by either: the blocks are fixed by the data and the
-budget.
 """
 
 from __future__ import annotations

@@ -367,7 +367,8 @@ def write_scores_tsv(
 
 def read_scores_tsv(path: str | Path) -> dict[tuple[str, str], float]:
     """Read a scores TSV into an unordered-pair -> value map; a score that
-    does not parse or is not finite (nan, inf) is a DataError."""
+    does not parse or is not finite (nan, inf), or a pair that an earlier
+    line already scored, in either order, is a DataError."""
     out: dict[tuple[str, str], float] = {}
     for lineno, line in _records(path):
         cols = line.split("\t")
@@ -380,6 +381,10 @@ def read_scores_tsv(path: str | Path) -> dict[tuple[str, str], float]:
             raise DataError(f"{path}:{lineno}: bad score {cols[2]!r}") from exc
         if not math.isfinite(score):
             raise DataError(f"{path}:{lineno}: non-finite score {cols[2]!r}")
+        if (a, b) in out:
+            # the first line is looked up again on this error path alone
+            first = next(n for n, rec in _records(path) if sorted(rec.split("\t")[:2]) == [a, b])
+            raise DataError(f"{path}:{lineno}: pair ({a!r}, {b!r}) repeats line {first}")
         out[(a, b)] = score
     return out
 

@@ -8,13 +8,14 @@ operator S:
 
 * logit-LP: diffuse residuals (train label minus sigmoid logit) over the
   positive+negative edge graph, then add the initial predictions back.
-* embedding-LP: diffuse concatenated endpoint embeddings over the
-  positive-edge graph, split them back per endpoint, and rescore by dot
-  product of the updated node embeddings. The diffusion acts from the left,
-  so each column of the m x 2d edge state evolves on its own: the state is
-  cut into blocks of columns, fixed by d, m and a byte budget, a few blocks
-  are diffused at once on a thread pool, and each block stops on its own
-  whole-state step, as a PPR chunk does.
+* embedding-LP: diffuse the endpoint mean (Y[u] + Y[v]) / 2 of each
+  positive edge over the positive-edge graph, hand the result back to both
+  endpoints, and rescore by dot product of the updated node embeddings. The
+  m x d edge state is the same whichever endpoint has the lower id. The
+  diffusion acts from the left, so each column evolves on its own: the
+  state is walked in blocks of columns, fixed by d, m and a byte budget,
+  one block after the other, and each block stops on its own whole-state
+  step, as a PPR chunk does.
 * matrix-LP: diffuse the logit matrix Y*Y^T over the original graph and
   read scores off matrix entries.
 
@@ -36,9 +37,6 @@ probes; no propagation variant calls it.
 from __future__ import annotations
 
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -164,9 +162,7 @@ class LineOperator:
     returns F times the whole buffer as one new array, so a diffusion round
     holds one product as large as the state, however wide (a logit-LP state
     passes 1 MiB only beyond 131,072 manifest pairs, an embedding-LP column
-    only beyond 65,536 positive edges). The operator is read-only after
-    construction, so several threads may share it; ``@`` makes the same
-    product.
+    only beyond 131,072 positive edges). ``@`` makes the same product.
     """
 
     def __init__(self, num_nodes: int, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -187,15 +183,11 @@ class LineOperator:
         )
         self.shape = (m, m)
 
-    def stacked(
-        self, tail: tuple[int, ...] = (), out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def stacked(self, tail: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
         """``(buffer, state)``: an uninitialized (N+m)-row buffer of rows
-        shaped ``tail``, laid in the front of the flat float64 array ``out``
-        if one is given, and ``state``, the view of its last m rows, for the
+        shaped ``tail``, and ``state``, the view of its last m rows, for the
         caller to fill with the iterate."""
-        shape = (self.num_nodes + self.shape[0],) + tuple(tail)
-        buf = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
+        buf = np.empty((self.num_nodes + self.shape[0],) + tuple(tail))
         return buf, buf[self.num_nodes :]
 
     def product(self, buf: np.ndarray) -> np.ndarray:
@@ -302,8 +294,7 @@ def damped_iteration(
 
     A non-finite iterate makes a step maximum non-finite and raises
     ``NumericError``. numpy's warnings on the way (inf - inf, 0 * inf) are
-    silenced in numpy's error state, which is per thread: the loop enters
-    its own, so it behaves the same on any thread.
+    silenced in the loop's own numpy error state.
     """
     line = isinstance(operator, LineOperator)
     offset = operator.num_nodes if line else 0
@@ -428,23 +419,7 @@ def logit_lp(
     return np.clip(p + z_final, 0.0, 1.0)
 
 
-def _clear(todo: queue.SimpleQueue) -> None:
-    try:
-        while True:
-            todo.get_nowait()
-    except queue.Empty:
-        pass
-
-
-def _workers() -> int:
-    """CPUs in this process's affinity mask (all CPUs where there is none)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# emb_lp's in-flight edge state: the m x 2c blocks of all its workers together
+# emb_lp's edge state in flight: one m x c block of columns, at most half of it
 _STATE_BYTES = 1024 * 1024
 
 
@@ -457,108 +432,44 @@ def emb_lp(
 ) -> np.ndarray:
     """Unsupervised embedding diffusion over the positive-edge graph.
 
-    Each positive edge carries the concatenation [Y[i], Y[j]] (canonical
-    endpoint order). After diffusion the two halves are handed back to the
-    endpoints and averaged over incident edges; nodes without a positive
-    edge keep their original embedding. Query edges are scored by dot
-    product of the updated node embeddings.
+    Each positive edge (u, v) carries the endpoint mean (Y[u] + Y[v]) / 2,
+    in float64: an m x d state that neither endpoint's id orders. After
+    diffusion each node takes the mean of the rows of its incident edges,
+    and query edges are scored by dot product of the updated embeddings. An
+    edge with no line-graph neighbour mixes with nothing, and its endpoints
+    belong to no other positive edge: it is left out of the means, so they
+    keep their row of Y, as does every node without a positive edge.
 
-    The diffusion acts from the left, so each column evolves on its own.
-    The m x 2d edge state is cut into blocks of c columns of Y, fixed by d,
-    m and one byte budget, ``_STATE_BYTES``, for all blocks in flight: c is
-    ``row_blocks(d, 2*(2*m*8), _STATE_BYTES)``, so a block is at most half
-    the budget and at least one column. The w workers are the CPUs in the
-    process's affinity mask (``_workers``), at most one per block and at
-    most as many blocks as fit in the budget. So the state in flight is at
-    most the budget, or one column where a column alone exceeds it, on any
-    number of CPUs. The calling thread is one worker and a private thread
-    pool runs the others. A worker takes the next block, gathers
-    [Y[lo, cols], Y[hi, cols]] into its stacked buffer, runs
-    ``damped_iteration`` (not ``diffuse``) over the one shared
-    ``LineOperator``, restores the isolated edge-nodes, and folds the block
-    into its own columns of the updated embedding with ``endpoint_mean``.
-    Besides the N x d update, each worker holds one block's stacked state,
-    its (1-alpha)*G and one product of it per round, never the whole state.
-    A failing block stops the other workers after their current block, and
-    the pool is shut down before this returns or raises.
-
-    Every element is summed in the same order as in one whole-state pass.
-    The ``tol`` early stop is measured per block, on its max-abs step over
-    all of its columns, as ``ppr_scores`` stops a chunk. The partition does
-    not follow the CPU count, so neither do the scores; where no block
-    stops early (always at tol=0) they are the whole-state ones bit for bit.
-    A non-finite diffusion or endpoint mean is a ``NumericError``.
+    The diffusion acts from the left, so each column evolves on its own. The
+    state is walked in blocks of c columns of Y, one after the other:
+    ``row_blocks(d, 2*m*8, _STATE_BYTES)``, so a block is at most half the
+    byte budget and at least one column, fixed by d, m and the budget alone.
+    Each block runs through ``diffuse`` on the one ``LineOperator`` and stops
+    on its own whole-state step, as a PPR chunk does; at tol=0 the scores
+    are those of one whole-state diffusion bit for bit. Besides the N x d
+    update, a block holds its state, (1-alpha)*G, the stacked iterate and
+    one product of it. A non-finite diffusion or endpoint mean is a
+    ``NumericError``.
     """
     if y.shape[0] != g.num_nodes:
         raise DataError("embedding row count does not match graph")
     queries = checked_pairs(query_edges, g.num_nodes)
     lo, hi = _line_edges(g.num_nodes, pos)
     operator = LineOperator(g.num_nodes, lo, hi)
-    # an edge-node with no neighbor has nothing to mix with; keep it intact
-    # rather than letting the damping shrink it toward (1-alpha)*G
-    isolated = operator.line_degrees == 0
+    linked = operator.line_degrees > 0
+    u, v = lo[linked], hi[linked]
     y_upd = np.array(y, dtype=np.float64)
-    d, m = y.shape[1], lo.size
-    # the partition is fixed by d, m and the budget, never by the CPU count
-    column_bytes = 2 * m * 8
-    blocks = row_blocks(d, 2 * column_bytes, _STATE_BYTES)
-    c_max = blocks[0].stop if blocks else 0
-    workers = max(
-        1, min(_workers(), len(blocks), _STATE_BYTES // max(1, c_max * column_bytes))
-    )
-    todo: queue.SimpleQueue = queue.SimpleQueue()
-    for cols in blocks:
-        todo.put(cols)
-
-    def diffuse_block(cols: slice, space: np.ndarray, g_space: np.ndarray) -> None:
-        buf, state = operator.stacked((2, cols.stop - cols.start), out=space)
-        state[:, 0] = y[lo, cols]
-        state[:, 1] = y[hi, cols]
-        g_term = np.multiply(
-            1.0 - cfg.alpha, state, out=g_space[: state.size].reshape(state.shape)
-        )
-        diffused, _ = damped_iteration(operator, buf, g_term, cfg.alpha, cfg.k_max, cfg.tol)
-        diffused[isolated, 0] = y[lo[isolated], cols]
-        diffused[isolated, 1] = y[hi[isolated], cols]
-        # numpy's error state is per thread: this worker's own turns an
-        # overflowing sum into a NumericError below, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            means, touched = endpoint_mean(
-                y.shape[0], lo, hi, diffused[:, 0], diffused[:, 1]
-            )
-        if not np.isfinite(means).all():
-            raise NumericError("embedding LP's endpoint means are not finite")
-        # nodes without a positive edge keep their row of y
-        np.copyto(y_upd[:, cols], means, where=touched[:, None])
-
-    def drain(space: np.ndarray, g_space: np.ndarray) -> None:
-        while True:
-            try:
-                cols = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                diffuse_block(cols, space, g_space)
-            except BaseException:
-                _clear(todo)  # the other workers stop after their block
-                raise
-
-    # Every worker's stacked state and (1-alpha)*G live in buffers made here
-    # and one worker is this thread: memory a pool thread allocates returns
-    # to that thread's malloc arena, where the rest of the run cannot use it.
-    spaces = [
-        (np.empty((g.num_nodes + m) * 2 * c_max), np.empty(m * 2 * c_max))
-        for _ in range(workers)
-    ]
-    pool = ThreadPoolExecutor(max_workers=max(1, workers - 1))
-    try:
-        helpers = [pool.submit(drain, *space) for space in spaces[1:]]
-        drain(*spaces[0])
-        for future in helpers:
-            future.result()
-    finally:
-        _clear(todo)
-        pool.shutdown()
+    # an overflowing sum or mean is a NumericError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cols in row_blocks(y.shape[1], 2 * lo.size * 8, _STATE_BYTES):
+            state = np.add(y[lo, cols], y[hi, cols], dtype=np.float64)
+            state *= 0.5
+            state = diffuse(operator, state, state, cfg)[linked]
+            means, touched = endpoint_mean(g.num_nodes, u, v, state, state)
+            if not np.isfinite(means).all():
+                raise NumericError("embedding LP's endpoint means are not finite")
+            np.copyto(y_upd[:, cols], means, where=touched[:, None])
+            del state, means  # before the next block is gathered
     return score_edges(y_upd, queries)
 
 

@@ -81,24 +81,23 @@ def dense_logit_lp(n, all_edges, z, train_labels, n_train, alpha, k_max):
 
 
 def dense_emb_lp(n, pos_edges, y, alpha, k_max, query_edges):
-    """Dense mirror of embedding diffusion + split/average readout."""
+    """Dense mirror of embedding diffusion + endpoint readout: each positive
+    edge carries (y[u] + y[v]) / 2, and a node takes the mean of its edges
+    that have a line-graph neighbour (or keeps its row of y)."""
     y = np.asarray(y, dtype=np.float64)
-    d = y.shape[1]
     pos = [(min(u, v), max(u, v)) for u, v in pos_edges]
-    feats = np.array([np.concatenate([y[u], y[v]]) for u, v in pos])
+    feats = np.array([(y[u] + y[v]) / 2 for u, v in pos])
     adj = brute_line_adjacency(pos)
     s = dense_sym_norm(adj)
     diffused = dense_diffuse(s, feats, feats, alpha, k_max, tol=0.0)
-    isolated = adj.sum(axis=1) == 0
-    diffused[isolated] = feats[isolated]
+    linked = adj.sum(axis=1) > 0
     y_upd = y.copy()
     sums = np.zeros_like(y)
     counts = np.zeros(y.shape[0])
     for idx, (u, v) in enumerate(pos):
-        sums[u] += diffused[idx, :d]
-        sums[v] += diffused[idx, d:]
-        counts[u] += 1
-        counts[v] += 1
+        if linked[idx]:
+            sums[[u, v]] += diffused[idx]
+            counts[[u, v]] += 1
     for node in range(y.shape[0]):
         if counts[node]:
             y_upd[node] = sums[node] / counts[node]

@@ -605,6 +605,9 @@ BAD_INPUT_FILES = {
     # a nan score would be ranked at an arbitrary place, not refused
     "evaluate-scores-nan": ("nan.tsv:2", lambda ws: [
         "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'nan.tsv'}"]),
+    # a repeated pair would let its later score win silently
+    "evaluate-scores-repeated-pair": ("repeat.tsv:3", lambda ws: [
+        "evaluate", "--manifest", str(ws / "m.json"), "--scores", f"m={ws / 'repeat.tsv'}"]),
     "baseline-edges-missing": ("missing.tsv", lambda ws: [
         "baseline", "--method", "cn", "--graph", str(ws / "union"),
         "--edges", str(ws / "missing.tsv"), "--out", str(ws / "out.tsv")]),
@@ -637,6 +640,7 @@ def test_bad_input_file_exits_3(trained, case, capsys):
     (ws / "bad.tsv").write_text(f"{a}\t{b}\tnot-a-number\n" + "".join(lines[1:]))
     c, d, _ = lines[1].split("\t")
     (ws / "nan.tsv").write_text("".join([lines[0], f"{c}\t{d}\tnan\n", *lines[2:]]))
+    (ws / "repeat.tsv").write_text("".join([lines[0], lines[1], f"{b}\t{a}\t0.5\n"]))
     (ws / "edges.tsv").write_text("a\tb\n")
     (ws / "bad.csv").write_text("a,1.0,2.0\nb,1.0,x\n")
     (ws / "nan.csv").write_text("a,1.0,2.0\nb,nan,1.0\n")

@@ -180,6 +180,17 @@ def test_scores_tsv_non_finite_score_names_its_line(tmp_path, value):
         read_scores_tsv(path)
 
 
+@pytest.mark.parametrize("second", ["a\tb", "b\ta"])
+def test_scores_tsv_repeated_pair_names_both_lines(tmp_path, second):
+    """A pair scored twice, in either order, does not let the later score
+    win silently."""
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"# u v score\na\tb\t0.1\nc\td\t0.5\n{second}\t0.9\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:4: pair ('a', 'b') repeats line 2")):
+        read_scores_tsv(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e39"])
 def test_features_csv_non_finite_value_names_its_line(tmp_path, value):
     # 1e39 is finite in float64 but beyond float32's range
