@@ -1,5 +1,7 @@
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -552,19 +554,35 @@ def test_emb_lp_stops_each_column_block_on_its_own(rng, monkeypatch, cols_per_bl
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_emb_lp_non_finite_input_raises(rng, monkeypatch, bad):
-    """A non-finite Y raises NumericError from the block that meets it,
-    with warnings as errors: no RuntimeWarning is raised instead."""
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_emb_lp_non_finite_input_raises_on_every_worker_count(rng, monkeypatch, workers, bad):
+    """A non-finite Y raises NumericError from the block that meets it, in
+    each of ``workers`` threads that call emb_lp at once, with warnings as
+    errors: no RuntimeWarning is raised instead. emb_lp keeps no shared
+    state and starts no thread of its own."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 6))
     _column_blocks(monkeypatch, pos, 2)
     cfg = DiffusionConfig(alpha=0.8, k_max=5, tol=0.0)
+    bad_y = y.copy()
+    bad_y[pos[3, 0], 4] = bad
+    want = emb_lp(g, pos, y, cfg, queries)
+    threads = threading.active_count()
+
+    def call(inputs):
+        try:
+            return emb_lp(g, pos, inputs, cfg, queries)
+        except NumericError as exc:
+            return exc
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        emb_lp(g, pos, y, cfg, queries)
-        y[pos[3, 0], 4] = bad
-        with pytest.raises(NumericError):
-            emb_lp(g, pos, y, cfg, queries)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outs = list(pool.map(call, [y, bad_y] * workers))
+    assert threading.active_count() == threads
+    for good, raised in zip(outs[::2], outs[1::2]):
+        assert np.array_equal(good, want)
+        assert isinstance(raised, NumericError)
 
 
 @pytest.mark.parametrize("cols_per_block", [1, 2])
