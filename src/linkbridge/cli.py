@@ -22,6 +22,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_scorer, save_student
 from .datasets import SyntheticSpec, generate_synthetic, temporal_split
 from .distill import DistillConfig
@@ -35,6 +37,7 @@ from .evaluation import (
     shuffle_eval_order,
     train_student,
 )
+from .graph import key_pairs
 from .heuristics import PprConfig
 from .io import (
     load_graph,
@@ -51,7 +54,7 @@ from .io import (
 from .pipeline import fit_scorer, metric_row, run_pipeline
 from .propagation import DiffusionConfig
 from .scorer import ScorerConfig, embed, score_edges
-from .selection import Regime, SplitManifest, make_split, training_graph_from_universe
+from .selection import Regime, SplitManifest, make_split, split_ids, training_graph_from_universe
 
 
 def _read_json(path: str) -> dict:
@@ -159,15 +162,16 @@ def cmd_make_split(args) -> int:
 
 
 def _load_training_graph(args):
-    """``--manifest`` and its training graph over the ``--graph`` universe."""
+    """``--manifest``'s training graph over the ``--graph`` universe, and its ``SplitIds``."""
     manifest = SplitManifest.load(args.manifest)
-    return manifest, training_graph_from_universe(manifest, load_graph(args.graph))
+    g_train = training_graph_from_universe(manifest, load_graph(args.graph))
+    return g_train, split_ids(manifest, g_train)
 
 
 def cmd_train_scorer(args) -> int:
     config = _build_config(ScorerConfig, args.config, seed=args.seed)
-    manifest, g_train = _load_training_graph(args)
-    model, y, _, _ = fit_scorer(config, g_train, manifest, args.out, args.emit_logits)
+    g_train, splits = _load_training_graph(args)
+    model, y, _ = fit_scorer(config, g_train, splits, args.out, args.emit_logits)
     print(
         f"model -> {args.out} (final epoch loss "
         f"{model.loss_trace[-1]:.6f})" if model.loss_trace else f"model -> {args.out}"
@@ -179,9 +183,9 @@ def cmd_train_scorer(args) -> int:
 
 def cmd_propagate(args) -> int:
     diffusion = _build_config(DiffusionConfig, alpha=args.alpha, k_max=args.kmax, tol=args.tol)
-    manifest, g_train = _load_training_graph(args)
-    pairs = manifest.all_edges()
-    ids = g_train.pair_ids(pairs)
+    g_train, splits = _load_training_graph(args)
+    ids = np.concatenate(splits)
+    pairs = key_pairs(g_train.keys, ids)
 
     # calibrated methods propagate edge logits; the rest need node embeddings
     method = f"{args.variant}_lp"
@@ -197,7 +201,7 @@ def cmd_propagate(args) -> int:
     if method not in CALIBRATED_METHODS and y is None:
         raise ConfigError(f"{args.variant} variant needs --model")
     suite = SuiteConfig(diffusion=diffusion)
-    scores = method_scores(method, g_train, manifest, y, z, ids, suite)
+    scores = method_scores(method, g_train, splits, y, z, ids, suite)
     write_scores_tsv(args.out, pairs, scores)
     print(f"{args.variant} scores for {len(pairs)} edges -> {args.out}")
     return 0
@@ -205,12 +209,12 @@ def cmd_propagate(args) -> int:
 
 def cmd_distill(args) -> int:
     config = _build_config(DistillConfig, args.config)
-    manifest, g_train = _load_training_graph(args)
+    g_train, splits = _load_training_graph(args)
     # checked before the teacher is loaded and embedded, as run_pipeline does
     if g_train.features is None:
         raise DataError("the MLP student reads node features, and the graph has none")
     teacher = load_scorer(args.teacher, g_train)
-    student = train_student(embed(teacher, g_train), g_train, manifest, config)
+    student = train_student(embed(teacher, g_train), g_train, splits, config)
     save_student(args.out, student)
     print(f"student -> {args.out} (imitation mse {student.imitation_mse:.6f})")
     return 0

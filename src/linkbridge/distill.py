@@ -224,19 +224,21 @@ def _finetune_pass(
     return loss, _backward(model, h, z1, dy)
 
 
-def finetune_linkpred(model: MlpModel, manifest, g: Graph) -> MlpModel:
+def finetune_linkpred(model: MlpModel, splits) -> MlpModel:
     """Continue training the student on the link prediction loss.
 
-    ``sgd_epochs`` over matched train pos/neg pairs; returns the checkpoint
-    with the best validation recall (at |valid_pos|), the imitated student
-    included: an epoch is kept only if it beats the recall training starts
-    from. The step size, epochs and batches are ``model.config``'s; the
-    input is ``model``'s feature rows, as in imitation.
+    ``sgd_epochs`` over matched train pos/neg pairs of ``splits``, a
+    ``selection.SplitIds`` over the graph whose feature rows ``model``
+    reads; returns the checkpoint with the best validation recall (at
+    |valid_pos|), the imitated student included: an epoch is kept only if
+    it beats the recall training starts from. The step size, epochs and
+    batches are ``model.config``'s; the input is ``model``'s feature rows,
+    as in imitation.
     """
     config = model.config
 
-    pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
-    valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)
+    pos, neg = splits.train_pos, splits.train_neg
+    valid_pos, valid_neg = splits.valid_pos, splits.valid_neg
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DataError("manifest has empty training splits")
 

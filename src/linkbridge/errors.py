@@ -38,18 +38,12 @@ def is_of_type(value, kind: type) -> bool:
 
 def check_field_types(config) -> None:
     """ConfigError for a field of the dataclass ``config`` annotated ``int``,
-    ``float`` or ``str`` (or one of them ``| None``, which also
-    takes None) whose value is not of that type (``is_of_type``), or for a
-    ``float`` field that is NaN or infinite, which every range check, being
-    a comparison, would let through."""
+    ``float`` or ``str`` whose value is not of that type (``is_of_type``),
+    or for a ``float`` field that is NaN or infinite, which every range
+    check, being a comparison, would let through."""
     hints = typing.get_type_hints(type(config))
     for spec in fields(config):
         hint, value = hints[spec.name], getattr(config, spec.name)
-        options = set(typing.get_args(hint))
-        if type(None) in options:
-            if value is None:
-                continue
-            (hint,) = options - {type(None)}
         if hint in _ACCEPTS and not is_of_type(value, hint):
             raise ConfigError(f"{spec.name} must be {_KIND[hint]}, got {value!r}")
         if hint is float and not math.isfinite(value):

@@ -79,9 +79,10 @@ EVAL_SPLITS = ("test", "valid", "pooled")
 
 
 def node_centric_lp_ablation(
-    g: Graph, manifest, z: np.ndarray, cfg: DiffusionConfig
+    g: Graph, splits, z: np.ndarray, cfg: DiffusionConfig
 ) -> np.ndarray:
-    """Node-level residual diffusion, the deliberately weak LP baseline.
+    """Node-level residual diffusion, the deliberately weak LP baseline;
+    logits and scores in the order of ``logit_lp``.
 
     Each node starts from the mean residual (label - sigmoid(z)) of its
     incident training edges; the residuals diffuse over the original graph
@@ -89,11 +90,9 @@ def node_centric_lp_ablation(
     on top of its sigmoid prediction. At alpha -> 0 the increment vanishes
     and the raw predictions come back unchanged.
     """
-    p, resid, n_train = train_residuals(manifest, z)
-    ids = g.pair_ids(manifest.all_edges())
-    node_resid, _ = endpoint_mean(
-        g.num_nodes, ids[:n_train, 0], ids[:n_train, 1], resid[:n_train], resid[:n_train]
-    )
+    p, resid, n_train = train_residuals(splits, z)
+    ids = np.concatenate(splits)
+    node_resid, _ = endpoint_mean(g.num_nodes, ids[:n_train, 0], ids[:n_train, 1], resid[:n_train])
     z_final = diffuse(sym_norm_adjacency(g), node_resid, node_resid, cfg)
     increment = z_final - node_resid
     edge_corr = 0.5 * (increment[ids[:, 0]] + increment[ids[:, 1]])
@@ -245,18 +244,14 @@ def check_k_multipliers(mults) -> None:
         raise ConfigError("k_multipliers must be a list of positive numbers")
 
 
-def eval_pairs(manifest, split: str) -> tuple[list, list]:
-    """(positive, negative) evaluation pairs of a test/valid/pooled split."""
-    if split == "valid":
-        pos, neg = manifest.valid_pos, manifest.valid_neg
-    elif split == "test":
-        pos, neg = manifest.test_pos, manifest.test_neg
-    elif split == "pooled":
-        pos = manifest.valid_pos + manifest.test_pos
-        neg = manifest.valid_neg + manifest.test_neg
-    else:
+def eval_pairs(splits, split: str) -> tuple[list, list]:
+    """(positive, negative) evaluation entries of a test/valid/pooled split
+    (valid then test) of a manifest's key pairs, or of any record with its
+    split fields, such as a ``selection.SplitIds`` of edge positions."""
+    if split not in EVAL_SPLITS:
         raise ConfigError(f"eval split must be one of {EVAL_SPLITS}, got {split!r}")
-    return list(pos), list(neg)
+    names = ("valid", "test") if split == "pooled" else (split,)
+    return tuple([x for n in names for x in getattr(splits, f"{n}_{s}")] for s in ("pos", "neg"))
 
 
 def shuffle_eval_order(pos_eval: list, neg_eval: list, seed: int):
@@ -276,16 +271,17 @@ def shuffle_eval_order(pos_eval: list, neg_eval: list, seed: int):
     return [pairs[i] for i in perm], labels[perm]
 
 
-def train_student(y: np.ndarray, g_train: Graph, manifest, config: DistillConfig):
+def train_student(y: np.ndarray, g_train: Graph, splits, config: DistillConfig):
     """The MLP student: imitate the scorer's embeddings ``y`` from the node
-    features of ``g_train``, then fine-tune on its training pairs."""
-    return finetune_linkpred(imitate(y, g_train, config), manifest, g_train)
+    features of ``g_train``, then fine-tune on the training pairs of
+    ``splits``, a ``selection.SplitIds`` over ``g_train``."""
+    return finetune_linkpred(imitate(y, g_train, config), splits)
 
 
 def method_scores(
     method: str,
     g_train: Graph,
-    manifest,
+    splits,
     y: np.ndarray,
     z_all: np.ndarray,
     eval_ids: np.ndarray,
@@ -293,9 +289,10 @@ def method_scores(
 ) -> np.ndarray:
     """Scores for the evaluation edges under one broadcast method.
 
-    ``logit_lp`` and ``node_lp`` score every manifest edge at once and
-    return the full vector in manifest order; the caller slices the
-    evaluation block. All other methods score ``eval_ids`` directly.
+    ``z_all`` holds the scorer's logits of the ``selection.SplitIds``
+    ``splits``, in order. ``logit_lp`` and ``node_lp`` score every manifest
+    edge at once and return the full vector in that order; the caller
+    slices the evaluation block. All other methods score ``eval_ids``.
 
     A score that is not finite, such as an inner product that overflows on
     large but finite embeddings, is a ``NumericError`` naming the method,
@@ -303,26 +300,25 @@ def method_scores(
     invalid-value warnings on the way are not raised.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = _method_scores(method, g_train, manifest, y, z_all, eval_ids, config)
+        scores = _method_scores(method, g_train, splits, y, z_all, eval_ids, config)
     if not np.isfinite(scores).all():
         raise NumericError(f"{method} scores are not finite")
     return scores
 
 
-def _method_scores(method, g_train, manifest, y, z_all, eval_ids, config) -> np.ndarray:
+def _method_scores(method, g_train, splits, y, z_all, eval_ids, config) -> np.ndarray:
     if method == "scorer":
         return score_edges(y, eval_ids)
     if method == "logit_lp":
-        return logit_lp(g_train, manifest, z_all, config.diffusion)
+        return logit_lp(g_train, splits, z_all, config.diffusion)
     if method == "node_lp":
-        return node_centric_lp_ablation(g_train, manifest, z_all, config.diffusion)
+        return node_centric_lp_ablation(g_train, splits, z_all, config.diffusion)
     if method == "emb_lp":
-        train_pos_ids = g_train.pair_ids(manifest.train_pos)
-        return emb_lp(g_train, train_pos_ids, y, config.diffusion, eval_ids)
+        return emb_lp(g_train, splits.train_pos, y, config.diffusion, eval_ids)
     if method == "xmc_lp":
         return xmc_scores(g_train, y, config.diffusion, eval_ids)
     if method == "mlp":
-        student = train_student(y, g_train, manifest, config.distill)
+        student = train_student(y, g_train, splits, config.distill)
         # embed only the distinct evaluation endpoints, then score local ids
         pairs = checked_pairs(eval_ids, g_train.num_nodes)
         rows, local = np.unique(pairs, return_inverse=True)

@@ -10,8 +10,11 @@ reproduces the report content hash exactly. Artifacts land under the output
 directory together with a provenance record (config hash, tool version,
 input digests).
 
-The CLI stage commands call ``fit_scorer``, ``metric_row`` and
-``evaluation.method_scores``, so one stage run alone decides as it does here.
+Each regime turns its manifest into node ids once (``selection.split_ids``)
+and every stage after the split reads those; key pairs come back
+(``graph.key_pairs``) only to name score-file rows. The CLI stage commands
+call ``split_ids``, ``fit_scorer``, ``metric_row`` and
+``evaluation.method_scores``, so one stage run alone decides as here.
 """
 
 from __future__ import annotations
@@ -43,11 +46,11 @@ from .evaluation import (
     method_scores,
     shuffle_eval_order,
 )
-from .graph import Graph, union_graph
+from .graph import Graph, key_pairs, union_graph
 from .io import graph_inputs, load_graph, save_graph, write_edge_tsv, write_scores_tsv
 from .scorer import ScorerConfig, embed, score_edges, train_scorer
 from .seeds import derive_seed
-from .selection import Regime, check_split_knobs, make_split, manifest_training_graph
+from .selection import Regime, check_split_knobs, make_split, manifest_training_graph, split_ids
 
 __all__ = ["run_pipeline", "write_provenance", "fit_scorer", "metric_row"]
 
@@ -256,26 +259,25 @@ def _load_dataset(
 
 
 def fit_scorer(
-    config: ScorerConfig, g_train: Graph, manifest, model_path, logits_path=None
+    config: ScorerConfig, g_train: Graph, splits, model_path, logits_path=None
 ) -> tuple:
     """Train and checkpoint the scorer, then score every manifest edge:
-    ``(model, y, all_ids, z_all)``, the logits written to ``logits_path``.
+    ``(model, y, z_all)``, the logits written to ``logits_path``.
 
-    ``y`` is the N-row embedding table, ``all_ids`` the node-id pairs of
-    ``manifest.all_edges()`` and ``z_all`` their logits. The model is
-    returned for its ``loss_trace``. ``run_pipeline`` keeps only ``y``,
-    ``all_ids`` (until it has the evaluation pairs' ids) and ``z_all``, so
-    the model's X' is freed before the broadcast methods run.
+    ``y`` is the N-row embedding table and ``z_all`` the logits of
+    ``np.concatenate(splits)``, the ``selection.SplitIds`` of the manifest's
+    ``all_edges()``. The model is returned for its ``loss_trace``;
+    ``run_pipeline`` keeps only ``y`` and ``z_all``, so the model's X' is
+    freed before the broadcast methods run.
     """
-    model = train_scorer(config, g_train, manifest)
+    model = train_scorer(config, g_train, splits)
     save_scorer(model_path, model, g_train)
     y = embed(model, g_train)
-    all_pairs = manifest.all_edges()
-    all_ids = g_train.pair_ids(all_pairs)
+    all_ids = np.concatenate(splits)
     z_all = score_edges(y, all_ids)
     if logits_path is not None:
-        write_scores_tsv(logits_path, all_pairs, z_all)
-    return model, y, all_ids, z_all
+        write_scores_tsv(logits_path, key_pairs(g_train.keys, all_ids), z_all)
+    return model, y, z_all
 
 
 def metric_row(
@@ -333,24 +335,24 @@ def run_pipeline(config: dict, base_dir: str | Path | None = None) -> EvalReport
             manifest.save(out_dir / "manifests" / f"{tag}.json")
         with _stage(f"scorer:{tag}"):
             g_train = manifest_training_graph(manifest, src, tar, union=union)
-            y, all_ids, z_all = fit_scorer(
-                suite.scorer, g_train, manifest, out_dir / "models" / f"{tag}.bin",
+            splits = split_ids(manifest, g_train)
+            y, z_all = fit_scorer(
+                suite.scorer, g_train, splits, out_dir / "models" / f"{tag}.bin",
                 out_dir / "scores" / f"{tag}.logits.tsv",
             )[1:]
 
-        pos_eval, neg_eval = eval_pairs(manifest, suite.eval_split)
-        eval_order, labels = shuffle_eval_order(pos_eval, neg_eval, suite.seed)
-        all_edges = manifest.all_edges()
-        index_of = dict(zip(all_edges, range(len(all_edges))))
-        eval_positions = np.fromiter(map(index_of.__getitem__, eval_order), dtype=np.int64)
-        eval_ids = all_ids[eval_positions]
-        # the methods read y, z_all and the eval ids: free the rest first
-        del index_of, all_edges, all_ids, pos_eval, neg_eval
+        # the evaluation rows by their positions in all_edges(), shuffled
+        ends = np.cumsum([0, *map(len, splits)])
+        positions = splits._make(map(range, ends[:-1], ends[1:]))
+        order, labels = shuffle_eval_order(*eval_pairs(positions, suite.eval_split), suite.seed)
+        eval_positions = np.array(order, dtype=np.int64)
+        eval_ids = np.concatenate(splits)[eval_positions]
+        eval_order = key_pairs(g_train.keys, eval_ids)
 
         for method in methods:
             with _stage(f"{method}:{tag}"):
                 t0 = time.perf_counter()
-                full = method_scores(method, g_train, manifest, y, z_all, eval_ids, suite)
+                full = method_scores(method, g_train, splits, y, z_all, eval_ids, suite)
                 scores = full[eval_positions] if method in CALIBRATED_METHODS else full
                 write_scores_tsv(
                     out_dir / "scores" / f"{tag}.{method}.tsv", eval_order, scores

@@ -183,27 +183,23 @@ class LineOperator:
         )
         self.shape = (m, m)
 
-    def stacked(self, tail: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-        """``(buffer, state)``: an uninitialized (N+m)-row buffer of rows
-        shaped ``tail``, and ``state``, the view of its last m rows, for the
-        caller to fill with the iterate."""
-        buf = np.empty((self.num_nodes + self.shape[0],) + tuple(tail))
-        return buf, buf[self.num_nodes :]
+    def stacked(self, x: np.ndarray) -> np.ndarray:
+        """A new (N+m)-row buffer whose last m rows are a copy of the
+        iterate ``x``, 1-D or 2-D; its first N rows are left uninitialized."""
+        buf = np.empty((self.num_nodes + self.shape[0],) + np.shape(x)[1:])
+        buf[self.num_nodes :] = x
+        return buf
 
     def product(self, buf: np.ndarray) -> np.ndarray:
         """S_L @ x as a new array, for the iterate x held in the last m rows
         of the ``stacked`` buffer ``buf``; C*x is written over ``buf``'s
         first N rows on the way."""
         n = self.num_nodes
-        # the sparse products take at most two axes; every row stays whole
-        flat = buf.reshape(buf.shape[0], -1) if buf.ndim > 2 else buf
-        flat[:n] = self._c @ flat[n:]
-        return (self._folded @ flat).reshape(buf[n:].shape)
+        buf[:n] = self._c @ buf[n:]
+        return self._folded @ buf
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        buf, state = self.stacked(np.shape(x)[1:])
-        state[...] = x
-        return self.product(buf)
+        return self.product(self.stacked(x))
 
 
 def line_operator(
@@ -341,32 +337,22 @@ def diffuse(
         )
     # the copy is handed straight to the loop, so that nothing else holds it
     return damped_iteration(
-        operator, _working_copy(operator, z), (1.0 - cfg.alpha) * g_mat,
-        cfg.alpha, cfg.k_max, cfg.tol,
+        operator, operator.stacked(z) if isinstance(operator, LineOperator) else z.copy(),
+        (1.0 - cfg.alpha) * g_mat, cfg.alpha, cfg.k_max, cfg.tol,
     )[0]
 
 
-def _working_copy(operator, z: np.ndarray) -> np.ndarray:
-    """A copy of ``z`` laid out as ``damped_iteration`` takes it for
-    ``operator``: a ``LineOperator``'s stacked buffer, or ``z`` itself."""
-    if not isinstance(operator, LineOperator):
-        return z.copy()
-    buf, state = operator.stacked(z.shape[1:])
-    state[...] = z
-    return buf
-
-
 def endpoint_mean(
-    num_nodes: int, u: np.ndarray, v: np.ndarray, at_u: np.ndarray, at_v: np.ndarray
+    num_nodes: int, u: np.ndarray, v: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per node, the mean of the values its edges hand it: ``(means, touched)``.
 
-    Edge e hands ``at_u[e]`` to ``u[e]`` and ``at_v[e]`` to ``v[e]``, summed
-    in that order, u side first. A node no edge touches gets 0.
+    Edge e hands ``values[e]`` to both ``u[e]`` and ``v[e]``, summed u side
+    first. A node no edge touches gets 0.
     """
-    means = np.zeros((num_nodes,) + np.shape(at_u)[1:])
-    np.add.at(means, u, at_u)
-    np.add.at(means, v, at_v)
+    means = np.zeros((num_nodes,) + np.shape(values)[1:])
+    np.add.at(means, u, values)
+    np.add.at(means, v, values)
     counts = np.bincount(np.concatenate([u, v]), minlength=num_nodes)
     touched = counts > 0
     means[touched] /= counts[touched].reshape((-1,) + (1,) * (means.ndim - 1))
@@ -382,17 +368,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_residuals(manifest, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(sigmoid(z), r, n_train)`` for raw logits ``z`` aligned with
-    ``manifest.all_edges()``: r is label - sigmoid(z) on the first
-    ``n_train`` (training) edges, positives first, and 0 elsewhere."""
+def train_residuals(splits, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(sigmoid(z), r, n_train)`` for raw logits ``z`` of the edges of the
+    ``selection.SplitIds`` ``splits`` in order: r is label - sigmoid(z) on
+    the first ``n_train`` (training) edges, positives first, 0 elsewhere."""
     z = np.asarray(z, dtype=np.float64)
-    n_all = len(manifest.all_edges())
+    n_all = sum(map(len, splits))
     if z.shape[0] != n_all:
         raise DataError(f"logit vector has {z.shape[0]} entries, manifest has {n_all} edges")
     p = sigmoid(z)
-    n_tp = len(manifest.train_pos)
-    n_train = n_tp + len(manifest.train_neg)
+    n_tp = len(splits.train_pos)
+    n_train = n_tp + len(splits.train_neg)
     resid = np.zeros(n_all)
     resid[:n_tp] = 1.0
     resid[:n_train] -= p[:n_train]
@@ -401,20 +387,21 @@ def train_residuals(manifest, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, in
 
 def logit_lp(
     g: Graph,
-    manifest,
+    splits,
     z: np.ndarray,
     cfg: DiffusionConfig,
 ) -> np.ndarray:
     """Residual propagation over the positive+negative edge graph.
 
-    ``z`` holds raw logits aligned with ``manifest.all_edges()``, the order
-    the line-graph operator is built in. Train edge-nodes seed the diffusion
-    with (label - sigmoid(z)); all other edge-nodes start at zero. The
-    diffused residual is added back onto the sigmoid predictions and clamped
-    to [0, 1]. Returns calibrated scores in ``manifest.all_edges()`` order.
+    ``z`` holds raw logits of ``np.concatenate(splits)``, the edges of the
+    ``selection.SplitIds``, the order the line-graph operator is built in.
+    Train edge-nodes seed the diffusion with (label - sigmoid(z)); all other
+    edge-nodes start at zero. The diffused residual is added back onto the
+    sigmoid predictions and clamped to [0, 1]. Returns calibrated scores in
+    that order.
     """
-    p, source, _ = train_residuals(manifest, z)
-    operator = line_operator(g, g.pair_ids(manifest.all_edges()))
+    p, source, _ = train_residuals(splits, z)
+    operator = line_operator(g, np.concatenate(splits))
     z_final = diffuse(operator, source, source, cfg)
     return np.clip(p + z_final, 0.0, 1.0)
 
@@ -465,7 +452,7 @@ def emb_lp(
             state = np.add(y[lo, cols], y[hi, cols], dtype=np.float64)
             state *= 0.5
             state = diffuse(operator, state, state, cfg)[linked]
-            means, touched = endpoint_mean(g.num_nodes, u, v, state, state)
+            means, touched = endpoint_mean(g.num_nodes, u, v, state)
             if not np.isfinite(means).all():
                 raise NumericError("embedding LP's endpoint means are not finite")
             np.copyto(y_upd[:, cols], means, where=touched[:, None])

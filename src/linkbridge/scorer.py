@@ -76,16 +76,11 @@ class ScorerConfig:
     batch_size: int = 512
     epochs: int = 30
     seed: int = 0
-    d_out: int | None = None
 
     def __post_init__(self) -> None:
         check_field_types(self)
         if self.d_trainable < 1:
             raise ConfigError("d_trainable must be >= 1")
-        if self.d_out is not None and self.encoder != "one_hop_mean":
-            raise ConfigError(f"d_out sizes the one_hop_mean encoder; encoder is {self.encoder!r}")
-        if self.d_out is not None and self.d_out < 1:
-            raise ConfigError("d_out must be >= 1")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         if self.encoder not in ENCODERS:
@@ -124,17 +119,16 @@ def node_inputs(
 
 
 def init_model(config: ScorerConfig, g: Graph) -> ScorerModel:
-    """Seeded init: X' uniform in [-1/sqrt(d), 1/sqrt(d)], likewise W."""
+    """Seeded init: X' uniform in [-1/sqrt(d), 1/sqrt(d)], likewise the
+    one-hop encoder's square d_in x d_in projection W."""
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.d_trainable)
     x_prime = rng.uniform(-bound, bound, size=(g.num_nodes, config.d_trainable))
     weights = None
     if config.encoder == "one_hop_mean":
-        d_x = g.feature_dim
-        d_in = d_x + config.d_trainable
-        d_out = config.d_out if config.d_out is not None else d_in
+        d_in = g.feature_dim + config.d_trainable
         wb = 1.0 / np.sqrt(d_in)
-        weights = rng.uniform(-wb, wb, size=(d_in, d_out))
+        weights = rng.uniform(-wb, wb, size=(d_in, d_in))
     return ScorerModel(
         config=config,
         x_prime=x_prime,
@@ -352,8 +346,9 @@ def sgd_epochs(
     return trace, best[1]
 
 
-def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
-    """Fit the scorer on a manifest's training edges.
+def train_scorer(config: ScorerConfig, g_train: Graph, splits) -> ScorerModel:
+    """Fit the scorer on the training edges of ``splits``, a
+    ``selection.SplitIds`` over ``g_train``.
 
     ``sgd_epochs`` over the training pairs; after each epoch the model is
     scored on the validation split and the best checkpoint (recall at
@@ -365,14 +360,11 @@ def train_scorer(config: ScorerConfig, g_train: Graph, manifest) -> ScorerModel:
     overwritten by each better epoch's X'. The returned model's ``x_prime``
     is that buffer.
     """
-    if len(manifest.train_pos) == 0 or len(manifest.train_neg) == 0:
+    pos, neg = splits.train_pos, splits.train_neg
+    valid_pos, valid_neg = splits.valid_pos, splits.valid_neg
+    if len(pos) == 0 or len(neg) == 0:
         raise DataError("manifest has empty training splits")
     model = init_model(config, g_train)
-
-    pos = g_train.pair_ids(manifest.train_pos)
-    neg = g_train.pair_ids(manifest.train_neg)
-    valid_pos = g_train.pair_ids(manifest.valid_pos)
-    valid_neg = g_train.pair_ids(manifest.valid_neg)
 
     d_x = g_train.feature_dim
     x_best = model.x_prime

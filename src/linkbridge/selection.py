@@ -16,7 +16,9 @@ The split works on union ids from the regime's positives to the negative
 draws. Key strings enter at two places only: a pair's canonical order is
 the order of its two keys (``_canon``), read off ranks from Python's
 ``sorted`` over the union's keys, and the manifest's key pairs are made
-once, from the finished id splits.
+once, from the finished id splits. After the split, ``split_ids`` is the one
+way back from the manifest's key pairs to node ids: every stage that reads
+the split (scorer, student, propagation, evaluation) takes its ``SplitIds``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +39,8 @@ from .graph import Graph, first_seen, graph_from_ids, key_pairs, union_graph
 __all__ = [
     "Regime",
     "SplitManifest",
+    "SplitIds",
+    "split_ids",
     "sample_negatives",
     "check_split_knobs",
     "make_split",
@@ -349,6 +354,18 @@ class SplitManifest:
         except OSError as exc:
             raise DataError(f"{path}: cannot read manifest ({exc.strerror})") from exc
         return cls.from_json(text)
+
+
+# the six splits as (m, 2) node-id arrays of one graph
+SplitIds = NamedTuple("SplitIds", [(name, np.ndarray) for name in SPLIT_NAMES])
+
+
+def split_ids(manifest: SplitManifest, g: Graph) -> SplitIds:
+    """The manifest's splits as node ids of ``g``: one ``pair_ids`` over
+    ``all_edges()``, cut at the split sizes, so ``np.concatenate`` of the
+    result is the ids of ``all_edges()``."""
+    ends = np.cumsum([len(pairs) for pairs in manifest.splits().values()])
+    return SplitIds(*np.split(g.pair_ids(manifest.all_edges()), ends[:-1]))
 
 
 def check_split_knobs(neg_ratio, train_frac_outside) -> None:

@@ -648,8 +648,9 @@ def loop_rejection_sample_pairs(g, count, rng, inside_pool, outside_pool=None, t
     return out
 
 
-def dense_train_scorer(config, g, manifest):
-    """Scorer training with the dense N-row X' gradient and full-table update.
+def dense_train_scorer(config, g, splits):
+    """Scorer training with the dense N-row X' gradient and full-table update,
+    on the id splits (``selection.SplitIds``) of a manifest over ``g``.
 
     Returns the selected (x_prime, encoder_weights).
     """
@@ -659,8 +660,7 @@ def dense_train_scorer(config, g, manifest):
     )
 
     model = init_model(config, g)
-    pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
-    valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)
+    pos, neg, valid_pos, valid_neg = splits[:4]
     d_x = g.feature_dim
     h = node_inputs(model.features, model.x_prime).copy()
     w = None if model.encoder_weights is None else model.encoder_weights.copy()
@@ -752,17 +752,16 @@ def dense_imitate(teacher_y, g, config):
     return params, float(np.sum(err * err) / err.size)
 
 
-def dense_finetune(params, manifest, g, config):
+def dense_finetune(params, splits, g, config):
     """Student fine-tuning with full-input steps and validation over every
-    node's embedding.
+    node's embedding, on the id splits of a manifest over ``g``.
 
     Returns the selected (w1, b1, w2, b2).
     """
     from linkbridge.scorer import batch_rows, pair_indices, pair_loss, pair_recall
 
     params = [p.copy() for p in params]
-    pos, neg = g.pair_ids(manifest.train_pos), g.pair_ids(manifest.train_neg)
-    valid_pos, valid_neg = g.pair_ids(manifest.valid_pos), g.pair_ids(manifest.valid_neg)
+    pos, neg, valid_pos, valid_neg = splits[:4]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xF17E]))
 
     def recall():

@@ -25,6 +25,7 @@ from linkbridge.selection import (
     SplitManifest,
     make_split,
     manifest_training_graph,
+    split_ids,
     training_graph_from_universe,
 )
 
@@ -151,9 +152,10 @@ def test_run_with_a_huge_k_multiplier_recalls_every_positive(tmp_path):
     RUN_CONFIG | {"scorrer": {"epochs": 1}},
     RUN_CONFIG | {"eval": {"k_multiplier": [2.0]}},
     RUN_CONFIG | {"dataset": RUN_CONFIG["dataset"] | {"sourc": "source.tsv"}},
-    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_out": -2}},
-    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_out": 0}},
-    RUN_CONFIG | {"scorer": {"epochs": 1, "d_out": 4}},
+    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_trainable": -2}},
+    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_trainable": 0}},
+    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "two_hop_mean"}},
+    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean", "d_out": 4}},
     RUN_CONFIG | {"ppr": {"tol": -1e-3}},
     RUN_CONFIG | {"distill": {"plateau_epochs": 0}},
     RUN_CONFIG | {"distill": {"plateau_epochs": -1}},
@@ -166,8 +168,8 @@ def test_run_with_a_huge_k_multiplier_recalls_every_positive(tmp_path):
         "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
         "distill-finetune-batch-size-0", "scorer-momentum", "scorer-l2-weight",
         "neg-ratio-negative", "train-frac-above-1", "top-level-typo", "eval-typo",
-        "dataset-typo", "scorer-d-out-negative", "scorer-d-out-0",
-        "scorer-d-out-without-one-hop-mean", "ppr-tol-negative",
+        "dataset-typo", "scorer-d-trainable-negative", "scorer-d-trainable-0",
+        "scorer-encoder-unknown", "scorer-d-out", "ppr-tol-negative",
         "distill-plateau-epochs-0", "distill-plateau-epochs-negative",
         "distill-plateau-tol-negative", "scorer-epochs-float", "distill-hidden-float",
         "method-twice", "regime-twice"])
@@ -341,7 +343,8 @@ def trained(workspace):
 
 def test_train_scorer_emits_the_library_logits(trained, tmp_path):
     manifest, g_train = _training_graph(trained)
-    model = train_scorer(ScorerConfig(epochs=1, d_trainable=4), g_train, manifest)
+    model = train_scorer(ScorerConfig(epochs=1, d_trainable=4), g_train,
+                         split_ids(manifest, g_train))
     pairs = manifest.all_edges()
     z = score_edges(embed(model, g_train), g_train.pair_ids(pairs))
     assert _same_scores(trained / "logits.tsv", pairs, z, tmp_path)
@@ -356,12 +359,13 @@ def test_propagate_writes_the_library_scores(trained, tmp_path, variant):
     manifest, g = _training_graph(trained)
     pairs = manifest.all_edges()
     ids = g.pair_ids(pairs)
+    splits = split_ids(manifest, g)
     y = embed(load_scorer(trained / "model.bin", g), g)
     cfg = DiffusionConfig()
     expected = {
-        "logit": lambda: logit_lp(g, manifest, score_edges(y, ids), cfg),
-        "node": lambda: node_centric_lp_ablation(g, manifest, score_edges(y, ids), cfg),
-        "emb": lambda: emb_lp(g, g.pair_ids(manifest.train_pos), y, cfg, ids),
+        "logit": lambda: logit_lp(g, splits, score_edges(y, ids), cfg),
+        "node": lambda: node_centric_lp_ablation(g, splits, score_edges(y, ids), cfg),
+        "emb": lambda: emb_lp(g, splits.train_pos, y, cfg, ids),
         "xmc": lambda: xmc_scores(g, y, cfg, ids),
     }[variant]()
     assert _same_scores(trained / "out.tsv", pairs, expected, tmp_path)
@@ -395,7 +399,8 @@ def test_distill_writes_the_library_student(trained, tmp_path):
     assert code == 0
     manifest, g = _training_graph(trained)
     y = embed(load_scorer(trained / "model.bin", g), g)
-    save_student(tmp_path / "lib.bin", train_student(y, g, manifest, DistillConfig(**config)))
+    student = train_student(y, g, split_ids(manifest, g), DistillConfig(**config))
+    save_student(tmp_path / "lib.bin", student)
     assert (trained / "student.bin").read_bytes() == (tmp_path / "lib.bin").read_bytes()
 
 

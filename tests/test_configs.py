@@ -31,8 +31,8 @@ CASES = {
     "diffusion-k-max-str": (DiffusionConfig, {}, {"k_max": "3"}, "k_max must be an integer"),
     "ppr-iterations-float": (PprConfig, {}, {"iterations": 50.0}, "iterations must be an integer"),
     "synthetic-seed-str": (SyntheticSpec, SPEC, {"seed": "1"}, "seed must be an integer"),
-    "scorer-d-out-float": (ScorerConfig, {"encoder": "one_hop_mean"}, {"d_out": 4.0},
-                           "d_out must be an integer"),
+    "scorer-d-train-float": (ScorerConfig, {"encoder": "one_hop_mean"}, {"d_trainable": 4.0},
+                             "d_trainable must be an integer"),
     # a float field takes an int or a float, not a bool or a string
     "scorer-learning-rate-bool": (ScorerConfig, {}, {"learning_rate": True},
                                   "learning_rate must be a number"),
@@ -76,8 +76,8 @@ def test_out_of_range_value_raises_at_construction_and_replace(case):
 
 
 def test_typed_fields_take_their_own_values():
-    """An int is a number, and None is allowed where annotated."""
+    """An int is a number, and an int or str field takes its own type."""
     assert PprConfig(teleport=0.5, tol=0).tol == 0
-    assert ScorerConfig(learning_rate=1, d_out=None).learning_rate == 1
-    assert ScorerConfig(encoder="one_hop_mean", d_out=4).d_out == 4
+    assert ScorerConfig(learning_rate=1, batch_size=8).learning_rate == 1
+    assert ScorerConfig(encoder="one_hop_mean", d_trainable=4).d_trainable == 4
     assert SyntheticSpec(**SPEC | {"overlap_ratio": 1}).overlap_ratio == 1

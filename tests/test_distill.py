@@ -24,7 +24,7 @@ from linkbridge.metrics import recall_at
 from linkbridge.scorer import (
     ScorerConfig, batch_rows, embed, init_model, score_edges, train_scorer,
 )
-from linkbridge.selection import Regime, make_split, manifest_training_graph
+from linkbridge.selection import Regime, make_split, manifest_training_graph, split_ids
 
 from oracles import dense_finetune, dense_imitate, fd_grad, max_rel_error
 
@@ -106,29 +106,28 @@ def _distill_fixture():
     g_train = manifest_training_graph(manifest, src, tar)
     teacher = init_model(ScorerConfig(d_trainable=4, seed=3), g_train)
     teacher_y = embed(teacher, g_train)
-    return manifest, g_train, teacher, teacher_y
+    return split_ids(manifest, g_train), g_train, teacher, teacher_y
 
 
 def test_finetune_lr_zero_keeps_model():
-    manifest, g_train, teacher, teacher_y = _distill_fixture()
+    splits, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=8, max_epochs=5, seed=2, finetune_lr=0.0,
                         finetune_epochs=3)
     student = imitate(teacher_y, g_train, cfg)
-    tuned = finetune_linkpred(student, manifest, g_train)
+    tuned = finetune_linkpred(student, splits)
     assert np.array_equal(tuned.w1, student.w1)
     assert np.array_equal(tuned.w2, student.w2)
 
 
 def test_finetune_improves_or_keeps_valid_recall():
-    manifest, g_train, teacher, teacher_y = _distill_fixture()
+    splits, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=16, learning_rate=0.05, max_epochs=60, seed=4,
                         finetune_epochs=15, finetune_lr=0.02)
     student = imitate(teacher_y, g_train, cfg)
 
     def valid_recall(model):
         y = student_embed(model)
-        vp = g_train.ids_for([k for p in manifest.valid_pos for k in p]).reshape(-1, 2)
-        vn = g_train.ids_for([k for p in manifest.valid_neg for k in p]).reshape(-1, 2)
+        vp, vn = splits.valid_pos, splits.valid_neg
         z = np.concatenate([
             np.einsum("ij,ij->i", y[vp[:, 0]], y[vp[:, 1]]),
             np.einsum("ij,ij->i", y[vn[:, 0]], y[vn[:, 1]]),
@@ -137,14 +136,14 @@ def test_finetune_improves_or_keeps_valid_recall():
         return recall_at(z, labels, len(vp))
 
     before = valid_recall(student)
-    tuned = finetune_linkpred(student, manifest, g_train)
+    tuned = finetune_linkpred(student, splits)
     assert valid_recall(tuned) >= before
 
 
 def test_student_scores_without_graph_access():
     """A node absent from the training graph is embedded from its feature
     row alone and scored against a training node."""
-    manifest, g_train, teacher, teacher_y = _distill_fixture()
+    splits, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=8, max_epochs=3, seed=5)
     student = imitate(teacher_y, g_train, cfg)
     assert "new" not in g_train.keys
@@ -158,7 +157,7 @@ def test_student_scores_without_graph_access():
 
 
 def test_imitation_loss_non_increasing_trace():
-    manifest, g_train, teacher, teacher_y = _distill_fixture()
+    splits, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=16, learning_rate=0.02, max_epochs=40, seed=6)
     student = imitate(teacher_y, g_train, cfg)
     trace = student.loss_trace
@@ -169,7 +168,7 @@ def test_imitation_loss_non_increasing_trace():
 
 
 def test_student_checkpoint_round_trip(tmp_path):
-    manifest, g_train, teacher, teacher_y = _distill_fixture()
+    splits, g_train, teacher, teacher_y = _distill_fixture()
     cfg = DistillConfig(hidden=8, max_epochs=2, seed=7)
     student = imitate(teacher_y, g_train, cfg)
     path = tmp_path / "student.bin"
@@ -195,7 +194,7 @@ def test_imitate_rejects_a_featureless_graph():
 
 
 def test_input_matrix_gathers_rows():
-    manifest, g_train, teacher, teacher_y = _distill_fixture()
+    splits, g_train, teacher, teacher_y = _distill_fixture()
     student = imitate(teacher_y, g_train, DistillConfig(hidden=4, max_epochs=1))
     rows = np.array([3, 1, 3, 0])
     assert np.array_equal(_inputs(student, rows), g_train.features[rows])
@@ -207,6 +206,7 @@ def test_student_matches_dense_reference(small_pair):
     src, tar, _ = small_pair
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
     g_train = manifest_training_graph(manifest, src, tar)
+    splits = split_ids(manifest, g_train)
     teacher = init_model(ScorerConfig(d_trainable=4, seed=3), g_train)
     teacher_y = embed(teacher, g_train)
     cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,
@@ -219,8 +219,8 @@ def test_student_matches_dense_reference(small_pair):
         assert np.array_equal(got, want)
     assert student.imitation_mse == mse
 
-    tuned = finetune_linkpred(student, manifest, g_train)
-    params = dense_finetune(params, manifest, g_train, cfg)
+    tuned = finetune_linkpred(student, splits)
+    params = dense_finetune(params, splits, g_train, cfg)
     for got, want in zip((tuned.w1, tuned.b1, tuned.w2, tuned.b2), params):
         assert np.array_equal(got, want)
     # fine-tuning keeps a later epoch here, so its steps are compared too
@@ -233,17 +233,18 @@ def test_train_student_saves_the_dense_reference_checkpoint(small_pair, tmp_path
     src, tar, _ = small_pair
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
     g_train = manifest_training_graph(manifest, src, tar)
-    teacher = train_scorer(ScorerConfig(d_trainable=4, epochs=2, seed=3), g_train, manifest)
+    splits = split_ids(manifest, g_train)
+    teacher = train_scorer(ScorerConfig(d_trainable=4, epochs=2, seed=3), g_train, splits)
     teacher_y = embed(teacher, g_train)
     kept = teacher_y.tobytes()
     cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,
                         seed=2, finetune_epochs=3, finetune_lr=0.05,
                         finetune_batch_size=16)
-    student = train_student(teacher_y, g_train, manifest, cfg)
+    student = train_student(teacher_y, g_train, splits, cfg)
     assert teacher_y.tobytes() == kept
 
     params, _ = dense_imitate(teacher_y, g_train, cfg)
-    params = dense_finetune(params, manifest, g_train, cfg)
+    params = dense_finetune(params, splits, g_train, cfg)
     reference = MlpModel(cfg, *params, features=g_train.features)
     save_student(tmp_path / "student.bin", student)
     save_student(tmp_path / "reference.bin", reference)

@@ -19,7 +19,7 @@ from linkbridge.evaluation import (
 from linkbridge.graph import build_graph, graph_from_ids
 from linkbridge.pipeline import metric_row
 from linkbridge.scorer import ScorerConfig, embed, score_edges, train_scorer
-from linkbridge.selection import Regime, make_split, manifest_training_graph
+from linkbridge.selection import Regime, make_split, manifest_training_graph, split_ids
 
 from oracles import random_graph_edges
 
@@ -99,10 +99,11 @@ def test_method_scores_reject_out_of_range_eval_ids(small_pair, manifest, method
         scorer=ScorerConfig(epochs=1, d_trainable=4),
         distill=DistillConfig(hidden=4, max_epochs=1, finetune_epochs=1),
     )
-    model = train_scorer(suite.scorer, g_train, manifest)
+    splits = split_ids(manifest, g_train)
+    model = train_scorer(suite.scorer, g_train, splits)
     eval_ids = np.array([[0, 1], [0, -1 if bad == "-1" else g_train.num_nodes]])
     with pytest.raises(DataError):
-        method_scores(method, g_train, manifest, embed(model, g_train), None, eval_ids, suite)
+        method_scores(method, g_train, splits, embed(model, g_train), None, eval_ids, suite)
 
 
 @pytest.mark.parametrize("method", ["scorer", "emb_lp", "xmc_lp"])
@@ -117,11 +118,11 @@ def test_non_finite_method_scores_are_a_numeric_error(method):
     )
     y = np.zeros((40, 4))
     y[3, 1] = 1e300
-    # emb_lp reads its positive training pairs off the manifest, and nothing else
-    manifest = SimpleNamespace(train_pos=g.edge_keys()[:30])
+    # emb_lp reads its positive training pairs off the splits, and nothing else
+    splits = SimpleNamespace(train_pos=g.edges[:30])
     eval_ids = np.array([[3, 3], [3, 5], [1, 2]])
     with pytest.raises(NumericError, match=f"^{method} scores are not finite"):
-        method_scores(method, g, manifest, y, None, eval_ids, SuiteConfig())
+        method_scores(method, g, splits, y, None, eval_ids, SuiteConfig())
 
 
 # the methods whose scores still follow the node ids, and why
@@ -153,8 +154,9 @@ def test_method_scores_do_not_depend_on_node_ids(small_pair, manifest, method):
     pairs = list(manifest.test_pos) + list(manifest.test_neg)
 
     def scores(graph, y):
-        z_all = score_edges(y, graph.pair_ids(manifest.all_edges()))
-        return method_scores(method, graph, manifest, y, z_all, graph.pair_ids(pairs), suite)
+        splits = split_ids(manifest, graph)
+        z_all = score_edges(y, np.concatenate(splits))
+        return method_scores(method, graph, splits, y, z_all, graph.pair_ids(pairs), suite)
 
     want = scores(g, y)
     out = scores(relabeled, y[perm])
@@ -170,13 +172,14 @@ def test_mlp_scores_embed_only_the_evaluation_endpoints(small_pair, manifest):
         scorer=ScorerConfig(epochs=1, d_trainable=4),
         distill=DistillConfig(hidden=4, max_epochs=2, finetune_epochs=1),
     )
-    model = train_scorer(suite.scorer, g_train, manifest)
+    splits = split_ids(manifest, g_train)
+    model = train_scorer(suite.scorer, g_train, splits)
     y = embed(model, g_train)
-    eval_ids = g_train.pair_ids(list(manifest.test_pos) + list(manifest.test_neg))
+    eval_ids = np.concatenate([splits.test_pos, splits.test_neg])
     assert np.unique(eval_ids).size < g_train.num_nodes
-    student = train_student(y, g_train, manifest, suite.distill)
+    student = train_student(y, g_train, splits, suite.distill)
     want = score_edges(student_embed(student), eval_ids)
-    out = method_scores("mlp", g_train, manifest, y, None, eval_ids, suite)
+    out = method_scores("mlp", g_train, splits, y, None, eval_ids, suite)
     assert np.array_equal(out, want)
 
 

@@ -1,15 +1,26 @@
 import json
+import sys
 import weakref
 
+import numpy as np
 import pytest
 
 from linkbridge import pipeline
 from linkbridge.datasets import SyntheticSpec, generate_synthetic
 from linkbridge.errors import ConfigError, DataError
-from linkbridge.evaluation import KNOWN_METHODS
-from linkbridge.io import save_graph, write_edge_tsv, write_features_csv
+from linkbridge.evaluation import KNOWN_METHODS, eval_pairs, evaluate_scores, shuffle_eval_order
+from linkbridge.graph import Graph
+from linkbridge.io import (
+    read_scores_for,
+    read_scores_tsv,
+    save_graph,
+    write_edge_tsv,
+    write_features_csv,
+)
 from linkbridge.pipeline import run_pipeline
+from linkbridge.propagation import DiffusionConfig, logit_lp
 from linkbridge.seeds import derive_seed
+from linkbridge.selection import SplitManifest, manifest_training_graph, split_ids
 
 SPEC = dict(
     n_src=80,
@@ -177,3 +188,51 @@ def test_scorer_model_is_freed_before_the_methods_run(tmp_path, monkeypatch):
     dataset = {"kind": "synthetic", "spec": SPEC}
     run_pipeline(_config("out", dataset, ["scorer", "logit_lp"]), tmp_path)
     assert alive == [False, False]
+
+
+def test_the_split_becomes_node_ids_once_per_regime(tmp_path, monkeypatch):
+    """Of the stages after the split, only the selection layer turns key
+    pairs into node ids: the training graph and ``split_ids``, two
+    ``pair_ids`` calls a regime, whatever the methods."""
+    callers = []
+    real = Graph.pair_ids
+
+    def pair_ids(self, pairs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(self, pairs)
+
+    monkeypatch.setattr(Graph, "pair_ids", pair_ids)
+    config = _config("out", {"kind": "synthetic", "spec": SPEC}) | {"regimes": ["int", "tar"]}
+    run_pipeline(config, tmp_path)
+    assert callers == ["linkbridge.selection"] * 4
+
+
+@pytest.mark.parametrize("split", ["valid", "pooled"])
+def test_score_files_list_the_eval_split(tmp_path, split):
+    """Each method's score file lists the evaluation pairs of the split, in
+    the seeded order its report row is ranked in; logit_lp's scores are its
+    full manifest vector read at those pairs."""
+    config = _config("out", {"kind": "synthetic", "spec": SPEC}) | {"eval": {"split": split}}
+    report = run_pipeline(config, tmp_path)
+    out = tmp_path / "out"
+    manifest = SplitManifest.load(out / "manifests" / "int.json")
+    pos, neg = eval_pairs(manifest, split)
+    assert set(pos) != set(manifest.test_pos)
+    order, labels = shuffle_eval_order(pos, neg, config["seed"])
+    assert sorted(order) == sorted(pos + neg)
+    assert sum(labels) == len(pos)
+    for row in report.rows:
+        scores = read_scores_tsv(out / "scores" / f"int.{row['method']}.tsv")
+        assert list(scores) == order
+        want = evaluate_scores(np.array(list(scores.values())), labels,
+                               (1.0, 1.25), row["threshold"], config["seed"])
+        assert {k: row[k] for k in want} == want
+        assert row["split"] == split
+
+    src, tar, _ = generate_synthetic(SyntheticSpec(**SPEC))
+    g_train = manifest_training_graph(manifest, src, tar)
+    z_all = read_scores_for(out / "scores" / "int.logits.tsv", manifest.all_edges())
+    full = logit_lp(g_train, split_ids(manifest, g_train), z_all, DiffusionConfig())
+    at = dict(zip(manifest.all_edges(), full.tolist()))
+    written = read_scores_tsv(out / "scores" / "int.logit_lp.tsv")
+    assert written == {pair: at[pair] for pair in order}

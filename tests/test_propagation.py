@@ -25,7 +25,7 @@ from linkbridge.propagation import (
     xmc_scores,
 )
 from linkbridge.scorer import score_edges
-from linkbridge.selection import Regime, make_split, manifest_training_graph
+from linkbridge.selection import Regime, make_split, manifest_training_graph, split_ids
 
 from oracles import (
     brute_line_adjacency,
@@ -111,10 +111,10 @@ def test_line_operator_matches_brute_force_oracle(rng):
         assert np.max(np.abs(op @ x[:, 0] - s_dense @ x[:, 0])) <= 1e-12
 
 
-@pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("tail", [(), (3,)])
 def test_folded_product_is_the_two_step_product(rng, tail):
     """[C^T | -2*D_L^-1] on the state stacked under C*x is C^T*(C*x) and
-    then minus 2/k_e*x[e], bit for bit, for a state of any row shape; the
+    then minus 2/k_e*x[e], bit for bit, for a 1-D and a 2-D state; the
     hub's edges, and an isolated edge, are among the rows."""
     edges = np.array(random_graph_edges(rng, 12, 30) + [(20, 21)] + [(22, i) for i in range(23, 30)])
     lo, hi = edges[:, 0], edges[:, 1]
@@ -127,11 +127,10 @@ def test_folded_product_is_the_two_step_product(rng, tail):
         (np.tile(scale, 2), (np.concatenate([lo, hi]), np.tile(np.arange(m), 2))), shape=(30, m)
     )
     x = rng.normal(size=(m,) + tail)
-    flat = x.reshape(m, -1) if x.ndim > 2 else x
-    diag = (2.0 * scale * scale).reshape((-1,) + (1,) * (flat.ndim - 1))
-    want = c.T.tocsr() @ (c @ flat)
-    want -= diag * flat
-    assert np.array_equal(op @ x, want.reshape(x.shape))
+    diag = (2.0 * scale * scale).reshape((-1,) + (1,) * (x.ndim - 1))
+    want = c.T.tocsr() @ (c @ x)
+    want -= diag * x
+    assert np.array_equal(op @ x, want)
 
 
 def test_line_operator_input_validation(triangle):
@@ -355,7 +354,7 @@ def test_logit_lp_perfect_teacher_is_fixed_point():
     z = np.zeros(len(pairs))
     z[:n_tp] = 50.0
     z[n_tp : n_tp + n_tn] = -50.0
-    scores = logit_lp(g_train, manifest, z, DiffusionConfig(alpha=0.8, k_max=30))
+    scores = logit_lp(g_train, split_ids(manifest, g_train), z, DiffusionConfig(alpha=0.8, k_max=30))
     assert np.allclose(scores, sigmoid(z), atol=1e-12)
 
 
@@ -382,7 +381,7 @@ def test_logit_lp_isolated_train_edges_leave_eval_untouched():
     )
     rng = np.random.default_rng(0)
     z = rng.normal(size=6)
-    scores = logit_lp(g, manifest, z, DiffusionConfig(alpha=0.8, k_max=40))
+    scores = logit_lp(g, split_ids(manifest, g), z, DiffusionConfig(alpha=0.8, k_max=40))
     p = sigmoid(z)
     # train scores may keep their own residual; eval scores are untouched
     assert np.allclose(scores[2:], p[2:], atol=1e-12)
@@ -394,7 +393,7 @@ def test_logit_lp_matches_dense_oracle():
     rng = np.random.default_rng(1)
     z = rng.normal(size=len(pairs))
     cfg = DiffusionConfig(alpha=0.8, k_max=25, tol=0.0)
-    scores = logit_lp(g_train, manifest, z, cfg)
+    scores = logit_lp(g_train, split_ids(manifest, g_train), z, cfg)
     n_train = len(manifest.train_pos) + len(manifest.train_neg)
     labels = np.zeros(n_train)
     labels[: len(manifest.train_pos)] = 1.0
@@ -414,7 +413,7 @@ def test_logit_lp_output_in_unit_interval():
     manifest, g_train = _manifest_fixture(seed=7)
     pairs, _ = _manifest_ids(g_train, manifest)
     z = np.random.default_rng(2).normal(scale=4.0, size=len(pairs))
-    scores = logit_lp(g_train, manifest, z, DiffusionConfig())
+    scores = logit_lp(g_train, split_ids(manifest, g_train), z, DiffusionConfig())
     assert np.all(scores >= 0.0)
     assert np.all(scores <= 1.0)
 
@@ -422,7 +421,7 @@ def test_logit_lp_output_in_unit_interval():
 def test_logit_lp_misalignment_error():
     manifest, g_train = _manifest_fixture()
     with pytest.raises(DataError):
-        logit_lp(g_train, manifest, np.zeros(3), DiffusionConfig())
+        logit_lp(g_train, split_ids(manifest, g_train), np.zeros(3), DiffusionConfig())
 
 
 def test_emb_lp_single_edge_keeps_raw_scores():
@@ -483,7 +482,7 @@ def _whole_state_update(num_nodes, pos, y, cfg):
     feats = (y[lo] + y[hi]) * 0.5
     linked = op.line_degrees > 0
     diffused = diffuse(op, feats, feats, cfg)[linked]
-    y_upd, touched = endpoint_mean(num_nodes, lo[linked], hi[linked], diffused, diffused)
+    y_upd, touched = endpoint_mean(num_nodes, lo[linked], hi[linked], diffused)
     y_upd[~touched] = y[~touched]
     return y_upd
 

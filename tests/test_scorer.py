@@ -17,7 +17,7 @@ from linkbridge.scorer import (
     train_scorer,
     training_loss_and_grads,
 )
-from linkbridge.selection import Regime, make_split, manifest_training_graph
+from linkbridge.selection import Regime, make_split, manifest_training_graph, split_ids
 
 from oracles import dense_train_scorer, fd_grad, max_rel_error, ranking_loss
 
@@ -46,7 +46,7 @@ def test_embedding_only_no_features():
 
 
 def test_one_hop_mean_matches_dense_reference(path4):
-    cfg = ScorerConfig(d_trainable=2, encoder="one_hop_mean", seed=3, d_out=3)
+    cfg = ScorerConfig(d_trainable=2, encoder="one_hop_mean", seed=3)
     model = init_model(cfg, path4)
     y = embed(model, path4)
     h = model.x_prime  # no features: input is X' alone
@@ -60,7 +60,7 @@ def test_one_hop_mean_matches_dense_reference(path4):
 
 def test_one_hop_mean_isolated_node():
     g = build_graph([("a", "b")], extra_nodes=["iso"])
-    cfg = ScorerConfig(d_trainable=2, encoder="one_hop_mean", seed=5, d_out=2)
+    cfg = ScorerConfig(d_trainable=2, encoder="one_hop_mean", seed=5)
     model = init_model(cfg, g)
     y = embed(model, g)
     i = g.key_to_id["iso"]
@@ -96,8 +96,7 @@ def test_gradient_check(encoder, with_features):
         g = featured_graph()
     else:
         g = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d"), ("e", "a")])
-    d_out = 4 if encoder == "one_hop_mean" else None
-    cfg = ScorerConfig(d_trainable=3, encoder=encoder, seed=11, d_out=d_out)
+    cfg = ScorerConfig(d_trainable=3, encoder=encoder, seed=11)
     model = init_model(cfg, g)
     pos = np.array([[0, 1], [1, 2], [2, 3]])
     neg = np.array([[0, 2], [1, 3], [0, 3], [4, 2]])
@@ -123,7 +122,7 @@ def test_training_loss_is_the_ranking_loss_of_the_true_edges():
     assert training_loss_and_grads(model, g, pos, neg)[0] == pytest.approx(expected)
 
 
-def _tiny_manifest_and_graph(seed=0):
+def _tiny_splits_and_graph(seed=0):
     src = build_graph(
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("a", "d")],
         features={k: [0.1 * i, 0.5 - 0.1 * i] for i, k in enumerate("abcd")},
@@ -134,50 +133,48 @@ def _tiny_manifest_and_graph(seed=0):
     tar = build_graph(tar_edges, features=feats)
     manifest = make_split(Regime.TARGET_TO_TARGET, src, tar, neg_ratio=1.0, seed=seed)
     g_train = manifest_training_graph(manifest, src, tar)
-    return manifest, g_train
+    return split_ids(manifest, g_train), g_train
 
 
 def test_train_scorer_lr_zero_keeps_params():
-    manifest, g_train = _tiny_manifest_and_graph()
+    splits, g_train = _tiny_splits_and_graph()
     cfg = ScorerConfig(d_trainable=3, learning_rate=0.0, epochs=3, seed=4)
-    model = train_scorer(cfg, g_train, manifest)
+    model = train_scorer(cfg, g_train, splits)
     init = init_model(cfg, g_train)
     assert np.allclose(model.x_prime, init.x_prime)
 
 
 def test_train_scorer_descends_on_fixture():
-    manifest, g_train = _tiny_manifest_and_graph()
+    splits, g_train = _tiny_splits_and_graph()
     cfg = ScorerConfig(d_trainable=4, learning_rate=0.05, epochs=1, batch_size=8, seed=1)
-    model = train_scorer(cfg, g_train, manifest)
+    model = train_scorer(cfg, g_train, splits)
 
     def full_loss(m):
-        pos = g_train.ids_for([k for p in manifest.train_pos for k in p]).reshape(-1, 2)
-        neg = g_train.ids_for([k for p in manifest.train_neg for k in p]).reshape(-1, 2)
-        return training_loss_and_grads(m, g_train, pos, neg)[0]
+        return training_loss_and_grads(m, g_train, splits.train_pos, splits.train_neg)[0]
 
     assert full_loss(model) <= full_loss(init_model(cfg, g_train)) + 1e-12
 
 
 def test_train_scorer_divergence_aborts():
-    manifest, g_train = _tiny_manifest_and_graph()
+    splits, g_train = _tiny_splits_and_graph()
     cfg = ScorerConfig(d_trainable=4, learning_rate=1e9, epochs=30, seed=1)
     with np.errstate(all="ignore"), pytest.raises(NumericError):
-        train_scorer(cfg, g_train, manifest)
+        train_scorer(cfg, g_train, splits)
 
 
 def test_train_scorer_deterministic():
-    manifest, g_train = _tiny_manifest_and_graph()
+    splits, g_train = _tiny_splits_and_graph()
     cfg = ScorerConfig(d_trainable=3, learning_rate=0.05, epochs=4, seed=8)
-    m1 = train_scorer(cfg, g_train, manifest)
-    m2 = train_scorer(cfg, g_train, manifest)
+    m1 = train_scorer(cfg, g_train, splits)
+    m2 = train_scorer(cfg, g_train, splits)
     assert np.array_equal(m1.x_prime, m2.x_prime)
     assert m1.loss_trace == m2.loss_trace
 
 
 def test_train_scorer_emits_loss_trace():
-    manifest, g_train = _tiny_manifest_and_graph()
+    splits, g_train = _tiny_splits_and_graph()
     cfg = ScorerConfig(d_trainable=3, epochs=5, seed=2)
-    model = train_scorer(cfg, g_train, manifest)
+    model = train_scorer(cfg, g_train, splits)
     assert len(model.loss_trace) == 5
     assert all(np.isfinite(x) for x in model.loss_trace)
 
@@ -187,11 +184,6 @@ def test_config_validation():
         ScorerConfig(d_trainable=0)
     with pytest.raises(ConfigError):
         ScorerConfig(encoder="other")
-    for d_out in (0, -2):
-        with pytest.raises(ConfigError):
-            ScorerConfig(encoder="one_hop_mean", d_out=d_out)
-    with pytest.raises(ConfigError, match="d_out sizes the one_hop_mean encoder"):
-        ScorerConfig(d_out=4)
 
 
 def test_input_matrix_gathers_rows():
@@ -211,10 +203,10 @@ def test_train_scorer_matches_dense_reference(small_pair, encoder):
     src, tar, _ = small_pair
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=5)
     g_train = manifest_training_graph(manifest, src, tar)
-    cfg = ScorerConfig(d_trainable=6, encoder=encoder, batch_size=32, epochs=3,
-                       seed=9, d_out=5 if encoder == "one_hop_mean" else None)
-    model = train_scorer(cfg, g_train, manifest)
-    x_ref, w_ref = dense_train_scorer(cfg, g_train, manifest)
+    cfg = ScorerConfig(d_trainable=6, encoder=encoder, batch_size=32, epochs=3, seed=9)
+    splits = split_ids(manifest, g_train)
+    model = train_scorer(cfg, g_train, splits)
+    x_ref, w_ref = dense_train_scorer(cfg, g_train, splits)
     assert np.array_equal(model.x_prime, x_ref)
     if w_ref is None:
         assert model.encoder_weights is None
@@ -296,10 +288,9 @@ def test_train_scorer_holds_one_table_and_one_x_prime(monkeypatch):
     plus a small slack, never an extra table or a second X'."""
     n, d_x, d = 20_000, 8, 24
     g = ring_graph(n, d_x)
-    pairs = [(g.keys[u], g.keys[v]) for u, v in g.edges.tolist()]
-    far = [(g.keys[i], g.keys[(i + n // 2) % n]) for i in range(0, n, 5)]
-    manifest = SimpleNamespace(train_pos=pairs[:3000], train_neg=far[:3000],
-                               valid_pos=pairs[3000:3500], valid_neg=far[3000:3500])
+    far = np.stack([np.arange(0, n, 5), (np.arange(0, n, 5) + n // 2) % n], axis=1)
+    splits = SimpleNamespace(train_pos=g.edges[:3000], train_neg=far[:3000],
+                             valid_pos=g.edges[3000:3500], valid_neg=far[3000:3500])
     # every epoch scores strictly better, so every epoch takes a snapshot
     recalls = iter(range(1, 100))
     monkeypatch.setattr(scorer, "pair_recall", lambda y, pos, neg: next(recalls))
@@ -307,7 +298,7 @@ def test_train_scorer_holds_one_table_and_one_x_prime(monkeypatch):
     table, x_prime = n * (d_x + d) * 8, n * d * 8
     tracemalloc.start()
     try:
-        model = train_scorer(cfg, g, manifest)
+        model = train_scorer(cfg, g, splits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

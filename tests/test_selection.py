@@ -13,6 +13,7 @@ from linkbridge.selection import (
     make_split,
     manifest_training_graph,
     sample_negatives,
+    split_ids,
     training_graph_from_universe,
     _enumerate_non_edges,
     _key_ranks,
@@ -479,3 +480,16 @@ def test_training_graph_rejects_a_pair_outside_the_universe():
     universe = build_graph([("a", "b"), ("b", "c")])
     with pytest.raises(DataError, match="unknown node key 'zz'"):
         training_graph_from_universe(_train_manifest([("a", "zz")]), universe)
+
+
+def test_split_ids_are_each_splits_node_ids(small_pair):
+    """One lookup cut at the split sizes: each field holds its split's ids,
+    and the fields in order are the ids of all_edges()."""
+    src, tar, _ = small_pair
+    manifest = make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=2)
+    g = manifest_training_graph(manifest, src, tar)
+    ids = split_ids(manifest, g)
+    assert ids._fields == selection.SPLIT_NAMES
+    for name, pairs in manifest.splits().items():
+        assert np.array_equal(getattr(ids, name), g.pair_ids(pairs))
+    assert np.array_equal(np.concatenate(ids), g.pair_ids(manifest.all_edges()))
