@@ -274,8 +274,13 @@ def shuffle_eval_order(pos_eval: list, neg_eval: list, seed: int):
 def train_student(y: np.ndarray, g_train: Graph, splits, config: DistillConfig):
     """The MLP student: imitate the scorer's embeddings ``y`` from the node
     features of ``g_train``, then fine-tune on the training pairs of
-    ``splits``, a ``selection.SplitIds`` over ``g_train``."""
-    return finetune_linkpred(imitate(y, g_train, config), splits)
+    ``splits``, a ``selection.SplitIds`` over ``g_train``.
+
+    Training that diverges is a ``NumericError``; numpy's overflow and
+    invalid-value warnings on the way are not raised, here as in
+    ``method_scores``, so ``linkbridge distill`` prints the error alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finetune_linkpred(imitate(y, g_train, config), splits)
 
 
 def method_scores(

@@ -115,10 +115,15 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 
 def checked_pairs(edges: Sequence | np.ndarray, num_nodes: int) -> np.ndarray:
-    """(m, 2) int64 node-id pairs; raises unless every id is in [0, num_nodes)."""
-    arr = np.asarray(edges, dtype=np.int64)
+    """(m, 2) int64 node-id pairs; raises unless every id is an integer in
+    [0, num_nodes). Floats and strings are not converted: 0.7 is not node 0,
+    and the key "03" is not node 3."""
+    arr = np.asarray(edges)
     if arr.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise DataError(f"node ids must be integers, got {arr.dtype} values")
+    arr = arr.astype(np.int64, copy=False)
     if arr.min() < 0 or arr.max() >= num_nodes:
         raise DataError("edge endpoint out of range")
     return np.stack([arr[:, 0], arr[:, 1]], axis=1)

@@ -19,8 +19,9 @@ __all__ = ["PprConfig", "common_neighbors", "adamic_adar", "ppr_scores"]
 class PprConfig:
     """PPR knobs; a value out of range is a ConfigError at construction."""
 
-    # at teleport 0.15 the residual shrinks by 0.85 per round, so the
-    # default tol is reachable within the 50-iteration budget
+    # at teleport 0.15 the Chebyshev rounds shrink the error by
+    # 0.85/(1 + sqrt(1 - 0.85^2)) = 0.56 per round, so the default tol is
+    # reached in about 16 of the 50 rounds the budget allows
     teleport: float = 0.15
     iterations: int = 50
     tol: float = 5e-4
@@ -73,24 +74,37 @@ _CHUNK = 256
 def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
     """Symmetrized personalized PageRank, pi_u[v] + pi_v[u] per query pair.
 
-    pi_s is the power iteration pi <- t*e_s + (1-t)*(P^T pi + stranded*e_s)
-    from pi = e_s, with P = D^-1 A and the random-walk mass stranded on
-    degree-0 nodes restarting at the source: ``damped_iteration`` with
-    alpha = 1-t and the teleport term t*E of the one-hot chunk E, the loop of
-    label spreading (``propagation.diffuse``). A chunk stops once the max-abs
-    step over its columns drops below ``tol``, or warns at ``iterations`` and
-    keeps the last iterate.
+    pi_s solves pi = t*e_s + (1-t)*(P^T pi + stranded*e_s), with P = D^-1 A
+    and the random-walk mass stranded on degree-0 nodes restarting at the
+    source. It is reached from pi = e_s by the Chebyshev rounds of
+    ``damped_iteration``, the loop of label spreading
+    (``propagation.diffuse``), with alpha = 1-t and the teleport t*E of the
+    one-hot chunk E added at its seed rows by index, so that t*E is never a
+    dense array. The rounds' weights need P^T's spectrum to be real and in
+    [-1, 1]: P^T = D^1/2 (D^-1/2 A D^-1/2) D^-1/2 is similar to a symmetric
+    normalized adjacency, whose spectrum is. A chunk stops once the max-abs
+    step over its columns drops below ``tol``, or warns at ``iterations``
+    and keeps the last iterate.
+
+    After k rounds pi_s is a polynomial of degree k in P^T applied to e_s,
+    as a power iteration's is, so it is zero on every node more than k hops
+    from s: the pattern of zero scores follows the round count. A pair
+    further apart than the rounds its chunk ran reads 0, where more rounds
+    would give it a small positive score; the default tol stops a chunk
+    after about 16 rounds.
 
     Only the pairs whose two endpoints both have an edge are iterated, and
     only one endpoint of each. On an undirected graph d_u*pi_u[v] =
     d_v*pi_v[u] holds for every truncation of the power series (Andersen,
     Chung & Lang, "Local Graph Partitioning using PageRank Vectors", FOCS
-    2006), so a pair (s, w) reads pi_s[w] * (1 + d_s/d_w) off the column of
-    s alone, and a self-pair reads 2*pi_u[u]. The iterated endpoint s is the
-    one that more of these pairs contain (its query degree), the lower id on
-    a tie. This O(pairs) rule needs a few percent more sources than a greedy
-    vertex cover of the pairs. The distinct s, sorted, are the sources, 256
-    to a chunk, over the rows of the non-isolated nodes:
+    2006), and for any polynomial q in P^T applied to e_u and e_v, since
+    q(P^T) = D^1/2 q(D^-1/2 A D^-1/2) D^-1/2; so a pair (s, w) reads
+    pi_s[w] * (1 + d_s/d_w) off the column of s alone, and a self-pair
+    reads 2*pi_u[u]. The iterated endpoint s is the one that more of these
+    pairs contain (its query degree), the lower id on a tie. This O(pairs)
+    rule needs a few percent more sources than a greedy vertex cover of the
+    pairs. The distinct s, sorted, are the sources, 256 to a chunk, over the
+    rows of the non-isolated nodes:
 
     - Every other pair reads exactly what the iteration over all N nodes and
       all endpoints reads: 0, or 1 + 1 = 2 on the self-pair of a degree-0
@@ -99,13 +113,14 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
       to 1).
     - A live column strands no mass, and P^T restricted to the live nodes
       keeps each row's entries in order, so a column that runs the same
-      number of rounds holds the same floats. As the identity holds at every
-      round, at a fixed round count (tol = 0) the scores are those of
-      iterating both endpoints, up to rounding. Only the stop round moves,
-      because it depends on which sources share a chunk: a score moves by
-      what pi_s[w] gains between the two stop rounds, times 1 + d_s/d_w,
-      which stays within ``tol`` on the tested inputs. No zero moves, since
-      a walk reaches w from s exactly when one reaches s from w.
+      number of rounds holds the same floats. As every round's iterate is a
+      polynomial in P^T, the identity holds at every round, and at a fixed
+      round count (tol = 0) the scores are those of iterating both
+      endpoints, up to rounding. Only the stop round moves, because it
+      depends on which sources share a chunk: a score moves by what
+      pi_s[w] gains between the two stop rounds, times 1 + d_s/d_w, which
+      stays within ``tol`` on the tested inputs. A zero moves only where
+      the two stop rounds straddle the hop distance from s to w.
 
     Memory is O(live nodes x 256) per chunk, not O(N x |sources|): each
     chunk's scores are read off before the next one starts, and there is
@@ -140,11 +155,14 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
     reads = np.empty(kept.size)
     for start in range(0, sources.size, _CHUNK):
         seeds = local[sources[start : start + _CHUNK]]
+        cols = np.arange(seeds.size)
+        # the one-hot restart E is the iterate the loop uses up; the teleport
+        # t*E is added at the seed rows by index, never as a dense array
         restart = np.zeros((live_nodes.size, seeds.size))
-        restart[seeds, np.arange(seeds.size)] = 1.0
-        # the one-hot restart E is the iterate the loop uses up; t*E is a copy
+        restart[seeds, cols] = 1.0
+        teleport = sp.coo_array((np.full(seeds.size, t), (seeds, cols)), shape=restart.shape)
         pi, converged = damped_iteration(
-            p_t, restart, t * restart, 1.0 - t, cfg.iterations, cfg.tol
+            p_t, restart, teleport, 1.0 - t, cfg.iterations, cfg.tol
         )
         if not converged:
             warnings.warn(

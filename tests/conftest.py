@@ -17,9 +17,9 @@ def path4():
 
 
 @pytest.fixture(scope="session")
-def small_pair():
-    """Deterministic small source/target pair with features and overlap."""
-    spec = SyntheticSpec(
+def small_spec():
+    """The spec of ``small_pair``."""
+    return SyntheticSpec(
         n_src=120,
         n_tar=60,
         overlap_ratio=0.4,
@@ -29,7 +29,12 @@ def small_pair():
         feature_shift=0.3,
         seed=2,
     )
-    src, tar, heldout = generate_synthetic(spec)
+
+
+@pytest.fixture(scope="session")
+def small_pair(small_spec):
+    """Deterministic small source/target pair with features and overlap."""
+    src, tar, heldout = generate_synthetic(small_spec)
     return src, tar, heldout
 
 

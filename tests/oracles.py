@@ -36,13 +36,36 @@ def dense_sym_norm(a: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
 
+def chebyshev_weights(alpha: float, rounds: int) -> list:
+    """w_1 .. w_rounds of Chebyshev semi-iteration for a spectrum in
+    [-alpha, alpha]: 1, then 2/(2 - alpha^2), then 1/(1 - alpha^2*w/4)."""
+    out, w = [], 1.0
+    for k in range(rounds):
+        out.append(w)
+        w = 2.0 / (2.0 - alpha * alpha) if k == 0 else 1.0 / (1.0 - alpha * alpha * w / 4.0)
+    return out
+
+
+def chebyshev_stop_bound(alpha: float, tol: float) -> float:
+    """How far from the fixed point Chebyshev rounds may stop: once a step
+    is below tol, the steps still to come shrink by rho = alpha/(1 +
+    sqrt(1 - alpha^2)) a round and sum to tol*rho/(1 - rho); the iterates
+    stay within twice their envelope (1/T_k(1/alpha) <= 2*rho^k), hence the
+    factor 2."""
+    rho = alpha / (1.0 + np.sqrt(1.0 - alpha * alpha))
+    return 2.0 * tol * rho / (1.0 - rho)
+
+
 def dense_diffuse(s: np.ndarray, z0: np.ndarray, g: np.ndarray,
                   alpha: float, k_max: int, tol: float = 0.0) -> np.ndarray:
-    z = np.array(z0, dtype=np.float64)
-    for _ in range(k_max):
-        z_next = alpha * (s @ z) + (1.0 - alpha) * g
+    """Z = alpha*S*Z + (1-alpha)*G by the three-term Chebyshev recurrence
+    Z_{k+1} = w_{k+1}*(alpha*S*Z_k + (1-alpha)*G - Z_{k-1}) + Z_{k-1},
+    Z_1 the plain step, stopping once max|Z_{k+1} - Z_k| < tol."""
+    prev = z = np.array(z0, dtype=np.float64)
+    for w in chebyshev_weights(alpha, k_max):
+        z_next = w * (alpha * (s @ z) + (1.0 - alpha) * g - prev) + prev
         delta = np.max(np.abs(z_next - z)) if z.size else 0.0
-        z = z_next
+        prev, z = z, z_next
         if delta < tol:
             break
     return z
@@ -135,19 +158,21 @@ def dense_node_lp(n, graph_edges, all_edges, z, train_labels, n_train, alpha, k_
 
 
 def dense_ppr(n, edges, source, teleport, iterations):
-    """Personalized PageRank by dense power iteration with dangling restart."""
+    """Personalized PageRank pi = t*e_s + (1-t)*(P^T pi + stranded*e_s) by
+    dense Chebyshev rounds (``dense_diffuse``'s recurrence) from pi = e_s,
+    with the mass stranded on degree-0 nodes restarting at the source."""
     a = dense_adjacency(n, edges)
     degs = a.sum(axis=1)
     p = np.zeros((n, n))
     nz = degs > 0
     p[nz] = a[nz] / degs[nz, None]
-    pi = np.zeros(n)
-    pi[source] = 1.0
     e = np.zeros(n)
     e[source] = 1.0
-    for _ in range(iterations):
-        stranded = pi[~nz].sum()
-        pi = teleport * e + (1.0 - teleport) * (p.T @ pi + stranded * e)
+    alpha = 1.0 - teleport
+    prev = pi = e.copy()
+    for w in chebyshev_weights(alpha, iterations):
+        step = alpha * (p.T @ pi + pi[~nz].sum() * e) + teleport * e
+        prev, pi = pi, w * (step - prev) + prev
     return pi
 
 
@@ -155,9 +180,12 @@ def chunked_ppr_vectors(g, sources, cfg, chunk: int = 256) -> np.ndarray:
     """Personalized PageRank vectors over all N nodes, one column per source.
 
     The dense chunked power iteration ``heuristics.ppr_scores`` replaces:
-    pi <- t*e_s + (1-t)*(P^T pi + dangling_mass*e_s) with a dense restart
-    matrix, stopping each chunk of ``chunk`` sources once its max-abs step
-    drops below ``tol`` and warning at ``iterations``.
+    pi = t*e_s + (1-t)*(P^T pi + dangling_mass*e_s) solved from pi = e_s with
+    a dense restart matrix, by the Chebyshev rounds of
+    ``propagation.damped_iteration`` written out in the same order of
+    operations: the step D <- w*(M*pi + t*E - pi) + (w-1)*D, then pi <- pi + D.
+    Each chunk of ``chunk`` sources stops once its max-abs step drops below
+    ``tol``, and warns at ``iterations``.
     """
     from linkbridge.graph import mean_aggregator
 
@@ -172,12 +200,14 @@ def chunked_ppr_vectors(g, sources, cfg, chunk: int = 256) -> np.ndarray:
         restart = np.zeros((n, cols.size))
         restart[cols, np.arange(cols.size)] = 1.0
         pi = restart.copy()
+        step = np.zeros_like(pi)
         converged = False
-        for _ in range(cfg.iterations):
+        for w in chebyshev_weights(1.0 - t, cfg.iterations):
             stranded = pi[dangling].sum(axis=0) if dangling.any() else 0.0
-            nxt = t * restart + (1.0 - t) * (p_t @ pi + restart * stranded)
-            delta = float(np.max(np.abs(nxt - pi)))
-            pi = nxt
+            residual = (p_t @ pi + restart * stranded) * (1.0 - t) + t * restart - pi
+            step = step * (w - 1.0) + residual * w
+            pi = pi + step
+            delta = float(np.max(np.abs(step)))
             if delta < cfg.tol:
                 converged = True
                 break

@@ -422,6 +422,33 @@ def test_distill_on_a_featureless_graph_exits_3(tmp_path, small_pair, capsys, mo
     assert not (tmp_path / "student.bin").exists()
 
 
+def test_distill_that_diverges_exits_4_without_a_warning(tmp_path, capsys):
+    """The default student on a 40/20 synthetic pair, under a teacher with
+    the default config, overflows in fine-tuning. The run prints the
+    numeric error alone, with no numpy RuntimeWarning before it (the suite
+    turns every warning into an error), and writes no student."""
+    _write_json(tmp_path / "pair.json", {
+        "n_src": 40, "n_tar": 20, "overlap_ratio": 0.4, "mean_deg_src": 4,
+        "mean_deg_tar": 2, "feature_dim": 3, "feature_shift": 0.3, "seed": 1,
+    })
+    pair = tmp_path / "pair"
+    assert main(["gen-synmodel", "--spec", str(tmp_path / "pair.json"), "--out-dir", str(pair)]) == 0
+    assert main(["make-split", "--regime", "int", "--src", str(pair / "source.tsv"),
+                 "--tar", str(pair / "target.tsv"), "--out", str(tmp_path / "m.json")]) == 0
+    src, tar = load_graph(pair / "source.tsv"), load_graph(pair / "target.tsv")
+    save_graph(union_graph(src, tar), tmp_path / "union")
+    assert _train(tmp_path, {}) == 0
+    capsys.readouterr()
+    code = main(["distill", "--teacher", str(tmp_path / "model.bin"),
+                 "--graph", str(tmp_path / "union"), "--manifest", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "student.bin")])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "numeric error: training diverged: non-finite loss inf at epoch 4\n"
+    )
+    assert not (tmp_path / "student.bin").exists()
+
+
 def test_evaluate_writes_the_library_rows(trained):
     manifest = SplitManifest.load(trained / "m.json")
     pairs = manifest.all_edges()

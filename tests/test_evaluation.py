@@ -1,8 +1,10 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from linkbridge.datasets import generate_synthetic
 from linkbridge.distill import DistillConfig, student_embed
 from linkbridge.errors import ConfigError, DataError, NumericError
 from linkbridge.evaluation import (
@@ -133,19 +135,27 @@ _ID_DEPENDENT = {
            "step of the sources it holds, so the stop round follows the ids",
 }
 
+# (data seed of the small pair, seed of y and the permutation) per method. On
+# the seed-2 pair ppr's scores move by a few ulps at most, since relabeling
+# moves no chunk's stop round there; at data seed 4 and permutation seed 1 it
+# moves one, and a score moves by 8.6e-5.
+_RELABELING = {"ppr": (4, 1)}
+
 
 @pytest.mark.parametrize("method", [
     pytest.param(m, marks=pytest.mark.xfail(strict=True, reason=_ID_DEPENDENT[m]))
     if m in _ID_DEPENDENT else m
     for m in KNOWN_METHODS
 ])
-def test_method_scores_do_not_depend_on_node_ids(small_pair, manifest, method):
+def test_method_scores_do_not_depend_on_node_ids(small_spec, method):
     """The training graph with its node ids permuted, and y and the
     features permuted with them: every score is the original one within a
     few ulps of the largest."""
-    src, tar, _ = small_pair
+    data_seed, seed = _RELABELING.get(method, (small_spec.seed, 7))
+    src, tar, _ = generate_synthetic(replace(small_spec, seed=data_seed))
+    manifest = make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1)
     g = manifest_training_graph(manifest, src, tar)
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     y = rng.normal(size=(g.num_nodes, 6))
     perm = rng.permutation(g.num_nodes)
     relabeled = graph_from_ids(g.keys, g.edges, g.features, g.sides, order=perm)

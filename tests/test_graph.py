@@ -4,6 +4,7 @@ import pytest
 from linkbridge.errors import DataError
 from linkbridge.graph import (
     build_graph,
+    checked_pairs,
     first_seen,
     graph_from_ids,
     node_intersection,
@@ -231,3 +232,18 @@ def test_build_graph_takes_rows_as_a_mapping_or_a_table():
         build_graph(pairs, features=(["c", "a"], table[1][:2]))
     with pytest.raises(DataError, match=r"side rows for unknown nodes: \['zz'\]"):
         build_graph(pairs, sides=(["a", "b", "c", "zz"], np.array([0, 1, 0, 1])))
+
+
+@pytest.mark.parametrize("pairs", [[[0.7, 1.9]], [("03", "04")]], ids=["floats", "digit-strings"])
+def test_checked_pairs_rejects_ids_that_are_not_integers(pairs):
+    """0.7 is not node 0, and the key "03" is not node 3: neither is
+    converted into an id."""
+    with pytest.raises(DataError, match="node ids must be integers"):
+        checked_pairs(pairs, 5)
+
+
+def test_checked_pairs_takes_any_integer_ids():
+    for pairs in ([[3, 4]], [(np.int32(3), np.uint8(4))], np.array([[3, 4]], dtype=np.uint16)):
+        out = checked_pairs(pairs, 5)
+        assert out.dtype == np.int64 and out.tolist() == [[3, 4]]
+    assert checked_pairs([], 5).shape == (0, 2)

@@ -19,6 +19,7 @@ from linkbridge.propagation import damped_iteration
 from oracles import (
     all_sources_ppr_scores,
     brute_adamic_adar,
+    chebyshev_stop_bound,
     chunked_ppr_scores,
     chunked_ppr_vectors,
     closed_form_ppr,
@@ -79,6 +80,26 @@ def test_ppr_scores_match_closed_form(seed):
     # (d_u pi_u[v] = d_v pi_v[u]), so the walk direction is checked per vector
     sources = np.arange(g.num_nodes)
     assert np.allclose(chunked_ppr_vectors(g, sources, cfg), pi.T, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("teleport", [0.15, 0.05])
+def test_ppr_scores_stop_within_tol_of_the_closed_form(teleport):
+    """pi_s stops within ``chebyshev_stop_bound`` of the closed form at
+    alpha = 1-t, and a pair's score reads pi_s[w] times 1 + d_s/d_w."""
+    for seed in range(3):
+        g, edges = _random_graph(seed, n=30, m=70)
+        queries = _all_pairs(g.num_nodes)
+        pi = np.stack(
+            [closed_form_ppr(g.num_nodes, edges, s, teleport) for s in range(g.num_nodes)]
+        )
+        want = pi[queries[:, 0], queries[:, 1]] + pi[queries[:, 1], queries[:, 0]]
+        _, s, w = iterated_endpoints(g, queries)
+        degs = g.degrees()
+        for tol in (1e-4, 1e-6, 1e-9):
+            cfg = PprConfig(teleport=teleport, iterations=1000, tol=tol)
+            got = ppr_scores(g, queries, cfg)
+            bound = chebyshev_stop_bound(1.0 - teleport, tol) * (1.0 + degs[s] / degs[w])
+            assert np.all(np.abs(got - want) <= bound)
 
 
 def test_ppr_dangling_mass_restarts_at_source():

@@ -30,6 +30,8 @@ from linkbridge.selection import Regime, make_split, manifest_training_graph, sp
 from oracles import (
     brute_line_adjacency,
     brute_line_edge_count,
+    chebyshev_stop_bound,
+    chebyshev_weights,
     dense_diffuse,
     dense_emb_lp,
     dense_logit_lp,
@@ -215,6 +217,60 @@ def test_diffuse_early_stop(rng):
     assert np.allclose(tight, fixed, atol=1e-10)
 
 
+def _chebyshev_rounds(operator, z0, g_mat, alpha, steps):
+    """diffuse's rounds written out in its order of operations: U =
+    Z/(1-alpha) solves U = alpha*S*U + G; each round makes the step
+    D <- w*(alpha*S*U + G - U) + (w-1)*D and then U <- U + D."""
+    u, step = z0 / (1.0 - alpha), np.zeros_like(z0)
+    for w in chebyshev_weights(alpha, steps):
+        step = step * (w - 1.0) + (alpha * (operator @ u) + g_mat - u) * w
+        u = u + step
+    return u * (1.0 - alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.95])
+@pytest.mark.parametrize("line", [False, True], ids=["sym_norm_adjacency", "LineOperator"])
+def test_diffuse_stops_within_tol_of_the_fixed_point(rng, alpha, line):
+    """Against np.linalg.solve of (I - alpha*S)Z = (1-alpha)*G, on the
+    graph's symmetric-normalized adjacency and on its line graph, at three
+    tolerances."""
+    for tol in (1e-4, 1e-6, 1e-9):
+        edges = random_graph_edges(rng, 30, 70)
+        g = build_graph([(f"n{u}", f"n{v}") for u, v in edges])
+        if line:
+            pairs = [tuple(e) for e in np.sort(g.edges, axis=1)]
+            op = line_operator(g, np.array(pairs))
+            dense = dense_sym_norm(brute_line_adjacency(pairs))
+        else:
+            op = sym_norm_adjacency(g)
+            dense = op.toarray()
+        g_mat = rng.normal(size=(op.shape[0], 3))
+        out = diffuse(op, g_mat, g_mat, DiffusionConfig(alpha=alpha, k_max=1000, tol=tol))
+        fixed = np.linalg.solve(np.eye(op.shape[0]) - alpha * dense, (1.0 - alpha) * g_mat)
+        assert np.max(np.abs(out - fixed)) <= chebyshev_stop_bound(alpha, tol)
+
+
+def test_broadcast_sized_line_diffusion_converges_within_25_rounds(rng, monkeypatch):
+    """An emb_lp block the size of the broadcast benchmark's (1280 nodes,
+    6439 positive edges, 12 columns of endpoint means) at alpha 0.8 and tol
+    1e-6: the error shrinks by 0.5 a round, so about 20 rounds reach tol.
+    A plain step shrinks it by 0.8 and runs out the 50-round budget."""
+    edges = np.array(random_graph_edges(rng, 1280, 6439))
+    op = LineOperator(1280, edges[:, 0], edges[:, 1])
+    y = rng.normal(size=(1280, 12))
+    state = (y[edges[:, 0]] + y[edges[:, 1]]) * 0.5
+    converged = []
+
+    def spy(operator, z, *args):
+        out = damped_iteration(operator, z, *args)
+        converged.append(out[1])
+        return out
+
+    monkeypatch.setattr(propagation, "damped_iteration", spy)
+    diffuse(op, state, state, DiffusionConfig(alpha=0.8, k_max=25, tol=1e-6))
+    assert converged == [True]
+
+
 @pytest.mark.parametrize("shape", [(9,), (9, 3)])
 def test_diffuse_matches_plain_update_and_keeps_inputs(rng, shape):
     edges = random_graph_edges(rng, 9, 16)
@@ -225,10 +281,7 @@ def test_diffuse_matches_plain_update_and_keeps_inputs(rng, shape):
     cfg = DiffusionConfig(alpha=alpha, k_max=steps, tol=0.0)
     out = diffuse(s, z0, g_mat, cfg)
     same = diffuse(s, g_mat, g_mat, cfg)
-    want = z0
-    for _ in range(steps):
-        want = alpha * (s @ want) + (1.0 - alpha) * g_mat
-    assert np.array_equal(out, want)
+    assert np.array_equal(out, _chebyshev_rounds(s, z0, g_mat, alpha, steps))
     assert np.array_equal(z0, kept_z0) and np.array_equal(g_mat, kept_g)
     assert np.array_equal(same, diffuse(s, g_mat.copy(), g_mat, cfg))
 
@@ -277,17 +330,15 @@ def test_line_graph_diffusion_is_the_plain_update(rng, shape):
     kept_z0, kept_g = z0.copy(), g_mat.copy()
     alpha, steps = 0.8, 6
     out = diffuse(op, z0, g_mat, DiffusionConfig(alpha=alpha, k_max=steps, tol=0.0))
-    want = z0
-    for _ in range(steps):
-        want = alpha * (op @ want) + (1.0 - alpha) * g_mat
-    assert np.array_equal(out, want)
+    assert np.array_equal(out, _chebyshev_rounds(op, z0, g_mat, alpha, steps))
     assert np.array_equal(z0, kept_z0) and np.array_equal(g_mat, kept_g)
 
 
 def test_line_graph_diffusion_holds_its_buffer_the_source_and_one_product(rng):
     """On a broadcast-sized emb_lp state the diffusion holds the stacked
-    iterate, (1-alpha)*G and one product, within 1 MiB: a round that keeps
-    one more state alive, such as the last round's product, is over."""
+    iterate, its last step and one product, within 1 MiB, besides the
+    caller's source: a round that keeps one more state alive, such as the
+    last round's product or (1-alpha)*G, is over."""
     edges = np.array(random_graph_edges(rng, 1400, 5000))
     op = LineOperator(1400, edges[:, 0], edges[:, 1])
     feats = rng.normal(size=(edges.shape[0], 160))
@@ -303,9 +354,9 @@ def test_line_graph_diffusion_holds_its_buffer_the_source_and_one_product(rng):
 
 
 def test_sparse_operator_diffusion_holds_under_three_states(rng):
-    """On a sparse operator the diffusion holds its working copy,
-    (1-alpha)*G and the next iterate, and nothing keeps the old iterate
-    alive past its step."""
+    """On a sparse operator the diffusion holds its working copy, its last
+    step and one product, and nothing keeps the starting state or the last
+    round's product alive."""
     edges = random_graph_edges(rng, 2000, 8000)
     s = sym_norm_adjacency(build_graph([(f"n{u}", f"n{v}") for u, v in edges]))
     z = rng.normal(size=(s.shape[0], 64))
@@ -605,8 +656,8 @@ def test_emb_lp_overflowing_endpoint_mean_raises(monkeypatch, cols_per_block):
 def test_emb_lp_holds_under_one_edge_state(rng):
     """On a broadcast-sized case (N 1400, m 5000, d 80) emb_lp diffuses one
     block of c = 1 MiB // (2*m*8) = 13 columns at a time. Besides the N x d
-    update, a block holds its state, (1-alpha)*G and one product (m x c
-    each) and the stacked iterate with C*x ((2N + m) x c), 2.37 MB, and
+    update, a block holds its state, the iterate's last step and one
+    product (m x c each) and the stacked iterate with C*x ((2N + m) x c), 2.37 MB, and
     the operator and edge lists hold about 0.5 MB: under one m x d edge
     state of 3.2 MB. One diffusion of the whole state holds over four."""
     pos = np.array(random_graph_edges(rng, 1400, 5000))
