@@ -10,18 +10,20 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, check_field_types
 from .graph import Graph, checked_pairs, mean_aggregator
-from .propagation import damped_iteration
+from .propagation import chebyshev_rounds, damped_iteration
+from .scorer import row_blocks
 
 __all__ = ["PprConfig", "common_neighbors", "adamic_adar", "ppr_scores"]
 
 
 @dataclass(frozen=True)
 class PprConfig:
-    """PPR knobs; a value out of range is a ConfigError at construction."""
+    """PPR knobs, ``tol`` relative to the initial error as in
+    ``DiffusionConfig``; a value out of range is a ConfigError at construction."""
 
     # at teleport 0.15 the Chebyshev rounds shrink the error by
     # 0.85/(1 + sqrt(1 - 0.85^2)) = 0.56 per round, so the default tol is
-    # reached in about 16 of the 50 rounds the budget allows
+    # reached in 15 of the 50 rounds the cap allows
     teleport: float = 0.15
     iterations: int = 50
     tol: float = 5e-4
@@ -67,8 +69,9 @@ def adamic_adar(g: Graph, edges: np.ndarray) -> np.ndarray:
     return _shared_neighbors(g, edges) @ weight
 
 
-# Personalized PageRank sources are iterated this many columns at a time
-_CHUNK = 256
+# a PPR chunk's three live-node x c float64 arrays (iterate, step, product):
+# 23 columns at the 20k profile, one chunk a call on the heuristics benchmark
+_CHUNK_BYTES = 8 * 1024 * 1024
 
 
 def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
@@ -82,16 +85,16 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
     one-hot chunk E added at its seed rows by index, so that t*E is never a
     dense array. The rounds' weights need P^T's spectrum to be real and in
     [-1, 1]: P^T = D^1/2 (D^-1/2 A D^-1/2) D^-1/2 is similar to a symmetric
-    normalized adjacency, whose spectrum is. A chunk stops once the max-abs
-    step over its columns drops below ``tol``, or warns at ``iterations``
-    and keeps the last iterate.
+    normalized adjacency, whose spectrum is. Every chunk runs the same
+    ``chebyshev_rounds(1-t, tol, iterations)`` rounds, fixed before the
+    loop; when ``iterations`` cuts that count short of ``tol`` (tol > 0),
+    the call warns once and keeps the last iterate.
 
     After k rounds pi_s is a polynomial of degree k in P^T applied to e_s,
     as a power iteration's is, so it is zero on every node more than k hops
     from s: the pattern of zero scores follows the round count. A pair
-    further apart than the rounds its chunk ran reads 0, where more rounds
-    would give it a small positive score; the default tol stops a chunk
-    after about 16 rounds.
+    further apart than the rounds ran reads 0, where more rounds would give
+    it a small positive score; the default tol runs 15 rounds.
 
     Only the pairs whose two endpoints both have an edge are iterated, and
     only one endpoint of each. On an undirected graph d_u*pi_u[v] =
@@ -103,8 +106,8 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
     reads 2*pi_u[u]. The iterated endpoint s is the one that more of these
     pairs contain (its query degree), the lower id on a tie. This O(pairs)
     rule needs a few percent more sources than a greedy vertex cover of the
-    pairs. The distinct s, sorted, are the sources, 256 to a chunk, over the
-    rows of the non-isolated nodes:
+    pairs. The distinct s, sorted, are the sources, iterated in chunks over
+    the rows of the non-isolated nodes:
 
     - Every other pair reads exactly what the iteration over all N nodes and
       all endpoints reads: 0, or 1 + 1 = 2 on the self-pair of a degree-0
@@ -112,19 +115,15 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
       empty, and a degree-0 source's column stays e_s (t + (1-t)*1 rounds
       to 1).
     - A live column strands no mass, and P^T restricted to the live nodes
-      keeps each row's entries in order, so a column that runs the same
-      number of rounds holds the same floats. As every round's iterate is a
-      polynomial in P^T, the identity holds at every round, and at a fixed
-      round count (tol = 0) the scores are those of iterating both
-      endpoints, up to rounding. Only the stop round moves, because it
-      depends on which sources share a chunk: a score moves by what
-      pi_s[w] gains between the two stop rounds, times 1 + d_s/d_w, which
-      stays within ``tol`` on the tested inputs. A zero moves only where
-      the two stop rounds straddle the hop distance from s to w.
+      keeps each row's entries in order, so a column holds the same floats
+      whichever sources share its chunk, and the chunk width only bounds
+      memory. As every round's iterate is a polynomial in P^T, the
+      identity holds at every round, and the scores are those of iterating
+      both endpoints, up to rounding.
 
-    Memory is O(live nodes x 256) per chunk, not O(N x |sources|): each
-    chunk's scores are read off before the next one starts, and there is
-    at most one chunk per 256 iterated pairs, rounded up.
+    A chunk holds three live-node x c float64 arrays, c fixed by
+    ``_CHUNK_BYTES``, not O(N x |sources|), and its scores are read off
+    before the next one starts.
     """
     edges = checked_pairs(edges, g.num_nodes)
     degs = g.degrees()
@@ -153,25 +152,21 @@ def ppr_scores(g: Graph, edges: np.ndarray, cfg: PprConfig) -> np.ndarray:
     # pi_s[w] per kept pair: the row of w and the index of the column of s
     row = local[w]
     reads = np.empty(kept.size)
-    for start in range(0, sources.size, _CHUNK):
-        seeds = local[sources[start : start + _CHUNK]]
+    rounds = chebyshev_rounds(1.0 - t, cfg.tol, cfg.iterations)
+    # the cap binds when a cap one round higher would run more rounds
+    if cfg.tol > 0 and rounds < chebyshev_rounds(1.0 - t, cfg.tol, cfg.iterations + 1):
+        warnings.warn(f"personalized PageRank does not reach tol {cfg.tol} within "
+                      f"{cfg.iterations} iterations", RuntimeWarning, stacklevel=2)
+    for chunk in row_blocks(sources.size, 3 * live_nodes.size * 8, _CHUNK_BYTES):
+        seeds = local[sources[chunk]]
         cols = np.arange(seeds.size)
         # the one-hot restart E is the iterate the loop uses up; the teleport
         # t*E is added at the seed rows by index, never as a dense array
         restart = np.zeros((live_nodes.size, seeds.size))
         restart[seeds, cols] = 1.0
         teleport = sp.coo_array((np.full(seeds.size, t), (seeds, cols)), shape=restart.shape)
-        pi, converged = damped_iteration(
-            p_t, restart, teleport, 1.0 - t, cfg.iterations, cfg.tol
-        )
-        if not converged:
-            warnings.warn(
-                f"personalized PageRank did not converge within {cfg.iterations} "
-                "iterations; using the last iterate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        idx = np.flatnonzero(col // _CHUNK == start // _CHUNK)
-        reads[idx] = pi[row[idx], col[idx] - start]
+        pi = damped_iteration(p_t, restart, teleport, 1.0 - t, rounds)
+        idx = np.flatnonzero((col >= chunk.start) & (col < chunk.stop))
+        reads[idx] = pi[row[idx], col[idx] - chunk.start]
     scores[kept] = reads * (1.0 + degs[s] / degs[w])
     return scores

@@ -17,8 +17,6 @@ strings.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 
@@ -46,28 +44,31 @@ def chebyshev_weights(alpha: float, rounds: int) -> list:
     return out
 
 
-def chebyshev_stop_bound(alpha: float, tol: float) -> float:
-    """How far from the fixed point Chebyshev rounds may stop: once a step
-    is below tol, the steps still to come shrink by rho = alpha/(1 +
-    sqrt(1 - alpha^2)) a round and sum to tol*rho/(1 - rho); the iterates
-    stay within twice their envelope (1/T_k(1/alpha) <= 2*rho^k), hence the
-    factor 2."""
+def chebyshev_bound(alpha: float, rounds: int) -> float:
+    """The error after ``rounds`` Chebyshev rounds relative to the initial
+    error, at most, for a spectrum in [-alpha, alpha]: 1/T_k(1/alpha) =
+    2*rho^k/(1 + rho^(2k)), rho = alpha/(1 + sqrt(1 - alpha^2))."""
     rho = alpha / (1.0 + np.sqrt(1.0 - alpha * alpha))
-    return 2.0 * tol * rho / (1.0 - rho)
+    return 2.0 * rho**rounds / (1.0 + rho ** (2 * rounds))
+
+
+def fewest_chebyshev_rounds(alpha: float, tol: float, cap: int) -> int:
+    """The fewest rounds k >= 1 with ``chebyshev_bound`` <= tol, counted up
+    one round at a time to at most ``cap``; tol 0 runs the cap."""
+    k = 1
+    while k < cap and (tol == 0 or chebyshev_bound(alpha, k) > tol):
+        k += 1
+    return k
 
 
 def dense_diffuse(s: np.ndarray, z0: np.ndarray, g: np.ndarray,
-                  alpha: float, k_max: int, tol: float = 0.0) -> np.ndarray:
-    """Z = alpha*S*Z + (1-alpha)*G by the three-term Chebyshev recurrence
-    Z_{k+1} = w_{k+1}*(alpha*S*Z_k + (1-alpha)*G - Z_{k-1}) + Z_{k-1},
-    Z_1 the plain step, stopping once max|Z_{k+1} - Z_k| < tol."""
+                  alpha: float, rounds: int) -> np.ndarray:
+    """Z = alpha*S*Z + (1-alpha)*G by ``rounds`` rounds of the three-term
+    Chebyshev recurrence Z_{k+1} = w_{k+1}*(alpha*S*Z_k + (1-alpha)*G -
+    Z_{k-1}) + Z_{k-1}, Z_1 the plain step."""
     prev = z = np.array(z0, dtype=np.float64)
-    for w in chebyshev_weights(alpha, k_max):
-        z_next = w * (alpha * (s @ z) + (1.0 - alpha) * g - prev) + prev
-        delta = np.max(np.abs(z_next - z)) if z.size else 0.0
-        prev, z = z, z_next
-        if delta < tol:
-            break
+    for w in chebyshev_weights(alpha, rounds):
+        prev, z = z, w * (alpha * (s @ z) + (1.0 - alpha) * g - prev) + prev
     return z
 
 
@@ -99,7 +100,7 @@ def dense_logit_lp(n, all_edges, z, train_labels, n_train, alpha, k_max):
     s = dense_sym_norm(adj)
     g = np.zeros(len(all_edges))
     g[:n_train] = np.asarray(train_labels, dtype=np.float64) - p[:n_train]
-    z_final = dense_diffuse(s, g, g, alpha, k_max, tol=0.0)
+    z_final = dense_diffuse(s, g, g, alpha, k_max)
     return np.clip(p + z_final, 0.0, 1.0)
 
 
@@ -112,7 +113,7 @@ def dense_emb_lp(n, pos_edges, y, alpha, k_max, query_edges):
     feats = np.array([(y[u] + y[v]) / 2 for u, v in pos])
     adj = brute_line_adjacency(pos)
     s = dense_sym_norm(adj)
-    diffused = dense_diffuse(s, feats, feats, alpha, k_max, tol=0.0)
+    diffused = dense_diffuse(s, feats, feats, alpha, k_max)
     linked = adj.sum(axis=1) > 0
     y_upd = y.copy()
     sums = np.zeros_like(y)
@@ -131,7 +132,7 @@ def dense_xmc(n, edges, y, alpha, k_max, query_edges):
     """Dense mirror of logit-matrix diffusion; reads entry (min, max)."""
     s = dense_sym_norm(dense_adjacency(n, edges))
     z0 = np.asarray(y, dtype=np.float64) @ np.asarray(y, dtype=np.float64).T
-    z_final = dense_diffuse(s, z0, z0, alpha, k_max, tol=0.0)
+    z_final = dense_diffuse(s, z0, z0, alpha, k_max)
     return np.array([z_final[min(u, v), max(u, v)] for u, v in query_edges])
 
 
@@ -149,7 +150,7 @@ def dense_node_lp(n, graph_edges, all_edges, z, train_labels, n_train, alpha, k_
         resid_cnt[v] += 1
     node_resid = np.where(resid_cnt > 0, resid_sum / np.maximum(resid_cnt, 1), 0.0)
     s = dense_sym_norm(dense_adjacency(n, graph_edges))
-    z_final = dense_diffuse(s, node_resid, node_resid, alpha, k_max, tol=0.0)
+    z_final = dense_diffuse(s, node_resid, node_resid, alpha, k_max)
     inc = z_final - node_resid
     scores = [
         p[i] + 0.5 * (inc[u] + inc[v]) for i, (u, v) in enumerate(all_edges)
@@ -157,10 +158,11 @@ def dense_node_lp(n, graph_edges, all_edges, z, train_labels, n_train, alpha, k_
     return np.clip(np.array(scores), 0.0, 1.0)
 
 
-def dense_ppr(n, edges, source, teleport, iterations):
+def dense_ppr(n, edges, source, teleport, rounds):
     """Personalized PageRank pi = t*e_s + (1-t)*(P^T pi + stranded*e_s) by
-    dense Chebyshev rounds (``dense_diffuse``'s recurrence) from pi = e_s,
-    with the mass stranded on degree-0 nodes restarting at the source."""
+    ``rounds`` dense Chebyshev rounds (``dense_diffuse``'s recurrence) from
+    pi = e_s, with the mass stranded on degree-0 nodes restarting at the
+    source."""
     a = dense_adjacency(n, edges)
     degs = a.sum(axis=1)
     p = np.zeros((n, n))
@@ -170,22 +172,21 @@ def dense_ppr(n, edges, source, teleport, iterations):
     e[source] = 1.0
     alpha = 1.0 - teleport
     prev = pi = e.copy()
-    for w in chebyshev_weights(alpha, iterations):
+    for w in chebyshev_weights(alpha, rounds):
         step = alpha * (p.T @ pi + pi[~nz].sum() * e) + teleport * e
         prev, pi = pi, w * (step - prev) + prev
     return pi
 
 
-def chunked_ppr_vectors(g, sources, cfg, chunk: int = 256) -> np.ndarray:
+def chunked_ppr_vectors(g, sources, teleport, rounds, chunk: int = 256) -> np.ndarray:
     """Personalized PageRank vectors over all N nodes, one column per source.
 
     The dense chunked power iteration ``heuristics.ppr_scores`` replaces:
     pi = t*e_s + (1-t)*(P^T pi + dangling_mass*e_s) solved from pi = e_s with
-    a dense restart matrix, by the Chebyshev rounds of
+    a dense restart matrix, by ``rounds`` Chebyshev rounds of
     ``propagation.damped_iteration`` written out in the same order of
-    operations: the step D <- w*(M*pi + t*E - pi) + (w-1)*D, then pi <- pi + D.
-    Each chunk of ``chunk`` sources stops once its max-abs step drops below
-    ``tol``, and warns at ``iterations``.
+    operations: the step D <- w*(M*pi + t*E - pi) + (w-1)*D, then pi <- pi + D,
+    ``chunk`` sources at a time.
     """
     from linkbridge.graph import mean_aggregator
 
@@ -193,7 +194,7 @@ def chunked_ppr_vectors(g, sources, cfg, chunk: int = 256) -> np.ndarray:
     n = g.num_nodes
     p_t = mean_aggregator(g).T.tocsr()
     dangling = g.degrees() == 0
-    t = cfg.teleport
+    t = teleport
     out = np.zeros((n, sources.size))
     for start in range(0, sources.size, chunk):
         cols = sources[start : start + chunk]
@@ -201,33 +202,21 @@ def chunked_ppr_vectors(g, sources, cfg, chunk: int = 256) -> np.ndarray:
         restart[cols, np.arange(cols.size)] = 1.0
         pi = restart.copy()
         step = np.zeros_like(pi)
-        converged = False
-        for w in chebyshev_weights(1.0 - t, cfg.iterations):
+        for w in chebyshev_weights(1.0 - t, rounds):
             stranded = pi[dangling].sum(axis=0) if dangling.any() else 0.0
             residual = (p_t @ pi + restart * stranded) * (1.0 - t) + t * restart - pi
             step = step * (w - 1.0) + residual * w
             pi = pi + step
-            delta = float(np.max(np.abs(step)))
-            if delta < cfg.tol:
-                converged = True
-                break
-        if not converged:
-            warnings.warn(
-                f"personalized PageRank did not converge within {cfg.iterations} "
-                "iterations; using the last iterate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         out[:, start : start + cols.size] = pi
     return out
 
 
-def all_sources_ppr_scores(g, edges, cfg) -> np.ndarray:
+def all_sources_ppr_scores(g, edges, teleport, rounds) -> np.ndarray:
     """pi_u[v] + pi_v[u] per pair, read off the N x |endpoints| matrix whose
     sources are every distinct endpoint of every pair."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     sources, inv = np.unique(edges.ravel(), return_inverse=True)
-    pi = chunked_ppr_vectors(g, sources, cfg)
+    pi = chunked_ppr_vectors(g, sources, teleport, rounds)
     inv = inv.reshape(-1, 2)
     return pi[edges[:, 1], inv[:, 0]] + pi[edges[:, 0], inv[:, 1]]
 
@@ -256,16 +245,14 @@ def iterated_endpoints(g, edges):
     return kept, np.array(s, dtype=np.int64), np.array(w, dtype=np.int64)
 
 
-def chunked_ppr_scores(g, edges, cfg, chunk: int = 256) -> np.ndarray:
+def chunked_ppr_scores(g, edges, teleport, rounds, chunk: int = 256) -> np.ndarray:
     """PPR scores under ``heuristics.ppr_scores``'s source rule.
 
     Each kept pair of ``iterated_endpoints`` reads pi_s[w] * (1 + d_s/d_w)
     off the dense N-node iteration of the sorted distinct s, ``chunk`` to a
     chunk. Every other pair is scored by the all-sources iteration of its
-    own endpoints, with the warnings of that second iteration dropped: what
-    it reads on such a pair is a walk's value on a degree-0 node or a
-    degree-0 source's column, neither of which depends on the chunk or its
-    stop round.
+    own endpoints: what it reads there is a walk's value on a degree-0 node
+    or a degree-0 source's column.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     degs = g.degrees()
@@ -273,12 +260,10 @@ def chunked_ppr_scores(g, edges, cfg, chunk: int = 256) -> np.ndarray:
     out = np.zeros(edges.shape[0])
     if kept.any():
         sources, col = np.unique(s, return_inverse=True)
-        pi = chunked_ppr_vectors(g, sources, cfg, chunk)
+        pi = chunked_ppr_vectors(g, sources, teleport, rounds, chunk)
         out[kept] = pi[w, col] * (1.0 + degs[s] / degs[w])
     if not kept.all():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out[~kept] = all_sources_ppr_scores(g, edges[~kept], cfg)
+        out[~kept] = all_sources_ppr_scores(g, edges[~kept], teleport, rounds)
     return out
 
 

@@ -131,14 +131,12 @@ def test_non_finite_method_scores_are_a_numeric_error(method):
 _ID_DEPENDENT = {
     "xmc_lp": "ROADMAP item 13: xmc_scores reads Yhat[u] . Y[v] with u the lower id, "
               "so a pair's score depends on which endpoint has the lower id",
-    "ppr": "ppr_scores iterates the lower id of a tied pair and stops a chunk on the "
-           "step of the sources it holds, so the stop round follows the ids",
 }
 
-# (data seed of the small pair, seed of y and the permutation) per method. On
-# the seed-2 pair ppr's scores move by a few ulps at most, since relabeling
-# moves no chunk's stop round there; at data seed 4 and permutation seed 1 it
-# moves one, and a score moves by 8.6e-5.
+# (data seed of the small pair, seed of y and the permutation) per method.
+# ppr iterates the lower id of a tied pair; while a chunk stopped on the step
+# of the sources it held, relabeling at data seed 4 and permutation seed 1
+# moved a chunk's stop round and a score by 8.6e-5.
 _RELABELING = {"ppr": (4, 1)}
 
 

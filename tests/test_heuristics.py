@@ -19,12 +19,12 @@ from linkbridge.propagation import damped_iteration
 from oracles import (
     all_sources_ppr_scores,
     brute_adamic_adar,
-    chebyshev_stop_bound,
     chunked_ppr_scores,
     chunked_ppr_vectors,
     closed_form_ppr,
     dense_common_neighbors,
     dense_ppr,
+    fewest_chebyshev_rounds,
     iterated_endpoints,
     loop_adamic_adar,
     loop_common_neighbors,
@@ -42,6 +42,18 @@ def _random_graph(seed, n=14, m=30):
 
 def _all_pairs(n):
     return np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
+
+
+def _rounds(cfg):
+    """The rounds ppr_scores runs under ``cfg``, counted by the oracle."""
+    return fewest_chebyshev_rounds(1.0 - cfg.teleport, cfg.tol, cfg.iterations)
+
+
+def _chunk_columns(monkeypatch, g, columns):
+    """Make ppr_scores iterate ``columns`` sources to a chunk, through a
+    byte budget of that many live-node columns of its three arrays."""
+    live = np.count_nonzero(g.degrees())
+    monkeypatch.setattr(heuristics, "_CHUNK_BYTES", 3 * live * 8 * columns)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -79,13 +91,16 @@ def test_ppr_scores_match_closed_form(seed):
     # pi_u[v] + pi_v[u] is the same under P and P^T on an undirected graph
     # (d_u pi_u[v] = d_v pi_v[u]), so the walk direction is checked per vector
     sources = np.arange(g.num_nodes)
-    assert np.allclose(chunked_ppr_vectors(g, sources, cfg), pi.T, rtol=1e-9, atol=1e-12)
+    vectors = chunked_ppr_vectors(g, sources, cfg.teleport, _rounds(cfg))
+    assert np.allclose(vectors, pi.T, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("teleport", [0.15, 0.05])
 def test_ppr_scores_stop_within_tol_of_the_closed_form(teleport):
-    """pi_s stops within ``chebyshev_stop_bound`` of the closed form at
-    alpha = 1-t, and a pair's score reads pi_s[w] times 1 + d_s/d_w."""
+    """The error of pi_s is at most tol times its initial error e_s - pi_s
+    in the D^-1-weighted norm, in which P^T is symmetric; so pi_s[w] is
+    within tol*sqrt(d_w) times that initial norm, and a pair's score reads
+    pi_s[w] times 1 + d_s/d_w."""
     for seed in range(3):
         g, edges = _random_graph(seed, n=30, m=70)
         queries = _all_pairs(g.num_nodes)
@@ -95,19 +110,23 @@ def test_ppr_scores_stop_within_tol_of_the_closed_form(teleport):
         want = pi[queries[:, 0], queries[:, 1]] + pi[queries[:, 1], queries[:, 0]]
         _, s, w = iterated_endpoints(g, queries)
         degs = g.degrees()
+        # row s: ||D^-1/2 (e_s - pi_s)||
+        initial = np.linalg.norm((np.eye(g.num_nodes) - pi) / np.sqrt(degs), axis=1)
         for tol in (1e-4, 1e-6, 1e-9):
             cfg = PprConfig(teleport=teleport, iterations=1000, tol=tol)
             got = ppr_scores(g, queries, cfg)
-            bound = chebyshev_stop_bound(1.0 - teleport, tol) * (1.0 + degs[s] / degs[w])
+            bound = tol * initial[s] * np.sqrt(degs[w]) * (1.0 + degs[s] / degs[w])
             assert np.all(np.abs(got - want) <= bound)
 
 
 def test_ppr_dangling_mass_restarts_at_source():
-    # "e" is isolated: a walk never reaches it, and a walk from it stays put
+    # "e" is isolated: a walk never reaches it, and a walk from it stays put;
+    # tol 0 asks for the 7 rounds of the cap, so nothing warns
     g = build_graph([("a", "b"), ("b", "c"), ("c", "d")], extra_nodes=["e"])
     cfg = PprConfig(teleport=0.15, iterations=7, tol=0.0)
     queries = _all_pairs(g.num_nodes)
-    with pytest.warns(RuntimeWarning, match="did not converge"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = ppr_scores(g, queries, cfg)
     edges = [tuple(e) for e in g.edges]
     pi = np.stack(
@@ -151,46 +170,47 @@ PPR_CONFIGS = pytest.mark.parametrize("cfg", [
 
 @PPR_CONFIGS
 def test_ppr_scores_equal_the_dense_chunked_iteration(cfg, monkeypatch):
+    """Chunks of 256 and of 80 sources give the dense iteration's scores
+    bit for bit, and the call warns once when ``iterations`` cuts the
+    rounds short of ``tol``, however many chunks it runs."""
     g, queries = _sparse_queries()
     degs = g.degrees()
     assert np.any(degs[np.unique(queries)] == 0)
     _, s, _ = iterated_endpoints(g, queries)
-    n_sources = np.unique(s).size
     # the chosen sources fit one chunk of 256, and fill three of 80
+    assert 160 < np.unique(s).size <= 256
+    want = chunked_ppr_scores(g, queries, cfg.teleport, _rounds(cfg))
     for chunk in (256, 80):
-        monkeypatch.setattr(heuristics, "_CHUNK", chunk)
+        _chunk_columns(monkeypatch, g, chunk)
         with warnings.catch_warnings(record=True) as ours:
             warnings.simplefilter("always", RuntimeWarning)
             got = ppr_scores(g, queries, cfg)
-        with warnings.catch_warnings(record=True) as ref:
-            warnings.simplefilter("always", RuntimeWarning)
-            want = chunked_ppr_scores(g, queries, cfg, chunk)
         assert np.array_equal(got, want)
-        assert len(ours) == len(ref)
-        # every chunk converges under the defaults, and none within 4 rounds
-        assert len(ours) == (0 if cfg == PprConfig() else -(-n_sources // chunk))
+        # the defaults reach tol in 15 rounds, and 4 rounds reach no 1e-9
+        assert len(ours) == (0 if cfg == PprConfig() else 1)
         assert np.any(got > 0)
 
 
 @PPR_CONFIGS
 def test_ppr_scores_stay_within_tol_of_the_all_sources_iteration(cfg):
-    """Iterating only the endpoints of pairs with two live endpoints changes
-    which sources share a chunk, and so a chunk's stop round, but no zero."""
+    """Iterating only one endpoint of each pair with two live endpoints, by
+    the identity d_s pi_s[w] = d_w pi_w[s], gives the scores of iterating
+    every endpoint up to rounding, and moves no zero."""
     g, queries = _sparse_queries()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         got = ppr_scores(g, queries, cfg)
-        want = all_sources_ppr_scores(g, queries, cfg)
+    want = all_sources_ppr_scores(g, queries, cfg.teleport, _rounds(cfg))
     assert np.array_equal(got == 0, want == 0)
-    assert np.max(np.abs(got - want)) <= cfg.tol
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.any(got > 0) and np.any(got == 0)
 
 
 def test_ppr_scores_are_the_all_sources_scores_at_a_fixed_round_count():
-    """With tol = 0 every chunk runs all its rounds, so one column per pair
-    and the identity d_s pi_s[w] = d_w pi_w[s] give the scores of iterating
-    both endpoints, up to rounding: also on hub-leaf pairs, where d_s/d_w is
-    largest, and on self-pairs of live nodes."""
+    """With tol = 0 every chunk runs the 30 rounds of the cap, so one
+    column per pair and the identity d_s pi_s[w] = d_w pi_w[s] give the
+    scores of iterating both endpoints, up to rounding: also on hub-leaf
+    pairs, where d_s/d_w is largest, and on self-pairs of live nodes."""
     g, queries = _sparse_queries()
     degs = g.degrees()
     hub = int(np.argmax(degs))
@@ -205,11 +225,27 @@ def test_ppr_scores_are_the_all_sources_scores_at_a_fixed_round_count():
     assert leaves.size > 0 and degs[hub] > 10
     cfg = PprConfig(iterations=30, tol=0.0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         got = ppr_scores(g, queries, cfg)
-        want = all_sources_ppr_scores(g, queries, cfg)
+    want = all_sources_ppr_scores(g, queries, cfg.teleport, cfg.iterations)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.any(got > 0) and np.any(got == 0)
+
+
+def test_ppr_scores_do_not_depend_on_the_chunk_width(monkeypatch):
+    """At the default tol, chunks of 1, 7 and 256 sources give the same
+    scores bit for bit on a 600-node random graph: every chunk runs the
+    same rounds, and each column evolves on its own."""
+    rng = np.random.default_rng(3)
+    g = build_graph([(str(u), str(v)) for u, v in random_graph_edges(rng, 600, 1500)])
+    queries = np.concatenate([g.edges, rng.integers(0, g.num_nodes, size=(3000, 2))])
+    outs = []
+    for columns in (1, 7, 256):
+        _chunk_columns(monkeypatch, g, columns)
+        outs.append(ppr_scores(g, queries, PprConfig()))
+    assert np.any(outs[0] > 0)
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
 
 
 def test_ppr_iterates_only_the_endpoints_of_live_pairs(monkeypatch):

@@ -14,6 +14,7 @@ from linkbridge.propagation import (
     DiffusionConfig,
     LineOperator,
     build_line_graph,
+    chebyshev_rounds,
     damped_iteration,
     diffuse,
     emb_lp,
@@ -30,13 +31,14 @@ from linkbridge.selection import Regime, make_split, manifest_training_graph, sp
 from oracles import (
     brute_line_adjacency,
     brute_line_edge_count,
-    chebyshev_stop_bound,
+    chebyshev_bound,
     chebyshev_weights,
     dense_diffuse,
     dense_emb_lp,
     dense_logit_lp,
     dense_sym_norm,
     dense_xmc,
+    fewest_chebyshev_rounds,
     random_graph_edges,
 )
 
@@ -228,12 +230,28 @@ def _chebyshev_rounds(operator, z0, g_mat, alpha, steps):
     return u * (1.0 - alpha)
 
 
+def test_chebyshev_rounds_are_the_fewest_within_the_bound():
+    """The closed form counts the rounds that the bound 2*rho^k/(1 +
+    rho^(2k)), counted up one round at a time, needs to reach tol: 21 at
+    alpha 0.8 and tol 1e-6, 15 at PPR's alpha 0.85 and tol 5e-4."""
+    assert chebyshev_rounds(0.8, 1e-6, 50) == 21
+    assert chebyshev_rounds(0.85, 5e-4, 50) == 15
+    for alpha in (1e-12, 0.3, 0.5, 0.8, 0.85, 0.95, 0.999):
+        for tol in (0.0, 1e-14, 1e-9, 1e-6, 5e-4, 0.3, 1.0, 3.0):
+            for cap in (1, 7, 50, 1000):
+                k = chebyshev_rounds(alpha, tol, cap)
+                assert k == fewest_chebyshev_rounds(alpha, tol, cap), (alpha, tol, cap)
+                if 1 < k < cap:
+                    assert chebyshev_bound(alpha, k) <= tol < chebyshev_bound(alpha, k - 1)
+
+
 @pytest.mark.parametrize("alpha", [0.8, 0.95])
 @pytest.mark.parametrize("line", [False, True], ids=["sym_norm_adjacency", "LineOperator"])
 def test_diffuse_stops_within_tol_of_the_fixed_point(rng, alpha, line):
     """Against np.linalg.solve of (I - alpha*S)Z = (1-alpha)*G, on the
     graph's symmetric-normalized adjacency and on its line graph, at three
-    tolerances."""
+    tolerances: ||Z - Z*|| <= tol*||Z0 - Z*|| in the Frobenius norm, in
+    which both operators are symmetric."""
     for tol in (1e-4, 1e-6, 1e-9):
         edges = random_graph_edges(rng, 30, 70)
         g = build_graph([(f"n{u}", f"n{v}") for u, v in edges])
@@ -247,28 +265,35 @@ def test_diffuse_stops_within_tol_of_the_fixed_point(rng, alpha, line):
         g_mat = rng.normal(size=(op.shape[0], 3))
         out = diffuse(op, g_mat, g_mat, DiffusionConfig(alpha=alpha, k_max=1000, tol=tol))
         fixed = np.linalg.solve(np.eye(op.shape[0]) - alpha * dense, (1.0 - alpha) * g_mat)
-        assert np.max(np.abs(out - fixed)) <= chebyshev_stop_bound(alpha, tol)
+        assert np.linalg.norm(out - fixed) <= tol * np.linalg.norm(g_mat - fixed)
 
 
 def test_broadcast_sized_line_diffusion_converges_within_25_rounds(rng, monkeypatch):
     """An emb_lp block the size of the broadcast benchmark's (1280 nodes,
     6439 positive edges, 12 columns of endpoint means) at alpha 0.8 and tol
-    1e-6: the error shrinks by 0.5 a round, so about 20 rounds reach tol.
-    A plain step shrinks it by 0.8 and runs out the 50-round budget."""
+    1e-6: the error shrinks by 0.5 a round, so 21 rounds reach tol, and the
+    result is within tol of the fixed point relative to the initial error.
+    A plain step shrinks it by 0.8 and needs 62 rounds; 200 of them on the
+    materialized line graph give the fixed point within 0.8^200 = 4e-20."""
     edges = np.array(random_graph_edges(rng, 1280, 6439))
     op = LineOperator(1280, edges[:, 0], edges[:, 1])
     y = rng.normal(size=(1280, 12))
     state = (y[edges[:, 0]] + y[edges[:, 1]]) * 0.5
-    converged = []
+    rounds = []
 
     def spy(operator, z, *args):
-        out = damped_iteration(operator, z, *args)
-        converged.append(out[1])
-        return out
+        rounds.append(args[-1])
+        return damped_iteration(operator, z, *args)
 
     monkeypatch.setattr(propagation, "damped_iteration", spy)
-    diffuse(op, state, state, DiffusionConfig(alpha=0.8, k_max=25, tol=1e-6))
-    assert converged == [True]
+    out = diffuse(op, state, state, DiffusionConfig(alpha=0.8, k_max=25, tol=1e-6))
+    assert rounds == [21]
+    g = build_graph([], extra_nodes=[f"n{i}" for i in range(1280)])
+    s_line = build_line_graph(g, edges).norm_adjacency
+    fixed = state
+    for _ in range(200):
+        fixed = 0.8 * (s_line @ fixed) + 0.2 * state
+    assert np.linalg.norm(out - fixed) <= 1e-6 * np.linalg.norm(state - fixed)
 
 
 @pytest.mark.parametrize("shape", [(9,), (9, 3)])
@@ -295,9 +320,9 @@ def test_diffuse_nonfinite_raises():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_diffuse_non_finite_input_raises_without_a_warning(triangle, rng, bad):
-    """Non-finiteness is read off the step maximum; numpy's warnings for
-    inf - inf or 0 * inf on the way there are silenced. A bad value in the
-    last row of a wide line state raises too."""
+    """Non-finiteness is read off the iterate after the loop; numpy's
+    warnings for inf - inf or 0 * inf on the way there are silenced. A bad
+    value in the last row of a wide line state raises too."""
     ops = [
         sp.csr_array(np.eye(3)),
         np.zeros((3, 3)),
@@ -550,14 +575,13 @@ def _emb_lp_case(rng):
 def _column_blocks(monkeypatch, pos, cols_per_block):
     """Make emb_lp cut Y into blocks of ``cols_per_block`` columns, through
     a budget of two such blocks; return the list that records each block's
-    diffusion as ``(width, converged)``."""
+    diffusion as ``(width, rounds)``."""
     monkeypatch.setattr(propagation, "_STATE_BYTES", 2 * cols_per_block * pos.shape[0] * 8)
     runs = []
 
     def spy(operator, z, *args):
-        out = damped_iteration(operator, z, *args)
-        runs.append((z.shape[-1], out[1]))
-        return out
+        runs.append((z.shape[-1], args[-1]))
+        return damped_iteration(operator, z, *args)
 
     monkeypatch.setattr(propagation, "damped_iteration", spy)
     return runs
@@ -581,26 +605,35 @@ def test_emb_lp_is_the_whole_state_diffusion(rng, monkeypatch, cols_per_block):
 
 @pytest.mark.parametrize("cols_per_block", [1, 2, 3])
 def test_emb_lp_stops_each_column_block_on_its_own(rng, monkeypatch, cols_per_block):
-    """The early stop is measured on each block, over all of its columns: a
-    column 1e-6 times smaller stops its block steps earlier than the rest
-    when it is alone in it, and whatever the block width the result is the
-    whole-state diffusion composed block by block over the fixed partition."""
+    """Every block runs the 31 rounds that alpha 0.8 and tol 1e-9 fix, also
+    a column 1e-6 times smaller alone in its block, so whatever the block
+    width the result is the whole-state diffusion bit for bit."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 3))
     y[:, 0] *= 1e-6
     cfg = DiffusionConfig(alpha=0.8, k_max=200, tol=1e-9)
-    starts = range(0, 3, cols_per_block)
-    by_block = np.concatenate(
-        [_whole_state_update(g.num_nodes, pos, y[:, i : i + cols_per_block], cfg) for i in starts],
-        axis=1,
-    )
     whole = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
     runs = _column_blocks(monkeypatch, pos, cols_per_block)
     out = emb_lp(g, pos, y, cfg, queries)
-    assert runs == [(min(cols_per_block, 3 - i), True) for i in starts]
-    assert np.array_equal(out, score_edges(by_block, queries))
-    if cols_per_block == 1:
-        assert not np.array_equal(out, whole)
+    rounds = fewest_chebyshev_rounds(0.8, 1e-9, 200)
+    assert rounds == 31
+    assert runs == [(min(cols_per_block, 3 - i), rounds) for i in range(0, 3, cols_per_block)]
+    assert np.array_equal(out, whole)
+
+
+def test_emb_lp_scores_do_not_depend_on_the_block_width(rng, monkeypatch):
+    """At the default tol, blocks of 1, 5 and 24 columns give the same
+    scores bit for bit on a 600-node random graph."""
+    pos = np.array(random_graph_edges(rng, 600, 1500))
+    g = build_graph([], extra_nodes=[f"n{i}" for i in range(600)])
+    y = rng.normal(size=(600, 24))
+    queries = np.concatenate([pos, rng.integers(0, 600, size=(3000, 2))])
+    outs = []
+    for cols_per_block in (1, 5, 24):
+        _column_blocks(monkeypatch, pos, cols_per_block)
+        outs.append(emb_lp(g, pos, y, DiffusionConfig(), queries))
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
