@@ -4,18 +4,18 @@ The broadcast step turns edges into nodes: two original edges are adjacent
 in the "line graph" exactly when they share an endpoint, so every original
 node contributes a clique among its incident edges. Three variants solve
 the same label-spreading fixed point Z = alpha*S*Z + (1-alpha)*G (Zhou et
-al., "Learning with Local and Global Consistency", NIPS 2004) on a
-symmetric-normalized operator S:
+al., "Learning with Local and Global Consistency", NIPS 2004):
 
 * logit-LP: diffuse residuals (train label minus sigmoid logit) over the
-  positive+negative edge graph, then add the initial predictions back.
+  positive+negative edge graph on its symmetric-normalized operator S_L,
+  then add the initial predictions back.
 * embedding-LP: diffuse the endpoint mean (Y[u] + Y[v]) / 2 of each
-  positive edge over the positive-edge graph, hand the result back to both
-  endpoints, and rescore by dot product of the updated node embeddings. The
-  m x d edge state is the same whichever endpoint has the lower id. The
-  diffusion acts from the left, so each column evolves on its own: the
-  state is walked in blocks of columns, fixed by d, m and a byte budget,
-  one block after the other.
+  positive edge over the weighted line graph M = B^T*D^-1*B / 2 (Evans &
+  Lambiotte, Phys. Rev. E 80, 016105, 2009), B the N x m node-edge
+  incidence matrix, hand each node the mean D^-1*B of its edges' rows, and
+  rescore by dot product. B*B^T = D + A gives M*B^T = B^T*P for the lazy
+  walk P = (I + D^-1*A)/2, so this is P * diffuse(P, Y): a diffusion of
+  the rows of Y of the nodes with an edge in place of an m x d one.
 * matrix-LP: diffuse the logit matrix Y*Y^T over the original graph and
   read scores off matrix entries.
 
@@ -34,21 +34,20 @@ result bit for bit. The weights need S's spectrum to be real and inside
   0/1 adjacency: two distinct edges share at most one endpoint.
 * PPR's P^T = A*D^-1 = D^1/2 (D^-1/2 A D^-1/2) D^-1/2 is similar to the
   first. Isolated rows are zero in all three, which adds the eigenvalue 0.
+* The lazy walk P, over the nodes with an edge, is similar to
+  D^-1/2 (D + A) D^-1/2 / 2 = (I + D^-1/2 A D^-1/2)/2, positive
+  semi-definite (D + A = B*B^T) with its spectrum in [0, 1].
 
-Neither large object is built. With B the N x m node-edge incidence matrix
-of m distinct edges, B^T*B has 2 on its diagonal and 1 exactly where two
-edges share an endpoint, so the line-graph operator is
-S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 with line degree k_u + k_v - 2 for edge
-(u, v); it is applied as two sparse products of O(m*d) cost, C*Z and
-then [C^T | -2*D_L^-1] on the state stacked under C*Z, which also folds in
-the diagonal term. Every diffusion round is one such product of the whole
-state, so a line-graph diffusion holds the stacked iterate, its last step
-and one product besides the caller's source; other operators run the same
-loop on their own product.
-Matrix-LP acts on the logit matrix from the left, so
-diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and the N x N matrix never exists.
-``build_line_graph`` materializes S_L as a reference for tests and size
-probes; no propagation variant calls it.
+The line graph is never built. Over the m distinct edges of a logit-LP
+state, B^T*B has 2 on its diagonal and 1 exactly where two edges share an
+endpoint, so S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 with line degree
+k_u + k_v - 2 for edge (u, v); it is applied as two sparse products of
+O(m) cost, C*Z and then [C^T | -2*D_L^-1] on the state stacked under C*Z,
+which also folds in the diagonal term. Embedding-LP and matrix-LP diffuse
+Y in blocks of its columns. Matrix-LP acts on the logit matrix from the
+left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and the N x N matrix never
+exists. ``build_line_graph`` materializes S_L as a reference for tests and
+size probes; no propagation variant calls it.
 """
 
 from __future__ import annotations
@@ -169,19 +168,14 @@ class LineOperator:
     With C = B*D_L^-1/2, S_L*x = C^T*(C*x) - 2*D_L^-1*x: two sparse products
     through the N nodes, O(m) memory. ``line_degrees`` is k_u + k_v - 2 per
     edge-node; an isolated edge-node has degree 0 and a zero row, as in the
-    materialized operator.
-
-    The second product and the diagonal term are one sparse product: the
-    folded m x (N+m) matrix F = [C^T | -2*D_L^-1], built once, is applied
-    to the state stacked under C*x. Row e of F holds C^T's two entries of
-    edge e, then -2/k_e in column N+e, so each output is summed as
-    C^T[e]*(C*x) and then minus 2/k_e*x[e], bit for bit the two-step round.
-    A diffusion works in ``stacked`` layout: an (N+m)-row buffer whose last
-    m rows are the iterate. ``product`` writes C*x over its first N rows and
-    returns F times the whole buffer as one new array, so a diffusion round
-    holds one product as large as the state, however wide (a logit-LP state
-    passes 1 MiB only beyond 131,072 manifest pairs, an embedding-LP column
-    only beyond 131,072 positive edges). ``@`` makes the same product.
+    materialized operator. The second product and the diagonal term are
+    one: the folded m x (N+m) matrix F = [C^T | -2*D_L^-1] is applied to the
+    state stacked under C*x. Row e of F holds C^T's two entries of edge e,
+    then -2/k_e in column N+e, so each output is C^T[e]*(C*x) and then minus
+    2/k_e*x[e], bit for bit the two-step round. A diffusion works in
+    ``stacked`` layout: an (N+m)-row buffer whose last m rows are the
+    iterate. ``product`` writes C*x over its first N rows and returns F
+    times the whole buffer as one new array. ``@`` makes the same product.
     """
 
     def __init__(self, num_nodes: int, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -372,25 +366,24 @@ def diffuse(
     array: a sparse or dense matrix, or a ``LineOperator``. The rounds'
     weights hold for an S similar to a symmetric matrix with its spectrum in
     [-1, 1]; the symmetric-normalized adjacency of a graph or of a line
-    graph is one. The loop runs on U = Z/(1-alpha), which solves U =
-    alpha*S*U + G, so the caller's G is added as is each round and
-    (1-alpha)*G is never made; U starts from a copy of Z0/(1-alpha) that
-    only the loop holds (in a ``LineOperator``'s stacked buffer), so neither
-    input is modified. Runs ``chebyshev_rounds(alpha, tol, k_max)`` rounds,
-    after which ||Z - Z*|| <= tol*||Z0 - Z*|| in the norm in which S is
-    symmetric (tol=0 runs exactly k_max rounds). Raises on non-finite
-    values.
+    graph is one, and so is the lazy walk. The loop runs on U = Z/(1-alpha),
+    which solves U = alpha*S*U + G, so the caller's G is added as is each
+    round and (1-alpha)*G is never made; U starts from a copy of
+    Z0/(1-alpha) that only the loop holds (in a ``LineOperator``'s stacked
+    buffer), so neither input is modified. Runs ``chebyshev_rounds(alpha,
+    tol, k_max)`` rounds, after which ||Z - Z*|| <= tol*||Z0 - Z*|| in the
+    norm in which S is symmetric (tol=0 runs exactly k_max rounds). Raises
+    on non-finite values, an overflow of Z0/(1-alpha) among them.
     """
     z = np.asarray(z0, dtype=np.float64)
     g_mat = np.asarray(source, dtype=np.float64)
     if z.shape != g_mat.shape:
         raise DataError(f"Z0 shape {z.shape} != source shape {g_mat.shape}")
     if operator.shape[0] != z.shape[0]:
-        raise DataError(
-            f"operator rows {operator.shape[0]} != state rows {z.shape[0]}"
-        )
+        raise DataError(f"operator rows {operator.shape[0]} != state rows {z.shape[0]}")
     weight = 1.0 - cfg.alpha
-    u = z / weight
+    with np.errstate(over="ignore"):
+        u = z / weight
     if isinstance(operator, LineOperator):
         u = operator.stacked(u)
     rounds = chebyshev_rounds(cfg.alpha, cfg.tol, cfg.k_max)
@@ -404,15 +397,15 @@ def endpoint_mean(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per node, the mean of the values its edges hand it: ``(means, touched)``.
 
-    Edge e hands ``values[e]`` to both ``u[e]`` and ``v[e]``, summed u side
-    first. A node no edge touches gets 0.
+    Edge e hands the scalar ``values[e]`` to both ``u[e]`` and ``v[e]``,
+    summed u side first. A node no edge touches gets 0.
     """
-    means = np.zeros((num_nodes,) + np.shape(values)[1:])
+    means = np.zeros(num_nodes)
     np.add.at(means, u, values)
     np.add.at(means, v, values)
     counts = np.bincount(np.concatenate([u, v]), minlength=num_nodes)
     touched = counts > 0
-    means[touched] /= counts[touched].reshape((-1,) + (1,) * (means.ndim - 1))
+    means[touched] /= counts[touched]
     return means, touched
 
 
@@ -463,8 +456,20 @@ def logit_lp(
     return np.clip(p + z_final, 0.0, 1.0)
 
 
-# emb_lp's edge state in flight: one m x c block of columns, at most half of it
+# a diffusion of Y's columns in flight: one n x c block, at most half of it
 _STATE_BYTES = 1024 * 1024
+
+
+def _diffused_columns(operator, y: np.ndarray, cfg: DiffusionConfig, rows=slice(None)):
+    """Yield ``(cols, diffuse(operator, Y[rows, cols], Y[rows, cols], cfg))``
+    for an n-row operator, one block after the other, over ``row_blocks(d,
+    2*n*8, _STATE_BYTES)``: a block is at most half the budget and at least
+    one column. Each column evolves on its own for the rounds ``cfg`` alone
+    fixes, so the blocks give the whole diffusion bit for bit, whatever the
+    width. A block is copied out first: no round reads Y at its stride."""
+    for cols in row_blocks(y.shape[1], 2 * operator.shape[0] * 8, _STATE_BYTES):
+        part = np.ascontiguousarray(y[rows, cols], dtype=np.float64)
+        yield cols, diffuse(operator, part, part, cfg)
 
 
 def emb_lp(
@@ -476,44 +481,36 @@ def emb_lp(
 ) -> np.ndarray:
     """Unsupervised embedding diffusion over the positive-edge graph.
 
-    Each positive edge (u, v) carries the endpoint mean (Y[u] + Y[v]) / 2,
-    in float64: an m x d state that neither endpoint's id orders. After
-    diffusion each node takes the mean of the rows of its incident edges,
-    and query edges are scored by dot product of the updated embeddings. An
-    edge with no line-graph neighbour mixes with nothing, and its endpoints
-    belong to no other positive edge: it is left out of the means, so they
-    keep their row of Y, as does every node without a positive edge.
-
-    The diffusion acts from the left, so each column evolves on its own. The
-    state is walked in blocks of c columns of Y, one after the other:
-    ``row_blocks(d, 2*m*8, _STATE_BYTES)``, so a block is at most half the
-    byte budget and at least one column, fixed by d, m and the budget alone.
-    Each block runs through ``diffuse`` on the one ``LineOperator``, for
-    the round count that ``cfg`` alone fixes, so the scores are those of one
-    whole-state diffusion bit for bit, whatever the width. Besides the N x d
-    update, a block holds its state, which is also the diffusion's source,
-    the stacked iterate, its last step and one product. A non-finite
-    diffusion or endpoint mean is a ``NumericError``.
+    Each positive edge carries (Y[u] + Y[v]) / 2, diffused over the weighted
+    line graph M = B^T*D^-1*B / 2 (Evans & Lambiotte, "Line graphs, link
+    partitions, and overlapping communities", Phys. Rev. E 80, 016105,
+    2009); each node takes the mean of its edges' rows, and query edges are
+    scored by dot product. B*B^T = D + A gives M*B^T = B^T*P for the lazy
+    walk P = (I + D^-1*A)/2, and a Chebyshev round is linear, so this is
+    P*diffuse(P, Y) round for round; P is similar to D^-1/2 (D + A) D^-1/2
+    / 2, whose spectrum in [0, 1] meets the loop's premise. D and A are
+    those of ``pos``, which ``_line_edges`` checks for the distinct,
+    loop-free edges the identity needs. A node without an edge keeps its
+    row of Y and no other row reads it, so P is one n x n CSR over the n
+    nodes with an edge, in id order (2m + n entries), whose rows sum in the
+    N x N walk's order. Each ``_diffused_columns`` block becomes P*block in
+    their rows; a lone edge hands its endpoints its mean. A block holds four
+    n x c arrays. A non-finite diffusion is a ``NumericError``.
     """
     if y.shape[0] != g.num_nodes:
         raise DataError("embedding row count does not match graph")
     queries = checked_pairs(query_edges, g.num_nodes)
     lo, hi = _line_edges(g.num_nodes, pos)
-    operator = LineOperator(g.num_nodes, lo, hi)
-    linked = operator.line_degrees > 0
-    u, v = lo[linked], hi[linked]
+    nodes, ends = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    n, degs, diag = nodes.size, np.bincount(ends), np.arange(nodes.size)
+    walk = sp.csr_array((
+        np.concatenate([0.5 / degs[ends], np.full(n, 0.5)]),
+        (np.concatenate([ends, diag]), np.concatenate([np.roll(ends, lo.size), diag])),
+    ), shape=(n, n))
     y_upd = np.array(y, dtype=np.float64)
-    # an overflowing sum or mean is a NumericError, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for cols in row_blocks(y.shape[1], 2 * lo.size * 8, _STATE_BYTES):
-            state = np.add(y[lo, cols], y[hi, cols], dtype=np.float64)
-            state *= 0.5
-            state = diffuse(operator, state, state, cfg)[linked]
-            means, touched = endpoint_mean(g.num_nodes, u, v, state)
-            if not np.isfinite(means).all():
-                raise NumericError("embedding LP's endpoint means are not finite")
-            np.copyto(y_upd[:, cols], means, where=touched[:, None])
-            del state, means  # before the next block is gathered
+    for cols, block in _diffused_columns(walk, y, cfg, nodes):
+        y_upd[nodes, cols] = walk @ block
+        del block  # before the next block is diffused
     return score_edges(y_upd, queries)
 
 
@@ -527,12 +524,15 @@ def xmc_scores(
 
     Diffusion is linear and acts from the left, and Z0 = Y*Y^T, so every
     iterate factors as Z_k = Yhat_k * Y^T with Yhat_k the same diffusion run
-    on Y itself: Z = diffuse(S, Y, Y) * Y^T. Edge (u, v) with u < v reads
-    entry (u, v), i.e. Yhat[u] . Y[v]; only N x d state is ever held.
+    on Y itself: Z = diffuse(S, Y, Y) * Y^T, made in ``_diffused_columns``'
+    blocks. Edge (u, v) with u < v reads entry (u, v), i.e. Yhat[u] . Y[v].
     """
     if y.shape[0] != g.num_nodes:
         raise DataError("embedding row count does not match graph")
     q = np.sort(checked_pairs(query_edges, g.num_nodes), axis=1)
     y = np.asarray(y, dtype=np.float64)
-    y_hat = diffuse(sym_norm_adjacency(g), y, y, cfg)
+    y_hat = np.empty_like(y)
+    for cols, block in _diffused_columns(sym_norm_adjacency(g), y, cfg):
+        y_hat[:, cols] = block
+        del block  # before the next block is diffused
     return np.einsum("ij,ij->i", y_hat[q[:, 0]], y[q[:, 1]])

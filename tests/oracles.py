@@ -104,27 +104,28 @@ def dense_logit_lp(n, all_edges, z, train_labels, n_train, alpha, k_max):
     return np.clip(p + z_final, 0.0, 1.0)
 
 
+def dense_incidence(n, edges) -> np.ndarray:
+    """N x m node-edge incidence matrix B of the edges, in input order."""
+    b = np.zeros((n, len(edges)))
+    for e, (u, v) in enumerate(edges):
+        b[u, e] = b[v, e] = 1.0
+    return b
+
+
 def dense_emb_lp(n, pos_edges, y, alpha, k_max, query_edges):
-    """Dense mirror of embedding diffusion + endpoint readout: each positive
-    edge carries (y[u] + y[v]) / 2, and a node takes the mean of its edges
-    that have a line-graph neighbour (or keeps its row of y)."""
+    """Dense mirror of embedding diffusion on the weighted line graph
+    M = B^T*D^-1*B / 2: each positive edge carries (y[u] + y[v]) / 2, that
+    is B^T*y/2, and after the diffusion a node takes the mean of its edges'
+    rows, D^-1*B; a node with no positive edge keeps its row of y."""
     y = np.asarray(y, dtype=np.float64)
-    pos = [(min(u, v), max(u, v)) for u, v in pos_edges]
-    feats = np.array([(y[u] + y[v]) / 2 for u, v in pos])
-    adj = brute_line_adjacency(pos)
-    s = dense_sym_norm(adj)
-    diffused = dense_diffuse(s, feats, feats, alpha, k_max)
-    linked = adj.sum(axis=1) > 0
+    b = dense_incidence(n, pos_edges)
+    degs = b.sum(axis=1)
+    inv = np.divide(1.0, degs, out=np.zeros(n), where=degs > 0)
+    m_line = 0.5 * b.T @ (inv[:, None] * b)
+    feats = 0.5 * b.T @ y
+    diffused = dense_diffuse(m_line, feats, feats, alpha, k_max)
     y_upd = y.copy()
-    sums = np.zeros_like(y)
-    counts = np.zeros(y.shape[0])
-    for idx, (u, v) in enumerate(pos):
-        if linked[idx]:
-            sums[[u, v]] += diffused[idx]
-            counts[[u, v]] += 1
-    for node in range(y.shape[0]):
-        if counts[node]:
-            y_upd[node] = sums[node] / counts[node]
+    y_upd[degs > 0] = (inv[:, None] * (b @ diffused))[degs > 0]
     return np.array([float(y_upd[u] @ y_upd[v]) for u, v in query_edges])
 
 

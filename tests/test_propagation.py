@@ -18,7 +18,6 @@ from linkbridge.propagation import (
     damped_iteration,
     diffuse,
     emb_lp,
-    endpoint_mean,
     line_operator,
     logit_lp,
     sigmoid,
@@ -33,8 +32,10 @@ from oracles import (
     brute_line_edge_count,
     chebyshev_bound,
     chebyshev_weights,
+    dense_adjacency,
     dense_diffuse,
     dense_emb_lp,
+    dense_incidence,
     dense_logit_lp,
     dense_sym_norm,
     dense_xmc,
@@ -269,12 +270,13 @@ def test_diffuse_stops_within_tol_of_the_fixed_point(rng, alpha, line):
 
 
 def test_broadcast_sized_line_diffusion_converges_within_25_rounds(rng, monkeypatch):
-    """An emb_lp block the size of the broadcast benchmark's (1280 nodes,
-    6439 positive edges, 12 columns of endpoint means) at alpha 0.8 and tol
-    1e-6: the error shrinks by 0.5 a round, so 21 rounds reach tol, and the
-    result is within tol of the fixed point relative to the initial error.
-    A plain step shrinks it by 0.8 and needs 62 rounds; 200 of them on the
-    materialized line graph give the fixed point within 0.8^200 = 4e-20."""
+    """A line-graph state over as many edges as the broadcast benchmark's
+    positives (1280 nodes, 6439 edges, 12 columns of endpoint means) at
+    alpha 0.8 and tol 1e-6: the error shrinks by 0.5 a round, so 21 rounds
+    reach tol, and the result is within tol of the fixed point relative to
+    the initial error. A plain step shrinks it by 0.8 and needs 62 rounds;
+    200 of them on the materialized line graph give the fixed point within
+    0.8^200 = 4e-20."""
     edges = np.array(random_graph_edges(rng, 1280, 6439))
     op = LineOperator(1280, edges[:, 0], edges[:, 1])
     y = rng.normal(size=(1280, 12))
@@ -360,8 +362,8 @@ def test_line_graph_diffusion_is_the_plain_update(rng, shape):
 
 
 def test_line_graph_diffusion_holds_its_buffer_the_source_and_one_product(rng):
-    """On a broadcast-sized emb_lp state the diffusion holds the stacked
-    iterate, its last step and one product, within 1 MiB, besides the
+    """On a broadcast-sized wide line-graph state the diffusion holds the
+    stacked iterate, its last step and one product, within 1 MiB, besides the
     caller's source: a round that keeps one more state alive, such as the
     last round's product or (1-alpha)*G, is over."""
     edges = np.array(random_graph_edges(rng, 1400, 5000))
@@ -500,18 +502,22 @@ def test_logit_lp_misalignment_error():
         logit_lp(g_train, split_ids(manifest, g_train), np.zeros(3), DiffusionConfig())
 
 
-def test_emb_lp_single_edge_keeps_raw_scores():
+def test_emb_lp_single_edge_hands_its_endpoints_their_mean():
+    """A lone edge has weight 1 on itself in M, so its diffused row stays
+    its endpoint mean, which both endpoints take; node c keeps its row."""
     g = build_graph([("a", "b")], extra_nodes=["c"])
     y = np.array([[1.0, 2.0], [0.5, -1.0], [0.25, 0.75]])
     queries = np.array([[0, 1], [0, 2], [1, 2]])
     scores = emb_lp(g, np.array([[0, 1]]), y, DiffusionConfig(alpha=0.8, k_max=20), queries)
-    assert np.allclose(scores, score_edges(y, queries), atol=1e-12)
+    mean = (y[0] + y[1]) / 2
+    want = score_edges(np.array([mean, mean, y[2]]), queries)
+    assert np.allclose(scores, want, rtol=1e-12, atol=0.0)
 
 
 def test_emb_lp_alpha_zero_limit_is_the_undiffused_endpoint_mean(small_pair, rng):
     """With no diffusion a node takes the mean of its edges' (y[u] + y[v]) / 2,
-    that is half its own row plus half its neighbours' mean, over the edges
-    that have a line-graph neighbour; every other node keeps its row."""
+    that is half its own row plus half its neighbours' mean over the
+    positive edges; every node without one keeps its row."""
     src, tar, _ = small_pair
     manifest = make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1)
     g_train = manifest_training_graph(manifest, src, tar)
@@ -520,9 +526,8 @@ def test_emb_lp_alpha_zero_limit_is_the_undiffused_endpoint_mean(small_pair, rng
     y = rng.normal(size=(n, 6))
     queries = g_train.ids_for([k for p in manifest.test_pos for k in p]).reshape(-1, 2)
     scores = emb_lp(g_train, pos, y, DiffusionConfig(alpha=1e-12, k_max=10), queries)
-    linked = LineOperator(n, pos.min(axis=1), pos.max(axis=1)).line_degrees > 0
     adj = np.zeros((n, n))
-    adj[pos[linked, 0], pos[linked, 1]] = adj[pos[linked, 1], pos[linked, 0]] = 1.0
+    adj[pos[:, 0], pos[:, 1]] = adj[pos[:, 1], pos[:, 0]] = 1.0
     deg = adj.sum(axis=1)
     touched = deg > 0
     assert 0 < touched.sum() < n
@@ -532,8 +537,10 @@ def test_emb_lp_alpha_zero_limit_is_the_undiffused_endpoint_mean(small_pair, rng
 
 
 def test_emb_lp_matches_dense_oracle(rng):
-    """Among the positive edges an isolated one, (18, 19), and nodes 20 and
-    21 without a positive edge: each keeps its row of y."""
+    """Against the dense diffusion of B^T*y/2 on M = B^T*D^-1*B / 2 and its
+    D^-1*B read-out, to 1e-12 of the largest score. Among the positive
+    edges a lone one, (18, 19), whose endpoints take its mean, and nodes 20
+    and 21 without a positive edge, which keep their rows of y."""
     edges = random_graph_edges(rng, 18, 35) + [(18, 19)]
     g = build_graph([], extra_nodes=[f"n{i}" for i in range(22)])
     n = g.num_nodes
@@ -544,21 +551,47 @@ def test_emb_lp_matches_dense_oracle(rng):
     cfg = DiffusionConfig(alpha=0.75, k_max=18, tol=0.0)
     scores = emb_lp(g, np.array(edges), y, cfg, np.array(queries))
     ref = dense_emb_lp(n, edges, y, 0.75, 18, queries)
-    assert np.max(np.abs(scores - ref)) <= 1e-8
-    assert np.array_equal(scores[[-4, -1]], score_edges(y, np.array([(18, 19), (20, 21)])))
+    assert np.max(np.abs(scores - ref)) <= 1e-12 * np.max(np.abs(ref))
+    mean = (y[18] + y[19]) / 2
+    assert np.allclose(scores[[-4, -2]], [mean @ mean, mean @ y[20]], rtol=1e-12, atol=0.0)
+    assert scores[-1] == score_edges(y, np.array([(20, 21)]))[0]
+
+
+def test_line_graph_m_maps_incidence_rows_through_the_lazy_walk(rng):
+    """On a random graph with nodes of no edge: M*B^T = B^T*P for
+    M = B^T*D^-1*B / 2 and the lazy walk P = (I + D^-1*A)/2, and P's
+    eigenvalues are real and lie in [0, 1], the Chebyshev loop's premise."""
+    n = 40
+    edges = random_graph_edges(rng, 34, 70)
+    b = dense_incidence(n, edges)
+    degs = b.sum(axis=1)
+    assert (degs == 0).any()
+    inv = np.divide(1.0, degs, out=np.zeros(n), where=degs > 0)
+    m_line = 0.5 * b.T @ (inv[:, None] * b)
+    walk = 0.5 * (np.eye(n) + inv[:, None] * dense_adjacency(n, edges))
+    assert np.allclose(m_line @ b.T, b.T @ walk, rtol=0.0, atol=1e-14)
+    eig = np.linalg.eigvals(walk)
+    assert np.abs(eig.imag).max() < 1e-12
+    assert eig.real.min() > -1e-12 and eig.real.max() < 1.0 + 1e-12
+
+
+def _walk(num_nodes, pos):
+    """The lazy walk P = (I + D^-1*A)/2 of the positive edges as a CSR from
+    its dense form, each entry 1/2 or 1/(2*k_u)."""
+    degs = np.bincount(pos.ravel(), minlength=num_nodes)
+    p = 0.5 * np.eye(num_nodes)
+    for u, v in pos:
+        p[u, v], p[v, u] = 0.5 / degs[u], 0.5 / degs[v]
+    return sp.csr_array(p)
 
 
 def _whole_state_update(num_nodes, pos, y, cfg):
-    """emb_lp's node update from one diffusion of the whole m x d state of
-    endpoint means (y[lo] + y[hi]) / 2: edges without a line-graph
-    neighbour left out of the means, and nodes that no other edge touches
-    keeping their row of y."""
-    lo, hi = np.min(pos, axis=1), np.max(pos, axis=1)
-    op = LineOperator(num_nodes, lo, hi)
-    feats = (y[lo] + y[hi]) * 0.5
-    linked = op.line_degrees > 0
-    diffused = diffuse(op, feats, feats, cfg)[linked]
-    y_upd, touched = endpoint_mean(num_nodes, lo[linked], hi[linked], diffused)
+    """emb_lp's node update from one diffusion of the whole N x d Y on the
+    lazy walk P: P*diffuse(P, Y) for the nodes with a positive edge, and
+    every other node keeping its row of y."""
+    walk = _walk(num_nodes, pos)
+    y_upd = walk @ diffuse(walk, y, y, cfg)
+    touched = np.bincount(pos.ravel(), minlength=num_nodes) > 0
     y_upd[~touched] = y[~touched]
     return y_upd
 
@@ -572,11 +605,13 @@ def _emb_lp_case(rng):
     return g, pos, queries
 
 
-def _column_blocks(monkeypatch, pos, cols_per_block):
-    """Make emb_lp cut Y into blocks of ``cols_per_block`` columns, through
-    a budget of two such blocks; return the list that records each block's
-    diffusion as ``(width, rounds)``."""
-    monkeypatch.setattr(propagation, "_STATE_BYTES", 2 * cols_per_block * pos.shape[0] * 8)
+def _column_blocks(monkeypatch, rows, cols_per_block):
+    """Make emb_lp and xmc_scores cut Y into blocks of ``cols_per_block``
+    columns, through a budget of two such blocks of the operator's ``rows``
+    rows: every node for xmc_scores, the nodes with a positive edge for
+    emb_lp. Return the list that records each block's diffusion as
+    ``(width, rounds)``."""
+    monkeypatch.setattr(propagation, "_STATE_BYTES", 2 * cols_per_block * rows * 8)
     runs = []
 
     def spy(operator, z, *args):
@@ -589,14 +624,14 @@ def _column_blocks(monkeypatch, pos, cols_per_block):
 
 @pytest.mark.parametrize("cols_per_block", [1, 2, 5])
 def test_emb_lp_is_the_whole_state_diffusion(rng, monkeypatch, cols_per_block):
-    """At tol=0 the column-block walk is the one whole-state diffusion bit
+    """At tol=0 the column-block walk is the one whole-Y node diffusion bit
     for bit, whatever the block width: one column, blocks of 2, 2 and 1
     columns, or all five."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 5))
     cfg = DiffusionConfig(alpha=0.8, k_max=12, tol=0.0)
     want = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
-    runs = _column_blocks(monkeypatch, pos, cols_per_block)
+    runs = _column_blocks(monkeypatch, np.unique(pos).size, cols_per_block)
     assert np.array_equal(emb_lp(g, pos, y, cfg, queries), want)
     assert [width for width, _ in runs] == [
         min(cols_per_block, 5 - i) for i in range(0, 5, cols_per_block)
@@ -607,13 +642,13 @@ def test_emb_lp_is_the_whole_state_diffusion(rng, monkeypatch, cols_per_block):
 def test_emb_lp_stops_each_column_block_on_its_own(rng, monkeypatch, cols_per_block):
     """Every block runs the 31 rounds that alpha 0.8 and tol 1e-9 fix, also
     a column 1e-6 times smaller alone in its block, so whatever the block
-    width the result is the whole-state diffusion bit for bit."""
+    width the result is the whole-Y diffusion bit for bit."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 3))
     y[:, 0] *= 1e-6
     cfg = DiffusionConfig(alpha=0.8, k_max=200, tol=1e-9)
     whole = score_edges(_whole_state_update(g.num_nodes, pos, y, cfg), queries)
-    runs = _column_blocks(monkeypatch, pos, cols_per_block)
+    runs = _column_blocks(monkeypatch, np.unique(pos).size, cols_per_block)
     out = emb_lp(g, pos, y, cfg, queries)
     rounds = fewest_chebyshev_rounds(0.8, 1e-9, 200)
     assert rounds == 31
@@ -621,17 +656,39 @@ def test_emb_lp_stops_each_column_block_on_its_own(rng, monkeypatch, cols_per_bl
     assert np.array_equal(out, whole)
 
 
-def test_emb_lp_scores_do_not_depend_on_the_block_width(rng, monkeypatch):
-    """At the default tol, blocks of 1, 5 and 24 columns give the same
-    scores bit for bit on a 600-node random graph."""
+def _block_width_case(rng, monkeypatch, score, rows):
+    """``score(g, pos, y, queries)`` at the default tol with Y cut into
+    blocks of 1, 5 and 24 columns of the operator's ``rows(pos)`` rows, on
+    a 600-node random graph whose edges are ``pos``."""
     pos = np.array(random_graph_edges(rng, 600, 1500))
-    g = build_graph([], extra_nodes=[f"n{i}" for i in range(600)])
+    g = build_graph([(f"n{u}", f"n{v}") for u, v in pos], extra_nodes=[f"n{i}" for i in range(600)])
     y = rng.normal(size=(600, 24))
     queries = np.concatenate([pos, rng.integers(0, 600, size=(3000, 2))])
     outs = []
     for cols_per_block in (1, 5, 24):
-        _column_blocks(monkeypatch, pos, cols_per_block)
-        outs.append(emb_lp(g, pos, y, DiffusionConfig(), queries))
+        runs = _column_blocks(monkeypatch, rows(pos), cols_per_block)
+        outs.append(score(g, pos, y, queries))
+        assert len(runs) == -(-24 // cols_per_block)
+    return outs
+
+
+def test_emb_lp_scores_do_not_depend_on_the_block_width(rng, monkeypatch):
+    """Blocks of 1, 5 and 24 columns give the same scores bit for bit."""
+    outs = _block_width_case(
+        rng, monkeypatch, lambda g, pos, y, q: emb_lp(g, pos, y, DiffusionConfig(), q),
+        lambda pos: np.unique(pos).size,
+    )
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
+
+
+def test_xmc_scores_do_not_depend_on_the_block_width(rng, monkeypatch):
+    """xmc_scores walks the same column blocks as emb_lp: blocks of 1, 5
+    and 24 columns give the same scores bit for bit."""
+    outs = _block_width_case(
+        rng, monkeypatch, lambda g, pos, y, q: xmc_scores(g, y, DiffusionConfig(), q),
+        lambda pos: 600,
+    )
     for out in outs[1:]:
         assert np.array_equal(out, outs[0])
 
@@ -645,7 +702,7 @@ def test_emb_lp_non_finite_input_raises_on_every_worker_count(rng, monkeypatch, 
     state and starts no thread of its own."""
     g, pos, queries = _emb_lp_case(rng)
     y = rng.normal(size=(g.num_nodes, 6))
-    _column_blocks(monkeypatch, pos, 2)
+    _column_blocks(monkeypatch, np.unique(pos).size, 2)
     cfg = DiffusionConfig(alpha=0.8, k_max=5, tol=0.0)
     bad_y = y.copy()
     bad_y[pos[3, 0], 4] = bad
@@ -669,17 +726,17 @@ def test_emb_lp_non_finite_input_raises_on_every_worker_count(rng, monkeypatch, 
 
 
 @pytest.mark.parametrize("cols_per_block", [1, 2])
-def test_emb_lp_overflowing_endpoint_mean_raises(monkeypatch, cols_per_block):
-    """A finite Y whose diffusion stays finite can still overflow in a
-    node's sum over its edges: each edge of the star carries 0.5e308 in
-    column 1, and the centre sums five of them. That is a NumericError,
-    raised under warnings as errors, not a RuntimeWarning or NaN scores,
-    from the second block as from the only one."""
+def test_emb_lp_overflowing_diffusion_raises(monkeypatch, cols_per_block):
+    """A finite Y can overflow in the diffusion: the star's centre holds
+    1e308 in column 1, which the loop's start Y/(1-alpha) takes past the
+    float range. That is a NumericError, raised under warnings as errors,
+    not a RuntimeWarning or NaN scores, from the second block as from the
+    only one."""
     g = build_graph([], extra_nodes=[f"n{i}" for i in range(6)])
     pos = np.array([(0, i) for i in range(1, 6)])
     y = np.zeros((6, 2))
     y[0, 1] = 1e308
-    _column_blocks(monkeypatch, pos, cols_per_block)
+    _column_blocks(monkeypatch, np.unique(pos).size, cols_per_block)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError):
@@ -687,23 +744,28 @@ def test_emb_lp_overflowing_endpoint_mean_raises(monkeypatch, cols_per_block):
 
 
 def test_emb_lp_holds_under_one_edge_state(rng):
-    """On a broadcast-sized case (N 1400, m 5000, d 80) emb_lp diffuses one
-    block of c = 1 MiB // (2*m*8) = 13 columns at a time. Besides the N x d
-    update, a block holds its state, the iterate's last step and one
-    product (m x c each) and the stacked iterate with C*x ((2N + m) x c), 2.37 MB, and
-    the operator and edge lists hold about 0.5 MB: under one m x d edge
-    state of 3.2 MB. One diffusion of the whole state holds over four."""
+    """On a broadcast-sized case (N 1400, m 5000, d 80; n = 1399 nodes with
+    an edge) emb_lp diffuses one block of c = 1 MiB // (2*n*8) = 46 columns
+    at a time. Besides the N x d update, a block holds its contiguous copy
+    of Y's columns, its iterate, last step and one product (n x c each,
+    2.06 MB), and the lazy walk and edge lists hold under 0.6 MB. One more
+    block, or one whole n x d diffusion (2.69 MB), is over, as is the
+    line-graph form's m x c block state, and all of it is under one m x d
+    edge state more."""
     pos = np.array(random_graph_edges(rng, 1400, 5000))
     g = build_graph([], extra_nodes=[f"n{i}" for i in range(1400)])
     y = rng.normal(size=(1400, 80))
     cfg = DiffusionConfig(k_max=2, tol=0.0)
+    rows = np.unique(pos).size
+    cols = 2**20 // (2 * rows * 8)
+    assert (rows, cols) == (1399, 46)
     tracemalloc.start()
     try:
         emb_lp(g, pos, y, cfg, pos[:500])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < y.nbytes + pos.shape[0] * y.shape[1] * 8
+    assert peak < y.nbytes + 4 * rows * cols * 8 + 600_000
 
 
 def test_emb_lp_empty_pos_error(triangle):
