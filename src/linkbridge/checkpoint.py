@@ -135,8 +135,10 @@ def save_student(path: str | Path, model: MlpModel) -> None:
 def load_student(path: str | Path, g: Graph) -> MlpModel:
     """Rehydrate a student that embeds ``g``'s nodes from their features; a
     graph whose feature width is not the student's input width is a
-    DataError."""
+    DataError. Its weights come back float32, the precision the student
+    trains in, so it scores exactly as the student that was saved."""
     _, config, arrays = _load_model(path, "mlp", DistillConfig)
+    arrays = {name: arr.astype(np.float32) for name, arr in arrays.items()}
     d_in = arrays["w1"].shape[0]
     if g.feature_dim != d_in:
         raise DataError(f"{path}: student reads {d_in} features per node, "

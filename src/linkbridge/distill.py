@@ -10,6 +10,14 @@ per-node table, so it scores any node from its feature row, an isolated or
 low-degree node exactly like any other, and a node of another graph with
 the same feature columns too.
 
+The student computes in float32: its weights, activations and gradients.
+That is the precision its checkpoint stores (``checkpoint.save_student``),
+so a reloaded student is the trained one bit for bit, and each of its dense
+steps moves half the bytes of a float64 one. The functions follow the
+dtype of the weights (numpy's own promotion), so float64 weights still
+compute in float64. Only the batch's rows of the float64 teacher table are
+cast, never the table.
+
 A training step gathers only the batch's feature rows, and of hidden width
 it holds one activation and one gradient. Inference over many nodes
 (``student_embed``, the closing imitation MSE) runs in ``scorer.row_blocks``,
@@ -67,7 +75,8 @@ class DistillConfig:
 @dataclass
 class MlpModel:
     """2-layer student: X -> hidden (relu) -> teacher embedding dim, plus a
-    handle on the feature rows of the graph it embeds."""
+    handle on the feature rows of the graph it embeds. ``imitate`` makes
+    the four weights float32, the precision of the student's checkpoint."""
 
     config: DistillConfig
     w1: np.ndarray
@@ -80,18 +89,19 @@ class MlpModel:
 
 
 def _init_mlp(config: DistillConfig, d_in: int, d_out: int, rng) -> tuple:
+    """Float32 weights from float64 draws of ``rng``."""
     s1 = np.sqrt(2.0 / d_in)
     s2 = np.sqrt(2.0 / config.hidden)
-    w1 = rng.normal(0.0, s1, size=(d_in, config.hidden))
-    b1 = np.zeros(config.hidden)
-    w2 = rng.normal(0.0, s2, size=(config.hidden, d_out))
-    b2 = np.zeros(d_out)
+    w1 = rng.normal(0.0, s1, size=(d_in, config.hidden)).astype(np.float32)
+    b1 = np.zeros(config.hidden, dtype=np.float32)
+    w2 = rng.normal(0.0, s2, size=(config.hidden, d_out)).astype(np.float32)
+    b2 = np.zeros(d_out, dtype=np.float32)
     return w1, b1, w2, b2
 
 
 def _inputs(model: MlpModel, rows: np.ndarray | slice) -> np.ndarray:
-    """Feature rows of the nodes ``rows`` as float64."""
-    return model.features[rows].astype(np.float64, copy=False)
+    """Feature rows of the nodes ``rows`` in the weights' dtype."""
+    return model.features[rows].astype(model.w1.dtype, copy=False)
 
 
 def _forward(model: MlpModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +139,7 @@ def _output_blocks(model: MlpModel, rows: np.ndarray | None = None):
     layer wide; each output row is the same as in one full forward."""
     n = model.features.shape[0] if rows is None else rows.shape[0]
     width = max(model.w1.shape[0], model.w1.shape[1], model.w2.shape[1])
-    for block in row_blocks(n, 8 * width):
+    for block in row_blocks(n, model.w1.itemsize * width):
         ids = block if rows is None else rows[block]
         yield block, _forward(model, _inputs(model, ids))[1]
 
@@ -137,6 +147,8 @@ def _output_blocks(model: MlpModel, rows: np.ndarray | None = None):
 def student_embed(model: MlpModel, rows: np.ndarray | None = None) -> np.ndarray:
     """Student embeddings from node features alone (no adjacency access).
 
+    The table is float64 holding the student's float32 outputs, so the
+    inner products of ``score_edges`` and ``pair_recall`` sum in float64.
     Besides the output it holds one row block of inputs and activations,
     about ``scorer._BLOCK_BYTES`` per layer, never an N-row activation.
     """
@@ -162,10 +174,11 @@ def _imitation_mse(model: MlpModel, teacher_y: np.ndarray) -> float:
 def _imitation_pass(
     model: MlpModel, teacher_y: np.ndarray, rows: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared imitation error of the distinct ``rows`` and its gradients."""
+    """Mean squared imitation error of the distinct ``rows`` and its
+    gradients, against the batch's teacher rows in the weights' dtype."""
     h = _inputs(model, rows)
     z1, out = _forward(model, h)
-    loss, err = _mse(out, teacher_y[rows])
+    loss, err = _mse(out, teacher_y[rows].astype(model.w1.dtype, copy=False))
     return loss, _backward(model, h, z1, 2.0 * err / err.size)
 
 

@@ -713,9 +713,10 @@ def dense_train_scorer(config, g, splits):
 
 
 def _dense_mlp_step(params, features, rows, d_out_fn, lr):
-    """One student SGD step on rows of the full N-row feature input."""
+    """One student SGD step on rows of the full N-row feature input, in
+    the dtype of the params."""
     w1, b1, w2, b2 = params
-    h = features.astype(np.float64)[rows]
+    h = features.astype(w1.dtype)[rows]
     a = h @ w1 + b1
     z1 = np.maximum(a, 0.0)
     loss, d_out = d_out_fn(z1 @ w2 + b2)
@@ -727,12 +728,15 @@ def _dense_mlp_step(params, features, rows, d_out_fn, lr):
 
 
 def _dense_student_embed(params, features):
+    """Every node's output in the dtype of the params, as a float64 table."""
     w1, b1, w2, b2 = params
-    return np.maximum(features.astype(np.float64) @ w1 + b1, 0.0) @ w2 + b2
+    out = np.maximum(features.astype(w1.dtype) @ w1 + b1, 0.0) @ w2 + b2
+    return out.astype(np.float64)
 
 
 def dense_imitate(teacher_y, g, config):
-    """Student imitation with full-input steps.
+    """Student imitation with full-input steps, in float32 from float64
+    draws, against the float64 teacher rows cast to float32.
 
     Returns ((w1, b1, w2, b2), final mse).
     """
@@ -745,6 +749,7 @@ def dense_imitate(teacher_y, g, config):
                    size=(config.hidden, teacher_y.shape[1])),
         np.zeros(teacher_y.shape[1]),
     ]
+    params = [p.astype(np.float32) for p in params]
     trace = []
     for _ in range(config.max_epochs):
         perm = rng.permutation(g.num_nodes)
@@ -753,7 +758,7 @@ def dense_imitate(teacher_y, g, config):
             rows = perm[start : start + config.batch_size]
 
             def mse_grad(out, rows=rows):
-                err = out - teacher_y[rows]
+                err = out - teacher_y[rows].astype(out.dtype)
                 return float(np.sum(err * err) / err.size), 2.0 * err / err.size
 
             loss = _dense_mlp_step(params, g.features, rows, mse_grad,

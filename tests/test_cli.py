@@ -444,7 +444,7 @@ def test_distill_that_diverges_exits_4_without_a_warning(tmp_path, capsys):
                  "--out", str(tmp_path / "student.bin")])
     assert code == 4
     assert capsys.readouterr().err == (
-        "numeric error: training diverged: non-finite loss inf at epoch 4\n"
+        "numeric error: training diverged: non-finite loss nan at epoch 3\n"
     )
     assert not (tmp_path / "student.bin").exists()
 

@@ -58,6 +58,13 @@ def test_zero_epoch_budget_returns_init():
     assert model.loss_trace == []
 
 
+def _float64(model):
+    """``model`` with float64 copies of its weights: central differences at
+    eps 1e-6 resolve nothing in float32."""
+    return replace(model, **{name: getattr(model, name).astype(np.float64)
+                             for name in ("w1", "b1", "w2", "b2")})
+
+
 def assert_fd_grads(model, grads, loss_fn):
     """Each of the four weight gradients of a training pass against central
     differences of ``loss_fn``."""
@@ -71,7 +78,7 @@ def test_imitation_gradient_check():
     g = fixture_graph()
     rng = np.random.default_rng(4)
     teacher_y = rng.normal(size=(5, 3))
-    model = imitate(teacher_y, g, DistillConfig(hidden=6, max_epochs=0, seed=5))
+    model = _float64(imitate(teacher_y, g, DistillConfig(hidden=6, max_epochs=0, seed=5)))
     rows = np.array([3, 0, 4])  # one batch as imitate draws it: distinct, shuffled
     loss, grads = _imitation_pass(model, teacher_y, rows)
     assert np.isfinite(loss)
@@ -82,7 +89,7 @@ def test_finetune_gradient_check():
     g = fixture_graph()
     rng = np.random.default_rng(6)
     teacher_y = rng.normal(size=(5, 3))
-    model = imitate(teacher_y, g, DistillConfig(hidden=6, max_epochs=0, seed=7))
+    model = _float64(imitate(teacher_y, g, DistillConfig(hidden=6, max_epochs=0, seed=7)))
     pos = np.array([[0, 1], [1, 2], [2, 3]])
     neg = np.array([[0, 2], [1, 4], [3, 0]])
     loss, grads = _finetune_pass(model, pos, neg)
@@ -175,10 +182,9 @@ def test_student_checkpoint_round_trip(tmp_path):
     save_student(path, student)
     loaded = load_student(path, g_train)
     for name in ("w1", "b1", "w2", "b2"):
-        assert np.allclose(getattr(loaded, name), getattr(student, name), atol=1e-6)
-    y1 = student_embed(student)
-    y2 = student_embed(loaded)
-    assert np.allclose(y1, y2, atol=1e-5)
+        assert np.array_equal(getattr(loaded, name), getattr(student, name))
+        assert getattr(loaded, name).dtype == np.float32
+    assert np.array_equal(student_embed(student), student_embed(loaded))
 
 
 def test_imitate_rejects_short_teacher():
@@ -193,12 +199,35 @@ def test_imitate_rejects_a_featureless_graph():
         imitate(np.zeros((3, 2)), g, DistillConfig())
 
 
-def test_input_matrix_gathers_rows():
+def test_inputs_and_embeddings_gather_rows():
     splits, g_train, teacher, teacher_y = _distill_fixture()
     student = imitate(teacher_y, g_train, DistillConfig(hidden=4, max_epochs=1))
     rows = np.array([3, 1, 3, 0])
     assert np.array_equal(_inputs(student, rows), g_train.features[rows])
     assert np.array_equal(student_embed(student, rows), student_embed(student)[rows])
+
+
+def test_student_trains_in_float32(small_pair):
+    """The trained student's weights are float32, and so are the gradients
+    of both passes on a float32 model, though the teacher table is float64."""
+    src, tar, _ = small_pair
+    manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
+    g_train = manifest_training_graph(manifest, src, tar)
+    splits = split_ids(manifest, g_train)
+    teacher_y = embed(init_model(ScorerConfig(d_trainable=4, seed=3), g_train), g_train)
+    assert teacher_y.dtype == np.float64
+    cfg = DistillConfig(hidden=8, batch_size=16, max_epochs=2, seed=1, finetune_epochs=1,
+                        finetune_batch_size=16)
+    student = imitate(teacher_y, g_train, cfg)
+    tuned = finetune_linkpred(student, splits)
+    trained = train_student(teacher_y, g_train, splits, cfg)
+    for model in (student, tuned, trained):
+        assert {getattr(model, name).dtype for name in ("w1", "b1", "w2", "b2")} == {
+            np.dtype(np.float32)}
+    _, grads = _imitation_pass(student, teacher_y, np.arange(10))
+    assert {gr.dtype for gr in grads.values()} == {np.dtype(np.float32)}
+    _, grads = _finetune_pass(student, splits.train_pos[:8], splits.train_neg[:8])
+    assert {gr.dtype for gr in grads.values()} == {np.dtype(np.float32)}
 
 
 def test_student_matches_dense_reference(small_pair):
