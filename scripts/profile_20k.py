@@ -9,9 +9,10 @@ mean_deg_src=10, mean_deg_tar=3, feature_dim=16, feature_shift=0.3,
 seed=1)``, run under the ``int`` regime with a 5-epoch scorer; ``--scale``
 multiplies both node counts. Prints one line per report row (method,
 ``runtime_seconds``, ``recall_at_1x`` and the SHA-256 of its score file, so
-that two checkouts can be compared byte for byte), then the process's peak
-RSS. The run directory is a temporary one, removed on exit. The BLAS pool
-is pinned to one thread, as in ``perfbench/run.py``.
+that two checkouts can be compared byte for byte), then the wall time of
+the whole ``run_pipeline`` call (``run_s``) and the process's peak RSS.
+The run directory is a temporary one, removed on exit. The BLAS pool is
+pinned to one thread, as in ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import resource  # noqa: E402
 import tempfile  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -63,12 +65,15 @@ def main(argv: list[str] | None = None) -> None:
             "methods": args.methods,
             "scorer": {"epochs": 5},
         }
+        start = time.perf_counter()
         report = run_pipeline(config)
+        run_s = time.perf_counter() - start
         for row in report.rows:
             scores = Path(tmp) / "scores" / f"int.{row['method']}.tsv"
             digest = hashlib.sha256(scores.read_bytes()).hexdigest()[:16]
             print(f"{row['method']:<9} runtime_seconds {row['runtime_seconds']:9.3f}"
                   f"  recall_at_1x {row['recall_at_1x']:.4f}  scores {digest}")
+    print(f"run_s {run_s:.3f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak_rss_mb {peak:.1f}")
 

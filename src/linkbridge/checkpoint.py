@@ -5,6 +5,10 @@ renumbers nodes, so its header records a digest of the node-key order that
 loading must match. A student stores its weights alone: it reads node
 features, so it loads against any graph whose feature width fits its first
 layer, whatever that graph's node count or order.
+
+Both models train in float32, the precision the blob stores, and load back
+as float32: a reloaded scorer or student is the one that was saved, bit for
+bit, and scores exactly as it did.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """(header, named float64 arrays); any file that is not a well-formed
+    """(header, named float32 arrays); any file that is not a well-formed
     checkpoint, or holds a non-finite value, is a DataError naming it."""
     try:
         raw = Path(path).read_bytes()
@@ -70,7 +74,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             size = int(np.prod(shape)) if shape else 1
             if offset + size > blob.size:
                 raise DataError(f"{path}: parameter blob shorter than header claims")
-            arrays[meta["name"]] = blob[offset : offset + size].reshape(shape).astype(np.float64)
+            arrays[meta["name"]] = blob[offset : offset + size].reshape(shape).astype(np.float32)
             offset += size
     except OSError as exc:
         raise DataError(f"{path}: cannot read checkpoint ({exc.strerror})") from exc
@@ -112,7 +116,9 @@ def save_scorer(path: str | Path, model: ScorerModel, g: Graph) -> None:
 
 def load_scorer(path: str | Path, g: Graph) -> ScorerModel:
     """Rehydrate a scorer whose node rows follow ``g``'s node order; frozen
-    features come from the graph."""
+    features come from the graph. X' and the encoder weights come back
+    float32, the precision the scorer trains in, so it embeds exactly as
+    the scorer that was saved."""
     header, config, arrays = _load_model(path, "scorer", ScorerConfig)
     if header.get("node_order") != node_order_digest(g):
         raise DataError(f"{path}: checkpoint rows follow another graph's node order")
@@ -138,7 +144,6 @@ def load_student(path: str | Path, g: Graph) -> MlpModel:
     DataError. Its weights come back float32, the precision the student
     trains in, so it scores exactly as the student that was saved."""
     _, config, arrays = _load_model(path, "mlp", DistillConfig)
-    arrays = {name: arr.astype(np.float32) for name, arr in arrays.items()}
     d_in = arrays["w1"].shape[0]
     if g.feature_dim != d_in:
         raise DataError(f"{path}: student reads {d_in} features per node, "

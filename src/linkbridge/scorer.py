@@ -18,6 +18,16 @@ A pass over a whole table (scoring every pair in ``score_edges``, the
 student's forward over every node) walks it in ``row_blocks``: its
 transient memory is one block of about ``_BLOCK_BYTES`` (or the caller's
 own block size), not one table.
+
+The scorer trains in float32: its ``[X, X']`` working table, X', the
+encoder weights and every step's gradients. That is the precision its
+checkpoint stores (``checkpoint.save_scorer``), so a reloaded scorer embeds
+exactly like the trained one, and each N-row training table takes half the
+bytes of a float64 one. The functions follow the dtype of their inputs.
+What leaves the trainer for other stages is float64: ``node_inputs``
+returns float64 rows that hold the float32 inputs exactly, ``embed``
+computes float64 embeddings from them, and ``score_edges`` sums every
+logit in float64, whatever the dtype of its table.
 """
 
 from __future__ import annotations
@@ -91,7 +101,9 @@ class ScorerConfig:
 
 @dataclass
 class ScorerModel:
-    """Trainable state plus a handle on the frozen feature matrix."""
+    """Trainable state plus a handle on the frozen feature matrix.
+    ``init_model`` and ``train_scorer`` make X' and the encoder weights
+    float32, the precision of the scorer's checkpoint."""
 
     config: ScorerConfig
     x_prime: np.ndarray
@@ -104,31 +116,48 @@ class ScorerModel:
         return int(self.x_prime.shape[0])
 
 
+def _input_table(features: np.ndarray | None, x_prime: np.ndarray, dtype) -> np.ndarray:
+    """[X, X'] as one ``dtype`` table, each part written in place."""
+    d_x = 0 if features is None else features.shape[1]
+    out = np.empty((x_prime.shape[0], d_x + x_prime.shape[1]), dtype=dtype)
+    if features is not None:
+        out[:, :d_x] = features
+    out[:, d_x:] = x_prime
+    return out
+
+
 def node_inputs(
     features: np.ndarray | None, x_prime: np.ndarray, rows: np.ndarray | slice | None = None
 ) -> np.ndarray:
-    """Rows of [X, X'] as float64; gathers before it concatenates, so a
-    batch's input costs O(batch), not O(N)."""
+    """Rows of [X, X'] as float64, holding the float32 inputs exactly.
+    Gathers before it writes, so a batch's input costs O(batch), not O(N),
+    and X and X' are written into the one output, never copied first."""
     if rows is not None:
         x_prime = x_prime[rows]
         features = None if features is None else features[rows]
-    xp = x_prime.astype(np.float64, copy=False)
-    if features is None:
-        return xp
-    return np.concatenate([features.astype(np.float64), xp], axis=1)
+    return _input_table(features, x_prime, np.float64)
 
 
 def init_model(config: ScorerConfig, g: Graph) -> ScorerModel:
     """Seeded init: X' uniform in [-1/sqrt(d), 1/sqrt(d)], likewise the
-    one-hop encoder's square d_in x d_in projection W."""
+    one-hop encoder's square d_in x d_in projection W, both float32.
+
+    X' is drawn in ``row_blocks`` of float64 draws, each cast into the one
+    float32 table, so no float64 N x d draw is held; the blocks follow one
+    another in the generator's stream, so X' and the W drawn after it are
+    the float32 casts of one whole-table draw.
+    """
     rng = np.random.default_rng(config.seed)
-    bound = 1.0 / np.sqrt(config.d_trainable)
-    x_prime = rng.uniform(-bound, bound, size=(g.num_nodes, config.d_trainable))
+    d = config.d_trainable
+    bound = 1.0 / np.sqrt(d)
+    x_prime = np.empty((g.num_nodes, d), dtype=np.float32)
+    for block in row_blocks(g.num_nodes, 8 * d):
+        x_prime[block] = rng.uniform(-bound, bound, size=(block.stop - block.start, d))
     weights = None
     if config.encoder == "one_hop_mean":
-        d_in = g.feature_dim + config.d_trainable
+        d_in = g.feature_dim + d
         wb = 1.0 / np.sqrt(d_in)
-        weights = rng.uniform(-wb, wb, size=(d_in, d_in))
+        weights = rng.uniform(-wb, wb, size=(d_in, d_in)).astype(np.float32)
     return ScorerModel(
         config=config,
         x_prime=x_prime,
@@ -138,7 +167,7 @@ def init_model(config: ScorerConfig, g: Graph) -> ScorerModel:
 
 
 def embed(model: ScorerModel, g: Graph) -> np.ndarray:
-    """Per-node embeddings Y for the whole graph."""
+    """Per-node embeddings Y for the whole graph, as a float64 table."""
     if model.num_nodes != g.num_nodes:
         raise DataError(
             f"model has {model.num_nodes} node rows, graph has {g.num_nodes}"
@@ -153,15 +182,18 @@ def embed(model: ScorerModel, g: Graph) -> np.ndarray:
 def score_edges(y: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Inner-product logits for an (m, 2) array of node index pairs.
 
-    The pairs are scored in ``row_blocks`` of one endpoint row of ``y``, so
-    besides the m logits and the checked (m, 2) pairs it holds two gathered
-    endpoint blocks of about ``_BLOCK_BYTES`` each, never the two m x d
-    endpoint tables. Each logit is the same einsum row as in one pass.
+    Every logit sums in float64, whatever the dtype of ``y``: a float32
+    table scores as its float64 copy would. The pairs are scored in
+    ``row_blocks`` of one endpoint row of ``y``, so besides the m logits and
+    the checked (m, 2) pairs it holds two gathered endpoint blocks of about
+    ``_BLOCK_BYTES`` each, never the two m x d endpoint tables. Each logit
+    is the same einsum row as in one pass.
     """
     edges = checked_pairs(edges, y.shape[0])
-    out = np.empty(edges.shape[0], dtype=y.dtype)
+    out = np.empty(edges.shape[0])
     for block in row_blocks(edges.shape[0], y[:1].nbytes):
-        np.einsum("ij,ij->i", y[edges[block, 0]], y[edges[block, 1]], out=out[block])
+        np.einsum("ij,ij->i", y[edges[block, 0]], y[edges[block, 1]],
+                  out=out[block], dtype=np.float64)
     return out
 
 
@@ -266,7 +298,7 @@ def _batch_loss_and_grads(
         (agg_rows.data, local[rows.size :], agg_rows.indptr),
         shape=(rows.size, touched.size),
     )
-    dxp_rows = np.zeros((touched.size, dp_rows.shape[1]))
+    dxp_rows = np.zeros((touched.size, dp_rows.shape[1]), dtype=dp_rows.dtype)
     dxp_rows[local[: rows.size]] = dp_rows
     dxp_rows += agg_local.T @ dp_rows
     return loss, touched, dxp_rows, dw
@@ -282,8 +314,9 @@ def training_loss_and_grads(
 
     The shorter list is cycled to the longer one's length (no shuffling),
     so the value is a pure deterministic function of the model parameters.
-    One ``_batch_loss_and_grads`` step, with the X' gradient scattered into
-    the table's shape; ``perfbench/probes.py`` times it.
+    One ``_batch_loss_and_grads`` step on the float64 ``node_inputs``
+    table, with the X' gradient scattered into the table's shape;
+    ``perfbench/probes.py`` times it.
     """
     pos_edges = np.asarray(pos_edges, dtype=np.int64)
     neg_edges = np.asarray(neg_edges, dtype=np.int64)
@@ -355,10 +388,12 @@ def train_scorer(config: ScorerConfig, g_train: Graph, splits) -> ScorerModel:
     |valid_pos|) is returned. The per-epoch mean batch loss lands in
     ``model.loss_trace``.
 
-    Of N-row arrays it holds the float64 ``[X, X']`` working table and one
+    It trains in float32, the precision of ``init_model``'s X' and W.
+    Of N-row arrays it holds the float32 ``[X, X']`` working table and one
     X' buffer: ``init_model``'s draw, copied into the table and then
     overwritten by each better epoch's X'. The returned model's ``x_prime``
-    is that buffer.
+    is that buffer. Under ``one_hop_mean`` the aggregator has the table's
+    dtype, so no step upcasts to float64.
     """
     pos, neg = splits.train_pos, splits.train_neg
     valid_pos, valid_neg = splits.valid_pos, splits.valid_neg
@@ -368,12 +403,9 @@ def train_scorer(config: ScorerConfig, g_train: Graph, splits) -> ScorerModel:
 
     d_x = g_train.feature_dim
     x_best = model.x_prime
-    h = np.empty((x_best.shape[0], d_x + x_best.shape[1]))
-    if d_x:
-        h[:, :d_x] = g_train.features
-    h[:, d_x:] = x_best
+    h = _input_table(g_train.features, x_best, x_best.dtype)
     weights = model.encoder_weights
-    agg = mean_aggregator(g_train) if config.encoder == "one_hop_mean" else None
+    agg = mean_aggregator(g_train).astype(h.dtype) if config.encoder == "one_hop_mean" else None
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
 
     def step(bp: np.ndarray, bn: np.ndarray) -> float:

@@ -668,7 +668,9 @@ def dense_train_scorer(config, g, splits):
     """Scorer training with the dense N-row X' gradient and full-table update,
     on the id splits (``selection.SplitIds``) of a manifest over ``g``.
 
-    Returns the selected (x_prime, encoder_weights).
+    The table, the weights, the aggregator and the gradient have the
+    trainer's dtype, that of ``init_model``'s X'. Returns the selected
+    (x_prime, encoder_weights).
     """
     from linkbridge.graph import mean_aggregator
     from linkbridge.scorer import (
@@ -678,9 +680,9 @@ def dense_train_scorer(config, g, splits):
     model = init_model(config, g)
     pos, neg, valid_pos, valid_neg = splits[:4]
     d_x = g.feature_dim
-    h = node_inputs(model.features, model.x_prime).copy()
+    h = node_inputs(model.features, model.x_prime).astype(model.x_prime.dtype)
     w = None if model.encoder_weights is None else model.encoder_weights.copy()
-    agg = mean_aggregator(g) if config.encoder == "one_hop_mean" else None
+    agg = mean_aggregator(g).astype(h.dtype) if config.encoder == "one_hop_mean" else None
     lr = config.learning_rate
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
     best = None
@@ -691,7 +693,7 @@ def dense_train_scorer(config, g, splits):
             bp = epos[start : start + config.batch_size]
             bn = eneg[start : start + config.batch_size]
             rows, inv = batch_rows(bp, bn)
-            dh = np.zeros(h.shape)
+            dh = np.zeros_like(h)
             if agg is None:
                 _, dy = pair_loss(h[rows], inv, len(bp))
                 np.add.at(dh, rows, dy)

@@ -15,11 +15,12 @@ from linkbridge.distill import DistillConfig, imitate, student_embed
 from linkbridge.errors import DataError
 from linkbridge.graph import build_graph, union_graph
 from linkbridge.io import load_graph, save_graph
-from linkbridge.scorer import ScorerConfig, embed, init_model, score_edges
+from linkbridge.scorer import ScorerConfig, embed, init_model, score_edges, train_scorer
 from linkbridge.selection import (
     Regime,
     make_split,
     manifest_training_graph,
+    split_ids,
     training_graph_from_universe,
 )
 
@@ -52,6 +53,28 @@ def test_scorer_checkpoint_loads_only_against_its_node_order(two_orders, tmp_pat
     assert node_order_digest(g) != node_order_digest(other)
     with pytest.raises(DataError, match="node order"):
         load_scorer(path, other)
+
+
+@pytest.mark.parametrize("encoder", ["embedding_only", "one_hop_mean"])
+def test_reloaded_scorer_scores_as_the_trained_one(small_pair, tmp_path, encoder):
+    """A scorer trains in the float32 its checkpoint stores, so the reloaded
+    one embeds and scores every pair exactly as the trained one."""
+    src, tar, _ = small_pair
+    manifest = make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1)
+    g = manifest_training_graph(manifest, src, tar)
+    splits = split_ids(manifest, g)
+    model = train_scorer(ScorerConfig(d_trainable=4, encoder=encoder, epochs=3, seed=2),
+                         g, splits)
+    path = tmp_path / "scorer.bin"
+    save_scorer(path, model, g)
+    loaded = load_scorer(path, g)
+    assert loaded.x_prime.dtype == np.float32
+    if encoder == "one_hop_mean":
+        assert loaded.encoder_weights.dtype == np.float32
+    y, y_loaded = embed(model, g), embed(loaded, g)
+    assert np.array_equal(y_loaded, y)
+    pairs = np.concatenate([splits.valid_pos, splits.valid_neg, splits.test_pos])
+    assert np.array_equal(score_edges(y_loaded, pairs), score_edges(y, pairs))
 
 
 def _student(g, path):

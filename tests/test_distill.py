@@ -281,15 +281,16 @@ def test_train_student_saves_the_dense_reference_checkpoint(small_pair, tmp_path
 
 
 def test_student_step_memory_is_o_batch():
-    """Imitation and fine-tuning steps on 100k nodes allocate a small
-    fraction of one N x d_in input."""
+    """Imitation and fine-tuning steps on 100k nodes of a float32 student
+    allocate a small fraction of one N x d_in float32 input."""
     n, d_x, d_out, hidden, batch = 100_000, 32, 16, 32, 256
     rng = np.random.default_rng(0)
+    f32 = np.float32
     model = MlpModel(
         config=DistillConfig(hidden=hidden),
-        w1=rng.normal(size=(d_x, hidden)), b1=np.zeros(hidden),
-        w2=rng.normal(size=(hidden, d_out)), b2=np.zeros(d_out),
-        features=rng.normal(size=(n, d_x)).astype(np.float32),
+        w1=rng.normal(size=(d_x, hidden)).astype(f32), b1=np.zeros(hidden, dtype=f32),
+        w2=rng.normal(size=(hidden, d_out)).astype(f32), b2=np.zeros(d_out, dtype=f32),
+        features=rng.normal(size=(n, d_x)).astype(f32),
     )
     teacher_y = rng.normal(size=(n, d_out))
     rows = rng.choice(n, size=batch, replace=False)
@@ -303,21 +304,23 @@ def test_student_step_memory_is_o_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * d_x * 8 / 10
+    assert peak < n * d_x * 4 / 10
 
 
 def test_finetune_pass_holds_one_hidden_activation_and_one_gradient():
-    """A fine-tune pass over r distinct batch rows holds, of hidden width,
-    the activation, its gradient and the gradient's one-byte mask; the
-    rest is batch rows of the input and output widths. Its traced peak stays
-    below 2.5 r x hidden float64 arrays, never a separate pre-activation."""
+    """A fine-tune pass of a float32 student over r distinct batch rows
+    holds, of hidden width, the activation, its gradient and the gradient's
+    one-byte mask; the rest is batch rows of the input and output widths.
+    Its traced peak stays below 2.5 r x hidden float32 arrays, never a
+    separate pre-activation."""
     n, d_x, d_out, hidden, b = 50_000, 8, 16, 256, 1024
     rng = np.random.default_rng(0)
+    f32 = np.float32
     model = MlpModel(
         config=DistillConfig(hidden=hidden),
-        w1=rng.normal(size=(d_x, hidden)), b1=rng.normal(size=hidden),
-        w2=rng.normal(size=(hidden, d_out)) / 16, b2=np.zeros(d_out),
-        features=rng.normal(size=(n, d_x)).astype(np.float32),
+        w1=rng.normal(size=(d_x, hidden)).astype(f32), b1=rng.normal(size=hidden).astype(f32),
+        w2=(rng.normal(size=(hidden, d_out)) / 16).astype(f32), b2=np.zeros(d_out, dtype=f32),
+        features=rng.normal(size=(n, d_x)).astype(f32),
     )
     pos, neg = rng.integers(0, n, size=(2, b, 2))
     r = batch_rows(pos, neg)[0].size
@@ -327,7 +330,7 @@ def test_finetune_pass_holds_one_hidden_activation_and_one_gradient():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * r * hidden * 8
+    assert peak < 2.5 * r * hidden * 4
 
 
 def test_student_inference_memory_is_one_block():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,6 +99,11 @@ def test_gradient_check(encoder, with_features):
         g = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d"), ("e", "a")])
     cfg = ScorerConfig(d_trainable=3, encoder=encoder, seed=11)
     model = init_model(cfg, g)
+    # central differences at eps 1e-6 need float64 parameters: a float32
+    # X' would round the perturbation away
+    w = model.encoder_weights
+    model = replace(model, x_prime=model.x_prime.astype(np.float64),
+                    encoder_weights=None if w is None else w.astype(np.float64))
     pos = np.array([[0, 1], [1, 2], [2, 3]])
     neg = np.array([[0, 2], [1, 3], [0, 3], [4, 2]])
     loss, grads = training_loss_and_grads(model, g, pos, neg)
@@ -186,7 +192,7 @@ def test_config_validation():
         ScorerConfig(encoder="other")
 
 
-def test_input_matrix_gathers_rows():
+def test_node_inputs_gathers_rows():
     g = featured_graph()
     model = init_model(ScorerConfig(d_trainable=3, seed=2), g)
     rows = np.array([4, 0, 2, 0])
@@ -238,8 +244,9 @@ def test_training_step_memory_is_o_batch(encoder):
     g = ring_graph(n, d_x)
     cfg = ScorerConfig(d_trainable=24, encoder=encoder, seed=1)
     model = init_model(cfg, g)
-    h = node_inputs(model.features, model.x_prime).copy()
-    agg = mean_aggregator(g) if encoder == "one_hop_mean" else None
+    # the float32 table and aggregator, built as train_scorer builds them
+    h = scorer._input_table(model.features, model.x_prime, model.x_prime.dtype)
+    agg = mean_aggregator(g).astype(h.dtype) if encoder == "one_hop_mean" else None
     rng = np.random.default_rng(2)
     pos, neg = rng.integers(0, n, size=(2, batch, 2))
     tracemalloc.start()
@@ -253,6 +260,44 @@ def test_training_step_memory_is_o_batch(encoder):
         tracemalloc.stop()
     assert np.isfinite(loss)
     assert peak < h.nbytes / 10
+
+
+@pytest.mark.parametrize("encoder", ["embedding_only", "one_hop_mean"])
+def test_scorer_trains_in_float32(monkeypatch, encoder):
+    """X' and W are float32 from init and training, a step on the float32
+    table returns float32 gradients, node_inputs returns float64, and the
+    X' drawn in row blocks is the float32 cast of one whole-table draw."""
+    splits, g = _tiny_splits_and_graph()
+    cfg = ScorerConfig(d_trainable=3, encoder=encoder, epochs=2, seed=6)
+    # blocks of 4 rows, so the draw spans at least three of them
+    monkeypatch.setattr(scorer, "_BLOCK_BYTES", 4 * 8 * cfg.d_trainable)
+    assert g.num_nodes > 8
+    model = init_model(cfg, g)
+    trained = train_scorer(cfg, g, splits)
+    assert model.x_prime.dtype == trained.x_prime.dtype == np.float32
+    rng = np.random.default_rng(cfg.seed)
+    bound = 1.0 / np.sqrt(cfg.d_trainable)
+    assert np.array_equal(
+        model.x_prime,
+        rng.uniform(-bound, bound, size=(g.num_nodes, cfg.d_trainable)).astype(np.float32))
+    if encoder == "one_hop_mean":
+        assert model.encoder_weights.dtype == trained.encoder_weights.dtype == np.float32
+        d_in = g.feature_dim + cfg.d_trainable
+        wb = 1.0 / np.sqrt(d_in)
+        assert np.array_equal(model.encoder_weights,
+                              rng.uniform(-wb, wb, size=(d_in, d_in)).astype(np.float32))
+    h = scorer._input_table(model.features, model.x_prime, model.x_prime.dtype)
+    agg = mean_aggregator(g).astype(h.dtype) if encoder == "one_hop_mean" else None
+    _, _, dxp_rows, dw = _batch_loss_and_grads(
+        h, model.encoder_weights, agg, encoder,
+        splits.train_pos[:4], splits.train_neg[:4], g.feature_dim,
+    )
+    assert dxp_rows.dtype == np.float32
+    assert dw is None if encoder == "embedding_only" else dw.dtype == np.float32
+    inputs = node_inputs(model.features, model.x_prime)
+    assert inputs.dtype == np.float64
+    assert np.array_equal(inputs, h)
+    assert embed(model, g).dtype == np.float64
 
 
 def test_blocked_scores_are_the_one_pass_scores(monkeypatch):
@@ -283,9 +328,10 @@ def test_score_edges_memory_is_one_block():
 
 
 def test_train_scorer_holds_one_table_and_one_x_prime(monkeypatch):
-    """Training with a snapshot every epoch holds the [X, X'] working table
-    and one best-epoch X' buffer: its traced peak stays below one of each
-    plus a small slack, never an extra table or a second X'."""
+    """Training with a snapshot every epoch holds the float32 [X, X']
+    working table and one best-epoch float32 X' buffer: its traced peak
+    stays below one of each plus a small slack, never an extra table, a
+    second X' or a float64 draw of X'."""
     n, d_x, d = 20_000, 8, 24
     g = ring_graph(n, d_x)
     far = np.stack([np.arange(0, n, 5), (np.arange(0, n, 5) + n // 2) % n], axis=1)
@@ -295,7 +341,7 @@ def test_train_scorer_holds_one_table_and_one_x_prime(monkeypatch):
     recalls = iter(range(1, 100))
     monkeypatch.setattr(scorer, "pair_recall", lambda y, pos, neg: next(recalls))
     cfg = ScorerConfig(d_trainable=d, batch_size=64, epochs=3, seed=1)
-    table, x_prime = n * (d_x + d) * 8, n * d * 8
+    table, x_prime = n * (d_x + d) * 4, n * d * 4
     tracemalloc.start()
     try:
         model = train_scorer(cfg, g, splits)
