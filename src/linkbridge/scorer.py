@@ -210,13 +210,10 @@ def pair_indices(n_pos: int, n_neg: int, rng: np.random.Generator | None):
 
 def batch_rows(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one batch layout of every trainer: sorted distinct node ids and,
-    for ``pair_loss``, 4b indices into them.
-
-    Known defect: it lays endpoints out pair by pair (u0, v0, u1, ...) while
-    ``pair_loss`` reads four blocks of b, so logits pair the wrong endpoints.
-    The column layout ``pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1]`` fixes it.
-    """
-    return np.unique(np.concatenate([pos.ravel(), neg.ravel()]), return_inverse=True)
+    for ``pair_loss``, 4b indices into them, in the four blocks
+    ``pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1]``."""
+    return np.unique(np.concatenate([pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1]]),
+                     return_inverse=True)
 
 
 def pair_loss(

@@ -114,9 +114,6 @@ def test_gradient_check(encoder, with_features):
         assert max_rel_error(analytic, fd) <= 1e-4, name
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: batch_rows lays a batch out pair "
-                   "by pair while pair_loss reads it in blocks, so the loss pairs the "
-                   "wrong endpoints")
 def test_training_loss_is_the_ranking_loss_of_the_true_edges():
     g = build_graph([("a", "b"), ("c", "d"), ("a", "c"), ("b", "d")])
     model = init_model(ScorerConfig(d_trainable=3, seed=1), g)
