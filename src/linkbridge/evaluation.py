@@ -81,21 +81,20 @@ EVAL_SPLITS = ("test", "valid", "pooled")
 def node_centric_lp_ablation(
     g: Graph, splits, z: np.ndarray, cfg: DiffusionConfig
 ) -> np.ndarray:
-    """Node-level residual diffusion, the deliberately weak LP baseline;
-    logits and scores in the order of ``logit_lp``.
+    """Node-level residual diffusion, the node-space ablation of
+    ``logit_lp``; logits and scores in the order of ``logit_lp``.
 
     Each node starts from the mean residual (label - sigmoid(z)) of its
     incident training edges; the residuals diffuse over the original graph
-    and each edge receives the mean propagated increment of its endpoints
-    on top of its sigmoid prediction. At alpha -> 0 the increment vanishes
-    and the raw predictions come back unchanged.
+    and each edge receives the mean diffused residual of its endpoints on
+    top of its sigmoid prediction, as ``logit_lp`` adds its diffused edge
+    residual.
     """
     p, resid, n_train = train_residuals(splits, z)
     ids = np.concatenate(splits)
     node_resid, _ = endpoint_mean(g.num_nodes, ids[:n_train, 0], ids[:n_train, 1], resid[:n_train])
     z_final = diffuse(sym_norm_adjacency(g), node_resid, node_resid, cfg)
-    increment = z_final - node_resid
-    edge_corr = 0.5 * (increment[ids[:, 0]] + increment[ids[:, 1]])
+    edge_corr = 0.5 * (z_final[ids[:, 0]] + z_final[ids[:, 1]])
     return np.clip(p + edge_corr, 0.0, 1.0)
 
 

@@ -138,7 +138,9 @@ def dense_xmc(n, edges, y, alpha, k_max, query_edges):
 
 
 def dense_node_lp(n, graph_edges, all_edges, z, train_labels, n_train, alpha, k_max):
-    """Dense mirror of the node-centric residual ablation."""
+    """Dense mirror of the node-centric residual ablation: each pair gets
+    its sigmoid prediction plus the mean diffused node residual of its two
+    endpoints."""
     p = 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
     resid_sum = np.zeros(n)
     resid_cnt = np.zeros(n)
@@ -152,9 +154,8 @@ def dense_node_lp(n, graph_edges, all_edges, z, train_labels, n_train, alpha, k_
     node_resid = np.where(resid_cnt > 0, resid_sum / np.maximum(resid_cnt, 1), 0.0)
     s = dense_sym_norm(dense_adjacency(n, graph_edges))
     z_final = dense_diffuse(s, node_resid, node_resid, alpha, k_max)
-    inc = z_final - node_resid
     scores = [
-        p[i] + 0.5 * (inc[u] + inc[v]) for i, (u, v) in enumerate(all_edges)
+        p[i] + 0.5 * (z_final[u] + z_final[v]) for i, (u, v) in enumerate(all_edges)
     ]
     return np.clip(np.array(scores), 0.0, 1.0)
 

@@ -15,15 +15,23 @@ from linkbridge.evaluation import (
     eval_pairs,
     evaluate_scores,
     method_scores,
+    node_centric_lp_ablation,
     shuffle_eval_order,
     train_student,
 )
 from linkbridge.graph import build_graph, graph_from_ids
+from linkbridge.propagation import DiffusionConfig
 from linkbridge.pipeline import metric_row
 from linkbridge.scorer import ScorerConfig, embed, score_edges, train_scorer
-from linkbridge.selection import Regime, make_split, manifest_training_graph, split_ids
+from linkbridge.selection import (
+    Regime,
+    SplitIds,
+    make_split,
+    manifest_training_graph,
+    split_ids,
+)
 
-from oracles import random_graph_edges
+from oracles import dense_node_lp, random_graph_edges
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +199,35 @@ def test_mlp_scores_embed_only_the_evaluation_endpoints(small_pair, manifest):
     want = score_edges(student_embed(student), eval_ids)
     out = method_scores("mlp", g_train, splits, y, None, eval_ids, suite)
     assert np.array_equal(out, want)
+
+
+def test_node_lp_matches_dense_oracle(small_pair, manifest):
+    src, tar, _ = small_pair
+    g = manifest_training_graph(manifest, src, tar)
+    splits = split_ids(manifest, g)
+    ids = np.concatenate(splits)
+    z = np.random.default_rng(4).normal(size=len(ids))
+    n_train = len(splits.train_pos) + len(splits.train_neg)
+    labels = np.r_[np.ones(len(splits.train_pos)), np.zeros(len(splits.train_neg))]
+    scores = node_centric_lp_ablation(g, splits, z, DiffusionConfig(alpha=0.8, k_max=25, tol=0.0))
+    ref = dense_node_lp(g.num_nodes, g.edges, [tuple(p) for p in ids], z, labels,
+                        n_train, 0.8, 25)
+    assert np.max(np.abs(scores - ref)) <= 1e-8
+
+
+def test_node_lp_raises_a_pair_whose_endpoints_are_under_predicted():
+    """On the path a-b-c-d-e with one training positive (a, b) under-
+    predicted and one training negative (d, e) over-predicted, the
+    evaluation pair (a, b) gains and (d, e) loses, as the residuals say:
+    the diffused residual is added, not the diffused minus the own one."""
+    g = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    a, b, c, d, e = g.ids_for(list("abcde"))
+    one = lambda u, v: np.array([[u, v]])  # noqa: E731
+    splits = SplitIds(train_pos=one(a, b), train_neg=one(d, e), valid_pos=one(a, b),
+                      valid_neg=one(d, e), test_pos=one(b, c), test_neg=one(c, d))
+    scores = node_centric_lp_ablation(g, splits, np.zeros(6), DiffusionConfig(alpha=0.8))
+    assert scores[2] > 0.5 > scores[3]
+    assert scores[4] > 0.5 > scores[5]
 
 
 def test_eval_pairs_rejects_unknown_split(manifest):
