@@ -1,10 +1,9 @@
 """Model checkpoints: one JSON header line + little-endian f32 blob.
 
-A scorer stores one row of X' per node, by internal id, and ``load_graph``
-renumbers nodes, so its header records a digest of the node-key order that
-loading must match. A student stores its weights alone: it reads node
-features, so it loads against any graph whose feature width fits its first
-layer, whatever that graph's node count or order.
+A scorer stores its weight matrix W alone and a student its four weights
+alone. Neither holds a row per node: each reads node features, so it loads
+against any graph whose feature width fits its first layer, whatever that
+graph's node count or order.
 
 Both models train in float32, the precision the blob stores, and load back
 as float32: a reloaded scorer or student is the one that was saved, bit for
@@ -13,7 +12,6 @@ bit, and scores exactly as it did.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -23,10 +21,9 @@ import numpy as np
 from .distill import DistillConfig, MlpModel
 from .errors import ConfigError, DataError
 from .graph import Graph
-from .scorer import ScorerConfig, ScorerModel
+from .scorer import ScorerConfig, ScorerModel, fit_error
 
 __all__ = [
-    "node_order_digest",
     "save_checkpoint",
     "load_checkpoint",
     "save_scorer",
@@ -37,11 +34,9 @@ __all__ = [
 
 
 def save_checkpoint(
-    path: str | Path, kind: str, config: dict, arrays: dict[str, np.ndarray],
-    node_order: str | None = None,
+    path: str | Path, kind: str, config: dict, arrays: dict[str, np.ndarray]
 ) -> None:
-    """Write a checkpoint; ``node_order`` is recorded when the arrays hold
-    node rows."""
+    """Write a checkpoint."""
     header = {
         "kind": kind,
         "config": config,
@@ -49,8 +44,6 @@ def save_checkpoint(
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()
         ],
     }
-    if node_order is not None:
-        header["node_order"] = node_order
     with Path(path).open("wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for arr in arrays.values():
@@ -88,15 +81,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def node_order_digest(g: Graph) -> str:
-    """SHA-256 of the graph's node keys in id order."""
-    return hashlib.sha256("\n".join(g.keys).encode("utf-8")).hexdigest()
-
-
-def _load_model(path: str | Path, kind: str, cls) -> tuple:
-    """``(header, config, arrays)`` of a ``kind`` checkpoint; a config this
-    version cannot build (an unknown or missing key, a value out of range)
-    is a DataError too."""
+def _load_model(path: str | Path, kind: str, cls, names: tuple[str, ...]) -> tuple:
+    """``(config, arrays)`` of a ``kind`` checkpoint holding the arrays
+    ``names``; a config this version cannot build (an unknown or missing
+    key, a value out of range) or another set of arrays is a DataError
+    too."""
     header, arrays = load_checkpoint(path)
     if header.get("kind") != kind:
         raise DataError(f"{path}: expected a {kind} checkpoint, got {header.get('kind')!r}")
@@ -104,33 +93,27 @@ def _load_model(path: str | Path, kind: str, cls) -> tuple:
         config = cls(**header.get("config"))
     except (TypeError, ConfigError) as exc:
         raise DataError(f"{path}: checkpoint config does not fit {cls.__name__} ({exc})") from exc
-    return header, config, arrays
+    if sorted(arrays) != sorted(names):
+        raise DataError(f"{path}: checkpoint holds arrays {sorted(arrays)}, "
+                        f"a {kind} holds {sorted(names)}")
+    return config, arrays
 
 
-def save_scorer(path: str | Path, model: ScorerModel, g: Graph) -> None:
-    arrays = {"x_prime": model.x_prime}
-    if model.encoder_weights is not None:
-        arrays["encoder_weights"] = model.encoder_weights
-    save_checkpoint(path, "scorer", asdict(model.config), arrays, node_order_digest(g))
+def save_scorer(path: str | Path, model: ScorerModel) -> None:
+    save_checkpoint(path, "scorer", asdict(model.config), {"weights": model.weights})
 
 
 def load_scorer(path: str | Path, g: Graph) -> ScorerModel:
-    """Rehydrate a scorer whose node rows follow ``g``'s node order; frozen
-    features come from the graph. X' and the encoder weights come back
-    float32, the precision the scorer trains in, so it embeds exactly as
-    the scorer that was saved."""
-    header, config, arrays = _load_model(path, "scorer", ScorerConfig)
-    if header.get("node_order") != node_order_digest(g):
-        raise DataError(f"{path}: checkpoint rows follow another graph's node order")
-    rows = arrays["x_prime"].shape[0]
-    if rows != g.num_nodes:
-        raise DataError(f"{path}: checkpoint has {rows} node rows, graph has {g.num_nodes}")
-    return ScorerModel(
-        config=config,
-        x_prime=arrays["x_prime"],
-        encoder_weights=arrays.get("encoder_weights"),
-        features=g.features,
-    )
+    """Rehydrate a scorer that embeds ``g``'s nodes from their hop features;
+    a graph whose feature width does not fit W is a DataError. W comes back
+    float32, the precision the scorer trains in, so it embeds exactly as the
+    scorer that was saved."""
+    config, arrays = _load_model(path, "scorer", ScorerConfig, ("weights",))
+    model = ScorerModel(config=config, weights=arrays["weights"])
+    error = fit_error(model.weights, g)
+    if error is not None:
+        raise DataError(f"{path}: {error}")
+    return model
 
 
 def save_student(path: str | Path, model: MlpModel) -> None:
@@ -143,7 +126,7 @@ def load_student(path: str | Path, g: Graph) -> MlpModel:
     graph whose feature width is not the student's input width is a
     DataError. Its weights come back float32, the precision the student
     trains in, so it scores exactly as the student that was saved."""
-    _, config, arrays = _load_model(path, "mlp", DistillConfig)
+    config, arrays = _load_model(path, "mlp", DistillConfig, ("w1", "b1", "w2", "b2"))
     d_in = arrays["w1"].shape[0]
     if g.feature_dim != d_in:
         raise DataError(f"{path}: student reads {d_in} features per node, "

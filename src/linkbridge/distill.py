@@ -1,10 +1,14 @@
 """Pointwise MLP student distilled from the scorer's embeddings.
 
 The student is a 2-layer rectifier MLP mapping each node's feature row X to
-the teacher's embedding space. It first imitates the teacher embeddings
+the teacher's embedding space. The teacher's embedding [X, ĀX]·W
+(``scorer.embed``) is as wide as X, d_x columns, so the student maps d_x
+features to d_x outputs: it reads X alone where the teacher also reads the
+mean of the neighbours' rows. It first imitates the teacher embeddings
 under mean squared error, then fine-tunes on the pairwise ranking loss over
 its own inner-product logits, in the scorer's own epoch loop
-(``scorer.sgd_epochs``) and batch layout (``scorer.batch_rows``). Its
+(``scorer.sgd_epochs``, which keeps the imitated student unless an epoch
+beats it on validation) and batch layout (``scorer.batch_rows``). Its
 parameters are its weights alone: it reads neither the adjacency nor any
 per-node table, so it scores any node from its feature row, an isolated or
 low-degree node exactly like any other, and a node of another graph with
@@ -278,10 +282,9 @@ def finetune_linkpred(model: MlpModel, splits) -> MlpModel:
     def snapshot() -> tuple[np.ndarray, ...]:
         return work.w1.copy(), work.b1.copy(), work.w2.copy(), work.b2.copy()
 
-    best = (valid_recall(), snapshot()) if has_valid else (-np.inf, None)
     _, selected = sgd_epochs(
         pos, neg, config.finetune_epochs, config.finetune_batch_size, rng, step,
-        valid_recall if has_valid else None, snapshot, best,
+        valid_recall if has_valid else None, snapshot,
     )
     work.w1, work.b1, work.w2, work.b2 = selected
     return work

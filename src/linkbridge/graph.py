@@ -3,11 +3,11 @@
 External node ids are opaque strings; internal ids are dense integers. Every
 graph is built by ``graph_from_ids`` from integer edge ids, and numbered by
 one rule, ``first_seen``: nodes in order of first appearance over the edge
-endpoints, then any extra nodes. Checkpoints pin that order through
-``checkpoint.node_order_digest``, so construction must stay deterministic given
-the input order. ``build_graph`` interns string keys by the same rule. All
-edges are canonical unordered pairs (u < v internally), with self-loops and
-duplicates dropped at build time.
+endpoints, then any extra nodes. Seeded draws over nodes (negative pairs, the
+scorer's random table for a graph without features) follow that order, so
+construction must stay deterministic given the input order. ``build_graph``
+interns string keys by the same rule. All edges are canonical unordered pairs
+(u < v internally), with self-loops and duplicates dropped at build time.
 
 Construction does no per-edge Python work: edges are deduplicated and the CSR
 ordered through int64 codes ``u * N + v``, and keys map to ids and back with

@@ -267,11 +267,11 @@ def fit_scorer(
     ``y`` is the N-row embedding table and ``z_all`` the logits of
     ``np.concatenate(splits)``, the ``selection.SplitIds`` of the manifest's
     ``all_edges()``. The model is returned for its ``loss_trace``;
-    ``run_pipeline`` keeps only ``y`` and ``z_all``, so the model's X' is
-    freed before the broadcast methods run.
+    ``run_pipeline`` keeps only ``y`` and ``z_all``, so the model is freed
+    before the broadcast methods run.
     """
     model = train_scorer(config, g_train, splits)
-    save_scorer(model_path, model, g_train)
+    save_scorer(model_path, model)
     y = embed(model, g_train)
     all_ids = np.concatenate(splits)
     z_all = score_edges(y, all_ids)

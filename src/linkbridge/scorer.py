@@ -1,38 +1,51 @@
-"""Base link scorer: trainable node table, inner-product edge logits.
+"""Base link scorer: one linear map of precomputed hop features, with
+inner-product edge logits.
 
-Each node's representation concatenates its frozen feature row with a
-trainable row; an optional one-hop encoder adds the neighborhood mean and
-projects through a shared weight matrix. An edge logit is the inner product
-of its endpoint embeddings, and training minimizes the squared pairwise
-ranking loss (1 - z_pos + z_neg)^2 over matched positive/negative batches
-with plain SGD. Gradients are closed-form; no autodiff framework is
-involved, which keeps runs deterministic for a fixed seed.
+Each node's embedding is Y = Q·W. Q = [X, ĀX] is the float32 N x 2d hop
+table: a node's feature row beside the mean of its neighbours' rows (Ā is
+``graph.mean_aggregator``), built once per graph by ``hop_features``. W is
+the scorer's one trained array, a float32 2d x d matrix that starts at
+[I; 0], so the untrained scorer is the raw feature product X·Xᵀ. A fixed
+hop table times one small trained matrix is the SGC/SIGN simplification
+(Wu et al., "Simplifying Graph Convolutional Networks", ICML 2019; Frasca
+et al., "SIGN: Scalable Inception Graph Neural Networks", 2020). The scorer
+keeps no per-node state, so it embeds any graph with the same feature
+columns, nodes it never trained on included (the inductive use of
+GraphSAGE: Hamilton, Ying & Leskovec, NeurIPS 2017).
 
-A training step touches only the batch's rows (and, under the one-hop
-encoder, their neighbors): gradients come back row-sparse and the trainable
-table is updated by index. ``sgd_epochs`` is the epoch loop of both this
-scorer and the distilled MLP student, and ``batch_rows`` the one layout of
-a batch that ``pair_loss`` reads.
+A graph without node features reads a fixed random table of
+``_RANDOM_FEATURES`` columns in place of X, drawn in node-id order from a
+generator with a fixed seed: random node features give the mean aggregation
+something to tell nodes apart by (Sato, Yamada & Kashima, "Random Features
+Strengthen Graph Neural Networks", SDM 2021).
+
+An edge logit is the inner product of its endpoint embeddings, and training
+minimizes the squared pairwise ranking loss (1 - z_pos + z_neg)^2 over
+matched positive/negative batches with plain SGD. A step gathers the
+batch's rows of Q, takes ``pair_loss`` of their embeddings and moves W by
+the 2d x d product of those rows with the embedding gradient: O(batch)
+memory, no row-sparse scatter. Gradients are closed-form; no autodiff
+framework is involved, which keeps runs deterministic for a fixed seed.
+``sgd_epochs`` is the epoch loop of both this scorer and the distilled MLP
+student, and ``batch_rows`` the one layout of a batch that ``pair_loss``
+reads.
 
 A pass over a whole table (scoring every pair in ``score_edges``, the
 student's forward over every node) walks it in ``row_blocks``: its
 transient memory is one block of about ``_BLOCK_BYTES`` (or the caller's
 own block size), not one table.
 
-The scorer trains in float32: its ``[X, X']`` working table, X', the
-encoder weights and every step's gradients. That is the precision its
-checkpoint stores (``checkpoint.save_scorer``), so a reloaded scorer embeds
-exactly like the trained one, and each N-row training table takes half the
-bytes of a float64 one. The functions follow the dtype of their inputs.
-What leaves the trainer for other stages is float64: ``node_inputs``
-returns float64 rows that hold the float32 inputs exactly, ``embed``
-computes float64 embeddings from them, and ``score_edges`` sums every
-logit in float64, whatever the dtype of its table.
+The scorer computes in float32: Q, W, every step's gradient and the
+embedding Q·W. That is the precision its checkpoint stores
+(``checkpoint.save_scorer``), so a reloaded scorer embeds exactly like the
+trained one. What leaves the scorer for other stages is float64: ``embed``
+returns the float32 embeddings as a float64 table, and ``score_edges`` sums
+every logit in float64, whatever the dtype of its table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -45,7 +58,8 @@ from .metrics import recall_at
 __all__ = [
     "ScorerConfig",
     "ScorerModel",
-    "node_inputs",
+    "fit_error",
+    "hop_features",
     "init_model",
     "embed",
     "score_edges",
@@ -59,12 +73,15 @@ __all__ = [
     "row_blocks",
 ]
 
-ENCODERS = ("embedding_only", "one_hop_mean")
-
 # Bytes of the widest array that one row block of a whole-table pass makes:
 # small enough that a block and its temporaries stay in a core's L2 cache
 # while the pass finishes it
 _BLOCK_BYTES = 256 * 1024
+
+# The width and the generator seed of the random table that stands in for
+# X on a graph without node features
+_RANDOM_FEATURES = 16
+_RANDOM_SEED = 0x5EED
 
 
 def row_blocks(n_rows: int, row_bytes: int, block_bytes: int | None = None) -> list[slice]:
@@ -80,103 +97,74 @@ def row_blocks(n_rows: int, row_bytes: int, block_bytes: int | None = None) -> l
 class ScorerConfig:
     """Scorer knobs; a value out of range is a ConfigError at construction."""
 
-    d_trainable: int = 64
-    encoder: str = "embedding_only"
-    learning_rate: float = 0.05
+    learning_rate: float = 0.1
     batch_size: int = 512
     epochs: int = 30
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.d_trainable < 1:
-            raise ConfigError("d_trainable must be >= 1")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
-        if self.encoder not in ENCODERS:
-            raise ConfigError(f"unknown encoder {self.encoder!r}; options: {ENCODERS}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
 
 
 @dataclass
 class ScorerModel:
-    """Trainable state plus a handle on the frozen feature matrix.
-    ``init_model`` and ``train_scorer`` make X' and the encoder weights
-    float32, the precision of the scorer's checkpoint."""
+    """The scorer's config and its one trained array: W, float32, 2d x d
+    for the d columns of X that it reads (``_input_width``)."""
 
     config: ScorerConfig
-    x_prime: np.ndarray
-    encoder_weights: np.ndarray | None
-    features: np.ndarray | None
+    weights: np.ndarray
     loss_trace: list[float] = field(default_factory=list)
 
-    @property
-    def num_nodes(self) -> int:
-        return int(self.x_prime.shape[0])
+
+def _input_width(g: Graph) -> int:
+    """Columns d of the X the scorer reads on ``g``: its feature width, or
+    ``_RANDOM_FEATURES`` on a graph without features."""
+    return g.feature_dim if g.features is not None else _RANDOM_FEATURES
 
 
-def _input_table(features: np.ndarray | None, x_prime: np.ndarray, dtype) -> np.ndarray:
-    """[X, X'] as one ``dtype`` table, each part written in place."""
-    d_x = 0 if features is None else features.shape[1]
-    out = np.empty((x_prime.shape[0], d_x + x_prime.shape[1]), dtype=dtype)
-    if features is not None:
-        out[:, :d_x] = features
-    out[:, d_x:] = x_prime
-    return out
-
-
-def node_inputs(
-    features: np.ndarray | None, x_prime: np.ndarray, rows: np.ndarray | slice | None = None
-) -> np.ndarray:
-    """Rows of [X, X'] as float64, holding the float32 inputs exactly.
-    Gathers before it writes, so a batch's input costs O(batch), not O(N),
-    and X and X' are written into the one output, never copied first."""
-    if rows is not None:
-        x_prime = x_prime[rows]
-        features = None if features is None else features[rows]
-    return _input_table(features, x_prime, np.float64)
+def hop_features(g: Graph) -> np.ndarray:
+    """Q = [X, ĀX] as one float32 N x 2d table, Ā the mean aggregator: an
+    isolated node's right half is zero. A graph without features gives X
+    the seeded random table, of unit expected squared row norm."""
+    n, d = g.num_nodes, _input_width(g)
+    if g.features is None:
+        x = np.random.default_rng(_RANDOM_SEED).standard_normal((n, d), dtype=np.float32)
+        x *= np.float32(1.0 / np.sqrt(d))
+    else:
+        x = g.features
+    q = np.empty((n, 2 * d), dtype=np.float32)
+    q[:, :d] = x
+    q[:, d:] = mean_aggregator(g).astype(np.float32) @ x
+    return q
 
 
 def init_model(config: ScorerConfig, g: Graph) -> ScorerModel:
-    """Seeded init: X' uniform in [-1/sqrt(d), 1/sqrt(d)], likewise the
-    one-hop encoder's square d_in x d_in projection W, both float32.
+    """The untrained scorer on ``g``: W = [I; 0], float32, so that its
+    embedding is X and its logits are X·Xᵀ."""
+    d = _input_width(g)
+    return ScorerModel(config=config, weights=np.eye(2 * d, d, dtype=np.float32))
 
-    X' is drawn in ``row_blocks`` of float64 draws, each cast into the one
-    float32 table, so no float64 N x d draw is held; the blocks follow one
-    another in the generator's stream, so X' and the W drawn after it are
-    the float32 casts of one whole-table draw.
-    """
-    rng = np.random.default_rng(config.seed)
-    d = config.d_trainable
-    bound = 1.0 / np.sqrt(d)
-    x_prime = np.empty((g.num_nodes, d), dtype=np.float32)
-    for block in row_blocks(g.num_nodes, 8 * d):
-        x_prime[block] = rng.uniform(-bound, bound, size=(block.stop - block.start, d))
-    weights = None
-    if config.encoder == "one_hop_mean":
-        d_in = g.feature_dim + d
-        wb = 1.0 / np.sqrt(d_in)
-        weights = rng.uniform(-wb, wb, size=(d_in, d_in)).astype(np.float32)
-    return ScorerModel(
-        config=config,
-        x_prime=x_prime,
-        encoder_weights=weights,
-        features=g.features,
-    )
+
+def fit_error(weights: np.ndarray, g: Graph) -> str | None:
+    """Why the W ``weights`` cannot embed ``g``, or None when it can."""
+    d = _input_width(g)
+    if weights.shape == (2 * d, d):
+        return None
+    return f"scorer reads {weights.shape[0] // 2} features per node, graph has {g.feature_dim}"
 
 
 def embed(model: ScorerModel, g: Graph) -> np.ndarray:
-    """Per-node embeddings Y for the whole graph, as a float64 table."""
-    if model.num_nodes != g.num_nodes:
-        raise DataError(
-            f"model has {model.num_nodes} node rows, graph has {g.num_nodes}"
-        )
-    h = node_inputs(model.features, model.x_prime)
-    if model.config.encoder == "embedding_only":
-        return h
-    agg = mean_aggregator(g)
-    return (h + agg @ h) @ model.encoder_weights
+    """Per-node embeddings Q·W for the whole graph, computed in float32 and
+    returned as a float64 table; a graph whose feature width does not fit
+    W is a DataError."""
+    error = fit_error(model.weights, g)
+    if error is not None:
+        raise DataError(error)
+    return (hop_features(g) @ model.weights).astype(np.float64)
 
 
 def score_edges(y: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -262,43 +250,14 @@ def pair_recall(y: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
 
 
 def _batch_loss_and_grads(
-    h: np.ndarray,
-    weights: np.ndarray | None,
-    agg: sp.csr_array | None,
-    encoder: str,
-    pos_edges: np.ndarray,
-    neg_edges: np.ndarray,
-    d_x: int,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Mean pair loss of one batch and its gradients, row-sparse in X'.
-
-    Returns ``(loss, touched, dxp_rows, dw)``: ``touched`` holds the sorted
-    node ids whose X' rows get a non-zero batch gradient ``dxp_rows``.
-    """
+    q: np.ndarray, weights: np.ndarray, pos_edges: np.ndarray, neg_edges: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean pair loss of one batch and its gradient w.r.t. W, from the
+    batch's rows of the hop table ``q`` alone."""
     rows, inv = batch_rows(pos_edges, neg_edges)
-    b = pos_edges.shape[0]
-
-    if encoder == "embedding_only":
-        loss, dy_rows = pair_loss(h[rows], inv, b)
-        return loss, rows, dy_rows[:, d_x:], None
-    agg_rows = agg[rows, :]
-    p_rows = h[rows] + agg_rows @ h
-    loss, dy_rows = pair_loss(p_rows @ weights, inv, b)
-    dw = p_rows.T @ dy_rows
-    dp_rows = (dy_rows @ weights.T)[:, d_x:]
-    # p_rows reads h at the batch rows and, through the mean, at their
-    # neighbors; agg_rows re-indexed onto that set stays O(batch)
-    touched, local = np.unique(
-        np.concatenate([rows, agg_rows.indices]), return_inverse=True
-    )
-    agg_local = sp.csr_array(
-        (agg_rows.data, local[rows.size :], agg_rows.indptr),
-        shape=(rows.size, touched.size),
-    )
-    dxp_rows = np.zeros((touched.size, dp_rows.shape[1]), dtype=dp_rows.dtype)
-    dxp_rows[local[: rows.size]] = dp_rows
-    dxp_rows += agg_local.T @ dp_rows
-    return loss, touched, dxp_rows, dw
+    q_rows = q[rows]
+    loss, dy_rows = pair_loss(q_rows @ weights, inv, pos_edges.shape[0])
+    return loss, q_rows.T @ dy_rows
 
 
 def training_loss_and_grads(
@@ -307,12 +266,11 @@ def training_loss_and_grads(
     pos_edges: np.ndarray,
     neg_edges: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and analytic gradients over index-matched pos/neg edge arrays.
+    """Loss and analytic gradient over index-matched pos/neg edge arrays.
 
     The shorter list is cycled to the longer one's length (no shuffling),
-    so the value is a pure deterministic function of the model parameters.
-    One ``_batch_loss_and_grads`` step on the float64 ``node_inputs``
-    table, with the X' gradient scattered into the table's shape;
+    so the value is a pure deterministic function of W. One
+    ``_batch_loss_and_grads`` step on ``g``'s hop table, which it builds;
     ``perfbench/probes.py`` times it.
     """
     pos_edges = np.asarray(pos_edges, dtype=np.int64)
@@ -320,112 +278,81 @@ def training_loss_and_grads(
     if pos_edges.size == 0 or neg_edges.size == 0:
         raise DataError("need nonempty positive and negative edge arrays")
     pp, pn = pair_indices(pos_edges.shape[0], neg_edges.shape[0], rng=None)
-    h = node_inputs(model.features, model.x_prime)
-    d_x = 0 if model.features is None else model.features.shape[1]
-    agg = mean_aggregator(g) if model.config.encoder == "one_hop_mean" else None
-    loss, touched, dxp_rows, dw = _batch_loss_and_grads(
-        h, model.encoder_weights, agg, model.config.encoder,
-        pos_edges[pp], neg_edges[pn], d_x,
+    loss, dw = _batch_loss_and_grads(
+        hop_features(g), model.weights, pos_edges[pp], neg_edges[pn]
     )
-    dxp = np.zeros_like(h[:, d_x:])
-    dxp[touched] += dxp_rows
-    grads = {"x_prime": dxp}
-    if dw is not None:
-        grads["encoder_weights"] = dw
-    return loss, grads
+    return loss, {"weights": dw}
 
 
 def sgd_epochs(
     pos: np.ndarray, neg: np.ndarray, epochs: int, batch_size: int, rng: np.random.Generator,
     step: Callable[[np.ndarray, np.ndarray], float], valid_recall: Callable[[], float] | None,
-    snapshot: Callable[[], Any], best: tuple[float, Any],
+    snapshot: Callable[[], Any],
 ) -> tuple[list[float], Any]:
     """Mini-batch pairwise SGD: the epoch loop of the scorer and the student.
 
     Each epoch draws shuffled index-matched (pos, neg) pairs from ``rng``
     and calls ``step(batch_pos, batch_neg)`` on consecutive batches; the
     step updates the trainer's state in place and returns the batch loss.
-    After each epoch ``valid_recall()`` scores the state, and a strictly
-    better recall than ``best = (recall, snapshot)`` keeps ``snapshot()``.
-    Returns the per-epoch mean losses and the selected snapshot: the final
-    state's when there is no validation split (``valid_recall`` None) or
-    ``best`` still holds no snapshot.
-
-    At most one snapshot is alive: a new one is taken only to replace the
-    one in ``best``, and the final one only when ``best`` holds none. So
-    ``snapshot`` may overwrite one buffer in place and return it each time.
+    ``valid_recall()`` scores the initial state, whose ``snapshot()`` is
+    the first best, and the state after each epoch: a strictly better
+    recall keeps a new ``snapshot()``. So training keeps its initial state
+    unless an epoch beats it on validation. Returns the per-epoch mean
+    losses and the selected snapshot: the final state's when there is no
+    validation split (``valid_recall`` None). A non-finite batch loss is a
+    NumericError, raised without a numpy overflow warning before it.
     """
+    best = None if valid_recall is None else (valid_recall(), snapshot())
     trace: list[float] = []
-    for epoch in range(epochs):
-        pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng)
-        epoch_pos, epoch_neg = pos[pp], neg[pn]
-        losses = []
-        for start in range(0, epoch_pos.shape[0], batch_size):
-            batch = slice(start, start + batch_size)
-            loss = step(epoch_pos[batch], epoch_neg[batch])
-            if not np.isfinite(loss):
-                raise NumericError(f"training diverged: non-finite loss {loss} at epoch {epoch}")
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
-        if valid_recall is not None:
-            rec = valid_recall()
-            if rec > best[0]:
-                best = (rec, snapshot())
-    if valid_recall is None or best[1] is None:
-        return trace, snapshot()
-    return trace, best[1]
+    # a diverging step overflows; the loss check below reports it, alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            pp, pn = pair_indices(pos.shape[0], neg.shape[0], rng)
+            epoch_pos, epoch_neg = pos[pp], neg[pn]
+            losses = []
+            for start in range(0, epoch_pos.shape[0], batch_size):
+                batch = slice(start, start + batch_size)
+                loss = step(epoch_pos[batch], epoch_neg[batch])
+                if not np.isfinite(loss):
+                    raise NumericError(
+                        f"training diverged: non-finite loss {loss} at epoch {epoch}")
+                losses.append(loss)
+            trace.append(float(np.mean(losses)))
+            if best is not None:
+                rec = valid_recall()
+                if rec > best[0]:
+                    best = (rec, snapshot())
+    return trace, snapshot() if best is None else best[1]
 
 
 def train_scorer(config: ScorerConfig, g_train: Graph, splits) -> ScorerModel:
-    """Fit the scorer on the training edges of ``splits``, a
-    ``selection.SplitIds`` over ``g_train``.
+    """Fit W on the training edges of ``splits``, a ``selection.SplitIds``
+    over ``g_train``.
 
-    ``sgd_epochs`` over the training pairs; after each epoch the model is
-    scored on the validation split and the best checkpoint (recall at
-    |valid_pos|) is returned. The per-epoch mean batch loss lands in
-    ``model.loss_trace``.
-
-    It trains in float32, the precision of ``init_model``'s X' and W.
-    Of N-row arrays it holds the float32 ``[X, X']`` working table and one
-    X' buffer: ``init_model``'s draw, copied into the table and then
-    overwritten by each better epoch's X'. The returned model's ``x_prime``
-    is that buffer. Under ``one_hop_mean`` the aggregator has the table's
-    dtype, so no step upcasts to float64.
+    ``sgd_epochs`` over the training pairs from ``init_model``'s W; the
+    initial W and the W after each epoch are scored on the validation split
+    (recall at |valid_pos|), and the best is returned. The per-epoch mean
+    batch loss lands in ``model.loss_trace``. Of N-row arrays it holds the
+    float32 hop table and, while validating, its embedding.
     """
     pos, neg = splits.train_pos, splits.train_neg
     valid_pos, valid_neg = splits.valid_pos, splits.valid_neg
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("manifest has empty training splits")
-    model = init_model(config, g_train)
-
-    d_x = g_train.feature_dim
-    x_best = model.x_prime
-    h = _input_table(g_train.features, x_best, x_best.dtype)
-    weights = model.encoder_weights
-    agg = mean_aggregator(g_train).astype(h.dtype) if config.encoder == "one_hop_mean" else None
+    q = hop_features(g_train)
+    w = init_model(config, g_train).weights
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
 
     def step(bp: np.ndarray, bn: np.ndarray) -> float:
-        loss, touched, dxp_rows, dw = _batch_loss_and_grads(
-            h, weights, agg, config.encoder, bp, bn, d_x
-        )
-        h[touched, d_x:] -= config.learning_rate * dxp_rows
-        if dw is not None:
-            weights[...] -= config.learning_rate * dw
+        loss, dw = _batch_loss_and_grads(q, w, bp, bn)
+        w[...] -= config.learning_rate * dw
         return loss
 
     def valid_recall() -> float:
-        y = h if agg is None else (h + agg @ h) @ weights
-        return pair_recall(y, valid_pos, valid_neg)
+        return pair_recall(q @ w, valid_pos, valid_neg)
 
-    def snapshot() -> tuple[np.ndarray, np.ndarray | None]:
-        np.copyto(x_best, h[:, d_x:])
-        return x_best, None if weights is None else weights.copy()
-
-    trace, (x_final, w_final) = sgd_epochs(
+    trace, w_best = sgd_epochs(
         pos, neg, config.epochs, config.batch_size, rng, step,
-        valid_recall if len(valid_pos) and len(valid_neg) else None, snapshot, (-np.inf, None),
+        valid_recall if len(valid_pos) and len(valid_neg) else None, w.copy,
     )
-    return replace(
-        model, x_prime=x_final, encoder_weights=w_final, loss_trace=trace
-    )
+    return ScorerModel(config=config, weights=w_best, loss_trace=trace)

@@ -665,54 +665,67 @@ def loop_rejection_sample_pairs(g, count, rng, inside_pool, outside_pool=None, t
     return out
 
 
+def loop_hop_features(g) -> np.ndarray:
+    """Q = [X, mean of the neighbours' X] in float64, node by node over the
+    CSR rows; an isolated node's mean is zero."""
+    x = np.asarray(g.features, dtype=np.float64)
+    means = np.zeros_like(x)
+    for i in range(g.num_nodes):
+        nbrs = g.indices[g.indptr[i] : g.indptr[i + 1]]
+        if len(nbrs):
+            means[i] = x[nbrs].mean(axis=0)
+    return np.hstack([x, means])
+
+
 def dense_train_scorer(config, g, splits):
-    """Scorer training with the dense N-row X' gradient and full-table update,
-    on the id splits (``selection.SplitIds``) of a manifest over ``g``.
+    """Scorer training in float64 on ``loop_hop_features``, with the full
+    gradient dW = Qᵀ(C + Cᵀ)QW from the N x N matrix C holding each batch
+    logit's loss derivative at its (u, v), and model selection by
+    ``full_sort_recall`` from W = [I; 0] on; on the id splits
+    (``selection.SplitIds``) of a manifest over ``g``, which needs features.
+    It shares only the seeded pair draw (``pair_indices``) with the trainer.
 
-    The table, the weights, the aggregator and the gradient have the
-    trainer's dtype, that of ``init_model``'s X'. Returns the selected
-    (x_prime, encoder_weights).
+    Returns the selected W (the final one when there is no validation split)
+    and the per-epoch mean losses.
     """
-    from linkbridge.graph import mean_aggregator
-    from linkbridge.scorer import (
-        batch_rows, init_model, node_inputs, pair_indices, pair_loss, pair_recall,
-    )
+    from linkbridge.scorer import pair_indices
 
-    model = init_model(config, g)
     pos, neg, valid_pos, valid_neg = splits[:4]
-    d_x = g.feature_dim
-    h = node_inputs(model.features, model.x_prime).astype(model.x_prime.dtype)
-    w = None if model.encoder_weights is None else model.encoder_weights.copy()
-    agg = mean_aggregator(g).astype(h.dtype) if config.encoder == "one_hop_mean" else None
+    q = loop_hop_features(g)
+    n, d = g.num_nodes, g.feature_dim
+    w = np.eye(2 * d, d)
     lr = config.learning_rate
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
-    best = None
+
+    def recall(w):
+        y = q @ w
+        pairs = np.concatenate([valid_pos, valid_neg])
+        scores = [float(y[u] @ y[v]) for u, v in pairs]
+        return full_sort_recall(scores, [1] * len(valid_pos) + [0] * len(valid_neg),
+                                len(valid_pos))
+
+    best, trace = (recall(w), w.copy()), []
     for _ in range(config.epochs):
         pp, pn = pair_indices(len(pos), len(neg), rng)
         epos, eneg = pos[pp], neg[pn]
+        losses = []
         for start in range(0, len(epos), config.batch_size):
             bp = epos[start : start + config.batch_size]
             bn = eneg[start : start + config.batch_size]
-            rows, inv = batch_rows(bp, bn)
-            dh = np.zeros_like(h)
-            if agg is None:
-                _, dy = pair_loss(h[rows], inv, len(bp))
-                np.add.at(dh, rows, dy)
-            else:
-                agg_rows = agg[rows, :]
-                p_rows = h[rows] + agg_rows @ h
-                _, dy = pair_loss(p_rows @ w, inv, len(bp))
-                w_grad = p_rows.T @ dy
-                dp = dy @ w.T
-                np.add.at(dh, rows, dp)
-                dh += agg_rows.T @ dp
-                w -= lr * w_grad
-            h[:, d_x:] -= lr * dh[:, d_x:]
-        y = h if agg is None else (h + agg @ h) @ w
-        rec = pair_recall(y, valid_pos, valid_neg)
-        if best is None or rec > best[0]:
-            best = (rec, h[:, d_x:].copy(), None if w is None else w.copy())
-    return best[1], best[2]
+            y = q @ w
+            z_pos = np.sum(y[bp[:, 0]] * y[bp[:, 1]], axis=1)
+            z_neg = np.sum(y[bn[:, 0]] * y[bn[:, 1]], axis=1)
+            resid = 1.0 - z_pos + z_neg
+            losses.append(float(np.mean(resid * resid)))
+            c = np.zeros((n, n))
+            np.add.at(c, (bp[:, 0], bp[:, 1]), -2.0 * resid / len(bp))
+            np.add.at(c, (bn[:, 0], bn[:, 1]), 2.0 * resid / len(bp))
+            w = w - lr * (q.T @ (c + c.T) @ q @ w)
+        trace.append(float(np.mean(losses)))
+        rec = recall(w)
+        if rec > best[0]:
+            best = (rec, w.copy())
+    return (best[1] if len(valid_pos) and len(valid_neg) else w), trace
 
 
 def _dense_mlp_step(params, features, rows, d_out_fn, lr):

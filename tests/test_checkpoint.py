@@ -7,7 +7,7 @@ import pytest
 from linkbridge.checkpoint import (
     load_scorer,
     load_student,
-    node_order_digest,
+    save_checkpoint,
     save_scorer,
     save_student,
 )
@@ -43,34 +43,69 @@ def two_orders(small_pair, tmp_path_factory):
     return in_memory, reloaded
 
 
-def test_scorer_checkpoint_loads_only_against_its_node_order(two_orders, tmp_path):
+def test_scorer_checkpoint_embeds_another_graph_of_its_feature_width(two_orders, tmp_path):
+    """A scorer holds no node rows: it loads against the same graph in
+    another node order, and against a graph of another node count, and
+    embeds each node from its hop features."""
     g, other = two_orders
-    model = init_model(ScorerConfig(d_trainable=4, seed=2), g)
+    model = init_model(ScorerConfig(seed=2), g)
+    model.weights += np.random.default_rng(1).normal(
+        scale=0.2, size=model.weights.shape).astype(np.float32)
     path = tmp_path / "scorer.bin"
-    save_scorer(path, model, g)
-    loaded = load_scorer(path, g)
-    assert np.allclose(embed(loaded, g), embed(model, g), atol=1e-5)
-    assert node_order_digest(g) != node_order_digest(other)
-    with pytest.raises(DataError, match="node order"):
-        load_scorer(path, other)
+    save_scorer(path, model)
+    assert len(path.read_bytes().partition(b"\n")[2]) == 4 * model.weights.size
+    y_other = embed(load_scorer(path, other), other)
+    keys = list(g.keys)
+    assert np.allclose(y_other[other.ids_for(keys)], embed(model, g)[g.ids_for(keys)],
+                       rtol=1e-5, atol=1e-6)
+    small = build_graph([("u", "v"), ("v", "w")], features={
+        "u": [0.1, -0.2, 0.3, 0.0], "v": [0.5, 0.5, -0.1, 0.2], "w": [0.0, 0.3, 0.3, -0.4]})
+    y_small = embed(load_scorer(path, small), small)
+    assert y_small.shape == (3, 4) and np.isfinite(y_small).all()
 
 
-@pytest.mark.parametrize("encoder", ["embedding_only", "one_hop_mean"])
-def test_reloaded_scorer_scores_as_the_trained_one(small_pair, tmp_path, encoder):
+def test_scorer_checkpoint_on_another_feature_width_is_a_data_error(two_orders, tmp_path):
+    g, _ = two_orders
+    path = tmp_path / "scorer.bin"
+    save_scorer(path, init_model(ScorerConfig(seed=2), g))
+    narrow = build_graph([("a", "b")], features={"a": [0.0, 1.0], "b": [1.0, 0.0]})
+    with pytest.raises(DataError, match="scorer reads 4 features per node, graph has 2"):
+        load_scorer(path, narrow)
+    with pytest.raises(DataError, match="graph has 0"):
+        load_scorer(path, build_graph([("a", "b")]))
+
+
+def test_scorer_checkpoint_with_other_arrays_is_a_data_error(tmp_path):
+    """A scorer checkpoint written when the scorer still held a per-node
+    table X' is refused on its retired config keys; one that names other
+    arrays under a config that fits is refused too."""
+    old = tmp_path / "old.bin"
+    save_checkpoint(old, "scorer", {"d_trainable": 4, "encoder": "embedding_only",
+                                    "learning_rate": 0.05, "batch_size": 512, "epochs": 30,
+                                    "seed": 0}, {"x_prime": np.zeros((3, 4), np.float32)})
+    g = build_graph([("a", "b"), ("b", "c")])
+    with pytest.raises(DataError, match="d_trainable"):
+        load_scorer(old, g)
+    other = tmp_path / "other.bin"
+    save_checkpoint(other, "scorer", {}, {"x_prime": np.zeros((3, 4), np.float32)})
+    with pytest.raises(DataError, match=re.escape("holds arrays ['x_prime'], a scorer holds")):
+        load_scorer(other, g)
+
+
+def test_reloaded_scorer_scores_as_the_trained_one(small_pair, tmp_path):
     """A scorer trains in the float32 its checkpoint stores, so the reloaded
     one embeds and scores every pair exactly as the trained one."""
     src, tar, _ = small_pair
     manifest = make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1)
     g = manifest_training_graph(manifest, src, tar)
     splits = split_ids(manifest, g)
-    model = train_scorer(ScorerConfig(d_trainable=4, encoder=encoder, epochs=3, seed=2),
-                         g, splits)
+    no_valid = splits._replace(valid_pos=splits.valid_pos[:0], valid_neg=splits.valid_neg[:0])
+    model = train_scorer(ScorerConfig(epochs=3, seed=2), g, no_valid)
+    assert not np.array_equal(model.weights, init_model(ScorerConfig(), g).weights)
     path = tmp_path / "scorer.bin"
-    save_scorer(path, model, g)
+    save_scorer(path, model)
     loaded = load_scorer(path, g)
-    assert loaded.x_prime.dtype == np.float32
-    if encoder == "one_hop_mean":
-        assert loaded.encoder_weights.dtype == np.float32
+    assert loaded.weights.dtype == np.float32
     y, y_loaded = embed(model, g), embed(loaded, g)
     assert np.array_equal(y_loaded, y)
     pairs = np.concatenate([splits.valid_pos, splits.valid_neg, splits.test_pos])
@@ -79,7 +114,7 @@ def test_reloaded_scorer_scores_as_the_trained_one(small_pair, tmp_path, encoder
 
 def _student(g, path):
     """A student imitating an untrained scorer on ``g``, saved to ``path``."""
-    teacher = init_model(ScorerConfig(d_trainable=4, seed=2), g)
+    teacher = init_model(ScorerConfig(seed=2), g)
     student = imitate(embed(teacher, g), g, DistillConfig(hidden=4, max_epochs=1))
     save_student(path, student)
     return student
@@ -130,9 +165,9 @@ def test_student_checkpoint_config_out_of_range_is_a_data_error(two_orders, tmp_
 
 def test_checkpoint_with_a_non_finite_value_is_a_data_error(two_orders, tmp_path):
     g, _ = two_orders
-    model = init_model(ScorerConfig(d_trainable=4, seed=2), g)
-    model.x_prime[3, 1] = np.inf
+    model = init_model(ScorerConfig(seed=2), g)
+    model.weights[3, 1] = np.inf
     path = tmp_path / "scorer.bin"
-    save_scorer(path, model, g)
-    with pytest.raises(DataError, match=re.escape(f"{path}: non-finite values in x_prime")):
+    save_scorer(path, model)
+    with pytest.raises(DataError, match=re.escape(f"{path}: non-finite values in weights")):
         load_scorer(path, g)

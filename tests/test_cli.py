@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from linkbridge.checkpoint import load_scorer, save_scorer, save_student
+from linkbridge.checkpoint import load_scorer, save_checkpoint, save_scorer, save_student
 import linkbridge.cli as cli
 from linkbridge.cli import main
 from linkbridge.distill import DistillConfig
@@ -24,7 +24,6 @@ from linkbridge.selection import (
     Regime,
     SplitManifest,
     make_split,
-    manifest_training_graph,
     split_ids,
     training_graph_from_universe,
 )
@@ -51,7 +50,7 @@ def _train(ws, config, manifest="m.json"):
 
 
 def test_train_scorer_succeeds(workspace):
-    assert _train(workspace, {"epochs": 1, "d_trainable": 4}) == 0
+    assert _train(workspace, {"epochs": 1}) == 0
     assert (workspace / "model.bin").exists()
 
 
@@ -75,12 +74,12 @@ def test_foreign_manifest_key_exits_3(tmp_path, small_pair):
     payload = json.loads(make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1).to_json())
     payload["splits"]["train_pos"].append(["n000000", "zz"])
     _write_json(tmp_path / "foreign.json", payload)
-    assert _train(tmp_path, {"epochs": 1, "d_trainable": 4}, manifest="foreign.json") == 3
+    assert _train(tmp_path, {"epochs": 1}, manifest="foreign.json") == 3
     assert not (tmp_path / "model.bin").exists()
 
 
 def test_distill_bad_config_exits_2(workspace):
-    assert _train(workspace, {"epochs": 1, "d_trainable": 4}) == 0
+    assert _train(workspace, {"epochs": 1}) == 0
     code = main([
         "distill", "--teacher", str(workspace / "model.bin"),
         "--graph", str(workspace / "union"), "--manifest", str(workspace / "m.json"),
@@ -118,7 +117,7 @@ RUN_CONFIG = {
     "dataset": {"kind": "synthetic", "spec": VALID_SPEC},
     "regimes": ["int"],
     "methods": ["scorer"],
-    "scorer": {"epochs": 1, "d_trainable": 4},
+    "scorer": {"epochs": 1},
 }
 
 
@@ -160,10 +159,13 @@ def test_run_with_a_huge_k_multiplier_recalls_every_positive(tmp_path):
     RUN_CONFIG | {"distill": {"plateau_epochs": 0}},
     RUN_CONFIG | {"distill": {"plateau_epochs": -1}},
     RUN_CONFIG | {"distill": {"plateau_tol": -1e-4}},
-    RUN_CONFIG | {"scorer": {"epochs": 2.5, "d_trainable": 4}},
+    RUN_CONFIG | {"scorer": {"epochs": 2.5}},
     RUN_CONFIG | {"distill": {"hidden": 2.5}},
     RUN_CONFIG | {"methods": ["scorer", "scorer"]},
     RUN_CONFIG | {"regimes": ["int", "intersection_to_target"]},
+    # knobs of the per-node table X' that the scorer no longer has
+    RUN_CONFIG | {"scorer": {"epochs": 1, "encoder": "one_hop_mean"}},
+    RUN_CONFIG | {"scorer": {"epochs": 1, "d_trainable": 4}},
 ], ids=["missing-file", "json-list", "regimes-int", "methods-int", "k-multipliers-int",
         "regime-list", "scorer-seed", "distill-seed", "distill-batch-size-0",
         "distill-finetune-batch-size-0", "scorer-momentum", "scorer-l2-weight",
@@ -172,7 +174,7 @@ def test_run_with_a_huge_k_multiplier_recalls_every_positive(tmp_path):
         "scorer-encoder-unknown", "scorer-d-out", "ppr-tol-negative",
         "distill-plateau-epochs-0", "distill-plateau-epochs-negative",
         "distill-plateau-tol-negative", "scorer-epochs-float", "distill-hidden-float",
-        "method-twice", "regime-twice"])
+        "method-twice", "regime-twice", "scorer-encoder", "scorer-d-trainable"])
 def test_run_bad_config_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -334,7 +336,7 @@ def trained(workspace):
     code = main([
         "train-scorer", "--graph", str(workspace / "union"), "--manifest",
         str(workspace / "m.json"), "--config",
-        _write_json(workspace / "scorer.json", {"epochs": 1, "d_trainable": 4}),
+        _write_json(workspace / "scorer.json", {"epochs": 1}),
         "--out", str(workspace / "model.bin"), "--emit-logits", str(workspace / "logits.tsv"),
     ])
     assert code == 0
@@ -343,7 +345,7 @@ def trained(workspace):
 
 def test_train_scorer_emits_the_library_logits(trained, tmp_path):
     manifest, g_train = _training_graph(trained)
-    model = train_scorer(ScorerConfig(epochs=1, d_trainable=4), g_train,
+    model = train_scorer(ScorerConfig(epochs=1), g_train,
                          split_ids(manifest, g_train))
     pairs = manifest.all_edges()
     z = score_edges(embed(model, g_train), g_train.pair_ids(pairs))
@@ -408,7 +410,7 @@ def test_distill_on_a_featureless_graph_exits_3(tmp_path, small_pair, capsys, mo
     src, tar = (build_graph(g.edge_keys()) for g in small_pair[:2])
     save_graph(union_graph(src, tar), tmp_path / "union")
     make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1).save(tmp_path / "m.json")
-    assert _train(tmp_path, {"epochs": 1, "d_trainable": 4}) == 0
+    assert _train(tmp_path, {"epochs": 1}) == 0
 
     def no_teacher(*args):
         raise AssertionError("the teacher was loaded before the features were checked")
@@ -530,16 +532,28 @@ def test_score_file_missing_an_evaluation_edge_exits_3(trained):
     assert code == 3
 
 
-def test_checkpoint_from_another_node_order_exits_3(workspace, small_pair):
-    src, tar, _ = small_pair
-    manifest = SplitManifest.load(workspace / "m.json")
-    g_memory = manifest_training_graph(manifest, src, tar)
-    save_scorer(workspace / "model.bin", init_model(ScorerConfig(d_trainable=4), g_memory),
-                g_memory)
-    code = main(["propagate", "--variant", "xmc", "--graph", str(workspace / "union"),
-                 "--manifest", str(workspace / "m.json"), "--model",
-                 str(workspace / "model.bin"), "--out", str(workspace / "out.tsv")])
+def test_scorer_checkpoint_from_before_the_hop_teacher_exits_3(workspace, capsys):
+    """A scorer checkpoint written while the scorer still held a per-node
+    table X' carries the retired ``d_trainable`` and ``encoder`` keys."""
+    config = {"d_trainable": 4, "encoder": "embedding_only", "learning_rate": 0.05,
+              "batch_size": 512, "epochs": 1, "seed": 0}
+    save_checkpoint(workspace / "model.bin", "scorer", config,
+                    {"x_prime": np.zeros((5, 4), dtype=np.float32)})
+    code = main(["propagate", "--variant", "xmc", "--model", str(workspace / "model.bin"),
+                 *_stage_args(workspace)])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "d_trainable" in err
+    assert not (workspace / "out.tsv").exists()
+
+
+def test_scorer_checkpoint_on_another_feature_width_exits_3(workspace, capsys):
+    narrow = build_graph([("a", "b")], features={"a": [0.0, 1.0], "b": [1.0, 0.0]})
+    save_scorer(workspace / "model.bin", init_model(ScorerConfig(), narrow))
+    code = main(["propagate", "--variant", "xmc", "--model", str(workspace / "model.bin"),
+                 *_stage_args(workspace)])
+    assert code == 3
+    assert "scorer reads 2 features per node, graph has 4" in capsys.readouterr().err
 
 
 def _add_removed_config_keys(path):

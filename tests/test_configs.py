@@ -20,7 +20,7 @@ SPEC = dict(n_src=40, n_tar=20, overlap_ratio=0.4, mean_deg_src=4, mean_deg_tar=
 # (class, valid fields, one field out of range or not of its type, the message
 # it raises)
 CASES = {
-    "scorer": (ScorerConfig, {}, {"d_trainable": 0}, "d_trainable must be >= 1"),
+    "scorer": (ScorerConfig, {}, {"batch_size": 0}, "batch_size must be >= 1"),
     "distill": (DistillConfig, {}, {"finetune_batch_size": 0}, "batch sizes must be >= 1"),
     "diffusion": (DiffusionConfig, {}, {"alpha": 1.0}, "alpha must be in"),
     "ppr": (PprConfig, {}, {"iterations": 0}, "iterations must be >= 1"),
@@ -31,8 +31,8 @@ CASES = {
     "diffusion-k-max-str": (DiffusionConfig, {}, {"k_max": "3"}, "k_max must be an integer"),
     "ppr-iterations-float": (PprConfig, {}, {"iterations": 50.0}, "iterations must be an integer"),
     "synthetic-seed-str": (SyntheticSpec, SPEC, {"seed": "1"}, "seed must be an integer"),
-    "scorer-d-train-float": (ScorerConfig, {"encoder": "one_hop_mean"}, {"d_trainable": 4.0},
-                             "d_trainable must be an integer"),
+    "scorer-batch-size-float": (ScorerConfig, {}, {"batch_size": 64.0},
+                                "batch_size must be an integer"),
     # a float field takes an int or a float, not a bool or a string
     "scorer-learning-rate-bool": (ScorerConfig, {}, {"learning_rate": True},
                                   "learning_rate must be a number"),
@@ -40,8 +40,8 @@ CASES = {
     "synthetic-overlap-bool": (SyntheticSpec, SPEC, {"overlap_ratio": True},
                                "overlap_ratio must be a number"),
     # a str field takes only a string
-    "scorer-encoder-list": (ScorerConfig, {}, {"encoder": ["one_hop_mean"]},
-                            "encoder must be a string"),
+    "suite-eval-split-list": (SuiteConfig, {}, {"eval_split": ["test"]},
+                              "eval_split must be a string"),
     # a float field takes only a finite number: NaN passes every range check,
     # being a comparison, and an infinity passes the one-sided ones
     "scorer-learning-rate-nan": (ScorerConfig, {}, {"learning_rate": math.nan},
@@ -79,5 +79,5 @@ def test_typed_fields_take_their_own_values():
     """An int is a number, and an int or str field takes its own type."""
     assert PprConfig(teleport=0.5, tol=0).tol == 0
     assert ScorerConfig(learning_rate=1, batch_size=8).learning_rate == 1
-    assert ScorerConfig(encoder="one_hop_mean", d_trainable=4).d_trainable == 4
+    assert ScorerConfig(batch_size=4, epochs=0).batch_size == 4
     assert SyntheticSpec(**SPEC | {"overlap_ratio": 1}).overlap_ratio == 1

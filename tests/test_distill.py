@@ -111,7 +111,7 @@ def _distill_fixture():
     tar = build_graph(tar_edges, features=feats)
     manifest = make_split(Regime.TARGET_TO_TARGET, src, tar, neg_ratio=1.0, seed=1)
     g_train = manifest_training_graph(manifest, src, tar)
-    teacher = init_model(ScorerConfig(d_trainable=4, seed=3), g_train)
+    teacher = init_model(ScorerConfig(seed=3), g_train)
     teacher_y = embed(teacher, g_train)
     return split_ids(manifest, g_train), g_train, teacher, teacher_y
 
@@ -214,7 +214,7 @@ def test_student_trains_in_float32(small_pair):
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
     g_train = manifest_training_graph(manifest, src, tar)
     splits = split_ids(manifest, g_train)
-    teacher_y = embed(init_model(ScorerConfig(d_trainable=4, seed=3), g_train), g_train)
+    teacher_y = embed(init_model(ScorerConfig(seed=3), g_train), g_train)
     assert teacher_y.dtype == np.float64
     cfg = DistillConfig(hidden=8, batch_size=16, max_epochs=2, seed=1, finetune_epochs=1,
                         finetune_batch_size=16)
@@ -236,7 +236,10 @@ def test_student_matches_dense_reference(small_pair):
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
     g_train = manifest_training_graph(manifest, src, tar)
     splits = split_ids(manifest, g_train)
-    teacher = init_model(ScorerConfig(d_trainable=4, seed=3), g_train)
+    # a teacher away from its init X: a seeded random W
+    teacher = init_model(ScorerConfig(seed=3), g_train)
+    teacher.weights = np.random.default_rng(3).normal(
+        scale=0.5, size=teacher.weights.shape).astype(np.float32)
     teacher_y = embed(teacher, g_train)
     cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,
                         seed=3, finetune_epochs=3, finetune_lr=0.05,
@@ -263,7 +266,7 @@ def test_train_student_saves_the_dense_reference_checkpoint(small_pair, tmp_path
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=2)
     g_train = manifest_training_graph(manifest, src, tar)
     splits = split_ids(manifest, g_train)
-    teacher = train_scorer(ScorerConfig(d_trainable=4, epochs=2, seed=3), g_train, splits)
+    teacher = train_scorer(ScorerConfig(epochs=2, seed=3), g_train, splits)
     teacher_y = embed(teacher, g_train)
     kept = teacher_y.tobytes()
     cfg = DistillConfig(hidden=12, learning_rate=0.05, batch_size=16, max_epochs=6,

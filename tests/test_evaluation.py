@@ -106,7 +106,7 @@ def test_method_scores_reject_out_of_range_eval_ids(small_pair, manifest, method
     src, tar, _ = small_pair
     g_train = manifest_training_graph(manifest, src, tar)
     suite = SuiteConfig(
-        scorer=ScorerConfig(epochs=1, d_trainable=4),
+        scorer=ScorerConfig(epochs=1),
         distill=DistillConfig(hidden=4, max_epochs=1, finetune_epochs=1),
     )
     splits = split_ids(manifest, g_train)
@@ -187,7 +187,7 @@ def test_mlp_scores_embed_only_the_evaluation_endpoints(small_pair, manifest):
     src, tar, _ = small_pair
     g_train = manifest_training_graph(manifest, src, tar)
     suite = SuiteConfig(
-        scorer=ScorerConfig(epochs=1, d_trainable=4),
+        scorer=ScorerConfig(epochs=1),
         distill=DistillConfig(hidden=4, max_epochs=2, finetune_epochs=1),
     )
     splits = split_ids(manifest, g_train)

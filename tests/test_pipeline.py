@@ -41,7 +41,7 @@ def _config(out_dir, dataset, methods=KNOWN_METHODS):
         "dataset": dataset,
         "regimes": ["int"],
         "methods": list(methods),
-        "scorer": {"epochs": 2, "d_trainable": 8},
+        "scorer": {"epochs": 2},
         "distill": {"hidden": 8, "max_epochs": 3, "finetune_epochs": 1},
     }
 
@@ -170,7 +170,7 @@ def test_unknown_config_keys_are_all_reported(tmp_path):
 
 def test_scorer_model_is_freed_before_the_methods_run(tmp_path, monkeypatch):
     """run_pipeline keeps the scorer's embeddings and logits, not its model:
-    the model that fit_scorer returns (and its X') is dead at every method."""
+    the model that fit_scorer returns is dead at every method."""
     refs, alive = [], []
 
     def fit_scorer(*args, **kwargs):
