@@ -345,6 +345,36 @@ def ranking_loss(z_pos, z_neg) -> float:
     return float(np.mean(diff * diff))
 
 
+# The two starting W of the parametrized scorer tests, named for what the
+# embedding Q·W = [X, ĀX]·W reads: "embedding_only" is init_model's [I; 0],
+# a node's own feature row alone; "one_hop_mean" is [I; I], the row plus the
+# mean of its neighbours' rows
+SCORER_STARTS = ["embedding_only", "one_hop_mean"]
+
+
+def scorer_start(start: str, d: int) -> np.ndarray:
+    """The float32 2d x d starting W named ``start`` in ``SCORER_STARTS``."""
+    w = np.eye(2 * d, d, dtype=np.float32)
+    if start == "one_hop_mean":
+        w[d:] = np.eye(d, dtype=np.float32)
+    return w
+
+
+def start_scorer_from(monkeypatch, start: str) -> None:
+    """Make ``scorer.init_model``, and so ``train_scorer``, start from the W
+    named ``start``."""
+    from linkbridge import scorer
+
+    init = scorer.init_model
+
+    def init_model(config, g):
+        model = init(config, g)
+        model.weights = scorer_start(start, model.weights.shape[1])
+        return model
+
+    monkeypatch.setattr(scorer, "init_model", init_model)
+
+
 def fd_grad(fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function w.r.t. one array."""
     grad = np.zeros_like(array, dtype=np.float64)
@@ -677,11 +707,11 @@ def loop_hop_features(g) -> np.ndarray:
     return np.hstack([x, means])
 
 
-def dense_train_scorer(config, g, splits):
+def dense_train_scorer(config, g, splits, w0=None):
     """Scorer training in float64 on ``loop_hop_features``, with the full
     gradient dW = Qᵀ(C + Cᵀ)QW from the N x N matrix C holding each batch
     logit's loss derivative at its (u, v), and model selection by
-    ``full_sort_recall`` from W = [I; 0] on; on the id splits
+    ``full_sort_recall`` from ``w0`` (default W = [I; 0]) on; on the id splits
     (``selection.SplitIds``) of a manifest over ``g``, which needs features.
     It shares only the seeded pair draw (``pair_indices``) with the trainer.
 
@@ -693,7 +723,7 @@ def dense_train_scorer(config, g, splits):
     pos, neg, valid_pos, valid_neg = splits[:4]
     q = loop_hop_features(g)
     n, d = g.num_nodes, g.feature_dim
-    w = np.eye(2 * d, d)
+    w = np.eye(2 * d, d) if w0 is None else np.asarray(w0, dtype=np.float64)
     lr = config.learning_rate
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5C0E]))
 

@@ -24,6 +24,8 @@ from linkbridge.selection import (
     training_graph_from_universe,
 )
 
+from oracles import SCORER_STARTS, scorer_start, start_scorer_from
+
 
 @pytest.fixture(scope="module")
 def two_orders(small_pair, tmp_path_factory):
@@ -92,16 +94,18 @@ def test_scorer_checkpoint_with_other_arrays_is_a_data_error(tmp_path):
         load_scorer(other, g)
 
 
-def test_reloaded_scorer_scores_as_the_trained_one(small_pair, tmp_path):
+@pytest.mark.parametrize("start", SCORER_STARTS)
+def test_reloaded_scorer_scores_as_the_trained_one(small_pair, tmp_path, monkeypatch, start):
     """A scorer trains in the float32 its checkpoint stores, so the reloaded
     one embeds and scores every pair exactly as the trained one."""
+    start_scorer_from(monkeypatch, start)
     src, tar, _ = small_pair
     manifest = make_split(Regime.INTERSECTION_TO_TARGET, src, tar, seed=1)
     g = manifest_training_graph(manifest, src, tar)
     splits = split_ids(manifest, g)
     no_valid = splits._replace(valid_pos=splits.valid_pos[:0], valid_neg=splits.valid_neg[:0])
     model = train_scorer(ScorerConfig(epochs=3, seed=2), g, no_valid)
-    assert not np.array_equal(model.weights, init_model(ScorerConfig(), g).weights)
+    assert not np.array_equal(model.weights, scorer_start(start, g.feature_dim))
     path = tmp_path / "scorer.bin"
     save_scorer(path, model)
     loaded = load_scorer(path, g)

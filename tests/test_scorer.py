@@ -27,11 +27,14 @@ from linkbridge.selection import (
 )
 
 from oracles import (
+    SCORER_STARTS,
     dense_train_scorer,
     fd_grad,
     loop_hop_features,
     max_rel_error,
     ranking_loss,
+    scorer_start,
+    start_scorer_from,
 )
 
 
@@ -113,16 +116,17 @@ def test_score_edges_out_of_range():
         score_edges(np.eye(3), np.array([[0, 5]]))
 
 
+@pytest.mark.parametrize("start", SCORER_STARTS)
 @pytest.mark.parametrize("with_features", [True, False])
-def test_gradient_check(with_features):
+def test_gradient_check(start, with_features):
     if with_features:
         g = featured_graph()
     else:
         g = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d"), ("e", "a")])
     model = init_model(ScorerConfig(seed=11), g)
-    # central differences at eps 1e-6 need a float64 W, away from [I; 0]
-    model.weights = model.weights + np.random.default_rng(2).normal(
-        scale=0.3, size=model.weights.shape)
+    # central differences at eps 1e-6 need a float64 W, away from the start
+    w0 = scorer_start(start, model.weights.shape[1])
+    model.weights = w0 + np.random.default_rng(2).normal(scale=0.3, size=w0.shape)
     pos = np.array([[0, 1], [1, 2], [2, 3]])
     neg = np.array([[0, 2], [1, 3], [0, 3], [4, 2]])
     loss, grads = training_loss_and_grads(model, g, pos, neg)
@@ -214,7 +218,10 @@ def test_config_validation():
         ScorerConfig(encoder="one_hop_mean")
 
 
-def test_train_scorer_matches_dense_reference(small_pair):
+# the ids keep the momentum and L2 weight (both 0.0) that the test once varied
+@pytest.mark.parametrize("start", SCORER_STARTS, ids=lambda start: f"{start}-0.0-0.0")
+def test_train_scorer_matches_dense_reference(small_pair, monkeypatch, start):
+    start_scorer_from(monkeypatch, start)
     src, tar, _ = small_pair
     manifest = make_split(Regime.UNION_TO_TARGET, src, tar, neg_ratio=1.0, seed=5)
     g_train = manifest_training_graph(manifest, src, tar)
@@ -224,11 +231,12 @@ def test_train_scorer_matches_dense_reference(small_pair):
     # without a validation split both return the final W, with one the selected W
     for split in (no_valid, splits):
         model = train_scorer(cfg, g_train, split)
-        w_ref, trace_ref = dense_train_scorer(cfg, g_train, split)
+        w_ref, trace_ref = dense_train_scorer(
+            cfg, g_train, split, scorer_start(start, g_train.feature_dim))
         assert np.allclose(model.weights, w_ref, rtol=1e-4, atol=1e-5)
         assert model.loss_trace == pytest.approx(trace_ref, rel=1e-4)
     assert not np.array_equal(train_scorer(cfg, g_train, no_valid).weights,
-                              init_model(cfg, g_train).weights)
+                              scorer_start(start, g_train.feature_dim))
 
 
 def test_trained_teacher_beats_the_feature_product_on_validation(medium_pair):
@@ -276,13 +284,14 @@ def ring_graph(n: int, d_x: int) -> Graph:
     )
 
 
-def test_training_step_memory_is_o_batch():
+@pytest.mark.parametrize("start", SCORER_STARTS)
+def test_training_step_memory_is_o_batch(start):
     """One step on 100k nodes allocates a small fraction of the N x 2d hop
     table."""
     n, d_x, batch = 100_000, 8, 128
     g = ring_graph(n, d_x)
     q = hop_features(g)
-    w = init_model(ScorerConfig(), g).weights
+    w = scorer_start(start, d_x)
     rng = np.random.default_rng(2)
     pos, neg = rng.integers(0, n, size=(2, batch, 2))
     tracemalloc.start()
@@ -296,12 +305,16 @@ def test_training_step_memory_is_o_batch():
     assert peak < q.nbytes / 10
 
 
-def test_scorer_trains_in_float32():
-    """The hop table, W from init and from training, and a step's gradient
-    are float32; embed returns the float32 embedding Q·W as float64."""
+@pytest.mark.parametrize("start", SCORER_STARTS)
+def test_scorer_trains_in_float32(monkeypatch, start):
+    """The hop table, W from its start and from training, and a step's
+    gradient are float32; embed returns the float32 embedding Q·W as
+    float64."""
+    start_scorer_from(monkeypatch, start)
     splits, g = _tiny_splits_and_graph()
     cfg = ScorerConfig(epochs=2, seed=6)
-    model = init_model(cfg, g)
+    model = scorer.init_model(cfg, g)
+    assert np.array_equal(model.weights, scorer_start(start, g.feature_dim))
     trained = train_scorer(cfg, g, splits)
     assert model.weights.dtype == trained.weights.dtype == np.float32
     q = hop_features(g)
