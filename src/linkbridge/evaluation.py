@@ -92,7 +92,7 @@ def node_centric_lp_ablation(
     """
     p, resid, n_train = train_residuals(splits, z)
     ids = np.concatenate(splits)
-    node_resid, _ = endpoint_mean(g.num_nodes, ids[:n_train, 0], ids[:n_train, 1], resid[:n_train])
+    node_resid = endpoint_mean(g.num_nodes, ids[:n_train, 0], ids[:n_train, 1], resid[:n_train])
     z_final = diffuse(sym_norm_adjacency(g), node_resid, node_resid, cfg)
     edge_corr = 0.5 * (z_final[ids[:, 0]] + z_final[ids[:, 1]])
     return np.clip(p + edge_corr, 0.0, 1.0)

@@ -311,13 +311,13 @@ def union_graph(g1: Graph, g2: Graph) -> Graph:
     )
 
 
-def mean_aggregator(g: Graph) -> sp.csr_array:
-    """Row-normalized adjacency D^-1 A; isolated nodes get a zero row."""
+def mean_aggregator(g: Graph, dtype=np.float64) -> sp.csr_array:
+    """Row-normalized adjacency D^-1 A with entries of ``dtype``, each the
+    float64 1/degree rounded once; isolated nodes get a zero row."""
     n = g.num_nodes
-    degs = g.degrees().astype(np.float64)
+    degs = g.degrees()
     inv = np.zeros(n)
     nz = degs > 0
     inv[nz] = 1.0 / degs[nz]
-    rows = np.repeat(np.arange(n), g.degrees())
-    data = inv[rows]
+    data = np.repeat(inv.astype(dtype, copy=False), degs)
     return sp.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))

@@ -42,12 +42,11 @@ The line graph is never built. Over the m distinct edges of a logit-LP
 state, B^T*B has 2 on its diagonal and 1 exactly where two edges share an
 endpoint, so S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 with line degree
 k_u + k_v - 2 for edge (u, v); it is applied as two sparse products of
-O(m) cost, C*Z and then [C^T | -2*D_L^-1] on the state stacked under C*Z,
-which also folds in the diagonal term. Embedding-LP and matrix-LP diffuse
-Y in blocks of its columns. Matrix-LP acts on the logit matrix from the
-left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and the N x N matrix never
-exists. ``build_line_graph`` materializes S_L as a reference for tests and
-size probes; no propagation variant calls it.
+O(m) cost through the N nodes and one diagonal term. Embedding-LP and
+matrix-LP diffuse Y in blocks of its columns. Matrix-LP acts on the logit
+matrix from the left, so diffuse(S, Y*Y^T) = diffuse(S, Y)*Y^T and the
+N x N matrix never exists. ``build_line_graph`` materializes S_L as a
+reference for tests and size probes; no propagation variant calls it.
 """
 
 from __future__ import annotations
@@ -166,53 +165,24 @@ class LineOperator:
     """S_L = D_L^-1/2 (B^T*B - 2I) D_L^-1/2 applied without the line graph.
 
     With C = B*D_L^-1/2, S_L*x = C^T*(C*x) - 2*D_L^-1*x: two sparse products
-    through the N nodes, O(m) memory. ``line_degrees`` is k_u + k_v - 2 per
-    edge-node; an isolated edge-node has degree 0 and a zero row, as in the
-    materialized operator. The second product and the diagonal term are
-    one: the folded m x (N+m) matrix F = [C^T | -2*D_L^-1] is applied to the
-    state stacked under C*x. Row e of F holds C^T's two entries of edge e,
-    then -2/k_e in column N+e, so each output is C^T[e]*(C*x) and then minus
-    2/k_e*x[e], bit for bit the two-step round. A diffusion works in
-    ``stacked`` layout: an (N+m)-row buffer whose last m rows are the
-    iterate. ``product`` writes C*x over its first N rows and returns F
-    times the whole buffer as one new array. ``@`` makes the same product.
+    through the N nodes and a diagonal term, O(m) memory, on a 1-D or 2-D
+    state. ``line_degrees`` is k_u + k_v - 2 per edge-node; an isolated
+    edge-node has degree 0 and a zero row, as in the materialized operator.
     """
 
     def __init__(self, num_nodes: int, lo: np.ndarray, hi: np.ndarray) -> None:
         incident = np.bincount(np.concatenate([lo, hi]), minlength=num_nodes)
         self.line_degrees = incident[lo] + incident[hi] - 2
         scale = _inv_sqrt(self.line_degrees)
-        m = lo.size
-        self.num_nodes = num_nodes
         self._c = _incidence(num_nodes, lo, hi, scale)
-        index = np.int32 if 3 * m + num_nodes < 2**31 else np.int64
-        self._folded = sp.csr_array(
-            (
-                np.column_stack([scale, scale, -(2.0 * scale * scale)]).ravel(),
-                np.column_stack([lo, hi, num_nodes + np.arange(m)]).ravel().astype(index),
-                np.arange(0, 3 * m + 1, 3, dtype=index),
-            ),
-            shape=(m, num_nodes + m),
-        )
-        self.shape = (m, m)
-
-    def stacked(self, x: np.ndarray) -> np.ndarray:
-        """A new (N+m)-row buffer whose last m rows are a copy of the
-        iterate ``x``, 1-D or 2-D; its first N rows are left uninitialized."""
-        buf = np.empty((self.num_nodes + self.shape[0],) + np.shape(x)[1:])
-        buf[self.num_nodes :] = x
-        return buf
-
-    def product(self, buf: np.ndarray) -> np.ndarray:
-        """S_L @ x as a new array, for the iterate x held in the last m rows
-        of the ``stacked`` buffer ``buf``; C*x is written over ``buf``'s
-        first N rows on the way."""
-        n = self.num_nodes
-        buf[:n] = self._c @ buf[n:]
-        return self._folded @ buf
+        self._ct = self._c.T.tocsr()
+        self._diag = 2.0 * scale * scale
+        self.shape = (lo.size, lo.size)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.product(self.stacked(x))
+        out = self._ct @ (self._c @ x)
+        out -= self._diag.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        return out
 
 
 def line_operator(
@@ -308,48 +278,42 @@ def damped_iteration(operator, z: np.ndarray, source, alpha: float, rounds: int)
     or a scipy sparse array, whose entries are added by index, so a source
     with few entries, such as PPR's teleport, is never dense.
 
-    For a ``LineOperator``, ``z`` is its ``stacked`` buffer with the
-    iterate in its last m rows, and each round is one folded product
-    [C^T | -2*D_L^-1] of that buffer (``LineOperator.product``). Any other
-    operator takes the iterate ``z`` itself, as ``operator @ z``. Either
-    way the iterate and the step are updated in place, and a round makes
-    exactly one product and frees it before the next round starts. Returns
-    the iterate's rows.
+    The iterate and the step are updated in place, and a round makes
+    exactly one product ``operator @ z`` and frees it before the next round
+    starts. Returns the iterate.
 
     A non-finite iterate raises ``NumericError`` after the loop, since no
     update makes a NaN or an inf finite again; numpy's warnings on the way
     (inf - inf, 0 * inf) are silenced in the loop's own numpy error state.
     """
-    line = isinstance(operator, LineOperator)
-    state = z[operator.num_nodes :] if line else z
     index = None
     if sp.issparse(source):
         entries = sp.coo_array(source)
         entries.sum_duplicates()
-        index, source = entries.coords, entries.data
-    step = np.zeros_like(state)
+        index, source = (entries.row, entries.col), entries.data
+    step = np.zeros_like(z)
     omega = 1.0
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(rounds):
-            new = operator.product(z) if line else operator @ z
+            new = operator @ z
             new *= alpha
             if index is None:
                 new += source
             else:
                 new[index] += source
-            new -= state
+            new -= z
             new *= omega
             step *= omega - 1.0
             step += new
             del new  # freed before the next product is made
-            state += step
+            z += step
             if k == 0:
                 omega = 2.0 / (2.0 - alpha * alpha)
             else:
                 omega = 1.0 / (1.0 - alpha * alpha * omega / 4.0)
-    if not np.isfinite(state).all():
+    if not np.isfinite(z).all():
         raise NumericError(f"diffusion produced non-finite values within {rounds} rounds")
-    return state
+    return z
 
 
 def diffuse(
@@ -369,11 +333,11 @@ def diffuse(
     graph is one, and so is the lazy walk. The loop runs on U = Z/(1-alpha),
     which solves U = alpha*S*U + G, so the caller's G is added as is each
     round and (1-alpha)*G is never made; U starts from a copy of
-    Z0/(1-alpha) that only the loop holds (in a ``LineOperator``'s stacked
-    buffer), so neither input is modified. Runs ``chebyshev_rounds(alpha,
-    tol, k_max)`` rounds, after which ||Z - Z*|| <= tol*||Z0 - Z*|| in the
-    norm in which S is symmetric (tol=0 runs exactly k_max rounds). Raises
-    on non-finite values, an overflow of Z0/(1-alpha) among them.
+    Z0/(1-alpha) that only the loop holds, so neither input is modified.
+    Runs ``chebyshev_rounds(alpha, tol, k_max)`` rounds, after which
+    ||Z - Z*|| <= tol*||Z0 - Z*|| in the norm in which S is symmetric
+    (tol=0 runs exactly k_max rounds). Raises on non-finite values, an
+    overflow of Z0/(1-alpha) among them.
     """
     z = np.asarray(z0, dtype=np.float64)
     g_mat = np.asarray(source, dtype=np.float64)
@@ -384,8 +348,6 @@ def diffuse(
     weight = 1.0 - cfg.alpha
     with np.errstate(over="ignore"):
         u = z / weight
-    if isinstance(operator, LineOperator):
-        u = operator.stacked(u)
     rounds = chebyshev_rounds(cfg.alpha, cfg.tol, cfg.k_max)
     out = damped_iteration(operator, u, g_mat, cfg.alpha, rounds)
     out *= weight
@@ -394,8 +356,8 @@ def diffuse(
 
 def endpoint_mean(
     num_nodes: int, u: np.ndarray, v: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per node, the mean of the values its edges hand it: ``(means, touched)``.
+) -> np.ndarray:
+    """Per node, the mean of the values its edges hand it.
 
     Edge e hands the scalar ``values[e]`` to both ``u[e]`` and ``v[e]``,
     summed u side first. A node no edge touches gets 0.
@@ -406,7 +368,7 @@ def endpoint_mean(
     counts = np.bincount(np.concatenate([u, v]), minlength=num_nodes)
     touched = counts > 0
     means[touched] /= counts[touched]
-    return means, touched
+    return means
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

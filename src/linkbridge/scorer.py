@@ -138,7 +138,7 @@ def hop_features(g: Graph) -> np.ndarray:
         x = g.features
     q = np.empty((n, 2 * d), dtype=np.float32)
     q[:, :d] = x
-    q[:, d:] = mean_aggregator(g).astype(np.float32) @ x
+    q[:, d:] = mean_aggregator(g, np.float32) @ x
     return q
 
 

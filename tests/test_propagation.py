@@ -117,10 +117,10 @@ def test_line_operator_matches_brute_force_oracle(rng):
 
 
 @pytest.mark.parametrize("tail", [(), (3,)])
-def test_folded_product_is_the_two_step_product(rng, tail):
-    """[C^T | -2*D_L^-1] on the state stacked under C*x is C^T*(C*x) and
-    then minus 2/k_e*x[e], bit for bit, for a 1-D and a 2-D state; the
-    hub's edges, and an isolated edge, are among the rows."""
+def test_line_operator_is_the_two_step_product(rng, tail):
+    """``op @ x`` is C^T*(C*x) and then minus 2/k_e*x[e], bit for bit, with
+    C = B*D_L^-1/2 built here from the incidence lists, for a 1-D and a 2-D
+    state; the hub's edges, and an isolated edge, are among the rows."""
     edges = np.array(random_graph_edges(rng, 12, 30) + [(20, 21)] + [(22, i) for i in range(23, 30)])
     lo, hi = edges[:, 0], edges[:, 1]
     op = LineOperator(30, lo, hi)
@@ -270,13 +270,14 @@ def test_diffuse_stops_within_tol_of_the_fixed_point(rng, alpha, line):
 
 
 def test_broadcast_sized_line_diffusion_converges_within_25_rounds(rng, monkeypatch):
-    """A line-graph state over as many edges as the broadcast benchmark's
-    positives (1280 nodes, 6439 edges, 12 columns of endpoint means) at
-    alpha 0.8 and tol 1e-6: the error shrinks by 0.5 a round, so 21 rounds
-    reach tol, and the result is within tol of the fixed point relative to
-    the initial error. A plain step shrinks it by 0.8 and needs 62 rounds;
-    200 of them on the materialized line graph give the fixed point within
-    0.8^200 = 4e-20."""
+    """Logit-LP's line-graph diffusion over as many edges as the broadcast
+    benchmark's positives (1280 nodes, 6439 edges) at alpha 0.8 and tol
+    1e-6, on 12 columns at once: each column evolves on its own, so they are
+    12 smooth stand-ins for its residual vector. The error shrinks by 0.5 a
+    round, so 21 rounds reach tol, and the result is within tol of the
+    fixed point relative to the initial error. A plain step shrinks it by
+    0.8 and needs 62 rounds; 200 of them on the materialized line graph give
+    the fixed point within 0.8^200 = 4e-20."""
     edges = np.array(random_graph_edges(rng, 1280, 6439))
     op = LineOperator(1280, edges[:, 0], edges[:, 1])
     y = rng.normal(size=(1280, 12))
@@ -361,23 +362,31 @@ def test_line_graph_diffusion_is_the_plain_update(rng, shape):
     assert np.array_equal(z0, kept_z0) and np.array_equal(g_mat, kept_g)
 
 
-def test_line_graph_diffusion_holds_its_buffer_the_source_and_one_product(rng):
-    """On a broadcast-sized wide line-graph state the diffusion holds the
-    stacked iterate, its last step and one product, within 1 MiB, besides the
-    caller's source: a round that keeps one more state alive, such as the
-    last round's product or (1-alpha)*G, is over."""
+def test_line_graph_diffusion_holds_its_state_the_source_and_one_product(rng):
+    """A line-graph diffusion holds its iterate, its last step and one
+    product, and within ``@`` first the N-row C*x and then, once C*x is
+    freed, the m-row diagonal term, within 1 MiB, besides the caller's
+    source: a round that keeps one more state alive, such as the last
+    round's product or (1-alpha)*G, is over. Checked on a wide state of 160
+    columns and on the 1-D residual state that logit-LP diffuses."""
     edges = np.array(random_graph_edges(rng, 1400, 5000))
-    op = LineOperator(1400, edges[:, 0], edges[:, 1])
-    feats = rng.normal(size=(edges.shape[0], 160))
-    stacked_bytes = (1400 + edges.shape[0]) * 160 * 8
+    ids = np.arange(20_000)
+    ring = np.concatenate([np.stack([ids, (ids + k) % ids.size], axis=1) for k in range(1, 11)])
+    cases = [
+        (1400, edges, rng.normal(size=(edges.shape[0], 160))),
+        (ids.size, np.sort(ring, axis=1), rng.normal(size=ring.shape[0])),
+    ]
     cfg = DiffusionConfig(k_max=2, tol=0.0)
-    tracemalloc.start()
-    try:
-        diffuse(op, feats, feats, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < stacked_bytes + 2 * feats.nbytes + 2**20
+    for n, pairs, feats in cases:
+        op = LineOperator(n, pairs[:, 0], pairs[:, 1])
+        node_bytes = n * feats.nbytes // feats.shape[0]
+        tracemalloc.start()
+        try:
+            diffuse(op, feats, feats, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * feats.nbytes + max(node_bytes, feats.nbytes) + 2**20
 
 
 def test_sparse_operator_diffusion_holds_under_three_states(rng):
